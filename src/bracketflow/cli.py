@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import replace
 
 from .catalog import catalog_entries, get_entry
 from .flow import IntegratorOptions
@@ -52,14 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _base_options(args) -> IntegratorOptions:
-    merged = {f.name: getattr(IntegratorOptions(), f.name) for f in fields(IntegratorOptions)}
-    if args.rel_tol is not None:
-        merged["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        merged["abs_tol"] = args.abs_tol
-    if args.blowup_threshold is not None:
-        merged["blowup_threshold"] = args.blowup_threshold
-    return IntegratorOptions(**merged)
+    flags = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol, "blowup_threshold": args.blowup_threshold}
+    return replace(IntegratorOptions(), **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:

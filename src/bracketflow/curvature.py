@@ -80,8 +80,8 @@ def _mean_curvature(c: np.ndarray, q: int) -> np.ndarray:
     return np.trace(c, axis1=1, axis2=2)[q:]
 
 
-def _ricci_from_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, float, float]:
-    """Hot path: (ric, scalar, tr ric^2) from the raw tensor."""
+def _ricci_parts(c: np.ndarray, q: int) -> tuple:
+    """(ric, scalar, tr ric^2, B, H, M) in the field order of RicciData."""
     n = c.shape[0] - q
     m = _moment_tensor(c, q)
     b = _killing_p(c, q)
@@ -91,7 +91,12 @@ def _ricci_from_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, float, float]
     ric = m - 0.5 * b - 0.5 * (ad_h + ad_h.T)
     ric = 0.5 * (ric + ric.T)
     scalar = float(np.trace(ric))
-    return ric, scalar, float(np.sum(ric * ric))
+    return ric, scalar, float(np.sum(ric * ric)), b, h, m
+
+
+def _ricci_from_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, float, float]:
+    """Hot path: (ric, scalar, tr ric^2) from the raw tensor."""
+    return _ricci_parts(c, q)[:3]
 
 
 def mean_curvature(mu: LieBracket) -> np.ndarray:
@@ -137,16 +142,7 @@ def ricci_operator(mu: LieBracket, check: bool = True, tol: float = DEFAULT_TOL)
             raise NotInVarietyError(
                 f"bracket fails admissibility: {name} = {value:.3e} (tol {tol:.1e})"
             )
-    q = mu.dims.q
-    ric, scalar, trsq = _ricci_from_tensor(mu.c, q)
-    return RicciData(
-        ric=ric,
-        scalar=scalar,
-        ric_sq_trace=trsq,
-        killing_p=_killing_p(mu.c, q),
-        mean_curvature=_mean_curvature(mu.c, q),
-        moment_part=_moment_tensor(mu.c, q),
-    )
+    return RicciData(*_ricci_parts(mu.c, mu.dims.q))
 
 
 def _koszul_pieces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

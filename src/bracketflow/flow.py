@@ -1,9 +1,12 @@
 """Integration of the bracket flow and singularity diagnostics.
 
 The flow is d/dt mu = -pi(diag(0, Ric_mu)) mu.  Trajectories are advanced
-with an embedded Dormand-Prince 4(5) pair (scipy's stepper) wrapped in a
-monitoring loop that tracks the bracket norm, scalar curvature, tr Ric^2,
-admissibility drift and the measured Lipschitz ratio |dmu/dt| / |mu|^3.
+with an embedded Dormand-Prince 4(5) pair (scipy's stepper) by `_drive`, the
+monitored stepping loop this module shares with the metric flow: it owns the
+step budget, solver failures and dense output, and asks a per-step callback
+whether to stop.  The bracket flow's callback tracks the bracket norm, scalar
+curvature, tr Ric^2, admissibility drift and the measured Lipschitz ratio
+|dmu/dt| / |mu|^3.
 
 A finite-time singularity is declared only when two conditions hold at once:
 the bracket norm exceeds a threshold, and the rigorous remaining-lifetime
@@ -27,11 +30,11 @@ from .algebra import (
     DEFAULT_TOL,
     Dimensions,
     LieBracket,
+    _pi_tensor,
     bracket_norm,
     check_conditions,
-    pi_action,
 )
-from .curvature import NotInVarietyError, _ricci_from_tensor, koszul_ricci_oracle, ricci_operator
+from .curvature import NotInVarietyError, _ricci_from_tensor, koszul_ricci_oracle
 
 __all__ = [
     "IntegratorOptions",
@@ -96,7 +99,6 @@ class FlowState:
     t: float
     mu: LieBracket
     step: float
-    err_est: float
 
 
 @dataclass(frozen=True)
@@ -186,19 +188,14 @@ class DenseSolution:
 
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
     """Right-hand side -pi(diag(0, Ric_mu)) mu of the bracket flow."""
-    rd = ricci_operator(mu, check=False)
-    out = pi_action(rd.ric, mu)
-    return LieBracket(mu.dims, -out.c)
+    return LieBracket(mu.dims, _default_rhs_tensor(mu.c, mu.dims.q))
 
 
 def _default_rhs_tensor(c: np.ndarray, q: int) -> np.ndarray:
     d = c.shape[0]
-    ric = _ricci_from_tensor(c, q)[0]
     abar = np.zeros((d, d))
-    abar[q:, q:] = ric
-    term1 = c @ abar.T
-    term2 = (abar.T @ c.reshape(d, -1)).reshape(d, d, d)
-    return -(term1 - term2 + np.transpose(term2, (1, 0, 2)))
+    abar[q:, q:] = _ricci_from_tensor(c, q)[0]
+    return -_pi_tensor(abar, c)
 
 
 def _flat_trajectory(initial: LieBracket, direction: str, horizon: float) -> Trajectory:
@@ -208,7 +205,7 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float) -> Tra
     m = 33
     t = sign * np.linspace(0.0, horizon, m)
     zeros = np.zeros(m)
-    cps = [FlowState(float(ti), initial, 0.0, 0.0) for ti in t]
+    cps = [FlowState(float(ti), initial, 0.0) for ti in t]
     dense = DenseSolution(sign, initial.c.ravel(), [], span=horizon)
     return Trajectory(
         direction=direction,
@@ -254,7 +251,8 @@ def integrate(
         NotInVarietyError: the initial bracket fails admissibility.
         StiffnessError: step size underflowed without blowup evidence.
         DriftError: admissibility residuals exceeded `opts.drift_tol`.
-        FlowError: the step budget was exhausted.
+        FlowError: the step budget was exhausted, or a declared blowup left
+            too short a tail to fit the singular time.
     """
     opts = opts or IntegratorOptions()
     if direction not in ("forward", "backward"):
@@ -290,10 +288,9 @@ def integrate(
     ts, norms, scalars, trsqs, rhsn = [], [], [], [], []
     jres, h1res, h3res = [], [], []
     checkpoints: list[FlowState] = []
-    segments: list = []
     ratio_max = 0.0
 
-    def record(s, y, step, err):
+    def record(s, y, step):
         nonlocal ratio_max
         c = y.reshape(d, d, d)
         nsq = float(np.dot(y, y))
@@ -314,7 +311,7 @@ def integrate(
             ratio_max = max(ratio_max, fnorm / norm**3)
         idx = len(ts) - 1
         if idx % opts.checkpoint_stride == 0:
-            checkpoints.append(FlowState(sign * s, mu, step, err))
+            checkpoints.append(FlowState(sign * s, mu, step))
         return nsq, norm, rep
 
     def remaining_bound(nsq):
@@ -327,7 +324,20 @@ def integrate(
     def step_ceiling(norm, fnorm):
         return opts.step_cap * norm / fnorm if fnorm > 0 else np.inf
 
-    record(0.0, y0, 0.0, 0.0)
+    def at_singularity(norm, nsq):
+        return norm > opts.blowup_threshold and remaining_bound(nsq) < opts.time_resolution
+
+    def on_step(solver):
+        nsq, norm, rep = record(solver.t, solver.y, solver.t - ts[-1])
+        solver.max_step = step_ceiling(norm, rhsn[-1])
+        drift = max(rep.jacobi_residual, rep.h1_residual, rep.h3_residual) / (1.0 + nsq)
+        if drift > opts.drift_tol:
+            raise DriftError(
+                f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {sign * solver.t}"
+            )
+        return at_singularity(norm, nsq)
+
+    record(0.0, y0, 0.0)
     solver = RK45(
         fun,
         0.0,
@@ -338,57 +348,19 @@ def integrate(
         max_step=step_ceiling(np.sqrt(nsq0), rhsn[0]),
     )
 
-    blowup = False
-    fail_msg = None
-    n_steps = 0
-    while solver.status == "running":
-        if n_steps >= opts.max_steps:
-            raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {sign * solver.t}")
-        msg = solver.step()
-        n_steps += 1
-        if solver.status == "failed":
-            fail_msg = msg
-            break
-        step = solver.t - ts[-1]
-        err = _error_estimate(solver, step)
-        nsq, norm, rep = record(solver.t, solver.y, step, err)
-        if opts.collect_dense:
-            segments.append(solver.dense_output())
-        solver.max_step = step_ceiling(norm, rhsn[-1])
-        drift = max(rep.jacobi_residual, rep.h1_residual, rep.h3_residual) / (1.0 + nsq)
-        if drift > opts.drift_tol:
-            raise DriftError(
-                f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {sign * solver.t}"
-            )
-        if norm > opts.blowup_threshold and remaining_bound(nsq) < opts.time_resolution:
-            blowup = True
-            break
-
-    if not blowup and solver.status == "failed":
-        nsq_last = norms[-1] ** 2
-        if norms[-1] > opts.blowup_threshold and remaining_bound(nsq_last) < opts.time_resolution:
-            blowup = True  # the step floor was hit right at the singularity
-        else:
-            raise StiffnessError(f"integrator failed at t = {sign * ts[-1]}: {fail_msg}")
+    # A step floor hit right at the singularity also counts as a blowup.
+    blowup, segments = _drive(solver, sign, opts, on_step, lambda: at_singularity(norms[-1], norms[-1] ** 2))
 
     t_arr = sign * np.array(ts)
     norm_arr = np.array(norms)
     if checkpoints[-1].t != t_arr[-1]:
         checkpoints.append(
-            FlowState(float(t_arr[-1]), LieBracket(dims, solver.y.reshape(d, d, d)), 0.0, 0.0)
+            FlowState(float(t_arr[-1]), LieBracket(dims, solver.y.reshape(d, d, d)), 0.0)
         )
 
     if blowup:
-        fit = fit_power_blowup(np.array(ts), norm_arr)
         rem = remaining_bound(norm_arr[-1] ** 2)
-        verdict = Verdict(
-            kind="blowup",
-            omega_est=sign * fit.omega,
-            omega_stderr=fit.omega_stderr,
-            exponent=fit.exponent,
-            exponent_stderr=fit.exponent_stderr,
-            rigorous_bound=sign * (ts[-1] + rem),
-        )
+        verdict = _blowup_verdict(sign, ts, norm_arr, rigorous_bound=sign * (ts[-1] + rem))
     else:
         verdict = Verdict(kind="immortal")
 
@@ -412,11 +384,59 @@ def integrate(
     )
 
 
-def _error_estimate(solver, h: float) -> float:
+def _drive(solver, sign: float, opts: IntegratorOptions, on_step, singular_on_failure) -> tuple[bool, list]:
+    """Step `solver` to its bound; return (singular, dense segments).
+
+    `on_step(solver)` records each accepted step (it may set `max_step`) and
+    returns True to stop at a singularity.  On solver failure,
+    `singular_on_failure()` decides between a singular stop and
+    StiffnessError.  Segments are kept only under `opts.collect_dense`;
+    `sign` turns elapsed into physical time in messages.
+
+    Raises:
+        FlowError: the step budget `opts.max_steps` was exhausted.
+        StiffnessError: the solver failed away from a singularity.
+    """
+    segments: list = []
+    n_steps = 0
+    while solver.status == "running":
+        if n_steps >= opts.max_steps:
+            raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {sign * solver.t}")
+        msg = solver.step()
+        n_steps += 1
+        if solver.status == "failed":
+            if singular_on_failure():
+                return True, segments
+            raise StiffnessError(f"integrator failed at t = {sign * solver.t}: {msg}")
+        if opts.collect_dense:
+            segments.append(solver.dense_output())
+        if on_step(solver):
+            return True, segments
+    return False, segments
+
+
+def _blowup_verdict(sign: float, elapsed: list, series: np.ndarray, rigorous_bound: float | None = None) -> Verdict:
+    """Blowup verdict from a power-law fit to the diverging `series`.
+
+    `elapsed` holds the increasing elapsed times of the samples; the
+    verdict reports physical times, `sign` times the elapsed ones.
+
+    Raises:
+        FlowError: the tail is too short to fit, so the singularity that was
+            declared cannot be located.
+    """
     try:
-        return float(np.linalg.norm(h * (solver.K.T @ solver.E)))
-    except Exception:
-        return float("nan")
+        fit = fit_power_blowup(np.array(elapsed), series)
+    except ValueError as exc:
+        raise FlowError(f"singularity declared at t = {sign * elapsed[-1]}, but {exc}") from exc
+    return Verdict(
+        kind="blowup",
+        omega_est=sign * fit.omega,
+        omega_stderr=fit.omega_stderr,
+        exponent=fit.exponent,
+        exponent_stderr=fit.exponent_stderr,
+        rigorous_bound=rigorous_bound,
+    )
 
 
 @dataclass(frozen=True)

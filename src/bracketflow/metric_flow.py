@@ -8,10 +8,10 @@ L.mu has the same curvature in the flat background metric, so
     RicOp(P) = L^-1 Ric_{L.mu} L,    scalar = tr Ric_{L.mu},
 
 independent of which factor L is chosen.  The flow dP/dt = -2 P RicOp(P)
-is then integrated with the same stepper contract as the bracket flow, and
-the two flows can be compared through their isometry invariants (scalar
-curvature, Ricci spectra, singularity verdicts), which the equivalence of
-the flows says must agree.
+is then integrated on the bracket flow's monitored stepping loop
+(`flow._drive`) with its own stop rule, and the two flows can be compared
+through their isometry invariants (scalar curvature, Ricci spectra,
+singularity verdicts), which the equivalence of the flows says must agree.
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ from scipy.integrate import RK45
 
 from .algebra import LieBracket, transform_bracket
 from .curvature import ricci_operator
-from .flow import (
-    DenseSolution,
-    FlowError,
-    IntegratorOptions,
-    StiffnessError,
-    Verdict,
-    fit_power_blowup,
-    integrate,
-)
+from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _drive, integrate
 
 __all__ = [
     "MetricState",
@@ -111,19 +103,14 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky") -> tu
     p = np.asarray(p, dtype=float)
     if p.shape != (n, n):
         raise ValueError(f"metric matrix must be {n} x {n}")
-    p = 0.5 * (p + p.T)
-    ell = _factor(p, factor)
-    pushed = transform_bracket(mu0, ell)
-    rd = ricci_operator(pushed, check=False)
-    ric_op = np.linalg.solve(ell, rd.ric @ ell)
+    rd, ric_op = _pushed_ric(mu0, p, factor)
     return ric_op, rd.scalar
 
 
-def _pushed_ric(mu0: LieBracket, p: np.ndarray):
+def _pushed_ric(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky"):
     # Internal: Ricci of the pushed bracket (symmetric, same spectrum as the
     # operator) plus the operator itself; may raise NonSPDError.
-    n = mu0.dims.n
-    ell = _factor(0.5 * (p + p.T), "cholesky")
+    ell = _factor(0.5 * (p + p.T), factor)
     pushed = transform_bracket(mu0, ell)
     rd = ricci_operator(pushed, check=False)
     ric_op = np.linalg.solve(ell, rd.ric @ ell)
@@ -148,6 +135,11 @@ def metric_flow_integrate(
     NaN, which the error controller treats as a rejected step, so the
     integrator approaches a degenerating metric geometrically instead of
     stepping across it.
+
+    Raises:
+        StiffnessError: step size underflowed away from a singular metric.
+        FlowError: the step budget was exhausted, or a declared singularity
+            left too short a tail to fit the singular time.
     """
     opts = opts or IntegratorOptions()
     if mu0.dims.q != 0:
@@ -177,7 +169,6 @@ def metric_flow_integrate(
 
     ts, scalars, eigs, lam_mins = [], [], [], []
     checkpoints: list[MetricState] = []
-    segments: list = []
 
     def record(s, y):
         p = 0.5 * (y.reshape(n, n) + y.reshape(n, n).T)
@@ -203,42 +194,23 @@ def metric_flow_integrate(
         max_step=min(h0, horizon),
     )
 
-    singular = False
-    fail_msg = None
-    n_steps = 0
-    while solver.status == "running":
-        if n_steps >= opts.max_steps:
-            raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {sign * solver.t}")
-        msg = solver.step()
-        n_steps += 1
-        if solver.status == "failed":
-            fail_msg = msg
-            break
+    def on_step(solver):
         scalar, lam, p = record(solver.t, solver.y)
-        if opts.collect_dense:
-            segments.append(solver.dense_output())
-        dp = fun(solver.t, solver.y)
-        solver.max_step = 0.2 * np.linalg.norm(p) / (np.linalg.norm(dp) + _EPS)
-        if lam < eig_floor * lam0 or abs(scalar) > scalar_threshold:
-            singular = True
-            break
+        # solver.f is the derivative at the accepted point (RK45's last stage).
+        solver.max_step = 0.2 * np.linalg.norm(p) / (np.linalg.norm(solver.f) + _EPS)
+        return lam < eig_floor * lam0 or abs(scalar) > scalar_threshold
 
-    if not singular and solver.status == "failed":
-        if lam_mins[-1] < 1e3 * eig_floor * lam0 or abs(scalars[-1]) > scalar_threshold:
-            singular = True
-        else:
-            raise StiffnessError(f"metric flow failed at t = {sign * ts[-1]}: {fail_msg}")
+    singular, segments = _drive(
+        solver,
+        sign,
+        opts,
+        on_step,
+        lambda: lam_mins[-1] < 1e3 * eig_floor * lam0 or abs(scalars[-1]) > scalar_threshold,
+    )
 
     t_arr = sign * np.array(ts)
     if singular:
-        fit = fit_power_blowup(np.array(ts), np.abs(np.array(scalars)))
-        verdict = Verdict(
-            kind="blowup",
-            omega_est=sign * fit.omega,
-            omega_stderr=fit.omega_stderr,
-            exponent=fit.exponent,
-            exponent_stderr=fit.exponent_stderr,
-        )
+        verdict = _blowup_verdict(sign, ts, np.abs(np.array(scalars)))
     else:
         verdict = Verdict(kind="immortal")
 

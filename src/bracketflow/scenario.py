@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .algebra import LieBracket, check_conditions
@@ -84,10 +84,7 @@ class Scenario:
     expect_tol: float = 1e-3
 
     def options(self, base: IntegratorOptions | None = None) -> IntegratorOptions:
-        base = base or IntegratorOptions()
-        merged = {f.name: getattr(base, f.name) for f in fields(IntegratorOptions)}
-        merged.update(self.overrides)
-        return IntegratorOptions(**merged)
+        return replace(base or IntegratorOptions(), **self.overrides)
 
     def bracket(self) -> LieBracket:
         if self.catalog_name is not None:
@@ -148,10 +145,10 @@ def load_scenario(path) -> Scenario:
     sc.catalog_name = take("catalog", str)
     sc.q = take("q", int)
     sc.n = take("n", int)
+    bracket_line = 0
     if "bracket" in raw:
-        value, lineno = raw.pop("bracket")
-        sc.triples = _parse_triples(value, str(path), lineno)
-        sc._bracket_line = lineno
+        value, bracket_line = raw.pop("bracket")
+        sc.triples = _parse_triples(value, str(path), bracket_line)
     direction = take("direction", str, "forward").lower()
     if direction == "both":
         sc.directions = ("forward", "backward")
@@ -190,16 +187,15 @@ def load_scenario(path) -> Scenario:
     if sc.catalog_name is None:
         if sc.q is None or sc.n is None or sc.triples is None:
             raise ScenarioError(f"{path}: inline scenarios need q, n and bracket")
-        lineno = getattr(sc, "_bracket_line", 0)
         try:
             mu = LieBracket.from_triples(sc.q, sc.n, sc.triples, one_indexed=True)
         except ValueError as exc:
-            raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
+            raise ScenarioError(f"{path}:{bracket_line}: {exc}") from exc
         rep = check_conditions(mu, tol=sc.validation_tol, h2_note=sc.h2_note)
         if not rep.passes(sc.validation_tol):
             name, value = rep.worst()
             raise ScenarioError(
-                f"{path}:{lineno}: inline bracket rejected: {name} = {value:.6e} "
+                f"{path}:{bracket_line}: inline bracket rejected: {name} = {value:.6e} "
                 f"exceeds tolerance {sc.validation_tol:.1e}"
             )
     else:

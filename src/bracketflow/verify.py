@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieBracket, bracket_norm, random_bracket, random_two_step_nilpotent, scale_bracket
+from .algebra import LieBracket, bracket_norm, pi_action, random_bracket, random_two_step_nilpotent, scale_bracket
 from .catalog import catalog_entries, cover_dichotomy_check, get_entry
 from .curvature import koszul_ricci_oracle, ricci_operator
 from .flow import (
@@ -24,7 +24,6 @@ from .flow import (
     bracket_flow_rhs,
     estimate_report,
     integrate,
-    pi_action,
 )
 from .metric_flow import equivalence_check, metric_flow_integrate
 

@@ -62,7 +62,7 @@ def test_load_rejects_jacobi_violation_naming_residual(tmp_path):
         bracket = (1,2,3,1.0) (2,3,2,1.0)
         """,
     )
-    with pytest.raises(ScenarioError, match="jacobi_residual"):
+    with pytest.raises(ScenarioError, match=r"bad\.scn:4: .*jacobi_residual"):
         load_scenario(path)
 
 
@@ -276,6 +276,15 @@ def test_cli_flag_overrides_threshold(tmp_path):
     scn.write_text("catalog = su2_round\ndirection = forward\nhorizon = 2.0\n")
     code = main(["--out", str(tmp_path), "--blowup-threshold", "1e30", "run", str(scn)])
     assert code == 3
+
+
+def test_cli_run_exit_3_when_declared_blowup_cannot_be_fitted(tmp_path):
+    # heisenberg3 scaled by 1e7: a false blowup verdict whose tail is too short to fit
+    scn = tmp_path / "big.scn"
+    scn.write_text("name = big\nq = 0\nn = 3\nbracket = (1,2,3, 1e7)\ndirection = forward\nhorizon = 10\n")
+    assert main(["--out", str(tmp_path), "run", str(scn)]) == 3
+    report = json.loads((tmp_path / "big_forward_report.json").read_text())
+    assert report["error"].startswith("FlowError:")
 
 
 def test_load_rejects_dead_isotropy_naming_condition(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from bracketflow import (
     DriftError,
+    FlowError,
     IntegratorOptions,
     LieBracket,
     NotInVarietyError,
@@ -179,6 +180,14 @@ def test_drift_failure_detected_with_broken_dynamics():
     opts = IntegratorOptions(drift_tol=1e-10)
     with pytest.raises(DriftError):
         integrate(HEIS, "forward", 10.0, opts, rhs=leaky)
+
+
+@pytest.mark.parametrize("mu, scale", [(HEIS, 1e7), (HYP, 2e6)], ids=["heisenberg3", "hyperbolic3"])
+def test_blowup_declared_without_a_fittable_tail_is_a_flow_error(mu, scale):
+    # These large brackets are immortal forward, yet the norm-threshold
+    # certificate fires after one step; the fit then has no tail to work on.
+    with pytest.raises(FlowError, match="at least 10 samples"):
+        integrate(scale_bracket(mu, scale), "forward", 10.0)
 
 
 # --- blowup-time fitting ----------------------------------------------------
