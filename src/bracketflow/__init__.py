@@ -5,9 +5,9 @@ k + p; the Ricci flow of its invariant metric becomes an ODE on the bracket
 itself.  This package computes the Ricci operator from structure constants
 (with an independent Koszul-formula cross-check), integrates the flow in
 both time directions, detects finite-time singularities with a rigorous
-remaining-lifetime bracket, fits singular times, and ships a catalog of
-exactly solvable initial data plus an acceptance suite tying everything to
-closed forms.
+one-sided bound on the remaining lifetime, fits singular times, and ships a
+catalog of exactly solvable initial data plus an acceptance suite tying
+everything to closed forms.
 """
 
 from .algebra import (
@@ -15,6 +15,7 @@ from .algebra import (
     DimensionMismatchError,
     Dimensions,
     LieBracket,
+    NotInVarietyError,
     adjoint_matrices,
     bracket_norm,
     check_conditions,
@@ -27,7 +28,6 @@ from .algebra import (
 )
 from .catalog import CatalogEntry, DichotomyVerdict, catalog_entries, cover_dichotomy_check, get_entry
 from .curvature import (
-    NotInVarietyError,
     RicciData,
     killing_form_p,
     koszul_ricci_oracle,

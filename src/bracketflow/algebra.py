@@ -22,6 +22,7 @@ __all__ = [
     "LieBracket",
     "ConditionReport",
     "DimensionMismatchError",
+    "NotInVarietyError",
     "bracket_norm",
     "scale_bracket",
     "pi_action",
@@ -38,6 +39,10 @@ DEFAULT_TOL = 1e-10
 
 class DimensionMismatchError(ValueError):
     """Operand shapes do not match the declared (q, n) split."""
+
+
+class NotInVarietyError(ValueError):
+    """The bracket fails the admissibility conditions beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -172,6 +177,12 @@ class ConditionReport:
         ]
         return max(items, key=lambda kv: kv[1])
 
+    def require(self, tol: float) -> None:
+        """Raise NotInVarietyError, naming the worst residual, unless `passes(tol)`."""
+        if not self.passes(tol):
+            name, value = self.worst()
+            raise NotInVarietyError(f"bracket fails admissibility: {name} = {value:.6e} exceeds tolerance {tol:.1e}")
+
 
 def bracket_norm(mu: LieBracket) -> float:
     """Norm sqrt(sum c[i,j,k]^2) over all ordered index triples."""
@@ -242,7 +253,7 @@ def adjoint_matrices(mu: LieBracket) -> np.ndarray:
     return np.swapaxes(mu.c, 1, 2).copy()
 
 
-def check_conditions(mu: LieBracket, tol: float = DEFAULT_TOL, h2_note: str = "") -> ConditionReport:
+def check_conditions(mu: LieBracket, h2_note: str = "") -> ConditionReport:
     """Measure how far a bracket is from the admissible set.
 
     Returns raw residuals:
@@ -252,12 +263,7 @@ def check_conditions(mu: LieBracket, tol: float = DEFAULT_TOL, h2_note: str = ""
         i.e. failure of ad(k) to act skewly on p;
       * h4_kernel_dim: dimension of {Z in k : mu(Z, p) = 0}, from the rank of
         Z -> mu(Z, .)|_p.
-
-    `tol` is kept on the report's behalf (callers pass it to `passes`); the
-    residuals themselves are exact.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     q = mu.dims.q
     c = mu.c
     jac = float(np.max(np.abs(jacobiator(mu)))) if mu.dims.d > 0 else 0.0

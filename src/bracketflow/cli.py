@@ -14,6 +14,7 @@ meaningful.  Exit codes: 0 success, 1 verdict contradicts expectations,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -88,6 +89,9 @@ def main(argv=None) -> int:
             return 2
         direction = "backward" if args.backward else "forward"
         horizon = args.horizon if args.horizon is not None else entry.default_horizon[direction]
+        if not (math.isfinite(horizon) and horizon > 0):
+            print(f"error: --horizon must be finite and positive, got {horizon}", file=sys.stderr)
+            return 2
         expected_kind, expected_time = entry.expected[direction]
         scenario = Scenario(
             name=entry.name,

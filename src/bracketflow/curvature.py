@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, LieBracket, check_conditions
+from .algebra import DEFAULT_TOL, LieBracket, NotInVarietyError, check_conditions
 
 __all__ = [
     "RicciData",
@@ -31,10 +31,6 @@ __all__ = [
     "ricci_operator",
     "koszul_ricci_oracle",
 ]
-
-
-class NotInVarietyError(ValueError):
-    """The bracket fails the admissibility conditions beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -123,25 +119,20 @@ def moment_part(mu: LieBracket) -> np.ndarray:
     return _moment_tensor(mu.c, mu.dims.q)
 
 
-def ricci_operator(mu: LieBracket, check: bool = True, tol: float = DEFAULT_TOL) -> RicciData:
+def ricci_operator(mu: LieBracket, check: bool = True) -> RicciData:
     """Ricci operator, scalar curvature and tr Ric^2 of a bracket.
 
     Args:
         mu: an admissible bracket.
         check: verify the admissibility conditions first (skip only on a hot
             path that monitors drift separately).
-        tol: residual tolerance for the membership check.
 
     Raises:
-        NotInVarietyError: when `check` is set and a residual exceeds `tol`.
+        NotInVarietyError: when `check` is set and a residual exceeds
+            `algebra.DEFAULT_TOL`, the default membership tolerance.
     """
     if check:
-        report = check_conditions(mu, tol=tol)
-        if not report.passes(tol):
-            name, value = report.worst()
-            raise NotInVarietyError(
-                f"bracket fails admissibility: {name} = {value:.3e} (tol {tol:.1e})"
-            )
+        check_conditions(mu).require(DEFAULT_TOL)
     return RicciData(*_ricci_parts(mu.c, mu.dims.q))
 
 

@@ -34,7 +34,7 @@ from .algebra import (
     bracket_norm,
     check_conditions,
 )
-from .curvature import NotInVarietyError, _ricci_from_tensor, koszul_ricci_oracle
+from .curvature import _ricci_from_tensor, koszul_ricci_oracle
 
 __all__ = [
     "IntegratorOptions",
@@ -54,6 +54,9 @@ __all__ = [
     "type_I_diagnostic",
     "DenseSolution",
 ]
+
+# The fewest tail samples a singular-time fit accepts.
+MIN_TAIL_SAMPLES = 10
 
 
 class FlowError(RuntimeError):
@@ -88,7 +91,6 @@ class IntegratorOptions:
     drift_tol: float = 1e-6
     membership_tol: float = DEFAULT_TOL
     max_steps: int = 200_000
-    checkpoint_stride: int = 1
     collect_dense: bool = False
 
 
@@ -98,7 +100,6 @@ class FlowState:
 
     t: float
     mu: LieBracket
-    step: float
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,8 @@ class Verdict:
 class Trajectory:
     """Sampled bracket-flow solution.
 
-    Scalar series are recorded at every accepted step; full states at every
-    `checkpoint_stride`-th sample (plus the last).  Times are physical:
-    decreasing for backward runs.
+    Scalar series and full states are kept at every sample, one per accepted
+    step.  Times are physical: decreasing for backward runs.
     """
 
     direction: str
@@ -198,14 +198,22 @@ def _default_rhs_tensor(c: np.ndarray, q: int) -> np.ndarray:
     return -_pi_tensor(abar, c)
 
 
-def _flat_trajectory(initial: LieBracket, direction: str, horizon: float) -> Trajectory:
+def _run_sign(direction: str, horizon: float) -> float:
+    """+1 forward, -1 backward; rejects any other direction or a bad horizon."""
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    return 1.0 if direction == "forward" else -1.0
+
+
+def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, sign: float) -> Trajectory:
     # The zero bracket is an exact fixed point: synthesize a stationary
     # trajectory dense enough for the downstream estimators.
-    sign = 1.0 if direction == "forward" else -1.0
     m = 33
     t = sign * np.linspace(0.0, horizon, m)
     zeros = np.zeros(m)
-    cps = [FlowState(float(ti), initial, 0.0) for ti in t]
+    cps = [FlowState(float(ti), initial) for ti in t]
     dense = DenseSolution(sign, initial.c.ravel(), [], span=horizon)
     return Trajectory(
         direction=direction,
@@ -239,7 +247,7 @@ def integrate(
         initial: admissible starting bracket (membership is checked).
         direction: 'forward' or 'backward'; backward negates the right-hand
             side and reports physical (negative) times.
-        horizon: positive amount of time to cover.
+        horizon: finite positive amount of time to cover.
         opts: integrator options; defaults are suitable for the catalog.
         rhs: optional override mapping LieBracket -> LieBracket, used by
             mutation-sensitivity checks.  None means the bracket flow.
@@ -248,29 +256,24 @@ def integrate(
         A Trajectory whose verdict is 'immortal', 'blowup' or 'flat'.
 
     Raises:
-        NotInVarietyError: the initial bracket fails admissibility.
+        ValueError: the direction is unknown or the horizon is not finite and
+            positive.
+        NotInVarietyError: the initial bracket fails admissibility at
+            `opts.membership_tol`.
         StiffnessError: step size underflowed without blowup evidence.
         DriftError: admissibility residuals exceeded `opts.drift_tol`.
         FlowError: the step budget was exhausted, or a declared blowup left
             too short a tail to fit the singular time.
     """
     opts = opts or IntegratorOptions()
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-
-    report = check_conditions(initial, tol=opts.membership_tol)
-    if not report.passes(opts.membership_tol):
-        name, value = report.worst()
-        raise NotInVarietyError(f"initial bracket fails admissibility: {name} = {value:.3e}")
+    sign = _run_sign(direction, horizon)
+    check_conditions(initial).require(opts.membership_tol)
 
     if bracket_norm(initial) == 0.0:
-        return _flat_trajectory(initial, direction, horizon)
+        return _flat_trajectory(initial, direction, horizon, sign)
 
     dims = initial.dims
     q, d = dims.q, dims.d
-    sign = 1.0 if direction == "forward" else -1.0
 
     if rhs is None:
         def f_tensor(c):
@@ -290,7 +293,7 @@ def integrate(
     checkpoints: list[FlowState] = []
     ratio_max = 0.0
 
-    def record(s, y, step):
+    def record(s, y):
         nonlocal ratio_max
         c = y.reshape(d, d, d)
         nsq = float(np.dot(y, y))
@@ -298,7 +301,7 @@ def integrate(
         _, scalar, trsq = _ricci_from_tensor(c, q)
         fnorm = float(np.linalg.norm(f_tensor(c)))
         mu = LieBracket(dims, c)
-        rep = check_conditions(mu, tol=opts.membership_tol)
+        rep = check_conditions(mu)
         ts.append(s)
         norms.append(norm)
         scalars.append(scalar)
@@ -309,9 +312,7 @@ def integrate(
         h3res.append(rep.h3_residual)
         if norm > 0:
             ratio_max = max(ratio_max, fnorm / norm**3)
-        idx = len(ts) - 1
-        if idx % opts.checkpoint_stride == 0:
-            checkpoints.append(FlowState(sign * s, mu, step))
+        checkpoints.append(FlowState(sign * s, mu))
         return nsq, norm, rep
 
     def remaining_bound(nsq):
@@ -328,7 +329,7 @@ def integrate(
         return norm > opts.blowup_threshold and remaining_bound(nsq) < opts.time_resolution
 
     def on_step(solver):
-        nsq, norm, rep = record(solver.t, solver.y, solver.t - ts[-1])
+        nsq, norm, rep = record(solver.t, solver.y)
         solver.max_step = step_ceiling(norm, rhsn[-1])
         drift = max(rep.jacobi_residual, rep.h1_residual, rep.h3_residual) / (1.0 + nsq)
         if drift > opts.drift_tol:
@@ -337,7 +338,7 @@ def integrate(
             )
         return at_singularity(norm, nsq)
 
-    record(0.0, y0, 0.0)
+    record(0.0, y0)
     solver = RK45(
         fun,
         0.0,
@@ -353,10 +354,6 @@ def integrate(
 
     t_arr = sign * np.array(ts)
     norm_arr = np.array(norms)
-    if checkpoints[-1].t != t_arr[-1]:
-        checkpoints.append(
-            FlowState(float(t_arr[-1]), LieBracket(dims, solver.y.reshape(d, d, d)), 0.0)
-        )
 
     if blowup:
         rem = remaining_bound(norm_arr[-1] ** 2)
@@ -452,7 +449,7 @@ class PowerLawFit:
     decades: float
 
 
-def fit_power_blowup(times: np.ndarray, norms: np.ndarray, min_samples: int = 10) -> PowerLawFit:
+def fit_power_blowup(times: np.ndarray, norms: np.ndarray) -> PowerLawFit:
     """Fit a diverging power law to the tail of a norm series.
 
     `times` must be increasing elapsed times approaching the singularity from
@@ -462,7 +459,7 @@ def fit_power_blowup(times: np.ndarray, norms: np.ndarray, min_samples: int = 10
     least squares; the trial time is optimized on a log scale.
 
     Raises:
-        ValueError: if the tail holds fewer than `min_samples` samples.
+        ValueError: if the tail holds fewer than `MIN_TAIL_SAMPLES` samples.
     """
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
@@ -472,9 +469,9 @@ def fit_power_blowup(times: np.ndarray, norms: np.ndarray, min_samples: int = 10
     tt = times[mask]
     yy = np.log(norms[mask])
     m = len(tt)
-    if m < min_samples:
+    if m < MIN_TAIL_SAMPLES:
         raise ValueError(
-            f"blowup fit needs at least {min_samples} samples in the final two decades, got {m}"
+            f"blowup fit needs at least {MIN_TAIL_SAMPLES} samples in the final two decades, got {m}"
         )
     t_last = tt[-1]
     gaps = t_last - tt
@@ -528,15 +525,14 @@ def fit_power_blowup(times: np.ndarray, norms: np.ndarray, min_samples: int = 10
 def estimate_blowup_time(traj: Trajectory) -> tuple[float, tuple[float, float]]:
     """Singular-time estimate and a +-1 standard error interval for a blowup.
 
-    The interval is the regression standard error of the power-law fit and is
-    not rigorous; the rigorous one-sided bound lives in the verdict.
+    Both come from the verdict's power-law fit.  The interval is the
+    regression standard error and is not rigorous; the rigorous one-sided
+    bound lives in the verdict.
     """
-    if traj.verdict.kind != "blowup":
+    v = traj.verdict
+    if v.kind != "blowup":
         raise ValueError("trajectory does not carry a blowup verdict")
-    sign = 1.0 if traj.direction == "forward" else -1.0
-    fit = fit_power_blowup(sign * traj.t, traj.mu_norm)
-    est = sign * fit.omega
-    return est, (est - fit.omega_stderr, est + fit.omega_stderr)
+    return v.omega_est, (v.omega_est - v.omega_stderr, v.omega_est + v.omega_stderr)
 
 
 @dataclass(frozen=True)

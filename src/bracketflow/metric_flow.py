@@ -23,7 +23,7 @@ from scipy.integrate import RK45
 
 from .algebra import LieBracket, transform_bracket
 from .curvature import ricci_operator
-from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _drive, integrate
+from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _drive, _run_sign, integrate
 
 __all__ = [
     "MetricState",
@@ -35,6 +35,14 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+# Stop rule of `metric_flow_integrate` (see its docstring).
+EIG_FLOOR = 1e-9
+SCALAR_THRESHOLD = 1e12
+# Fraction of a singular pair's common interval that `equivalence_check`
+# compares: inside the remaining sliver the relative comparison divides by the
+# (tiny, independently accumulated) singular-time drift of each flow and
+# measures nothing about their agreement.
+COVERAGE = 0.999
 
 
 class NonSPDError(ValueError):
@@ -119,24 +127,24 @@ def _pushed_ric(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky"):
 
 def metric_flow_integrate(
     mu0: LieBracket,
-    p0: np.ndarray | MetricState,
+    p0: np.ndarray,
     direction: str = "forward",
     horizon: float = 10.0,
     opts: IntegratorOptions | None = None,
-    eig_floor: float = 1e-9,
-    scalar_threshold: float = 1e12,
 ) -> MetricTrajectory:
     """Integrate dP/dt = -2 P RicOp(P) over a fixed bracket.
 
     Declares a singular-metric verdict when the smallest eigenvalue of P
-    falls below `eig_floor` times its initial value or |R| exceeds
-    `scalar_threshold`; the singular time is then fitted from the diverging
+    falls below `EIG_FLOOR` times its initial value or |R| exceeds
+    `SCALAR_THRESHOLD`; the singular time is then fitted from the diverging
     |R| series.  Stages that leave the positive-definite cone evaluate to
     NaN, which the error controller treats as a rejected step, so the
     integrator approaches a degenerating metric geometrically instead of
     stepping across it.
 
     Raises:
+        ValueError: the direction is unknown or the horizon is not finite and
+            positive.
         StiffnessError: step size underflowed away from a singular metric.
         FlowError: the step budget was exhausted, or a declared singularity
             left too short a tail to fit the singular time.
@@ -144,18 +152,12 @@ def metric_flow_integrate(
     opts = opts or IntegratorOptions()
     if mu0.dims.q != 0:
         raise ValueError("metric-side flow is implemented for q = 0 only")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if isinstance(p0, MetricState):
-        p0 = p0.p_matrix
+    sign = _run_sign(direction, horizon)
     n = mu0.dims.n
     p0 = 0.5 * (np.asarray(p0, dtype=float) + np.asarray(p0, dtype=float).T)
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
-    sign = 1.0 if direction == "forward" else -1.0
 
     def fun(_s, y):
         p = y.reshape(n, n)
@@ -198,14 +200,14 @@ def metric_flow_integrate(
         scalar, lam, p = record(solver.t, solver.y)
         # solver.f is the derivative at the accepted point (RK45's last stage).
         solver.max_step = 0.2 * np.linalg.norm(p) / (np.linalg.norm(solver.f) + _EPS)
-        return lam < eig_floor * lam0 or abs(scalar) > scalar_threshold
+        return lam < EIG_FLOOR * lam0 or abs(scalar) > SCALAR_THRESHOLD
 
     singular, segments = _drive(
         solver,
         sign,
         opts,
         on_step,
-        lambda: lam_mins[-1] < 1e3 * eig_floor * lam0 or abs(scalars[-1]) > scalar_threshold,
+        lambda: lam_mins[-1] < 1e3 * EIG_FLOOR * lam0 or abs(scalars[-1]) > SCALAR_THRESHOLD,
     )
 
     t_arr = sign * np.array(ts)
@@ -239,18 +241,15 @@ def equivalence_check(
     mu0: LieBracket,
     horizon: float,
     opts: IntegratorOptions | None = None,
-    coverage: float = 0.999,
 ) -> float:
     """Largest isometry-invariant gap between the two flows from matched data.
 
     Runs the bracket flow from mu0 and the metric flow from the identity
     metric over mu0, then compares scalar curvature and sorted Ricci spectra
     on a shared grid.  An immortal pair is compared over the full horizon; a
-    singular pair over the first `coverage` fraction of the common interval,
-    since inside the remaining sliver the relative comparison divides by the
-    (tiny, independently accumulated) singular-time drift of each flow and
-    measures nothing about their agreement.  Returns the maximum gap,
-    relative to max(1, |R|).
+    singular pair over the first `COVERAGE` fraction of the common interval
+    (see the constant for why).  Returns the maximum gap, relative to
+    max(1, |R|).
     """
     base = opts or IntegratorOptions()
     run_opts = replace(base, collect_dense=True)
@@ -259,7 +258,7 @@ def equivalence_check(
 
     t_end = min(abs(bt.t[-1]), abs(mt.t[-1]))
     singular = bt.verdict.kind == "blowup" or mt.verdict.kind == "blowup"
-    grid = _comparison_grid(coverage * t_end if singular else t_end)
+    grid = _comparison_grid(COVERAGE * t_end if singular else t_end)
     d = mu0.dims.d
     n = mu0.dims.n
     gap = 0.0

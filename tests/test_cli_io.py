@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,23 @@ def test_load_integrator_overrides(tmp_path):
     assert opts.blowup_threshold == 1e5
     assert opts.max_steps == 1000
     assert opts.abs_tol == IntegratorOptions().abs_tol
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1", "nan", "inf"])
+def test_load_rejects_horizon_that_is_not_finite_and_positive(tmp_path, horizon):
+    path = _write(tmp_path, "h.scn", f"catalog = su2_round\nhorizon = {horizon}\n")
+    with pytest.raises(ScenarioError, match="horizon must be finite and positive"):
+        load_scenario(path)
+
+
+def test_readme_scenario_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    sc = load_scenario(_write(tmp_path, "readme.scn", blocks[0]))
+    assert sc.name == "heis-demo"
+    assert np.array_equal(sc.bracket().c, get_entry("heisenberg3").bracket.c)
+    assert sc.options().membership_tol == 1e-10
 
 
 # --- CSV output -------------------------------------------------------------
@@ -269,6 +288,36 @@ def test_cli_run_bad_file_exit_2(tmp_path, capsys):
     scn.write_text("q = 0\nn = 3\nbracket = (1,2,3,1.0) (2,3,2,1.0)\n")
     assert main(["--out", str(tmp_path), "run", str(scn)]) == 2
     assert "jacobi_residual" in capsys.readouterr().err
+
+
+def test_cli_run_uses_validation_tol_for_integration_too(tmp_path):
+    # Jacobi residual 1e-9 passes validation_tol = 1e-6 at load time; the
+    # integrator must accept it with the same tolerance.
+    scn = _write(
+        tmp_path,
+        "loose.scn",
+        """
+        name = loose
+        q = 0
+        n = 3
+        bracket = (1,2,3,1.0) (2,3,2,1e-9)
+        validation_tol = 1e-6
+        direction = forward
+        horizon = 1
+        """,
+    )
+    assert load_scenario(scn).options().membership_tol == 1e-6
+    assert main(["--out", str(tmp_path), "run", str(scn)]) == 0
+    report = json.loads((tmp_path / "loose_forward_report.json").read_text())
+    assert report["verdict"]["kind"] == "immortal"
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1", "nan", "inf"])
+def test_cli_catalog_run_bad_horizon_exit_2(tmp_path, capsys, horizon):
+    assert main(["--out", str(tmp_path), "catalog", "run", "su2_round", "--horizon", horizon]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "horizon" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_flag_overrides_threshold(tmp_path):

@@ -161,6 +161,30 @@ def test_integrate_rejects_bad_arguments():
         integrate(HEIS, "forward", -1.0)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+def test_integrate_rejects_horizon_that_is_not_finite_and_positive(horizon):
+    # an unchecked NaN horizon spins forever inside one solver step
+    with pytest.raises(ValueError, match="horizon"):
+        integrate(HEIS, "forward", horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        integrate(FLAT, "backward", horizon)
+
+
+def test_integrate_uses_membership_tol_for_the_initial_bracket():
+    # Jacobi residual 1e-9: rejected at the default tolerance, accepted at 1e-6
+    mu = LieBracket.from_triples(0, 3, [(1, 2, 3, 1.0), (2, 3, 2, 1e-9)], one_indexed=True)
+    with pytest.raises(NotInVarietyError, match=r"jacobi_residual = .* exceeds tolerance 1\.0e-10"):
+        integrate(mu, "forward", 1.0)
+    traj = integrate(mu, "forward", 1.0, IntegratorOptions(membership_tol=1e-6))
+    assert traj.verdict.kind == "immortal"
+
+
+def test_checkpoint_at_every_sample(su2_forward, heis_backward):
+    for traj in (su2_forward, heis_backward):
+        assert len(traj.checkpoints) == traj.n_samples
+        assert np.array_equal([cp.t for cp in traj.checkpoints], traj.t)
+
+
 def test_stiffness_failure_when_threshold_unreachable():
     # an absurd threshold cannot be certified before the step size underflows
     opts = IntegratorOptions(blowup_threshold=1e30)

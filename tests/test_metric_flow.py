@@ -63,6 +63,12 @@ def test_isotropy_rejected():
         metric_flow_integrate(get_entry("sphere2_su2").bracket, np.eye(2), "forward", 1.0)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+def test_metric_flow_rejects_horizon_that_is_not_finite_and_positive(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        metric_flow_integrate(SU2, np.eye(3), "forward", horizon)
+
+
 def test_su2_metric_flow_shrinks_linearly():
     traj = metric_flow_integrate(SU2, np.eye(3), "forward", 2.0)
     assert traj.verdict.kind == "blowup"
