@@ -59,7 +59,11 @@ def _base_options(args) -> IntegratorOptions:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    opts = _base_options(args)
+    try:
+        opts = _base_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "run":
         try:

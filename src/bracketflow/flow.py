@@ -14,16 +14,16 @@ bound (1/C)|mu|^-2 -- obtained by comparison from d/dt |mu|^2 <= C |mu|^4
 with C measured along the trajectory -- drops below the reporting
 resolution.  The singular time is then estimated by fitting a power law
 |mu(t)| ~ K (omega - t)^e to the trajectory tail, and reported together with
-the one-sided rigorous bound.  Backward-time behavior is obtained by
-negating the right-hand side.
+the one-sided rigorous bound.  Both directions step in physical time: a
+backward run hands the stepper the end time -horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import RK45, DenseOutput, OdeSolution
 from scipy.optimize import minimize_scalar
 
 from .algebra import (
@@ -80,7 +80,8 @@ class IntegratorOptions:
     the cubic velocity bound), which keeps single steps from jumping across
     a singularity.  blowup_threshold and time_resolution together form the
     verdict: a threshold alone is not evidence of blowup, the remaining-time
-    bound makes it quantitative.
+    bound makes it quantitative.  Construction raises ValueError unless every
+    float field is finite and positive and max_steps is an int >= 1.
     """
 
     rel_tol: float = 1e-10
@@ -92,6 +93,14 @@ class IntegratorOptions:
     membership_tol: float = DEFAULT_TOL
     max_steps: int = 200_000
     collect_dense: bool = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and positive, got {value}")
+        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -155,35 +164,24 @@ class Trajectory:
         return len(self.t)
 
 
-class DenseSolution:
-    """Piecewise interpolant of an integrated flow, indexed by physical time.
+class DenseSolution(OdeSolution):
+    """scipy's `OdeSolution` of an integrated flow, refusing times outside its range."""
 
-    A stationary solution carries no segments and an explicit `span`.
-    """
+    def __call__(self, t):
+        if not self.t_min <= t <= self.t_max:
+            raise ValueError(f"time {t} outside the integrated range")
+        return super().__call__(t)
 
-    def __init__(self, sign: float, y0: np.ndarray, segments: list, span: float | None = None):
-        self._sign = sign
-        self._y0 = np.array(y0)
-        self._segments = segments
-        self._ends = np.array([seg.t for seg in segments]) if segments else np.empty(0)
-        self._span = span
 
-    @property
-    def t_max(self) -> float:
-        """Largest elapsed time covered."""
-        if self._span is not None:
-            return self._span
-        return float(self._ends[-1]) if len(self._ends) else 0.0
+class _Constant(DenseOutput):
+    """Interpolant of a stationary solution: `y` at every (scalar) time."""
 
-    def __call__(self, t_phys: float) -> np.ndarray:
-        s = self._sign * float(t_phys)
-        if s < 0 or s > self.t_max + 1e-15:
-            raise ValueError(f"time {t_phys} outside the integrated range")
-        if s == 0.0 or not self._segments:
-            return self._y0.copy()
-        idx = int(np.searchsorted(self._ends, s, side="left"))
-        idx = min(idx, len(self._segments) - 1)
-        return np.asarray(self._segments[idx](s), dtype=float)
+    def __init__(self, t_old: float, t: float, y: np.ndarray):
+        super().__init__(t_old, t)
+        self.y = y
+
+    def _call_impl(self, t):
+        return self.y.copy()
 
 
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
@@ -198,23 +196,23 @@ def _default_rhs_tensor(c: np.ndarray, q: int) -> np.ndarray:
     return -_pi_tensor(abar, c)
 
 
-def _run_sign(direction: str, horizon: float) -> float:
-    """+1 forward, -1 backward; rejects any other direction or a bad horizon."""
+def _end_time(direction: str, horizon: float) -> float:
+    """+horizon forward, -horizon backward; rejects any other direction or a bad horizon."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    return 1.0 if direction == "forward" else -1.0
+    return horizon if direction == "forward" else -horizon
 
 
-def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, sign: float) -> Trajectory:
+def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end: float) -> Trajectory:
     # The zero bracket is an exact fixed point: synthesize a stationary
     # trajectory dense enough for the downstream estimators.
     m = 33
-    t = sign * np.linspace(0.0, horizon, m)
+    t = np.linspace(0.0, t_end, m)
     zeros = np.zeros(m)
     cps = [FlowState(float(ti), initial) for ti in t]
-    dense = DenseSolution(sign, initial.c.ravel(), [], span=horizon)
+    dense = DenseSolution([0.0, t_end], [_Constant(0.0, t_end, initial.c.ravel())])
     return Trajectory(
         direction=direction,
         horizon=horizon,
@@ -245,8 +243,8 @@ def integrate(
 
     Args:
         initial: admissible starting bracket (membership is checked).
-        direction: 'forward' or 'backward'; backward negates the right-hand
-            side and reports physical (negative) times.
+        direction: 'forward' or 'backward'; a backward run steps to the
+            physical time -horizon.
         horizon: finite positive amount of time to cover.
         opts: integrator options; defaults are suitable for the catalog.
         rhs: optional override mapping LieBracket -> LieBracket, used by
@@ -266,11 +264,11 @@ def integrate(
             too short a tail to fit the singular time.
     """
     opts = opts or IntegratorOptions()
-    sign = _run_sign(direction, horizon)
+    t_end = _end_time(direction, horizon)
     check_conditions(initial).require(opts.membership_tol)
 
     if bracket_norm(initial) == 0.0:
-        return _flat_trajectory(initial, direction, horizon, sign)
+        return _flat_trajectory(initial, direction, horizon, t_end)
 
     dims = initial.dims
     q, d = dims.q, dims.d
@@ -282,8 +280,8 @@ def integrate(
         def f_tensor(c):
             return rhs(LieBracket(dims, c)).c
 
-    def fun(_s, y):
-        return sign * f_tensor(y.reshape(d, d, d)).ravel()
+    def fun(_t, y):
+        return f_tensor(y.reshape(d, d, d)).ravel()
 
     y0 = initial.c.ravel().copy()
     nsq0 = float(np.dot(y0, y0))
@@ -293,7 +291,7 @@ def integrate(
     checkpoints: list[FlowState] = []
     ratio_max = 0.0
 
-    def record(s, y):
+    def record(t, y):
         nonlocal ratio_max
         c = y.reshape(d, d, d)
         nsq = float(np.dot(y, y))
@@ -302,7 +300,7 @@ def integrate(
         fnorm = float(np.linalg.norm(f_tensor(c)))
         mu = LieBracket(dims, c)
         rep = check_conditions(mu)
-        ts.append(s)
+        ts.append(t)
         norms.append(norm)
         scalars.append(scalar)
         trsqs.append(trsq)
@@ -312,12 +310,12 @@ def integrate(
         h3res.append(rep.h3_residual)
         if norm > 0:
             ratio_max = max(ratio_max, fnorm / norm**3)
-        checkpoints.append(FlowState(sign * s, mu))
+        checkpoints.append(FlowState(t, mu))
         return nsq, norm, rep
 
     def remaining_bound(nsq):
         # d/dt |mu|^2 <= 2 ratio |mu|^4, so the norm cannot blow up within
-        # (1 / (2 ratio)) |mu|^-2 of elapsed time.
+        # (1 / (2 ratio)) |mu|^-2 of time.
         if ratio_max <= 0:
             return np.inf
         return 1.0 / (2.0 * ratio_max * nsq)
@@ -334,7 +332,7 @@ def integrate(
         drift = max(rep.jacobi_residual, rep.h1_residual, rep.h3_residual) / (1.0 + nsq)
         if drift > opts.drift_tol:
             raise DriftError(
-                f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {sign * solver.t}"
+                f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {solver.t}"
             )
         return at_singularity(norm, nsq)
 
@@ -343,25 +341,25 @@ def integrate(
         fun,
         0.0,
         y0,
-        t_bound=horizon,
+        t_bound=t_end,
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
         max_step=step_ceiling(np.sqrt(nsq0), rhsn[0]),
     )
 
     # A step floor hit right at the singularity also counts as a blowup.
-    blowup, segments = _drive(solver, sign, opts, on_step, lambda: at_singularity(norms[-1], norms[-1] ** 2))
+    blowup, segments = _drive(solver, opts, on_step, lambda: at_singularity(norms[-1], norms[-1] ** 2))
 
-    t_arr = sign * np.array(ts)
+    t_arr = np.array(ts)
     norm_arr = np.array(norms)
 
     if blowup:
         rem = remaining_bound(norm_arr[-1] ** 2)
-        verdict = _blowup_verdict(sign, ts, norm_arr, rigorous_bound=sign * (ts[-1] + rem))
+        verdict = _blowup_verdict(t_arr, norm_arr, rigorous_bound=ts[-1] + np.copysign(rem, t_end))
     else:
         verdict = Verdict(kind="immortal")
 
-    dense = DenseSolution(sign, y0, segments) if opts.collect_dense else None
+    dense = DenseSolution([0.0] + [seg.t for seg in segments], segments) if opts.collect_dense else None
     return Trajectory(
         direction=direction,
         horizon=horizon,
@@ -381,14 +379,13 @@ def integrate(
     )
 
 
-def _drive(solver, sign: float, opts: IntegratorOptions, on_step, singular_on_failure) -> tuple[bool, list]:
+def _drive(solver, opts: IntegratorOptions, on_step, singular_on_failure) -> tuple[bool, list]:
     """Step `solver` to its bound; return (singular, dense segments).
 
     `on_step(solver)` records each accepted step (it may set `max_step`) and
     returns True to stop at a singularity.  On solver failure,
     `singular_on_failure()` decides between a singular stop and
-    StiffnessError.  Segments are kept only under `opts.collect_dense`;
-    `sign` turns elapsed into physical time in messages.
+    StiffnessError.  Segments are kept only under `opts.collect_dense`.
 
     Raises:
         FlowError: the step budget `opts.max_steps` was exhausted.
@@ -398,13 +395,13 @@ def _drive(solver, sign: float, opts: IntegratorOptions, on_step, singular_on_fa
     n_steps = 0
     while solver.status == "running":
         if n_steps >= opts.max_steps:
-            raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {sign * solver.t}")
+            raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {solver.t}")
         msg = solver.step()
         n_steps += 1
         if solver.status == "failed":
             if singular_on_failure():
                 return True, segments
-            raise StiffnessError(f"integrator failed at t = {sign * solver.t}: {msg}")
+            raise StiffnessError(f"integrator failed at t = {solver.t}: {msg}")
         if opts.collect_dense:
             segments.append(solver.dense_output())
         if on_step(solver):
@@ -412,23 +409,23 @@ def _drive(solver, sign: float, opts: IntegratorOptions, on_step, singular_on_fa
     return False, segments
 
 
-def _blowup_verdict(sign: float, elapsed: list, series: np.ndarray, rigorous_bound: float | None = None) -> Verdict:
+def _blowup_verdict(t: np.ndarray, series: np.ndarray, rigorous_bound: float | None = None) -> Verdict:
     """Blowup verdict from a power-law fit to the diverging `series`.
 
-    `elapsed` holds the increasing elapsed times of the samples; the
-    verdict reports physical times, `sign` times the elapsed ones.
+    `t` holds the physical times of the samples; the fit runs on |t| and the
+    singular time takes the sign of t.
 
     Raises:
         FlowError: the tail is too short to fit, so the singularity that was
             declared cannot be located.
     """
     try:
-        fit = fit_power_blowup(np.array(elapsed), series)
+        fit = fit_power_blowup(np.abs(t), series)
     except ValueError as exc:
-        raise FlowError(f"singularity declared at t = {sign * elapsed[-1]}, but {exc}") from exc
+        raise FlowError(f"singularity declared at t = {t[-1]}, but {exc}") from exc
     return Verdict(
         kind="blowup",
-        omega_est=sign * fit.omega,
+        omega_est=np.copysign(fit.omega, t[-1]),
         omega_stderr=fit.omega_stderr,
         exponent=fit.exponent,
         exponent_stderr=fit.exponent_stderr,
@@ -452,8 +449,8 @@ class PowerLawFit:
 def fit_power_blowup(times: np.ndarray, norms: np.ndarray) -> PowerLawFit:
     """Fit a diverging power law to the tail of a norm series.
 
-    `times` must be increasing elapsed times approaching the singularity from
-    below and `norms` the diverging quantity.  The tail is the final two
+    `times` must be increasing (|t| for a backward run), approaching the
+    singularity from below and `norms` the diverging quantity.  The tail is the final two
     decades of `norms` (clipped to what the series spans).  For each trial
     singular time the regression of log(norm) on log(omega - t) is linear
     least squares; the trial time is optimized on a log scale.

@@ -23,7 +23,7 @@ from scipy.integrate import RK45
 
 from .algebra import LieBracket, transform_bracket
 from .curvature import ricci_operator
-from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _drive, _run_sign, integrate
+from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _drive, _end_time, integrate
 
 __all__ = [
     "MetricState",
@@ -140,7 +140,7 @@ def metric_flow_integrate(
     |R| series.  Stages that leave the positive-definite cone evaluate to
     NaN, which the error controller treats as a rejected step, so the
     integrator approaches a degenerating metric geometrically instead of
-    stepping across it.
+    stepping across it.  A backward run steps to the physical time -horizon.
 
     Raises:
         ValueError: the direction is unknown or the horizon is not finite and
@@ -152,14 +152,14 @@ def metric_flow_integrate(
     opts = opts or IntegratorOptions()
     if mu0.dims.q != 0:
         raise ValueError("metric-side flow is implemented for q = 0 only")
-    sign = _run_sign(direction, horizon)
+    t_end = _end_time(direction, horizon)
     n = mu0.dims.n
     p0 = 0.5 * (np.asarray(p0, dtype=float) + np.asarray(p0, dtype=float).T)
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
 
-    def fun(_s, y):
+    def fun(_t, y):
         p = y.reshape(n, n)
         try:
             _, ric_op = _pushed_ric(mu0, p)
@@ -167,20 +167,20 @@ def metric_flow_integrate(
             return np.full(n * n, np.nan)
         dp = -2.0 * (p @ ric_op)
         dp = 0.5 * (dp + dp.T)
-        return sign * dp.ravel()
+        return dp.ravel()
 
     ts, scalars, eigs, lam_mins = [], [], [], []
     checkpoints: list[MetricState] = []
 
-    def record(s, y):
+    def record(t, y):
         p = 0.5 * (y.reshape(n, n) + y.reshape(n, n).T)
         rd, _ = _pushed_ric(mu0, p)
         lam = float(np.min(np.linalg.eigvalsh(p)))
-        ts.append(s)
+        ts.append(t)
         scalars.append(rd.scalar)
         eigs.append(np.sort(np.linalg.eigvalsh(rd.ric)))
         lam_mins.append(lam)
-        checkpoints.append(MetricState(sign * s, p))
+        checkpoints.append(MetricState(t, p))
         return rd.scalar, lam, p
 
     record(0.0, p0.ravel())
@@ -190,7 +190,7 @@ def metric_flow_integrate(
         fun,
         0.0,
         p0.ravel().copy(),
-        t_bound=horizon,
+        t_bound=t_end,
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
         max_step=min(h0, horizon),
@@ -203,20 +203,16 @@ def metric_flow_integrate(
         return lam < EIG_FLOOR * lam0 or abs(scalar) > SCALAR_THRESHOLD
 
     singular, segments = _drive(
-        solver,
-        sign,
-        opts,
-        on_step,
-        lambda: lam_mins[-1] < 1e3 * EIG_FLOOR * lam0 or abs(scalars[-1]) > SCALAR_THRESHOLD,
+        solver, opts, on_step, lambda: lam_mins[-1] < 1e3 * EIG_FLOOR * lam0 or abs(scalars[-1]) > SCALAR_THRESHOLD
     )
 
-    t_arr = sign * np.array(ts)
+    t_arr = np.array(ts)
     if singular:
-        verdict = _blowup_verdict(sign, ts, np.abs(np.array(scalars)))
+        verdict = _blowup_verdict(t_arr, np.abs(np.array(scalars)))
     else:
         verdict = Verdict(kind="immortal")
 
-    dense = DenseSolution(sign, p0.ravel(), segments) if opts.collect_dense else None
+    dense = DenseSolution([0.0] + [seg.t for seg in segments], segments) if opts.collect_dense else None
     return MetricTrajectory(
         direction=direction,
         horizon=horizon,

@@ -164,10 +164,12 @@ def load_scenario(path) -> Scenario:
     sc.sample_stride = take("sample_stride", int, 1)
     sc.h2_note = take("h2_note", str, "")
     for key, conv in _OPTS_KEYS.items():
-        val = take(key, conv)
+        # validation_tol is the file's name for the membership tolerance
+        name = "membership_tol" if key == "validation_tol" else key
+        # IntegratorOptions rejects the value, naming the field, if it is out of range
+        val = take(key, lambda v: getattr(replace(IntegratorOptions(), **{name: conv(v)}), name))
         if val is not None:
-            # validation_tol is the file's name for the membership tolerance
-            sc.overrides["membership_tol" if key == "validation_tol" else key] = val
+            sc.overrides[name] = val
     for dir_key, store in (("expect_forward", "forward"), ("expect_backward", "backward")):
         val = take(dir_key, str)
         if val is not None:

@@ -320,6 +320,20 @@ def test_cli_catalog_run_bad_horizon_exit_2(tmp_path, capsys, horizon):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--abs-tol", "-1")])
+def test_cli_bad_integrator_flag_exit_2(tmp_path, capsys, flag, value):
+    assert main(["--out", str(tmp_path), flag, value, "catalog", "run", "su2_round"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_load_rejects_integrator_key_out_of_range_naming_file_and_key(tmp_path):
+    scn = _write(tmp_path, "neg.scn", "catalog = su2_round\nabs_tol = -1\n")
+    with pytest.raises(ScenarioError, match=r"neg\.scn:2: bad value for abs_tol"):
+        load_scenario(scn)
+
+
 def test_cli_flag_overrides_threshold(tmp_path):
     scn = tmp_path / "s.scn"
     scn.write_text("catalog = su2_round\ndirection = forward\nhorizon = 2.0\n")

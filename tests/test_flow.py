@@ -170,6 +170,24 @@ def test_integrate_rejects_horizon_that_is_not_finite_and_positive(horizon):
         integrate(FLAT, "backward", horizon)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_steps": 0},
+        {"max_steps": 2.5},
+        {"rel_tol": float("nan")},
+        {"abs_tol": -1.0},
+        {"time_resolution": 0.0},
+        {"membership_tol": float("inf")},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_integrator_options_reject_out_of_range_values(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        IntegratorOptions(**bad)
+
+
 def test_integrate_uses_membership_tol_for_the_initial_bracket():
     # Jacobi residual 1e-9: rejected at the default tolerance, accepted at 1e-6
     mu = LieBracket.from_triples(0, 3, [(1, 2, 3, 1.0), (2, 3, 2, 1e-9)], one_indexed=True)
@@ -374,6 +392,19 @@ def test_dense_output_range_checked():
         traj.dense(2.0)
     with pytest.raises(ValueError, match="outside"):
         traj.dense(-0.5)
+
+
+def test_dense_output_backward_matches_closed_form():
+    traj = integrate(HEIS, "backward", 1.0, IntegratorOptions(collect_dense=True))
+    from bracketflow import ricci_operator
+
+    for t in (-0.1, -0.3, -0.333):
+        c = traj.dense(t).reshape(3, 3, 3)
+        r = ricci_operator(LieBracket(traj.dims, c), check=False).scalar
+        assert r == pytest.approx(-1.0 / (2.0 * (1.0 + 3.0 * t)), rel=1e-6)
+    for t in (0.1, -0.5):
+        with pytest.raises(ValueError, match="outside"):
+            traj.dense(t)
 
 
 def test_dense_output_flat_covers_horizon():

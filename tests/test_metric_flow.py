@@ -84,6 +84,15 @@ def test_hyperbolic_metric_flow_expands_linearly():
     assert np.allclose(last.p_matrix, (1.0 + 4.0 * last.t) * np.eye(3), rtol=1e-8)
 
 
+def test_hyperbolic_metric_flow_backward_shrinks_to_a_singularity():
+    traj = metric_flow_integrate(HYP, np.eye(3), "backward", 1.0)
+    assert traj.verdict.kind == "blowup"
+    assert traj.verdict.omega_est == pytest.approx(-0.25, abs=1e-3)
+    assert traj.t[0] == 0.0 and np.all(np.diff(traj.t) < 0)
+    for state in traj.checkpoints:
+        assert np.allclose(state.p_matrix, (1.0 + 4.0 * state.t) * np.eye(3), rtol=0.0, atol=1e-9)
+
+
 def test_flat_metric_flow_constant():
     traj = metric_flow_integrate(FLAT, np.eye(3), "forward", 10.0)
     assert traj.verdict.kind == "immortal"
