@@ -45,20 +45,35 @@ def pi_action_loops(a: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def jacobi_max_loops(c: np.ndarray) -> float:
+def jacobiator_loops(c: np.ndarray) -> np.ndarray:
     d = c.shape[0]
     basis = np.eye(d)
-    worst = 0.0
+    out = np.zeros((d, d, d, d))
     for i in range(d):
         for j in range(d):
             for l in range(d):
-                v = (
+                out[i, j, l, :] = (
                     apply_bracket(c, apply_bracket(c, basis[i], basis[j]), basis[l])
                     + apply_bracket(c, apply_bracket(c, basis[j], basis[l]), basis[i])
                     + apply_bracket(c, apply_bracket(c, basis[l], basis[i]), basis[j])
                 )
-                worst = max(worst, float(np.max(np.abs(v))))
-    return worst
+    return out
+
+
+def jacobi_max_loops(c: np.ndarray) -> float:
+    return float(np.max(np.abs(jacobiator_loops(c))))
+
+
+def transform_loops(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # (g.mu)(x, y) = g mu(g^-1 x, g^-1 y) on each pair of basis vectors
+    d = c.shape[0]
+    ginv = np.linalg.inv(g)
+    basis = np.eye(d)
+    out = np.zeros_like(c)
+    for i in range(d):
+        for j in range(d):
+            out[i, j, :] = g @ apply_bracket(c, ginv @ basis[i], ginv @ basis[j])
+    return out
 
 
 def ad_matrix_loops(c: np.ndarray, i: int) -> np.ndarray:

@@ -7,15 +7,17 @@ from bracketflow import (
     LieBracket,
     bracket_norm,
     check_conditions,
+    jacobiator,
     pi_action,
     random_bracket,
     random_two_step_nilpotent,
     scale_bracket,
     transform_bracket,
 )
+from bracketflow.algebra import _upper_mask
 from bracketflow.catalog import get_entry
 
-from oracles import jacobi_max_loops, norm_loops, pi_action_loops
+from oracles import jacobi_max_loops, jacobiator_loops, norm_loops, pi_action_loops, transform_loops
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
@@ -54,6 +56,29 @@ def test_construction_mirrors_upper_triangle():
     assert mu.c[1, 0, 2] == -1.0
     assert mu.c[1, 1, 0] == 0.0
     assert not mu.c.flags.writeable
+
+
+@pytest.mark.parametrize("d", [3, 6, 13])
+def test_construction_matches_mirror_loop_on_dense_input(d):
+    c = np.random.default_rng(d).standard_normal((d, d, d))
+    want = np.zeros((d, d, d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            want[i, j, :] = c[i, j, :]
+            want[j, i, :] = -c[i, j, :]
+    mu = LieBracket(Dimensions(1, d - 1), c)
+    assert np.array_equal(mu.c, want)
+    c[0, 1, :] = 99.0  # the bracket holds its own copy
+    assert np.array_equal(mu.c, want)
+
+
+def test_upper_mask_is_cached_and_read_only():
+    mask = _upper_mask(4)
+    assert mask is _upper_mask(4)
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0, 0] = True
+    assert np.array_equal(mask[:, :, 0], np.triu(np.ones((4, 4), dtype=bool), k=1))
 
 
 def test_from_triples_one_indexed_and_reversed_pairs():
@@ -211,6 +236,14 @@ def test_check_conditions_h4_dead_isotropy():
     assert rep.passes(1e-10, require_h4=False)
 
 
+def test_h3_residual_equals_per_generator_loop():
+    rng = np.random.default_rng(9)
+    for q, n in [(1, 2), (2, 3), (3, 4)]:
+        mu = random_bracket(q, n, rng)
+        want = max(float(np.max(np.abs(mu.c[z, q:, q:] + mu.c[z, q:, q:].T))) for z in range(q))
+        assert check_conditions(mu).h3_residual == want
+
+
 def test_check_conditions_h2_note_passthrough():
     rep = check_conditions(HEIS, h2_note="closed by inspection")
     assert rep.h2_note == "closed by inspection"
@@ -229,3 +262,66 @@ def test_two_step_nilpotent_generator_is_exactly_jacobi():
     for n in (3, 4, 5, 6):
         mu = random_two_step_nilpotent(n, rng)
         assert check_conditions(mu).jacobi_residual == 0.0
+
+
+def _well_conditioned(d, rng):
+    # orthogonal times a diagonal in [0.5, 2]: condition number at most 4
+    h, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return h @ np.diag(rng.uniform(0.5, 2.0, d))
+
+
+def test_jacobiator_matches_loop_oracle():
+    rng = np.random.default_rng(10)
+    for q in (0, 1):
+        for n in range(2, 6 - q):
+            mu = random_bracket(q, n, rng)
+            np.testing.assert_allclose(jacobiator(mu), jacobiator_loops(mu.c), rtol=0, atol=1e-13)
+
+
+def test_transform_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for q in (0, 1):
+        for n in range(2, 6 - q):
+            mu = random_bracket(q, n, rng)
+            g = np.eye(q + n) + 0.3 * rng.standard_normal((q + n, q + n))
+            np.testing.assert_allclose(transform_bracket(mu, g).c, transform_loops(mu.c, g), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [9, 13])
+def test_kernels_match_einsum_forms(d):
+    rng = np.random.default_rng(d)
+    mu = random_bracket(0, d, rng)
+    g = _well_conditioned(d, rng)
+    ginv = np.linalg.inv(g)
+    c = mu.c
+    want = LieBracket(mu.dims, np.einsum("ai,bj,km,abm->ijk", ginv, ginv, g, c)).c
+    got = transform_bracket(mu, g).c
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = (
+        np.einsum("ijm,mlk->ijlk", c, c)
+        + np.einsum("jlm,mik->ijlk", c, c)
+        + np.einsum("lim,mjk->ijlk", c, c)
+    )
+    got = jacobiator(mu)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_transform_is_a_group_action():
+    rng = np.random.default_rng(12)
+    for q, n in [(0, 4), (1, 3), (0, 6)]:
+        d = q + n
+        mu = random_bracket(q, n, rng)
+        assert np.array_equal(transform_bracket(mu, np.eye(d)).c, mu.c)
+        g = _well_conditioned(d, rng)
+        h = _well_conditioned(d, rng)
+        twice = transform_bracket(transform_bracket(mu, g), h).c
+        once = transform_bracket(mu, h @ g).c
+        assert np.max(np.abs(twice - once)) <= 1e-12 * np.max(np.abs(once))
+
+
+def test_transform_keeps_two_step_nilpotent_jacobi():
+    rng = np.random.default_rng(13)
+    for n in (4, 6, 9, 13):
+        mu = random_two_step_nilpotent(n, rng)
+        moved = transform_bracket(mu, _well_conditioned(n, rng))
+        assert check_conditions(moved).jacobi_residual <= 1e-12 * bracket_norm(mu) ** 2
