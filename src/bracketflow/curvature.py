@@ -11,12 +11,16 @@ oracle (valid for q = 0, i.e. left-invariant metrics on Lie groups) provides
 an independent route to the same operator and is the ground truth the
 algebraic formula is validated against.
 
+Both flows assemble Ric with one fused kernel, `_ricci_from_tensor`; the
+bracket flow's monitor reads it off the RHS evaluation it already makes.
+
 All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -57,42 +61,40 @@ class RicciData:
     riem_sq: float | None = None
 
 
-def _moment_tensor(c: np.ndarray, q: int) -> np.ndarray:
-    mp = c[q:, q:, q:]
-    n = mp.shape[0]
-    mp2 = mp.reshape(n, n * n)
-    mp3 = mp.reshape(n * n, n)
-    m = -0.5 * (mp2 @ mp2.T) + 0.25 * (mp3.T @ mp3)
-    return 0.5 * (m + m.T)
-
-
-def _killing_p(c: np.ndarray, q: int) -> np.ndarray:
-    d = c.shape[0]
-    b = c.reshape(d, -1) @ np.transpose(c, (0, 2, 1)).reshape(d, -1).T
-    return b[q:, q:]
-
-
-def _mean_curvature(c: np.ndarray, q: int) -> np.ndarray:
-    return np.trace(c, axis1=1, axis2=2)[q:]
-
-
-def _ricci_parts(c: np.ndarray, q: int) -> tuple:
-    """(ric, scalar, tr ric^2, B, H, M) in the field order of RicciData."""
-    n = c.shape[0] - q
-    m = _moment_tensor(c, q)
-    b = _killing_p(c, q)
-    h = _mean_curvature(c, q)
-    mp = c[q:, q:, q:]
-    ad_h = (h @ mp.reshape(n, n * n)).reshape(n, n).T
-    ric = m - 0.5 * b - 0.5 * (ad_h + ad_h.T)
-    ric = 0.5 * (ric + ric.T)
-    scalar = float(np.trace(ric))
-    return ric, scalar, float(np.sum(ric * ric)), b, h, m
+@cache
+def _pp_mask(d: int, q: int) -> np.ndarray:
+    # (d*d,) read-only 0/1 weights of the index pairs (j, k) with j, k both in p
+    mask = np.pad(np.ones((d - q, d - q)), (q, 0)).ravel()
+    mask.setflags(write=False)
+    return mask
 
 
 def _ricci_from_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, float, float]:
-    """Hot path: (ric, scalar, tr ric^2) from the raw tensor."""
-    return _ricci_parts(c, q)[:3]
+    """(ric, scalar, tr ric^2) from the raw tensor: the hot path of both flows.
+
+    rows[x, (j, k)] = c[q+x, j, k] runs over every pair of g, swapped is rows
+    with j and k exchanged, and P weighs the pairs in p x p by 1, all others
+    by 0.  One GEMM gives the moment term and the Killing form together:
+
+        X[x, y] = (rows @ (rows * P + swapped).T)[x, y]
+                = sum_{j,k in p} c[x,j,k] c[y,j,k] + sum_{j,k in g} c[x,j,k] c[y,k,j].
+
+    With mp3[(i, j), x] = c[i, j, x] on p, H[x] = sum_j c[q+x, j, j],
+    adH[j, k] = sum_x H[x] c[q+x, j, k] on p and S the symmetrisation,
+
+        Ric = S(1/4 mp3^T mp3 - X/2 - adH) = M - B/2 - S(ad H|_p).
+    """
+    d = c.shape[0]
+    n = d - q
+    rows = c[q:].reshape(n, d * d)
+    swapped = c[q:].transpose(0, 2, 1).reshape(n, d * d)
+    x = rows @ (rows * _pp_mask(d, q) + swapped).T
+    h = rows[:, :: d + 1].sum(1)
+    ad_h = (h @ rows).reshape(d, d)[q:, q:]
+    mp3 = c[q:, q:, q:].reshape(n * n, n)
+    a = 0.25 * (mp3.T @ mp3) - 0.5 * x - ad_h
+    ric = 0.5 * (a + a.T)
+    return ric, float(ric.trace()), float(np.vdot(ric, ric))
 
 
 def mean_curvature(mu: LieBracket) -> np.ndarray:
@@ -100,12 +102,13 @@ def mean_curvature(mu: LieBracket) -> np.ndarray:
 
     Vanishes exactly on unimodular algebras.
     """
-    return _mean_curvature(mu.c, mu.dims.q)
+    return np.trace(mu.c, axis1=1, axis2=2)[mu.dims.q :]
 
 
 def killing_form_p(mu: LieBracket) -> np.ndarray:
     """B[x, y] = tr(ad X ad Y) for X, Y in the p-basis, ad acting on all of g."""
-    return _killing_p(mu.c, mu.dims.q)
+    c, n = mu.c[mu.dims.q :], mu.dims.n
+    return c.reshape(n, -1) @ np.transpose(c, (0, 2, 1)).reshape(n, -1).T
 
 
 def moment_part(mu: LieBracket) -> np.ndarray:
@@ -116,7 +119,10 @@ def moment_part(mu: LieBracket) -> np.ndarray:
         M[x,y] = -1/2 sum_{i,j} <mu_p(X, e_i), e_j><mu_p(Y, e_i), e_j>
                  +1/4 sum_{i,j} <mu_p(e_i, e_j), X><mu_p(e_i, e_j), Y>
     """
-    return _moment_tensor(mu.c, mu.dims.q)
+    mp = mu.c[mu.dims.q :, mu.dims.q :, mu.dims.q :]
+    mp2, mp3 = mp.reshape(mu.dims.n, -1), mp.reshape(-1, mu.dims.n)
+    m = -0.5 * (mp2 @ mp2.T) + 0.25 * (mp3.T @ mp3)
+    return 0.5 * (m + m.T)
 
 
 def ricci_operator(mu: LieBracket, check: bool = True) -> RicciData:
@@ -133,7 +139,8 @@ def ricci_operator(mu: LieBracket, check: bool = True) -> RicciData:
     """
     if check:
         check_conditions(mu).require(DEFAULT_TOL)
-    return RicciData(*_ricci_parts(mu.c, mu.dims.q))
+    ric, scalar, ric_sq = _ricci_from_tensor(mu.c, mu.dims.q)
+    return RicciData(ric, scalar, ric_sq, killing_form_p(mu), mean_curvature(mu), moment_part(mu))
 
 
 def _koszul_pieces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,8 +177,8 @@ def koszul_ricci_oracle(mu: LieBracket) -> RicciData:
         ric=ric,
         scalar=scalar,
         ric_sq_trace=float(np.sum(ric * ric)),
-        killing_p=_killing_p(mu.c, 0),
-        mean_curvature=_mean_curvature(mu.c, 0),
-        moment_part=_moment_tensor(mu.c, 0),
+        killing_p=killing_form_p(mu),
+        mean_curvature=mean_curvature(mu),
+        moment_part=moment_part(mu),
         riem_sq=float(np.sum(riem * riem)),
     )

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import RK45
 
 from .algebra import LieBracket, transform_bracket
-from .curvature import ricci_operator
+from .curvature import _ricci_from_tensor
 from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _drive, _end_time, integrate
 
 __all__ = [
@@ -111,18 +111,16 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky") -> tu
     p = np.asarray(p, dtype=float)
     if p.shape != (n, n):
         raise ValueError(f"metric matrix must be {n} x {n}")
-    rd, ric_op = _pushed_ric(mu0, p, factor)
-    return ric_op, rd.scalar
+    _, scalar, ric_op = _pushed_ric(mu0, p, factor)
+    return ric_op, scalar
 
 
 def _pushed_ric(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky"):
     # Internal: Ricci of the pushed bracket (symmetric, same spectrum as the
-    # operator) plus the operator itself; may raise NonSPDError.
+    # operator), its trace, and the operator itself; may raise NonSPDError.
     ell = _factor(0.5 * (p + p.T), factor)
-    pushed = transform_bracket(mu0, ell)
-    rd = ricci_operator(pushed, check=False)
-    ric_op = np.linalg.solve(ell, rd.ric @ ell)
-    return rd, ric_op
+    ric, scalar, _ = _ricci_from_tensor(transform_bracket(mu0, ell).c, 0)
+    return ric, scalar, np.linalg.solve(ell, ric @ ell)
 
 
 def metric_flow_integrate(
@@ -162,7 +160,7 @@ def metric_flow_integrate(
     def fun(_t, y):
         p = y.reshape(n, n)
         try:
-            _, ric_op = _pushed_ric(mu0, p)
+            ric_op = _pushed_ric(mu0, p)[2]
         except (NonSPDError, np.linalg.LinAlgError):
             return np.full(n * n, np.nan)
         dp = -2.0 * (p @ ric_op)
@@ -174,14 +172,14 @@ def metric_flow_integrate(
 
     def record(t, y):
         p = 0.5 * (y.reshape(n, n) + y.reshape(n, n).T)
-        rd, _ = _pushed_ric(mu0, p)
+        ric, scalar, _ = _pushed_ric(mu0, p)
         lam = float(np.min(np.linalg.eigvalsh(p)))
         ts.append(t)
-        scalars.append(rd.scalar)
-        eigs.append(np.sort(np.linalg.eigvalsh(rd.ric)))
+        scalars.append(scalar)
+        eigs.append(np.sort(np.linalg.eigvalsh(ric)))
         lam_mins.append(lam)
         checkpoints.append(MetricState(t, p))
-        return rd.scalar, lam, p
+        return scalar, lam, p
 
     record(0.0, p0.ravel())
     norm_dp0 = float(np.linalg.norm(fun(0.0, p0.ravel())))
@@ -255,18 +253,13 @@ def equivalence_check(
     t_end = min(abs(bt.t[-1]), abs(mt.t[-1]))
     singular = bt.verdict.kind == "blowup" or mt.verdict.kind == "blowup"
     grid = _comparison_grid(COVERAGE * t_end if singular else t_end)
-    d = mu0.dims.d
     n = mu0.dims.n
     gap = 0.0
     for t in grid:
-        c = bt.dense(t).reshape(d, d, d)
-        rd = ricci_operator(LieBracket(mu0.dims, c), check=False)
-        r_b = rd.scalar
-        eig_b = np.sort(np.linalg.eigvalsh(rd.ric))
-        p = mt.dense(t).reshape(n, n)
-        rd_m, _ = _pushed_ric(mu0, p)
-        r_m = rd_m.scalar
-        eig_m = np.sort(np.linalg.eigvalsh(rd_m.ric))
+        ric_b, r_b, _ = _ricci_from_tensor(bt.dense(t).reshape(mu0.c.shape), 0)
+        eig_b = np.sort(np.linalg.eigvalsh(ric_b))
+        ric_m, r_m, _ = _pushed_ric(mu0, mt.dense(t).reshape(n, n))
+        eig_m = np.sort(np.linalg.eigvalsh(ric_m))
         scale = max(1.0, abs(r_b), abs(r_m))
         gap = max(gap, abs(r_b - r_m) / scale)
         gap = max(gap, float(np.max(np.abs(eig_b - eig_m))) / scale)

@@ -129,3 +129,13 @@ def ricci_assembled_loops(c: np.ndarray, q: int) -> np.ndarray:
     for col in range(n):
         ad_h[:, col] = apply_bracket(c, hvec, basis[q + col])[q:]
     return m - 0.5 * b - 0.5 * (ad_h + ad_h.T)
+
+
+def local_derivatives_polyfit(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # one np.polyfit of degree 4 per 5-sample window, on tau / s, differentiated at the center
+    out = []
+    for k in range(2, len(t) - 2):
+        tau = t[k - 2 : k + 3] - t[k]
+        s = np.max(np.abs(tau))
+        out.append(np.polyfit(tau / s, y[k - 2 : k + 3], 4)[3] / s if s > 0 else 0.0)
+    return np.array(out)

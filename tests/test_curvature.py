@@ -16,6 +16,7 @@ from bracketflow import (
     transform_bracket,
 )
 from bracketflow.catalog import catalog_entries, get_entry
+from bracketflow.curvature import _pp_mask, _ricci_from_tensor
 
 from oracles import killing_p_loops, mean_curvature_loops, moment_part_loops, ricci_assembled_loops
 
@@ -112,6 +113,40 @@ def test_ricci_matches_assembled_loops():
         mu = random_bracket(q, n, rng)
         got = ricci_operator(mu, check=False).ric
         assert np.allclose(got, ricci_assembled_loops(mu.c, q), atol=1e-12)
+
+
+@pytest.mark.parametrize("q, n", [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (3, 4)])
+def test_fused_kernel_matches_assembled_loops(q, n):
+    mu = random_bracket(q, n, np.random.default_rng(100 + 10 * q + n))
+    assert np.max(np.abs(mean_curvature(mu))) > 0.1  # non-unimodular: the ad H term is live
+    ric, scalar, trsq = _ricci_from_tensor(mu.c, q)
+    ref = ricci_assembled_loops(mu.c, q)
+    assert np.max(np.abs(ric - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(ric, ric.T)
+    assert scalar == ric.trace()
+    assert trsq == pytest.approx(np.sum(ref * ref), rel=1e-12)
+
+
+def test_ricci_operator_is_moment_minus_half_killing_minus_sym_ad_h():
+    rng = np.random.default_rng(19)
+    for q, n in [(0, 4), (1, 3), (2, 3)]:
+        mu = random_bracket(q, n, rng)
+        ad_h = np.tensordot(mean_curvature(mu), mu.c[q:, q:, q:], axes=1)
+        expected = moment_part(mu) - killing_form_p(mu) / 2 - (ad_h + ad_h.T) / 2
+        rd = ricci_operator(mu, check=False)
+        assert np.max(np.abs(rd.ric - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(rd.killing_p, killing_form_p(mu))
+        assert np.array_equal(rd.mean_curvature, mean_curvature(mu))
+        assert np.array_equal(rd.moment_part, moment_part(mu))
+
+
+def test_pp_mask_is_cached_and_read_only():
+    mask = _pp_mask(5, 2)
+    assert mask is _pp_mask(5, 2)
+    in_p = np.arange(5) >= 2
+    assert np.array_equal(mask.reshape(5, 5), np.outer(in_p, in_p))
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0] = 1.0
 
 
 def test_ricci_data_invariants():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracketflow import (
     DriftError,
@@ -13,12 +15,17 @@ from bracketflow import (
     estimate_blowup_time,
     estimate_report,
     fit_power_blowup,
+    flow,
     integrate,
     random_bracket,
+    random_two_step_nilpotent,
+    ricci_operator,
     scale_bracket,
     type_I_diagnostic,
 )
-from bracketflow.catalog import get_entry
+from bracketflow.catalog import catalog_entries, get_entry
+
+from oracles import local_derivatives_polyfit
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
@@ -61,6 +68,27 @@ def test_rhs_cubic_scaling():
     for c in (0.1, 10.0):
         got = bracket_flow_rhs(scale_bracket(mu, c))
         assert np.allclose(got.c, c**3 * base.c, rtol=1e-12)
+
+
+BRACKETS = st.sampled_from([entry.bracket for entry in catalog_entries()]) | st.builds(
+    lambda n, seed: random_two_step_nilpotent(n, np.random.default_rng(seed)),
+    st.integers(3, 8),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(BRACKETS, st.floats(1e-3, 1e7))
+def test_ricci_and_rhs_are_scale_covariant(mu, c):
+    # Ric(c mu) = c^2 Ric(mu) and F(c mu) = c^3 F(mu), relative to |c mu|^2 and |c mu|^3
+    q = mu.dims.q
+    size = c * bracket_norm(mu)
+    dmu, (ric, scalar, _) = flow._default_rhs_tensor(mu.c, q)
+    dmu_c, (ric_c, scalar_c, _) = flow._default_rhs_tensor(c * mu.c, q)
+    assert np.array_equal(ric_c, flow._ricci_from_tensor(c * mu.c, q)[0])
+    assert np.max(np.abs(ric_c - c**2 * ric)) <= 1e-12 * size**2
+    assert abs(scalar_c - c**2 * scalar) <= 1e-12 * size**2
+    assert np.max(np.abs(dmu_c - c**3 * dmu)) <= 1e-12 * size**3
 
 
 def test_velocity_bound_over_random_brackets():
@@ -321,6 +349,15 @@ def test_estimate_report_needs_enough_samples(su2_forward):
         estimate_report(short)
 
 
+@pytest.mark.parametrize("fixture", ["su2_forward", "heis_backward"])
+def test_local_derivatives_match_polyfit_loop(fixture, request):
+    traj = request.getfixturevalue(fixture)
+    got = flow._local_derivatives(traj.t, traj.scalar_R)
+    np.testing.assert_allclose(got, local_derivatives_polyfit(traj.t, traj.scalar_R), rtol=1e-10, atol=0)
+    # windows of equal times have no spread to fit and give 0
+    assert np.array_equal(flow._local_derivatives(np.ones(6), np.arange(6.0)), [0.0, 0.0])
+
+
 def test_scalar_evolution_identity_near_start(su2_forward):
     # dR/dt = 2 tr Ric^2: at t ~ 0 both sides are close to 2 * 3/4 = 3/2
     k = 3
@@ -422,3 +459,21 @@ def test_sign_flipped_dynamics_contradict_su2_blowup():
     assert traj.verdict.kind == "immortal"  # contradicts omega = 1
     rep = estimate_report(traj)
     assert rep.monotone_R_violation > 1e-3  # R visibly decreases
+    # the override supplies only the derivative; R is still the checkpoint's
+    expected = [ricci_operator(cp.mu, check=False).scalar for cp in traj.checkpoints]
+    np.testing.assert_allclose(traj.scalar_R, expected, rtol=1e-13, atol=0)
+
+
+# --- work per step ------------------------------------------------------------
+
+@pytest.mark.parametrize("name, direction", [("su2_round", "forward"), ("sphere2_su2", "backward")])
+def test_one_ricci_assembly_per_rhs_evaluation(monkeypatch, name, direction):
+    calls = {"_ricci_from_tensor": 0, "_default_rhs_tensor": 0}
+    for fn in calls:
+        def counted(*args, _fn=getattr(flow, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(flow, fn, counted)
+    traj = integrate(get_entry(name).bracket, direction, 2.0)
+    assert calls["_ricci_from_tensor"] == calls["_default_rhs_tensor"] > 6 * traj.n_samples
