@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -213,11 +214,12 @@ def _extend_on_p(dims: Dimensions, a: np.ndarray) -> np.ndarray:
 
 def _pi_tensor(abar: np.ndarray, c: np.ndarray) -> np.ndarray:
     # pi(A)mu = A mu(.,.) - mu(A., .) - mu(., A.); the third term is the
-    # (i <-> j) mirror of the second because c is antisymmetric.
+    # (i <-> j) mirror of the second because c is antisymmetric.  Both terms
+    # are 2-D GEMMs on reshaped views of c.
     d = c.shape[0]
-    term1 = c @ abar.T
-    term2 = (abar.T @ c.reshape(d, -1)).reshape(d, d, d)
-    return term1 - term2 + np.transpose(term2, (1, 0, 2))
+    term1 = (c.reshape(d * d, d) @ abar.T).reshape(d, d, d)
+    term2 = (abar.T @ c.reshape(d, d * d)).reshape(d, d, d)
+    return term1 - term2 + term2.transpose(1, 0, 2)
 
 
 def pi_action(a: np.ndarray, mu: LieBracket) -> LieBracket:
@@ -264,11 +266,49 @@ def adjoint_matrices(mu: LieBracket) -> np.ndarray:
     return np.swapaxes(mu.c, 1, 2).copy()
 
 
+@cache
+def _triple_plan(d: int) -> np.ndarray:
+    # (3, T*d) read-only flat indices into a[i,j,l,k] (shape (d,)*4) of the
+    # three cyclic terms a[i,j,l,k], a[j,l,i,k], a[l,i,j,k] of the Jacobiator,
+    # for every triple i < j < l and every k: T = d(d-1)(d-2)/6 triples.
+    i, j, l = np.array(list(combinations(range(d), 3)), dtype=np.intp).reshape(-1, 3).T
+    k = np.arange(d)
+
+    def flat(a, b, m):
+        return (((a * d + b) * d + m)[:, None] * d + k).ravel()
+
+    plan = np.stack([flat(i, j, l), flat(j, l, i), flat(l, i, j)])
+    plan.setflags(write=False)
+    return plan
+
+
+def _residuals(c: np.ndarray, q: int) -> tuple[float, float, float]:
+    """(jacobi, h1, h3) residuals of the raw tensor c, antisymmetric in (i, j).
+
+    J is totally antisymmetric in its three bracket slots, so its max-norm is
+    read off the triples i < j < l only: J[i,j,l,k] = a[i,j,l,k] +
+    a[j,l,i,k] + a[l,i,j,k], gathered from a = c c (one GEMM) through
+    `_triple_plan`.  With d < 3 there is no such triple and the residual is 0.
+    """
+    d = c.shape[0]
+    a = (c.reshape(d * d, d) @ c.reshape(d, d * d)).ravel()
+    jac = float(np.abs(a.take(_triple_plan(d)).sum(0)).max(initial=0.0))
+    if q == 0:
+        return jac, 0.0, 0.0
+    kk_out = c[:q, :q, q:]  # mu(k,k) leaking into p
+    kp_out = c[:q, q:, :q]  # mu(k,p) leaking into k
+    h1 = max(float(np.abs(kk_out).max()), float(np.abs(kp_out).max()))
+    s = c[:q, q:, q:]
+    h3 = float(np.abs(s + s.transpose(0, 2, 1)).max())
+    return jac, h1, h3
+
+
 def check_conditions(mu: LieBracket, h2_note: str = "") -> ConditionReport:
     """Measure how far a bracket is from the admissible set.
 
-    Returns raw residuals:
-      * jacobi_residual: max-norm of the Jacobiator over all basis triples;
+    Returns raw residuals (the first three from `_residuals`):
+      * jacobi_residual: max-norm of the Jacobiator over all basis triples,
+        read off the triples i < j < l since J is totally antisymmetric;
       * h1_residual: components of mu(k,k) outside k and mu(k,p) outside p;
       * h3_residual: max over Z in the k-basis of max|ad Z|_p + (ad Z|_p)^T|,
         i.e. failure of ad(k) to act skewly on p;
@@ -276,16 +316,8 @@ def check_conditions(mu: LieBracket, h2_note: str = "") -> ConditionReport:
         Z -> mu(Z, .)|_p.
     """
     q = mu.dims.q
-    c = mu.c
-    jac = float(np.max(np.abs(jacobiator(mu))))
-    if q == 0:
-        return ConditionReport(jac, 0.0, 0.0, 0, h2_note)
-    kk_out = c[:q, :q, q:]  # mu(k,k) leaking into p
-    kp_out = c[:q, q:, :q]  # mu(k,p) leaking into k
-    h1 = max(float(np.max(np.abs(kk_out))), float(np.max(np.abs(kp_out))))
-    s = c[:q, q:, q:]
-    h3 = float(np.max(np.abs(s + s.transpose(0, 2, 1))))
-    h4_kernel = q - int(np.linalg.matrix_rank(c[:q, q:, :].reshape(q, -1)))
+    jac, h1, h3 = _residuals(mu.c, q)
+    h4_kernel = q - int(np.linalg.matrix_rank(mu.c[:q, q:, :].reshape(q, -1))) if q else 0
     return ConditionReport(jac, h1, h3, h4_kernel, h2_note)
 
 

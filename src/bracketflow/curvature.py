@@ -12,7 +12,9 @@ an independent route to the same operator and is the ground truth the
 algebraic formula is validated against.
 
 Both flows assemble Ric with one fused kernel, `_ricci_from_tensor`; the
-bracket flow's monitor reads it off the RHS evaluation it already makes.
+bracket flow's monitor reads it off the RHS evaluation it already makes.  The
+kernel gathers its operands through a read-only index plan, built once per
+(q, n) by `_ricci_plan`, and makes one matrix product for M - B/2.
 
 All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 """
@@ -62,37 +64,65 @@ class RicciData:
 
 
 @cache
-def _pp_mask(d: int, q: int) -> np.ndarray:
-    # (d*d,) read-only 0/1 weights of the index pairs (j, k) with j, k both in p
-    mask = np.pad(np.ones((d - q, d - q)), (q, 0)).ravel()
-    mask.setflags(write=False)
-    return mask
+def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather plan of `_ricci_from_tensor`, shared by every tensor with this (d, q).
+
+    Returns (idx, w).  idx has shape (2, n, d*d + n*n) and holds flat indices
+    into c, block by block (x, i, j in p; j, k in g):
+
+        idx[0] = [A1 | A3],  idx[1] = [A2 | A3],
+        A1[x, (j, k)] = c[q+x, j, k]     -> (q+x) d^2 + j d + k
+        A2[x, (j, k)] = c[q+x, k, j]     -> (q+x) d^2 + k d + j
+        A3[x, (i, j)] = c[q+i, q+j, q+x] -> (q+i) d^2 + (q+j) d + q+x
+
+    w, of the same shape, weighs them so that the weighted sum of the two
+    gathers is [-(P*A1 + A2)/2 | A3/4]: -P/2 and -1/2 on the A1 and A2
+    blocks, where P is 1 on the pairs (j, k) in p x p and 0 elsewhere, and
+    1/8 on each copy of A3.  Every weight is a power of two or 0, so the sum
+    rounds exactly like (P*A1 + A2) itself.
+    """
+    n = d - q
+    flat = np.arange(d**3).reshape(d, d, d)
+    a3 = flat[q:, q:, q:].reshape(n * n, n).T
+    idx = np.stack([
+        np.hstack([flat[q:].reshape(n, d * d), a3]),
+        np.hstack([flat[q:].transpose(0, 2, 1).reshape(n, d * d), a3]),
+    ])
+    in_p = np.arange(d) >= q
+    w = np.empty(idx.shape)
+    w[0, :, : d * d] = -0.5 * np.outer(in_p, in_p).ravel()
+    w[1, :, : d * d] = -0.5
+    w[:, :, d * d :] = 0.125
+    idx.setflags(write=False)
+    w.setflags(write=False)
+    return idx, w
 
 
 def _ricci_from_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, float, float]:
     """(ric, scalar, tr ric^2) from the raw tensor: the hot path of both flows.
 
-    rows[x, (j, k)] = c[q+x, j, k] runs over every pair of g, swapped is rows
-    with j and k exchanged, and P weighs the pairs in p x p by 1, all others
-    by 0.  One GEMM gives the moment term and the Killing form together:
+    One gather through `_ricci_plan` and one GEMM give the moment term, the
+    Killing form and the Gram matrix of the p-part together:
 
-        X[x, y] = (rows @ (rows * P + swapped).T)[x, y]
-                = sum_{j,k in p} c[x,j,k] c[y,j,k] + sum_{j,k in g} c[x,j,k] c[y,k,j].
+        G = [A1 | A3] @ [-(P*A1 + A2)/2 | A3/4]^T
+          = -1/2 (sum_{j,k in p} c[x,j,k] c[y,j,k] + sum_{j,k in g} c[x,j,k] c[y,k,j])
+            + 1/4 sum_{i,j in p} c[i,j,x] c[i,j,y]
+          = M - B/2.
 
-    With mp3[(i, j), x] = c[i, j, x] on p, H[x] = sum_j c[q+x, j, j],
-    adH[j, k] = sum_x H[x] c[q+x, j, k] on p and S the symmetrisation,
+    With H[x] = sum_j c[q+x, j, j] and adH[j, k] = sum_x H[x] c[q+x, j, k] on
+    p, both read off the free view rows[x, (j, k)] = c[q+x, j, k], and S the
+    symmetrisation,
 
-        Ric = S(1/4 mp3^T mp3 - X/2 - adH) = M - B/2 - S(ad H|_p).
+        Ric = S(G - adH) = M - B/2 - S(ad H|_p).
     """
     d = c.shape[0]
-    n = d - q
-    rows = c[q:].reshape(n, d * d)
-    swapped = c[q:].transpose(0, 2, 1).reshape(n, d * d)
-    x = rows @ (rows * _pp_mask(d, q) + swapped).T
+    idx, w = _ricci_plan(d, q)
+    gathered = c.ravel()[idx]
+    weighted = gathered * w
+    rows = c[q:].reshape(d - q, d * d)
     h = rows[:, :: d + 1].sum(1)
     ad_h = (h @ rows).reshape(d, d)[q:, q:]
-    mp3 = c[q:, q:, q:].reshape(n * n, n)
-    a = 0.25 * (mp3.T @ mp3) - 0.5 * x - ad_h
+    a = gathered[0] @ (weighted[0] + weighted[1]).T - ad_h
     ric = 0.5 * (a + a.T)
     return ric, float(ric.trace()), float(np.vdot(ric, ric))
 

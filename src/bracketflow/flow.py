@@ -7,7 +7,10 @@ step budget, solver failures and dense output, and asks a per-step callback
 whether to stop.  The bracket flow's callback tracks the bracket norm, scalar
 curvature, tr Ric^2, admissibility drift and the measured Lipschitz ratio
 |dmu/dt| / |mu|^3.  It reads R and tr Ric^2 off the one RHS evaluation it
-makes per step, which returns the Ricci data it was built from.
+makes per step, which returns the Ricci data it was built from, and the
+admissibility residuals off the raw state tensor (`algebra._residuals`), so
+it builds no LieBracket.  The states stay raw arrays; `Trajectory.checkpoints`
+wraps them as FlowStates only when read.
 
 A finite-time singularity is declared only when two conditions hold at once:
 the bracket norm exceeds a threshold, and the rigorous remaining-lifetime
@@ -21,6 +24,7 @@ backward run hands the stepper the end time -horizon.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,6 +37,7 @@ from .algebra import (
     Dimensions,
     LieBracket,
     _pi_tensor,
+    _residuals,
     bracket_norm,
     check_conditions,
 )
@@ -133,12 +138,37 @@ class Verdict:
     rigorous_bound: float | None = None
 
 
+class _Checkpoints(Sequence):
+    """Read-only sequence of FlowState(t, LieBracket) over raw states, built on access.
+
+    Indexing, negative indices and iteration give a FlowState; a slice gives
+    another view.  The raw states are never written.
+    """
+
+    def __init__(self, dims: Dimensions, t: np.ndarray, states: list[np.ndarray]):
+        self._dims = dims
+        self._t = t
+        self._states = states
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _Checkpoints(self._dims, self._t[k], self._states[k])
+        d = self._dims.d
+        return FlowState(self._t[k], LieBracket(self._dims, self._states[k].reshape(d, d, d)))
+
+
 @dataclass
 class Trajectory:
     """Sampled bracket-flow solution.
 
-    Scalar series and full states are kept at every sample, one per accepted
-    step.  Times are physical: decreasing for backward runs.
+    Scalar series and the raw states are kept at every sample, one per
+    accepted step.  `checkpoints` is a lazy read-only Sequence[FlowState]
+    over those states: each access builds the FlowState, so a run that never
+    reads it builds no LieBracket.  Times are physical: decreasing for
+    backward runs.
     """
 
     direction: str
@@ -152,7 +182,7 @@ class Trajectory:
     jacobi_residual: np.ndarray
     h1_residual: np.ndarray
     h3_residual: np.ndarray
-    checkpoints: list[FlowState]
+    checkpoints: Sequence[FlowState]
     verdict: Verdict
     lipschitz_ratio: float
     dense: "DenseSolution | None" = None
@@ -193,10 +223,11 @@ def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
 
 def _default_rhs_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, tuple]:
     # The derivative together with the (ric, scalar, tr ric^2) it was built from.
-    d = c.shape[0]
     ricci = _ricci_from_tensor(c, q)
-    abar = np.zeros((d, d))
-    abar[q:, q:] = ricci[0]
+    abar = ricci[0]
+    if q:
+        abar = np.zeros((c.shape[0],) * 2)
+        abar[q:, q:] = ricci[0]
     return -_pi_tensor(abar, c), ricci
 
 
@@ -215,7 +246,6 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
     m = 33
     t = np.linspace(0.0, t_end, m)
     zeros = np.zeros(m)
-    cps = [FlowState(float(ti), initial) for ti in t]
     dense = DenseSolution([0.0, t_end], [_Constant(0.0, t_end, initial.c.ravel())])
     return Trajectory(
         direction=direction,
@@ -229,7 +259,7 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
         jacobi_residual=zeros.copy(),
         h1_residual=zeros.copy(),
         h3_residual=zeros.copy(),
-        checkpoints=cps,
+        checkpoints=_Checkpoints(initial.dims, t, [initial.c] * m),
         verdict=Verdict(kind="flat"),
         lipschitz_ratio=0.0,
         dense=dense,
@@ -292,30 +322,31 @@ def integrate(
 
     ts, norms, scalars, trsqs, rhsn = [], [], [], [], []
     jres, h1res, h3res = [], [], []
-    checkpoints: list[FlowState] = []
+    states: list[np.ndarray] = []
     ratio_max = 0.0
 
     def record(t, y):
+        # Reads the raw state only: the stepper never writes an array it has
+        # handed out, so `states` keeps y itself.
         nonlocal ratio_max
         c = y.reshape(d, d, d)
         nsq = float(np.dot(y, y))
         norm = np.sqrt(nsq)
         dc, (_, scalar, trsq) = f_tensor(c)
         fnorm = float(np.linalg.norm(dc))
-        mu = LieBracket(dims, c)
-        rep = check_conditions(mu)
+        jac, h1, h3 = _residuals(c, q)
         ts.append(t)
         norms.append(norm)
         scalars.append(scalar)
         trsqs.append(trsq)
         rhsn.append(fnorm)
-        jres.append(rep.jacobi_residual)
-        h1res.append(rep.h1_residual)
-        h3res.append(rep.h3_residual)
+        jres.append(jac)
+        h1res.append(h1)
+        h3res.append(h3)
         if norm > 0:
             ratio_max = max(ratio_max, fnorm / norm**3)
-        checkpoints.append(FlowState(t, mu))
-        return nsq, norm, rep
+        states.append(y)
+        return nsq, norm, max(jac, h1, h3)
 
     def remaining_bound(nsq):
         # d/dt |mu|^2 <= 2 ratio |mu|^4, so the norm cannot blow up within
@@ -331,9 +362,9 @@ def integrate(
         return norm > opts.blowup_threshold and remaining_bound(nsq) < opts.time_resolution
 
     def on_step(solver):
-        nsq, norm, rep = record(solver.t, solver.y)
+        nsq, norm, residual = record(solver.t, solver.y)
         solver.max_step = step_ceiling(norm, rhsn[-1])
-        drift = max(rep.jacobi_residual, rep.h1_residual, rep.h3_residual) / (1.0 + nsq)
+        drift = residual / (1.0 + nsq)
         if drift > opts.drift_tol:
             raise DriftError(
                 f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {solver.t}"
@@ -376,7 +407,7 @@ def integrate(
         jacobi_residual=np.array(jres),
         h1_residual=np.array(h1res),
         h3_residual=np.array(h3res),
-        checkpoints=checkpoints,
+        checkpoints=_Checkpoints(dims, t_arr, states),
         verdict=verdict,
         lipschitz_ratio=ratio_max,
         dense=dense,
@@ -619,19 +650,19 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
 def type_I_diagnostic(traj: Trajectory) -> float:
     """Sup of |omega_est - t| * |Riem(mu(t))| over the blowup tail (q = 0).
 
-    A finite value is the signature of a type-I singularity.  |Riem| comes
-    from the Koszul oracle, so isotropy is rejected.
+    The tail is the one `fit_power_blowup` fits: the samples with |mu| within
+    two decades of the last.  A finite value is the signature of a type-I
+    singularity.  |Riem| comes from the Koszul oracle, so isotropy is
+    rejected.
     """
     if traj.dims.q != 0:
         raise ValueError("type-I diagnostic needs q = 0 (no |Riem| oracle with isotropy)")
     if traj.verdict.kind != "blowup":
         raise ValueError("type-I diagnostic applies to blowup trajectories")
     omega = traj.verdict.omega_est
-    cutoff = traj.mu_norm[-1] / 100.0
     best = 0.0
-    for cp in traj.checkpoints:
-        if bracket_norm(cp.mu) < cutoff:
-            continue
+    for k in np.flatnonzero(traj.mu_norm >= traj.mu_norm[-1] / 100.0):
+        cp = traj.checkpoints[k]
         riem = np.sqrt(koszul_ricci_oracle(cp.mu).riem_sq)
         best = max(best, abs(omega - cp.t) * riem)
     return float(best)

@@ -75,6 +75,11 @@ class MetricTrajectory:
         return len(self.t)
 
 
+def _require_q0(mu0: LieBracket) -> None:
+    if mu0.dims.q != 0:
+        raise ValueError("metric-side flow is implemented for q = 0 only")
+
+
 def _factor(p: np.ndarray, how: str) -> np.ndarray:
     """A matrix L with P = L^T L."""
     if how == "cholesky":
@@ -105,8 +110,7 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky") -> tu
     Raises:
         NonSPDError: when `p` is not positive-definite.
     """
-    if mu0.dims.q != 0:
-        raise ValueError("metric-side flow is implemented for q = 0 only")
+    _require_q0(mu0)
     n = mu0.dims.n
     p = np.asarray(p, dtype=float)
     if p.shape != (n, n):
@@ -148,8 +152,7 @@ def metric_flow_integrate(
             left too short a tail to fit the singular time.
     """
     opts = opts or IntegratorOptions()
-    if mu0.dims.q != 0:
-        raise ValueError("metric-side flow is implemented for q = 0 only")
+    _require_q0(mu0)
     t_end = _end_time(direction, horizon)
     n = mu0.dims.n
     p0 = 0.5 * (np.asarray(p0, dtype=float) + np.asarray(p0, dtype=float).T)
@@ -244,7 +247,11 @@ def equivalence_check(
     singular pair over the first `COVERAGE` fraction of the common interval
     (see the constant for why).  Returns the maximum gap, relative to
     max(1, |R|).
+
+    Raises:
+        ValueError: the bracket has isotropy (q > 0), before either flow runs.
     """
+    _require_q0(mu0)
     base = opts or IntegratorOptions()
     run_opts = replace(base, collect_dense=True)
     bt = integrate(mu0, "forward", horizon, run_opts)

@@ -93,10 +93,11 @@ def mean_curvature_loops(c: np.ndarray, q: int) -> np.ndarray:
 def killing_p_loops(c: np.ndarray, q: int) -> np.ndarray:
     d = c.shape[0]
     n = d - q
+    ads = [ad_matrix_loops(c, q + x) for x in range(n)]
     b = np.zeros((n, n))
     for x in range(n):
         for y in range(n):
-            b[x, y] = np.trace(ad_matrix_loops(c, q + x) @ ad_matrix_loops(c, q + y))
+            b[x, y] = np.trace(ads[x] @ ads[y])
     return b
 
 

@@ -14,7 +14,7 @@ from bracketflow import (
     scale_bracket,
     transform_bracket,
 )
-from bracketflow.algebra import _upper_mask
+from bracketflow.algebra import _residuals, _upper_mask
 from bracketflow.catalog import get_entry
 
 from oracles import jacobi_max_loops, jacobiator_loops, norm_loops, pi_action_loops, transform_loops
@@ -209,6 +209,26 @@ def test_perturbation_along_c010_stays_a_lie_bracket():
     mu = LieBracket(HEIS.dims, c)
     assert check_conditions(mu).jacobi_residual == 0.0
     assert jacobi_max_loops(mu.c) == 0.0
+
+
+@pytest.mark.parametrize("d", range(3, 14))
+def test_triple_jacobi_max_equals_full_max(d):
+    # J is totally antisymmetric, so i < j < l covers every value up to the
+    # order in which its three cyclic terms are added
+    rng = np.random.default_rng(40 + d)
+    nilpotent = random_two_step_nilpotent(d, rng)
+    perturbed = LieBracket(nilpotent.dims, nilpotent.c + 1e-6 * rng.standard_normal((d,) * 3))
+    for mu in (random_bracket(0, d, rng), perturbed):
+        full = float(np.max(np.abs(jacobiator(mu))))
+        got = _residuals(mu.c, 0)[0]
+        assert full > 0.0
+        assert abs(got - full) <= 2 * np.spacing(full)
+
+
+def test_triple_jacobi_max_is_zero_without_a_triple():
+    mu = random_bracket(0, 2, np.random.default_rng(41))
+    assert _residuals(mu.c, 0)[0] == 0.0
+    assert np.max(np.abs(jacobiator(mu))) == 0.0
 
 
 def test_check_conditions_h1_violation():

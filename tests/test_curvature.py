@@ -16,7 +16,8 @@ from bracketflow import (
     transform_bracket,
 )
 from bracketflow.catalog import catalog_entries, get_entry
-from bracketflow.curvature import _pp_mask, _ricci_from_tensor
+from bracketflow.algebra import _triple_plan
+from bracketflow.curvature import _ricci_from_tensor, _ricci_plan
 
 from oracles import killing_p_loops, mean_curvature_loops, moment_part_loops, ricci_assembled_loops
 
@@ -115,7 +116,9 @@ def test_ricci_matches_assembled_loops():
         assert np.allclose(got, ricci_assembled_loops(mu.c, q), atol=1e-12)
 
 
-@pytest.mark.parametrize("q, n", [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (3, 4)])
+@pytest.mark.parametrize(
+    "q, n", [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4), (0, 6), (0, 13)]
+)
 def test_fused_kernel_matches_assembled_loops(q, n):
     mu = random_bracket(q, n, np.random.default_rng(100 + 10 * q + n))
     assert np.max(np.abs(mean_curvature(mu))) > 0.1  # non-unimodular: the ad H term is live
@@ -140,13 +143,24 @@ def test_ricci_operator_is_moment_minus_half_killing_minus_sym_ad_h():
         assert np.array_equal(rd.moment_part, moment_part(mu))
 
 
-def test_pp_mask_is_cached_and_read_only():
-    mask = _pp_mask(5, 2)
-    assert mask is _pp_mask(5, 2)
-    in_p = np.arange(5) >= 2
-    assert np.array_equal(mask.reshape(5, 5), np.outer(in_p, in_p))
-    with pytest.raises(ValueError, match="read-only"):
-        mask[0] = 1.0
+def test_plans_are_cached_and_read_only():
+    d, q = 5, 2
+    idx, w = _ricci_plan(d, q)
+    assert _ricci_plan(d, q)[0] is idx and _ricci_plan(d, q)[1] is w
+    assert _triple_plan(d) is _triple_plan(d)
+    for plan in (idx, w, _triple_plan(d)):
+        with pytest.raises(ValueError, match="read-only"):
+            plan.flat[0] = 0
+    # the plan gathers the entries its docstring names
+    c = np.arange(float(d**3)).reshape(d, d, d)
+    left, swap = c.ravel()[idx]
+    n, x, j, k = d - q, 1, 0, 3
+    assert left[x, j * d + k] == c[q + x, j, k]  # A1
+    assert swap[x, j * d + k] == c[q + x, k, j]  # A2
+    i, j = 2, 1
+    assert left[x, d * d + i * n + j] == swap[x, d * d + i * n + j] == c[q + i, q + j, q + x]  # A3
+    in_p = np.arange(d) >= q
+    assert np.array_equal(w[0, 0, : d * d], -0.5 * np.outer(in_p, in_p).ravel())
 
 
 def test_ricci_data_invariants():

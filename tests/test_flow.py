@@ -1,3 +1,5 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from bracketflow import (
     fit_power_blowup,
     flow,
     integrate,
+    koszul_ricci_oracle,
     random_bracket,
     random_two_step_nilpotent,
     ricci_operator,
@@ -231,6 +234,46 @@ def test_checkpoint_at_every_sample(su2_forward, heis_backward):
         assert np.array_equal([cp.t for cp in traj.checkpoints], traj.t)
 
 
+def test_checkpoints_are_a_lazy_read_only_view(su2_forward):
+    cps = su2_forward.checkpoints
+    assert isinstance(cps, Sequence)
+    assert len(cps) == su2_forward.n_samples
+    first, last = cps[0], cps[-1]
+    assert first.t == 0.0 and np.array_equal(first.mu.c, SU2.c)
+    assert last.t == su2_forward.t[-1]
+    assert bracket_norm(last.mu) == pytest.approx(su2_forward.mu_norm[-1], rel=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        last.mu.c[0, 1, 2] = 0.0
+    assert np.array_equal(cps[-1].mu.c, last.mu.c)
+    with pytest.raises(IndexError):
+        cps[len(cps)]
+    part = cps[10:20:3]
+    assert [cp.t for cp in part] == list(su2_forward.t[10:20:3])
+    assert np.array_equal(part[-1].mu.c, cps[19].mu.c)
+    assert [cp.t for cp in cps] == list(su2_forward.t)
+
+
+def test_flat_checkpoints_are_the_same_view():
+    traj = integrate(FLAT, "forward", 5.0)
+    assert len(traj.checkpoints) == traj.n_samples
+    assert all(cp.t == t and np.array_equal(cp.mu.c, FLAT.c) for cp, t in zip(traj.checkpoints, traj.t))
+
+
+def test_integrate_builds_no_bracket_and_checks_conditions_once(monkeypatch):
+    # the monitor reads its residuals off the raw tensor; only the initial
+    # bracket goes through check_conditions
+    calls = {"LieBracket": 0, "check_conditions": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(flow, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(flow, name, counted)
+    traj = integrate(get_entry("sphere2_su2").bracket, "backward", 10.0)
+    assert traj.n_samples > 50
+    assert calls == {"LieBracket": 0, "check_conditions": 1}
+
+
 def test_stiffness_failure_when_threshold_unreachable():
     # an absurd threshold cannot be certified before the step size underflows
     opts = IntegratorOptions(blowup_threshold=1e30)
@@ -395,6 +438,38 @@ def test_type_I_su2_finite(su2_forward):
 def test_type_I_heis_backward_finite(heis_backward):
     val = type_I_diagnostic(heis_backward)
     assert np.isfinite(val) and val > 0.0
+
+
+def _type_I_every_checkpoint(traj):
+    # the former loop: every checkpoint, kept when its own norm reaches the cutoff
+    omega = traj.verdict.omega_est
+    cutoff = traj.mu_norm[-1] / 100.0
+    best = 0.0
+    for cp in traj.checkpoints:
+        if bracket_norm(cp.mu) < cutoff:
+            continue
+        riem = np.sqrt(koszul_ricci_oracle(cp.mu).riem_sq)
+        best = max(best, abs(omega - cp.t) * riem)
+    return float(best)
+
+
+@pytest.mark.parametrize(
+    "name, direction", [("su2_round", "forward"), ("heisenberg3", "backward"), ("nilpotent4", "backward")]
+)
+def test_type_I_reads_only_the_fit_tail(monkeypatch, name, direction):
+    entry = get_entry(name)
+    traj = integrate(entry.bracket, direction, entry.default_horizon[direction])
+    expected = _type_I_every_checkpoint(traj)
+    built = []
+
+    def counted(*args, _cls=flow.LieBracket):
+        built.append(args)
+        return _cls(*args)
+
+    monkeypatch.setattr(flow, "LieBracket", counted)
+    assert type_I_diagnostic(traj) == expected
+    tail = traj.mu_norm >= traj.mu_norm[-1] / 100.0
+    assert len(built) == np.count_nonzero(tail) < traj.n_samples
 
 
 def test_type_I_rejects_non_blowup_and_isotropy():

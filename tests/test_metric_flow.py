@@ -5,6 +5,7 @@ from bracketflow import (
     NonSPDError,
     equivalence_check,
     integrate,
+    metric_flow,
     metric_flow_integrate,
     metric_ricci,
     ricci_operator,
@@ -61,6 +62,15 @@ def test_isotropy_rejected():
         metric_ricci(get_entry("sphere2_su2").bracket, np.eye(2))
     with pytest.raises(ValueError, match="q = 0"):
         metric_flow_integrate(get_entry("sphere2_su2").bracket, np.eye(2), "forward", 1.0)
+
+
+def test_equivalence_check_rejects_isotropy_before_integrating(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated a bracket with isotropy")
+
+    monkeypatch.setattr(metric_flow, "integrate", fail)
+    with pytest.raises(ValueError, match="q = 0"):
+        equivalence_check(get_entry("sphere2_su2").bracket, 10.0)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
