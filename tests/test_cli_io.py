@@ -190,7 +190,29 @@ def test_run_scenario_writes_files_and_report(tmp_path):
     assert report["verdict"]["rigorous_one_sided_bound"] is not None
     assert report["verdict"]["omega_stderr_nonrigorous"] is not None
     assert report["estimates"]["scalar_evolution_max_relerr"] <= 1e-4
+    assert report["lipschitz_ratio_max"] == report["estimates"]["velocity_ratio_max"] > 0
     assert report["expectation_failures"] == []
+
+
+def test_run_scenario_report_without_estimates_has_no_lipschitz_ratio(tmp_path):
+    sc = load_scenario(
+        _write(
+            tmp_path,
+            "short.scn",
+            """
+            name = short
+            catalog = su2_round
+            direction = forward
+            horizon = 0.001
+            """,
+        )
+    )
+    code, _ = run_scenario(sc, tmp_path)
+    assert code == 0
+    report = json.loads((tmp_path / "short_forward_report.json").read_text())
+    assert report["samples"] < 20
+    assert report["estimates"] is None and "estimates_absent" in report
+    assert report["lipschitz_ratio_max"] is None
 
 
 def test_run_scenario_exit_1_on_contradiction(tmp_path):

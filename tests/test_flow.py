@@ -20,6 +20,7 @@ from bracketflow import (
     flow,
     integrate,
     koszul_ricci_oracle,
+    metric_flow_integrate,
     random_bracket,
     random_two_step_nilpotent,
     ricci_operator,
@@ -515,6 +516,33 @@ def test_dense_output_backward_matches_closed_form():
         r = ricci_operator(LieBracket(traj.dims, c), check=False).scalar
         assert r == pytest.approx(-1.0 / (2.0 * (1.0 + 3.0 * t)), rel=1e-6)
     for t in (0.1, -0.5):
+        with pytest.raises(ValueError, match="outside"):
+            traj.dense(t)
+
+
+@pytest.mark.parametrize("run", ["su2_round", "flat", "metric"])
+def test_dense_vector_call_equals_the_scalar_loop(run):
+    opts = IntegratorOptions(collect_dense=True)
+    if run == "su2_round":
+        traj = integrate(SU2, "forward", 2.0, opts)
+    elif run == "flat":
+        traj = integrate(FLAT, "forward", 5.0, opts)
+    else:
+        traj = metric_flow_integrate(HEIS, np.eye(3), "backward", 1.0, opts)
+    # unsorted, with a repeat and both ends of the range
+    t = np.random.default_rng(2).permutation(np.linspace(traj.t[0], traj.t[-1], 41))
+    t = np.append(t, t[3])
+    states = traj.dense(t)
+    assert states.shape == (traj.dense(t[0]).size, len(t))
+    assert np.array_equal(states, np.stack([traj.dense(s) for s in t], axis=1))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5])
+def test_dense_vector_call_range_checked(bad):
+    opts = IntegratorOptions(collect_dense=True)
+    for traj in (integrate(HEIS, "forward", 1.0, opts), integrate(FLAT, "forward", 1.0)):
+        t = np.linspace(0.0, 1.0, 11)
+        t[5] = bad
         with pytest.raises(ValueError, match="outside"):
             traj.dense(t)
 

@@ -1,21 +1,43 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
 from bracketflow import (
+    IntegratorOptions,
+    LieBracket,
     NonSPDError,
     equivalence_check,
     integrate,
     metric_flow,
     metric_flow_integrate,
     metric_ricci,
+    random_two_step_nilpotent,
     ricci_operator,
+    transform_bracket,
 )
 from bracketflow.catalog import get_entry
+
+from oracles import equivalence_gap_loop
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
 HYP = get_entry("hyperbolic3").bracket
 FLAT = get_entry("abelian3").bracket
+# C8's q = 0 entries and horizons.
+C8_HORIZONS = {
+    "abelian3": 10.0,
+    "heisenberg3": 100.0,
+    "su2_round": 2.0,
+    "hyperbolic3": 10.0,
+    "nilpotent4": 10.0,
+    "hyperbolic_plane": 10.0,
+}
+
+
+def _spd(n, seed):
+    w = np.random.default_rng(seed).standard_normal((n, n))
+    return w @ w.T + np.eye(n)
 
 
 def test_identity_metric_reduces_to_bracket_ricci():
@@ -136,3 +158,116 @@ def test_ricci_spectra_recorded_sorted():
     traj = metric_flow_integrate(HEIS, np.eye(3), "forward", 5.0)
     assert traj.ric_eigs.shape == (traj.n_samples, 3)
     assert np.all(np.diff(traj.ric_eigs, axis=1) >= 0)
+
+
+@pytest.mark.parametrize("name", sorted(C8_HORIZONS) + ["nilpotent5"])
+def test_batched_gap_matches_the_per_point_loop(name):
+    # C8's entries keep P(t) diagonal; the seeded nilpotent bracket does not
+    if name == "nilpotent5":
+        mu, horizon = random_two_step_nilpotent(5, np.random.default_rng(0)), 10.0
+    else:
+        mu, horizon = get_entry(name).bracket, C8_HORIZONS[name]
+    assert abs(equivalence_check(mu, horizon) - equivalence_gap_loop(mu, horizon)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "su2_round", "nilpotent4"])
+def test_metric_flow_from_a_general_metric_matches_the_pushed_bracket_flow(name):
+    # the metric flow from P0 = L0^T L0 over mu is isometric to the bracket
+    # flow from L0.mu, so their scalar curvatures agree at every time
+    mu = get_entry(name).bracket
+    p0 = _spd(mu.dims.n, 11)
+    horizon = 0.05 if name == "su2_round" else 1.0
+    opts = IntegratorOptions(collect_dense=True)
+    mt = metric_flow_integrate(mu, p0, "forward", horizon, opts)
+    bt = integrate(transform_bracket(mu, np.linalg.cholesky(p0).T), "forward", horizon, opts)
+    assert mt.verdict.kind == bt.verdict.kind == "immortal"
+    for t in np.linspace(0.0, horizon, 9):
+        r_m = metric_ricci(mu, mt.dense(t).reshape(p0.shape))[1]
+        r_b = ricci_operator(LieBracket(bt.dims, bt.dense(t).reshape(mu.c.shape)), check=False).scalar
+        assert r_m == pytest.approx(r_b, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("how", ["cholesky", "sqrt"])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_factor_comes_with_its_inverse(how, n):
+    p = _spd(n, 40 + n)
+    ell, ell_inv = metric_flow._factor(p, how)
+    assert np.max(np.abs(ell @ ell_inv - np.eye(n))) <= 1e-14
+    assert np.max(np.abs(ell.T @ ell - p)) <= 1e-14 * np.max(np.abs(p))
+    if how == "cholesky":
+        assert np.all(np.tril(ell, -1) == 0.0)
+    else:
+        assert np.max(np.abs(ell - ell.T)) <= 1e-14
+
+
+def test_indefinite_metric_raises_through_the_factorization_status():
+    p = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(NonSPDError, match="dpotrf info = 2"):
+        metric_flow._factor(p, "cholesky")
+    with pytest.raises(NonSPDError, match="eigenvalue"):
+        metric_flow._factor(p, "sqrt")
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "su2_round", "hyperbolic3", "nilpotent4", "hyperbolic_plane"])
+def test_metric_ricci_equals_the_solved_operator(name):
+    # the operator L^-1 Ric_{L.mu} L as it was formed before the factor came
+    # with its inverse: numpy's Cholesky factor, an LU push-forward and a solve
+    mu = get_entry(name).bracket
+    p = _spd(mu.dims.n, 3)
+    ell = np.linalg.cholesky(p).T
+    ric = ricci_operator(transform_bracket(mu, ell), check=False).ric
+    op, scalar = metric_ricci(mu, p)
+    assert np.max(np.abs(op - np.linalg.solve(ell, ric @ ell))) <= 1e-13
+    assert scalar == pytest.approx(np.trace(ric), abs=1e-13)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "su2_round", "nilpotent4"])
+def test_rhs_factor_form_equals_p_times_ricci_operator(name):
+    mu = get_entry(name).bracket
+    p = _spd(mu.dims.n, 9)
+    ric, _, ell = metric_flow._pushed_ric(mu, p)
+    op, _ = metric_ricci(mu, p)
+    assert np.max(np.abs(ell.T @ ric @ ell - p @ op)) <= 1e-13
+
+
+def test_metric_flow_makes_no_solve_inverse_or_bracket(monkeypatch):
+    calls = {"solve": 0, "inv": 0, "LieBracket": 0}
+    for name in ("solve", "inv"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    post_init = LieBracket.__post_init__
+
+    def counted_post_init(self):
+        calls["LieBracket"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(LieBracket, "__post_init__", counted_post_init)
+    traj = metric_flow_integrate(HEIS, np.eye(3), "backward", 1.0)
+    assert traj.verdict.kind == "blowup" and traj.n_samples > 50
+    assert calls == {"solve": 0, "inv": 0, "LieBracket": 0}
+    # the counters see the public paths that still solve and invert
+    metric_ricci(HEIS, np.eye(3))
+    transform_bracket(HEIS, np.eye(3))
+    assert calls == {"solve": 1, "inv": 1, "LieBracket": 1}
+
+
+def test_metric_checkpoints_are_a_lazy_read_only_view():
+    traj = metric_flow_integrate(SU2, np.eye(3), "forward", 2.0)
+    cps = traj.checkpoints
+    assert isinstance(cps, Sequence)
+    assert type(cps) is type(integrate(SU2, "forward", 0.1).checkpoints)
+    assert len(cps) == traj.n_samples
+    first, last = cps[0], cps[-1]
+    assert first.t == 0.0 and np.array_equal(first.p_matrix, np.eye(3))
+    assert last.t == traj.t[-1]
+    assert np.array_equal(last.p_matrix, last.p_matrix.T)
+    assert float(np.min(np.linalg.eigvalsh(last.p_matrix))) == traj.p_min_eig[-1]
+    with pytest.raises(IndexError):
+        cps[len(cps)]
+    part = cps[10:20:3]
+    assert [s.t for s in part] == list(traj.t[10:20:3])
+    assert np.array_equal(part[-1].p_matrix, cps[19].p_matrix)
+    assert [s.t for s in cps] == list(traj.t)
