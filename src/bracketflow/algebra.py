@@ -38,6 +38,14 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
+# Largest d = q + n at which Ricci and the bracket flow's RHS are applied as
+# tabulated forms (`curvature._ricci_table`, `_pi_table`) instead of the GEMM
+# kernels they are built from.  The measured crossover: at d = 5 the tabulated
+# RHS is no longer reliably cheaper than the GEMMs (it is slower at q = 0),
+# since the pi table has n^2 m^2 ~ d^8/4 entries (m = d * d(d-1)/2), and the
+# one-time build of both tables grows as fast.
+PLAN_MAX_D = 4
+
 
 class DimensionMismatchError(ValueError):
     """Operand shapes do not match the declared (q, n) split."""
@@ -80,6 +88,28 @@ def _upper_mask(d: int) -> np.ndarray:
     mask = np.triu(np.ones((d, d), dtype=bool), k=1)[:, :, None]
     mask.setflags(write=False)
     return mask
+
+
+@cache
+def _mirror_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, basis): the i < j half of a d x d x d tensor and the basis that mirrors it.
+
+    upper holds the m = d * d(d-1)/2 flat indices of the entries (i, j, k)
+    with i < j, in C order; basis, of shape (m, d^3), has row a equal to +1 at
+    upper[a], -1 at its mirror (j, i, k) and 0 elsewhere.  So every
+    antisymmetric c is u @ basis with u = c.ravel()[upper], and u @ basis
+    is exactly antisymmetric for any u.  Both arrays are read-only.
+    """
+    flat = np.arange(d**3).reshape(d, d, d)
+    i, j = np.triu_indices(d, 1)
+    upper = flat[i, j].ravel()
+    rows = np.arange(upper.size)
+    basis = np.zeros((upper.size, d**3))
+    basis[rows, upper] = 1.0
+    basis[rows, flat[j, i].ravel()] = -1.0
+    upper.setflags(write=False)
+    basis.setflags(write=False)
+    return upper, basis
 
 
 @dataclass(frozen=True)
@@ -220,6 +250,37 @@ def _pi_tensor(abar: np.ndarray, c: np.ndarray) -> np.ndarray:
     term1 = (c.reshape(d * d, d) @ abar.T).reshape(d, d, d)
     term2 = (abar.T @ c.reshape(d, d * d)).reshape(d, d, d)
     return term1 - term2 + term2.transpose(1, 0, 2)
+
+
+@cache
+def _pi_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(upper, table, basis): the bracket flow's RHS -pi(diag(0, ric)) c as one tabulated form.
+
+    With (upper, basis) from `_mirror_basis(d)`, u = c.ravel()[upper] and T
+    the (n^2, m, m) coefficients of the i < j half of the RHS (n = d - q),
+
+        -pi(diag(0, ric)) c = (sum_{x,a} ric.ravel()[x] T[x, :, a] u_a) @ basis
+
+    for every antisymmetric c and n x n ric; the @ basis mirrors the half
+    back, exactly antisymmetric.  `table` is T as a (n^2 * m, m) matrix, so
+    the sum is two matrix-vector products, ric.ravel() @ (table @
+    u).reshape(n^2, m).  The RHS is bilinear in (ric, c), so T[x, :, a] is
+    the i < j half of -pi(diag(0, F_x)) basis[a], F_x the n x n unit matrix
+    at flat index x, evaluated by `_pi_tensor`: no second formula for pi is
+    written, and the entries are small integers, exact.  Built once per
+    (d, q); read-only.  Meant for d <= PLAN_MAX_D, where the table is small.
+    """
+    upper, basis = _mirror_basis(d)
+    n, m = d - q, upper.size
+    t = np.empty((n * n, m, m))
+    for x in range(n * n):
+        unit = np.zeros((d, d))
+        unit[q + x // n, q + x % n] = 1.0
+        for a, e in enumerate(basis):
+            t[x, :, a] = -_pi_tensor(unit, e.reshape(d, d, d)).ravel()[upper]
+    table = t.reshape(n * n * m, m)
+    table.setflags(write=False)
+    return upper, table, basis
 
 
 def pi_action(a: np.ndarray, mu: LieBracket) -> LieBracket:

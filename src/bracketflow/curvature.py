@@ -11,10 +11,21 @@ oracle (valid for q = 0, i.e. left-invariant metrics on Lie groups) provides
 an independent route to the same operator and is the ground truth the
 algebraic formula is validated against.
 
-Both flows assemble Ric with one fused kernel, `_ricci_from_tensor`; the
-bracket flow's monitor reads it off the RHS evaluation it already makes.  The
-kernel gathers its operands through a read-only index plan, built once per
-(q, n) by `_ricci_plan`, and makes one matrix product for M - B/2.
+Both flows assemble Ric with one function, `_ricci_from_tensor`; the
+bracket flow's monitor reads it off the RHS evaluation it already makes.  It
+has two paths, chosen from d = q + n:
+
+* d >= 5: a fused GEMM kernel.  It gathers its operands through a read-only
+  index plan, built once per (q, n) by `_ricci_plan`, and makes one matrix
+  product for M - B/2.
+* d <= PLAN_MAX_D = 4 (every catalog entry): Ric is a quadratic form in the
+  m = d * d(d-1)/2 entries c[i, j, k] with i < j, and `_ricci_table` holds
+  its coefficients, so Ric costs two matrix-vector products.  The table is
+  built lazily, once per (q, n), by polarizing the GEMM kernel on the
+  mirrored basis E_a of `algebra._mirror_basis`:
+  Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a - E_b)) / 4.  Its coefficients are
+  exact, and there is no second Ricci formula.  The bound is where the
+  bracket flow's tabulated RHS stops paying (see `algebra.PLAN_MAX_D`).
 
 All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 """
@@ -26,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, LieBracket, NotInVarietyError, check_conditions
+from .algebra import DEFAULT_TOL, PLAN_MAX_D, LieBracket, NotInVarietyError, _mirror_basis, check_conditions
 
 __all__ = [
     "RicciData",
@@ -98,11 +109,55 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, w
 
 
-def _ricci_from_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, float, float]:
+@cache
+def _ricci_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """(upper, table, rows, sym): Ric as one tabulated quadratic form in the i < j half of c.
+
+    With u = c.ravel()[upper] (from `algebra._mirror_basis`) and Q the
+    (rows, m, m) coefficients of the rows = n(n+1)/2 upper-triangle entries r
+    of Ric,
+
+        r[k] = sum_{a,b} Q[k, a, b] u_a u_b,    Ric = r[sym],
+
+    for every antisymmetric c.  `table` is Q as a (rows * m, m) matrix, so r
+    is two matrix-vector products, (table @ u).reshape(rows, m) @ u.  Ric is
+    a quadratic form in c, so Q is its polar form on the mirrored basis E_a,
+    read off the GEMM kernel:
+
+        Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a - E_b)) / 4.
+
+    No second Ricci formula is written, and with +-1 basis entries and
+    power-of-two weights the coefficients are exact.  Built once per (d, q);
+    every array is read-only.  Meant for d <= PLAN_MAX_D, where m = d *
+    d(d-1)/2 stays small.
+    """
+    upper, basis = _mirror_basis(d)
+    n, m = d - q, upper.size
+    iu = np.triu_indices(n)
+    rows = len(iu[0])
+    e = basis.reshape(m, d, d, d)
+    table = np.empty((rows, m, m))
+    for a in range(m):
+        for b in range(a, m):
+            plus = _ricci_from_tensor(e[a] + e[b], q, tabulated=False)[0]
+            minus = _ricci_from_tensor(e[a] - e[b], q, tabulated=False)[0]
+            table[:, a, b] = table[:, b, a] = ((plus - minus) / 4)[iu]
+    sym = np.empty((n, n), dtype=np.intp)
+    sym[iu] = sym[iu[::-1]] = np.arange(rows)
+    table = table.reshape(rows * m, m)
+    table.setflags(write=False)
+    sym.setflags(write=False)
+    return upper, table, rows, sym
+
+
+def _ricci_from_tensor(c: np.ndarray, q: int, tabulated: bool = True) -> tuple[np.ndarray, float, float]:
     """(ric, scalar, tr ric^2) from the raw tensor: the hot path of both flows.
 
-    One gather through `_ricci_plan` and one GEMM give the moment term, the
-    Killing form and the Gram matrix of the p-part together:
+    At d <= PLAN_MAX_D it applies the tabulated form `_ricci_table(d, q)`,
+    two matrix-vector products that read the i < j half of c only.  At
+    larger d, and with `tabulated=False` (the route the table is built
+    from), one gather through `_ricci_plan` and one GEMM give the moment
+    term, the Killing form and the Gram matrix of the p-part together:
 
         G = [A1 | A3] @ [-(P*A1 + A2)/2 | A3/4]^T
           = -1/2 (sum_{j,k in p} c[x,j,k] c[y,j,k] + sum_{j,k in g} c[x,j,k] c[y,k,j])
@@ -114,16 +169,23 @@ def _ricci_from_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, float, float]
     symmetrisation,
 
         Ric = S(G - adH) = M - B/2 - S(ad H|_p).
+
+    Both paths return an exactly symmetric ric.
     """
     d = c.shape[0]
-    idx, w = _ricci_plan(d, q)
-    gathered = c.ravel()[idx]
-    weighted = gathered * w
-    rows = c[q:].reshape(d - q, d * d)
-    h = rows[:, :: d + 1].sum(1)
-    ad_h = (h @ rows).reshape(d, d)[q:, q:]
-    a = gathered[0] @ (weighted[0] + weighted[1]).T - ad_h
-    ric = 0.5 * (a + a.T)
+    if tabulated and d <= PLAN_MAX_D:
+        upper, table, rows, sym = _ricci_table(d, q)
+        u = c.ravel()[upper]
+        ric = np.dot(np.dot(table, u).reshape(rows, -1), u)[sym]
+    else:
+        idx, w = _ricci_plan(d, q)
+        gathered = c.ravel()[idx]
+        weighted = gathered * w
+        rows = c[q:].reshape(d - q, d * d)
+        h = rows[:, :: d + 1].sum(1)
+        ad_h = (h @ rows).reshape(d, d)[q:, q:]
+        a = gathered[0] @ (weighted[0] + weighted[1]).T - ad_h
+        ric = 0.5 * (a + a.T)
     return ric, float(ric.trace()), float(np.vdot(ric, ric))
 
 

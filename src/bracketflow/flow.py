@@ -34,8 +34,10 @@ from scipy.optimize import minimize_scalar
 
 from .algebra import (
     DEFAULT_TOL,
+    PLAN_MAX_D,
     Dimensions,
     LieBracket,
+    _pi_table,
     _pi_tensor,
     _residuals,
     bracket_norm,
@@ -233,11 +235,19 @@ def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
 
 
 def _default_rhs_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, tuple]:
-    # The derivative together with the (ric, scalar, tr ric^2) it was built from.
+    # The derivative together with the (ric, scalar, tr ric^2) it was built
+    # from.  At d <= PLAN_MAX_D the derivative is the tabulated form
+    # `algebra._pi_table`, exactly antisymmetric; above, the GEMM kernel.
     ricci = _ricci_from_tensor(c, q)
+    d = c.shape[0]
+    if d <= PLAN_MAX_D:
+        upper, table, basis = _pi_table(d, q)
+        u = c.ravel()[upper]
+        du = np.dot(ricci[0].ravel(), np.dot(table, u).reshape(ricci[0].size, -1))
+        return np.dot(du, basis).reshape(d, d, d), ricci
     abar = ricci[0]
     if q:
-        abar = np.zeros((c.shape[0],) * 2)
+        abar = np.zeros((d, d))
         abar[q:, q:] = ricci[0]
     return -_pi_tensor(abar, c), ricci
 

@@ -106,6 +106,13 @@ def _sym(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+def _require_finite(p: np.ndarray) -> None:
+    # LAPACK's dpotrf reports success on NaN input, so a non-finite metric
+    # would pass the factorization and poison every result downstream.
+    if not np.all(np.isfinite(p)):
+        raise NonSPDError("metric matrix has a non-finite entry")
+
+
 def _factor(p: np.ndarray, how: str) -> tuple[np.ndarray, np.ndarray]:
     """(L, L^-1) for a matrix L with P = L^T L.
 
@@ -146,13 +153,15 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky") -> tu
         (ric_operator, scalar): operator in the original frame, and its trace.
 
     Raises:
-        NonSPDError: when `p` is not positive-definite.
+        NonSPDError: when `p` is not positive-definite or has a non-finite
+            entry.
     """
     _require_q0(mu0)
     n = mu0.dims.n
     p = np.asarray(p, dtype=float)
     if p.shape != (n, n):
         raise ValueError(f"metric matrix must be {n} x {n}")
+    _require_finite(p)
     ric, scalar, ell = _pushed_ric(mu0, p, factor)
     return np.linalg.solve(ell, ric @ ell), scalar
 
@@ -189,6 +198,7 @@ def metric_flow_integrate(
     Raises:
         ValueError: the direction is unknown or the horizon is not finite and
             positive.
+        NonSPDError: `p0` is not positive-definite or has a non-finite entry.
         StiffnessError: step size underflowed away from a singular metric.
         FlowError: the step budget was exhausted, or a declared singularity
             left too short a tail to fit the singular time.
@@ -198,35 +208,41 @@ def metric_flow_integrate(
     t_end = _end_time(direction, horizon)
     n = mu0.dims.n
     p0 = _sym(np.asarray(p0, dtype=float))
+    _require_finite(p0)
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
+
+    def derivative(ric, ell):
+        # -2 P RicOp(P) = -2 L^T ric L, symmetrised.
+        return _sym(-2.0 * (ell.T @ ric @ ell))
 
     def fun(_t, y):
         try:
             ric, _, ell = _pushed_ric(mu0, y.reshape(n, n))
         except NonSPDError:
             return np.full(n * n, np.nan)
-        return _sym(-2.0 * (ell.T @ ric @ ell)).ravel()
+        return derivative(ric, ell).ravel()
 
     ts, scalars, eigs, lam_mins = [], [], [], []
     states: list[np.ndarray] = []
 
     def record(t, y):
         # Keeps y itself: the stepper never writes an array it has handed out.
+        # Returns the derivative at y too: `_sym` is idempotent, so it equals
+        # `fun(t, y)` bit for bit, and the step ceiling needs no solver state.
         p = _sym(y.reshape(n, n))
-        ric, scalar, _ = _pushed_ric(mu0, p)
+        ric, scalar, ell = _pushed_ric(mu0, p)
         lam = float(np.min(np.linalg.eigvalsh(p)))
         ts.append(t)
         scalars.append(scalar)
         eigs.append(np.linalg.eigvalsh(ric))
         lam_mins.append(lam)
         states.append(y)
-        return scalar, lam, p
+        return scalar, lam, p, derivative(ric, ell)
 
-    record(0.0, p0.ravel())
-    norm_dp0 = float(np.linalg.norm(fun(0.0, p0.ravel())))
-    h0 = 0.2 * np.linalg.norm(p0) / (norm_dp0 + _EPS)
+    dp0 = record(0.0, p0.ravel())[3]
+    h0 = 0.2 * np.linalg.norm(p0) / (np.linalg.norm(dp0) + _EPS)
     solver = RK45(
         fun,
         0.0,
@@ -238,9 +254,8 @@ def metric_flow_integrate(
     )
 
     def on_step(solver):
-        scalar, lam, p = record(solver.t, solver.y)
-        # solver.f is the derivative at the accepted point (RK45's last stage).
-        solver.max_step = 0.2 * np.linalg.norm(p) / (np.linalg.norm(solver.f) + _EPS)
+        scalar, lam, p, dp = record(solver.t, solver.y)
+        solver.max_step = 0.2 * np.linalg.norm(p) / (np.linalg.norm(dp) + _EPS)
         return lam < EIG_FLOOR * lam0 or abs(scalar) > SCALAR_THRESHOLD
 
     singular, segments = _drive(

@@ -4,6 +4,10 @@ Every other contraction is written as matrix products on reshaped views;
 an `einsum` elsewhere would bring back an O(d^5) or O(d^6) loop without
 anyone noticing.  The oracle stays `einsum` on purpose: it is the route to
 Ricci that shares no code with the algebraic one.
+
+The same scan keeps the flows off the stepper's undocumented state: neither
+`flow.py` nor `metric_flow.py` reads an attribute `f` (scipy's last-stage
+derivative) off anything.
 """
 
 import ast
@@ -57,3 +61,19 @@ def test_scan_sees_attribute_and_bare_calls():
     visitor = _EinsumCalls()
     visitor.visit(ast.parse("def f(a):\n    return np.einsum('ii', a)\n\ndef g(a):\n    return einsum('ii', a)\n"))
     assert visitor.found == ["f", "g"]
+
+
+def _f_reads(source: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "f" and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_flows_read_no_f_off_a_solver():
+    assert {name: _f_reads((SRC / name).read_text()) for name in ("flow.py", "metric_flow.py")} == {
+        "flow.py": [],
+        "metric_flow.py": [],
+    }
+    assert _f_reads("def on_step(solver):\n    return solver.f\n") == [2]

@@ -16,10 +16,11 @@ from bracketflow import (
     transform_bracket,
 )
 from bracketflow.catalog import catalog_entries, get_entry
-from bracketflow.algebra import _triple_plan
-from bracketflow.curvature import _ricci_from_tensor, _ricci_plan
+from bracketflow.algebra import PLAN_MAX_D, _mirror_basis, _pi_table, _pi_tensor, _transform_tensor, _triple_plan
+from bracketflow.curvature import _ricci_from_tensor, _ricci_plan, _ricci_table
+from bracketflow.flow import _default_rhs_tensor
 
-from oracles import killing_p_loops, mean_curvature_loops, moment_part_loops, ricci_assembled_loops
+from oracles import killing_p_loops, mean_curvature_loops, moment_part_loops, pi_action_loops, ricci_assembled_loops
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
@@ -130,6 +131,82 @@ def test_fused_kernel_matches_assembled_loops(q, n):
     assert trsq == pytest.approx(np.sum(ref * ref), rel=1e-12)
 
 
+# --- tabulated forms (d <= PLAN_MAX_D) --------------------------------------
+
+# Every (q, n) with d <= PLAN_MAX_D, and two at d = 5, where the hot path
+# keeps the GEMM kernels but the tables must still be right.
+TABLE_SHAPES = [(q, d - q) for d in range(1, PLAN_MAX_D + 1) for q in range(d)] + [(0, 5), (2, 3)]
+TABLE_RTOL = 1e-14
+
+
+def _rel(got, ref):
+    scale = np.max(np.abs(ref))
+    return np.max(np.abs(got - ref)) / scale if scale > 0 else np.max(np.abs(got))
+
+
+def _tabulated_ricci(c, q):
+    upper, table, rows, sym = _ricci_table(c.shape[0], q)
+    u = c.ravel()[upper]
+    return ((table @ u).reshape(rows, -1) @ u)[sym]
+
+
+def _tabulated_rhs(ric, c, q):
+    upper, table, basis = _pi_table(c.shape[0], q)
+    u = c.ravel()[upper]
+    return (ric.ravel() @ (table @ u).reshape(ric.size, -1) @ basis).reshape(c.shape)
+
+
+@pytest.mark.parametrize("q, n", TABLE_SHAPES)
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e7])
+def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
+    rng = np.random.default_rng(300 + 10 * q + n)
+    for _ in range(3):
+        c = random_bracket(q, n, rng, scale).c
+        ric = _tabulated_ricci(c, q)
+        assert np.array_equal(ric, ric.T)
+        assert _rel(ric, _ricci_from_tensor(c, q, tabulated=False)[0]) <= TABLE_RTOL
+        assert _rel(ric, ricci_assembled_loops(c, q)) <= TABLE_RTOL
+        a = rng.standard_normal((n, n))  # not symmetric: the table holds for any n x n matrix
+        dc = _tabulated_rhs(a, c, q)
+        abar = np.zeros((q + n,) * 2)
+        abar[q:, q:] = a
+        assert _rel(dc, -_pi_tensor(abar, c)) <= TABLE_RTOL
+        assert _rel(dc, -pi_action_loops(a, c, q)) <= TABLE_RTOL
+        if q + n <= PLAN_MAX_D:
+            # the hot paths are these products
+            assert np.array_equal(_ricci_from_tensor(c, q)[0], ric)
+            dmu, (ric_hot, _, _) = _default_rhs_tensor(c, q)
+            assert np.array_equal(ric_hot, ric)
+            assert np.array_equal(dmu, _tabulated_rhs(ric, c, q))
+
+
+@pytest.mark.parametrize("q, n", [(0, 2), (0, 3), (1, 2), (0, 4), (1, 3), (2, 2)])
+def test_tabulated_rhs_is_exactly_antisymmetric(q, n):
+    c = random_bracket(q, n, np.random.default_rng(40 + n), 3.0).c
+    dmu, _ = _default_rhs_tensor(c, q)
+    assert np.array_equal(dmu, -dmu.transpose(1, 0, 2))
+    assert not np.any(np.diagonal(dmu, axis1=0, axis2=1))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [SU2, get_entry("nilpotent4").bracket, random_bracket(0, 5, np.random.default_rng(5))],
+    ids=["su2_round", "nilpotent4", "random_d5_gemm_path"],
+)
+def test_nearly_antisymmetric_tensor_gives_the_ricci_of_its_mirror(mu):
+    # The metric flow's pushed tensor L.mu is antisymmetric up to rounding only.
+    d = mu.dims.d
+    g = np.random.default_rng(11).standard_normal((d, d)) + 3 * np.eye(d)
+    pushed = _transform_tensor(mu.c, g, np.linalg.inv(g))
+    mirror = LieBracket(mu.dims, pushed).c
+    assert not np.array_equal(pushed, mirror)  # the case is live
+    ric = _ricci_from_tensor(pushed, 0)[0]
+    ref = _ricci_from_tensor(mirror, 0)[0]
+    assert _rel(ric, ref) <= TABLE_RTOL
+    if d <= PLAN_MAX_D:  # the table reads the i < j half, which the mirror keeps
+        assert np.array_equal(ric, ref)
+
+
 def test_ricci_operator_is_moment_minus_half_killing_minus_sym_ad_h():
     rng = np.random.default_rng(19)
     for q, n in [(0, 4), (1, 3), (2, 3)]:
@@ -161,6 +238,19 @@ def test_plans_are_cached_and_read_only():
     assert left[x, d * d + i * n + j] == swap[x, d * d + i * n + j] == c[q + i, q + j, q + x]  # A3
     in_p = np.arange(d) >= q
     assert np.array_equal(w[0, 0, : d * d], -0.5 * np.outer(in_p, in_p).ravel())
+    # the tabulated forms and the mirrored basis they are written in
+    d, q = 3, 1
+    upper, basis = _mirror_basis(d)
+    r_upper, r_table, rows, sym = _ricci_table(d, q)
+    p_upper, p_table, p_basis = _pi_table(d, q)
+    assert _mirror_basis(d)[1] is basis and r_upper is upper and p_upper is upper and p_basis is basis
+    assert _ricci_table(d, q)[1] is r_table and _ricci_table(d, q)[3] is sym and _pi_table(d, q)[1] is p_table
+    assert rows == 3 and r_table.shape == (rows * 9, 9) and p_table.shape == (4 * 9, 9)
+    for plan in (upper, basis, r_table, sym, p_table):
+        with pytest.raises(ValueError, match="read-only"):
+            plan.flat[0] = 0
+    c = random_bracket(q, d - q, np.random.default_rng(3)).c
+    assert np.array_equal(c.ravel()[upper] @ basis, c.ravel())
 
 
 def test_ricci_data_invariants():

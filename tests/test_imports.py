@@ -1,6 +1,8 @@
-"""The package imports no private module, such as scipy.integrate._ivp."""
+"""The package imports no private module, such as scipy.integrate._ivp, and builds nothing on import."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import bracketflow
@@ -31,3 +33,17 @@ def test_no_import_from_a_private_module():
     assert sources
     offenders = {p.name: _private_imports(ast.parse(p.read_text())) for p in sources}
     assert {name: mods for name, mods in offenders.items() if mods} == {}
+
+
+def test_import_builds_no_table():
+    # The tabulated Ricci and pi forms are built on first use, so importing
+    # the package (and every start-up that does) pays nothing for them.
+    code = (
+        "import bracketflow\n"
+        "from bracketflow import algebra, curvature\n"
+        "print(curvature._ricci_table.cache_info().currsize, algebra._pi_table.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent, timeout=60
+    )
+    assert out.stdout.split() == ["0", "0"]

@@ -79,6 +79,15 @@ def test_non_spd_rejected():
         metric_flow_integrate(HEIS, np.diag([0.0, 1.0, 1.0]), "forward", 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_metric_is_a_typed_error(bad):
+    p = np.diag([1.0, bad, 1.0])
+    with pytest.raises(NonSPDError, match="non-finite"):
+        metric_ricci(HEIS, p)
+    with pytest.raises(NonSPDError, match="non-finite"):
+        metric_flow_integrate(HEIS, p, "forward", 1.0)
+
+
 def test_isotropy_rejected():
     with pytest.raises(ValueError, match="q = 0"):
         metric_ricci(get_entry("sphere2_su2").bracket, np.eye(2))
@@ -252,6 +261,29 @@ def test_metric_flow_makes_no_solve_inverse_or_bracket(monkeypatch):
     metric_ricci(HEIS, np.eye(3))
     transform_bracket(HEIS, np.eye(3))
     assert calls == {"solve": 1, "inv": 1, "LieBracket": 1}
+
+
+@pytest.mark.parametrize(
+    "name, direction, general", [("su2_round", "forward", False), ("heisenberg3", "backward", False), ("su2_round", "forward", True)]
+)
+def test_step_ceiling_equals_the_one_from_the_solvers_last_stage(monkeypatch, name, direction, general):
+    # The monitor derives dP/dt at the accepted point itself; it must be the
+    # stepper's last stage bit for bit, so that the step sequence is unchanged.
+    # (The first ceiling, from P0, has the same form.)  A non-diagonal P0
+    # makes L^T Ric L asymmetric by rounding, so the symmetrisation counts.
+    seen = []
+
+    class Checked(metric_flow.RK45):
+        def step(self):
+            p = 0.5 * (self.y.reshape(3, 3) + self.y.reshape(3, 3).T)
+            seen.append(self.max_step == 0.2 * np.linalg.norm(p) / (np.linalg.norm(self.f) + metric_flow._EPS))
+            return super().step()
+
+    monkeypatch.setattr(metric_flow, "RK45", Checked)
+    p0 = _spd(3, 4) if general else np.eye(3)
+    traj = metric_flow_integrate(get_entry(name).bracket, p0, direction, C8_HORIZONS[name])
+    assert traj.n_samples > 50
+    assert len(seen) == traj.n_samples - 1 and all(seen)
 
 
 def test_metric_checkpoints_are_a_lazy_read_only_view():
