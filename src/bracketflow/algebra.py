@@ -39,11 +39,11 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 # Largest d = q + n at which Ricci and the bracket flow's RHS are applied as
-# tabulated forms (`curvature._ricci_table`, `_pi_table`) instead of the GEMM
-# kernels they are built from.  The measured crossover: at d = 5 the tabulated
-# RHS is no longer reliably cheaper than the GEMMs (it is slower at q = 0),
-# since the pi table has n^2 m^2 ~ d^8/4 entries (m = d * d(d-1)/2), and the
-# one-time build of both tables grows as fast.
+# one stacked tabulated form (`curvature._rhs_table`) instead of the GEMM
+# kernels it is built from.  The measured crossover: at d = 5 the table has
+# n(n+1) m^2 ~ d^8/4 entries (m = d * d(d-1)/2) and the tabulated RHS is no
+# longer cheaper than the GEMMs (about 25 us per call either way at q = 0 on
+# a 2-CPU host), while the one-time build grows as fast.
 PLAN_MAX_D = 4
 
 
@@ -250,37 +250,6 @@ def _pi_tensor(abar: np.ndarray, c: np.ndarray) -> np.ndarray:
     term1 = (c.reshape(d * d, d) @ abar.T).reshape(d, d, d)
     term2 = (abar.T @ c.reshape(d, d * d)).reshape(d, d, d)
     return term1 - term2 + term2.transpose(1, 0, 2)
-
-
-@cache
-def _pi_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(upper, table, basis): the bracket flow's RHS -pi(diag(0, ric)) c as one tabulated form.
-
-    With (upper, basis) from `_mirror_basis(d)`, u = c.ravel()[upper] and T
-    the (n^2, m, m) coefficients of the i < j half of the RHS (n = d - q),
-
-        -pi(diag(0, ric)) c = (sum_{x,a} ric.ravel()[x] T[x, :, a] u_a) @ basis
-
-    for every antisymmetric c and n x n ric; the @ basis mirrors the half
-    back, exactly antisymmetric.  `table` is T as a (n^2 * m, m) matrix, so
-    the sum is two matrix-vector products, ric.ravel() @ (table @
-    u).reshape(n^2, m).  The RHS is bilinear in (ric, c), so T[x, :, a] is
-    the i < j half of -pi(diag(0, F_x)) basis[a], F_x the n x n unit matrix
-    at flat index x, evaluated by `_pi_tensor`: no second formula for pi is
-    written, and the entries are small integers, exact.  Built once per
-    (d, q); read-only.  Meant for d <= PLAN_MAX_D, where the table is small.
-    """
-    upper, basis = _mirror_basis(d)
-    n, m = d - q, upper.size
-    t = np.empty((n * n, m, m))
-    for x in range(n * n):
-        unit = np.zeros((d, d))
-        unit[q + x // n, q + x % n] = 1.0
-        for a, e in enumerate(basis):
-            t[x, :, a] = -_pi_tensor(unit, e.reshape(d, d, d)).ravel()[upper]
-    table = t.reshape(n * n * m, m)
-    table.setflags(write=False)
-    return upper, table, basis
 
 
 def pi_action(a: np.ndarray, mu: LieBracket) -> LieBracket:

@@ -11,21 +11,23 @@ oracle (valid for q = 0, i.e. left-invariant metrics on Lie groups) provides
 an independent route to the same operator and is the ground truth the
 algebraic formula is validated against.
 
-Both flows assemble Ric with one function, `_ricci_from_tensor`; the
-bracket flow's monitor reads it off the RHS evaluation it already makes.  It
-has two paths, chosen from d = q + n:
+Both flows assemble Ric with one function, `_ricci_from_tensor`, which
+returns the matrix only: R = tr Ric and tr Ric^2 are computed where they are
+read.  It has two paths, chosen from d = q + n:
 
 * d >= 5: a fused GEMM kernel.  It gathers its operands through a read-only
   index plan, built once per (q, n) by `_ricci_plan`, and makes one matrix
   product for M - B/2.
 * d <= PLAN_MAX_D = 4 (every catalog entry): Ric is a quadratic form in the
-  m = d * d(d-1)/2 entries c[i, j, k] with i < j, and `_ricci_table` holds
-  its coefficients, so Ric costs two matrix-vector products.  The table is
-  built lazily, once per (q, n), by polarizing the GEMM kernel on the
-  mirrored basis E_a of `algebra._mirror_basis`:
-  Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a - E_b)) / 4.  Its coefficients are
-  exact, and there is no second Ricci formula.  The bound is where the
-  bracket flow's tabulated RHS stops paying (see `algebra.PLAN_MAX_D`).
+  m = d * d(d-1)/2 entries c[i, j, k] with i < j, and the bracket flow's
+  RHS -pi(diag(0, Ric)) mu is a bilinear form in Ric and the same entries.
+  `_rhs_table` stacks both coefficient tables, [Q; P], so the whole RHS
+  (`flow._default_rhs_tensor`) is one matrix-vector product and two small
+  contractions, and Ric alone is the Q half.  The table is built lazily,
+  once per (q, n), by polarizing the GEMM kernel and `algebra._pi_tensor`
+  on the mirrored basis E_a of `algebra._mirror_basis`.  Its coefficients
+  are exact, and there is no second Ricci or pi formula.  The bound is
+  where the tabulated RHS stops paying (see `algebra.PLAN_MAX_D`).
 
 All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 """
@@ -37,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PLAN_MAX_D, LieBracket, NotInVarietyError, _mirror_basis, check_conditions
+from .algebra import DEFAULT_TOL, PLAN_MAX_D, LieBracket, NotInVarietyError, _mirror_basis, _pi_tensor, check_conditions
 
 __all__ = [
     "RicciData",
@@ -110,51 +112,61 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _ricci_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """(upper, table, rows, sym): Ric as one tabulated quadratic form in the i < j half of c.
+def _rhs_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+    """(upper, table, rows, sym, basis): Ric and the bracket flow's RHS as one stacked table.
 
-    With u = c.ravel()[upper] (from `algebra._mirror_basis`) and Q the
-    (rows, m, m) coefficients of the rows = n(n+1)/2 upper-triangle entries r
-    of Ric,
+    With (upper, basis) from `algebra._mirror_basis(d)`, u = c.ravel()[upper]
+    the i < j half of c, and r the rows = n(n+1)/2 upper-triangle entries of
+    Ric (Ric = r[sym]), the table stacks two coefficient arrays of shape
+    (rows, m, m):
 
-        r[k] = sum_{a,b} Q[k, a, b] u_a u_b,    Ric = r[sym],
+        r[k] = sum_{a,b} Q[k, a, b] u_a u_b,
+        -pi(diag(0, Ric)) c = (sum_{k,a} r[k] P[k, :, a] u_a) @ basis,
 
-    for every antisymmetric c.  `table` is Q as a (rows * m, m) matrix, so r
-    is two matrix-vector products, (table @ u).reshape(rows, m) @ u.  Ric is
-    a quadratic form in c, so Q is its polar form on the mirrored basis E_a,
-    read off the GEMM kernel:
+    for every antisymmetric c; the @ basis mirrors the half back, exactly
+    antisymmetric.  `table` is [Q; P] as a (2 * rows * m, m) matrix, so
+    with s = (table @ u).reshape(2, rows, m) the RHS is (s[1] contracted
+    with r = s[0] @ u) @ basis.  Q is the polar form of the GEMM kernel on
+    the mirrored basis E_a, Q[:, a, a] = Ric(E_a) and
 
-        Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a - E_b)) / 4.
+        Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a) - Ric(E_b)) / 2,
 
-    No second Ricci formula is written, and with +-1 basis entries and
-    power-of-two weights the coefficients are exact.  Built once per (d, q);
-    every array is read-only.  Meant for d <= PLAN_MAX_D, where m = d *
-    d(d-1)/2 stays small.
+    and P[k, :, a] is the i < j half of -pi(diag(0, F_k)) E_a from
+    `algebra._pi_tensor`, F_k the symmetric unit matrix of entry k.  With
+    +-1 basis entries and power-of-two weights every coefficient is exact.
+    Built once per (d, q); every array is read-only.  Meant for d <=
+    PLAN_MAX_D, where m = d * d(d-1)/2 stays small.
     """
     upper, basis = _mirror_basis(d)
     n, m = d - q, upper.size
     iu = np.triu_indices(n)
     rows = len(iu[0])
     e = basis.reshape(m, d, d, d)
-    table = np.empty((rows, m, m))
+    table = np.empty((2, rows, m, m))
+    diag = [_ricci_from_tensor(e[a], q, tabulated=False)[iu] for a in range(m)]
     for a in range(m):
-        for b in range(a, m):
-            plus = _ricci_from_tensor(e[a] + e[b], q, tabulated=False)[0]
-            minus = _ricci_from_tensor(e[a] - e[b], q, tabulated=False)[0]
-            table[:, a, b] = table[:, b, a] = ((plus - minus) / 4)[iu]
+        table[0, :, a, a] = diag[a]
+        for b in range(a + 1, m):
+            pair = _ricci_from_tensor(e[a] + e[b], q, tabulated=False)[iu]
+            table[0, :, a, b] = table[0, :, b, a] = (pair - diag[a] - diag[b]) / 2
+    for k, (i, j) in enumerate(zip(*iu)):
+        unit = np.zeros((d, d))
+        unit[q + i, q + j] = unit[q + j, q + i] = 1.0
+        for a in range(m):
+            table[1, k, :, a] = -_pi_tensor(unit, e[a]).ravel()[upper]
     sym = np.empty((n, n), dtype=np.intp)
     sym[iu] = sym[iu[::-1]] = np.arange(rows)
-    table = table.reshape(rows * m, m)
+    table = table.reshape(2 * rows * m, m)
     table.setflags(write=False)
     sym.setflags(write=False)
-    return upper, table, rows, sym
+    return upper, table, rows, sym, basis
 
 
-def _ricci_from_tensor(c: np.ndarray, q: int, tabulated: bool = True) -> tuple[np.ndarray, float, float]:
-    """(ric, scalar, tr ric^2) from the raw tensor: the hot path of both flows.
+def _ricci_from_tensor(c: np.ndarray, q: int, tabulated: bool = True) -> np.ndarray:
+    """Ricci matrix of the raw tensor: the metric flow's hot path, and the bracket flow's at d >= 5.
 
-    At d <= PLAN_MAX_D it applies the tabulated form `_ricci_table(d, q)`,
-    two matrix-vector products that read the i < j half of c only.  At
+    At d <= PLAN_MAX_D it applies the Q half of `_rhs_table(d, q)`, two
+    matrix-vector products that read the i < j half of c only.  At
     larger d, and with `tabulated=False` (the route the table is built
     from), one gather through `_ricci_plan` and one GEMM give the moment
     term, the Killing form and the Gram matrix of the p-part together:
@@ -174,19 +186,17 @@ def _ricci_from_tensor(c: np.ndarray, q: int, tabulated: bool = True) -> tuple[n
     """
     d = c.shape[0]
     if tabulated and d <= PLAN_MAX_D:
-        upper, table, rows, sym = _ricci_table(d, q)
+        upper, table, rows, sym, _ = _rhs_table(d, q)
         u = c.ravel()[upper]
-        ric = np.dot(np.dot(table, u).reshape(rows, -1), u)[sym]
-    else:
-        idx, w = _ricci_plan(d, q)
-        gathered = c.ravel()[idx]
-        weighted = gathered * w
-        rows = c[q:].reshape(d - q, d * d)
-        h = rows[:, :: d + 1].sum(1)
-        ad_h = (h @ rows).reshape(d, d)[q:, q:]
-        a = gathered[0] @ (weighted[0] + weighted[1]).T - ad_h
-        ric = 0.5 * (a + a.T)
-    return ric, float(ric.trace()), float(np.vdot(ric, ric))
+        return np.dot(np.dot(table[: rows * u.size], u).reshape(rows, -1), u)[sym]
+    idx, w = _ricci_plan(d, q)
+    gathered = c.ravel()[idx]
+    weighted = gathered * w
+    rows = c[q:].reshape(d - q, d * d)
+    h = rows[:, :: d + 1].sum(1)
+    ad_h = (h @ rows).reshape(d, d)[q:, q:]
+    a = gathered[0] @ (weighted[0] + weighted[1]).T - ad_h
+    return 0.5 * (a + a.T)
 
 
 def mean_curvature(mu: LieBracket) -> np.ndarray:
@@ -231,8 +241,10 @@ def ricci_operator(mu: LieBracket, check: bool = True) -> RicciData:
     """
     if check:
         check_conditions(mu).require(DEFAULT_TOL)
-    ric, scalar, ric_sq = _ricci_from_tensor(mu.c, mu.dims.q)
-    return RicciData(ric, scalar, ric_sq, killing_form_p(mu), mean_curvature(mu), moment_part(mu))
+    ric = _ricci_from_tensor(mu.c, mu.dims.q)
+    return RicciData(
+        ric, float(ric.trace()), float(np.vdot(ric, ric)), killing_form_p(mu), mean_curvature(mu), moment_part(mu)
+    )
 
 
 def _koszul_pieces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,13 @@ monitored stepping loop this module shares with the metric flow: it owns the
 step budget, solver failures and dense output, and asks a per-step callback
 whether to stop.  The bracket flow's callback tracks the bracket norm, scalar
 curvature, tr Ric^2, admissibility drift and the measured Lipschitz ratio
-|dmu/dt| / |mu|^3.  It reads R and tr Ric^2 off the one RHS evaluation it
-makes per step, which returns the Ricci data it was built from, and the
-admissibility residuals off the raw state tensor (`algebra._residuals`), so
-it builds no LieBracket.  The states stay raw arrays; `Trajectory.checkpoints`
-wraps them as FlowStates only when read.
+|dmu/dt| / |mu|^3.  The one RHS evaluation it makes per step returns the
+Ricci matrix the derivative was built from (at d <= 4 both come from one
+stacked table, `curvature._rhs_table`), and the callback computes R and
+tr Ric^2 from it, once per accepted step; the RK stages compute neither.  It
+reads the admissibility residuals off the raw state tensor
+(`algebra._residuals`), so it builds no LieBracket.  The states stay raw
+arrays; `Trajectory.checkpoints` wraps them as FlowStates only when read.
 
 A finite-time singularity is declared only when two conditions hold at once:
 the bracket norm exceeds a threshold, and the rigorous remaining-lifetime
@@ -37,13 +39,12 @@ from .algebra import (
     PLAN_MAX_D,
     Dimensions,
     LieBracket,
-    _pi_table,
     _pi_tensor,
     _residuals,
     bracket_norm,
     check_conditions,
 )
-from .curvature import _ricci_from_tensor, koszul_ricci_oracle
+from .curvature import _rhs_table, _ricci_from_tensor, koszul_ricci_oracle
 
 __all__ = [
     "IntegratorOptions",
@@ -234,22 +235,25 @@ def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
     return LieBracket(mu.dims, _default_rhs_tensor(mu.c, mu.dims.q)[0])
 
 
-def _default_rhs_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, tuple]:
-    # The derivative together with the (ric, scalar, tr ric^2) it was built
-    # from.  At d <= PLAN_MAX_D the derivative is the tabulated form
-    # `algebra._pi_table`, exactly antisymmetric; above, the GEMM kernel.
-    ricci = _ricci_from_tensor(c, q)
+def _default_rhs_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    # The derivative together with the Ricci matrix it was built from.  At
+    # d <= PLAN_MAX_D one product with the stacked table `curvature._rhs_table`
+    # gives s = [Q u; P u]; r = s[0] @ u are Ric's upper-triangle entries and
+    # the derivative is (r @ s[1]) @ basis, exactly antisymmetric.  No Ricci
+    # assembly runs.  Above, the GEMM kernels: Ricci, then pi.
     d = c.shape[0]
     if d <= PLAN_MAX_D:
-        upper, table, basis = _pi_table(d, q)
+        upper, table, rows, sym, basis = _rhs_table(d, q)
         u = c.ravel()[upper]
-        du = np.dot(ricci[0].ravel(), np.dot(table, u).reshape(ricci[0].size, -1))
-        return np.dot(du, basis).reshape(d, d, d), ricci
-    abar = ricci[0]
+        s = np.dot(table, u).reshape(2, rows, -1)
+        r = np.dot(s[0], u)
+        return np.dot(np.dot(r, s[1]), basis).reshape(d, d, d), r[sym]
+    ric = _ricci_from_tensor(c, q)
+    abar = ric
     if q:
         abar = np.zeros((d, d))
-        abar[q:, q:] = ricci[0]
-    return -_pi_tensor(abar, c), ricci
+        abar[q:, q:] = ric
+    return -_pi_tensor(abar, c), ric
 
 
 def _end_time(direction: str, horizon: float) -> float:
@@ -352,13 +356,13 @@ def integrate(
         c = y.reshape(d, d, d)
         nsq = float(np.dot(y, y))
         norm = np.sqrt(nsq)
-        dc, (_, scalar, trsq) = f_tensor(c)
+        dc, ric = f_tensor(c)
         fnorm = float(np.linalg.norm(dc))
         jac, h1, h3 = _residuals(c, q)
         ts.append(t)
         norms.append(norm)
-        scalars.append(scalar)
-        trsqs.append(trsq)
+        scalars.append(float(ric.trace()))
+        trsqs.append(float(np.vdot(ric, ric)))
         rhsn.append(fnorm)
         jres.append(jac)
         h1res.append(h1)

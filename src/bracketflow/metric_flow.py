@@ -162,20 +162,20 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky") -> tu
     if p.shape != (n, n):
         raise ValueError(f"metric matrix must be {n} x {n}")
     _require_finite(p)
-    ric, scalar, ell = _pushed_ric(mu0, p, factor)
-    return np.linalg.solve(ell, ric @ ell), scalar
+    ric, ell = _pushed_ric(mu0, p, factor)
+    return np.linalg.solve(ell, ric @ ell), float(ric.trace())
 
 
 def _pushed_ric(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky"):
     # Internal, and called by this name so that flowbench can trace it.
-    # Returns (ric, scalar, L): Ric_{L.mu0} of the pushed bracket (symmetric,
-    # same spectrum as RicOp(P) = L^-1 ric L), its trace, and the factor L of
-    # P = L^T L, with which the flow's RHS is -2 P RicOp(P) = -2 L^T ric L.
+    # Returns (ric, L): Ric_{L.mu0} of the pushed bracket (symmetric, same
+    # spectrum as RicOp(P) = L^-1 ric L) and the factor L of P = L^T L, with
+    # which the flow's RHS is -2 P RicOp(P) = -2 L^T ric L.  Callers that
+    # read R take the trace themselves; the RK stages do not.
     # L^-1 enters only the push-forward and comes with L from `_factor`, so
     # nothing here solves or inverts.  May raise NonSPDError.
     ell, ell_inv = _factor(_sym(p), factor)
-    ric, scalar, _ = _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), 0)
-    return ric, scalar, ell
+    return _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), 0), ell
 
 
 def metric_flow_integrate(
@@ -219,7 +219,7 @@ def metric_flow_integrate(
 
     def fun(_t, y):
         try:
-            ric, _, ell = _pushed_ric(mu0, y.reshape(n, n))
+            ric, ell = _pushed_ric(mu0, y.reshape(n, n))
         except NonSPDError:
             return np.full(n * n, np.nan)
         return derivative(ric, ell).ravel()
@@ -232,7 +232,8 @@ def metric_flow_integrate(
         # Returns the derivative at y too: `_sym` is idempotent, so it equals
         # `fun(t, y)` bit for bit, and the step ceiling needs no solver state.
         p = _sym(y.reshape(n, n))
-        ric, scalar, ell = _pushed_ric(mu0, p)
+        ric, ell = _pushed_ric(mu0, p)
+        scalar = float(ric.trace())
         lam = float(np.min(np.linalg.eigvalsh(p)))
         ts.append(t)
         scalars.append(scalar)
@@ -320,9 +321,14 @@ def equivalence_check(
     # One contiguous row per grid time, as a single-time dense call returns it.
     states_b = np.ascontiguousarray(bt.dense(grid).T)
     states_m = np.ascontiguousarray(mt.dense(grid).T)
-    ric_b, r_b, _ = zip(*[_ricci_from_tensor(c.reshape(mu0.c.shape), 0) for c in states_b])
-    ric_m, r_m, _ = zip(*[_pushed_ric(mu0, p.reshape(n, n)) for p in states_m])
-    r_b, r_m = np.array(r_b), np.array(r_m)
+    # Both flows' Ricci matrices stacked, shape (2, grid, n, n): one trace and
+    # one batched spectrum for the whole grid.
+    rics = np.array([
+        [_ricci_from_tensor(c.reshape(mu0.c.shape), 0) for c in states_b],
+        [_pushed_ric(mu0, p.reshape(n, n))[0] for p in states_m],
+    ])
+    r_b, r_m = np.trace(rics, axis1=2, axis2=3)
+    eig_b, eig_m = np.linalg.eigvalsh(rics)
     scale = np.maximum(1.0, np.maximum(np.abs(r_b), np.abs(r_m)))
-    eig_gap = np.max(np.abs(np.linalg.eigvalsh(np.array(ric_b)) - np.linalg.eigvalsh(np.array(ric_m))), axis=1)
+    eig_gap = np.max(np.abs(eig_b - eig_m), axis=1)
     return float(max(np.max(np.abs(r_b - r_m) / scale), np.max(eig_gap / scale)))

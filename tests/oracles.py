@@ -1,7 +1,10 @@
 """Brute-force reference implementations used as independent test oracles.
 
 Everything here is written as plain Python loops over basis vectors,
-deliberately sharing no code with the package's vectorized paths.
+deliberately sharing no code with the package's vectorized paths.  The two
+table builders are the exception: they are the loops an earlier version
+built its Ricci and pi tables with from the package's GEMM kernels, kept so
+that the stacked table can be checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -161,11 +164,56 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
     n = mu0.dims.n
     gap = 0.0
     for t in grid:
-        ric_b, r_b, _ = _ricci_from_tensor(bt.dense(t).reshape(mu0.c.shape), 0)
+        ric_b = _ricci_from_tensor(bt.dense(t).reshape(mu0.c.shape), 0)
         eig_b = np.sort(np.linalg.eigvalsh(ric_b))
-        ric_m, r_m, _ = metric_flow._pushed_ric(mu0, mt.dense(t).reshape(n, n))
+        ric_m = metric_flow._pushed_ric(mu0, mt.dense(t).reshape(n, n))[0]
         eig_m = np.sort(np.linalg.eigvalsh(ric_m))
+        r_b, r_m = np.trace(ric_b), np.trace(ric_m)
         scale = max(1.0, abs(r_b), abs(r_m))
         gap = max(gap, abs(r_b - r_m) / scale)
         gap = max(gap, float(np.max(np.abs(eig_b - eig_m))) / scale)
     return gap
+
+
+def ricci_table_polarized(d: int, q: int) -> np.ndarray:
+    """Ricci coefficients Q[k, a, b], shape (rows, m, m), by the earlier polarization.
+
+    Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a - E_b)) / 4 over every ordered pair
+    of mirrored basis tensors, read off the GEMM kernel at the rows =
+    n(n+1)/2 upper-triangle entries of Ric.
+    """
+    from bracketflow.algebra import _mirror_basis
+    from bracketflow.curvature import _ricci_from_tensor
+
+    upper, basis = _mirror_basis(d)
+    m = upper.size
+    iu = np.triu_indices(d - q)
+    e = basis.reshape(m, d, d, d)
+    table = np.empty((len(iu[0]), m, m))
+    for a in range(m):
+        for b in range(m):
+            plus = _ricci_from_tensor(e[a] + e[b], q, tabulated=False)
+            minus = _ricci_from_tensor(e[a] - e[b], q, tabulated=False)
+            table[:, a, b] = ((plus - minus) / 4)[iu]
+    return table
+
+
+def pi_table_folded(d: int, q: int) -> np.ndarray:
+    """pi coefficients P[k, :, a], shape (rows, m, m), folded from the earlier n^2-row table.
+
+    T[x, :, a] is the i < j half of -pi(diag(0, U_x)) E_a for each of the n^2
+    unit matrices U_x; a symmetric Ric weighs U_ij and U_ji alike, so row k =
+    (i, j) of P is T[i, j] + T[j, i] off the diagonal and T[i, i] on it.
+    """
+    from bracketflow.algebra import _mirror_basis, _pi_tensor
+
+    upper, basis = _mirror_basis(d)
+    n, m = d - q, upper.size
+    t = np.empty((n, n, m, m))
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((d, d))
+            unit[q + i, q + j] = 1.0
+            for a in range(m):
+                t[i, j, :, a] = -_pi_tensor(unit, basis[a].reshape(d, d, d)).ravel()[upper]
+    return np.array([t[i, j] + t[j, i] if i != j else t[i, i] for i, j in zip(*np.triu_indices(n))])

@@ -16,11 +16,19 @@ from bracketflow import (
     transform_bracket,
 )
 from bracketflow.catalog import catalog_entries, get_entry
-from bracketflow.algebra import PLAN_MAX_D, _mirror_basis, _pi_table, _pi_tensor, _transform_tensor, _triple_plan
-from bracketflow.curvature import _ricci_from_tensor, _ricci_plan, _ricci_table
+from bracketflow.algebra import PLAN_MAX_D, _mirror_basis, _pi_tensor, _transform_tensor, _triple_plan
+from bracketflow.curvature import _rhs_table, _ricci_from_tensor, _ricci_plan
 from bracketflow.flow import _default_rhs_tensor
 
-from oracles import killing_p_loops, mean_curvature_loops, moment_part_loops, pi_action_loops, ricci_assembled_loops
+from oracles import (
+    killing_p_loops,
+    mean_curvature_loops,
+    moment_part_loops,
+    pi_action_loops,
+    pi_table_folded,
+    ricci_assembled_loops,
+    ricci_table_polarized,
+)
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
@@ -123,12 +131,14 @@ def test_ricci_matches_assembled_loops():
 def test_fused_kernel_matches_assembled_loops(q, n):
     mu = random_bracket(q, n, np.random.default_rng(100 + 10 * q + n))
     assert np.max(np.abs(mean_curvature(mu))) > 0.1  # non-unimodular: the ad H term is live
-    ric, scalar, trsq = _ricci_from_tensor(mu.c, q)
+    ric = _ricci_from_tensor(mu.c, q)
     ref = ricci_assembled_loops(mu.c, q)
     assert np.max(np.abs(ric - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(ric, ric.T)
-    assert scalar == ric.trace()
-    assert trsq == pytest.approx(np.sum(ref * ref), rel=1e-12)
+    rd = ricci_operator(mu, check=False)  # the scalars are computed where they are read
+    assert np.array_equal(rd.ric, ric)
+    assert rd.scalar == ric.trace()
+    assert rd.ric_sq_trace == pytest.approx(np.sum(ref * ref), rel=1e-12)
 
 
 # --- tabulated forms (d <= PLAN_MAX_D) --------------------------------------
@@ -144,16 +154,22 @@ def _rel(got, ref):
     return np.max(np.abs(got - ref)) / scale if scale > 0 else np.max(np.abs(got))
 
 
+def _stacked(c, q):
+    # s = (table @ u).reshape(2, rows, m): the Q half and the P half applied to u
+    upper, table, rows, sym, basis = _rhs_table(c.shape[0], q)
+    u = c.ravel()[upper]
+    return (table @ u).reshape(2, rows, -1), u, sym, basis
+
+
 def _tabulated_ricci(c, q):
-    upper, table, rows, sym = _ricci_table(c.shape[0], q)
-    u = c.ravel()[upper]
-    return ((table @ u).reshape(rows, -1) @ u)[sym]
+    s, u, sym, _ = _stacked(c, q)
+    return (s[0] @ u)[sym]
 
 
-def _tabulated_rhs(ric, c, q):
-    upper, table, basis = _pi_table(c.shape[0], q)
-    u = c.ravel()[upper]
-    return (ric.ravel() @ (table @ u).reshape(ric.size, -1) @ basis).reshape(c.shape)
+def _tabulated_rhs(a, c, q):
+    # -pi(diag(0, a)) c for a symmetric n x n matrix a: P is folded onto its upper triangle
+    s, _, _, basis = _stacked(c, q)
+    return (a[np.triu_indices(len(a))] @ s[1] @ basis).reshape(c.shape)
 
 
 @pytest.mark.parametrize("q, n", TABLE_SHAPES)
@@ -164,20 +180,34 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         c = random_bracket(q, n, rng, scale).c
         ric = _tabulated_ricci(c, q)
         assert np.array_equal(ric, ric.T)
-        assert _rel(ric, _ricci_from_tensor(c, q, tabulated=False)[0]) <= TABLE_RTOL
+        assert _rel(ric, _ricci_from_tensor(c, q, tabulated=False)) <= TABLE_RTOL
         assert _rel(ric, ricci_assembled_loops(c, q)) <= TABLE_RTOL
-        a = rng.standard_normal((n, n))  # not symmetric: the table holds for any n x n matrix
+        a = rng.standard_normal((n, n))
+        a = a + a.T  # symmetric, like every Ric the table is applied to
         dc = _tabulated_rhs(a, c, q)
         abar = np.zeros((q + n,) * 2)
         abar[q:, q:] = a
         assert _rel(dc, -_pi_tensor(abar, c)) <= TABLE_RTOL
         assert _rel(dc, -pi_action_loops(a, c, q)) <= TABLE_RTOL
         if q + n <= PLAN_MAX_D:
-            # the hot paths are these products
-            assert np.array_equal(_ricci_from_tensor(c, q)[0], ric)
-            dmu, (ric_hot, _, _) = _default_rhs_tensor(c, q)
+            # the hot paths are these products: the RHS on the whole table,
+            # Ricci alone on its Q half, with the same bits
+            dmu, ric_hot = _default_rhs_tensor(c, q)
             assert np.array_equal(ric_hot, ric)
             assert np.array_equal(dmu, _tabulated_rhs(ric, c, q))
+            assert np.array_equal(_ricci_from_tensor(c, q), ric)
+
+
+@pytest.mark.parametrize("q, n", [(q, n) for q, n in TABLE_SHAPES if q + n <= PLAN_MAX_D])
+def test_stacked_table_equals_the_earlier_builders_bit_for_bit(q, n):
+    # Q polarized over a <= b with the diagonal reused, P built from the
+    # symmetric units: the same exact coefficients as the earlier
+    # (plus - minus) / 4 form and the folded n^2-row pi table.
+    d = q + n
+    upper, table, rows, _, _ = _rhs_table(d, q)
+    q_half, p_half = table.reshape(2, rows, upper.size, upper.size)
+    assert np.array_equal(q_half, ricci_table_polarized(d, q))
+    assert np.array_equal(p_half, pi_table_folded(d, q))
 
 
 @pytest.mark.parametrize("q, n", [(0, 2), (0, 3), (1, 2), (0, 4), (1, 3), (2, 2)])
@@ -200,8 +230,8 @@ def test_nearly_antisymmetric_tensor_gives_the_ricci_of_its_mirror(mu):
     pushed = _transform_tensor(mu.c, g, np.linalg.inv(g))
     mirror = LieBracket(mu.dims, pushed).c
     assert not np.array_equal(pushed, mirror)  # the case is live
-    ric = _ricci_from_tensor(pushed, 0)[0]
-    ref = _ricci_from_tensor(mirror, 0)[0]
+    ric = _ricci_from_tensor(pushed, 0)
+    ref = _ricci_from_tensor(mirror, 0)
     assert _rel(ric, ref) <= TABLE_RTOL
     if d <= PLAN_MAX_D:  # the table reads the i < j half, which the mirror keeps
         assert np.array_equal(ric, ref)
@@ -238,15 +268,15 @@ def test_plans_are_cached_and_read_only():
     assert left[x, d * d + i * n + j] == swap[x, d * d + i * n + j] == c[q + i, q + j, q + x]  # A3
     in_p = np.arange(d) >= q
     assert np.array_equal(w[0, 0, : d * d], -0.5 * np.outer(in_p, in_p).ravel())
-    # the tabulated forms and the mirrored basis they are written in
+    # the stacked table and the mirrored basis it is written in
     d, q = 3, 1
     upper, basis = _mirror_basis(d)
-    r_upper, r_table, rows, sym = _ricci_table(d, q)
-    p_upper, p_table, p_basis = _pi_table(d, q)
-    assert _mirror_basis(d)[1] is basis and r_upper is upper and p_upper is upper and p_basis is basis
-    assert _ricci_table(d, q)[1] is r_table and _ricci_table(d, q)[3] is sym and _pi_table(d, q)[1] is p_table
-    assert rows == 3 and r_table.shape == (rows * 9, 9) and p_table.shape == (4 * 9, 9)
-    for plan in (upper, basis, r_table, sym, p_table):
+    t_upper, table, rows, sym, t_basis = _rhs_table(d, q)
+    assert _mirror_basis(d)[1] is basis and t_upper is upper and t_basis is basis
+    assert _rhs_table(d, q)[1] is table and _rhs_table(d, q)[3] is sym
+    assert rows == 3  # n(n+1)/2 upper-triangle entries of Ric
+    assert table.shape == (2 * rows * 9, 9) and np.array_equal(sym, [[0, 1], [1, 2]])
+    for plan in (upper, basis, table, sym):
         with pytest.raises(ValueError, match="read-only"):
             plan.flat[0] = 0
     c = random_bracket(q, d - q, np.random.default_rng(3)).c

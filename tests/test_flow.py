@@ -87,11 +87,11 @@ def test_ricci_and_rhs_are_scale_covariant(mu, c):
     # Ric(c mu) = c^2 Ric(mu) and F(c mu) = c^3 F(mu), relative to |c mu|^2 and |c mu|^3
     q = mu.dims.q
     size = c * bracket_norm(mu)
-    dmu, (ric, scalar, _) = flow._default_rhs_tensor(mu.c, q)
-    dmu_c, (ric_c, scalar_c, _) = flow._default_rhs_tensor(c * mu.c, q)
-    assert np.array_equal(ric_c, flow._ricci_from_tensor(c * mu.c, q)[0])
+    dmu, ric = flow._default_rhs_tensor(mu.c, q)
+    dmu_c, ric_c = flow._default_rhs_tensor(c * mu.c, q)
+    assert np.array_equal(ric_c, flow._ricci_from_tensor(c * mu.c, q))
     assert np.max(np.abs(ric_c - c**2 * ric)) <= 1e-12 * size**2
-    assert abs(scalar_c - c**2 * scalar) <= 1e-12 * size**2
+    assert abs(np.trace(ric_c) - c**2 * np.trace(ric)) <= 1e-12 * size**2
     assert np.max(np.abs(dmu_c - c**3 * dmu)) <= 1e-12 * size**3
 
 
@@ -569,8 +569,7 @@ def test_sign_flipped_dynamics_contradict_su2_blowup():
 
 # --- work per step ------------------------------------------------------------
 
-@pytest.mark.parametrize("name, direction", [("su2_round", "forward"), ("sphere2_su2", "backward")])
-def test_one_ricci_assembly_per_rhs_evaluation(monkeypatch, name, direction):
+def _count_ricci_and_rhs(monkeypatch, mu, direction):
     calls = {"_ricci_from_tensor": 0, "_default_rhs_tensor": 0}
     for fn in calls:
         def counted(*args, _fn=getattr(flow, fn), _name=fn):
@@ -578,5 +577,22 @@ def test_one_ricci_assembly_per_rhs_evaluation(monkeypatch, name, direction):
             return _fn(*args)
 
         monkeypatch.setattr(flow, fn, counted)
-    traj = integrate(get_entry(name).bracket, direction, 2.0)
-    assert calls["_ricci_from_tensor"] == calls["_default_rhs_tensor"] > 6 * traj.n_samples
+    integrate(mu, direction, 2.0)
+    return calls["_ricci_from_tensor"], calls["_default_rhs_tensor"]
+
+
+# RHS evaluations of each run: 6 per attempted step plus the monitor's, whatever computes Ric.
+RHS_CALLS = {("su2_round", "forward"): 4700, ("sphere2_su2", "backward"): 402}
+
+
+@pytest.mark.parametrize("name, direction", list(RHS_CALLS))
+def test_tabulated_rhs_makes_no_ricci_assembly(monkeypatch, name, direction):
+    # At d <= PLAN_MAX_D one product with the stacked table gives the
+    # derivative and Ric together, so no separate assembly runs.
+    calls = _count_ricci_and_rhs(monkeypatch, get_entry(name).bracket, direction)
+    assert calls == (0, RHS_CALLS[name, direction])
+
+
+def test_gemm_rhs_makes_one_ricci_assembly_per_evaluation(monkeypatch):
+    mu = random_two_step_nilpotent(6, np.random.default_rng(0))
+    assert _count_ricci_and_rhs(monkeypatch, mu, "backward") == (4028, 4028)

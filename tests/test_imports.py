@@ -36,14 +36,14 @@ def test_no_import_from_a_private_module():
 
 
 def test_import_builds_no_table():
-    # The tabulated Ricci and pi forms are built on first use, so importing
-    # the package (and every start-up that does) pays nothing for them.
+    # The stacked Ricci and RHS table is built on first use, so importing the
+    # package (and every start-up that does) pays nothing for it.
     code = (
         "import bracketflow\n"
-        "from bracketflow import algebra, curvature\n"
-        "print(curvature._ricci_table.cache_info().currsize, algebra._pi_table.cache_info().currsize)\n"
+        "from bracketflow import curvature\n"
+        "print(curvature._rhs_table.cache_info().currsize)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent, timeout=60
     )
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0"]

@@ -234,7 +234,7 @@ def test_metric_ricci_equals_the_solved_operator(name):
 def test_rhs_factor_form_equals_p_times_ricci_operator(name):
     mu = get_entry(name).bracket
     p = _spd(mu.dims.n, 9)
-    ric, _, ell = metric_flow._pushed_ric(mu, p)
+    ric, ell = metric_flow._pushed_ric(mu, p)
     op, _ = metric_ricci(mu, p)
     assert np.max(np.abs(ell.T @ ric @ ell - p @ op)) <= 1e-13
 
