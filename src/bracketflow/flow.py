@@ -1,18 +1,27 @@
 """Integration of the bracket flow and singularity diagnostics.
 
 The flow is d/dt mu = -pi(diag(0, Ric_mu)) mu.  Trajectories are advanced
-with an embedded Dormand-Prince 4(5) pair (scipy's stepper) by `_drive`, the
-monitored stepping loop this module shares with the metric flow: it owns the
-step budget, solver failures and dense output, and asks a per-step callback
-whether to stop.  The bracket flow's callback tracks the bracket norm, scalar
-curvature, tr Ric^2, admissibility drift and the measured Lipschitz ratio
-|dmu/dt| / |mu|^3.  The one RHS evaluation it makes per step returns the
-Ricci matrix the derivative was built from (at d <= 4 both come from one
-stacked table, `curvature._rhs_table`), and the callback computes R and
-tr Ric^2 from it, once per accepted step; the RK stages compute neither.  It
-reads the admissibility residuals off the raw state tensor
-(`algebra._residuals`), so it builds no LieBracket.  The states stay raw
-arrays; `Trajectory.checkpoints` wraps them as FlowStates only when read.
+with the package's embedded Dormand-Prince 5(4) pair (`stepper`) by
+`_drive`, the monitored stepping loop this module shares with the metric
+flow: it owns the step budget, solver failures and dense output, and asks a
+per-step callback whether to stop.
+
+The stepper's state follows d.  At d <= PLAN_MAX_D it is the i < j half
+u = c.ravel()[upper] of the tensor (`_to_state`), which the stacked table
+`curvature._rhs_table` reads, so one RHS evaluation is three small
+products with no gather and no mirror; the error norm counts each entry of
+u twice, so it is the RMS over all d^3 tensor entries, as on the full
+tensor.  Above, the state is the flat tensor and the RHS the GEMM kernels.
+Only the admissibility check, `Trajectory.checkpoints` and the dense output
+rebuild the tensor (`_to_tensor`).
+
+The bracket flow's callback keeps per step what the stop rule, the step
+ceiling and the drift check read: the bracket norm, |dmu/dt| (its one RHS
+evaluation per step) and the admissibility residuals off the raw tensor
+(`algebra._residuals`), so it builds no LieBracket.  It also keeps the
+Ricci matrix that RHS evaluation was built from; R and tr Ric^2 are read
+off the stacked matrices once, at the end.  The states stay raw arrays;
+`Trajectory.checkpoints` wraps them as FlowStates only when read.
 
 A finite-time singularity is declared only when two conditions hold at once:
 the bracket norm exceeds a threshold, and the rigorous remaining-lifetime
@@ -31,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import RK45, DenseOutput, OdeSolution
+from scipy.integrate import DenseOutput, OdeSolution
 from scipy.optimize import minimize_scalar
 
 from .algebra import (
@@ -39,12 +48,14 @@ from .algebra import (
     PLAN_MAX_D,
     Dimensions,
     LieBracket,
+    _mirror_basis,
     _pi_tensor,
     _residuals,
     bracket_norm,
     check_conditions,
 )
 from .curvature import _rhs_table, _ricci_from_tensor, koszul_ricci_oracle
+from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 __all__ = [
     "IntegratorOptions",
@@ -67,6 +78,11 @@ __all__ = [
 
 # The fewest tail samples a singular-time fit accepts.
 MIN_TAIL_SAMPLES = 10
+# Tail diagnostics skip the samples with |omega_est - t| below this fraction
+# of |omega_est|: there the distance to the singular time is smaller than the
+# error of omega_est itself (on su2_round forward omega_est - 1 = 1.7e-11,
+# while the last samples lie about 1e-12 from it).
+TAIL_GAP_REL = 1e-9
 
 
 class FlowError(RuntimeError):
@@ -91,7 +107,9 @@ class IntegratorOptions:
     a singularity.  blowup_threshold and time_resolution together form the
     verdict: a threshold alone is not evidence of blowup, the remaining-time
     bound makes it quantitative.  Construction raises ValueError unless every
-    float field is finite and positive and max_steps is an int >= 1.
+    float field is a finite positive number, max_steps an int >= 1 and
+    collect_dense a bool; a bool in a numeric field is refused, not read as
+    0 or 1.
     """
 
     rel_tol: float = 1e-10
@@ -107,10 +125,16 @@ class IntegratorOptions:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be finite and positive, got {value}")
-        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            if f.type == "float" and (_is_bool(value) or not (np.isfinite(value) and value > 0)):
+                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+        if _is_bool(self.max_steps) or not (isinstance(self.max_steps, int) and self.max_steps >= 1):
             raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
+        if not _is_bool(self.collect_dense):
+            raise ValueError(f"collect_dense must be a bool, got {self.collect_dense!r}")
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -165,8 +189,7 @@ class _Checkpoints(Sequence):
 
 
 def _flow_checkpoints(dims: Dimensions, t: np.ndarray, states: list[np.ndarray]) -> _Checkpoints:
-    d = dims.d
-    return _Checkpoints(t, states, lambda t, y: FlowState(t, LieBracket(dims, y.reshape(d, d, d))))
+    return _Checkpoints(t, states, lambda t, y: FlowState(t, LieBracket(dims, _to_tensor(y, dims.d))))
 
 
 @dataclass
@@ -208,13 +231,20 @@ class DenseSolution(OdeSolution):
     """scipy's `OdeSolution` of an integrated flow, refusing times outside its range.
 
     A scalar time gives the state; an array of m times gives the states as the
-    m columns of one array, in a single call.
+    m columns of one array, in a single call.  With `basis`, the interpolants
+    hold the bracket flow's half state u (see `_to_state`) and the solution
+    is the flat tensor u @ basis, mirrored exactly.
     """
+
+    def __init__(self, ts, interpolants, basis: np.ndarray | None = None):
+        super().__init__(ts, interpolants)
+        self._basis = basis
 
     def __call__(self, t):
         if not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
             raise ValueError(f"time {t} outside the integrated range")
-        return super().__call__(t)
+        y = super().__call__(t)
+        return y if self._basis is None else np.dot(self._basis.T, y)
 
 
 class _Constant(DenseOutput):
@@ -232,28 +262,42 @@ class _Constant(DenseOutput):
 
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
     """Right-hand side -pi(diag(0, Ric_mu)) mu of the bracket flow."""
-    return LieBracket(mu.dims, _default_rhs_tensor(mu.c, mu.dims.q)[0])
+    d = mu.dims.d
+    return LieBracket(mu.dims, _to_tensor(_default_rhs_tensor(_to_state(mu.c), d, mu.dims.q)[0], d))
 
 
-def _default_rhs_tensor(c: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # The derivative together with the Ricci matrix it was built from.  At
-    # d <= PLAN_MAX_D one product with the stacked table `curvature._rhs_table`
-    # gives s = [Q u; P u]; r = s[0] @ u are Ric's upper-triangle entries and
-    # the derivative is (r @ s[1]) @ basis, exactly antisymmetric.  No Ricci
-    # assembly runs.  Above, the GEMM kernels: Ricci, then pi.
+def _to_state(c: np.ndarray) -> np.ndarray:
+    # The stepper's state of the antisymmetric tensor c: at d <= PLAN_MAX_D
+    # its i < j half u = c.ravel()[upper], which the stacked table reads,
+    # above that the flat tensor.
     d = c.shape[0]
+    return c.ravel()[_mirror_basis(d)[0]] if d <= PLAN_MAX_D else c.ravel()
+
+
+def _to_tensor(y: np.ndarray, d: int) -> np.ndarray:
+    # The (d, d, d) tensor of a state: u @ basis mirrors the half exactly.
+    return (np.dot(y, _mirror_basis(d)[1]) if d <= PLAN_MAX_D else y).reshape(d, d, d)
+
+
+def _default_rhs_tensor(y: np.ndarray, d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    # The derivative of the state y (see `_to_state`), in the same layout,
+    # together with the Ricci matrix it was built from.  At d <= PLAN_MAX_D
+    # one product with the stacked table `curvature._rhs_table` gives
+    # s = [Q u; P u]; r = s[0] @ u are Ric's upper-triangle entries and the
+    # derivative of u is r @ s[1].  No Ricci assembly runs.  Above, the GEMM
+    # kernels on the flat tensor: Ricci, then pi.
     if d <= PLAN_MAX_D:
-        upper, table, rows, sym, basis = _rhs_table(d, q)
-        u = c.ravel()[upper]
-        s = np.dot(table, u).reshape(2, rows, -1)
-        r = np.dot(s[0], u)
-        return np.dot(np.dot(r, s[1]), basis).reshape(d, d, d), r[sym]
+        _, table, rows, sym, _ = _rhs_table(d, q)
+        s = np.dot(table, y).reshape(2, rows, -1)
+        r = np.dot(s[0], y)
+        return np.dot(r, s[1]), r[sym]
+    c = y.reshape(d, d, d)
     ric = _ricci_from_tensor(c, q)
     abar = ric
     if q:
         abar = np.zeros((d, d))
         abar[q:, q:] = ric
-    return -_pi_tensor(abar, c), ric
+    return -_pi_tensor(abar, c).ravel(), ric
 
 
 def _end_time(direction: str, horizon: float) -> float:
@@ -284,7 +328,7 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
         jacobi_residual=zeros.copy(),
         h1_residual=zeros.copy(),
         h3_residual=zeros.copy(),
-        checkpoints=_flow_checkpoints(initial.dims, t, [initial.c] * m),
+        checkpoints=_flow_checkpoints(initial.dims, t, [_to_state(initial.c)] * m),
         verdict=Verdict(kind="flat"),
         dense=dense,
     )
@@ -330,39 +374,41 @@ def integrate(
 
     dims = initial.dims
     q, d = dims.q, dims.d
+    # Each entry of a half state stands for two tensor entries, c and its mirror.
+    copies = 2 if d <= PLAN_MAX_D else 1
 
     if rhs is None:
-        def f_tensor(c):
-            return _default_rhs_tensor(c, q)
+        def f_tensor(y):
+            return _default_rhs_tensor(y, d, q)
     else:
-        def f_tensor(c):
-            return rhs(LieBracket(dims, c)).c, _ricci_from_tensor(c, q)
+        def f_tensor(y):
+            c = _to_tensor(y, d)
+            return _to_state(rhs(LieBracket(dims, c)).c), _ricci_from_tensor(c, q)
 
     def fun(_t, y):
-        return f_tensor(y.reshape(d, d, d))[0].ravel()
+        return f_tensor(y)[0]
 
-    y0 = initial.c.ravel().copy()
-    nsq0 = float(np.dot(y0, y0))
+    y0 = _to_state(initial.c)
 
-    ts, norms, scalars, trsqs, rhsn = [], [], [], [], []
+    ts, norms, rics, rhsn = [], [], [], []
     jres, h1res, h3res = [], [], []
     states: list[np.ndarray] = []
     ratio_max = 0.0
 
     def record(t, y):
-        # Reads the raw state only: the stepper never writes an array it has
+        # Keeps per step what the stop rule, the step ceiling and the drift
+        # check read, and Ric; R and tr Ric^2 are read off the stacked Ricci
+        # matrices at the end.  The stepper never writes an array it has
         # handed out, so `states` keeps y itself.
         nonlocal ratio_max
-        c = y.reshape(d, d, d)
-        nsq = float(np.dot(y, y))
+        nsq = copies * float(np.dot(y, y))
         norm = np.sqrt(nsq)
-        dc, ric = f_tensor(c)
-        fnorm = float(np.linalg.norm(dc))
-        jac, h1, h3 = _residuals(c, q)
+        dy, ric = f_tensor(y)
+        fnorm = np.sqrt(copies * float(np.dot(dy, dy)))
+        jac, h1, h3 = _residuals(_to_tensor(y, d), q)
         ts.append(t)
         norms.append(norm)
-        scalars.append(float(ric.trace()))
-        trsqs.append(float(np.vdot(ric, ric)))
+        rics.append(ric)
         rhsn.append(fnorm)
         jres.append(jac)
         h1res.append(h1)
@@ -395,7 +441,7 @@ def integrate(
             )
         return at_singularity(norm, nsq)
 
-    record(0.0, y0)
+    nsq0 = record(0.0, y0)[0]
     solver = RK45(
         fun,
         0.0,
@@ -404,6 +450,7 @@ def integrate(
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
         max_step=step_ceiling(np.sqrt(nsq0), rhsn[0]),
+        rms_weight=copies / d**3,
     )
 
     # A step floor hit right at the singularity also counts as a blowup.
@@ -418,15 +465,19 @@ def integrate(
     else:
         verdict = Verdict(kind="immortal")
 
-    dense = DenseSolution([0.0] + [seg.t for seg in segments], segments) if opts.collect_dense else None
+    dense = None
+    if opts.collect_dense:
+        basis = _mirror_basis(d)[1] if copies == 2 else None
+        dense = DenseSolution([0.0] + [seg.t for seg in segments], segments, basis)
+    ric_rows = np.array(rics).reshape(len(rics), -1)
     return Trajectory(
         direction=direction,
         horizon=horizon,
         initial=initial,
         t=t_arr,
         mu_norm=norm_arr,
-        scalar_R=np.array(scalars),
-        tr_ric_sq=np.array(trsqs),
+        scalar_R=ric_rows[:, :: dims.n + 1].sum(axis=1),
+        tr_ric_sq=np.sum(ric_rows * ric_rows, axis=1),
         rhs_norm=np.array(rhsn),
         jacobi_residual=np.array(jres),
         h1_residual=np.array(h1res),
@@ -440,10 +491,11 @@ def integrate(
 def _drive(solver, opts: IntegratorOptions, on_step, singular_on_failure) -> tuple[bool, list]:
     """Step `solver` to its bound; return (singular, dense segments).
 
-    `on_step(solver)` records each accepted step (it may set `max_step`) and
-    returns True to stop at a singularity.  On solver failure,
-    `singular_on_failure()` decides between a singular stop and
-    StiffnessError.  Segments are kept only under `opts.collect_dense`.
+    `solver` is a `stepper.DormandPrince54`.  `on_step(solver)` records each
+    accepted step (it may set `max_step`) and returns True to stop at a
+    singularity.  On solver failure, `singular_on_failure()` decides between
+    a singular stop and StiffnessError.  Segments are kept only under
+    `opts.collect_dense`.
 
     Raises:
         FlowError: the step budget `opts.max_steps` was exhausted.
@@ -595,8 +647,9 @@ class EstimateReport:
     """Measured quantities behind the flow estimates along one trajectory.
 
     velocity_ratio_max bounds |dmu/dt| / |mu|^3; tail_norm_floor is the observed
-    minimum of |omega_est - t|^(1/2) |mu(t)| over the blowup tail (None when
-    the run is not a blowup); scalar_evolution_max_relerr compares a finite-difference
+    minimum of |omega_est - t|^(1/2) |mu(t)| over the resolved blowup tail
+    (see `_resolved_tail`; None when the run is not a blowup or no tail
+    sample is resolved); scalar_evolution_max_relerr compares a finite-difference
     dR/dt against 2 tr Ric^2; monotone_R_violation measures any decrease of R
     in forward time relative to 1 + |R|; comparison_slack is the minimum of
     R(t) minus the scalar comparison solution, computed for forward runs with
@@ -646,10 +699,10 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
 
     floor = None
     if traj.verdict.kind == "blowup":
-        omega = traj.verdict.omega_est
-        tail = traj.mu_norm >= traj.mu_norm[-1] / 100.0
-        vals = np.sqrt(np.abs(omega - traj.t[tail])) * traj.mu_norm[tail]
-        floor = float(np.min(vals))
+        tail = _resolved_tail(traj)
+        if len(tail):
+            vals = np.sqrt(np.abs(traj.verdict.omega_est - traj.t[tail])) * traj.mu_norm[tail]
+            floor = float(np.min(vals))
 
     slack = None
     r0 = float(traj.scalar_R[0])
@@ -670,21 +723,38 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
     )
 
 
-def type_I_diagnostic(traj: Trajectory) -> float:
-    """Sup of |omega_est - t| * |Riem(mu(t))| over the blowup tail (q = 0).
+def _resolved_tail(traj: Trajectory) -> np.ndarray:
+    """Indices of the blowup tail that the tail diagnostics read.
 
-    The tail is the one `fit_power_blowup` fits: the samples with |mu| within
-    two decades of the last.  A finite value is the signature of a type-I
-    singularity.  |Riem| comes from the Koszul oracle, so isotropy is
-    rejected.
+    The tail `fit_power_blowup` fits (|mu| within two decades of the last
+    sample), less the samples with |omega_est - t| < TAIL_GAP_REL |omega_est|.
+    The rule is scale free, and the samples it drops are those where a
+    rounding-level change of omega_est moves |omega_est - t| by a visible
+    fraction.
+    """
+    omega = traj.verdict.omega_est
+    tail = traj.mu_norm >= traj.mu_norm[-1] / 100.0
+    return np.flatnonzero(tail & (np.abs(omega - traj.t) >= TAIL_GAP_REL * abs(omega)))
+
+
+def type_I_diagnostic(traj: Trajectory) -> float:
+    """Sup of |omega_est - t| * |Riem(mu(t))| over the resolved blowup tail (q = 0).
+
+    The tail is `_resolved_tail`'s: the samples `fit_power_blowup` fits,
+    less those closer to omega_est than its own error.  A finite value is
+    the signature of a type-I singularity.  |Riem| comes from the Koszul
+    oracle, so isotropy is rejected.
     """
     if traj.dims.q != 0:
         raise ValueError("type-I diagnostic needs q = 0 (no |Riem| oracle with isotropy)")
     if traj.verdict.kind != "blowup":
         raise ValueError("type-I diagnostic applies to blowup trajectories")
+    tail = _resolved_tail(traj)
+    if not len(tail):
+        raise ValueError("no tail sample lies farther from omega_est than its resolution")
     omega = traj.verdict.omega_est
     best = 0.0
-    for k in np.flatnonzero(traj.mu_norm >= traj.mu_norm[-1] / 100.0):
+    for k in tail:
         cp = traj.checkpoints[k]
         riem = np.sqrt(koszul_ricci_oracle(cp.mu).riem_sq)
         best = max(best, abs(omega - cp.t) * riem)

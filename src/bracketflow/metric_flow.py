@@ -16,10 +16,12 @@ so it takes no linear solve.  L^-1 is needed only to push the bracket
 forward, and it comes with the factor: LAPACK's dtrtri inverts the upper
 Cholesky factor from dpotrf, and the symmetric square root V W^1/2 V^T has
 the inverse V W^-1/2 V^T from the same eigendecomposition.  The flow is
-integrated on the bracket flow's monitored stepping loop (`flow._drive`)
-with its own stop rule, and the two flows can be compared through their
-isometry invariants (scalar curvature, Ricci spectra, singularity verdicts),
-which the equivalence of the flows says must agree.
+integrated on the bracket flow's monitored stepping loop (`flow._drive`),
+with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
+on the flat n x n matrix and its own stop rule.  The two flows can be
+compared through their isometry invariants (scalar curvature, Ricci
+spectra, singularity verdicts), which the equivalence of the flows says
+must agree.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import RK45  # called by this name so that flowbench can trace the stepper
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .algebra import LieBracket, _transform_tensor
 from .algebra import transform_bracket  # noqa: F401  (not called here; flowbench's tracer looks it up on this module)
 from .curvature import _ricci_from_tensor
+from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 # DenseSolution and integrate are called by these names so that flowbench can trace them.
 from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _Checkpoints, _drive, _end_time, integrate
@@ -191,7 +193,8 @@ def metric_flow_integrate(
     falls below `EIG_FLOOR` times its initial value or |R| exceeds
     `SCALAR_THRESHOLD`; the singular time is then fitted from the diverging
     |R| series.  Stages that leave the positive-definite cone evaluate to
-    NaN, which the error controller treats as a rejected step, so the
+    NaN, and the stepper rejects an attempt whose error norm is not finite
+    and retries at `stepper.MIN_FACTOR` = 0.2 times the step, so the
     integrator approaches a degenerating metric geometrically instead of
     stepping across it.  A backward run steps to the physical time -horizon.
 

@@ -44,6 +44,8 @@ import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import LieBracket, NotInVarietyError, check_conditions
 from .catalog import get_entry
 from .flow import FlowError, IntegratorOptions, Trajectory, estimate_report, integrate
@@ -207,30 +209,19 @@ def load_scenario(path) -> Scenario:
     return sc
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path: Path, stride: int = 1) -> None:
-    """Write the sampled scalar series; the printed precision round-trips doubles."""
+    """Write the sampled scalar series; the printed precision round-trips doubles.
+
+    Every value is printed as format(x, ".17g"), through one %-template
+    for the whole file.
+    """
     rows = list(range(0, traj.n_samples, max(1, stride)))
     if rows[-1] != traj.n_samples - 1:
         rows.append(traj.n_samples - 1)
-    lines = [CSV_HEADER]
-    for k in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    traj.t[k],
-                    traj.mu_norm[k],
-                    traj.scalar_R[k],
-                    traj.tr_ric_sq[k],
-                    traj.jacobi_residual[k],
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    series = (traj.t, traj.mu_norm, traj.scalar_R, traj.tr_ric_sq, traj.jacobi_residual)
+    values = np.column_stack(series)[rows].ravel().tolist()
+    template = "\n" + ",".join(["%.17g"] * len(series))
+    path.write_text(CSV_HEADER + (template * len(rows)) % tuple(values) + "\n")
 
 
 def _verdict_dict(traj: Trajectory) -> dict:

@@ -217,3 +217,17 @@ def pi_table_folded(d: int, q: int) -> np.ndarray:
             for a in range(m):
                 t[i, j, :, a] = -_pi_tensor(unit, basis[a].reshape(d, d, d)).ravel()[upper]
     return np.array([t[i, j] + t[j, i] if i != j else t[i, i] for i, j in zip(*np.triu_indices(n))])
+
+
+def trajectory_csv_per_value(traj, stride: int = 1) -> str:
+    """The trajectory CSV as the writer made it before its one-template form: one format(x, ".17g") per value."""
+    from bracketflow.scenario import CSV_HEADER
+
+    rows = list(range(0, traj.n_samples, max(1, stride)))
+    if rows[-1] != traj.n_samples - 1:
+        rows.append(traj.n_samples - 1)
+    lines = [CSV_HEADER]
+    for k in rows:
+        values = (traj.t[k], traj.mu_norm[k], traj.scalar_R[k], traj.tr_ric_sq[k], traj.jacobi_residual[k])
+        lines.append(",".join(format(float(v), ".17g") for v in values))
+    return "\n".join(lines) + "\n"

@@ -1,14 +1,17 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bracketflow import IntegratorOptions, integrate, load_scenario, run_scenario
-from bracketflow.catalog import get_entry
+from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.cli import main
 from bracketflow.scenario import CSV_HEADER, ScenarioError, write_trajectory_csv
+
+from oracles import trajectory_csv_per_value
 
 
 def _write(tmp_path, name, text):
@@ -160,6 +163,24 @@ def test_csv_stride_keeps_last_row(tmp_path):
     write_trajectory_csv(traj, path, stride=7)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows[-1, 0] == traj.t[-1]
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_csv_is_byte_identical_to_the_per_value_writer(tmp_path, stride):
+    # the 16 catalog runs, and a run whose series hold inf, nan and -0.0
+    trajs = [
+        integrate(entry.bracket, direction, entry.default_horizon[direction])
+        for entry in catalog_entries()
+        for direction in ("forward", "backward")
+    ]
+    odd = trajs[2]
+    special = np.resize([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -1.7976931348623157e308], odd.n_samples)
+    trajs.append(replace(odd, scalar_R=special, tr_ric_sq=special[::-1].copy()))
+    assert len(trajs) == 17
+    path = tmp_path / "run.csv"
+    for traj in trajs:
+        write_trajectory_csv(traj, path, stride=stride)
+        assert path.read_bytes() == trajectory_csv_per_value(traj, stride).encode()
 
 
 # --- run_scenario and exit codes ---------------------------------------------

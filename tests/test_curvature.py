@@ -18,7 +18,7 @@ from bracketflow import (
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.algebra import PLAN_MAX_D, _mirror_basis, _pi_tensor, _transform_tensor, _triple_plan
 from bracketflow.curvature import _rhs_table, _ricci_from_tensor, _ricci_plan
-from bracketflow.flow import _default_rhs_tensor
+from bracketflow.flow import _default_rhs_tensor, _to_state, _to_tensor
 
 from oracles import (
     killing_p_loops,
@@ -191,10 +191,12 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         assert _rel(dc, -pi_action_loops(a, c, q)) <= TABLE_RTOL
         if q + n <= PLAN_MAX_D:
             # the hot paths are these products: the RHS on the whole table,
-            # Ricci alone on its Q half, with the same bits
-            dmu, ric_hot = _default_rhs_tensor(c, q)
+            # in the half state u it reads, Ricci alone on its Q half, with
+            # the same bits
+            upper, basis = _mirror_basis(q + n)
+            du, ric_hot = _default_rhs_tensor(c.ravel()[upper], q + n, q)
             assert np.array_equal(ric_hot, ric)
-            assert np.array_equal(dmu, _tabulated_rhs(ric, c, q))
+            assert np.array_equal((du @ basis).reshape(c.shape), _tabulated_rhs(ric, c, q))
             assert np.array_equal(_ricci_from_tensor(c, q), ric)
 
 
@@ -213,7 +215,9 @@ def test_stacked_table_equals_the_earlier_builders_bit_for_bit(q, n):
 @pytest.mark.parametrize("q, n", [(0, 2), (0, 3), (1, 2), (0, 4), (1, 3), (2, 2)])
 def test_tabulated_rhs_is_exactly_antisymmetric(q, n):
     c = random_bracket(q, n, np.random.default_rng(40 + n), 3.0).c
-    dmu, _ = _default_rhs_tensor(c, q)
+    du, _ = _default_rhs_tensor(_to_state(c), q + n, q)
+    assert du.shape == (_mirror_basis(q + n)[0].size,)  # the half state, as the stepper holds it
+    dmu = _to_tensor(du, q + n)
     assert np.array_equal(dmu, -dmu.transpose(1, 0, 2))
     assert not np.any(np.diagonal(dmu, axis1=0, axis2=1))
 

@@ -17,7 +17,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 EXPECTED_LINE = {
     "01_brackets_and_curvature": "su2         eigenvalues [0.5 0.5 0.5]  R = +1.500",
-    "02_blowup_detection": "type-I diagnostic sup (omega-t)|Riem| = 0.866058",
+    "02_blowup_detection": "type-I diagnostic sup (omega-t)|Riem| = 0.866025",
     "03_flow_estimates": "    singular time estimate     = 1.000000000",
     "04_metric_vs_bracket": "  bracket flow verdict : blowup at 1.000000000",
     "05_catalog_tour": "  ok    sphere2_times_line   blowup at 0.500000 <= bound 0.750000",

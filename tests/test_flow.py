@@ -1,4 +1,5 @@
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bracketflow import (
     DriftError,
+    algebra,
     FlowError,
     IntegratorOptions,
     LieBracket,
@@ -85,10 +87,11 @@ BRACKETS = st.sampled_from([entry.bracket for entry in catalog_entries()]) | st.
 @given(BRACKETS, st.floats(1e-3, 1e7))
 def test_ricci_and_rhs_are_scale_covariant(mu, c):
     # Ric(c mu) = c^2 Ric(mu) and F(c mu) = c^3 F(mu), relative to |c mu|^2 and |c mu|^3
-    q = mu.dims.q
+    q, d = mu.dims.q, mu.dims.d
     size = c * bracket_norm(mu)
-    dmu, ric = flow._default_rhs_tensor(mu.c, q)
-    dmu_c, ric_c = flow._default_rhs_tensor(c * mu.c, q)
+    # in the stepper's state layout: each state entry is a tensor entry
+    dmu, ric = flow._default_rhs_tensor(flow._to_state(mu.c), d, q)
+    dmu_c, ric_c = flow._default_rhs_tensor(flow._to_state(c * mu.c), d, q)
     assert np.array_equal(ric_c, flow._ricci_from_tensor(c * mu.c, q))
     assert np.max(np.abs(ric_c - c**2 * ric)) <= 1e-12 * size**2
     assert abs(np.trace(ric_c) - c**2 * np.trace(ric)) <= 1e-12 * size**2
@@ -218,6 +221,25 @@ def test_integrator_options_reject_out_of_range_values(bad):
     (name,) = bad
     with pytest.raises(ValueError, match=name):
         IntegratorOptions(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_steps": True},
+        {"rel_tol": True},
+        {"abs_tol": False},
+        {"step_cap": np.True_},
+        {"collect_dense": "no"},
+        {"collect_dense": 1},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
+)
+def test_integrator_options_reject_bools_as_numbers_and_non_bool_flags(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        IntegratorOptions(**bad)
+    assert IntegratorOptions(collect_dense=np.True_).collect_dense
 
 
 def test_integrate_uses_membership_tol_for_the_initial_bracket():
@@ -442,12 +464,13 @@ def test_type_I_heis_backward_finite(heis_backward):
 
 
 def _type_I_every_checkpoint(traj):
-    # the former loop: every checkpoint, kept when its own norm reaches the cutoff
+    # the former loop: every checkpoint, kept when its own norm reaches the
+    # cutoff and it lies farther from omega than TAIL_GAP_REL |omega|
     omega = traj.verdict.omega_est
     cutoff = traj.mu_norm[-1] / 100.0
     best = 0.0
     for cp in traj.checkpoints:
-        if bracket_norm(cp.mu) < cutoff:
+        if bracket_norm(cp.mu) < cutoff or abs(omega - cp.t) < flow.TAIL_GAP_REL * abs(omega):
             continue
         riem = np.sqrt(koszul_ricci_oracle(cp.mu).riem_sq)
         best = max(best, abs(omega - cp.t) * riem)
@@ -470,7 +493,21 @@ def test_type_I_reads_only_the_fit_tail(monkeypatch, name, direction):
     monkeypatch.setattr(flow, "LieBracket", counted)
     assert type_I_diagnostic(traj) == expected
     tail = traj.mu_norm >= traj.mu_norm[-1] / 100.0
-    assert len(built) == np.count_nonzero(tail) < traj.n_samples
+    resolved = np.abs(traj.verdict.omega_est - traj.t) >= flow.TAIL_GAP_REL * abs(traj.verdict.omega_est)
+    assert 0 < len(built) == np.count_nonzero(tail & resolved) < np.count_nonzero(tail)
+
+
+def test_tail_diagnostics_ignore_samples_below_the_resolution_of_omega(su2_forward):
+    # Near the last sample |omega_est - t| is ~1e-12, below the error of
+    # omega_est itself; a few ulps of omega_est must not move either
+    # diagnostic off its closed form: sqrt(3)/2 and sqrt(6) for the round S^3.
+    traj = su2_forward
+    omega = traj.verdict.omega_est
+    assert np.min(np.abs(omega - traj.t)) < flow.TAIL_GAP_REL * abs(omega)  # the case is live
+    for shift in (0.0, 4e-16, -4e-16):
+        moved = replace(traj, verdict=replace(traj.verdict, omega_est=omega * (1.0 + shift)))
+        assert type_I_diagnostic(moved) == pytest.approx(np.sqrt(0.75), rel=1e-6)
+        assert estimate_report(moved).tail_norm_floor == pytest.approx(np.sqrt(6.0), rel=1e-6)
 
 
 def test_type_I_rejects_non_blowup_and_isotropy():
@@ -591,6 +628,20 @@ def test_tabulated_rhs_makes_no_ricci_assembly(monkeypatch, name, direction):
     # derivative and Ric together, so no separate assembly runs.
     calls = _count_ricci_and_rhs(monkeypatch, get_entry(name).bracket, direction)
     assert calls == (0, RHS_CALLS[name, direction])
+
+
+def test_no_mirror_basis_above_plan_max_d():
+    # At d >= 5 the state is the flat tensor, so nothing builds the dense
+    # (m, d^3) mirror basis (17.8 MB at d = 13).
+    algebra._mirror_basis.cache_clear()
+    mu = random_two_step_nilpotent(6, np.random.default_rng(0))
+    traj = integrate(mu, "backward", 2.0, IntegratorOptions(collect_dense=True))
+    np.testing.assert_allclose(traj.dense(traj.t[-1]), traj.checkpoints[-1].mu.c.ravel(), rtol=1e-9, atol=1e-12)
+    bracket_flow_rhs(mu)
+    estimate_report(traj)
+    assert algebra._mirror_basis.cache_info().currsize == 0
+    integrate(SU2, "forward", 0.5)  # the half state at d = 3 builds it
+    assert algebra._mirror_basis.cache_info().currsize == 1
 
 
 def test_gemm_rhs_makes_one_ricci_assembly_per_evaluation(monkeypatch):
