@@ -38,12 +38,14 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-# Largest d = q + n at which Ricci and the bracket flow's RHS are applied as
-# one stacked tabulated form (`curvature._rhs_table`) instead of the GEMM
-# kernels it is built from.  The measured crossover: at d = 5 the table has
-# n(n+1) m^2 ~ d^8/4 entries (m = d * d(d-1)/2) and the tabulated RHS is no
-# longer cheaper than the GEMMs (about 25 us per call either way at q = 0 on
-# a 2-CPU host), while the one-time build grows as fast.
+# Largest d = q + n at which `curvature._ricci_from_tensor`, the Ricci of
+# the metric flow and of `ricci_operator`, applies the Ricci half of the
+# stacked table on the whole i < j half (`curvature._rhs_table`) instead of
+# the GEMM kernel it is built from.  Those tensors are dense, and the full
+# half's table has n(n+1) m^2 ~ d^8/4 entries (m = d * d(d-1)/2): at d = 5
+# it measured no cheaper than the GEMM kernel (about 25 us per call either
+# way at q = 0 on a 2-CPU host).  The bracket flow chooses its path by the
+# size of its own support's table instead (`curvature.TABLE_MAX_ENTRIES`).
 PLAN_MAX_D = 4
 
 
@@ -91,25 +93,21 @@ def _upper_mask(d: int) -> np.ndarray:
 
 
 @cache
-def _mirror_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(upper, basis): the i < j half of a d x d x d tensor and the basis that mirrors it.
+def _half_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, mirror): flat indices of the i < j half of a d x d x d tensor and of its mirror.
 
     upper holds the m = d * d(d-1)/2 flat indices of the entries (i, j, k)
-    with i < j, in C order; basis, of shape (m, d^3), has row a equal to +1 at
-    upper[a], -1 at its mirror (j, i, k) and 0 elsewhere.  So every
-    antisymmetric c is u @ basis with u = c.ravel()[upper], and u @ basis
-    is exactly antisymmetric for any u.  Both arrays are read-only.
+    with i < j, in C order, and mirror[a] the flat index of (j, i, k) for
+    upper[a].  So every antisymmetric c is determined by its half
+    u = c.ravel()[upper], and c.ravel()[mirror] = -u.  Both arrays are
+    read-only; they hold indices only, so they cost 2m integers at any d.
     """
     flat = np.arange(d**3).reshape(d, d, d)
     i, j = np.triu_indices(d, 1)
-    upper = flat[i, j].ravel()
-    rows = np.arange(upper.size)
-    basis = np.zeros((upper.size, d**3))
-    basis[rows, upper] = 1.0
-    basis[rows, flat[j, i].ravel()] = -1.0
+    upper, mirror = flat[i, j].ravel(), flat[j, i].ravel()
     upper.setflags(write=False)
-    basis.setflags(write=False)
-    return upper, basis
+    mirror.setflags(write=False)
+    return upper, mirror
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,8 @@ class LieBracket:
                 calculations) instead of 0-based.
 
         Raises:
-            ValueError: on out-of-range indices, i == j, or two entries that
-                disagree on the same unordered pair.
+            ValueError: on out-of-range indices, i == j, a value that is not
+                finite, or two entries that disagree on the same unordered pair.
         """
         dims = Dimensions(q, n)
         d = dims.d
@@ -163,6 +161,8 @@ class LieBracket:
                 raise ValueError(f"bracket entry {entry}: index out of range for d={d}")
             if i == j:
                 raise ValueError(f"bracket entry {entry}: i == j makes no sense for a skew bracket")
+            if not np.isfinite(float(v)):
+                raise ValueError(f"bracket entry {entry}: value must be finite")
             key = (min(i, j), max(i, j), k)
             sv = float(v) if i < j else -float(v)
             if key in seen and seen[key] != sv:

@@ -13,21 +13,28 @@ algebraic formula is validated against.
 
 Both flows assemble Ric with one function, `_ricci_from_tensor`, which
 returns the matrix only: R = tr Ric and tr Ric^2 are computed where they are
-read.  It has two paths, chosen from d = q + n:
+read.  Above PLAN_MAX_D, and for every table build, it is a fused GEMM
+kernel: it gathers its operands through a read-only index plan, built once
+per (q, n) by `_ricci_plan`, and makes one matrix product for M - B/2.  At
+d <= PLAN_MAX_D it applies the Ricci half of a table (below).
 
-* d >= 5: a fused GEMM kernel.  It gathers its operands through a read-only
-  index plan, built once per (q, n) by `_ricci_plan`, and makes one matrix
-  product for M - B/2.
-* d <= PLAN_MAX_D = 4 (every catalog entry): Ric is a quadratic form in the
-  m = d * d(d-1)/2 entries c[i, j, k] with i < j, and the bracket flow's
-  RHS -pi(diag(0, Ric)) mu is a bilinear form in Ric and the same entries.
-  `_rhs_table` stacks both coefficient tables, [Q; P], so the whole RHS
-  (`flow._default_rhs_tensor`) is one matrix-vector product and two small
-  contractions, and Ric alone is the Q half.  The table is built lazily,
-  once per (q, n), by polarizing the GEMM kernel and `algebra._pi_tensor`
-  on the mirrored basis E_a of `algebra._mirror_basis`.  Its coefficients
-  are exact, and there is no second Ricci or pi formula.  The bound is
-  where the tabulated RHS stops paying (see `algebra.PLAN_MAX_D`).
+Over the m = d * d(d-1)/2 entries c[i, j, k] with i < j, Ric is a quadratic
+form and the bracket flow's RHS -pi(diag(0, Ric)) mu a bilinear form in Ric
+and the same entries.  `_rhs_table` stacks both coefficient tables, [Q; P],
+on a support S of those entries, so the whole RHS on V_S
+(`flow._default_rhs_tensor`) is one matrix-vector product and two small
+contractions, and Ric alone is the Q half.  A table is built lazily, once
+per (d, q, S), by polarizing the GEMM kernel and `algebra._pi_tensor` on
+the mirrored basis E_a of S.  Its coefficients are exact, and there is no
+second Ricci or pi formula.  Two tables are used:
+
+* the bracket flow's (`_flow_table`): S is the support of the initial
+  bracket, grown until it is flow-invariant, and the flow steps on the
+  table when it holds at most TABLE_MAX_ENTRIES entries, the measured
+  crossover with the GEMM kernels; a two-step nilpotent bracket at n = 13
+  steps on 30 entries;
+* `_ricci_from_tensor`'s at d <= PLAN_MAX_D = 4 (every catalog entry): S is
+  the whole half, since the metric flow's pushed tensors are dense.
 
 All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 """
@@ -35,11 +42,11 @@ All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PLAN_MAX_D, LieBracket, NotInVarietyError, _mirror_basis, _pi_tensor, check_conditions
+from .algebra import DEFAULT_TOL, PLAN_MAX_D, LieBracket, NotInVarietyError, _half_indices, _pi_tensor, check_conditions
 
 __all__ = [
     "RicciData",
@@ -111,65 +118,178 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, w
 
 
-@cache
-def _rhs_table(d: int, q: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
-    """(upper, table, rows, sym, basis): Ric and the bracket flow's RHS as one stacked table.
+# Largest stacked table, in float64 entries, that the bracket flow steps on
+# (`_flow_table`); a support whose table is larger steps on the GEMM kernels.
+# The tabulated RHS reads the whole table once per call, while the GEMM cost
+# follows d, so the crossover is a table size.  Measured per RHS evaluation
+# (min of 7 x 2000 calls, 1 BLAS thread, 2-CPU host), tabulated against GEMM,
+# on two-step nilpotent supports (n, center) and dense moved brackets:
+#   (6, 3)  m' = 9,    2.1k entries:   5.8 against 27.5 us
+#   (9, 6)  m' = 18,    18k entries:  10.4 against 36.9 us
+#   dense n = 5, m' = 50, 75k:        21.1 against 27.6 us
+#   (13, 10) m' = 30,  112k entries:  31.2 against 65.2 us
+#   (9, 3)  m' = 45,   113k entries:  29.6 against 36.8 us
+#   (10, 5) m' = 50,   155k entries:  42.4 against 42.0 us
+#   (10, 4) m' = 60,   230k entries:  62.8 against 41.2 us
+#   dense n = 6, m' = 90, 340k:      128.0 against 28.9 us
+# 2^17 entries (1 MiB) lies between the last clear win and the break-even.
+TABLE_MAX_ENTRIES = 2**17
 
-    With (upper, basis) from `algebra._mirror_basis(d)`, u = c.ravel()[upper]
-    the i < j half of c, and r the rows = n(n+1)/2 upper-triangle entries of
-    Ric (Ric = r[sym]), the table stacks two coefficient arrays of shape
-    (rows, m, m):
+
+@dataclass(frozen=True)
+class _StackedTable:
+    """Ric and the bracket flow's RHS as one stacked table on a support S of the i < j half.
+
+    Attributes:
+        support: the m' positions in the i < j half (`algebra._half_indices`)
+            that the state holds, sorted.
+        upper: their flat tensor indices; the state of c is u = c.ravel()[upper].
+        stack: [Q; P] as a (2 * rows * m', m') matrix, read-only.
+        rows: Ricci rows in each half: the entries of Ric's upper triangle
+            that are not identically 0 on V_S, plus one zero row when some
+            entry is.
+        sym: (n, n) index into the rows of each entry of Ric, so Ric = r[sym];
+            every entry that vanishes on V_S reads the zero row.
+        basis: (m', d^3), row a +1 at upper[a] and -1 at its mirror, so the
+            tensor is u @ basis, exactly antisymmetric.
+        grown: S together with every half entry that the RHS on V_S reaches;
+            S is flow-invariant exactly when grown == support.
+    """
+
+    support: tuple
+    upper: np.ndarray
+    stack: np.ndarray
+    rows: int
+    sym: np.ndarray
+    basis: np.ndarray
+    grown: tuple
+
+
+@cache
+def _full_support(d: int) -> tuple:
+    return tuple(range(_half_indices(d)[0].size))
+
+
+@lru_cache(maxsize=32)
+def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
+    """The stacked table of Ric and the bracket flow's RHS on the support S.
+
+    With u = c.ravel()[upper] the entries of c on S and r the table's Ricci
+    rows, the table stacks two coefficient arrays of shape (rows, m', m'):
 
         r[k] = sum_{a,b} Q[k, a, b] u_a u_b,
         -pi(diag(0, Ric)) c = (sum_{k,a} r[k] P[k, :, a] u_a) @ basis,
 
-    for every antisymmetric c; the @ basis mirrors the half back, exactly
-    antisymmetric.  `table` is [Q; P] as a (2 * rows * m, m) matrix, so
-    with s = (table @ u).reshape(2, rows, m) the RHS is (s[1] contracted
-    with r = s[0] @ u) @ basis.  Q is the polar form of the GEMM kernel on
-    the mirrored basis E_a, Q[:, a, a] = Ric(E_a) and
+    for every antisymmetric c supported on S, if S is flow-invariant.  So
+    with s = (stack @ u).reshape(2, rows, m') the RHS is (r = s[0] @ u) @
+    s[1], in the layout of u.  Q is the polar form of the GEMM kernel on the
+    mirrored basis E_a (a in S), Q[:, a, a] = Ric(E_a) and
 
-        Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a) - Ric(E_b)) / 2,
+        Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a) - Ric(E_b)) / 2;
 
-    and P[k, :, a] is the i < j half of -pi(diag(0, F_k)) E_a from
-    `algebra._pi_tensor`, F_k the symmetric unit matrix of entry k.  With
-    +-1 basis entries and power-of-two weights every coefficient is exact.
-    Built once per (d, q); every array is read-only.  Meant for d <=
-    PLAN_MAX_D, where m = d * d(d-1)/2 stays small.
+    the rows of Q that are 0 on all of S are dropped.  P[k, :, a] is the
+    half of -pi(diag(0, F_k)) E_a from `algebra._pi_tensor` on S, F_k the
+    symmetric unit matrix of Ricci row k; its entries outside S give
+    `grown`.  With +-1 basis entries and power-of-two weights every
+    coefficient is exact.  On the whole half (`_full_support(d)`) this is
+    the table `_ricci_from_tensor` applies at d <= PLAN_MAX_D.  The build
+    makes m'(m'+1)/2 + m' GEMM-kernel calls and about rows * m' pi calls,
+    once per support: 3, 17 and 86 ms for the supports of the default
+    two-step nilpotent brackets at n = 6, 9 and 13 (m' = 9, 18 and 30), at
+    most 1 ms for a catalog entry, on a 2-CPU host.  Every array is
+    read-only.
     """
-    upper, basis = _mirror_basis(d)
-    n, m = d - q, upper.size
+    half, mirror = _half_indices(d)
+    sel = np.array(support, dtype=np.intp)
+    m, n = sel.size, d - q
     iu = np.triu_indices(n)
-    rows = len(iu[0])
+    basis = np.zeros((m, d**3))
+    basis[np.arange(m), half[sel]] = 1.0
+    basis[np.arange(m), mirror[sel]] = -1.0
     e = basis.reshape(m, d, d, d)
-    table = np.empty((2, rows, m, m))
+    q_form = np.empty((len(iu[0]), m, m))
     diag = [_ricci_from_tensor(e[a], q, tabulated=False)[iu] for a in range(m)]
     for a in range(m):
-        table[0, :, a, a] = diag[a]
+        q_form[:, a, a] = diag[a]
         for b in range(a + 1, m):
             pair = _ricci_from_tensor(e[a] + e[b], q, tabulated=False)[iu]
-            table[0, :, a, b] = table[0, :, b, a] = (pair - diag[a] - diag[b]) / 2
-    for k, (i, j) in enumerate(zip(*iu)):
+            q_form[:, a, b] = q_form[:, b, a] = (pair - diag[a] - diag[b]) / 2
+    active = np.flatnonzero(q_form.reshape(len(iu[0]), -1).any(axis=1))
+    rows = active.size + (active.size < len(iu[0]))
+    table = np.zeros((2, rows, m, m))
+    table[0, : active.size] = q_form[active]
+    reach = np.zeros(half.size, dtype=bool)
+    reach[sel] = True
+    for r, k in enumerate(active):
+        i, j = q + iu[0][k], q + iu[1][k]
         unit = np.zeros((d, d))
-        unit[q + i, q + j] = unit[q + j, q + i] = 1.0
+        unit[i, j] = unit[j, i] = 1.0
         for a in range(m):
-            table[1, k, :, a] = -_pi_tensor(unit, e[a]).ravel()[upper]
-    sym = np.empty((n, n), dtype=np.intp)
-    sym[iu] = sym[iu[::-1]] = np.arange(rows)
-    table = table.reshape(2 * rows * m, m)
-    table.setflags(write=False)
-    sym.setflags(write=False)
-    return upper, table, rows, sym, basis
+            out = -_pi_tensor(unit, e[a]).ravel()[half]
+            reach |= out != 0
+            table[1, r, :, a] = out[sel]
+    sym = np.full((n, n), rows - 1, dtype=np.intp)
+    sym[iu[0][active], iu[1][active]] = sym[iu[1][active], iu[0][active]] = np.arange(active.size)
+    upper, stack = half[sel], table.reshape(2 * rows * m, m)
+    for arr in (upper, stack, sym, basis):
+        arr.setflags(write=False)
+    return _StackedTable(support, upper, stack, rows, sym, basis, tuple(np.flatnonzero(reach).tolist()))
+
+
+def _table_entries_at_least(d: int, q: int, support: tuple) -> int:
+    """A lower bound on the size of `_rhs_table(d, q, support)`, at the cost of one Ricci assembly.
+
+    Ric at a point of V_S with small integer entries is exact (integer
+    products, power-of-two weights), so every entry of Ric that is nonzero
+    there is a row the table must hold.
+    """
+    half, mirror = _half_indices(d)
+    sel = np.array(support, dtype=np.intp)
+    point = np.random.default_rng(0).integers(1, 8, sel.size).astype(float)
+    c = np.zeros(d**3)
+    c[half[sel]], c[mirror[sel]] = point, -point
+    ric = _ricci_from_tensor(c.reshape(d, d, d), q, tabulated=False)
+    return 2 * int(np.count_nonzero(ric[np.triu_indices(d - q)])) * sel.size**2
+
+
+@lru_cache(maxsize=32)
+def _closed_table(d: int, q: int, start: tuple) -> _StackedTable | None:
+    # Grow `start` to the least flow-invariant support that holds it; None
+    # as soon as its table is over TABLE_MAX_ENTRIES, since growing the
+    # support only adds entries.
+    support = start
+    while _table_entries_at_least(d, q, support) <= TABLE_MAX_ENTRIES:
+        table = _rhs_table(d, q, support)
+        if table.stack.size > TABLE_MAX_ENTRIES:
+            return None
+        if table.grown == support:
+            return table
+        support = table.grown
+    return None
+
+
+def _flow_table(mu: LieBracket) -> _StackedTable | None:
+    """The stacked table the bracket flow of mu steps on, or None for the GEMM kernels.
+
+    The support is the i < j entries of mu that are nonzero, grown until
+    the RHS maps V_S into itself.  The flow then never leaves V_S: entries
+    outside S stay exactly 0.  A support whose table exceeds
+    TABLE_MAX_ENTRIES gives None.
+    """
+    d = mu.dims.d
+    start = tuple(np.flatnonzero(mu.c.ravel()[_half_indices(d)[0]]).tolist())
+    return _closed_table(d, mu.dims.q, start)
 
 
 def _ricci_from_tensor(c: np.ndarray, q: int, tabulated: bool = True) -> np.ndarray:
-    """Ricci matrix of the raw tensor: the metric flow's hot path, and the bracket flow's at d >= 5.
+    """Ricci matrix of the raw tensor: the metric flow's hot path, and the bracket flow's on the GEMM path.
 
-    At d <= PLAN_MAX_D it applies the Q half of `_rhs_table(d, q)`, two
-    matrix-vector products that read the i < j half of c only.  At
-    larger d, and with `tabulated=False` (the route the table is built
-    from), one gather through `_ricci_plan` and one GEMM give the moment
-    term, the Killing form and the Gram matrix of the p-part together:
+    At d <= PLAN_MAX_D it applies the Q half of the table on the whole
+    i < j half, `_rhs_table(d, q, _full_support(d))`, two matrix-vector
+    products that read the i < j half of c only.  At larger d, and with
+    `tabulated=False` (the route every table is built from), one gather
+    through `_ricci_plan` and one GEMM give the moment term, the Killing
+    form and the Gram matrix of the p-part together:
 
         G = [A1 | A3] @ [-(P*A1 + A2)/2 | A3/4]^T
           = -1/2 (sum_{j,k in p} c[x,j,k] c[y,j,k] + sum_{j,k in g} c[x,j,k] c[y,k,j])
@@ -186,9 +306,9 @@ def _ricci_from_tensor(c: np.ndarray, q: int, tabulated: bool = True) -> np.ndar
     """
     d = c.shape[0]
     if tabulated and d <= PLAN_MAX_D:
-        upper, table, rows, sym, _ = _rhs_table(d, q)
-        u = c.ravel()[upper]
-        return np.dot(np.dot(table[: rows * u.size], u).reshape(rows, -1), u)[sym]
+        t = _rhs_table(d, q, _full_support(d))
+        u = c.ravel()[t.upper]
+        return np.dot(np.dot(t.stack[: t.rows * u.size], u).reshape(t.rows, -1), u)[t.sym]
     idx, w = _ricci_plan(d, q)
     gathered = c.ravel()[idx]
     weighted = gathered * w

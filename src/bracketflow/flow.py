@@ -6,14 +6,19 @@ with the package's embedded Dormand-Prince 5(4) pair (`stepper`) by
 flow: it owns the step budget, solver failures and dense output, and asks a
 per-step callback whether to stop.
 
-The stepper's state follows d.  At d <= PLAN_MAX_D it is the i < j half
-u = c.ravel()[upper] of the tensor (`_to_state`), which the stacked table
-`curvature._rhs_table` reads, so one RHS evaluation is three small
-products with no gather and no mirror; the error norm counts each entry of
-u twice, so it is the RMS over all d^3 tensor entries, as on the full
-tensor.  Above, the state is the flat tensor and the RHS the GEMM kernels.
-Only the admissibility check, `Trajectory.checkpoints` and the dense output
-rebuild the tensor (`_to_tensor`).
+The stepper's state follows the initial bracket.  The flow never leaves the
+span V_S of a flow-invariant support S: the i < j entries nonzero at the
+start, grown until the RHS maps V_S into itself (`curvature._flow_table`);
+for a two-step nilpotent bracket that is the v ^ v -> z block, 30 of the
+1014 half entries at n = 13.  When the stacked table of Ric and the RHS on
+S is at most `curvature.TABLE_MAX_ENTRIES`, the state is the entries
+u = c.ravel()[upper] on S (`_to_state`) and one RHS evaluation is three
+small products with no gather and no mirror; the error norm counts each
+entry of u twice, so it is the RMS over all d^3 tensor entries, as on the
+full tensor.  A larger support, and an `rhs=` override (which may leave S),
+step on the flat tensor with the GEMM kernels.  Only the admissibility
+check, `Trajectory.checkpoints` and the dense output rebuild the tensor
+(`_to_tensor`), through the (m', d^3) basis of S.
 
 The bracket flow's callback keeps per step what the stop rule, the step
 ceiling and the drift check read: the bracket norm, |dmu/dt| (its one RHS
@@ -45,16 +50,14 @@ from scipy.optimize import minimize_scalar
 
 from .algebra import (
     DEFAULT_TOL,
-    PLAN_MAX_D,
     Dimensions,
     LieBracket,
-    _mirror_basis,
     _pi_tensor,
     _residuals,
     bracket_norm,
     check_conditions,
 )
-from .curvature import _rhs_table, _ricci_from_tensor, koszul_ricci_oracle
+from .curvature import _flow_table, _ricci_from_tensor, _StackedTable, koszul_ricci_oracle
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 __all__ = [
@@ -188,8 +191,10 @@ class _Checkpoints(Sequence):
         return self._make(self._t[k], self._states[k])
 
 
-def _flow_checkpoints(dims: Dimensions, t: np.ndarray, states: list[np.ndarray]) -> _Checkpoints:
-    return _Checkpoints(t, states, lambda t, y: FlowState(t, LieBracket(dims, _to_tensor(y, dims.d))))
+def _flow_checkpoints(
+    dims: Dimensions, t: np.ndarray, states: list[np.ndarray], table: _StackedTable | None
+) -> _Checkpoints:
+    return _Checkpoints(t, states, lambda t, y: FlowState(t, LieBracket(dims, _to_tensor(y, dims.d, table))))
 
 
 @dataclass
@@ -232,8 +237,8 @@ class DenseSolution(OdeSolution):
 
     A scalar time gives the state; an array of m times gives the states as the
     m columns of one array, in a single call.  With `basis`, the interpolants
-    hold the bracket flow's half state u (see `_to_state`) and the solution
-    is the flat tensor u @ basis, mirrored exactly.
+    hold the bracket flow's state u on its support (see `_to_state`) and the
+    solution is the flat tensor u @ basis, mirrored exactly.
     """
 
     def __init__(self, ts, interpolants, basis: np.ndarray | None = None):
@@ -262,35 +267,35 @@ class _Constant(DenseOutput):
 
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
     """Right-hand side -pi(diag(0, Ric_mu)) mu of the bracket flow."""
-    d = mu.dims.d
-    return LieBracket(mu.dims, _to_tensor(_default_rhs_tensor(_to_state(mu.c), d, mu.dims.q)[0], d))
+    d, table = mu.dims.d, _flow_table(mu)
+    dy = _default_rhs_tensor(_to_state(mu.c, table), d, mu.dims.q, table)[0]
+    return LieBracket(mu.dims, _to_tensor(dy, d, table))
 
 
-def _to_state(c: np.ndarray) -> np.ndarray:
-    # The stepper's state of the antisymmetric tensor c: at d <= PLAN_MAX_D
-    # its i < j half u = c.ravel()[upper], which the stacked table reads,
-    # above that the flat tensor.
-    d = c.shape[0]
-    return c.ravel()[_mirror_basis(d)[0]] if d <= PLAN_MAX_D else c.ravel()
+def _to_state(c: np.ndarray, table: _StackedTable | None) -> np.ndarray:
+    # The stepper's state of the antisymmetric tensor c: its entries on the
+    # table's support, u = c.ravel()[upper], or the flat tensor without one.
+    return c.ravel()[table.upper] if table is not None else c.ravel()
 
 
-def _to_tensor(y: np.ndarray, d: int) -> np.ndarray:
-    # The (d, d, d) tensor of a state: u @ basis mirrors the half exactly.
-    return (np.dot(y, _mirror_basis(d)[1]) if d <= PLAN_MAX_D else y).reshape(d, d, d)
+def _to_tensor(y: np.ndarray, d: int, table: _StackedTable | None) -> np.ndarray:
+    # The (d, d, d) tensor of a state: u @ basis mirrors the support exactly.
+    return (np.dot(y, table.basis) if table is not None else y).reshape(d, d, d)
 
 
-def _default_rhs_tensor(y: np.ndarray, d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _default_rhs_tensor(
+    y: np.ndarray, d: int, q: int, table: _StackedTable | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     # The derivative of the state y (see `_to_state`), in the same layout,
-    # together with the Ricci matrix it was built from.  At d <= PLAN_MAX_D
-    # one product with the stacked table `curvature._rhs_table` gives
-    # s = [Q u; P u]; r = s[0] @ u are Ric's upper-triangle entries and the
-    # derivative of u is r @ s[1].  No Ricci assembly runs.  Above, the GEMM
-    # kernels on the flat tensor: Ricci, then pi.
-    if d <= PLAN_MAX_D:
-        _, table, rows, sym, _ = _rhs_table(d, q)
-        s = np.dot(table, y).reshape(2, rows, -1)
+    # together with the Ricci matrix it was built from.  With the flow's
+    # stacked table `curvature._flow_table`, one product gives
+    # s = [Q u; P u]; r = s[0] @ u are Ric's rows on the support and the
+    # derivative of u is r @ s[1].  No Ricci assembly runs.  Without one, the
+    # GEMM kernels on the flat tensor: Ricci, then pi.
+    if table is not None:
+        s = np.dot(table.stack, y).reshape(2, table.rows, -1)
         r = np.dot(s[0], y)
-        return np.dot(r, s[1]), r[sym]
+        return np.dot(r, s[1]), r[table.sym]
     c = y.reshape(d, d, d)
     ric = _ricci_from_tensor(c, q)
     abar = ric
@@ -328,7 +333,7 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
         jacobi_residual=zeros.copy(),
         h1_residual=zeros.copy(),
         h3_residual=zeros.copy(),
-        checkpoints=_flow_checkpoints(initial.dims, t, [_to_state(initial.c)] * m),
+        checkpoints=_flow_checkpoints(initial.dims, t, [initial.c.ravel()] * m, None),
         verdict=Verdict(kind="flat"),
         dense=dense,
     )
@@ -374,21 +379,23 @@ def integrate(
 
     dims = initial.dims
     q, d = dims.q, dims.d
-    # Each entry of a half state stands for two tensor entries, c and its mirror.
-    copies = 2 if d <= PLAN_MAX_D else 1
+    # An override may leave the support, so it steps on the flat tensor.
+    table = _flow_table(initial) if rhs is None else None
+    # Each entry of a state on a support stands for two tensor entries, c and its mirror.
+    copies = 2 if table is not None else 1
 
     if rhs is None:
         def f_tensor(y):
-            return _default_rhs_tensor(y, d, q)
+            return _default_rhs_tensor(y, d, q, table)
     else:
         def f_tensor(y):
-            c = _to_tensor(y, d)
-            return _to_state(rhs(LieBracket(dims, c)).c), _ricci_from_tensor(c, q)
+            c = y.reshape(d, d, d)
+            return rhs(LieBracket(dims, c)).c.ravel(), _ricci_from_tensor(c, q)
 
     def fun(_t, y):
         return f_tensor(y)[0]
 
-    y0 = _to_state(initial.c)
+    y0 = _to_state(initial.c, table)
 
     ts, norms, rics, rhsn = [], [], [], []
     jres, h1res, h3res = [], [], []
@@ -405,7 +412,7 @@ def integrate(
         norm = np.sqrt(nsq)
         dy, ric = f_tensor(y)
         fnorm = np.sqrt(copies * float(np.dot(dy, dy)))
-        jac, h1, h3 = _residuals(_to_tensor(y, d), q)
+        jac, h1, h3 = _residuals(_to_tensor(y, d, table), q)
         ts.append(t)
         norms.append(norm)
         rics.append(ric)
@@ -467,7 +474,7 @@ def integrate(
 
     dense = None
     if opts.collect_dense:
-        basis = _mirror_basis(d)[1] if copies == 2 else None
+        basis = table.basis if table is not None else None
         dense = DenseSolution([0.0] + [seg.t for seg in segments], segments, basis)
     ric_rows = np.array(rics).reshape(len(rics), -1)
     return Trajectory(
@@ -482,7 +489,7 @@ def integrate(
         jacobi_residual=np.array(jres),
         h1_residual=np.array(h1res),
         h3_residual=np.array(h3res),
-        checkpoints=_flow_checkpoints(dims, t_arr, states),
+        checkpoints=_flow_checkpoints(dims, t_arr, states, table),
         verdict=verdict,
         dense=dense,
     )

@@ -25,7 +25,9 @@ converted to 0-based internally.  Inline brackets are validated at load
 time; a failing admissibility condition rejects the scenario naming the
 offending residual.  `validation_tol` is the one membership tolerance: it
 sets `IntegratorOptions.membership_tol`, so loading and integrating accept
-the same brackets.
+the same brackets.  Every value is checked as it is read: a bracket value
+must be finite, `sample_stride` an int >= 1, `expect_tol` finite and
+positive, `expect_omega` and `expect_alpha` finite.
 
 Running a scenario writes, per direction, a CSV trajectory table with
 header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
@@ -96,6 +98,28 @@ class Scenario:
         return LieBracket.from_triples(self.q, self.n, self.triples, one_indexed=True)
 
 
+def _finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value}")
+    return x
+
+
+def _positive_finite(value: str) -> float:
+    # a NaN tolerance would pass every comparison, a negative one fail every run
+    x = _finite(value)
+    if not x > 0:
+        raise ValueError(f"must be positive, got {value}")
+    return x
+
+
+def _positive_int(value: str) -> int:
+    k = int(value)
+    if k < 1:
+        raise ValueError(f"must be an int >= 1, got {value}")
+    return k
+
+
 def _parse_triples(text: str, path: str, lineno: int) -> list:
     groups = re.findall(r"\(([^()]*)\)", text)
     if not groups:
@@ -163,7 +187,7 @@ def load_scenario(path) -> Scenario:
     sc.horizon = take("horizon", float, sc.horizon)
     if not (math.isfinite(sc.horizon) and sc.horizon > 0):
         raise ScenarioError(f"{path}: horizon must be finite and positive, got {sc.horizon}")
-    sc.sample_stride = take("sample_stride", int, 1)
+    sc.sample_stride = take("sample_stride", _positive_int, 1)
     sc.h2_note = take("h2_note", str, "")
     for key, conv in _OPTS_KEYS.items():
         # validation_tol is the file's name for the membership tolerance
@@ -179,9 +203,9 @@ def load_scenario(path) -> Scenario:
             if val not in ("immortal", "blowup", "flat"):
                 raise ScenarioError(f"{path}: {dir_key} must be immortal, blowup or flat")
             sc.expect[store] = val
-    sc.expect_omega = take("expect_omega", float)
-    sc.expect_alpha = take("expect_alpha", float)
-    sc.expect_tol = take("expect_tol", float, 1e-3)
+    sc.expect_omega = take("expect_omega", _finite)
+    sc.expect_alpha = take("expect_alpha", _finite)
+    sc.expect_tol = take("expect_tol", _positive_finite, 1e-3)
 
     if raw:
         key, (_, lineno) = next(iter(raw.items()))

@@ -175,6 +175,20 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
     return gap
 
 
+def mirrored_basis_loops(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, basis) by loops: the flat indices of the entries (i, j, k) with i < j in C order,
+    and row a of the (m, d^3) basis +1 at upper[a] and -1 at its mirror (j, i, k)."""
+    upper, basis = [], []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(d):
+                row = np.zeros((d, d, d))
+                row[i, j, k], row[j, i, k] = 1.0, -1.0
+                upper.append((i * d + j) * d + k)
+                basis.append(row.ravel())
+    return np.array(upper, dtype=np.intp), np.array(basis).reshape(len(upper), d**3)
+
+
 def ricci_table_polarized(d: int, q: int) -> np.ndarray:
     """Ricci coefficients Q[k, a, b], shape (rows, m, m), by the earlier polarization.
 
@@ -182,10 +196,9 @@ def ricci_table_polarized(d: int, q: int) -> np.ndarray:
     of mirrored basis tensors, read off the GEMM kernel at the rows =
     n(n+1)/2 upper-triangle entries of Ric.
     """
-    from bracketflow.algebra import _mirror_basis
     from bracketflow.curvature import _ricci_from_tensor
 
-    upper, basis = _mirror_basis(d)
+    upper, basis = mirrored_basis_loops(d)
     m = upper.size
     iu = np.triu_indices(d - q)
     e = basis.reshape(m, d, d, d)
@@ -205,9 +218,9 @@ def pi_table_folded(d: int, q: int) -> np.ndarray:
     unit matrices U_x; a symmetric Ric weighs U_ij and U_ji alike, so row k =
     (i, j) of P is T[i, j] + T[j, i] off the diagonal and T[i, i] on it.
     """
-    from bracketflow.algebra import _mirror_basis, _pi_tensor
+    from bracketflow.algebra import _pi_tensor
 
-    upper, basis = _mirror_basis(d)
+    upper, basis = mirrored_basis_loops(d)
     n, m = d - q, upper.size
     t = np.empty((n, n, m, m))
     for i in range(n):

@@ -100,6 +100,12 @@ def test_from_triples_rejects_conflicts_and_bad_indices():
     assert mu.c[0, 1, 2] == 1.0
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_from_triples_rejects_a_value_that_is_not_finite(value):
+    with pytest.raises(ValueError, match=r"bracket entry \(0, 1, 2, .*\): value must be finite"):
+        LieBracket.from_triples(0, 3, [(0, 1, 2, value)])
+
+
 def test_pi_identity_on_p_is_minus_mu_when_q_zero():
     out = pi_action(np.eye(3), SU2)
     assert np.allclose(out.c, -SU2.c, atol=1e-15)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -407,3 +408,45 @@ def test_cli_verify_exit_zero_and_one_line_per_criterion(capsys):
     out = capsys.readouterr().out
     for cid in criteria_ids():
         assert f"[PASS] {cid:>2}" in out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("expect_tol", "nan"), ("expect_tol", "inf"), ("expect_tol", "-1e-3"), ("expect_tol", "0"),
+     ("expect_omega", "nan"), ("expect_omega", "inf"), ("expect_alpha", "nan"), ("expect_alpha", "-inf")],
+)
+def test_load_rejects_expectation_that_cannot_be_checked(tmp_path, capsys, key, value):
+    # a NaN tolerance or singular time passes every comparison; a negative tolerance fails every run
+    scn = _write(tmp_path, "exp.scn", f"catalog = su2_round\nexpect_omega = 1.0\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=rf"exp\.scn:3: bad value for {key}"):
+        load_scenario(scn)
+    assert main(["--out", str(tmp_path), "run", str(scn)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_nan_expect_tol_no_longer_passes_a_wrong_singular_time(tmp_path):
+    scn = _write(tmp_path, "wrong.scn", "catalog = su2_round\nexpect_omega = 5.0\nexpect_tol = nan\n")
+    assert main(["--out", str(tmp_path), "run", str(scn)]) == 2
+    scn.write_text("catalog = su2_round\nhorizon = 2.0\nexpect_omega = 5.0\nexpect_tol = 1e-3\n")
+    assert main(["--out", str(tmp_path), "run", str(scn)]) == 1
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "1.5", "two"])
+def test_load_rejects_sample_stride_below_one_or_not_an_int(tmp_path, value):
+    scn = _write(tmp_path, "stride.scn", f"catalog = su2_round\nsample_stride = {value}\n")
+    with pytest.raises(ScenarioError, match=r"stride\.scn:2: bad value for sample_stride"):
+        load_scenario(scn)
+
+
+def test_load_keeps_a_valid_sample_stride(tmp_path):
+    assert load_scenario(_write(tmp_path, "ok.scn", "catalog = su2_round\nsample_stride = 7\n")).sample_stride == 7
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_load_rejects_non_finite_bracket_value_naming_entry_and_line(tmp_path, value):
+    scn = _write(tmp_path, "inf.scn", f"name = x\nq = 0\nn = 3\nbracket = (1,2,3, {value})\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any residual is computed on it
+        with pytest.raises(ScenarioError, match=r"inf\.scn:4: bracket entry \(1, 2, 3, .*\): value must be finite"):
+            load_scenario(scn)

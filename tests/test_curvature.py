@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracketflow import (
+    IntegratorOptions,
     LieBracket,
     NotInVarietyError,
     bracket_norm,
+    integrate,
     killing_form_p,
     koszul_ricci_oracle,
     mean_curvature,
@@ -16,13 +20,21 @@ from bracketflow import (
     transform_bracket,
 )
 from bracketflow.catalog import catalog_entries, get_entry
-from bracketflow.algebra import PLAN_MAX_D, _mirror_basis, _pi_tensor, _transform_tensor, _triple_plan
-from bracketflow.curvature import _rhs_table, _ricci_from_tensor, _ricci_plan
+from bracketflow.algebra import PLAN_MAX_D, _half_indices, _pi_tensor, _transform_tensor, _triple_plan
+from bracketflow.curvature import (
+    TABLE_MAX_ENTRIES,
+    _flow_table,
+    _full_support,
+    _rhs_table,
+    _ricci_from_tensor,
+    _ricci_plan,
+)
 from bracketflow.flow import _default_rhs_tensor, _to_state, _to_tensor
 
 from oracles import (
     killing_p_loops,
     mean_curvature_loops,
+    mirrored_basis_loops,
     moment_part_loops,
     pi_action_loops,
     pi_table_folded,
@@ -154,11 +166,16 @@ def _rel(got, ref):
     return np.max(np.abs(got - ref)) / scale if scale > 0 else np.max(np.abs(got))
 
 
+def _full_table(d, q):
+    # the stacked table on the whole i < j half, which `_ricci_from_tensor` applies at d <= PLAN_MAX_D
+    return _rhs_table(d, q, _full_support(d))
+
+
 def _stacked(c, q):
     # s = (table @ u).reshape(2, rows, m): the Q half and the P half applied to u
-    upper, table, rows, sym, basis = _rhs_table(c.shape[0], q)
-    u = c.ravel()[upper]
-    return (table @ u).reshape(2, rows, -1), u, sym, basis
+    t = _full_table(c.shape[0], q)
+    u = c.ravel()[t.upper]
+    return (t.stack @ u).reshape(2, t.rows, -1), u, t.sym, t.basis
 
 
 def _tabulated_ricci(c, q):
@@ -166,10 +183,31 @@ def _tabulated_ricci(c, q):
     return (s[0] @ u)[sym]
 
 
+def _live(q_half):
+    # the table's Ricci rows that are not its zero row
+    return q_half.reshape(len(q_half), q_half[0].size).any(axis=1)
+
+
+def _halves(t):
+    m = t.upper.size
+    return t.stack.reshape(2, t.rows, m, m)
+
+
 def _tabulated_rhs(a, c, q):
-    # -pi(diag(0, a)) c for a symmetric n x n matrix a: P is folded onto its upper triangle
-    s, _, _, basis = _stacked(c, q)
-    return (a[np.triu_indices(len(a))] @ s[1] @ basis).reshape(c.shape)
+    # -pi(diag(0, a)) c for a symmetric n x n matrix a: P is folded onto the
+    # rows of Ric's upper triangle, less those where Ric vanishes on every
+    # bracket (the zero row), so those entries of a count as 0
+    s, _, sym, basis = _stacked(c, q)
+    r = np.zeros(len(s[1]))
+    r[sym] = a
+    r[~_live(_halves(_full_table(c.shape[0], q))[0])] = 0.0
+    return (r @ s[1] @ basis).reshape(c.shape)
+
+
+def _dropped(d, q):
+    # entries of Ric that read the full table's zero row: 0 on every bracket
+    t = _full_table(d, q)
+    return ~_live(_halves(t)[0])[t.sym]
 
 
 @pytest.mark.parametrize("q, n", TABLE_SHAPES)
@@ -184,6 +222,7 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         assert _rel(ric, ricci_assembled_loops(c, q)) <= TABLE_RTOL
         a = rng.standard_normal((n, n))
         a = a + a.T  # symmetric, like every Ric the table is applied to
+        a[_dropped(q + n, q)] = 0.0  # (0, 1) and (0, 2): Ric is a multiple of the identity
         dc = _tabulated_rhs(a, c, q)
         abar = np.zeros((q + n,) * 2)
         abar[q:, q:] = a
@@ -193,10 +232,10 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
             # the hot paths are these products: the RHS on the whole table,
             # in the half state u it reads, Ricci alone on its Q half, with
             # the same bits
-            upper, basis = _mirror_basis(q + n)
-            du, ric_hot = _default_rhs_tensor(c.ravel()[upper], q + n, q)
+            t = _full_table(q + n, q)
+            du, ric_hot = _default_rhs_tensor(c.ravel()[t.upper], q + n, q, t)
             assert np.array_equal(ric_hot, ric)
-            assert np.array_equal((du @ basis).reshape(c.shape), _tabulated_rhs(ric, c, q))
+            assert np.array_equal((du @ t.basis).reshape(c.shape), _tabulated_rhs(ric, c, q))
             assert np.array_equal(_ricci_from_tensor(c, q), ric)
 
 
@@ -204,20 +243,30 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
 def test_stacked_table_equals_the_earlier_builders_bit_for_bit(q, n):
     # Q polarized over a <= b with the diagonal reused, P built from the
     # symmetric units: the same exact coefficients as the earlier
-    # (plus - minus) / 4 form and the folded n^2-row pi table.
+    # (plus - minus) / 4 form and the folded n^2-row pi table, on the rows
+    # of Ric that are not 0 on every bracket (all but Ric[0, 0] at (0, 1)
+    # and Ric[0, 1] at (0, 2), where Ric is a multiple of the identity), and
+    # a zero row for the rest.
     d = q + n
-    upper, table, rows, _, _ = _rhs_table(d, q)
-    q_half, p_half = table.reshape(2, rows, upper.size, upper.size)
-    assert np.array_equal(q_half, ricci_table_polarized(d, q))
-    assert np.array_equal(p_half, pi_table_folded(d, q))
+    t = _full_table(d, q)
+    assert t.grown == t.support
+    ref_q, ref_p = ricci_table_polarized(d, q), pi_table_folded(d, q)
+    live = _live(ref_q)
+    assert np.sum(~live) == (1 if (q, n) in ((0, 1), (0, 2)) else 0)
+    assert t.rows == live.sum() + (not live.all())
+    q_half, p_half = _halves(t)
+    assert np.array_equal(q_half[: live.sum()], ref_q[live])
+    assert np.array_equal(p_half[: live.sum()], ref_p[live])
+    assert not np.any(q_half[live.sum() :]) and not np.any(p_half[live.sum() :])
 
 
 @pytest.mark.parametrize("q, n", [(0, 2), (0, 3), (1, 2), (0, 4), (1, 3), (2, 2)])
 def test_tabulated_rhs_is_exactly_antisymmetric(q, n):
     c = random_bracket(q, n, np.random.default_rng(40 + n), 3.0).c
-    du, _ = _default_rhs_tensor(_to_state(c), q + n, q)
-    assert du.shape == (_mirror_basis(q + n)[0].size,)  # the half state, as the stepper holds it
-    dmu = _to_tensor(du, q + n)
+    t = _full_table(q + n, q)
+    du, _ = _default_rhs_tensor(_to_state(c, t), q + n, q, t)
+    assert du.shape == (_half_indices(q + n)[0].size,)  # the whole half: the support of a dense bracket
+    dmu = _to_tensor(du, q + n, t)
     assert np.array_equal(dmu, -dmu.transpose(1, 0, 2))
     assert not np.any(np.diagonal(dmu, axis1=0, axis2=1))
 
@@ -272,19 +321,23 @@ def test_plans_are_cached_and_read_only():
     assert left[x, d * d + i * n + j] == swap[x, d * d + i * n + j] == c[q + i, q + j, q + x]  # A3
     in_p = np.arange(d) >= q
     assert np.array_equal(w[0, 0, : d * d], -0.5 * np.outer(in_p, in_p).ravel())
-    # the stacked table and the mirrored basis it is written in
+    # the stacked table on the whole half and the mirrored basis it is written in
     d, q = 3, 1
-    upper, basis = _mirror_basis(d)
-    t_upper, table, rows, sym, t_basis = _rhs_table(d, q)
-    assert _mirror_basis(d)[1] is basis and t_upper is upper and t_basis is basis
-    assert _rhs_table(d, q)[1] is table and _rhs_table(d, q)[3] is sym
-    assert rows == 3  # n(n+1)/2 upper-triangle entries of Ric
-    assert table.shape == (2 * rows * 9, 9) and np.array_equal(sym, [[0, 1], [1, 2]])
-    for plan in (upper, basis, table, sym):
+    upper, mirror = _half_indices(d)
+    assert _half_indices(d)[0] is upper
+    t = _full_table(d, q)
+    assert _full_table(d, q) is t
+    ref_upper, ref_basis = mirrored_basis_loops(d)
+    assert np.array_equal(upper, ref_upper) and np.array_equal(t.upper, upper)
+    assert np.array_equal(t.basis, ref_basis)
+    assert np.array_equal(mirror, [np.flatnonzero(row == -1.0)[0] for row in ref_basis])
+    assert t.rows == 3  # n(n+1)/2 upper-triangle entries of Ric
+    assert t.stack.shape == (2 * t.rows * 9, 9) and np.array_equal(t.sym, [[0, 1], [1, 2]])
+    for plan in (upper, mirror, t.upper, t.basis, t.stack, t.sym):
         with pytest.raises(ValueError, match="read-only"):
             plan.flat[0] = 0
     c = random_bracket(q, d - q, np.random.default_rng(3)).c
-    assert np.array_equal(c.ravel()[upper] @ basis, c.ravel())
+    assert np.array_equal(c.ravel()[upper] @ t.basis, c.ravel())
 
 
 def test_ricci_data_invariants():
@@ -302,6 +355,100 @@ def test_ricci_rejects_non_member():
     c[1, 2, 1] += 0.1
     with pytest.raises(NotInVarietyError, match="jacobi_residual"):
         ricci_operator(LieBracket(HEIS.dims, c))
+
+
+# --- the bracket flow's table on the support of its initial bracket ---------
+
+def _gemm_rhs(c, q):
+    # the bracket flow's RHS and Ric on the flat tensor from the GEMM kernels, no table
+    d = c.shape[0]
+    abar = np.zeros((d, d))
+    abar[q:, q:] = _ricci_from_tensor(c, q, tabulated=False)
+    return -_pi_tensor(abar, c), abar[q:, q:]
+
+
+def _invertible(rng, k):
+    return np.eye(k) + 0.3 * rng.standard_normal((k, k))
+
+
+@st.composite
+def flow_brackets(draw):
+    """Seeded two-step nilpotent brackets, catalog entries, catalog entries moved by a
+    permutation or a block-diagonal g, and dense moved nilpotent brackets at d = 5."""
+    kind = draw(st.sampled_from(["nilpotent", "catalog", "permuted", "block", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "nilpotent":
+        n = draw(st.integers(5, 10))
+        return random_two_step_nilpotent(n, rng, center_dim=draw(st.integers(1, n - 2)))
+    if kind == "dense":
+        return transform_bracket(random_two_step_nilpotent(5, rng), _invertible(rng, 5))
+    mu = draw(st.sampled_from([entry.bracket for entry in catalog_entries()]))
+    q, d = mu.dims.q, mu.dims.d
+    if kind == "catalog":
+        return mu
+    if kind == "permuted":  # within k and within p
+        g = np.eye(d)[np.concatenate([rng.permutation(q), q + rng.permutation(d - q)])]
+    else:
+        split = draw(st.integers(0, d))
+        g = np.zeros((d, d))
+        g[:split, :split] = _invertible(rng, split)
+        g[split:, split:] = _invertible(rng, d - split)
+    return transform_bracket(mu, g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(flow_brackets(), st.integers(0, 2**32 - 1))
+def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
+    d, q = mu.dims.d, mu.dims.q
+    table = _flow_table(mu)
+    if table is None:  # over TABLE_MAX_ENTRIES: the flow steps on the flat tensor
+        return
+    half = _half_indices(d)[0]
+    outside = np.ones(half.size, dtype=bool)
+    outside[list(table.support)] = False
+    assert not np.any(mu.c.ravel()[half][outside])  # S holds the initial bracket
+    assert table.grown == table.support and table.stack.size <= TABLE_MAX_ENTRIES
+    # at a random point of V_S the GEMM RHS is exactly 0 outside S, and the
+    # restricted RHS and its Ric are the GEMM ones
+    u = np.random.default_rng(seed).standard_normal(len(table.support))
+    c = _to_tensor(u, d, table)
+    assert np.array_equal(c.ravel()[half][~outside], u)
+    gemm, ric = _gemm_rhs(c, q)
+    assert not np.any(gemm.ravel()[half][outside])
+    du, ric_table = _default_rhs_tensor(u, d, q, table)
+    assert _rel(_to_tensor(du, d, table), gemm) <= TABLE_RTOL
+    assert _rel(ric_table, ric) <= TABLE_RTOL
+
+
+def test_support_over_the_bound_takes_the_gemm_path():
+    # A dense moved nilpotent bracket at d = 6 fills the whole half: m' = 90
+    # and 21 Ricci rows make 340k entries.  The one-assembly size bound
+    # refuses it without a build, and the built table is indeed over.
+    rng = np.random.default_rng(4)
+    mu = transform_bracket(random_two_step_nilpotent(6, rng), _invertible(rng, 6))
+    assert _flow_table(mu) is None
+    assert _rhs_table(6, 0, _full_support(6)).stack.size == 2 * 21 * 90**2 > TABLE_MAX_ENTRIES
+    # while d = 5, 75k entries, fits
+    mu5 = transform_bracket(random_two_step_nilpotent(5, rng), _invertible(rng, 5))
+    assert _flow_table(mu5).support == _full_support(5)
+
+
+def test_support_grows_until_the_flow_cannot_leave_it():
+    # [e0, e1] = e1, [e0, e2] = 2 e1: the flow also moves c[0, 1, 2] and
+    # c[0, 2, 2], which are 0 at the start
+    mu = LieBracket.from_triples(0, 3, [(0, 1, 1, 1.0), (0, 2, 1, 2.0)])
+    table = _flow_table(mu)
+    half = _half_indices(3)[0]
+    assert [np.unravel_index(half[a], (3, 3, 3)) for a in table.support] == [
+        (0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2)
+    ]
+    assert table.grown == table.support
+    opts = IntegratorOptions(collect_dense=True)
+    traj = integrate(mu, "forward", 3.0, opts)
+    ref = integrate(mu, "forward", 3.0, opts, rhs=lambda b: LieBracket(b.dims, _gemm_rhs(b.c, 0)[0]))
+    assert traj.n_samples == ref.n_samples
+    assert np.abs(traj.checkpoints[-1].mu.c[0, 1, 2]) > 0.1  # the grown entries move
+    np.testing.assert_allclose(traj.dense(3.0), ref.dense(3.0), rtol=1e-9, atol=1e-12)
 
 
 # --- Koszul oracle ----------------------------------------------------------

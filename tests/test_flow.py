@@ -1,3 +1,4 @@
+import tracemalloc
 from collections.abc import Sequence
 from dataclasses import replace
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from bracketflow import (
     DriftError,
-    algebra,
     FlowError,
     IntegratorOptions,
     LieBracket,
@@ -27,6 +27,7 @@ from bracketflow import (
     random_two_step_nilpotent,
     ricci_operator,
     scale_bracket,
+    transform_bracket,
     type_I_diagnostic,
 )
 from bracketflow.catalog import catalog_entries, get_entry
@@ -89,13 +90,14 @@ def test_ricci_and_rhs_are_scale_covariant(mu, c):
     # Ric(c mu) = c^2 Ric(mu) and F(c mu) = c^3 F(mu), relative to |c mu|^2 and |c mu|^3
     q, d = mu.dims.q, mu.dims.d
     size = c * bracket_norm(mu)
-    # in the stepper's state layout: each state entry is a tensor entry
-    dmu, ric = flow._default_rhs_tensor(flow._to_state(mu.c), d, q)
-    dmu_c, ric_c = flow._default_rhs_tensor(flow._to_state(c * mu.c), d, q)
-    assert np.array_equal(ric_c, flow._ricci_from_tensor(c * mu.c, q))
+    # in the stepper's state layout on the flow's table, the same for mu and c mu
+    table = flow._flow_table(mu)
+    dmu, ric = flow._default_rhs_tensor(flow._to_state(mu.c, table), d, q, table)
+    dmu_c, ric_c = flow._default_rhs_tensor(flow._to_state(c * mu.c, table), d, q, table)
+    assert np.max(np.abs(ric_c - flow._ricci_from_tensor(c * mu.c, q))) <= 1e-14 * size**2
     assert np.max(np.abs(ric_c - c**2 * ric)) <= 1e-12 * size**2
     assert abs(np.trace(ric_c) - c**2 * np.trace(ric)) <= 1e-12 * size**2
-    assert np.max(np.abs(dmu_c - c**3 * dmu)) <= 1e-12 * size**3
+    assert np.max(np.abs(dmu_c - c**3 * dmu), initial=0.0) <= 1e-12 * size**3  # empty on the abelian support
 
 
 def test_velocity_bound_over_random_brackets():
@@ -620,30 +622,48 @@ def _count_ricci_and_rhs(monkeypatch, mu, direction):
 
 # RHS evaluations of each run: 6 per attempted step plus the monitor's, whatever computes Ric.
 RHS_CALLS = {("su2_round", "forward"): 4700, ("sphere2_su2", "backward"): 402}
+GEMM_RHS_CALLS = 4692  # `_dense_nilpotent(6, 0)` backward
 
 
 @pytest.mark.parametrize("name, direction", list(RHS_CALLS))
 def test_tabulated_rhs_makes_no_ricci_assembly(monkeypatch, name, direction):
-    # At d <= PLAN_MAX_D one product with the stacked table gives the
-    # derivative and Ric together, so no separate assembly runs.
+    # On the flow's stacked table one product gives the derivative and Ric
+    # together, so no separate assembly runs.
     calls = _count_ricci_and_rhs(monkeypatch, get_entry(name).bracket, direction)
     assert calls == (0, RHS_CALLS[name, direction])
 
 
 def test_no_mirror_basis_above_plan_max_d():
-    # At d >= 5 the state is the flat tensor, so nothing builds the dense
-    # (m, d^3) mirror basis (17.8 MB at d = 13).
-    algebra._mirror_basis.cache_clear()
-    mu = random_two_step_nilpotent(6, np.random.default_rng(0))
-    traj = integrate(mu, "backward", 2.0, IntegratorOptions(collect_dense=True))
-    np.testing.assert_allclose(traj.dense(traj.t[-1]), traj.checkpoints[-1].mu.c.ravel(), rtol=1e-9, atol=1e-12)
-    bracket_flow_rhs(mu)
-    estimate_report(traj)
-    assert algebra._mirror_basis.cache_info().currsize == 0
-    integrate(SU2, "forward", 0.5)  # the half state at d = 3 builds it
-    assert algebra._mirror_basis.cache_info().currsize == 1
+    # At d >= 5 nothing builds the dense (m, d^3) basis of the whole i < j
+    # half (17.8 MB at d = 13): the state, the checkpoints and the dense
+    # output of a two-step nilpotent bracket live on its support, 30 of the
+    # m = 1014 half entries at n = 13, with a (30, d^3) basis.
+    d = 13
+    mu = random_two_step_nilpotent(d, np.random.default_rng(0))
+    dense_basis_bytes = 8 * (d * d * (d - 1) // 2) * d**3
+    tracemalloc.start()
+    try:
+        traj = integrate(mu, "backward", 2.0, IntegratorOptions(collect_dense=True))
+        np.testing.assert_allclose(traj.dense(traj.t[-1]), traj.checkpoints[-1].mu.c.ravel(), rtol=1e-9, atol=1e-12)
+        bracket_flow_rhs(mu)
+        estimate_report(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.verdict.kind == "blowup"
+    assert traj.dense._basis.shape == (30, d**3)
+    assert peak < dense_basis_bytes / 2
+
+
+def _dense_nilpotent(n, seed):
+    # a two-step nilpotent bracket moved by a dense g: every entry of the half is live
+    rng = np.random.default_rng(seed)
+    return transform_bracket(random_two_step_nilpotent(n, rng), np.eye(n) + 0.3 * rng.standard_normal((n, n)))
 
 
 def test_gemm_rhs_makes_one_ricci_assembly_per_evaluation(monkeypatch):
-    mu = random_two_step_nilpotent(6, np.random.default_rng(0))
-    assert _count_ricci_and_rhs(monkeypatch, mu, "backward") == (4028, 4028)
+    # At n = 6 the whole half's table (m' = 90, 21 Ricci rows) would hold 340k
+    # entries, over TABLE_MAX_ENTRIES, so the flow steps on the GEMM kernels.
+    mu = _dense_nilpotent(6, 0)
+    assert flow._flow_table(mu) is None
+    assert _count_ricci_and_rhs(monkeypatch, mu, "backward") == (GEMM_RHS_CALLS, GEMM_RHS_CALLS)

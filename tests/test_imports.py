@@ -36,14 +36,16 @@ def test_no_import_from_a_private_module():
 
 
 def test_import_builds_no_table():
-    # The stacked Ricci and RHS table is built on first use, so importing the
-    # package (and every start-up that does) pays nothing for it.
+    # The stacked Ricci and RHS tables, the flow's support closures and the
+    # index plans they read are built on first use, so importing the package
+    # (and every start-up that does) pays nothing for them.
+    caches = ["_rhs_table", "_closed_table", "_full_support", "_half_indices", "_ricci_plan"]
     code = (
         "import bracketflow\n"
         "from bracketflow import curvature\n"
-        "print(curvature._rhs_table.cache_info().currsize)\n"
+        f"print(*[getattr(curvature, name).cache_info().currsize for name in {caches!r}])\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent, timeout=60
     )
-    assert out.stdout.split() == ["0"]
+    assert out.stdout.split() == ["0"] * len(caches)

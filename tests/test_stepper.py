@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import RK45 as ScipyRK45
 
 from bracketflow import LieBracket, bracket_flow_rhs, get_entry, random_bracket
+from bracketflow.curvature import _flow_table, _full_support, _rhs_table
 from bracketflow.flow import _default_rhs_tensor, _to_state, _to_tensor
 from bracketflow.stepper import MIN_FACTOR, DormandPrince54
 
@@ -48,19 +49,23 @@ def test_same_steps_as_scipy_on_a_linear_system(fun, rtol):
 
 
 def test_same_steps_as_scipy_on_su2_forward_in_the_half_state():
-    # scipy steps the full tensor; ours the i < j half with each entry counted twice
+    # scipy steps the full tensor; ours the flow's state, the i < j entries
+    # on SU(2)'s support (3 of the 9 in the half), each counted twice
+    table = _flow_table(SU2)
+    assert len(table.support) == 3
+
     def full(_t, y):
         return bracket_flow_rhs(LieBracket(SU2.dims, y.reshape(3, 3, 3))).c.ravel()
 
     def half(_t, u):
-        return _default_rhs_tensor(u, 3, 0)[0]
+        return _default_rhs_tensor(u, 3, 0, table)[0]
 
     t_bound = 1.0 - 1e-8  # omega = 1
-    ours = _run(DormandPrince54, half, _to_state(SU2.c), t_bound, rtol=1e-10, atol=1e-12, rms_weight=2 / 27)
+    ours = _run(DormandPrince54, half, _to_state(SU2.c, table), t_bound, rtol=1e-10, atol=1e-12, rms_weight=2 / 27)
     ref = _run(ScipyRK45, full, SU2.c.ravel().copy(), t_bound, rtol=1e-10, atol=1e-12)
     assert ours[:3] == ref[:3]
     assert ours[0] > 400
-    np.testing.assert_allclose(_to_tensor(ours[3], 3).ravel(), ref[3], rtol=1e-6, atol=0)
+    np.testing.assert_allclose(_to_tensor(ours[3], 3, table).ravel(), ref[3], rtol=1e-6, atol=0)
 
 
 def test_dense_output_equals_scipys_on_the_same_step():
@@ -139,20 +144,21 @@ def test_step_floor_is_scipys():
 def test_half_state_error_norm_equals_the_full_tensor_rms(q, n):
     d = q + n
     mu = random_bracket(q, n, np.random.default_rng(7 + d))
-    u = _to_state(mu.c)
+    table = _rhs_table(d, q, _full_support(d))
+    u = _to_state(mu.c, table)
     assert u.size == d * d * (d - 1) // 2
     for w in (u, 1e-3 * u - 2.0):
         # the full vector of the antisymmetric tensor: w, its mirror -w, zeros
-        full_w = _to_tensor(w, d).ravel()
+        full_w = _to_tensor(w, d, table).ravel()
         half = DormandPrince54(lambda _t, y: y, 0.0, w, 1.0, rms_weight=2 / d**3)
         assert half._rms(w) == pytest.approx(np.sqrt(np.mean(full_w**2)), rel=1e-15)
 
     def half(_t, y):
-        return _default_rhs_tensor(y, d, q)[0]
+        return _default_rhs_tensor(y, d, q, table)[0]
 
     def full(_t, y):
         # the same derivative on the full tensor, so every stage is the exact mirror of the half's
-        return _to_tensor(half(_t, _to_state(y.reshape(d, d, d))), d).ravel()
+        return _to_tensor(half(_t, _to_state(y.reshape(d, d, d), table)), d, table).ravel()
 
     # The step sizes read the error norm, so they are the full tensor's too.
     # The error estimate h E.K cancels about 8 digits at rtol 1e-8, so the
@@ -165,5 +171,5 @@ def test_half_state_error_norm_equals_the_full_tensor_rms(q, n):
         ours.step()
         ref.step()
         assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-8)
-    np.testing.assert_allclose(_to_tensor(ours.y, d).ravel(), ref.y, rtol=1e-9, atol=1e-15)
+    np.testing.assert_allclose(_to_tensor(ours.y, d, table).ravel(), ref.y, rtol=1e-9, atol=1e-15)
 
