@@ -38,16 +38,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-# Largest d = q + n at which `curvature._ricci_from_tensor`, the Ricci of
-# the metric flow and of `ricci_operator`, applies the Ricci half of the
-# stacked table on the whole i < j half (`curvature._rhs_table`) instead of
-# the GEMM kernel it is built from.  Those tensors are dense, and the full
-# half's table has n(n+1) m^2 ~ d^8/4 entries (m = d * d(d-1)/2): at d = 5
-# it measured no cheaper than the GEMM kernel (about 25 us per call either
-# way at q = 0 on a 2-CPU host).  The bracket flow chooses its path by the
-# size of its own support's table instead (`curvature.TABLE_MAX_ENTRIES`).
-PLAN_MAX_D = 4
-
 
 class DimensionMismatchError(ValueError):
     """Operand shapes do not match the declared (q, n) split."""
@@ -85,14 +75,6 @@ class Dimensions:
 
 
 @cache
-def _upper_mask(d: int) -> np.ndarray:
-    # (d, d, 1) read-only mask of the pairs i < j, shared by every bracket of size d
-    mask = np.triu(np.ones((d, d), dtype=bool), k=1)[:, :, None]
-    mask.setflags(write=False)
-    return mask
-
-
-@cache
 def _half_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(upper, mirror): flat indices of the i < j half of a d x d x d tensor and of its mirror.
 
@@ -108,6 +90,19 @@ def _half_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     upper.setflags(write=False)
     mirror.setflags(write=False)
     return upper, mirror
+
+
+def _from_half(u: np.ndarray, upper: np.ndarray, mirror: np.ndarray, d: int) -> np.ndarray:
+    # The (d, d, d) tensor with u at the flat indices `upper` of i < j
+    # entries, 0.0 - u at their `mirror`s (see `_half_indices`) and 0
+    # elsewhere, so exactly antisymmetric; for a stack of vectors as the
+    # columns of u, shape (m, T), the T tensors along a last axis.  As in
+    # the antisymmetrization s - s^T, a -0.0 entry mirrors to +0.0.
+    c = np.zeros((d, d, d) + u.shape[1:])
+    flat = c.reshape((d**3,) + u.shape[1:])
+    flat[upper] = u
+    flat[mirror] = 0.0 - u
+    return c
 
 
 @dataclass(frozen=True)
@@ -130,8 +125,8 @@ class LieBracket:
             raise DimensionMismatchError(
                 f"structure tensor must have shape {(d, d, d)}, got {c.shape}"
             )
-        s = np.where(_upper_mask(d), c, 0.0)
-        skew = s - s.transpose(1, 0, 2)
+        upper, mirror = _half_indices(d)
+        skew = _from_half(c.ravel()[upper], upper, mirror, d)
         skew.setflags(write=False)
         object.__setattr__(self, "c", skew)
 

@@ -8,7 +8,8 @@ Verbs:
 
 Global flags --rel-tol, --abs-tol, --blowup-threshold and --out apply where
 meaningful.  Exit codes: 0 success, 1 verdict contradicts expectations,
-2 load/validation error, 3 integrator failure.
+2 load/validation error (a bad flag, an --out that cannot be a directory, a
+scenario file that cannot be read or parsed), 3 integrator failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .catalog import catalog_entries, get_entry
 from .flow import IntegratorOptions
@@ -65,60 +67,60 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "run":
-        try:
-            scenario = load_scenario(args.scenario)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        code, written = run_scenario(scenario, args.out, opts)
-        for path in written:
-            print(path)
-        return code
-
-    if args.command == "catalog":
-        if args.catalog_command == "list":
-            for entry in catalog_entries():
-                dims = entry.bracket.dims
-                fwd, bwd = entry.expected["forward"][0], entry.expected["backward"][0]
-                print(
-                    f"{entry.name:<20} q={dims.q} n={dims.n}  R0={entry.r0:<8g} "
-                    f"forward={fwd:<9} backward={bwd:<9} cover={entry.universal_cover_note}"
-                )
-            return 0
-        try:
-            entry = get_entry(args.name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        direction = "backward" if args.backward else "forward"
-        horizon = args.horizon if args.horizon is not None else entry.default_horizon[direction]
-        if not (math.isfinite(horizon) and horizon > 0):
-            print(f"error: --horizon must be finite and positive, got {horizon}", file=sys.stderr)
-            return 2
-        expected_kind, expected_time = entry.expected[direction]
-        scenario = Scenario(
-            name=entry.name,
-            catalog_name=entry.name,
-            directions=(direction,),
-            horizon=horizon,
-            h2_note=entry.h2_note,
-            expect={direction: expected_kind},
-        )
-        if expected_time is not None:
-            if direction == "forward":
-                scenario.expect_omega = expected_time
-            else:
-                scenario.expect_alpha = expected_time
-        code, written = run_scenario(scenario, args.out, opts)
-        for path in written:
-            print(path)
-        return code
-
     if args.command == "verify":
         return verify_all(opts)
+    if args.command == "catalog" and args.catalog_command == "list":
+        for entry in catalog_entries():
+            dims = entry.bracket.dims
+            fwd, bwd = entry.expected["forward"][0], entry.expected["backward"][0]
+            print(
+                f"{entry.name:<20} q={dims.q} n={dims.n}  R0={entry.r0:<8g} "
+                f"forward={fwd:<9} backward={bwd:<9} cover={entry.universal_cover_note}"
+            )
+        return 0
 
-    return 2
+    try:
+        scenario = load_scenario(args.scenario) if args.command == "run" else _catalog_scenario(args)
+        # --out is made before any run, so that a path that cannot be a
+        # directory is a load error, not a traceback after the integration.
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: --out {args.out} is not a usable directory: {exc.strerror}", file=sys.stderr)
+        return 2
+    code, written = run_scenario(scenario, args.out, opts)
+    for path in written:
+        print(path)
+    return code
+
+
+def _catalog_scenario(args) -> Scenario:
+    """The scenario of `catalog run`; ScenarioError on an unknown entry or a bad --horizon."""
+    try:
+        entry = get_entry(args.name)
+    except KeyError as exc:
+        raise ScenarioError(exc.args[0]) from exc
+    direction = "backward" if args.backward else "forward"
+    horizon = args.horizon if args.horizon is not None else entry.default_horizon[direction]
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ScenarioError(f"--horizon must be finite and positive, got {horizon}")
+    expected_kind, expected_time = entry.expected[direction]
+    scenario = Scenario(
+        name=entry.name,
+        catalog_name=entry.name,
+        directions=(direction,),
+        horizon=horizon,
+        h2_note=entry.h2_note,
+        expect={direction: expected_kind},
+    )
+    if expected_time is not None:
+        if direction == "forward":
+            scenario.expect_omega = expected_time
+        else:
+            scenario.expect_alpha = expected_time
+    return scenario
 
 
 if __name__ == "__main__":

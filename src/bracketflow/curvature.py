@@ -13,12 +13,14 @@ algebraic formula is validated against.
 
 Both flows assemble Ric with one function, `_ricci_from_tensor`, which
 returns the matrix only: R = tr Ric and tr Ric^2 are computed where they are
-read.  Above PLAN_MAX_D, and for every table build, it is a fused GEMM
-kernel: it gathers its operands through a read-only index plan, built once
-per (q, n) by `_ricci_plan`, and makes one matrix product for M - B/2.  At
-d <= PLAN_MAX_D it applies the Ricci half of a table (below).
+read.  It applies the Ricci half of a stacked table (below) or, when that
+table is too large, the fused GEMM kernel `_ricci_gemm`, which gathers its
+operands through a read-only index plan, built once per (q, n) by
+`_ricci_plan`, and makes one matrix product for M - B/2.  Every table is
+built from the GEMM kernel.
 
-Over the m = d * d(d-1)/2 entries c[i, j, k] with i < j, Ric is a quadratic
+Over the m = d * d(d-1)/2 entries c[i, j, k] with i < j
+(`algebra._half_indices`, the one encoding of that half), Ric is a quadratic
 form and the bracket flow's RHS -pi(diag(0, Ric)) mu a bilinear form in Ric
 and the same entries.  `_rhs_table` stacks both coefficient tables, [Q; P],
 on a support S of those entries, so the whole RHS on V_S
@@ -26,15 +28,16 @@ on a support S of those entries, so the whole RHS on V_S
 contractions, and Ric alone is the Q half.  A table is built lazily, once
 per (d, q, S), by polarizing the GEMM kernel and `algebra._pi_tensor` on
 the mirrored basis E_a of S.  Its coefficients are exact, and there is no
-second Ricci or pi formula.  Two tables are used:
+second Ricci or pi formula.  One rule picks a table or the GEMM kernels for
+every caller: a table is used when it holds at most TABLE_MAX_ENTRIES
+entries, the measured crossover.  Two tables are used:
 
 * the bracket flow's (`_flow_table`): S is the support of the initial
-  bracket, grown until it is flow-invariant, and the flow steps on the
-  table when it holds at most TABLE_MAX_ENTRIES entries, the measured
-  crossover with the GEMM kernels; a two-step nilpotent bracket at n = 13
-  steps on 30 entries;
-* `_ricci_from_tensor`'s at d <= PLAN_MAX_D = 4 (every catalog entry): S is
-  the whole half, since the metric flow's pushed tensors are dense.
+  bracket, grown until it is flow-invariant; a two-step nilpotent bracket
+  at n = 13 steps on 30 entries;
+* `_ricci_from_tensor`'s (`_ricci_table`): S is the whole half, since the
+  metric flow's pushed tensors are dense; it fits for every q at d <= 5,
+  and at d = 6 only for q >= 3.
 
 All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 """
@@ -46,7 +49,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, PLAN_MAX_D, LieBracket, NotInVarietyError, _half_indices, _pi_tensor, check_conditions
+from .algebra import DEFAULT_TOL, LieBracket, NotInVarietyError, _from_half, _half_indices, _pi_tensor, check_conditions
 
 __all__ = [
     "RicciData",
@@ -85,7 +88,7 @@ class RicciData:
 
 @cache
 def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only gather plan of `_ricci_from_tensor`, shared by every tensor with this (d, q).
+    """Read-only gather plan of `_ricci_gemm`, shared by every tensor with this (d, q).
 
     Returns (idx, w).  idx has shape (2, n, d*d + n*n) and holds flat indices
     into c, block by block (x, i, j in p; j, k in g):
@@ -118,12 +121,13 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, w
 
 
-# Largest stacked table, in float64 entries, that the bracket flow steps on
-# (`_flow_table`); a support whose table is larger steps on the GEMM kernels.
-# The tabulated RHS reads the whole table once per call, while the GEMM cost
-# follows d, so the crossover is a table size.  Measured per RHS evaluation
-# (min of 7 x 2000 calls, 1 BLAS thread, 2-CPU host), tabulated against GEMM,
-# on two-step nilpotent supports (n, center) and dense moved brackets:
+# Largest stacked table, in float64 entries, that is used (`_closed_table`):
+# the bracket flow's on its support and `_ricci_from_tensor`'s on the whole
+# half.  Where the table is larger, both use the GEMM kernels.  A table
+# product reads the whole table once per call, while the GEMM cost follows
+# d, so the crossover is a table size.  Measured per RHS evaluation (min of
+# 7 x 2000 calls, 1 BLAS thread, 2-CPU host), tabulated against GEMM, on
+# two-step nilpotent supports (n, center) and dense moved brackets:
 #   (6, 3)  m' = 9,    2.1k entries:   5.8 against 27.5 us
 #   (9, 6)  m' = 18,    18k entries:  10.4 against 36.9 us
 #   dense n = 5, m' = 50, 75k:        21.1 against 27.6 us
@@ -132,6 +136,12 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 #   (10, 5) m' = 50,   155k entries:  42.4 against 42.0 us
 #   (10, 4) m' = 60,   230k entries:  62.8 against 41.2 us
 #   dense n = 6, m' = 90, 340k:      128.0 against 28.9 us
+# and per Ricci matrix alone on the whole half (min of 5 x 2000 calls), the
+# Q half of the table against the GEMM kernel:
+#   d = 5, q = 0,   75k entries:  12.8 against 16.9 us
+#   d = 5, q = 1,   50k entries:  10.3 against 17.1 us
+#   d = 5, q = 2,   30k entries:   8.1 against 16.7 us
+#   d = 6, q = 3,   97k entries:  13.5 against 17.0 us
 # 2^17 entries (1 MiB) lies between the last clear win and the break-even.
 TABLE_MAX_ENTRIES = 2**17
 
@@ -144,30 +154,25 @@ class _StackedTable:
         support: the m' positions in the i < j half (`algebra._half_indices`)
             that the state holds, sorted.
         upper: their flat tensor indices; the state of c is u = c.ravel()[upper].
+        mirror: the flat indices of their mirrors (j, i, k), where c holds -u
+            (`algebra._half_indices`).
         stack: [Q; P] as a (2 * rows * m', m') matrix, read-only.
         rows: Ricci rows in each half: the entries of Ric's upper triangle
             that are not identically 0 on V_S, plus one zero row when some
             entry is.
         sym: (n, n) index into the rows of each entry of Ric, so Ric = r[sym];
             every entry that vanishes on V_S reads the zero row.
-        basis: (m', d^3), row a +1 at upper[a] and -1 at its mirror, so the
-            tensor is u @ basis, exactly antisymmetric.
         grown: S together with every half entry that the RHS on V_S reaches;
             S is flow-invariant exactly when grown == support.
     """
 
     support: tuple
     upper: np.ndarray
+    mirror: np.ndarray
     stack: np.ndarray
     rows: int
     sym: np.ndarray
-    basis: np.ndarray
     grown: tuple
-
-
-@cache
-def _full_support(d: int) -> tuple:
-    return tuple(range(_half_indices(d)[0].size))
 
 
 @lru_cache(maxsize=32)
@@ -178,12 +183,13 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     rows, the table stacks two coefficient arrays of shape (rows, m', m'):
 
         r[k] = sum_{a,b} Q[k, a, b] u_a u_b,
-        -pi(diag(0, Ric)) c = (sum_{k,a} r[k] P[k, :, a] u_a) @ basis,
+        (-pi(diag(0, Ric)) c).ravel()[upper] = sum_{k,a} r[k] P[k, :, a] u_a,
 
     for every antisymmetric c supported on S, if S is flow-invariant.  So
     with s = (stack @ u).reshape(2, rows, m') the RHS is (r = s[0] @ u) @
     s[1], in the layout of u.  Q is the polar form of the GEMM kernel on the
-    mirrored basis E_a (a in S), Q[:, a, a] = Ric(E_a) and
+    mirrored basis E_a (a in S; +1 at upper[a], -1 at mirror[a]),
+    Q[:, a, a] = Ric(E_a) and
 
         Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a) - Ric(E_b)) / 2;
 
@@ -191,28 +197,24 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     half of -pi(diag(0, F_k)) E_a from `algebra._pi_tensor` on S, F_k the
     symmetric unit matrix of Ricci row k; its entries outside S give
     `grown`.  With +-1 basis entries and power-of-two weights every
-    coefficient is exact.  On the whole half (`_full_support(d)`) this is
-    the table `_ricci_from_tensor` applies at d <= PLAN_MAX_D.  The build
+    coefficient is exact.  On the whole half this is the table `_ricci_from_tensor` applies (`_ricci_table`).  The build
     makes m'(m'+1)/2 + m' GEMM-kernel calls and about rows * m' pi calls,
     once per support: 3, 17 and 86 ms for the supports of the default
     two-step nilpotent brackets at n = 6, 9 and 13 (m' = 9, 18 and 30), at
-    most 1 ms for a catalog entry, on a 2-CPU host.  Every array is
-    read-only.
+    most 1 ms for a catalog entry and about 43 ms for the whole half at
+    d = 5, q = 0, on a 2-CPU host.  Every array is read-only.
     """
     half, mirror = _half_indices(d)
     sel = np.array(support, dtype=np.intp)
     m, n = sel.size, d - q
     iu = np.triu_indices(n)
-    basis = np.zeros((m, d**3))
-    basis[np.arange(m), half[sel]] = 1.0
-    basis[np.arange(m), mirror[sel]] = -1.0
-    e = basis.reshape(m, d, d, d)
+    e = np.moveaxis(_from_half(np.eye(m), half[sel], mirror[sel], d), -1, 0)
     q_form = np.empty((len(iu[0]), m, m))
-    diag = [_ricci_from_tensor(e[a], q, tabulated=False)[iu] for a in range(m)]
+    diag = [_ricci_gemm(e[a], q)[iu] for a in range(m)]
     for a in range(m):
         q_form[:, a, a] = diag[a]
         for b in range(a + 1, m):
-            pair = _ricci_from_tensor(e[a] + e[b], q, tabulated=False)[iu]
+            pair = _ricci_gemm(e[a] + e[b], q)[iu]
             q_form[:, a, b] = q_form[:, b, a] = (pair - diag[a] - diag[b]) / 2
     active = np.flatnonzero(q_form.reshape(len(iu[0]), -1).any(axis=1))
     rows = active.size + (active.size < len(iu[0]))
@@ -230,14 +232,14 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
             table[1, r, :, a] = out[sel]
     sym = np.full((n, n), rows - 1, dtype=np.intp)
     sym[iu[0][active], iu[1][active]] = sym[iu[1][active], iu[0][active]] = np.arange(active.size)
-    upper, stack = half[sel], table.reshape(2 * rows * m, m)
-    for arr in (upper, stack, sym, basis):
+    upper, mirror, stack = half[sel], mirror[sel], table.reshape(2 * rows * m, m)
+    for arr in (upper, mirror, stack, sym):
         arr.setflags(write=False)
-    return _StackedTable(support, upper, stack, rows, sym, basis, tuple(np.flatnonzero(reach).tolist()))
+    return _StackedTable(support, upper, mirror, stack, rows, sym, tuple(np.flatnonzero(reach).tolist()))
 
 
 def _table_entries_at_least(d: int, q: int, support: tuple) -> int:
-    """A lower bound on the size of `_rhs_table(d, q, support)`, at the cost of one Ricci assembly.
+    """A lower bound on the size of `_rhs_table(d, q, support)`, at the cost of one GEMM-kernel call.
 
     Ric at a point of V_S with small integer entries is exact (integer
     products, power-of-two weights), so every entry of Ric that is nonzero
@@ -246,16 +248,15 @@ def _table_entries_at_least(d: int, q: int, support: tuple) -> int:
     half, mirror = _half_indices(d)
     sel = np.array(support, dtype=np.intp)
     point = np.random.default_rng(0).integers(1, 8, sel.size).astype(float)
-    c = np.zeros(d**3)
-    c[half[sel]], c[mirror[sel]] = point, -point
-    ric = _ricci_from_tensor(c.reshape(d, d, d), q, tabulated=False)
+    ric = _ricci_gemm(_from_half(point, half[sel], mirror[sel], d), q)
     return 2 * int(np.count_nonzero(ric[np.triu_indices(d - q)])) * sel.size**2
 
 
 @lru_cache(maxsize=32)
 def _closed_table(d: int, q: int, start: tuple) -> _StackedTable | None:
-    # Grow `start` to the least flow-invariant support that holds it; None
-    # as soon as its table is over TABLE_MAX_ENTRIES, since growing the
+    # The one table-or-GEMM rule, for the flow's support and the whole half
+    # alike: grow `start` to the least flow-invariant support that holds it;
+    # None as soon as its table is over TABLE_MAX_ENTRIES, since growing the
     # support only adds entries.
     support = start
     while _table_entries_at_least(d, q, support) <= TABLE_MAX_ENTRIES:
@@ -281,15 +282,34 @@ def _flow_table(mu: LieBracket) -> _StackedTable | None:
     return _closed_table(d, mu.dims.q, start)
 
 
-def _ricci_from_tensor(c: np.ndarray, q: int, tabulated: bool = True) -> np.ndarray:
+@cache
+def _ricci_table(d: int, q: int) -> _StackedTable | None:
+    # The whole half's table when TABLE_MAX_ENTRIES admits it, else None.
+    # Cached per (d, q): `_closed_table` would hash the support tuple, 1014
+    # entries at d = 13, on every metric-flow call.
+    return _closed_table(d, q, tuple(range(_half_indices(d)[0].size)))
+
+
+def _ricci_from_tensor(c: np.ndarray, q: int) -> np.ndarray:
     """Ricci matrix of the raw tensor: the metric flow's hot path, and the bracket flow's on the GEMM path.
 
-    At d <= PLAN_MAX_D it applies the Q half of the table on the whole
-    i < j half, `_rhs_table(d, q, _full_support(d))`, two matrix-vector
-    products that read the i < j half of c only.  At larger d, and with
-    `tabulated=False` (the route every table is built from), one gather
-    through `_ricci_plan` and one GEMM give the moment term, the Killing
-    form and the Gram matrix of the p-part together:
+    Where the whole half's table fits (`_ricci_table`), it applies the table's
+    Q half, two matrix-vector products that read the i < j half of c only;
+    elsewhere the GEMM kernel `_ricci_gemm`.  Both return an exactly
+    symmetric ric.
+    """
+    t = _ricci_table(c.shape[0], q)
+    if t is None:
+        return _ricci_gemm(c, q)
+    u = c.ravel()[t.upper]
+    return np.dot(np.dot(t.stack[: t.rows * u.size], u).reshape(t.rows, -1), u)[t.sym]
+
+
+def _ricci_gemm(c: np.ndarray, q: int) -> np.ndarray:
+    """Ricci matrix of the raw tensor by the fused GEMM kernel, the one every table is built from.
+
+    One gather through `_ricci_plan` and one GEMM give the moment term, the
+    Killing form and the Gram matrix of the p-part together:
 
         G = [A1 | A3] @ [-(P*A1 + A2)/2 | A3/4]^T
           = -1/2 (sum_{j,k in p} c[x,j,k] c[y,j,k] + sum_{j,k in g} c[x,j,k] c[y,k,j])
@@ -301,14 +321,8 @@ def _ricci_from_tensor(c: np.ndarray, q: int, tabulated: bool = True) -> np.ndar
     symmetrisation,
 
         Ric = S(G - adH) = M - B/2 - S(ad H|_p).
-
-    Both paths return an exactly symmetric ric.
     """
     d = c.shape[0]
-    if tabulated and d <= PLAN_MAX_D:
-        t = _rhs_table(d, q, _full_support(d))
-        u = c.ravel()[t.upper]
-        return np.dot(np.dot(t.stack[: t.rows * u.size], u).reshape(t.rows, -1), u)[t.sym]
     idx, w = _ricci_plan(d, q)
     gathered = c.ravel()[idx]
     weighted = gathered * w

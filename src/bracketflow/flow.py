@@ -18,7 +18,8 @@ entry of u twice, so it is the RMS over all d^3 tensor entries, as on the
 full tensor.  A larger support, and an `rhs=` override (which may leave S),
 step on the flat tensor with the GEMM kernels.  Only the admissibility
 check, `Trajectory.checkpoints` and the dense output rebuild the tensor
-(`_to_tensor`), through the (m', d^3) basis of S.
+(`_to_tensor`), by writing u at the support's flat indices and -u at their
+mirrors (`algebra._from_half`).
 
 The bracket flow's callback keeps per step what the stop rule, the step
 ceiling and the drift check read: the bracket norm, |dmu/dt| (its one RHS
@@ -45,19 +46,21 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import DenseOutput, OdeSolution
+from scipy.integrate import OdeSolution
 from scipy.optimize import minimize_scalar
 
 from .algebra import (
     DEFAULT_TOL,
     Dimensions,
     LieBracket,
+    _from_half,
     _pi_tensor,
     _residuals,
     bracket_norm,
     check_conditions,
 )
 from .curvature import _flow_table, _ricci_from_tensor, _StackedTable, koszul_ricci_oracle
+from .stepper import DenseStep
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 __all__ = [
@@ -236,33 +239,22 @@ class DenseSolution(OdeSolution):
     """scipy's `OdeSolution` of an integrated flow, refusing times outside its range.
 
     A scalar time gives the state; an array of m times gives the states as the
-    m columns of one array, in a single call.  With `basis`, the interpolants
-    hold the bracket flow's state u on its support (see `_to_state`) and the
-    solution is the flat tensor u @ basis, mirrored exactly.
+    m columns of one array, in a single call.  With a `table`, the
+    interpolants hold the bracket flow's state u on its support (see
+    `_to_state`) and the solution is the flat tensor of size d^3 that u
+    stands for, mirrored exactly (`_to_tensor`).
     """
 
-    def __init__(self, ts, interpolants, basis: np.ndarray | None = None):
+    def __init__(self, ts, interpolants, d: int = 0, table: _StackedTable | None = None):
         super().__init__(ts, interpolants)
-        self._basis = basis
+        self._d = d
+        self._table = table
 
     def __call__(self, t):
         if not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
             raise ValueError(f"time {t} outside the integrated range")
         y = super().__call__(t)
-        return y if self._basis is None else np.dot(self._basis.T, y)
-
-
-class _Constant(DenseOutput):
-    """Interpolant of a stationary solution: `y` at every time, one column per time for an array."""
-
-    def __init__(self, t_old: float, t: float, y: np.ndarray):
-        super().__init__(t_old, t)
-        self.y = y
-
-    def _call_impl(self, t):
-        if np.ndim(t) == 0:
-            return self.y.copy()
-        return np.repeat(self.y[:, None], len(t), axis=1)
+        return y if self._table is None else _to_tensor(y, self._d, self._table).reshape((-1,) + y.shape[1:])
 
 
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
@@ -279,8 +271,10 @@ def _to_state(c: np.ndarray, table: _StackedTable | None) -> np.ndarray:
 
 
 def _to_tensor(y: np.ndarray, d: int, table: _StackedTable | None) -> np.ndarray:
-    # The (d, d, d) tensor of a state: u @ basis mirrors the support exactly.
-    return (np.dot(y, table.basis) if table is not None else y).reshape(d, d, d)
+    # The (d, d, d) tensor of a state: u at the support's flat indices, 0.0 - u
+    # at their mirrors.  A stack of states on a support, as the columns of y,
+    # gives the tensors along a last axis.
+    return y.reshape(d, d, d) if table is None else _from_half(y, table.upper, table.mirror, d)
 
 
 def _default_rhs_tensor(
@@ -320,7 +314,9 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
     m = 33
     t = np.linspace(0.0, t_end, m)
     zeros = np.zeros(m)
-    dense = DenseSolution([0.0, t_end], [_Constant(0.0, t_end, initial.c.ravel())])
+    y = initial.c.ravel()
+    # one zero coefficient row: the step's interpolant is y at every time
+    dense = DenseSolution([0.0, t_end], [DenseStep(0.0, t_end, y, np.zeros((1, y.size)))])
     return Trajectory(
         direction=direction,
         horizon=horizon,
@@ -333,7 +329,7 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
         jacobi_residual=zeros.copy(),
         h1_residual=zeros.copy(),
         h3_residual=zeros.copy(),
-        checkpoints=_flow_checkpoints(initial.dims, t, [initial.c.ravel()] * m, None),
+        checkpoints=_flow_checkpoints(initial.dims, t, [y] * m, None),
         verdict=Verdict(kind="flat"),
         dense=dense,
     )
@@ -379,7 +375,11 @@ def integrate(
 
     dims = initial.dims
     q, d = dims.q, dims.d
-    # An override may leave the support, so it steps on the flat tensor.
+    # An override may leave the support, so it steps on the flat tensor.  So
+    # does a support over the table bound: there a half state, scattered to
+    # the tensor and gathered back around the GEMM kernels, cost 8-15% more
+    # per run on dense moved brackets (190-199 -> 213-226 ms at n = 6,
+    # 250-272 -> 289-295 ms at n = 10).
     table = _flow_table(initial) if rhs is None else None
     # Each entry of a state on a support stands for two tensor entries, c and its mirror.
     copies = 2 if table is not None else 1
@@ -474,8 +474,7 @@ def integrate(
 
     dense = None
     if opts.collect_dense:
-        basis = table.basis if table is not None else None
-        dense = DenseSolution([0.0] + [seg.t for seg in segments], segments, basis)
+        dense = DenseSolution([0.0] + [seg.t for seg in segments], segments, d, table)
     ric_rows = np.array(rics).reshape(len(rics), -1)
     return Trajectory(
         direction=direction,

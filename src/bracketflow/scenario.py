@@ -27,7 +27,8 @@ offending residual.  `validation_tol` is the one membership tolerance: it
 sets `IntegratorOptions.membership_tol`, so loading and integrating accept
 the same brackets.  Every value is checked as it is read: a bracket value
 must be finite, `sample_stride` an int >= 1, `expect_tol` finite and
-positive, `expect_omega` and `expect_alpha` finite.
+positive, `expect_omega` and `expect_alpha` finite.  A key may be given once;
+a file must be UTF-8 text.
 
 Running a scenario writes, per direction, a CSV trajectory table with
 header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
@@ -140,16 +141,21 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
     Raises:
-        ScenarioError: with the offending line number on parse errors, or
-            naming the failed admissibility condition and its residual when
-            an inline bracket is rejected.
+        ScenarioError: when the file cannot be read as UTF-8 text, with the
+            offending line number on parse errors (a key given twice names
+            both lines), or naming the failed admissibility condition and its
+            residual when an inline bracket is rejected.
     """
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"{path}: no such file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: cannot read as UTF-8 text: {exc}") from exc
     sc = Scenario(name=path.stem)
     raw: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -158,6 +164,8 @@ def load_scenario(path) -> Scenario:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if not key or not value:
             raise ScenarioError(f"{path}:{lineno}: empty key or value")
+        if key in raw:
+            raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}, first given on line {raw[key][1]}")
         raw[key] = (value, lineno)
 
     def take(key, conv, default=None):

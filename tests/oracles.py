@@ -4,7 +4,8 @@ Everything here is written as plain Python loops over basis vectors,
 deliberately sharing no code with the package's vectorized paths.  The two
 table builders are the exception: they are the loops an earlier version
 built its Ricci and pi tables with from the package's GEMM kernels, kept so
-that the stacked table can be checked against them bit for bit.
+that the stacked table can be checked against them bit for bit.  So is
+`antisymmetrized_by_mask`, the earlier construction of a bracket's tensor.
 """
 
 from __future__ import annotations
@@ -175,6 +176,14 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
     return gap
 
 
+def antisymmetrized_by_mask(c: np.ndarray) -> np.ndarray:
+    """The tensor `LieBracket` made from c by the earlier mask form: s = c on the pairs i < j
+    and 0 elsewhere, then s - s^T in the first two slots (so a -0.0 entry mirrors to +0.0)."""
+    d = c.shape[0]
+    s = np.where(np.triu(np.ones((d, d), dtype=bool), k=1)[:, :, None], c, 0.0)
+    return s - s.transpose(1, 0, 2)
+
+
 def mirrored_basis_loops(d: int) -> tuple[np.ndarray, np.ndarray]:
     """(upper, basis) by loops: the flat indices of the entries (i, j, k) with i < j in C order,
     and row a of the (m, d^3) basis +1 at upper[a] and -1 at its mirror (j, i, k)."""
@@ -196,7 +205,7 @@ def ricci_table_polarized(d: int, q: int) -> np.ndarray:
     of mirrored basis tensors, read off the GEMM kernel at the rows =
     n(n+1)/2 upper-triangle entries of Ric.
     """
-    from bracketflow.curvature import _ricci_from_tensor
+    from bracketflow.curvature import _ricci_gemm
 
     upper, basis = mirrored_basis_loops(d)
     m = upper.size
@@ -205,8 +214,8 @@ def ricci_table_polarized(d: int, q: int) -> np.ndarray:
     table = np.empty((len(iu[0]), m, m))
     for a in range(m):
         for b in range(m):
-            plus = _ricci_from_tensor(e[a] + e[b], q, tabulated=False)
-            minus = _ricci_from_tensor(e[a] - e[b], q, tabulated=False)
+            plus = _ricci_gemm(e[a] + e[b], q)
+            minus = _ricci_gemm(e[a] - e[b], q)
             table[:, a, b] = ((plus - minus) / 4)[iu]
     return table
 

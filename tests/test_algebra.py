@@ -14,10 +14,10 @@ from bracketflow import (
     scale_bracket,
     transform_bracket,
 )
-from bracketflow.algebra import _residuals, _upper_mask
+from bracketflow.algebra import _residuals
 from bracketflow.catalog import get_entry
 
-from oracles import jacobi_max_loops, jacobiator_loops, norm_loops, pi_action_loops, transform_loops
+from oracles import antisymmetrized_by_mask, jacobi_max_loops, jacobiator_loops, norm_loops, pi_action_loops, transform_loops
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
@@ -72,13 +72,19 @@ def test_construction_matches_mirror_loop_on_dense_input(d):
     assert np.array_equal(mu.c, want)
 
 
-def test_upper_mask_is_cached_and_read_only():
-    mask = _upper_mask(4)
-    assert mask is _upper_mask(4)
-    assert not mask.flags.writeable
-    with pytest.raises(ValueError):
-        mask[0, 0, 0] = True
-    assert np.array_equal(mask[:, :, 0], np.triu(np.ones((4, 4), dtype=bool), k=1))
+def test_construction_is_bit_identical_to_the_mask_form():
+    # The mirror is written through `_half_indices` as 0.0 - u; the earlier
+    # mask form s - s^T gives the same bits, signed zeros included.
+    for d in (1, 3, 6):
+        c = np.random.default_rng(20 + d).standard_normal((d, d, d))
+        c[np.random.default_rng(d).random((d, d, d)) < 0.3] = -0.0
+        c.ravel()[::5] = 0.0
+        mu = LieBracket(Dimensions(0, d), c)
+        ref = antisymmetrized_by_mask(c)
+        if d > 1:
+            assert np.any(np.signbit(ref) & (ref == 0))  # the case is live
+        assert mu.c.tobytes() == ref.tobytes()
+        assert not mu.c.flags.writeable
 
 
 def test_from_triples_one_indexed_and_reversed_pairs():

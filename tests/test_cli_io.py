@@ -417,7 +417,8 @@ def test_cli_verify_exit_zero_and_one_line_per_criterion(capsys):
 )
 def test_load_rejects_expectation_that_cannot_be_checked(tmp_path, capsys, key, value):
     # a NaN tolerance or singular time passes every comparison; a negative tolerance fails every run
-    scn = _write(tmp_path, "exp.scn", f"catalog = su2_round\nexpect_omega = 1.0\n{key} = {value}\n")
+    other = "expect_alpha" if key == "expect_omega" else "expect_omega"  # a key may be given once
+    scn = _write(tmp_path, "exp.scn", f"catalog = su2_round\n{other} = 1.0\n{key} = {value}\n")
     with pytest.raises(ScenarioError, match=rf"exp\.scn:3: bad value for {key}"):
         load_scenario(scn)
     assert main(["--out", str(tmp_path), "run", str(scn)]) == 2
@@ -450,3 +451,47 @@ def test_load_rejects_non_finite_bracket_value_naming_entry_and_line(tmp_path, v
         warnings.simplefilter("error")  # refused before any residual is computed on it
         with pytest.raises(ScenarioError, match=r"inf\.scn:4: bracket entry \(1, 2, 3, .*\): value must be finite"):
             load_scenario(scn)
+
+
+def test_load_rejects_a_key_given_twice_naming_both_lines(tmp_path):
+    # the last value used to win without a word: this file ran to 0.5 and
+    # exited 1 with "expected blowup"
+    text = "catalog = su2_round\nexpect_forward = blowup\nhorizon = 2.0\nhorizon = 0.5\n"
+    path = _write(tmp_path, "dup.scn", text)
+    with pytest.raises(ScenarioError, match=r"dup\.scn:4: duplicate key 'horizon', first given on line 3"):
+        load_scenario(path)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(path)]) == 2
+    assert not out.exists()
+
+
+def _single_error_line(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err
+
+
+def test_cli_out_naming_a_file_exits_2_before_any_run(tmp_path, capsys):
+    taken = _write(tmp_path, "taken", "")
+    assert main(["--out", str(taken), "catalog", "run", "su2_round"]) == 2
+    _single_error_line(capsys, "--out", str(taken))
+    assert main(["--out", str(taken / "sub"), "catalog", "run", "su2_round"]) == 2
+    _single_error_line(capsys, "--out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_cli_run_on_a_directory_exits_2(tmp_path, capsys):
+    assert main(["--out", str(tmp_path / "out"), "run", str(tmp_path)]) == 2
+    _single_error_line(capsys, str(tmp_path), "Is a directory")
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load_scenario(tmp_path)
+
+
+def test_cli_run_on_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes("catalog = su2_round\nname = café\n".encode("latin-1"))
+    assert main(["--out", str(tmp_path / "out"), "run", str(path)]) == 2
+    _single_error_line(capsys, "latin1.scn", "UTF-8")
+    with pytest.raises(ScenarioError, match="cannot read as UTF-8 text"):
+        load_scenario(path)

@@ -19,15 +19,18 @@ from bracketflow import (
     scale_bracket,
     transform_bracket,
 )
+from bracketflow import curvature
 from bracketflow.catalog import catalog_entries, get_entry
-from bracketflow.algebra import PLAN_MAX_D, _half_indices, _pi_tensor, _transform_tensor, _triple_plan
+from bracketflow.algebra import _half_indices, _pi_tensor, _transform_tensor, _triple_plan
 from bracketflow.curvature import (
     TABLE_MAX_ENTRIES,
+    _closed_table,
     _flow_table,
-    _full_support,
     _rhs_table,
     _ricci_from_tensor,
+    _ricci_gemm,
     _ricci_plan,
+    _ricci_table,
 )
 from bracketflow.flow import _default_rhs_tensor, _to_state, _to_tensor
 
@@ -153,11 +156,10 @@ def test_fused_kernel_matches_assembled_loops(q, n):
     assert rd.ric_sq_trace == pytest.approx(np.sum(ref * ref), rel=1e-12)
 
 
-# --- tabulated forms (d <= PLAN_MAX_D) --------------------------------------
+# --- tabulated forms ----------------------------------------------------------
 
-# Every (q, n) with d <= PLAN_MAX_D, and two at d = 5, where the hot path
-# keeps the GEMM kernels but the tables must still be right.
-TABLE_SHAPES = [(q, d - q) for d in range(1, PLAN_MAX_D + 1) for q in range(d)] + [(0, 5), (2, 3)]
+# Every (q, n) with d <= 4 (every catalog shape), and two at d = 5.
+TABLE_SHAPES = [(q, d - q) for d in range(1, 5) for q in range(d)] + [(0, 5), (2, 3)]
 TABLE_RTOL = 1e-14
 
 
@@ -166,20 +168,24 @@ def _rel(got, ref):
     return np.max(np.abs(got - ref)) / scale if scale > 0 else np.max(np.abs(got))
 
 
+def _whole_half(d):
+    return tuple(range(_half_indices(d)[0].size))
+
+
 def _full_table(d, q):
-    # the stacked table on the whole i < j half, which `_ricci_from_tensor` applies at d <= PLAN_MAX_D
-    return _rhs_table(d, q, _full_support(d))
+    # the stacked table on the whole i < j half, which `_ricci_from_tensor` applies where it fits
+    return _rhs_table(d, q, _whole_half(d))
 
 
 def _stacked(c, q):
     # s = (table @ u).reshape(2, rows, m): the Q half and the P half applied to u
     t = _full_table(c.shape[0], q)
     u = c.ravel()[t.upper]
-    return (t.stack @ u).reshape(2, t.rows, -1), u, t.sym, t.basis
+    return (t.stack @ u).reshape(2, t.rows, -1), u, t.sym
 
 
 def _tabulated_ricci(c, q):
-    s, u, sym, _ = _stacked(c, q)
+    s, u, sym = _stacked(c, q)
     return (s[0] @ u)[sym]
 
 
@@ -196,12 +202,13 @@ def _halves(t):
 def _tabulated_rhs(a, c, q):
     # -pi(diag(0, a)) c for a symmetric n x n matrix a: P is folded onto the
     # rows of Ric's upper triangle, less those where Ric vanishes on every
-    # bracket (the zero row), so those entries of a count as 0
-    s, _, sym, basis = _stacked(c, q)
+    # bracket (the zero row), so those entries of a count as 0; the half is
+    # mirrored by the loop-built basis
+    s, _, sym = _stacked(c, q)
     r = np.zeros(len(s[1]))
     r[sym] = a
     r[~_live(_halves(_full_table(c.shape[0], q))[0])] = 0.0
-    return (r @ s[1] @ basis).reshape(c.shape)
+    return (r @ s[1] @ mirrored_basis_loops(c.shape[0])[1]).reshape(c.shape)
 
 
 def _dropped(d, q):
@@ -218,7 +225,7 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         c = random_bracket(q, n, rng, scale).c
         ric = _tabulated_ricci(c, q)
         assert np.array_equal(ric, ric.T)
-        assert _rel(ric, _ricci_from_tensor(c, q, tabulated=False)) <= TABLE_RTOL
+        assert _rel(ric, _ricci_gemm(c, q)) <= TABLE_RTOL
         assert _rel(ric, ricci_assembled_loops(c, q)) <= TABLE_RTOL
         a = rng.standard_normal((n, n))
         a = a + a.T  # symmetric, like every Ric the table is applied to
@@ -228,18 +235,17 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         abar[q:, q:] = a
         assert _rel(dc, -_pi_tensor(abar, c)) <= TABLE_RTOL
         assert _rel(dc, -pi_action_loops(a, c, q)) <= TABLE_RTOL
-        if q + n <= PLAN_MAX_D:
-            # the hot paths are these products: the RHS on the whole table,
-            # in the half state u it reads, Ricci alone on its Q half, with
-            # the same bits
-            t = _full_table(q + n, q)
-            du, ric_hot = _default_rhs_tensor(c.ravel()[t.upper], q + n, q, t)
-            assert np.array_equal(ric_hot, ric)
-            assert np.array_equal((du @ t.basis).reshape(c.shape), _tabulated_rhs(ric, c, q))
-            assert np.array_equal(_ricci_from_tensor(c, q), ric)
+        # the hot paths are these products: the RHS on the whole table, in
+        # the half state u it reads, Ricci alone on its Q half, with the
+        # same bits
+        t = _full_table(q + n, q)
+        du, ric_hot = _default_rhs_tensor(c.ravel()[t.upper], q + n, q, t)
+        assert np.array_equal(ric_hot, ric)
+        assert np.array_equal(_to_tensor(du, q + n, t), _tabulated_rhs(ric, c, q))
+        assert np.array_equal(_ricci_from_tensor(c, q), ric)
 
 
-@pytest.mark.parametrize("q, n", [(q, n) for q, n in TABLE_SHAPES if q + n <= PLAN_MAX_D])
+@pytest.mark.parametrize("q, n", [(q, n) for q, n in TABLE_SHAPES if q + n <= 4])
 def test_stacked_table_equals_the_earlier_builders_bit_for_bit(q, n):
     # Q polarized over a <= b with the diagonal reused, P built from the
     # symmetric units: the same exact coefficients as the earlier
@@ -273,8 +279,67 @@ def test_tabulated_rhs_is_exactly_antisymmetric(q, n):
 
 @pytest.mark.parametrize(
     "mu",
-    [SU2, get_entry("nilpotent4").bracket, random_bracket(0, 5, np.random.default_rng(5))],
-    ids=["su2_round", "nilpotent4", "random_d5_gemm_path"],
+    [
+        random_two_step_nilpotent(6, np.random.default_rng(6)),
+        random_two_step_nilpotent(9, np.random.default_rng(9), center_dim=4),
+        random_bracket(1, 3, np.random.default_rng(4)),
+        random_bracket(0, 5, np.random.default_rng(5)),
+    ],
+    ids=["nilpotent6", "nilpotent9", "random_q1_d4", "random_d5"],
+)
+def test_index_rebuild_equals_the_loop_basis_product(mu):
+    # `_to_tensor` writes u at the support's flat indices and -u at their
+    # mirrors: the tensor u times the loop-built basis rows of the support,
+    # for one state and for a stack of states as columns
+    d = mu.dims.d
+    table = _flow_table(mu)
+    basis = mirrored_basis_loops(d)[1][list(table.support)]
+    u = _to_state(mu.c, table)
+    assert np.array_equal(_to_tensor(u, d, table).ravel(), u @ basis)
+    assert np.array_equal(_to_tensor(u, d, table), mu.c)
+    stack = np.random.default_rng(d).standard_normal((u.size, 4))
+    assert np.array_equal(_to_tensor(stack, d, table).reshape(d**3, 4), basis.T @ stack)
+
+
+# The whole half's table (m = 50, 75k entries at q = 0) fits at d = 5, and at
+# d = 6 with q = 3 (97k); at d = 6, q = 0 it would hold 340k entries.
+RICCI_DISPATCH = [(0, 5, True), (1, 4, True), (2, 3, True), (3, 3, True), (0, 6, False)]
+
+
+@pytest.mark.parametrize("q, n, tabulated", RICCI_DISPATCH)
+def test_ricci_applies_the_whole_half_table_exactly_when_the_rule_admits_it(monkeypatch, q, n, tabulated):
+    d = q + n
+    table = _closed_table(d, q, _whole_half(d))
+    assert (table is not None) == tabulated
+    assert _ricci_table(d, q) is table
+    c = random_bracket(q, n, np.random.default_rng(60 + 10 * q + n)).c
+    gemm = _ricci_gemm(c, q)
+    calls = []
+
+    def counted(c, q, _gemm=_ricci_gemm):
+        calls.append(1)
+        return _gemm(c, q)
+
+    monkeypatch.setattr(curvature, "_ricci_gemm", counted)
+    ric = _ricci_from_tensor(c, q)
+    assert len(calls) == (0 if tabulated else 1)
+    assert np.array_equal(ric, ric.T)
+    if tabulated:
+        assert table.stack.size <= TABLE_MAX_ENTRIES
+        assert _rel(ric, gemm) <= TABLE_RTOL
+    else:
+        assert np.array_equal(ric, gemm)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        SU2,
+        get_entry("nilpotent4").bracket,
+        random_bracket(0, 5, np.random.default_rng(5)),
+        random_bracket(0, 6, np.random.default_rng(6)),
+    ],
+    ids=["su2_round", "nilpotent4", "random_d5", "random_d6_gemm_path"],
 )
 def test_nearly_antisymmetric_tensor_gives_the_ricci_of_its_mirror(mu):
     # The metric flow's pushed tensor L.mu is antisymmetric up to rounding only.
@@ -286,7 +351,7 @@ def test_nearly_antisymmetric_tensor_gives_the_ricci_of_its_mirror(mu):
     ric = _ricci_from_tensor(pushed, 0)
     ref = _ricci_from_tensor(mirror, 0)
     assert _rel(ric, ref) <= TABLE_RTOL
-    if d <= PLAN_MAX_D:  # the table reads the i < j half, which the mirror keeps
+    if _ricci_table(d, 0) is not None:  # the table reads the i < j half, which the mirror keeps
         assert np.array_equal(ric, ref)
 
 
@@ -321,23 +386,23 @@ def test_plans_are_cached_and_read_only():
     assert left[x, d * d + i * n + j] == swap[x, d * d + i * n + j] == c[q + i, q + j, q + x]  # A3
     in_p = np.arange(d) >= q
     assert np.array_equal(w[0, 0, : d * d], -0.5 * np.outer(in_p, in_p).ravel())
-    # the stacked table on the whole half and the mirrored basis it is written in
+    # the stacked table on the whole half and the i < j half it is written in
     d, q = 3, 1
     upper, mirror = _half_indices(d)
     assert _half_indices(d)[0] is upper
     t = _full_table(d, q)
-    assert _full_table(d, q) is t
+    assert _full_table(d, q) is t and _ricci_table(d, q) is t
     ref_upper, ref_basis = mirrored_basis_loops(d)
     assert np.array_equal(upper, ref_upper) and np.array_equal(t.upper, upper)
-    assert np.array_equal(t.basis, ref_basis)
     assert np.array_equal(mirror, [np.flatnonzero(row == -1.0)[0] for row in ref_basis])
+    assert np.array_equal(t.mirror, mirror)
     assert t.rows == 3  # n(n+1)/2 upper-triangle entries of Ric
     assert t.stack.shape == (2 * t.rows * 9, 9) and np.array_equal(t.sym, [[0, 1], [1, 2]])
-    for plan in (upper, mirror, t.upper, t.basis, t.stack, t.sym):
+    for plan in (upper, mirror, t.upper, t.mirror, t.stack, t.sym):
         with pytest.raises(ValueError, match="read-only"):
             plan.flat[0] = 0
     c = random_bracket(q, d - q, np.random.default_rng(3)).c
-    assert np.array_equal(c.ravel()[upper] @ t.basis, c.ravel())
+    assert np.array_equal(_to_tensor(c.ravel()[upper], d, t), c)
 
 
 def test_ricci_data_invariants():
@@ -363,7 +428,7 @@ def _gemm_rhs(c, q):
     # the bracket flow's RHS and Ric on the flat tensor from the GEMM kernels, no table
     d = c.shape[0]
     abar = np.zeros((d, d))
-    abar[q:, q:] = _ricci_from_tensor(c, q, tabulated=False)
+    abar[q:, q:] = _ricci_gemm(c, q)
     return -_pi_tensor(abar, c), abar[q:, q:]
 
 
@@ -427,10 +492,10 @@ def test_support_over_the_bound_takes_the_gemm_path():
     rng = np.random.default_rng(4)
     mu = transform_bracket(random_two_step_nilpotent(6, rng), _invertible(rng, 6))
     assert _flow_table(mu) is None
-    assert _rhs_table(6, 0, _full_support(6)).stack.size == 2 * 21 * 90**2 > TABLE_MAX_ENTRIES
+    assert _rhs_table(6, 0, _whole_half(6)).stack.size == 2 * 21 * 90**2 > TABLE_MAX_ENTRIES
     # while d = 5, 75k entries, fits
     mu5 = transform_bracket(random_two_step_nilpotent(5, rng), _invertible(rng, 5))
-    assert _flow_table(mu5).support == _full_support(5)
+    assert _flow_table(mu5).support == _whole_half(5)
 
 
 def test_support_grows_until_the_flow_cannot_leave_it():

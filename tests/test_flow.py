@@ -587,10 +587,18 @@ def test_dense_vector_call_range_checked(bad):
 
 
 def test_dense_output_flat_covers_horizon():
-    traj = integrate(FLAT, "forward", 5.0)
-    assert np.all(traj.dense(3.7) == 0.0)
-    with pytest.raises(ValueError, match="outside"):
-        traj.dense(6.0)
+    # the stationary solution at every time: a fresh state per scalar time,
+    # one column per time for an array, over the whole range only
+    for sign, direction in ((1.0, "forward"), (-1.0, "backward")):
+        traj = integrate(FLAT, direction, 5.0)
+        state = traj.dense(sign * 3.7)
+        assert state.shape == (27,) and np.all(state == 0.0)
+        state[0] = 1.0
+        assert traj.dense(sign * 3.7)[0] == 0.0
+        t = sign * np.array([0.0, 5.0, 1.25, 1.25])
+        assert np.array_equal(traj.dense(t), np.zeros((27, 4)))
+        with pytest.raises(ValueError, match="outside"):
+            traj.dense(sign * 6.0)
 
 
 # --- mutation sensitivity ----------------------------------------------------
@@ -633,11 +641,11 @@ def test_tabulated_rhs_makes_no_ricci_assembly(monkeypatch, name, direction):
     assert calls == (0, RHS_CALLS[name, direction])
 
 
-def test_no_mirror_basis_above_plan_max_d():
-    # At d >= 5 nothing builds the dense (m, d^3) basis of the whole i < j
-    # half (17.8 MB at d = 13): the state, the checkpoints and the dense
-    # output of a two-step nilpotent bracket live on its support, 30 of the
-    # m = 1014 half entries at n = 13, with a (30, d^3) basis.
+def test_a_nilpotent_run_at_n13_stays_on_its_support():
+    # Nothing builds a dense (m, d^3) basis of the whole i < j half (17.8 MB
+    # at d = 13): the state, the checkpoints and the dense output of a
+    # two-step nilpotent bracket live on its support, 30 of the m = 1014
+    # half entries at n = 13, and the tensor is rebuilt by index.
     d = 13
     mu = random_two_step_nilpotent(d, np.random.default_rng(0))
     dense_basis_bytes = 8 * (d * d * (d - 1) // 2) * d**3
@@ -651,7 +659,8 @@ def test_no_mirror_basis_above_plan_max_d():
     finally:
         tracemalloc.stop()
     assert traj.verdict.kind == "blowup"
-    assert traj.dense._basis.shape == (30, d**3)
+    assert traj.dense._table.upper.shape == traj.dense._table.mirror.shape == (30,)
+    assert traj.checkpoints._states[-1].shape == (30,)
     assert peak < dense_basis_bytes / 2
 
 

@@ -39,7 +39,7 @@ def test_import_builds_no_table():
     # The stacked Ricci and RHS tables, the flow's support closures and the
     # index plans they read are built on first use, so importing the package
     # (and every start-up that does) pays nothing for them.
-    caches = ["_rhs_table", "_closed_table", "_full_support", "_half_indices", "_ricci_plan"]
+    caches = ["_rhs_table", "_closed_table", "_ricci_table", "_half_indices", "_ricci_plan"]
     code = (
         "import bracketflow\n"
         "from bracketflow import curvature\n"
