@@ -6,10 +6,10 @@ Verbs:
     catalog run <name> [--backward] [--horizon T]
     verify                               run the acceptance suite
 
-Global flags --rel-tol, --abs-tol, --blowup-threshold and --out apply where
-meaningful.  Exit codes: 0 success, 1 verdict contradicts expectations,
-2 load/validation error (a bad flag, an --out that cannot be a directory, a
-scenario file that cannot be read or parsed), 3 integrator failure.
+Global flags --rel-tol, --abs-tol and --out apply where meaningful.  Exit
+codes: 0 success, 1 verdict contradicts expectations, 2 load/validation
+error (a bad flag, an --out that cannot be a directory, a scenario file that
+cannot be read or parsed), 3 integrator failure.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--rel-tol", type=float, default=None, help="integrator relative tolerance")
     parser.add_argument("--abs-tol", type=float, default=None, help="integrator absolute tolerance")
-    parser.add_argument(
-        "--blowup-threshold", type=float, default=None, help="bracket-norm threshold for the singularity verdict"
-    )
     parser.add_argument("--out", default=".", help="output directory for CSV and report files")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -55,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _base_options(args) -> IntegratorOptions:
-    flags = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol, "blowup_threshold": args.blowup_threshold}
+    flags = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
     return replace(IntegratorOptions(), **{k: v for k, v in flags.items() if v is not None})
 
 

@@ -21,22 +21,25 @@ check, `Trajectory.checkpoints` and the dense output rebuild the tensor
 (`_to_tensor`), by writing u at the support's flat indices and -u at their
 mirrors (`algebra._from_half`).
 
-The bracket flow's callback keeps per step what the stop rule, the step
-ceiling and the drift check read: the bracket norm, |dmu/dt| (its one RHS
-evaluation per step) and the admissibility residuals off the raw tensor
-(`algebra._residuals`), so it builds no LieBracket.  It also keeps the
-Ricci matrix that RHS evaluation was built from; R and tr Ric^2 are read
-off the stacked matrices once, at the end.  The states stay raw arrays;
-`Trajectory.checkpoints` wraps them as FlowStates only when read.
+The bracket flow's callback keeps per step what the stop rule and the drift
+check read: the bracket norm, |dmu/dt| (its one RHS evaluation per step),
+the admissibility residuals off the raw tensor (`algebra._residuals`), so it
+builds no LieBracket, and the Ricci matrix that RHS evaluation was built
+from; R and tr Ric^2 are read off the stacked matrices once, at the end.
+The states stay raw arrays; `Trajectory.checkpoints` wraps them as
+FlowStates only when read.
 
-A finite-time singularity is declared only when two conditions hold at once:
-the bracket norm exceeds a threshold, and the rigorous remaining-lifetime
-bound (1/C)|mu|^-2 -- obtained by comparison from d/dt |mu|^2 <= C |mu|^4
-with C measured along the trajectory -- drops below the reporting
-resolution.  The singular time is then estimated by fitting a power law
-|mu(t)| ~ K (omega - t)^e to the trajectory tail, and reported together with
-the one-sided rigorous bound.  Both directions step in physical time: a
-backward run hands the stepper the end time -horizon.
+The stop rule is scale free.  Along the flow dR/dt = 2 tr Ric^2 >=
+(2/n) R^2, so once R has the sign of the time direction (R > 0 forward,
+R < 0 backward) the singularity comes within n / (2|R|), and R blows up at
+every finite singular time.  A finite-time singularity is declared when
+that bound falls below `STOP_REL` |t|; a run that reaches the horizon is
+immortal.  The singular time is then estimated by fitting a power law
+|mu(t)| ~ K (omega - t)^e to the trajectory tail, and enclosed by two
+rigorous one-sided bounds: the near one from d/dt |mu|^2 <= 2 C |mu|^4, with
+C the largest |dmu/dt| / |mu|^3 measured along the trajectory, and the far
+one, n / (2|R|) past the last sample.  Both directions step in physical
+time: a backward run hands the stepper the end time -horizon.
 """
 
 from __future__ import annotations
@@ -82,6 +85,17 @@ __all__ = [
     "DenseSolution",
 ]
 
+# A run stops with a blowup once R has the sign of the time direction and
+# the comparison bound n / (2|R|) on the time left is below STOP_REL |t|.
+# Measured: the seed-0 n = 13 two-step nilpotent brackets run backward have
+# n / (2|R|) of about 39 (omega - t) near the end, so at 1e-12 the stop
+# point lies under the step floor and all three raise StiffnessError.  At
+# 1e-10 every run passes, but the RHS calls of the benchmark's catalog and
+# nilpotent workloads rise (31682 -> 33348 and 42326 -> 44489 against the
+# earlier norm-threshold rule); at 1e-9 they fall (to 30527 and 41479).
+# heisenberg3 backward stops at R = -4.59e9; 1e-8 would stop it at -4.5e8,
+# short of acceptance criterion C2's R < -1e9.
+STOP_REL = 1e-9
 # The fewest tail samples a singular-time fit accepts.
 MIN_TAIL_SAMPLES = 10
 # Tail diagnostics skip the samples with |omega_est - t| below this fraction
@@ -105,14 +119,10 @@ class DriftError(FlowError):
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Knobs for `integrate` and the singularity verdict.
+    """Knobs for `integrate`: tolerances, the step budget and dense output.
 
-    step_cap bounds each step by step_cap * |mu| / |dmu/dt|, the measured
-    relative-change timescale of the flow (at most step_cap / (C |mu|^2) by
-    the cubic velocity bound), which keeps single steps from jumping across
-    a singularity.  blowup_threshold and time_resolution together form the
-    verdict: a threshold alone is not evidence of blowup, the remaining-time
-    bound makes it quantitative.  Construction raises ValueError unless every
+    None of them sets the singularity verdict, whose stop rule is scale free
+    (see `STOP_REL`).  Construction raises ValueError unless every
     float field is a finite positive number, max_steps an int >= 1 and
     collect_dense a bool; a bool in a numeric field is refused, not read as
     0 or 1.
@@ -120,9 +130,6 @@ class IntegratorOptions:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    blowup_threshold: float = 1e6
-    time_resolution: float = 1e-12
-    step_cap: float = 0.5
     drift_tol: float = 1e-6
     membership_tol: float = DEFAULT_TOL
     max_steps: int = 200_000
@@ -155,12 +162,14 @@ class FlowState:
 class Verdict:
     """Outcome of an integration.
 
-    kind is 'immortal' (reached the horizon), 'blowup' (both singularity
-    criteria met) or 'flat' (the zero bracket, an exact fixed point).  For a
-    blowup, omega_est and its regression standard error come from the
-    power-law fit (non-rigorous), while rigorous_bound is the one-sided
-    comparison bound the singular time provably cannot precede (forward) or
-    follow (backward).
+    kind is 'immortal' (reached the horizon), 'blowup' (the stop rule of
+    `integrate` fired) or 'flat' (the zero bracket, an exact fixed point).
+    For a blowup, omega_est and its regression standard error come from the
+    power-law fit (non-rigorous).  The two comparison bounds enclose the
+    singular time: rigorous_bound is the time it provably cannot precede
+    (forward) or follow (backward), from d/dt |mu|^2 <= 2 C |mu|^4, and
+    far_bound = t_stop +- n / (2|R(t_stop)|) the time it provably cannot
+    follow (forward) or precede (backward), from dR/dt >= (2/n) R^2.
     """
 
     kind: str
@@ -169,6 +178,7 @@ class Verdict:
     exponent: float | None = None
     exponent_stderr: float | None = None
     rigorous_bound: float | None = None
+    far_bound: float | None = None
 
 
 class _Checkpoints(Sequence):
@@ -361,7 +371,7 @@ def integrate(
             positive.
         NotInVarietyError: the initial bracket fails admissibility at
             `opts.membership_tol`.
-        StiffnessError: step size underflowed without blowup evidence.
+        StiffnessError: step size underflowed before the stop rule fired.
         DriftError: admissibility residuals exceeded `opts.drift_tol`.
         FlowError: the step budget was exhausted, or a declared blowup left
             too short a tail to fit the singular time.
@@ -400,91 +410,80 @@ def integrate(
     ts, norms, rics, rhsn = [], [], [], []
     jres, h1res, h3res = [], [], []
     states: list[np.ndarray] = []
-    ratio_max = 0.0
 
     def record(t, y):
-        # Keeps per step what the stop rule, the step ceiling and the drift
-        # check read, and Ric; R and tr Ric^2 are read off the stacked Ricci
-        # matrices at the end.  The stepper never writes an array it has
-        # handed out, so `states` keeps y itself.
-        nonlocal ratio_max
+        # Keeps per step what the drift check reads, |dmu/dt| and Ric; the
+        # stop rule reads R off Ric, and R and tr Ric^2 are read off the
+        # stacked Ricci matrices at the end.  The stepper never writes an
+        # array it has handed out, so `states` keeps y itself.
         nsq = copies * float(np.dot(y, y))
-        norm = np.sqrt(nsq)
         dy, ric = f_tensor(y)
-        fnorm = np.sqrt(copies * float(np.dot(dy, dy)))
         jac, h1, h3 = _residuals(_to_tensor(y, d, table), q)
         ts.append(t)
-        norms.append(norm)
+        norms.append(np.sqrt(nsq))
         rics.append(ric)
-        rhsn.append(fnorm)
+        rhsn.append(np.sqrt(copies * float(np.dot(dy, dy))))
         jres.append(jac)
         h1res.append(h1)
         h3res.append(h3)
-        if norm > 0:
-            ratio_max = max(ratio_max, fnorm / norm**3)
         states.append(y)
-        return nsq, norm, max(jac, h1, h3)
+        return nsq, max(jac, h1, h3)
 
-    def remaining_bound(nsq):
-        # d/dt |mu|^2 <= 2 ratio |mu|^4, so the norm cannot blow up within
-        # (1 / (2 ratio)) |mu|^-2 of time.
-        if ratio_max <= 0:
-            return np.inf
-        return 1.0 / (2.0 * ratio_max * nsq)
+    # +1 forward, -1 backward: the sign R takes once a singularity is near.
+    sign = np.copysign(1.0, t_end)
 
-    def step_ceiling(norm, fnorm):
-        return opts.step_cap * norm / fnorm if fnorm > 0 else np.inf
-
-    def at_singularity(norm, nsq):
-        return norm > opts.blowup_threshold and remaining_bound(nsq) < opts.time_resolution
+    def at_singularity(t):
+        # dR/dt = 2 tr Ric^2 >= (2/n) R^2: once sign * R > 0 the singularity
+        # comes within n / (2|R|), and the run stops when that is below
+        # STOP_REL |t|.
+        r = sign * np.trace(rics[-1])
+        return r > 0 and dims.n / (2.0 * r) < STOP_REL * abs(t)
 
     def on_step(solver):
-        nsq, norm, residual = record(solver.t, solver.y)
-        solver.max_step = step_ceiling(norm, rhsn[-1])
+        nsq, residual = record(solver.t, solver.y)
         drift = residual / (1.0 + nsq)
         if drift > opts.drift_tol:
             raise DriftError(
                 f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {solver.t}"
             )
-        return at_singularity(norm, nsq)
+        return at_singularity(solver.t)
 
-    nsq0 = record(0.0, y0)[0]
-    solver = RK45(
-        fun,
-        0.0,
-        y0,
-        t_bound=t_end,
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-        max_step=step_ceiling(np.sqrt(nsq0), rhsn[0]),
-        rms_weight=copies / d**3,
-    )
+    record(0.0, y0)
+    solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=opts.abs_tol, rms_weight=copies / d**3)
 
     # A step floor hit right at the singularity also counts as a blowup.
-    blowup, segments = _drive(solver, opts, on_step, lambda: at_singularity(norms[-1], norms[-1] ** 2))
+    blowup, segments = _drive(solver, opts, on_step, lambda: at_singularity(ts[-1]))
 
     t_arr = np.array(ts)
     norm_arr = np.array(norms)
+    rhs_arr = np.array(rhsn)
+    ric_rows = np.array(rics).reshape(len(rics), -1)
+    scalar_r = ric_rows[:, :: dims.n + 1].sum(axis=1)
 
     if blowup:
-        rem = remaining_bound(norm_arr[-1] ** 2)
-        verdict = _blowup_verdict(t_arr, norm_arr, rigorous_bound=ts[-1] + np.copysign(rem, t_end))
+        # d/dt |mu|^2 <= 2 C |mu|^4 with C the largest |dmu/dt| / |mu|^3
+        # seen, so the norm cannot blow up within (1 / (2 C)) |mu|^-2; R
+        # cannot stay finite beyond n / (2|R|).
+        near = 1.0 / (2.0 * _velocity_ratio_max(norm_arr, rhs_arr) * norms[-1] ** 2)
+        far = dims.n / (2.0 * abs(scalar_r[-1]))
+        verdict = _blowup_verdict(
+            t_arr, norm_arr, rigorous_bound=ts[-1] + sign * near, far_bound=ts[-1] + sign * far
+        )
     else:
         verdict = Verdict(kind="immortal")
 
     dense = None
     if opts.collect_dense:
         dense = DenseSolution([0.0] + [seg.t for seg in segments], segments, d, table)
-    ric_rows = np.array(rics).reshape(len(rics), -1)
     return Trajectory(
         direction=direction,
         horizon=horizon,
         initial=initial,
         t=t_arr,
         mu_norm=norm_arr,
-        scalar_R=ric_rows[:, :: dims.n + 1].sum(axis=1),
+        scalar_R=scalar_r,
         tr_ric_sq=np.sum(ric_rows * ric_rows, axis=1),
-        rhs_norm=np.array(rhsn),
+        rhs_norm=rhs_arr,
         jacobi_residual=np.array(jres),
         h1_residual=np.array(h1res),
         h3_residual=np.array(h3res),
@@ -525,7 +524,9 @@ def _drive(solver, opts: IntegratorOptions, on_step, singular_on_failure) -> tup
     return False, segments
 
 
-def _blowup_verdict(t: np.ndarray, series: np.ndarray, rigorous_bound: float | None = None) -> Verdict:
+def _blowup_verdict(
+    t: np.ndarray, series: np.ndarray, rigorous_bound: float | None = None, far_bound: float | None = None
+) -> Verdict:
     """Blowup verdict from a power-law fit to the diverging `series`.
 
     `t` holds the physical times of the samples; the fit runs on |t| and the
@@ -546,6 +547,7 @@ def _blowup_verdict(t: np.ndarray, series: np.ndarray, rigorous_bound: float | N
         exponent=fit.exponent,
         exponent_stderr=fit.exponent_stderr,
         rigorous_bound=rigorous_bound,
+        far_bound=far_bound,
     )
 
 
@@ -669,6 +671,12 @@ class EstimateReport:
     comparison_slack: float | None
 
 
+def _velocity_ratio_max(mu_norm: np.ndarray, rhs_norm: np.ndarray) -> float:
+    # max |dmu/dt| / |mu|^3 over the samples with |mu| > 0, 0.0 if there are none
+    live = mu_norm > 0
+    return float(np.max(rhs_norm[live] / mu_norm[live] ** 3, initial=0.0))
+
+
 def _local_derivatives(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     # dy/dt at samples 2 .. m-3 from the quartic through each 5-sample window, in one
     # batched solve; tau / s keeps it conditioned near a singularity, where spacings
@@ -690,9 +698,7 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
     if np.all(traj.mu_norm == 0.0):
         return EstimateReport(0.0, None, 0.0, 0.0, None)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(traj.mu_norm > 0, traj.rhs_norm / traj.mu_norm**3, 0.0)
-    velocity_ratio = float(np.max(ratios))
+    velocity_ratio = _velocity_ratio_max(traj.mu_norm, traj.rhs_norm)
 
     target = 2.0 * traj.tr_ric_sq[2:-2]
     fd = _local_derivatives(traj.t, traj.scalar_R)

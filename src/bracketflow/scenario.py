@@ -13,8 +13,8 @@ initial data is either a catalog reference or inline structure constants:
     bracket = (1,2,3, 1.0) (2,3,1, 1.0) (3,1,2, 1.0)   # 1-indexed (i,j,k,value)
 
     rel_tol = 1e-10                 # integrator overrides, all optional:
-    abs_tol = 1e-12                 # blowup_threshold, time_resolution,
-    sample_stride = 1               # step_cap, drift_tol, max_steps
+    abs_tol = 1e-12                 # drift_tol, max_steps
+    sample_stride = 1
     validation_tol = 1e-10          # membership tolerance, see below
     expect_forward = blowup         # optional expectations: immortal |
     expect_omega = 1.0              # blowup | flat, and singular times
@@ -25,15 +25,19 @@ converted to 0-based internally.  Inline brackets are validated at load
 time; a failing admissibility condition rejects the scenario naming the
 offending residual.  `validation_tol` is the one membership tolerance: it
 sets `IntegratorOptions.membership_tol`, so loading and integrating accept
-the same brackets.  Every value is checked as it is read: a bracket value
-must be finite, `sample_stride` an int >= 1, `expect_tol` finite and
-positive, `expect_omega` and `expect_alpha` finite.  A key may be given once;
-a file must be UTF-8 text.
+the same brackets.  Every value is checked as it is read, and a bad one is
+rejected naming its line: a bracket value must be finite, `direction` one of
+forward, backward or both, `horizon` finite and positive, `sample_stride` an
+int >= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
+finite and positive, `expect_omega` and `expect_alpha` finite.  A key may be
+given once, and any other key is rejected as unknown; a file must be UTF-8
+text.
 
 Running a scenario writes, per direction, a CSV trajectory table with
 header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
-digits per value) and a JSON report with the verdict, the regression and
-rigorous singular-time values, and the full estimate report.
+digits per value) and a JSON report with the verdict, the regression
+singular time, the two rigorous one-sided bounds that enclose it, and the
+full estimate report.
 
 Exit codes: 0 success, 1 verdict contradicts declared expectations,
 2 load/validation error, 3 integrator failure.
@@ -60,9 +64,6 @@ CSV_HEADER = "t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual"
 _OPTS_KEYS = {
     "rel_tol": float,
     "abs_tol": float,
-    "blowup_threshold": float,
-    "time_resolution": float,
-    "step_cap": float,
     "drift_tol": float,
     "max_steps": int,
     "validation_tol": float,
@@ -119,6 +120,20 @@ def _positive_int(value: str) -> int:
     if k < 1:
         raise ValueError(f"must be an int >= 1, got {value}")
     return k
+
+
+def _directions(value: str) -> tuple:
+    value = value.lower()
+    if value not in ("forward", "backward", "both"):
+        raise ValueError(f"must be forward, backward or both, got {value!r}")
+    return ("forward", "backward") if value == "both" else (value,)
+
+
+def _verdict_kind(value: str) -> str:
+    value = value.lower()
+    if value not in ("immortal", "blowup", "flat"):
+        raise ValueError(f"must be immortal, blowup or flat, got {value!r}")
+    return value
 
 
 def _parse_triples(text: str, path: str, lineno: int) -> list:
@@ -185,16 +200,8 @@ def load_scenario(path) -> Scenario:
     if "bracket" in raw:
         value, bracket_line = raw.pop("bracket")
         sc.triples = _parse_triples(value, str(path), bracket_line)
-    direction = take("direction", str, "forward").lower()
-    if direction == "both":
-        sc.directions = ("forward", "backward")
-    elif direction in ("forward", "backward"):
-        sc.directions = (direction,)
-    else:
-        raise ScenarioError(f"{path}: direction must be forward, backward or both, got {direction!r}")
-    sc.horizon = take("horizon", float, sc.horizon)
-    if not (math.isfinite(sc.horizon) and sc.horizon > 0):
-        raise ScenarioError(f"{path}: horizon must be finite and positive, got {sc.horizon}")
+    sc.directions = take("direction", _directions, sc.directions)
+    sc.horizon = take("horizon", _positive_finite, sc.horizon)
     sc.sample_stride = take("sample_stride", _positive_int, 1)
     sc.h2_note = take("h2_note", str, "")
     for key, conv in _OPTS_KEYS.items():
@@ -204,13 +211,10 @@ def load_scenario(path) -> Scenario:
         val = take(key, lambda v: getattr(replace(IntegratorOptions(), **{name: conv(v)}), name))
         if val is not None:
             sc.overrides[name] = val
-    for dir_key, store in (("expect_forward", "forward"), ("expect_backward", "backward")):
-        val = take(dir_key, str)
-        if val is not None:
-            val = val.lower()
-            if val not in ("immortal", "blowup", "flat"):
-                raise ScenarioError(f"{path}: {dir_key} must be immortal, blowup or flat")
-            sc.expect[store] = val
+    for direction in ("forward", "backward"):
+        kind = take(f"expect_{direction}", _verdict_kind)
+        if kind is not None:
+            sc.expect[direction] = kind
     sc.expect_omega = take("expect_omega", _finite)
     sc.expect_alpha = take("expect_alpha", _finite)
     sc.expect_tol = take("expect_tol", _positive_finite, 1e-3)
@@ -265,6 +269,7 @@ def _verdict_dict(traj: Trajectory) -> dict:
         "fit_exponent": v.exponent,
         "fit_exponent_stderr": v.exponent_stderr,
         "rigorous_one_sided_bound": v.rigorous_bound,
+        "far_one_sided_bound": v.far_bound,
     }
 
 

@@ -1,15 +1,15 @@
+import functools
 import tracemalloc
 from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bracketflow import (
     DriftError,
-    FlowError,
     IntegratorOptions,
     LieBracket,
     NotInVarietyError,
@@ -32,7 +32,7 @@ from bracketflow import (
 )
 from bracketflow.catalog import catalog_entries, get_entry
 
-from oracles import local_derivatives_polyfit
+from oracles import local_derivatives_polyfit, milnor_singular_time
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
@@ -214,7 +214,7 @@ def test_integrate_rejects_horizon_that_is_not_finite_and_positive(horizon):
         {"max_steps": 2.5},
         {"rel_tol": float("nan")},
         {"abs_tol": -1.0},
-        {"time_resolution": 0.0},
+        {"drift_tol": 0.0},
         {"membership_tol": float("inf")},
     ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
@@ -231,7 +231,7 @@ def test_integrator_options_reject_out_of_range_values(bad):
         {"max_steps": True},
         {"rel_tol": True},
         {"abs_tol": False},
-        {"step_cap": np.True_},
+        {"drift_tol": np.True_},
         {"collect_dense": "no"},
         {"collect_dense": 1},
     ],
@@ -299,11 +299,13 @@ def test_integrate_builds_no_bracket_and_checks_conditions_once(monkeypatch):
     assert calls == {"LieBracket": 0, "check_conditions": 1}
 
 
-def test_stiffness_failure_when_threshold_unreachable():
-    # an absurd threshold cannot be certified before the step size underflows
-    opts = IntegratorOptions(blowup_threshold=1e30)
-    with pytest.raises(StiffnessError):
-        integrate(SU2, "forward", 2.0, opts)
+def test_stiffness_failure_when_blowup_has_the_wrong_sign():
+    # hyperbolic3 run backward in forward time: it blows up at t = 1/4 with
+    # R -> -inf, which no forward stop rule may read as a singularity, so
+    # the step size underflows
+    reversed_flow = lambda mu: scale_bracket(bracket_flow_rhs(mu), -1.0)
+    with pytest.raises(StiffnessError, match=r"t = 0\.25"):
+        integrate(HYP, "forward", 1.0, rhs=reversed_flow)
 
 
 def test_drift_failure_detected_with_broken_dynamics():
@@ -321,11 +323,60 @@ def test_drift_failure_detected_with_broken_dynamics():
 
 
 @pytest.mark.parametrize("mu, scale", [(HEIS, 1e7), (HYP, 2e6)], ids=["heisenberg3", "hyperbolic3"])
-def test_blowup_declared_without_a_fittable_tail_is_a_flow_error(mu, scale):
-    # These large brackets are immortal forward, yet the norm-threshold
-    # certificate fires after one step; the fit then has no tail to work on.
-    with pytest.raises(FlowError, match="at least 10 samples"):
-        integrate(scale_bracket(mu, scale), "forward", 10.0)
+def test_large_immortal_brackets_stay_immortal(mu, scale):
+    # |mu| is large from the start, but R < 0 forward, so the stop rule never fires
+    traj = integrate(scale_bracket(mu, scale), "forward", 10.0)
+    assert traj.verdict.kind == "immortal" and traj.t[-1] == 10.0
+
+
+# --- the scale-free stop rule ------------------------------------------------
+
+# Every catalog entry both ways, and a two-step nilpotent bracket backward:
+# (label, bracket, direction, horizon at c = 1).
+SCALE_RUNS = [
+    (f"{e.name}-{direction}", e.bracket, direction, e.default_horizon[direction])
+    for e in catalog_entries()
+    for direction in ("forward", "backward")
+] + [("nilpotent6-backward", random_two_step_nilpotent(6, np.random.default_rng(0)), "backward", 10.0)]
+
+
+@functools.cache
+def _unscaled_verdict(k):
+    _, mu, direction, horizon = SCALE_RUNS[k]
+    return integrate(mu, direction, horizon).verdict
+
+
+@pytest.mark.parametrize("k", range(len(SCALE_RUNS)), ids=[run[0] for run in SCALE_RUNS])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(log_c=st.floats(-3.0, 7.0))
+@example(log_c=-3.0)
+@example(log_c=7.0)
+def test_verdict_is_scale_covariant(k, log_c):
+    # c mu(t / c^2) solves the flow, so the run of c mu over horizon / c^2
+    # gives the same verdict at singular time omega / c^2
+    _, mu, direction, horizon = SCALE_RUNS[k]
+    c = 10.0**log_c
+    want = _unscaled_verdict(k)
+    got = integrate(scale_bracket(mu, c), direction, horizon / c**2).verdict
+    assert got.kind == want.kind
+    if want.kind == "blowup":
+        assert abs(c**2 * got.omega_est - want.omega_est) <= 1e-3
+
+
+SU2_DRAWS = [12.0 * g for g in np.random.default_rng(0).standard_normal((6, 3, 3))]
+
+
+@pytest.mark.parametrize("k", range(len(SU2_DRAWS)))
+def test_su2_metric_blows_up_at_the_milnor_frame_time(k):
+    # random left-invariant metrics on SU(2), with singular times from 57
+    # to 464, against the 3-variable flow in their Milnor frames
+    mu = transform_bracket(SU2, SU2_DRAWS[k])
+    v = integrate(mu, "forward", 5000.0).verdict
+    omega = milnor_singular_time(mu.c)
+    assert v.kind == "blowup"
+    assert abs(v.omega_est - omega) <= 1e-9 * omega
+    slack = 1e-12 * omega
+    assert v.rigorous_bound - slack <= v.omega_est <= v.far_bound + slack
 
 
 # --- blowup-time fitting ----------------------------------------------------
@@ -629,8 +680,8 @@ def _count_ricci_and_rhs(monkeypatch, mu, direction):
 
 
 # RHS evaluations of each run: 6 per attempted step plus the monitor's, whatever computes Ric.
-RHS_CALLS = {("su2_round", "forward"): 4700, ("sphere2_su2", "backward"): 402}
-GEMM_RHS_CALLS = 4692  # `_dense_nilpotent(6, 0)` backward
+RHS_CALLS = {("su2_round", "forward"): 3531, ("sphere2_su2", "backward"): 402}
+GEMM_RHS_CALLS = 4818  # `_dense_nilpotent(6, 0)` backward
 
 
 @pytest.mark.parametrize("name, direction", list(RHS_CALLS))
