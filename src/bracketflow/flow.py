@@ -3,8 +3,8 @@
 The flow is d/dt mu = -pi(diag(0, Ric_mu)) mu.  Trajectories are advanced
 with the package's embedded Dormand-Prince 5(4) pair (`stepper`) by
 `_drive`, the monitored stepping loop this module shares with the metric
-flow: it owns the step budget, solver failures and dense output, and asks a
-per-step callback whether to stop.
+flow: it owns the step budget, solver failures, dense output and the stop
+rule, which it applies to the R a per-step callback returns.
 
 The stepper's state follows the initial bracket.  The flow never leaves the
 span V_S of a flow-invariant support S: the i < j entries nonzero at the
@@ -29,17 +29,19 @@ from; R and tr Ric^2 are read off the stacked matrices once, at the end.
 The states stay raw arrays; `Trajectory.checkpoints` wraps them as
 FlowStates only when read.
 
-The stop rule is scale free.  Along the flow dR/dt = 2 tr Ric^2 >=
-(2/n) R^2, so once R has the sign of the time direction (R > 0 forward,
-R < 0 backward) the singularity comes within n / (2|R|), and R blows up at
-every finite singular time.  A finite-time singularity is declared when
-that bound falls below `STOP_REL` |t|; a run that reaches the horizon is
-immortal.  The singular time is then estimated by fitting a power law
-|mu(t)| ~ K (omega - t)^e to the trajectory tail, and enclosed by two
-rigorous one-sided bounds: the near one from d/dt |mu|^2 <= 2 C |mu|^4, with
-C the largest |dmu/dt| / |mu|^3 measured along the trajectory, and the far
-one, n / (2|R|) past the last sample.  Both directions step in physical
-time: a backward run hands the stepper the end time -horizon.
+The stop rule is scale free and the same for both flows.  Along either
+flow dR/dt = 2 tr Ric^2 >= (2/n) R^2, so once R has the sign of the time
+direction (R > 0 forward, R < 0 backward) the singularity comes within
+n / (2|R|) (`_time_left`), and R blows up at every finite singular time.  A
+finite-time singularity is declared when that bound falls below `STOP_REL`
+|t|; a run that reaches the horizon is immortal.  The singular time is then
+estimated by fitting a power law |mu(t)| ~ K (omega - t)^e to the
+trajectory tail, and enclosed by two rigorous one-sided bounds: the near
+one from d/dt |mu|^2 <= 2 C |mu|^4, with C the largest |dmu/dt| / |mu|^3
+measured along the trajectory, and the far one, n / (2|R|) past the last
+sample.  An immortal run whose R already has the sign of the time direction
+at the horizon reports that far bound too.  Both directions step in
+physical time: a backward run hands the stepper the end time -horizon.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ __all__ = [
     "DenseSolution",
 ]
 
-# A run stops with a blowup once R has the sign of the time direction and
-# the comparison bound n / (2|R|) on the time left is below STOP_REL |t|.
+# A run of either flow stops with a blowup once R has the sign of the time
+# direction and the comparison bound n / (2|R|) on the time left is below
+# STOP_REL |t| (`_drive`).
 # Measured: the seed-0 n = 13 two-step nilpotent brackets run backward have
 # n / (2|R|) of about 39 (omega - t) near the end, so at 1e-12 the stop
 # point lies under the step floor and all three raise StiffnessError.  At
@@ -162,14 +165,17 @@ class FlowState:
 class Verdict:
     """Outcome of an integration.
 
-    kind is 'immortal' (reached the horizon), 'blowup' (the stop rule of
-    `integrate` fired) or 'flat' (the zero bracket, an exact fixed point).
+    kind is 'immortal' (reached the horizon), 'blowup' (the stop rule
+    fired) or 'flat' (the zero bracket, an exact fixed point).
     For a blowup, omega_est and its regression standard error come from the
     power-law fit (non-rigorous).  The two comparison bounds enclose the
-    singular time: rigorous_bound is the time it provably cannot precede
-    (forward) or follow (backward), from d/dt |mu|^2 <= 2 C |mu|^4, and
-    far_bound = t_stop +- n / (2|R(t_stop)|) the time it provably cannot
-    follow (forward) or precede (backward), from dR/dt >= (2/n) R^2.
+    singular time: rigorous_bound (bracket flow only) is the time it
+    provably cannot precede (forward) or follow (backward), from
+    d/dt |mu|^2 <= 2 C |mu|^4, and far_bound = t_stop +- n / (2|R(t_stop)|)
+    the time it provably cannot follow (forward) or precede (backward), from
+    dR/dt >= (2/n) R^2.  An immortal verdict carries far_bound, taken at the
+    horizon, when R there has the sign of the time direction; otherwise it
+    is None.
     """
 
     kind: str
@@ -429,16 +435,6 @@ def integrate(
         states.append(y)
         return nsq, max(jac, h1, h3)
 
-    # +1 forward, -1 backward: the sign R takes once a singularity is near.
-    sign = np.copysign(1.0, t_end)
-
-    def at_singularity(t):
-        # dR/dt = 2 tr Ric^2 >= (2/n) R^2: once sign * R > 0 the singularity
-        # comes within n / (2|R|), and the run stops when that is below
-        # STOP_REL |t|.
-        r = sign * np.trace(rics[-1])
-        return r > 0 and dims.n / (2.0 * r) < STOP_REL * abs(t)
-
     def on_step(solver):
         nsq, residual = record(solver.t, solver.y)
         drift = residual / (1.0 + nsq)
@@ -446,13 +442,11 @@ def integrate(
             raise DriftError(
                 f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {solver.t}"
             )
-        return at_singularity(solver.t)
+        return np.trace(rics[-1])
 
     record(0.0, y0)
     solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=opts.abs_tol, rms_weight=copies / d**3)
-
-    # A step floor hit right at the singularity also counts as a blowup.
-    blowup, segments = _drive(solver, opts, on_step, lambda: at_singularity(ts[-1]))
+    blowup, segments = _drive(solver, opts, on_step, dims.n)
 
     t_arr = np.array(ts)
     norm_arr = np.array(norms)
@@ -460,17 +454,13 @@ def integrate(
     ric_rows = np.array(rics).reshape(len(rics), -1)
     scalar_r = ric_rows[:, :: dims.n + 1].sum(axis=1)
 
+    rigorous = None
     if blowup:
         # d/dt |mu|^2 <= 2 C |mu|^4 with C the largest |dmu/dt| / |mu|^3
-        # seen, so the norm cannot blow up within (1 / (2 C)) |mu|^-2; R
-        # cannot stay finite beyond n / (2|R|).
+        # seen, so the norm cannot blow up within (1 / (2 C)) |mu|^-2.
         near = 1.0 / (2.0 * _velocity_ratio_max(norm_arr, rhs_arr) * norms[-1] ** 2)
-        far = dims.n / (2.0 * abs(scalar_r[-1]))
-        verdict = _blowup_verdict(
-            t_arr, norm_arr, rigorous_bound=ts[-1] + sign * near, far_bound=ts[-1] + sign * far
-        )
-    else:
-        verdict = Verdict(kind="immortal")
+        rigorous = ts[-1] + np.copysign(near, t_end)
+    verdict = _verdict(blowup, t_arr, norm_arr, scalar_r[-1], dims.n, rigorous)
 
     dense = None
     if opts.collect_dense:
@@ -493,14 +483,28 @@ def integrate(
     )
 
 
-def _drive(solver, opts: IntegratorOptions, on_step, singular_on_failure) -> tuple[bool, list]:
+def _time_left(t: float, r: float, n: int) -> float:
+    """The comparison bound n / (2|R|) on the time from t to a singularity.
+
+    Along either flow dR/dt = 2 tr Ric^2 >= (2/n) R^2, so once R has the
+    sign of the time direction (the sign of t: R > 0 forward, R < 0
+    backward) the singularity comes within n / (2|R|) of t.  Otherwise the
+    inequality bounds nothing, and the bound is inf.
+    """
+    r = -r if t < 0 else r
+    return n / (2.0 * r) if r > 0 else np.inf
+
+
+def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[bool, list]:
     """Step `solver` to its bound; return (singular, dense segments).
 
-    `solver` is a `stepper.DormandPrince54`.  `on_step(solver)` records each
-    accepted step (it may set `max_step`) and returns True to stop at a
-    singularity.  On solver failure, `singular_on_failure()` decides between
-    a singular stop and StiffnessError.  Segments are kept only under
-    `opts.collect_dense`.
+    `solver` is a `stepper.DormandPrince54` over a flow on an n-dimensional
+    space.  `on_step(solver)` records each accepted step (it may set
+    `max_step`) and returns R there.  The stop rule of both flows is read at
+    the last recorded sample, after each accepted step and at a solver
+    failure (a step floor hit right at the singularity): the run is singular
+    once `_time_left` is below `STOP_REL` |t|.  Any other failure is a
+    StiffnessError.  Segments are kept only under `opts.collect_dense`.
 
     Raises:
         FlowError: the step budget `opts.max_steps` was exhausted.
@@ -508,34 +512,43 @@ def _drive(solver, opts: IntegratorOptions, on_step, singular_on_failure) -> tup
     """
     segments: list = []
     n_steps = 0
+    # The initial sample, at t = 0, never meets the stop rule.
+    t, r = 0.0, 0.0
     while solver.status == "running":
         if n_steps >= opts.max_steps:
             raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {solver.t}")
         msg = solver.step()
         n_steps += 1
-        if solver.status == "failed":
-            if singular_on_failure():
-                return True, segments
-            raise StiffnessError(f"integrator failed at t = {solver.t}: {msg}")
-        if opts.collect_dense:
-            segments.append(solver.dense_output())
-        if on_step(solver):
+        if solver.status != "failed":
+            if opts.collect_dense:
+                segments.append(solver.dense_output())
+            t, r = solver.t, on_step(solver)
+        if _time_left(t, r, n) < STOP_REL * abs(t):
             return True, segments
+        if solver.status == "failed":
+            raise StiffnessError(f"integrator failed at t = {solver.t}: {msg}")
     return False, segments
 
 
-def _blowup_verdict(
-    t: np.ndarray, series: np.ndarray, rigorous_bound: float | None = None, far_bound: float | None = None
+def _verdict(
+    singular: bool, t: np.ndarray, series: np.ndarray, r_end: float, n: int, rigorous_bound: float | None = None
 ) -> Verdict:
-    """Blowup verdict from a power-law fit to the diverging `series`.
+    """The verdict of a run of either flow that ended at t[-1], where R = `r_end`.
 
-    `t` holds the physical times of the samples; the fit runs on |t| and the
-    singular time takes the sign of t.
+    For both kinds far_bound = t[-1] +- `_time_left` there, or None where
+    that is inf.  A singular run is a blowup, located by a power-law fit to
+    the diverging `series`: `t` holds the physical times of the samples, the
+    fit runs on |t| and the singular time takes the sign of t.  Any other
+    run is immortal.
 
     Raises:
         FlowError: the tail is too short to fit, so the singularity that was
             declared cannot be located.
     """
+    left = _time_left(t[-1], r_end, n)
+    far_bound = t[-1] + np.copysign(left, t[-1]) if left < np.inf else None
+    if not singular:
+        return Verdict(kind="immortal", far_bound=far_bound)
     try:
         fit = fit_power_blowup(np.abs(t), series)
     except ValueError as exc:

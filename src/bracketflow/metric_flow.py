@@ -18,10 +18,11 @@ Cholesky factor from dpotrf, and the symmetric square root V W^1/2 V^T has
 the inverse V W^-1/2 V^T from the same eigendecomposition.  The flow is
 integrated on the bracket flow's monitored stepping loop (`flow._drive`),
 with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
-on the flat n x n matrix and its own stop rule.  The two flows can be
-compared through their isometry invariants (scalar curvature, Ricci
-spectra, singularity verdicts), which the equivalence of the flows says
-must agree.
+on the flat n x n matrix.  The two flows are one flow in two coordinates,
+so they share the scale-free stop rule on R (`flow.STOP_REL`) and the far
+bound n / (2|R|) on the singular time.  They can be compared through their
+isometry invariants (scalar curvature, Ricci spectra, singularity
+verdicts), which the equivalence of the flows says must agree.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .curvature import _ricci_from_tensor
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 # DenseSolution and integrate are called by these names so that flowbench can trace them.
-from .flow import DenseSolution, IntegratorOptions, Verdict, _blowup_verdict, _Checkpoints, _drive, _end_time, integrate
+from .flow import DenseSolution, IntegratorOptions, Verdict, _Checkpoints, _drive, _end_time, _verdict, integrate
 
 __all__ = [
     "MetricState",
@@ -50,9 +51,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# Stop rule of `metric_flow_integrate` (see its docstring).
-EIG_FLOOR = 1e-9
-SCALAR_THRESHOLD = 1e12
 # Fraction of a singular pair's common interval that `equivalence_check`
 # compares: inside the remaining sliver the relative comparison divides by the
 # (tiny, independently accumulated) singular-time drift of each flow and
@@ -77,7 +75,10 @@ class MetricTrajectory:
     """Sampled metric-flow solution.
 
     Series are kept at every sample, one per accepted step, with the
-    stepper's raw states.  `checkpoints` is a lazy read-only
+    stepper's raw states; `ric_eigs` holds the sorted Ricci spectra, read
+    off the stacked Ricci matrices in one batched call.  The verdict's
+    rigorous_bound is None: its constant needs the bracket flow's
+    |dmu/dt| / |mu|^3.  `checkpoints` is a lazy read-only
     Sequence[MetricState] over those states, built on access like
     `Trajectory.checkpoints`.  Times are physical: decreasing for backward
     runs.
@@ -89,7 +90,6 @@ class MetricTrajectory:
     t: np.ndarray
     scalar_R: np.ndarray
     ric_eigs: np.ndarray
-    p_min_eig: np.ndarray
     checkpoints: Sequence[MetricState]
     verdict: Verdict
     dense: DenseSolution | None = None
@@ -189,13 +189,17 @@ def metric_flow_integrate(
 ) -> MetricTrajectory:
     """Integrate dP/dt = -2 P RicOp(P) over a fixed bracket.
 
-    Declares a singular-metric verdict when the smallest eigenvalue of P
-    falls below `EIG_FLOOR` times its initial value or |R| exceeds
-    `SCALAR_THRESHOLD`; the singular time is then fitted from the diverging
-    |R| series.  Stages that leave the positive-definite cone evaluate to
-    NaN, and the stepper rejects an attempt whose error norm is not finite
-    and retries at `stepper.MIN_FACTOR` = 0.2 times the step, so the
-    integrator approaches a degenerating metric geometrically instead of
+    Stops with the bracket flow's rule (`flow._drive`): a
+    singularity is declared once R has the sign of the time direction and
+    n / (2|R|) < `flow.STOP_REL` |t|, after an accepted step or at a step
+    floor; the singular time is then fitted from the diverging |R| series,
+    and far_bound = t_stop +- n / (2|R(t_stop)|).  The rule is scale free, as
+    the flow is: P0 / c^2 over horizon / c^2 gives the same verdict at
+    singular time omega / c^2.  Each step is capped at 0.2 |P| / |dP/dt|,
+    the first one from P0.  Stages that leave the positive-definite cone
+    evaluate to NaN, and the stepper rejects an attempt whose error norm is
+    not finite and retries at `stepper.MIN_FACTOR` = 0.2 times the step, so
+    the integrator approaches a degenerating metric geometrically instead of
     stepping across it.  A backward run steps to the physical time -horizon.
 
     Raises:
@@ -227,25 +231,23 @@ def metric_flow_integrate(
             return np.full(n * n, np.nan)
         return derivative(ric, ell).ravel()
 
-    ts, scalars, eigs, lam_mins = [], [], [], []
+    ts, scalars, rics = [], [], []
     states: list[np.ndarray] = []
 
     def record(t, y):
         # Keeps y itself: the stepper never writes an array it has handed out.
-        # Returns the derivative at y too: `_sym` is idempotent, so it equals
-        # `fun(t, y)` bit for bit, and the step ceiling needs no solver state.
+        # Keeps Ric, whose spectra are read once at the end.  Returns the
+        # derivative at y too: `_sym` is idempotent, so it equals `fun(t, y)`
+        # bit for bit, and the step ceiling needs no solver state.
         p = _sym(y.reshape(n, n))
         ric, ell = _pushed_ric(mu0, p)
-        scalar = float(ric.trace())
-        lam = float(np.min(np.linalg.eigvalsh(p)))
         ts.append(t)
-        scalars.append(scalar)
-        eigs.append(np.linalg.eigvalsh(ric))
-        lam_mins.append(lam)
+        scalars.append(float(ric.trace()))
+        rics.append(ric)
         states.append(y)
-        return scalar, lam, p, derivative(ric, ell)
+        return p, derivative(ric, ell)
 
-    dp0 = record(0.0, p0.ravel())[3]
+    dp0 = record(0.0, p0.ravel())[1]
     h0 = 0.2 * np.linalg.norm(p0) / (np.linalg.norm(dp0) + _EPS)
     solver = RK45(
         fun,
@@ -258,29 +260,22 @@ def metric_flow_integrate(
     )
 
     def on_step(solver):
-        scalar, lam, p, dp = record(solver.t, solver.y)
+        p, dp = record(solver.t, solver.y)
         solver.max_step = 0.2 * np.linalg.norm(p) / (np.linalg.norm(dp) + _EPS)
-        return lam < EIG_FLOOR * lam0 or abs(scalar) > SCALAR_THRESHOLD
+        return scalars[-1]
 
-    singular, segments = _drive(
-        solver, opts, on_step, lambda: lam_mins[-1] < 1e3 * EIG_FLOOR * lam0 or abs(scalars[-1]) > SCALAR_THRESHOLD
-    )
-
+    singular, segments = _drive(solver, opts, on_step, n)
     t_arr = np.array(ts)
-    if singular:
-        verdict = _blowup_verdict(t_arr, np.abs(np.array(scalars)))
-    else:
-        verdict = Verdict(kind="immortal")
-
+    r_arr = np.array(scalars)
+    verdict = _verdict(singular, t_arr, np.abs(r_arr), r_arr[-1], n)
     dense = DenseSolution([0.0] + [seg.t for seg in segments], segments) if opts.collect_dense else None
     return MetricTrajectory(
         direction=direction,
         horizon=horizon,
         bracket=mu0,
         t=t_arr,
-        scalar_R=np.array(scalars),
-        ric_eigs=np.array(eigs),
-        p_min_eig=np.array(lam_mins),
+        scalar_R=r_arr,
+        ric_eigs=np.linalg.eigvalsh(np.array(rics)),
         checkpoints=_Checkpoints(t_arr, states, lambda t, y: MetricState(t, _sym(y.reshape(n, n)))),
         verdict=verdict,
         dense=dense,

@@ -21,6 +21,7 @@ from .curvature import koszul_ricci_oracle, ricci_operator
 from .flow import (
     IntegratorOptions,
     Trajectory,
+    _resolved_tail,
     bracket_flow_rhs,
     estimate_report,
     integrate,
@@ -191,20 +192,29 @@ def _c5_monotonicity(lab: AcceptanceLab):
 
 
 def _c6_norm_floor(lab: AcceptanceLab):
-    """(omega - t)^(1/2) |mu| has a positive floor; equals sqrt(6) for su(2)."""
+    """The blowup tails have the norm floors of their rates: sqrt(6) for su(2), 1/sqrt(2) at q = 1.
+
+    At q = 0 the floor is `estimate_report`'s, of (omega - t)^(1/2) |mu|.
+    With isotropy |mu| ~ (omega - t)^-1, so at q > 0 it is the floor of
+    (omega - t) |mu| over the same resolved tail (`flow._resolved_tail`).
+    """
     problems: list[str] = []
     ok = True
     floors = {}
     for entry, direction, traj in lab.all_runs():
         if traj.verdict.kind != "blowup":
             continue
-        rep = estimate_report(traj)
-        floors[f"{entry.name}/{direction}"] = rep.tail_norm_floor
-        ok &= _fail(
-            problems,
-            rep.tail_norm_floor is not None and rep.tail_norm_floor > 0,
-            f"{entry.name}/{direction}: floor {rep.tail_norm_floor}",
-        )
+        label = f"{entry.name}/{direction}"
+        if traj.dims.q == 0:
+            floor = estimate_report(traj).tail_norm_floor
+        else:
+            tail = _resolved_tail(traj)
+            gaps = np.abs(traj.verdict.omega_est - traj.t[tail])
+            floor = float(np.min(gaps * traj.mu_norm[tail], initial=np.inf))
+            dev = abs(floor * np.sqrt(2.0) - 1.0)
+            ok &= _fail(problems, dev <= 0.01, f"{label}: floor {floor} deviates {dev:.2e} from 1/sqrt(2)")
+        floors[label] = floor
+        ok &= _fail(problems, floor is not None and floor > 0, f"{label}: floor {floor}")
     su2_floor = floors.get("su2_round/forward")
     ok &= _fail(problems, su2_floor is not None, "no su2 blowup run")
     if su2_floor is not None:
@@ -343,7 +353,7 @@ _CRITERIA = [
     (3, "hyperbolic space: Ric = -2I and backward singularity at -1/4", _c3_hyperbolic),
     (4, "scalar-curvature evolution dR/dt = 2 tr Ric^2", _c4_scalar_evolution),
     (5, "R-monotonicity with mutation sensitivity", _c5_monotonicity),
-    (6, "norm floor (omega - t)^(1/2) |mu| stays positive", _c6_norm_floor),
+    (6, "norm floors (omega - t)^(1/2) |mu| (q = 0), (omega - t) |mu| (q > 0)", _c6_norm_floor),
     (7, "algebraic Ricci vs. Koszul oracle", _c7_oracle_equivalence),
     (8, "metric flow vs. bracket flow invariants", _c8_flow_equivalence),
     (9, "quadratic/cubic scaling laws", _c9_scaling),

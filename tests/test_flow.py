@@ -340,43 +340,109 @@ SCALE_RUNS = [
 ] + [("nilpotent6-backward", random_two_step_nilpotent(6, np.random.default_rng(0)), "backward", 10.0)]
 
 
-@functools.cache
-def _unscaled_verdict(k):
+# The metric flow from P0 = I runs the q = 0 inputs too (its zero bracket is
+# 'immortal', as it has no 'flat' verdict); the bracket-flow cases keep the
+# inputs' labels.
+SCALE_CASES = [pytest.param(k, "bracket", id=run[0]) for k, run in enumerate(SCALE_RUNS)] + [
+    pytest.param(k, "metric", id=f"metric-{run[0]}") for k, run in enumerate(SCALE_RUNS) if run[1].dims.q == 0
+]
+
+
+def _scaled_run(k, flow_name, c):
     _, mu, direction, horizon = SCALE_RUNS[k]
-    return integrate(mu, direction, horizon).verdict
+    mu = scale_bracket(mu, c)
+    if flow_name == "metric":
+        return metric_flow_integrate(mu, np.eye(mu.dims.n), direction, horizon / c**2)
+    return integrate(mu, direction, horizon / c**2)
 
 
-@pytest.mark.parametrize("k", range(len(SCALE_RUNS)), ids=[run[0] for run in SCALE_RUNS])
+@functools.cache
+def _unscaled_verdict(k, flow_name):
+    return _scaled_run(k, flow_name, 1.0).verdict
+
+
+def _assert_encloses(traj, slack):
+    # t_stop and far_bound enclose omega_est, and rigorous_bound where the flow has one
+    v = traj.verdict
+    near = traj.t[-1] if v.rigorous_bound is None else v.rigorous_bound
+    sign = np.copysign(1.0, traj.t[-1])
+    assert sign * (v.omega_est - near) >= -slack
+    assert sign * (v.far_bound - v.omega_est) >= -slack
+
+
+@pytest.mark.parametrize("k, flow_name", SCALE_CASES)
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(log_c=st.floats(-3.0, 7.0))
 @example(log_c=-3.0)
 @example(log_c=7.0)
-def test_verdict_is_scale_covariant(k, log_c):
+def test_verdict_is_scale_covariant(k, flow_name, log_c):
     # c mu(t / c^2) solves the flow, so the run of c mu over horizon / c^2
     # gives the same verdict at singular time omega / c^2
-    _, mu, direction, horizon = SCALE_RUNS[k]
     c = 10.0**log_c
-    want = _unscaled_verdict(k)
-    got = integrate(scale_bracket(mu, c), direction, horizon / c**2).verdict
+    want = _unscaled_verdict(k, flow_name)
+    traj = _scaled_run(k, flow_name, c)
+    got = traj.verdict
     assert got.kind == want.kind
     if want.kind == "blowup":
         assert abs(c**2 * got.omega_est - want.omega_est) <= 1e-3
+        _assert_encloses(traj, 1e-12 * abs(got.omega_est))
 
 
 SU2_DRAWS = [12.0 * g for g in np.random.default_rng(0).standard_normal((6, 3, 3))]
 
 
-@pytest.mark.parametrize("k", range(len(SU2_DRAWS)))
-def test_su2_metric_blows_up_at_the_milnor_frame_time(k):
+@pytest.mark.parametrize(
+    "k, flow_name",
+    [pytest.param(k, "bracket", id=str(k)) for k in range(len(SU2_DRAWS))]
+    + [pytest.param(k, "metric", id=f"metric-{k}") for k in range(len(SU2_DRAWS))],
+)
+def test_su2_metric_blows_up_at_the_milnor_frame_time(k, flow_name):
     # random left-invariant metrics on SU(2), with singular times from 57
-    # to 464, against the 3-variable flow in their Milnor frames
-    mu = transform_bracket(SU2, SU2_DRAWS[k])
-    v = integrate(mu, "forward", 5000.0).verdict
+    # to 464, against the 3-variable flow in their Milnor frames; the metric
+    # flow from P0 = g^T g over su(2) is isometric to the bracket flow from g.mu
+    g = SU2_DRAWS[k]
+    mu = transform_bracket(SU2, g)
+    if flow_name == "metric":
+        traj = metric_flow_integrate(SU2, g.T @ g, "forward", 5000.0)
+    else:
+        traj = integrate(mu, "forward", 5000.0)
+    v = traj.verdict
     omega = milnor_singular_time(mu.c)
     assert v.kind == "blowup"
     assert abs(v.omega_est - omega) <= 1e-9 * omega
-    slack = 1e-12 * omega
-    assert v.rigorous_bound - slack <= v.omega_est <= v.far_bound + slack
+    _assert_encloses(traj, 1e-12 * omega)
+
+
+# (entry, direction, horizon short of the singularity, singular time)
+SHORT_RUNS = [
+    ("su2_round", "forward", 0.5, 1.0),
+    ("sphere2_su2", "forward", 0.25, 0.5),
+    ("heisenberg3", "backward", 0.2, -1.0 / 3.0),
+]
+
+
+@pytest.mark.parametrize(
+    "name, direction, horizon, omega, flow_name",
+    [(*run, "bracket") for run in SHORT_RUNS]
+    + [(*run, "metric") for run in SHORT_RUNS if get_entry(run[0]).bracket.dims.q == 0],
+)
+def test_immortal_run_reports_the_far_bound_once_R_has_the_sign_of_time(name, direction, horizon, omega, flow_name):
+    # short of the singularity R already has the sign of the time direction,
+    # so t_end +- n / (2|R(t_end)|) bounds it; the Einstein entries meet the
+    # bound with equality, up to rounding
+    mu = get_entry(name).bracket
+
+    def verdict(direction):
+        if flow_name == "metric":
+            return metric_flow_integrate(mu, np.eye(mu.dims.n), direction, horizon).verdict
+        return integrate(mu, direction, horizon).verdict
+
+    v = verdict(direction)
+    assert v.kind == "immortal" and v.omega_est is None
+    sign = np.copysign(1.0, omega)
+    assert sign * (v.far_bound - omega) >= -1e-9 * abs(omega)
+    # the other direction, where R has the wrong sign, bounds nothing
+    assert verdict("backward" if direction == "forward" else "forward").far_bound is None
 
 
 # --- blowup-time fitting ----------------------------------------------------
