@@ -4,10 +4,11 @@ A homogeneous space is encoded by a Lie bracket on a split vector space
 k + p; the Ricci flow of its invariant metric becomes an ODE on the bracket
 itself.  This package computes the Ricci operator from structure constants
 (with an independent Koszul-formula cross-check), integrates the flow in
-both time directions, detects finite-time singularities with a rigorous
-one-sided bound on the remaining lifetime, fits singular times, and ships a
-catalog of exactly solvable initial data plus an acceptance suite tying
-everything to closed forms.
+both time directions, detects finite-time singularities by the comparison
+bound n / (2|R|) on the remaining lifetime, locates each singular time from
+the stop sample between two comparison bounds on the integrated run, and
+ships a catalog of exactly solvable initial data plus an acceptance suite
+tying everything to closed forms.
 """
 
 from .algebra import (

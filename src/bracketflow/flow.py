@@ -35,13 +35,17 @@ direction (R > 0 forward, R < 0 backward) the singularity comes within
 n / (2|R|) (`_time_left`), and R blows up at every finite singular time.  A
 finite-time singularity is declared when that bound falls below `STOP_REL`
 |t|; a run that reaches the horizon is immortal.  The singular time is then
-estimated by fitting a power law |mu(t)| ~ K (omega - t)^e to the
-trajectory tail, and enclosed by two rigorous one-sided bounds: the near
-one from d/dt |mu|^2 <= 2 C |mu|^4, with C the largest |dmu/dt| / |mu|^3
-measured along the trajectory, and the far one, n / (2|R|) past the last
-sample.  An immortal run whose R already has the sign of the time direction
-at the horizon reports that far bound too.  Both directions step in
-physical time: a backward run hands the stepper the end time -horizon.
+located from the stop sample alone: the same identity gives
+d(1/R)/dt = -2 tr Ric^2 / R^2, and one Newton step on 1/R from the last
+sample puts it at omega_est = t + R / (2 tr Ric^2) (`_verdict`).  Two
+comparison bounds on the integrated run enclose it: the near one from
+d/dt |mu|^2 <= 2 C |mu|^4, with C the largest |dmu/dt| / |mu|^3 measured
+along the trajectory, and the far one, n / (2|R|) past the last sample.
+They are evaluated on the numerical solution, so they carry its error;
+`fit_power_blowup` is an opt-in diagnostic of the growth exponent.
+An immortal run whose R already has the sign of the time direction at the
+horizon reports that far bound too.  Both directions step in physical time:
+a backward run hands the stepper the end time -horizon.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ __all__ = [
 # heisenberg3 backward stops at R = -4.59e9; 1e-8 would stop it at -4.5e8,
 # short of acceptance criterion C2's R < -1e9.
 STOP_REL = 1e-9
-# The fewest tail samples a singular-time fit accepts.
+# The fewest tail samples `fit_power_blowup` accepts.
 MIN_TAIL_SAMPLES = 10
 # Tail diagnostics skip the samples with |omega_est - t| below this fraction
 # of |omega_est|: there the distance to the singular time is smaller than the
@@ -167,22 +171,21 @@ class Verdict:
 
     kind is 'immortal' (reached the horizon), 'blowup' (the stop rule
     fired) or 'flat' (the zero bracket, an exact fixed point).
-    For a blowup, omega_est and its regression standard error come from the
-    power-law fit (non-rigorous).  The two comparison bounds enclose the
-    singular time: rigorous_bound (bracket flow only) is the time it
-    provably cannot precede (forward) or follow (backward), from
-    d/dt |mu|^2 <= 2 C |mu|^4, and far_bound = t_stop +- n / (2|R(t_stop)|)
-    the time it provably cannot follow (forward) or precede (backward), from
-    dR/dt >= (2/n) R^2.  An immortal verdict carries far_bound, taken at the
-    horizon, when R there has the sign of the time direction; otherwise it
-    is None.
+    For a blowup, omega_est = t_stop + R / (2 tr Ric^2) at the stop sample,
+    one Newton step on 1/R.  The two comparison bounds on the integrated run
+    enclose the singular time: rigorous_bound (bracket flow only), from
+    d/dt |mu|^2 <= 2 C |mu|^4, is the time it cannot precede (forward) or
+    follow (backward), and far_bound = t_stop +- n / (2|R(t_stop)|), from
+    dR/dt >= (2/n) R^2, the time it cannot follow (forward) or precede
+    (backward).  Both are evaluated on the numerical solution and carry its
+    error: on the Einstein entries, which meet the second inequality with
+    equality, far_bound lands about 1e-11 on the wrong side.  An immortal
+    verdict carries far_bound, taken at the horizon, when R there has the
+    sign of the time direction; otherwise it is None.
     """
 
     kind: str
     omega_est: float | None = None
-    omega_stderr: float | None = None
-    exponent: float | None = None
-    exponent_stderr: float | None = None
     rigorous_bound: float | None = None
     far_bound: float | None = None
 
@@ -379,8 +382,7 @@ def integrate(
             `opts.membership_tol`.
         StiffnessError: step size underflowed before the stop rule fired.
         DriftError: admissibility residuals exceeded `opts.drift_tol`.
-        FlowError: the step budget was exhausted, or a declared blowup left
-            too short a tail to fit the singular time.
+        FlowError: the step budget was exhausted.
     """
     opts = opts or IntegratorOptions()
     t_end = _end_time(direction, horizon)
@@ -453,6 +455,7 @@ def integrate(
     rhs_arr = np.array(rhsn)
     ric_rows = np.array(rics).reshape(len(rics), -1)
     scalar_r = ric_rows[:, :: dims.n + 1].sum(axis=1)
+    tr_ric_sq = np.sum(ric_rows * ric_rows, axis=1)
 
     rigorous = None
     if blowup:
@@ -460,7 +463,7 @@ def integrate(
         # seen, so the norm cannot blow up within (1 / (2 C)) |mu|^-2.
         near = 1.0 / (2.0 * _velocity_ratio_max(norm_arr, rhs_arr) * norms[-1] ** 2)
         rigorous = ts[-1] + np.copysign(near, t_end)
-    verdict = _verdict(blowup, t_arr, norm_arr, scalar_r[-1], dims.n, rigorous)
+    verdict = _verdict(blowup, ts[-1], scalar_r[-1], tr_ric_sq[-1], dims.n, rigorous)
 
     dense = None
     if opts.collect_dense:
@@ -472,7 +475,7 @@ def integrate(
         t=t_arr,
         mu_norm=norm_arr,
         scalar_R=scalar_r,
-        tr_ric_sq=np.sum(ric_rows * ric_rows, axis=1),
+        tr_ric_sq=tr_ric_sq,
         rhs_norm=rhs_arr,
         jacobi_residual=np.array(jres),
         h1_residual=np.array(h1res),
@@ -499,11 +502,11 @@ def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[bool, list
     """Step `solver` to its bound; return (singular, dense segments).
 
     `solver` is a `stepper.DormandPrince54` over a flow on an n-dimensional
-    space.  `on_step(solver)` records each accepted step (it may set
-    `max_step`) and returns R there.  The stop rule of both flows is read at
-    the last recorded sample, after each accepted step and at a solver
-    failure (a step floor hit right at the singularity): the run is singular
-    once `_time_left` is below `STOP_REL` |t|.  Any other failure is a
+    space.  `on_step(solver)` records each accepted step and returns R
+    there.  The stop rule of both flows is read at the last recorded sample,
+    after each accepted step and at a solver failure (a step floor hit right
+    at the singularity): the run is singular once `_time_left` is below
+    `STOP_REL` |t|.  Any other failure is a
     StiffnessError.  Segments are kept only under `opts.collect_dense`.
 
     Raises:
@@ -531,37 +534,28 @@ def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[bool, list
 
 
 def _verdict(
-    singular: bool, t: np.ndarray, series: np.ndarray, r_end: float, n: int, rigorous_bound: float | None = None
+    singular: bool, t: float, r: float, tr_ric_sq: float, n: int, rigorous_bound: float | None = None
 ) -> Verdict:
-    """The verdict of a run of either flow that ended at t[-1], where R = `r_end`.
+    """The verdict of a run of either flow that ended at time t, where R = r.
 
-    For both kinds far_bound = t[-1] +- `_time_left` there, or None where
-    that is inf.  A singular run is a blowup, located by a power-law fit to
-    the diverging `series`: `t` holds the physical times of the samples, the
-    fit runs on |t| and the singular time takes the sign of t.  Any other
-    run is immortal.
-
-    Raises:
-        FlowError: the tail is too short to fit, so the singularity that was
-            declared cannot be located.
+    For both kinds far_bound = t +- `_time_left` there, or None where that is
+    inf.  A singular run is a blowup at omega_est = t + R / (2 tr Ric^2), one
+    Newton step on 1/R, whose derivative along either flow is
+    -2 tr Ric^2 / R^2.  It is written as the far step n / (2R) times
+    R^2 / (n tr Ric^2), which is at most 1 since tr Ric^2 >= R^2 / n: so it
+    lies in [t, far_bound] up to the rounding of that ratio, equals
+    far_bound where the ratio rounds to 1 (an Einstein metric), and scales
+    bit for bit as omega / c^2 under mu -> c mu for c a power of 2.  Any
+    other run is immortal.
     """
-    left = _time_left(t[-1], r_end, n)
-    far_bound = t[-1] + np.copysign(left, t[-1]) if left < np.inf else None
+    left = _time_left(t, r, n)
+    if left == np.inf:
+        return Verdict(kind="immortal")
+    step = np.copysign(left, t)
     if not singular:
-        return Verdict(kind="immortal", far_bound=far_bound)
-    try:
-        fit = fit_power_blowup(np.abs(t), series)
-    except ValueError as exc:
-        raise FlowError(f"singularity declared at t = {t[-1]}, but {exc}") from exc
-    return Verdict(
-        kind="blowup",
-        omega_est=np.copysign(fit.omega, t[-1]),
-        omega_stderr=fit.omega_stderr,
-        exponent=fit.exponent,
-        exponent_stderr=fit.exponent_stderr,
-        rigorous_bound=rigorous_bound,
-        far_bound=far_bound,
-    )
+        return Verdict(kind="immortal", far_bound=t + step)
+    ratio = r * r / n / tr_ric_sq
+    return Verdict(kind="blowup", omega_est=t + step * ratio, rigorous_bound=rigorous_bound, far_bound=t + step)
 
 
 @dataclass(frozen=True)
@@ -580,11 +574,12 @@ class PowerLawFit:
 def fit_power_blowup(times: np.ndarray, norms: np.ndarray) -> PowerLawFit:
     """Fit a diverging power law to the tail of a norm series.
 
+    An opt-in diagnostic, of the growth exponent say; no verdict reads it.
     `times` must be increasing (|t| for a backward run), approaching the
-    singularity from below and `norms` the diverging quantity.  The tail is the final two
-    decades of `norms` (clipped to what the series spans).  For each trial
-    singular time the regression of log(norm) on log(omega - t) is linear
-    least squares; the trial time is optimized on a log scale.
+    singularity from below and `norms` the diverging quantity.  The tail is
+    the final two decades of `norms` (clipped to what the series spans).  For
+    each trial singular time the regression of log(norm) on log(omega - t)
+    is linear least squares; the trial time is optimized on a log scale.
 
     Raises:
         ValueError: if the tail holds fewer than `MIN_TAIL_SAMPLES` samples.
@@ -651,16 +646,17 @@ def fit_power_blowup(times: np.ndarray, norms: np.ndarray) -> PowerLawFit:
 
 
 def estimate_blowup_time(traj: Trajectory) -> tuple[float, tuple[float, float]]:
-    """Singular-time estimate and a +-1 standard error interval for a blowup.
+    """Singular-time estimate of a blowup and the enclosure (lo, hi) around it.
 
-    Both come from the verdict's power-law fit.  The interval is the
-    regression standard error and is not rigorous; the rigorous one-sided
-    bound lives in the verdict.
+    omega_est is the verdict's, t_stop + R / (2 tr Ric^2) at the stop sample;
+    lo and hi are t_stop and far_bound in time order, the comparison bounds
+    on the integrated run.  Works on a `metric_flow.MetricTrajectory` too.
     """
     v = traj.verdict
     if v.kind != "blowup":
         raise ValueError("trajectory does not carry a blowup verdict")
-    return v.omega_est, (v.omega_est - v.omega_stderr, v.omega_est + v.omega_stderr)
+    lo, hi = sorted((traj.t[-1], v.far_bound))
+    return v.omega_est, (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -751,11 +747,10 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
 def _resolved_tail(traj: Trajectory) -> np.ndarray:
     """Indices of the blowup tail that the tail diagnostics read.
 
-    The tail `fit_power_blowup` fits (|mu| within two decades of the last
-    sample), less the samples with |omega_est - t| < TAIL_GAP_REL |omega_est|.
-    The rule is scale free, and the samples it drops are those where a
-    rounding-level change of omega_est moves |omega_est - t| by a visible
-    fraction.
+    The samples with |mu| within two decades of the last sample, less those
+    with |omega_est - t| < TAIL_GAP_REL |omega_est|.  The rule is scale
+    free, and the samples it drops are those where a rounding-level change
+    of omega_est moves |omega_est - t| by a visible fraction.
     """
     omega = traj.verdict.omega_est
     tail = traj.mu_norm >= traj.mu_norm[-1] / 100.0
@@ -765,10 +760,10 @@ def _resolved_tail(traj: Trajectory) -> np.ndarray:
 def type_I_diagnostic(traj: Trajectory) -> float:
     """Sup of |omega_est - t| * |Riem(mu(t))| over the resolved blowup tail (q = 0).
 
-    The tail is `_resolved_tail`'s: the samples `fit_power_blowup` fits,
-    less those closer to omega_est than its own error.  A finite value is
-    the signature of a type-I singularity.  |Riem| comes from the Koszul
-    oracle, so isotropy is rejected.
+    The tail is `_resolved_tail`'s: |mu| within two decades of the last
+    sample, less the samples closer to omega_est than its own error.  A
+    finite value is the signature of a type-I singularity.  |Riem| comes from
+    the Koszul oracle, so isotropy is rejected.
     """
     if traj.dims.q != 0:
         raise ValueError("type-I diagnostic needs q = 0 (no |Riem| oracle with isotropy)")

@@ -19,10 +19,11 @@ the inverse V W^-1/2 V^T from the same eigendecomposition.  The flow is
 integrated on the bracket flow's monitored stepping loop (`flow._drive`),
 with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
 on the flat n x n matrix.  The two flows are one flow in two coordinates,
-so they share the scale-free stop rule on R (`flow.STOP_REL`) and the far
-bound n / (2|R|) on the singular time.  They can be compared through their
-isometry invariants (scalar curvature, Ricci spectra, singularity
-verdicts), which the equivalence of the flows says must agree.
+so they share the scale-free stop rule on R (`flow.STOP_REL`), the
+singular-time estimate from the stop sample and the far bound n / (2|R|)
+on it.  They can be compared through their isometry invariants (scalar
+curvature, Ricci spectra, singularity verdicts), which the equivalence of
+the flows says must agree.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "equivalence_check",
 ]
 
-_EPS = np.finfo(float).eps
 # Fraction of a singular pair's common interval that `equivalence_check`
 # compares: inside the remaining sliver the relative comparison divides by the
 # (tiny, independently accumulated) singular-time drift of each flow and
@@ -192,11 +192,11 @@ def metric_flow_integrate(
     Stops with the bracket flow's rule (`flow._drive`): a
     singularity is declared once R has the sign of the time direction and
     n / (2|R|) < `flow.STOP_REL` |t|, after an accepted step or at a step
-    floor; the singular time is then fitted from the diverging |R| series,
-    and far_bound = t_stop +- n / (2|R(t_stop)|).  The rule is scale free, as
+    floor; the verdict is built from the stop sample alone (`flow._verdict`):
+    omega_est = t_stop + R / (2 tr Ric^2) and
+    far_bound = t_stop +- n / (2|R(t_stop)|).  The rule is scale free, as
     the flow is: P0 / c^2 over horizon / c^2 gives the same verdict at
-    singular time omega / c^2.  Each step is capped at 0.2 |P| / |dP/dt|,
-    the first one from P0.  Stages that leave the positive-definite cone
+    singular time omega / c^2.  Stages that leave the positive-definite cone
     evaluate to NaN, and the stepper rejects an attempt whose error norm is
     not finite and retries at `stepper.MIN_FACTOR` = 0.2 times the step, so
     the integrator approaches a degenerating metric geometrically instead of
@@ -207,8 +207,7 @@ def metric_flow_integrate(
             positive.
         NonSPDError: `p0` is not positive-definite or has a non-finite entry.
         StiffnessError: step size underflowed away from a singular metric.
-        FlowError: the step budget was exhausted, or a declared singularity
-            left too short a tail to fit the singular time.
+        FlowError: the step budget was exhausted.
     """
     opts = opts or IntegratorOptions()
     _require_q0(mu0)
@@ -220,54 +219,34 @@ def metric_flow_integrate(
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
 
-    def derivative(ric, ell):
-        # -2 P RicOp(P) = -2 L^T ric L, symmetrised.
-        return _sym(-2.0 * (ell.T @ ric @ ell))
-
     def fun(_t, y):
         try:
             ric, ell = _pushed_ric(mu0, y.reshape(n, n))
         except NonSPDError:
             return np.full(n * n, np.nan)
-        return derivative(ric, ell).ravel()
+        # -2 P RicOp(P) = -2 L^T ric L, symmetrised.
+        return _sym(-2.0 * (ell.T @ ric @ ell)).ravel()
 
     ts, scalars, rics = [], [], []
     states: list[np.ndarray] = []
 
     def record(t, y):
         # Keeps y itself: the stepper never writes an array it has handed out.
-        # Keeps Ric, whose spectra are read once at the end.  Returns the
-        # derivative at y too: `_sym` is idempotent, so it equals `fun(t, y)`
-        # bit for bit, and the step ceiling needs no solver state.
-        p = _sym(y.reshape(n, n))
-        ric, ell = _pushed_ric(mu0, p)
+        # Keeps Ric, whose spectra are read once at the end, and returns R.
+        ric = _pushed_ric(mu0, y.reshape(n, n))[0]
         ts.append(t)
         scalars.append(float(ric.trace()))
         rics.append(ric)
         states.append(y)
-        return p, derivative(ric, ell)
-
-    dp0 = record(0.0, p0.ravel())[1]
-    h0 = 0.2 * np.linalg.norm(p0) / (np.linalg.norm(dp0) + _EPS)
-    solver = RK45(
-        fun,
-        0.0,
-        p0.ravel().copy(),
-        t_bound=t_end,
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-        max_step=min(h0, horizon),
-    )
-
-    def on_step(solver):
-        p, dp = record(solver.t, solver.y)
-        solver.max_step = 0.2 * np.linalg.norm(p) / (np.linalg.norm(dp) + _EPS)
         return scalars[-1]
 
-    singular, segments = _drive(solver, opts, on_step, n)
+    record(0.0, p0.ravel())
+    solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=opts.abs_tol)
+    singular, segments = _drive(solver, opts, lambda solver: record(solver.t, solver.y), n)
     t_arr = np.array(ts)
     r_arr = np.array(scalars)
-    verdict = _verdict(singular, t_arr, np.abs(r_arr), r_arr[-1], n)
+    # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
+    verdict = _verdict(singular, ts[-1], scalars[-1], float(np.sum(rics[-1] ** 2)), n)
     dense = DenseSolution([0.0] + [seg.t for seg in segments], segments) if opts.collect_dense else None
     return MetricTrajectory(
         direction=direction,

@@ -35,9 +35,10 @@ text.
 
 Running a scenario writes, per direction, a CSV trajectory table with
 header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
-digits per value) and a JSON report with the verdict, the regression
-singular time, the two rigorous one-sided bounds that enclose it, and the
-full estimate report.
+digits per value) and a JSON report with the verdict, the singular-time
+estimate, the two comparison bounds on the integrated run that enclose it
+(`rigorous_one_sided_bound`, `far_one_sided_bound`; the key names predate
+that wording), and the full estimate report.
 
 Exit codes: 0 success, 1 verdict contradicts declared expectations,
 2 load/validation error, 3 integrator failure.
@@ -265,9 +266,6 @@ def _verdict_dict(traj: Trajectory) -> dict:
     return {
         "kind": v.kind,
         "omega_est": v.omega_est,
-        "omega_stderr_nonrigorous": v.omega_stderr,
-        "fit_exponent": v.exponent,
-        "fit_exponent_stderr": v.exponent_stderr,
         "rigorous_one_sided_bound": v.rigorous_bound,
         "far_one_sided_bound": v.far_bound,
     }

@@ -38,11 +38,10 @@ class DormandPrince54:
 
     `step()` makes one accepted step, after any rejected attempts; `status`
     is 'running', 'finished' (t reached t_bound) or 'failed' (the step fell
-    below 10 ulps of t).  `max_step` may be changed between steps.  `nfev`
-    counts RHS evaluations: 2 in the constructor (the derivative at t0 and
-    the initial-step probe) and `n_stages` = 6 per attempt.  `f` is the
-    derivative at (t, y).  The stepper never writes an array it has handed
-    out as `y`.
+    below 10 ulps of t).  `nfev` counts RHS evaluations: 2 in the
+    constructor (the derivative at t0 and the initial-step probe) and
+    `n_stages` = 6 per attempt.  `f` is the derivative at (t, y).  The
+    stepper never writes an array it has handed out as `y`.
 
     rms_weight is w in the error norm sqrt(w * e.e); None means 1/len(y0),
     the plain RMS.  A state that stores each of its entries k times over in
@@ -77,11 +76,9 @@ class DormandPrince54:
         [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ])
 
-    def __init__(self, fun, t0, y0, t_bound, max_step=np.inf, rtol=1e-3, atol=1e-6, rms_weight=None):
+    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6, rms_weight=None):
         if t_bound == t0:
             raise ValueError("t_bound must differ from t0")
-        if not max_step > 0:
-            raise ValueError(f"max_step must be positive, got {max_step}")
         if not atol > 0:
             raise ValueError(f"atol must be positive, got {atol}")
         self._fun = fun
@@ -89,7 +86,6 @@ class DormandPrince54:
         self.y = np.asarray(y0, dtype=float)
         self.t_bound = t_bound
         self.direction = 1.0 if t_bound > t0 else -1.0
-        self.max_step = max_step
         # scipy's floor on rtol, below which the error estimate is rounding.
         self.rtol = max(rtol, 100 * np.finfo(float).eps)
         self.atol = atol
@@ -127,7 +123,7 @@ class DormandPrince54:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** -self.error_exponent
-        return min(100 * h0, h1, interval, self.max_step)
+        return min(100 * h0, h1, interval)
 
     def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
         """(y_new, f_new, error norm) of a step of h from (t, y); fills the stages K."""
@@ -147,13 +143,7 @@ class DormandPrince54:
             raise RuntimeError("attempt to step on a failed or finished solver")
         t = self.t
         min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
-        # scipy's order: a step above the ceiling is cut to it, and only a
-        # step at or below the ceiling is raised to the floor.
-        h_abs = self.h_abs
-        if h_abs > self.max_step:
-            h_abs = self.max_step
-        elif h_abs < min_step:
-            h_abs = min_step
+        h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:

@@ -140,8 +140,8 @@ def test_extinction_bounds_hold_across_catalog(runs):
 
 def test_blowup_estimates_respect_rigorous_brackets(runs):
     # omega_est lies past the last sample and between the near and the far
-    # comparison bound, up to 1e-12 |omega| (a fit may land an ulp or two
-    # past the near end)
+    # comparison bound, up to 1e-12 |omega| (rounding may land it an ulp or
+    # two past either end)
     for (name, direction), traj in runs.items():
         if traj.verdict.kind != "blowup":
             continue

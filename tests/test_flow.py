@@ -445,6 +445,69 @@ def test_immortal_run_reports_the_far_bound_once_R_has_the_sign_of_time(name, di
     assert verdict("backward" if direction == "forward" else "forward").far_bound is None
 
 
+# --- the singular time from the stop sample -----------------------------------
+
+# The catalog's blowups on the bracket flow, and on the metric flow from P0 = I
+# where q = 0: (index into SCALE_RUNS, flow, closed-form singular time).
+CATALOG_BLOWUPS = [
+    pytest.param(k, flow_name, e.expected[direction][1], id=f"{flow_name}-{e.name}-{direction}")
+    for k, (e, direction) in enumerate((e, d) for e in catalog_entries() for d in ("forward", "backward"))
+    if e.expected[direction][0] == "blowup"
+    for flow_name in ("bracket", "metric")
+    if flow_name == "bracket" or e.bracket.dims.q == 0
+]
+
+
+@pytest.mark.parametrize("k, flow_name, omega", CATALOG_BLOWUPS)
+def test_catalog_blowup_is_located_to_1e_9(k, flow_name, omega):
+    assert SCALE_RUNS[k][2] == ("forward" if omega > 0 else "backward")
+    v = _unscaled_verdict(k, flow_name)
+    assert v.kind == "blowup"
+    assert abs(v.omega_est - omega) <= 1e-9 * abs(omega)
+
+
+def test_a_blowup_with_fewer_than_10_samples_gets_its_verdict():
+    # P(t) is linear in t here, so the error estimate is 0 and one step lands
+    # at the stop: the power-law fit would refuse this tail, the stop sample
+    # alone locates omega = -0.5 / c^2
+    c = 1e4
+    mu = scale_bracket(get_entry("hyperbolic_plane").bracket, c)
+    traj = metric_flow_integrate(mu, np.eye(2), "backward", 10.0 / c**2)
+    assert traj.n_samples < 10  # the case is live
+    assert traj.verdict.kind == "blowup"
+    assert abs(c**2 * traj.verdict.omega_est + 0.5) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 13),
+    t=st.floats(1e-3, 1e3),
+    r=st.floats(1e-3, 1e9),
+    excess=st.floats(0.0, 10.0),
+    backward=st.booleans(),
+    k=st.integers(-20, 20),
+)
+@example(n=3, t=1.0, r=1e9, excess=0.0, backward=False, k=0)
+def test_the_stop_sample_verdict_is_scale_covariant_and_enclosed(n, t, r, excess, backward, k):
+    # t and R of one sign and tr Ric^2 >= R^2 / n, as at a stop
+    if backward:
+        t, r = -t, -r
+    tr_ric_sq = r * r / n * (1.0 + excess)
+    v = flow._verdict(True, t, r, tr_ric_sq, n)
+    assert v.kind == "blowup"
+    ulps = 4 * np.spacing(abs(v.omega_est))
+    assert abs(v.omega_est - (t + r / (2.0 * tr_ric_sq))) <= ulps
+    # under mu -> c mu with c = 2^k, t -> t / c^2, R -> c^2 R, tr Ric^2 -> c^4 tr Ric^2: bit for bit
+    c2 = 2.0 ** (2 * k)
+    scaled = flow._verdict(True, t / c2, r * c2, tr_ric_sq * c2 * c2, n)
+    assert scaled.omega_est == v.omega_est / c2 and scaled.far_bound == v.far_bound / c2
+    # inside [t, far_bound] up to a few ulps
+    lo, hi = sorted((t, v.far_bound))
+    assert lo - ulps <= v.omega_est <= hi + ulps
+    # at the Einstein tie tr Ric^2 = R^2 / n it is the far bound
+    assert flow._verdict(True, t, r, r * r / n, n).omega_est == v.far_bound
+
+
 # --- blowup-time fitting ----------------------------------------------------
 
 def test_fit_synthetic_half_power():
@@ -472,15 +535,20 @@ def test_fit_refuses_thin_tail():
 
 
 def test_estimate_blowup_time_su2(su2_forward):
+    # the enclosure is t_stop and far_bound, in time order
     est, (lo, hi) = estimate_blowup_time(su2_forward)
     assert est == pytest.approx(1.0, abs=1e-3)
+    assert (lo, hi) == (su2_forward.t[-1], su2_forward.verdict.far_bound)
     assert lo <= est <= hi
-    assert su2_forward.verdict.exponent == pytest.approx(-0.5, abs=0.02)
+    # the growth exponent is an opt-in diagnostic, off the verdict path
+    assert fit_power_blowup(su2_forward.t, su2_forward.mu_norm).exponent == pytest.approx(-0.5, abs=0.02)
 
 
 def test_estimate_blowup_time_heis_backward(heis_backward):
-    est, _ = estimate_blowup_time(heis_backward)
+    est, (lo, hi) = estimate_blowup_time(heis_backward)
     assert est == pytest.approx(-1.0 / 3.0, abs=1e-3)
+    assert (lo, hi) == (heis_backward.verdict.far_bound, heis_backward.t[-1])
+    assert lo <= est <= hi
 
 
 def test_estimate_blowup_time_requires_blowup():

@@ -11,7 +11,7 @@ from scipy.integrate import RK45 as ScipyRK45
 from bracketflow import LieBracket, bracket_flow_rhs, get_entry, random_bracket
 from bracketflow.curvature import _flow_table, _ricci_table
 from bracketflow.flow import _default_rhs_tensor, _to_state, _to_tensor
-from bracketflow.stepper import MIN_FACTOR, DormandPrince54
+from bracketflow.stepper import MIN_FACTOR, TOO_SMALL_STEP, DormandPrince54
 
 SU2 = get_entry("su2_round").bracket
 # A damped oscillator whose step control rejects steps at moderate tolerances.
@@ -97,7 +97,7 @@ def test_nan_stage_is_rejected_and_retried_at_min_factor():
 
     solver = DormandPrince54(poisoned, 0.0, np.array([1.0]), 10.0, rtol=1e-6, atol=1e-9)
     assert solver.nfev == 2  # the derivative at t0 and the initial-step probe
-    h_first = min(solver.h_abs, solver.max_step)
+    h_first = solver.h_abs
     assert solver.step() is None
     assert solver.status == "running"
     assert solver.nfev == 2 + 2 * solver.n_stages  # one rejected attempt, one accepted
@@ -125,17 +125,22 @@ def test_nfev_counts_two_in_the_constructor_and_six_per_attempt():
 
 
 def test_step_floor_is_scipys():
-    # A step at or below its ceiling is raised to the floor of 10 ulps of t ...
+    # A step below the floor of 10 ulps of t is raised to it ...
     args = (_linear, 1.0, np.array([1.0, 0.0]), 3.0)
-    ours, ref = DormandPrince54(*args, max_step=1e-15), ScipyRK45(*args, max_step=1e-15)
+    ours, ref = DormandPrince54(*args), ScipyRK45(*args)
+    ours.h_abs = ref.h_abs = 1e-15
     assert ours.step() is ref.step() is None
     assert ours.t == ref.t == 1.0 + 10 * np.spacing(1.0)
-    # ... but a ceiling lowered below the floor leaves no admissible step.
+
+    # ... and a step whose attempts keep failing shrinks below it and fails.
+    def nan_past_t0(t, y):
+        return _linear(t, y) if t == 1.0 else np.full_like(y, np.nan)
+
+    args = (nan_past_t0, 1.0, np.array([1.0, 0.0]), 3.0)
     ours, ref = DormandPrince54(*args), ScipyRK45(*args)
-    ours.max_step = ref.max_step = 1e-15
-    assert ours.step() == ref.step()
+    assert ours.step() == ref.step() == TOO_SMALL_STEP
     assert ours.status == ref.status == "failed"
-    assert ours.t == 1.0
+    assert ours.t == ref.t == 1.0
     with pytest.raises(RuntimeError):
         ours.step()
 
