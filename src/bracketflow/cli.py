@@ -6,7 +6,8 @@ Verbs:
     catalog run <name> [--backward] [--horizon T]
     verify                               run the acceptance suite
 
-Global flags --rel-tol, --abs-tol and --out apply where meaningful.  Exit
+Global flags --rel-tol and --out apply where meaningful; the integrator
+has no absolute tolerance to set (see `flow.IntegratorOptions`).  Exit
 codes: 0 success, 1 verdict contradicts expectations, 2 load/validation
 error (a bad flag, an --out that cannot be a directory, a scenario file that
 cannot be read or parsed), 3 integrator failure.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .catalog import catalog_entries, get_entry
@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Homogeneous Ricci flow as an ODE on Lie-algebra structure constants.",
     )
     parser.add_argument("--rel-tol", type=float, default=None, help="integrator relative tolerance")
-    parser.add_argument("--abs-tol", type=float, default=None, help="integrator absolute tolerance")
     parser.add_argument("--out", default=".", help="output directory for CSV and report files")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -52,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _base_options(args) -> IntegratorOptions:
-    flags = {"rel_tol": args.rel_tol, "abs_tol": args.abs_tol}
-    return replace(IntegratorOptions(), **{k: v for k, v in flags.items() if v is not None})
+    return IntegratorOptions() if args.rel_tol is None else IntegratorOptions(rel_tol=args.rel_tol)
 
 
 def main(argv=None) -> int:

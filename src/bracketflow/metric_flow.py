@@ -40,7 +40,8 @@ from .curvature import _ricci_from_tensor
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 # DenseSolution and integrate are called by these names so that flowbench can trace them.
-from .flow import DenseSolution, IntegratorOptions, Verdict, _Checkpoints, _drive, _end_time, _verdict, integrate
+from .flow import (DenseSolution, IntegratorOptions, Verdict, _abs_tol, _Checkpoints, _drive, _end_time,
+                   _verdict, integrate)
 
 __all__ = [
     "MetricState",
@@ -241,7 +242,8 @@ def metric_flow_integrate(
         return scalars[-1]
 
     record(0.0, p0.ravel())
-    solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=opts.abs_tol)
+    atol = _abs_tol(opts, float(np.linalg.norm(p0)))
+    solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=atol)
     singular, segments = _drive(solver, opts, lambda solver: record(solver.t, solver.y), n)
     t_arr = np.array(ts)
     r_arr = np.array(scalars)

@@ -13,7 +13,7 @@ initial data is either a catalog reference or inline structure constants:
     bracket = (1,2,3, 1.0) (2,3,1, 1.0) (3,1,2, 1.0)   # 1-indexed (i,j,k,value)
 
     rel_tol = 1e-10                 # integrator overrides, all optional:
-    abs_tol = 1e-12                 # drift_tol, max_steps
+    drift_tol = 1e-6                # rel_tol, drift_tol and max_steps
     sample_stride = 1
     validation_tol = 1e-10          # membership tolerance, see below
     expect_forward = blowup         # optional expectations: immortal |
@@ -30,8 +30,9 @@ rejected naming its line: a bracket value must be finite, `direction` one of
 forward, backward or both, `horizon` finite and positive, `sample_stride` an
 int >= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
 finite and positive, `expect_omega` and `expect_alpha` finite.  A key may be
-given once, and any other key is rejected as unknown; a file must be UTF-8
-text.
+given once, and any other key is rejected as unknown (so is `abs_tol`: the
+step control's absolute floor follows the initial bracket's norm, see
+`flow.IntegratorOptions`); a file must be UTF-8 text.
 
 Running a scenario writes, per direction, a CSV trajectory table with
 header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
@@ -64,7 +65,6 @@ CSV_HEADER = "t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual"
 
 _OPTS_KEYS = {
     "rel_tol": float,
-    "abs_tol": float,
     "drift_tol": float,
     "max_steps": int,
     "validation_tol": float,

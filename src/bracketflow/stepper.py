@@ -3,9 +3,12 @@
 The method of Dormand & Prince (J. Comput. Appl. Math. 6 (1980)) with the
 step control of Hairer, Norsett & Wanner, *Solving ODEs I*, sections
 II.4-II.6, and the quartic dense output of Shampine (Math. Comp. 46
-(1986)).  It takes the same steps as `scipy.integrate.RK45` up to rounding:
-the same tableau, initial step, step floor and step-size factors.  Both
-flows step with it (`flow._drive`).
+(1986)).  Given the same first step it takes the same steps as
+`scipy.integrate.RK45` up to rounding: the same tableau, step floor and
+step-size factors.  Its initial-step heuristic is scipy's written
+homogeneously in time, with no absolute floor, so a run of y' = f(y) and
+one rescaled by a power of 2 take the same steps bit for bit when atol
+scales with y.  Both flows step with it (`flow._drive`).
 
 Stage arithmetic is fused: with hA = h * A formed once per attempt, stage s
 is one product hA[s, :s] @ K[:s].  The last row of A holds the 5th-order
@@ -109,20 +112,18 @@ class DormandPrince54:
         return np.sqrt(self._w * np.dot(x, x))
 
     def _initial_step(self) -> float:
-        # Hairer-Norsett-Wanner II.4: h0 from |y|/|f|, then one Euler probe
-        # bounds h by the local change of f.
+        # Hairer-Norsett-Wanner II.4, written homogeneously in time: h0 from
+        # |y|/|f|, then one Euler probe bounds h by the local change of f.
+        # Every quantity compared is dimensionless, so rescaling t, and y
+        # with atol, by powers of 2 rescales the step exactly.
         t0, y0, f0 = self.t, self.y, self.f
         interval = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
         d0, d1 = self._rms(y0 / scale), self._rms(f0 / scale)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, interval)
+        h0 = min(0.01 * d0 / d1, interval) if d1 > 0 else interval
         f1 = self._eval(t0 + h0 * self.direction, y0 + h0 * self.direction * f0)
-        d2 = self._rms((f1 - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** -self.error_exponent
+        change = max(d1, self._rms((f1 - f0) / scale)) * h0
+        h1 = h0 * (0.01 / change) ** -self.error_exponent if change > 0 else interval
         return min(100 * h0, h1, interval)
 
     def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:

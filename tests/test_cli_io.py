@@ -106,11 +106,8 @@ def test_load_integrator_overrides(tmp_path):
         """,
     )
     sc = load_scenario(path)
-    opts = sc.options()
-    assert opts.rel_tol == 1e-8
-    assert opts.drift_tol == 1e-5
-    assert opts.max_steps == 1000
-    assert opts.abs_tol == IntegratorOptions().abs_tol
+    # the keys not given keep their defaults
+    assert sc.options() == IntegratorOptions(rel_tol=1e-8, drift_tol=1e-5, max_steps=1000)
 
 
 @pytest.mark.parametrize("horizon", ["0", "-1", "nan", "inf"])
@@ -375,7 +372,7 @@ def test_cli_catalog_run_bad_horizon_exit_2(tmp_path, capsys, horizon):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--abs-tol", "-1")])
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--rel-tol", "-1")])
 def test_cli_bad_integrator_flag_exit_2(tmp_path, capsys, flag, value):
     assert main(["--out", str(tmp_path), flag, value, "catalog", "run", "su2_round"]) == 2
     err = capsys.readouterr().err
@@ -384,9 +381,30 @@ def test_cli_bad_integrator_flag_exit_2(tmp_path, capsys, flag, value):
 
 
 def test_load_rejects_integrator_key_out_of_range_naming_file_and_key(tmp_path):
-    scn = _write(tmp_path, "neg.scn", "catalog = su2_round\nabs_tol = -1\n")
-    with pytest.raises(ScenarioError, match=r"neg\.scn:2: bad value for abs_tol"):
+    for key in ("rel_tol", "drift_tol"):
+        scn = _write(tmp_path, "neg.scn", f"catalog = su2_round\n{key} = -1\n")
+        with pytest.raises(ScenarioError, match=rf"neg\.scn:2: bad value for {key}"):
+            load_scenario(scn)
+
+
+@pytest.mark.parametrize("args", [["--abs-tol", "1e-12"], ["--abs-tol=1e-12"]])
+def test_cli_abs_tol_flag_is_a_usage_error(tmp_path, capsys, args):
+    # the step control has no absolute tolerance: its floor follows the initial state
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), *args, "catalog", "run", "su2_round"])
+    assert exc.value.code == 2
+    assert "usage: bracketflow" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_scenario_abs_tol_key_is_unknown_and_run_exits_2(tmp_path, capsys):
+    scn = _write(tmp_path, "atol.scn", "catalog = su2_round\nabs_tol = 1e-12\n")
+    with pytest.raises(ScenarioError, match=r"atol\.scn:2: unknown key 'abs_tol'"):
         load_scenario(scn)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(scn)]) == 2
+    assert "atol.scn:2: unknown key 'abs_tol'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_exit_0_on_a_large_immortal_bracket(tmp_path):

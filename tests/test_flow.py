@@ -30,6 +30,7 @@ from bracketflow import (
     transform_bracket,
     type_I_diagnostic,
 )
+from bracketflow.algebra import DEFAULT_TOL
 from bracketflow.catalog import catalog_entries, get_entry
 
 from oracles import local_derivatives_polyfit, milnor_singular_time
@@ -213,7 +214,7 @@ def test_integrate_rejects_horizon_that_is_not_finite_and_positive(horizon):
         {"max_steps": 0},
         {"max_steps": 2.5},
         {"rel_tol": float("nan")},
-        {"abs_tol": -1.0},
+        {"rel_tol": -1.0},
         {"drift_tol": 0.0},
         {"membership_tol": float("inf")},
     ],
@@ -230,7 +231,7 @@ def test_integrator_options_reject_out_of_range_values(bad):
     [
         {"max_steps": True},
         {"rel_tol": True},
-        {"abs_tol": False},
+        {"drift_tol": False},
         {"drift_tol": np.True_},
         {"collect_dense": "no"},
         {"collect_dense": 1},
@@ -322,11 +323,54 @@ def test_drift_failure_detected_with_broken_dynamics():
         integrate(HEIS, "forward", 10.0, opts, rhs=leaky)
 
 
+def test_drift_is_measured_scale_free():
+    # A leak that scales as the RHS does, c^3, leaves c mu(t / c^2) a
+    # solution of the leaky flow, so the drift, each residual relative to
+    # |mu| to its degree, fires at the same value and at t / c^2.
+    poison = np.zeros((3, 3, 3))
+    poison[1, 2, 1] = 1.0
+    fired = set()
+    for k in (-10, 0, 23):
+        c = 2.0**k
+
+        def leaky(mu):
+            return LieBracket(mu.dims, bracket_flow_rhs(mu).c + 1e-3 * c**3 * poison)
+
+        with pytest.raises(DriftError, match="drift 4.332e-08 exceeds") as err:
+            integrate(scale_bracket(HEIS, c), "forward", 10.0 / c**2, IntegratorOptions(drift_tol=1e-10), rhs=leaky)
+        fired.add(float(str(err.value).rsplit("t = ", 1)[1]) * c**2)
+    assert len(fired) == 1
+
+
 @pytest.mark.parametrize("mu, scale", [(HEIS, 1e7), (HYP, 2e6)], ids=["heisenberg3", "hyperbolic3"])
 def test_large_immortal_brackets_stay_immortal(mu, scale):
     # |mu| is large from the start, but R < 0 forward, so the stop rule never fires
     traj = integrate(scale_bracket(mu, scale), "forward", 10.0)
     assert traj.verdict.kind == "immortal" and traj.t[-1] == 10.0
+
+
+# The flat metric on E(2): [e3, e1] = e2 and [e3, e2] = -e1.  Ric = 0 at
+# P = I although |mu| = 2, so both flows sit at a fixed point.
+E2_FLAT = LieBracket.from_triples(0, 3, [(3, 1, 2, 1.0), (3, 2, 1, -1.0)], one_indexed=True)
+
+
+@pytest.mark.parametrize("flow_name", ["bracket", "metric"])
+@pytest.mark.parametrize("k", [-20, 0, 23])
+def test_a_nonzero_fixed_point_reaches_the_horizon_in_one_step(k, flow_name):
+    # The derivative is exactly 0: the first step's heuristic has neither a
+    # rate |f| nor a change of f to read, and takes the whole interval at
+    # every scale, with no division by zero (Tier-1 fails on a warning).
+    c = 2.0**k
+    mu = scale_bracket(E2_FLAT, c)
+    assert bracket_norm(mu) == 2.0 * c and np.all(bracket_flow_rhs(mu).c == 0.0)
+    for direction, end in (("forward", 10.0), ("backward", -10.0)):
+        if flow_name == "metric":
+            traj = metric_flow_integrate(mu, np.eye(3), direction, 10.0 / c**2)
+        else:
+            traj = integrate(mu, direction, 10.0 / c**2)
+        assert traj.verdict.kind == "immortal"
+        assert traj.n_samples == 2 and traj.t[-1] * c**2 == end
+        assert np.all(traj.scalar_R == 0.0)
 
 
 # --- the scale-free stop rule ------------------------------------------------
@@ -413,6 +457,69 @@ def test_su2_metric_blows_up_at_the_milnor_frame_time(k, flow_name):
     _assert_encloses(traj, 1e-12 * omega)
 
 
+# --- bit identity under c = 2^k ------------------------------------------------
+
+# Inputs of both flows: (label, bracket of the bracket flow, (bracket, P0) of
+# the metric flow or None where q > 0, direction, horizon at c = 1).  The
+# catalog both ways, seeded two-step nilpotent brackets at n <= 9 both ways,
+# and the SU(2) draws checked against the Milnor-frame oracle above.
+BIT_RUNS = (
+    [
+        (label, mu, (mu, np.eye(mu.dims.n)) if mu.dims.q == 0 else None, direction, horizon)
+        for label, mu, direction, horizon in SCALE_RUNS[:-1]
+    ]
+    + [
+        (f"nilpotent{n}-{seed}-{direction}", mu, (mu, np.eye(n)), direction, 10.0)
+        for n in (6, 9)
+        for seed in (0, 1)
+        for mu in [random_two_step_nilpotent(n, np.random.default_rng(seed))]
+        for direction in ("forward", "backward")
+    ]
+    + [(f"milnor-{k}", transform_bracket(SU2, g), (SU2, g.T @ g), "forward", 5000.0) for k, g in enumerate(SU2_DRAWS)]
+)
+BIT_LABELS = [run[0] for run in BIT_RUNS]
+BIT_CASES = [(k, "bracket") for k in range(len(BIT_RUNS))] + [
+    (k, "metric") for k, run in enumerate(BIT_RUNS) if run[2] is not None
+]
+
+
+def _bit_run(k, flow_name, c):
+    # the run of c mu (the bracket flow), or of P0 / c^2 over mu (the metric
+    # flow), over horizon / c^2
+    _, mu, metric_input, direction, horizon = BIT_RUNS[k]
+    if flow_name == "metric":
+        base, p0 = metric_input
+        return metric_flow_integrate(base, p0 / c**2, direction, horizon / c**2)
+    # The admissibility check of the initial bracket compares absolute
+    # residuals with membership_tol; the Jacobiator is quadratic in mu, so
+    # the tolerance scales as c^2 to accept the rescaled Milnor draws (Jacobi
+    # residual up to 3.3e-16 at c = 1, rounding) as it accepts the draws.
+    opts = IntegratorOptions(membership_tol=DEFAULT_TOL * c * c)
+    return integrate(scale_bracket(mu, c), direction, horizon / c**2, opts)
+
+
+@functools.cache
+def _bit_record(k, flow_name, c=1.0):
+    # what a run says in the units of c = 1: its samples' t c^2 and R / c^2,
+    # the verdict kind and its three times times c^2
+    traj = _bit_run(k, flow_name, c)
+    v, c2 = traj.verdict, c * c
+    times = [None if x is None else x * c2 for x in (v.omega_est, v.rigorous_bound, v.far_bound)]
+    return traj.n_samples, (traj.t * c2).tolist(), (traj.scalar_R / c2).tolist(), v.kind, times
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(BIT_CASES), k=st.integers(-20, 23))
+@example(case=(BIT_LABELS.index("su2_round-forward"), "metric"), k=23)
+@example(case=(BIT_LABELS.index("sphere2_times_line-backward"), "bracket"), k=-20)
+@example(case=(BIT_LABELS.index("milnor-5"), "bracket"), k=23)
+def test_runs_are_bit_identical_under_power_of_2_rescaling(case, k):
+    # Every product in the RHS, the stop rule and the step control scales
+    # exactly under mu -> 2^k mu, t -> t / 4^k (P0 -> P0 / 4^k on the metric
+    # side), so the rescaled run takes the same steps bit for bit.
+    assert _bit_record(*case, 2.0**k) == _bit_record(*case)
+
+
 # (entry, direction, horizon short of the singularity, singular time)
 SHORT_RUNS = [
     ("su2_round", "forward", 0.5, 1.0),
@@ -467,15 +574,17 @@ def test_catalog_blowup_is_located_to_1e_9(k, flow_name, omega):
 
 
 def test_a_blowup_with_fewer_than_10_samples_gets_its_verdict():
-    # P(t) is linear in t here, so the error estimate is 0 and one step lands
-    # at the stop: the power-law fit would refuse this tail, the stop sample
-    # alone locates omega = -0.5 / c^2
-    c = 1e4
-    mu = scale_bracket(get_entry("hyperbolic_plane").bracket, c)
-    traj = metric_flow_integrate(mu, np.eye(2), "backward", 10.0 / c**2)
-    assert traj.n_samples < 10  # the case is live
-    assert traj.verdict.kind == "blowup"
-    assert abs(c**2 * traj.verdict.omega_est + 0.5) <= 1e-15
+    # P(t) is linear in t here, so the error estimate is 0 and the steps
+    # grow tenfold up to the stop: the last two decades of |R| hold fewer
+    # samples than the power-law fit needs, the stop sample alone locates
+    # omega = -0.5 / c^2
+    for c in (1.0, 1e4):
+        mu = scale_bracket(get_entry("hyperbolic_plane").bracket, c)
+        traj = metric_flow_integrate(mu, np.eye(2), "backward", 10.0 / c**2)
+        with pytest.raises(ValueError, match="got 5"):  # the case is live
+            fit_power_blowup(np.abs(traj.t), np.abs(traj.scalar_R))
+        assert traj.verdict.kind == "blowup"
+        assert abs(c**2 * traj.verdict.omega_est + 0.5) <= 1e-15
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -814,8 +923,8 @@ def _count_ricci_and_rhs(monkeypatch, mu, direction):
 
 
 # RHS evaluations of each run: 6 per attempted step plus the monitor's, whatever computes Ric.
-RHS_CALLS = {("su2_round", "forward"): 3531, ("sphere2_su2", "backward"): 402}
-GEMM_RHS_CALLS = 4818  # `_dense_nilpotent(6, 0)` backward
+RHS_CALLS = {("su2_round", "forward"): 3538, ("sphere2_su2", "backward"): 409}
+GEMM_RHS_CALLS = 4637  # `_dense_nilpotent(6, 0)` backward
 
 
 @pytest.mark.parametrize("name, direction", list(RHS_CALLS))
