@@ -180,32 +180,35 @@ class ConditionReport:
 
     All residuals vanish (up to tolerance) exactly when the bracket is a Lie
     bracket compatible with the k + p split and the background inner product.
-    The closedness of the isotropy subgroup is not computable from structure
-    constants; it travels as the human-authored h2_note.
+    The residuals are absolute; `passes` reads each relative to mu_norm = |mu|
+    to its degree (`_relative_residuals`), as the drift check along the flow
+    does, so the check does not depend on the scale of mu: 2^k mu passes
+    exactly when mu does.  The closedness of the isotropy subgroup is not
+    computable from structure constants; it travels as the human-authored
+    h2_note.
     """
 
     jacobi_residual: float
     h1_residual: float
     h3_residual: float
     h4_kernel_dim: int
+    mu_norm: float
     h2_note: str = ""
 
+    def relative(self) -> tuple[float, float, float]:
+        """(jacobi, h1, h3) residuals relative to |mu|^2, |mu| and |mu|."""
+        return _relative_residuals(self.jacobi_residual, self.h1_residual, self.h3_residual, self.mu_norm**2)
+
     def passes(self, tol: float = DEFAULT_TOL, require_h4: bool = True) -> bool:
-        ok = (
-            self.jacobi_residual <= tol
-            and self.h1_residual <= tol
-            and self.h3_residual <= tol
-        )
+        ok = all(r <= tol for r in self.relative())
         if require_h4:
             ok = ok and self.h4_kernel_dim == 0
         return ok
 
     def worst(self) -> tuple[str, float]:
-        """Name and value of the largest residual (h4 counts as 1.0 per kernel dim)."""
+        """Name and relative value of the largest residual (h4 counts as 1.0 per kernel dim)."""
         items = [
-            ("jacobi_residual", self.jacobi_residual),
-            ("h1_residual", self.h1_residual),
-            ("h3_residual", self.h3_residual),
+            *zip(("jacobi_residual", "h1_residual", "h3_residual"), self.relative()),
             ("h4_kernel_dim", float(self.h4_kernel_dim)),
         ]
         return max(items, key=lambda kv: kv[1])
@@ -214,7 +217,10 @@ class ConditionReport:
         """Raise NotInVarietyError, naming the worst residual, unless `passes(tol)`."""
         if not self.passes(tol):
             name, value = self.worst()
-            raise NotInVarietyError(f"bracket fails admissibility: {name} = {value:.6e} exceeds tolerance {tol:.1e}")
+            relative = "" if name == "h4_kernel_dim" else " (relative to |mu| to its degree)"
+            raise NotInVarietyError(
+                f"bracket fails admissibility: {name} = {value:.6e} exceeds tolerance {tol:.1e}{relative}"
+            )
 
 
 def bracket_norm(mu: LieBracket) -> float:
@@ -240,11 +246,13 @@ def _extend_on_p(dims: Dimensions, a: np.ndarray) -> np.ndarray:
 def _pi_tensor(abar: np.ndarray, c: np.ndarray) -> np.ndarray:
     # pi(A)mu = A mu(.,.) - mu(A., .) - mu(., A.); the third term is the
     # (i <-> j) mirror of the second because c is antisymmetric.  Both terms
-    # are 2-D GEMMs on reshaped views of c.
-    d = c.shape[0]
-    term1 = (c.reshape(d * d, d) @ abar.T).reshape(d, d, d)
-    term2 = (abar.T @ c.reshape(d, d * d)).reshape(d, d, d)
-    return term1 - term2 + term2.transpose(1, 0, 2)
+    # are GEMMs on reshaped views of c.  pi is linear in c, so a stack of
+    # tensors along a leading axis, shape (m, d, d, d), gives the m results
+    # in one call; a single tensor makes the same two 2-D GEMMs as ever.
+    d = abar.shape[0]
+    term1 = (c.reshape(-1, d) @ abar.T).reshape(c.shape)
+    term2 = (abar.T @ c.reshape(c.shape[:-3] + (d, d * d))).reshape(c.shape)
+    return term1 - term2 + np.swapaxes(term2, -3, -2)
 
 
 def pi_action(a: np.ndarray, mu: LieBracket) -> LieBracket:
@@ -315,31 +323,61 @@ def _triple_plan(d: int) -> np.ndarray:
     return plan
 
 
+def _jacobi_triples(c: np.ndarray) -> np.ndarray:
+    # The Jacobiator's components J[i,j,l,k] on the triples i < j < l, for
+    # every k, as one vector: J[i,j,l,k] = a[i,j,l,k] + a[j,l,i,k] +
+    # a[l,i,j,k], gathered from a = c c (one GEMM) through `_triple_plan`.
+    # J is totally antisymmetric in its three bracket slots, so these
+    # components hold all of it; with d < 3 there are none.
+    d = c.shape[0]
+    a = (c.reshape(d * d, d) @ c.reshape(d, d * d)).ravel()
+    return a.take(_triple_plan(d)).sum(0)
+
+
+def _isotropy_parts(c: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    # The components whose max-norms are h1 and h3, as two vectors: the
+    # entries of mu(k,k) in p and of mu(k,p) in k, then those of
+    # ad Z|_p + (ad Z|_p)^T for Z in the k-basis.  Both are linear in c; a
+    # stack of tensors along a leading axis gives a stack of vectors.
+    lead, n = c.shape[:-3], c.shape[-1] - q
+    kk_out = c[..., :q, :q, q:].reshape(lead + (q * q * n,))
+    kp_out = c[..., :q, q:, :q].reshape(lead + (q * n * q,))
+    s = c[..., :q, q:, q:]
+    return np.concatenate([kk_out, kp_out], axis=-1), (s + np.swapaxes(s, -1, -2)).reshape(lead + (q * n * n,))
+
+
 def _residuals(c: np.ndarray, q: int) -> tuple[float, float, float]:
     """(jacobi, h1, h3) residuals of the raw tensor c, antisymmetric in (i, j).
 
-    J is totally antisymmetric in its three bracket slots, so its max-norm is
-    read off the triples i < j < l only: J[i,j,l,k] = a[i,j,l,k] +
-    a[j,l,i,k] + a[l,i,j,k], gathered from a = c c (one GEMM) through
-    `_triple_plan`.  With d < 3 there is no such triple and the residual is 0.
+    Each is the max-norm of its components: the Jacobiator's on the triples
+    i < j < l (`_jacobi_triples`), and h1's and h3's (`_isotropy_parts`).
     """
-    d = c.shape[0]
-    a = (c.reshape(d * d, d) @ c.reshape(d, d * d)).ravel()
-    jac = float(np.abs(a.take(_triple_plan(d)).sum(0)).max(initial=0.0))
+    jac = float(np.abs(_jacobi_triples(c)).max(initial=0.0))
     if q == 0:
         return jac, 0.0, 0.0
-    kk_out = c[:q, :q, q:]  # mu(k,k) leaking into p
-    kp_out = c[:q, q:, :q]  # mu(k,p) leaking into k
-    h1 = max(float(np.abs(kk_out).max()), float(np.abs(kp_out).max()))
-    s = c[:q, q:, q:]
-    h3 = float(np.abs(s + s.transpose(0, 2, 1)).max())
-    return jac, h1, h3
+    h1, h3 = _isotropy_parts(c, q)
+    return jac, float(np.abs(h1).max()), float(np.abs(h3).max())
+
+
+def _relative_residuals(jac: float, h1: float, h3: float, nsq: float) -> tuple[float, float, float]:
+    """(jac / |mu|^2, h1 / |mu|, h3 / |mu|), where nsq = |mu|^2.
+
+    Each residual relative to |mu| to its degree: the Jacobiator is
+    quadratic in mu, h1 and h3 are linear, so the three do not change under
+    mu -> c mu (bit for bit when c is a power of 2).  Both the admissibility check of a bracket
+    (`ConditionReport.passes`) and the drift along the flow read them.  The
+    zero bracket's residuals are 0, and so are these.
+    """
+    if nsq == 0.0:
+        return 0.0, 0.0, 0.0
+    norm = np.sqrt(nsq)
+    return jac / nsq, h1 / norm, h3 / norm
 
 
 def check_conditions(mu: LieBracket, h2_note: str = "") -> ConditionReport:
     """Measure how far a bracket is from the admissible set.
 
-    Returns raw residuals (the first three from `_residuals`):
+    Returns raw residuals (the first three from `_residuals`) and |mu|:
       * jacobi_residual: max-norm of the Jacobiator over all basis triples,
         read off the triples i < j < l since J is totally antisymmetric;
       * h1_residual: components of mu(k,k) outside k and mu(k,p) outside p;
@@ -351,7 +389,7 @@ def check_conditions(mu: LieBracket, h2_note: str = "") -> ConditionReport:
     q = mu.dims.q
     jac, h1, h3 = _residuals(mu.c, q)
     h4_kernel = q - int(np.linalg.matrix_rank(mu.c[:q, q:, :].reshape(q, -1))) if q else 0
-    return ConditionReport(jac, h1, h3, h4_kernel, h2_note)
+    return ConditionReport(jac, h1, h3, h4_kernel, bracket_norm(mu), h2_note)
 
 
 def random_bracket(q: int, n: int, rng: np.random.Generator, scale: float = 1.0) -> LieBracket:

@@ -39,6 +39,15 @@ entries, the measured crossover.  Two tables are used:
   metric flow's pushed tensors are dense; it fits for every q at d <= 5,
   and at d = 6 only for q >= 3.
 
+A table holds Ric and the RHS only.  The bracket flow's drift check reads
+the admissibility residuals on the same support from a second cache keyed
+the same way, `_residual_forms`: the Jacobiator's components, polarized
+with the same exact arithmetic by the one helper `_polar_form` and kept as
+their nonzero coefficients, and the linear h1 and h3 rows, each with the
+rows that vanish on V_S dropped.  Only pairs of support entries that chain
+are evaluated, so a two-step nilpotent support, where none does, gets no
+form at all.
+
 All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 """
 
@@ -49,7 +58,17 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, LieBracket, NotInVarietyError, _from_half, _half_indices, _pi_tensor, check_conditions
+from .algebra import (
+    DEFAULT_TOL,
+    LieBracket,
+    NotInVarietyError,
+    _from_half,
+    _half_indices,
+    _isotropy_parts,
+    _jacobi_triples,
+    _pi_tensor,
+    check_conditions,
+)
 
 __all__ = [
     "RicciData",
@@ -175,6 +194,43 @@ class _StackedTable:
     grown: tuple
 
 
+def _support_basis(d: int, sel: np.ndarray) -> np.ndarray:
+    # The mirrored basis of the support whose half positions are sel, as a
+    # contiguous stack (m', d, d, d): E_a is +1 at upper[sel[a]] and -1 at
+    # its mirror.  Contiguous, so that each E_a and the whole stack reshape
+    # for a GEMM without a copy.
+    half, mirror = _half_indices(d)
+    return np.ascontiguousarray(np.moveaxis(_from_half(np.eye(sel.size), half[sel], mirror[sel], d), -1, 0))
+
+
+def _polar_form(f, e: np.ndarray, pairs: list) -> tuple[np.ndarray, ...]:
+    """The coefficients of a quadratic vector map f on the mirrored basis e, at the given pairs.
+
+    With u the coordinates on e, f(sum_a u_a E_a) = sum_{a <= b} C_ab u_a u_b,
+    where C_aa = f(E_a) and C_ab = f(E_a + E_b) - f(E_a) - f(E_b) for a < b.
+    Only the pairs (a, b), a <= b, given are evaluated, and C is 0 at every
+    other pair.  Returns (active, row, a, b, coef), the nonzero coefficients
+    as coordinate lists: active are the sorted components of f that some
+    coefficient reaches, and coef[p] is the coefficient of u_a[p] u_b[p] in
+    component active[row[p]].  So a map with many components, such as the
+    Jacobiator's d * C(d, 3), costs nothing for those that no pair reaches.
+    With +-1 basis entries and f a sum of products of entries with
+    power-of-two weights, every coefficient is exact.
+    """
+    diag: dict = {}
+    comp, coef = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for a, b in pairs:
+        for x in {a, b} - diag.keys():
+            diag[x] = f(e[x])
+        v = diag[a] if a == b else f(e[a] + e[b]) - diag[a] - diag[b]
+        comp.append(np.flatnonzero(v))
+        coef.append(v[comp[-1]])
+    counts = [nz.size for nz in comp[1:]]
+    a, b = np.repeat(np.array(pairs, dtype=np.intp).reshape(-1, 2), counts, axis=0).T
+    active, row = np.unique(np.concatenate(comp), return_inverse=True)
+    return active, row, a, b, np.concatenate(coef)
+
+
 @lru_cache(maxsize=32)
 def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     """The stacked table of Ric and the bracket flow's RHS on the support S.
@@ -188,8 +244,8 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     for every antisymmetric c supported on S, if S is flow-invariant.  So
     with s = (stack @ u).reshape(2, rows, m') the RHS is (r = s[0] @ u) @
     s[1], in the layout of u.  Q is the polar form of the GEMM kernel on the
-    mirrored basis E_a (a in S; +1 at upper[a], -1 at mirror[a]),
-    Q[:, a, a] = Ric(E_a) and
+    mirrored basis E_a (a in S; +1 at upper[a], -1 at mirror[a]), from
+    `_polar_form`: Q[:, a, a] = Ric(E_a) and
 
         Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a) - Ric(E_b)) / 2;
 
@@ -197,39 +253,35 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     half of -pi(diag(0, F_k)) E_a from `algebra._pi_tensor` on S, F_k the
     symmetric unit matrix of Ricci row k; its entries outside S give
     `grown`.  With +-1 basis entries and power-of-two weights every
-    coefficient is exact.  On the whole half this is the table `_ricci_from_tensor` applies (`_ricci_table`).  The build
-    makes m'(m'+1)/2 + m' GEMM-kernel calls and about rows * m' pi calls,
-    once per support: 3, 17 and 86 ms for the supports of the default
-    two-step nilpotent brackets at n = 6, 9 and 13 (m' = 9, 18 and 30), at
-    most 1 ms for a catalog entry and about 43 ms for the whole half at
-    d = 5, q = 0, on a 2-CPU host.  Every array is read-only.
+    coefficient is exact.  On the whole half this is the table
+    `_ricci_from_tensor` applies (`_ricci_table`).  The build makes
+    m'(m'+1)/2 GEMM-kernel calls and one pi call per Ricci row on the
+    stacked basis, once per support: 3, 14 and 73 ms for the supports of the
+    default two-step nilpotent brackets at n = 6, 9 and 13 (m' = 9, 18 and
+    30), at most 1 ms for a catalog entry and about 49 ms for the whole half
+    at d = 5, q = 0 (median of three alternations with the earlier build of
+    one pi call per row and entry: 4.8, 21.5, 108 and 57 ms), on a 2-CPU
+    host.  Every array is read-only.
     """
     half, mirror = _half_indices(d)
     sel = np.array(support, dtype=np.intp)
     m, n = sel.size, d - q
     iu = np.triu_indices(n)
-    e = np.moveaxis(_from_half(np.eye(m), half[sel], mirror[sel], d), -1, 0)
-    q_form = np.empty((len(iu[0]), m, m))
-    diag = [_ricci_gemm(e[a], q)[iu] for a in range(m)]
-    for a in range(m):
-        q_form[:, a, a] = diag[a]
-        for b in range(a + 1, m):
-            pair = _ricci_gemm(e[a] + e[b], q)[iu]
-            q_form[:, a, b] = q_form[:, b, a] = (pair - diag[a] - diag[b]) / 2
-    active = np.flatnonzero(q_form.reshape(len(iu[0]), -1).any(axis=1))
+    e = _support_basis(d, sel)
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    active, row, a, b, coef = _polar_form(lambda c: _ricci_gemm(c, q)[iu], e, pairs)
     rows = active.size + (active.size < len(iu[0]))
     table = np.zeros((2, rows, m, m))
-    table[0, : active.size] = q_form[active]
+    table[0, row, a, b] = table[0, row, b, a] = np.where(a == b, coef, coef / 2)
     reach = np.zeros(half.size, dtype=bool)
     reach[sel] = True
     for r, k in enumerate(active):
         i, j = q + iu[0][k], q + iu[1][k]
         unit = np.zeros((d, d))
         unit[i, j] = unit[j, i] = 1.0
-        for a in range(m):
-            out = -_pi_tensor(unit, e[a]).ravel()[half]
-            reach |= out != 0
-            table[1, r, :, a] = out[sel]
+        out = -_pi_tensor(unit, e).reshape(m, -1)[:, half]
+        reach |= out.any(axis=0)
+        table[1, r] = out[:, sel].T
     sym = np.full((n, n), rows - 1, dtype=np.intp)
     sym[iu[0][active], iu[1][active]] = sym[iu[1][active], iu[0][active]] = np.arange(active.size)
     upper, mirror, stack = half[sel], mirror[sel], table.reshape(2 * rows * m, m)
@@ -280,6 +332,82 @@ def _flow_table(mu: LieBracket) -> _StackedTable | None:
     d = mu.dims.d
     start = tuple(np.flatnonzero(mu.c.ravel()[_half_indices(d)[0]]).tolist())
     return _closed_table(d, mu.dims.q, start)
+
+
+@dataclass(frozen=True)
+class _ResidualForms:
+    """The admissibility residuals on a support S as forms in the stepper's state u.
+
+    Attributes:
+        jac_rows: how many of the Jacobiator's components on the triples
+            i < j < l (`algebra._jacobi_triples`) are not identically 0 on
+            V_S; these are its rows.
+        jac_terms: (3, terms) indices (row, a, b) of the nonzero
+            coefficients of those rows, from `_polar_form`.
+        jac_coef: the coefficients, so that component row is the sum of
+            jac_coef u_a u_b over its terms.
+        lin: the rows of h1's, then h3's, components
+            (`algebra._isotropy_parts`) that are not identically 0 on V_S, as
+            a matrix with m' columns: the components are lin @ u.
+        h1_rows: how many of lin's rows are h1's.
+    """
+
+    jac_rows: int
+    jac_terms: np.ndarray
+    jac_coef: np.ndarray
+    lin: np.ndarray
+    h1_rows: int
+
+    @property
+    def rows(self) -> int:
+        """Residual rows read per state; 0 when every residual vanishes identically on V_S."""
+        return self.jac_rows + self.lin.shape[0]
+
+    def residuals(self, u: np.ndarray) -> tuple[float, float, float]:
+        """(jacobi, h1, h3) of the state u, the max-norms that `algebra._residuals` takes of its tensor."""
+        jac = h1 = h3 = 0.0
+        if self.jac_rows:
+            row, a, b = self.jac_terms
+            jac = float(np.abs(np.bincount(row, self.jac_coef * u[a] * u[b], self.jac_rows)).max())
+        if self.lin.shape[0]:
+            # a few rows: Python's max of the list is cheaper than two numpy reductions
+            lin = np.abs(np.dot(self.lin, u)).tolist()
+            h1, h3 = max(lin[: self.h1_rows], default=0.0), max(lin[self.h1_rows :], default=0.0)
+        return jac, h1, h3
+
+
+@lru_cache(maxsize=32)
+def _residual_forms(d: int, q: int, support: tuple) -> _ResidualForms:
+    """The residual forms of the support S, built once per (d, q, S).
+
+    The Jacobiator is quadratic in u, and `_polar_form` takes its
+    coefficients on the mirrored basis E_a of S, as `_rhs_table` takes
+    Ric's.  Its i < j < l components, d * C(d, 3) of them (3718 at d = 13),
+    come from a[i,j,l,k] = sum_m c[i,j,m] c[m,l,k], so the pair (a, b) has a
+    nonzero coefficient only when E_a and E_b chain, the output index of one
+    being an input index of the other, and only those pairs are evaluated.
+    On a two-step nilpotent support no pair chains ([v, v] lies in the
+    centre z), so no Jacobi form is built.  The forms are kept as their
+    nonzero coefficients: on dense supports most of the m'^2 coefficients
+    of a row are 0 (1680 nonzero of 120 * 90^2 on the whole half at d = 6,
+    q = 3), and reading them costs less than the flat check on every dense
+    support that has a table (35 against 39 us there, 16 against 17 us at
+    d = 5, q = 0, per state on a 2-CPU host).  h1 and h3 are
+    linear and read off the basis by `algebra._isotropy_parts`.  Every
+    coefficient is exact, and only rows that are 0 on all of V_S are
+    dropped, so a residual with no row is exactly 0 at every state on S.
+    """
+    half = _half_indices(d)[0]
+    sel = np.array(support, dtype=np.intp)
+    e = _support_basis(d, sel)
+    i, j, k = np.unravel_index(half[sel], (d, d, d))
+    chain = (k[:, None] == i) | (k[:, None] == j)
+    active, row, a, b, coef = _polar_form(_jacobi_triples, e, np.argwhere(np.triu(chain | chain.T)).tolist())
+    h1, h3 = (part.T[part.T.any(axis=1)] for part in _isotropy_parts(e, q))
+    terms, lin = np.stack([row, a, b]), np.vstack([h1, h3])
+    for arr in (terms, coef, lin):
+        arr.setflags(write=False)
+    return _ResidualForms(active.size, terms, coef, lin, h1.shape[0])
 
 
 @cache

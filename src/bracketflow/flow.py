@@ -16,18 +16,23 @@ u = c.ravel()[upper] on S (`_to_state`) and one RHS evaluation is three
 small products with no gather and no mirror; the error norm counts each
 entry of u twice, so it is the RMS over all d^3 tensor entries, as on the
 full tensor.  A larger support, and an `rhs=` override (which may leave S),
-step on the flat tensor with the GEMM kernels.  Only the admissibility
-check, `Trajectory.checkpoints` and the dense output rebuild the tensor
-(`_to_tensor`), by writing u at the support's flat indices and -u at their
-mirrors (`algebra._from_half`).
+step on the flat tensor with the GEMM kernels.  Only `Trajectory.checkpoints`
+and the dense output rebuild the tensor (`_to_tensor`), by writing u at the
+support's flat indices and -u at their mirrors (`algebra._from_half`).
 
 The bracket flow's callback keeps per step what the stop rule and the drift
 check read: the bracket norm, |dmu/dt| (its one RHS evaluation per step),
-the admissibility residuals off the raw tensor (`algebra._residuals`), so it
-builds no LieBracket, and the Ricci matrix that RHS evaluation was built
-from; R and tr Ric^2 are read off the stacked matrices once, at the end.
-The states stay raw arrays; `Trajectory.checkpoints` wraps them as
-FlowStates only when read.
+the admissibility residuals and the Ricci matrix that RHS evaluation was
+built from; R and tr Ric^2 are read off the stacked matrices once, at the
+end.  On a support the residuals are read off u itself, through the forms
+built once per support (`curvature._residual_forms`): only the Jacobi, h1
+and h3 rows that are not identically 0 on V_S, and none at all on a
+two-step nilpotent support, where the check is vacuous.
+`Trajectory.residual_rows` says how many rows that is.  On the flat tensor
+the residuals come from the raw tensor (`algebra._residuals`), since an
+`rhs=` override may leave S.  Neither builds a LieBracket.  The states stay
+raw arrays; `Trajectory.checkpoints` wraps them as FlowStates only when
+read.
 
 The stop rule is scale free and the same for both flows.  Along either
 flow dR/dt = 2 tr Ric^2 >= (2/n) R^2, so once R has the sign of the time
@@ -64,11 +69,12 @@ from .algebra import (
     LieBracket,
     _from_half,
     _pi_tensor,
+    _relative_residuals,
     _residuals,
     bracket_norm,
     check_conditions,
 )
-from .curvature import _flow_table, _ricci_from_tensor, _StackedTable, koszul_ricci_oracle
+from .curvature import _flow_table, _residual_forms, _ricci_from_tensor, _StackedTable, koszul_ricci_oracle
 from .stepper import DenseStep
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
@@ -131,13 +137,13 @@ class IntegratorOptions:
     None of them sets the singularity verdict, whose stop rule is scale free
     (see `STOP_REL`), and the step control has no absolute knob: the
     stepper's absolute tolerance is rel_tol / 100 of the initial state's
-    norm (`_abs_tol`) and drift_tol bounds residuals relative to |mu|, so
-    the run of 2^k mu takes the steps of the run of mu bit for bit.  Only
-    membership_tol, the admissibility check of the initial bracket, bounds
-    absolute residuals.  Construction raises ValueError unless every
-    float field is a finite positive number, max_steps an int >= 1 and
-    collect_dense a bool; a bool in a numeric field is refused, not read as
-    0 or 1.
+    norm (`_abs_tol`), and drift_tol and membership_tol, the admissibility
+    check of the initial bracket, bound residuals relative to |mu| to their
+    degree (`algebra._relative_residuals`), so the run of 2^k mu is admitted
+    with mu and takes its steps bit for bit.  Construction raises
+    ValueError unless every float field is a finite positive number,
+    max_steps an int >= 1 and collect_dense a bool; a bool in a numeric
+    field is refused, not read as 0 or 1.
     """
 
     rel_tol: float = 1e-10
@@ -240,7 +246,11 @@ class Trajectory:
     accepted step.  `checkpoints` is a lazy read-only Sequence[FlowState]
     over those states: each access builds the FlowState, so a run that never
     reads it builds no LieBracket.  Times are physical: decreasing for
-    backward runs.
+    backward runs.  `residual_rows` is the number of residual rows the drift
+    check read per step on the flow's support (`curvature._residual_forms`):
+    0 when every residual vanishes identically there, so the check is
+    vacuous, and None where it read the flat tensor (a support over the
+    table bound, or an `rhs=` override).
     """
 
     direction: str
@@ -256,6 +266,7 @@ class Trajectory:
     h3_residual: np.ndarray
     checkpoints: Sequence[FlowState]
     verdict: Verdict
+    residual_rows: int | None
     dense: "DenseSolution | None" = None
 
     @property
@@ -363,6 +374,7 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
         h3_residual=zeros.copy(),
         checkpoints=_flow_checkpoints(initial.dims, t, [y] * m, None),
         verdict=Verdict(kind="flat"),
+        residual_rows=0,
         dense=dense,
     )
 
@@ -414,6 +426,7 @@ def integrate(
     table = _flow_table(initial) if rhs is None else None
     # Each entry of a state on a support stands for two tensor entries, c and its mirror.
     copies = 2 if table is not None else 1
+    forms = _residual_forms(d, q, table.support) if table is not None else None
 
     if rhs is None:
         def f_tensor(y):
@@ -437,11 +450,10 @@ def integrate(
         # stop rule reads R off Ric, and R and tr Ric^2 are read off the
         # stacked Ricci matrices at the end.  The stepper never writes an
         # array it has handed out, so `states` keeps y itself.  Returns the
-        # drift, each residual relative to |mu| to its degree: the Jacobiator
-        # is quadratic in mu, h1 and h3 are linear.
+        # drift, the largest residual relative to |mu| to its degree.
         nsq = copies * float(np.dot(y, y))
         dy, ric = f_tensor(y)
-        jac, h1, h3 = _residuals(_to_tensor(y, d, table), q)
+        jac, h1, h3 = forms.residuals(y) if forms is not None else _residuals(_to_tensor(y, d, table), q)
         ts.append(t)
         norms.append(np.sqrt(nsq))
         rics.append(ric)
@@ -450,7 +462,7 @@ def integrate(
         h1res.append(h1)
         h3res.append(h3)
         states.append(y)
-        return max(jac / nsq, max(h1, h3) / norms[-1])
+        return max(_relative_residuals(jac, h1, h3, nsq))
 
     def on_step(solver):
         drift = record(solver.t, solver.y)
@@ -497,6 +509,7 @@ def integrate(
         h3_residual=np.array(h3res),
         checkpoints=_flow_checkpoints(dims, t_arr, states, table),
         verdict=verdict,
+        residual_rows=forms.rows if forms is not None else None,
         dense=dense,
     )
 

@@ -25,8 +25,9 @@ converted to 0-based internally.  Inline brackets are validated at load
 time; a failing admissibility condition rejects the scenario naming the
 offending residual.  `validation_tol` is the one membership tolerance: it
 sets `IntegratorOptions.membership_tol`, so loading and integrating accept
-the same brackets.  Every value is checked as it is read, and a bad one is
-rejected naming its line: a bracket value must be finite, `direction` one of
+the same brackets, and it bounds each residual relative to |mu| to its
+degree.  Every value is checked as it is read, and a bad one is rejected
+naming its line: a bracket value must be finite, `direction` one of
 forward, backward or both, `horizon` finite and positive, `sample_stride` an
 int >= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
 finite and positive, `expect_omega` and `expect_alpha` finite.  A key may be
@@ -39,7 +40,9 @@ header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
 digits per value) and a JSON report with the verdict, the singular-time
 estimate, the two comparison bounds on the integrated run that enclose it
 (`rigorous_one_sided_bound`, `far_one_sided_bound`; the key names predate
-that wording), and the full estimate report.
+that wording), `residual_rows` (`Trajectory.residual_rows`: the residual
+rows the drift check read per step, 0 for a vacuous check, null on the flat
+tensor) and the full estimate report.
 
 Exit codes: 0 success, 1 verdict contradicts declared expectations,
 2 load/validation error, 3 integrator failure.
@@ -310,6 +313,7 @@ def run_scenario(scenario: Scenario, out_dir=".", base_opts: IntegratorOptions |
 
         report["verdict"] = _verdict_dict(traj)
         report["samples"] = traj.n_samples
+        report["residual_rows"] = traj.residual_rows
         try:
             est = estimate_report(traj)
         except ValueError as exc:

@@ -324,6 +324,15 @@ def test_cli_catalog_run_backward(tmp_path):
     assert report["verdict"]["kind"] == "blowup"
 
 
+@pytest.mark.parametrize("name, rows", [("heisenberg3", 0), ("sphere2_su2", 2), ("abelian3", 0)])
+def test_cli_report_says_how_many_residual_rows_the_drift_check_read(tmp_path, name, rows):
+    # heisenberg3: every residual vanishes identically on its support, so the
+    # per-step check is vacuous; sphere2_su2: two h3 rows; abelian3: flat
+    assert main(["--out", str(tmp_path), "catalog", "run", name]) == 0
+    report = json.loads((tmp_path / f"{name}_forward_report.json").read_text())
+    assert report["residual_rows"] == rows
+
+
 def test_cli_catalog_run_unknown_entry(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "catalog", "run", "nonsense"]) == 2
 

@@ -21,11 +21,12 @@ from bracketflow import (
 )
 from bracketflow import curvature
 from bracketflow.catalog import catalog_entries, get_entry
-from bracketflow.algebra import _half_indices, _pi_tensor, _transform_tensor, _triple_plan
+from bracketflow.algebra import _half_indices, _pi_tensor, _residuals, _transform_tensor, _triple_plan
 from bracketflow.curvature import (
     TABLE_MAX_ENTRIES,
     _closed_table,
     _flow_table,
+    _residual_forms,
     _rhs_table,
     _ricci_from_tensor,
     _ricci_gemm,
@@ -514,6 +515,79 @@ def test_support_grows_until_the_flow_cannot_leave_it():
     assert traj.n_samples == ref.n_samples
     assert np.abs(traj.checkpoints[-1].mu.c[0, 1, 2]) > 0.1  # the grown entries move
     np.testing.assert_allclose(traj.dense(3.0), ref.dense(3.0), rtol=1e-9, atol=1e-12)
+
+
+# --- admissibility residuals as forms on the support ------------------------
+
+@st.composite
+def residual_supports(draw):
+    """The supports `flow_brackets` gives, and the whole half at d <= 4, every q."""
+    if draw(st.booleans()):
+        return draw(flow_brackets())
+    d = draw(st.integers(3, 4))
+    q = draw(st.integers(0, d - 1))
+    return random_bracket(q, d - q, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(residual_supports(), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e7]))
+def test_residual_forms_equal_the_flat_check_on_the_support(mu, seed, scale):
+    # At a random state on V_S the forms give the flat check's residuals of
+    # the tensor it stands for: h1 and h3 bit for bit (rows of +-1 sums),
+    # the Jacobiator to rounding, relative to |mu|^2.
+    d, q = mu.dims.d, mu.dims.q
+    table = _flow_table(mu)
+    if table is None:
+        return
+    u = scale * np.random.default_rng(seed).standard_normal(len(table.support))
+    jac, h1, h3 = _residual_forms(d, q, table.support).residuals(u)
+    ref_jac, ref_h1, ref_h3 = _residuals(_to_tensor(u, d, table), q)
+    assert (h1, h3) == (ref_h1, ref_h3)
+    assert abs(jac - ref_jac) <= 1e-12 * 2 * np.dot(u, u)
+
+
+@pytest.mark.parametrize("q, n, jac_rows", [(0, 3, 3), (0, 4, 16), (1, 3, 16)])
+def test_residual_forms_keep_the_rows_of_a_dense_support(q, n, jac_rows):
+    # On the whole half the Jacobiator has d * C(d, 3) components (3 at
+    # d = 3, 16 at d = 4), and none vanishes identically there; with q > 0
+    # h1 and h3 rows survive too.
+    d = q + n
+    forms = _residual_forms(d, q, _whole_half(d))
+    assert forms.jac_rows == jac_rows
+    assert (forms.lin.shape[0] > 0) == (q > 0)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "su2_round", "hyperbolic3", "nilpotent4", "hyperbolic_plane"])
+def test_residual_forms_have_no_row_where_the_residuals_vanish_identically(name):
+    mu = get_entry(name).bracket
+    table = _flow_table(mu)
+    assert _residual_forms(mu.dims.d, mu.dims.q, table.support).rows == 0
+    # and the flat check reads exact zeros there
+    u = np.random.default_rng(1).standard_normal(len(table.support))
+    assert _residuals(_to_tensor(u, mu.dims.d, table), mu.dims.q) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["sphere2_su2", "sphere2_times_line"])
+def test_residual_forms_of_the_isotropy_entries_are_two_h3_rows(name):
+    mu = get_entry(name).bracket
+    forms = _residual_forms(mu.dims.d, mu.dims.q, _flow_table(mu).support)
+    assert (forms.jac_rows, forms.h1_rows, forms.lin.shape[0]) == (0, 0, 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 10), st.integers(0, 2**32 - 1), st.data())
+def test_residual_forms_have_no_row_on_a_two_step_nilpotent_support(n, seed, data):
+    # [v, v] lies in the centre z, so no two support entries chain: no
+    # Jacobi pair is even evaluated, and q = 0 has no h1 or h3
+    center = data.draw(st.integers(1, n - 2))
+    mu = random_two_step_nilpotent(n, np.random.default_rng(seed), center_dim=center)
+    assert _residual_forms(n, 0, _flow_table(mu).support).rows == 0
+
+
+def test_residual_forms_at_n13_are_empty():
+    mu = random_two_step_nilpotent(13, np.random.default_rng(0))
+    forms = _residual_forms(13, 0, _flow_table(mu).support)
+    assert forms.rows == 0 and forms.jac_coef.size == 0
 
 
 # --- Koszul oracle ----------------------------------------------------------

@@ -30,7 +30,6 @@ from bracketflow import (
     transform_bracket,
     type_I_diagnostic,
 )
-from bracketflow.algebra import DEFAULT_TOL
 from bracketflow.catalog import catalog_entries, get_entry
 
 from oracles import local_derivatives_polyfit, milnor_singular_time
@@ -323,6 +322,26 @@ def test_drift_failure_detected_with_broken_dynamics():
         integrate(HEIS, "forward", 10.0, opts, rhs=leaky)
 
 
+def test_drift_failure_detected_on_the_table_path(monkeypatch):
+    # A random bracket is far from the Jacobi variety: admitted at a loose
+    # membership_tol, it steps on its table (the whole half at d = 3, whose
+    # three Jacobi rows the monitor reads off the state), and the drift
+    # check fires at the first accepted step, the second sample.
+    mu = random_bracket(0, 3, np.random.default_rng(1))
+    table = flow._flow_table(mu)
+    assert table is not None and flow._residual_forms(3, 0, table.support).jac_rows == 3
+    samples, relative = [], flow._relative_residuals
+
+    def counted(*args):
+        samples.append(args)
+        return relative(*args)
+
+    monkeypatch.setattr(flow, "_relative_residuals", counted)
+    with pytest.raises(DriftError, match="admissibility drift"):
+        integrate(mu, "forward", 1.0, IntegratorOptions(membership_tol=100.0))
+    assert len(samples) == 2
+
+
 def test_drift_is_measured_scale_free():
     # A leak that scales as the RHS does, c^3, leaves c mu(t / c^2) a
     # solution of the leaky flow, so the drift, each residual relative to
@@ -490,12 +509,11 @@ def _bit_run(k, flow_name, c):
     if flow_name == "metric":
         base, p0 = metric_input
         return metric_flow_integrate(base, p0 / c**2, direction, horizon / c**2)
-    # The admissibility check of the initial bracket compares absolute
-    # residuals with membership_tol; the Jacobiator is quadratic in mu, so
-    # the tolerance scales as c^2 to accept the rescaled Milnor draws (Jacobi
-    # residual up to 3.3e-16 at c = 1, rounding) as it accepts the draws.
-    opts = IntegratorOptions(membership_tol=DEFAULT_TOL * c * c)
-    return integrate(scale_bracket(mu, c), direction, horizon / c**2, opts)
+    # The admissibility check of the initial bracket reads each residual
+    # relative to |mu| to its degree, so the default membership_tol accepts
+    # the rescaled Milnor draws (Jacobi residual up to 3.3e-16 at c = 1,
+    # rounding) at every c as it accepts the draws.
+    return integrate(scale_bracket(mu, c), direction, horizon / c**2)
 
 
 @functools.cache
@@ -933,6 +951,37 @@ def test_tabulated_rhs_makes_no_ricci_assembly(monkeypatch, name, direction):
     # together, so no separate assembly runs.
     calls = _count_ricci_and_rhs(monkeypatch, get_entry(name).bracket, direction)
     assert calls == (0, RHS_CALLS[name, direction])
+
+
+@pytest.mark.parametrize(
+    "mu, rows",
+    [(HEIS, 0), (get_entry("sphere2_su2").bracket, 2), (random_two_step_nilpotent(9, np.random.default_rng(0)), 0)]
+    + [(transform_bracket(SU2, SU2_DRAWS[0]), 3)],
+    ids=["heisenberg3", "sphere2_su2", "nilpotent9", "milnor-0"],
+)
+def test_table_path_monitor_rebuilds_no_tensor(monkeypatch, mu, rows):
+    # On the flow's table the drift check reads the residual forms off the
+    # state: no tensor is rebuilt and the flat check never runs, whether no
+    # row survives (heisenberg3, nilpotent), two h3 rows do (sphere2_su2) or
+    # the three Jacobi rows of the whole half at d = 3 (a Milnor draw).
+    calls = {"_to_tensor": 0, "_residuals": 0}
+    for fn in calls:
+        def counted(*args, _fn=getattr(flow, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(flow, fn, counted)
+    traj = integrate(mu, "forward", 1.0)
+    assert traj.n_samples > 10
+    assert calls == {"_to_tensor": 0, "_residuals": 0}
+    assert traj.residual_rows == rows
+
+
+def test_flat_tensor_monitor_reports_no_residual_rows():
+    # an `rhs=` override may leave the support, so its run keeps the flat check
+    traj = integrate(SU2, "forward", 0.5, rhs=bracket_flow_rhs)
+    assert traj.residual_rows is None
+    assert integrate(FLAT, "forward", 1.0).residual_rows == 0
 
 
 def test_a_nilpotent_run_at_n13_stays_on_its_support():
