@@ -6,7 +6,8 @@ itself.  This package computes the Ricci operator from structure constants
 (with an independent Koszul-formula cross-check), integrates the flow in
 both time directions, detects finite-time singularities by the comparison
 bound n / (2|R|) on the remaining lifetime, locates each singular time from
-the stop sample between two comparison bounds on the integrated run, and
+the stop sample, inside the enclosure [t_stop, far_bound] that this bound
+gives on the integrated run, and
 ships a catalog of exactly solvable initial data plus an acceptance suite
 tying everything to closed forms.
 """

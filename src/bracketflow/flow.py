@@ -3,8 +3,9 @@
 The flow is d/dt mu = -pi(diag(0, Ric_mu)) mu.  Trajectories are advanced
 with the package's embedded Dormand-Prince 5(4) pair (`stepper`) by
 `_drive`, the monitored stepping loop this module shares with the metric
-flow: it owns the step budget, solver failures, dense output and the stop
-rule, which it applies to the R a per-step callback returns.
+flow: it owns the step budget, solver failures, dense output, the stop
+rule and the verdict, which it reads off the Ricci matrix a per-step
+callback returns.
 
 The stepper's state follows the initial bracket.  The flow never leaves the
 span V_S of a flow-invariant support S: the i < j entries nonzero at the
@@ -23,11 +24,11 @@ support's flat indices and -u at their mirrors (`algebra._from_half`).
 The bracket flow's callback keeps per step what the stop rule and the drift
 check read: the bracket norm, |dmu/dt| (its one RHS evaluation per step),
 the admissibility residuals and the Ricci matrix that RHS evaluation was
-built from; R and tr Ric^2 are read off the stacked matrices once, at the
-end.  On a support the residuals are read off u itself, through the forms
-built once per support (`curvature._residual_forms`): only the Jacobi, h1
-and h3 rows that are not identically 0 on V_S, and none at all on a
-two-step nilpotent support, where the check is vacuous.
+built from; the R and tr Ric^2 series are read off the stacked matrices
+once, at the end.  On a support the residuals are read off u itself,
+through the forms built once per support (`curvature._residual_forms`):
+only the Jacobi, h1 and h3 rows that are not identically 0 on V_S, and
+none at all on a two-step nilpotent support, where the check is vacuous.
 `Trajectory.residual_rows` says how many rows that is.  On the flat tensor
 the residuals come from the raw tensor (`algebra._residuals`), since an
 `rhs=` override may leave S.  Neither builds a LieBracket.  The states stay
@@ -39,14 +40,13 @@ flow dR/dt = 2 tr Ric^2 >= (2/n) R^2, so once R has the sign of the time
 direction (R > 0 forward, R < 0 backward) the singularity comes within
 n / (2|R|) (`_time_left`), and R blows up at every finite singular time.  A
 finite-time singularity is declared when that bound falls below `STOP_REL`
-|t|; a run that reaches the horizon is immortal.  The singular time is then
-located from the stop sample alone: the same identity gives
-d(1/R)/dt = -2 tr Ric^2 / R^2, and one Newton step on 1/R from the last
-sample puts it at omega_est = t + R / (2 tr Ric^2) (`_verdict`).  Two
-comparison bounds on the integrated run enclose it: the near one from
-d/dt |mu|^2 <= 2 C |mu|^4, with C the largest |dmu/dt| / |mu|^3 measured
-along the trajectory, and the far one, n / (2|R|) past the last sample.
-They are evaluated on the numerical solution, so they carry its error;
+|t|; a run that reaches the horizon is immortal.  `_drive` reads the rule
+and the verdict of both flows off the Ricci matrix of the stop sample alone
+(`_verdict`): the same identity gives d(1/R)/dt = -2 tr Ric^2 / R^2, and
+one Newton step on 1/R from the last sample puts the singular time at
+omega_est = t + R / (2 tr Ric^2).  It lies in the enclosure [t_stop,
+far_bound], with far_bound = t_stop +- n / (2|R|); the far bound is
+evaluated on the numerical solution, so it carries its error.
 `fit_power_blowup` is an opt-in diagnostic of the growth exponent.
 An immortal run whose R already has the sign of the time direction at the
 horizon reports that far bound too.  Both directions step in physical time:
@@ -143,7 +143,10 @@ class IntegratorOptions:
     with mu and takes its steps bit for bit.  Construction raises
     ValueError unless every float field is a finite positive number,
     max_steps an int >= 1 and collect_dense a bool; a bool in a numeric
-    field is refused, not read as 0 or 1.
+    field is refused, not read as 0 or 1.  It also refuses membership_tol
+    above drift_tol, naming both: the drift check reads the admissibility
+    residuals, not their change, so a bracket admitted above drift_tol would
+    fail it at its first step although nothing moved.
     """
 
     rel_tol: float = 1e-10
@@ -161,6 +164,8 @@ class IntegratorOptions:
             raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
         if not _is_bool(self.collect_dense):
             raise ValueError(f"collect_dense must be a bool, got {self.collect_dense!r}")
+        if self.membership_tol > self.drift_tol:
+            raise ValueError(f"membership_tol {self.membership_tol!r} exceeds drift_tol {self.drift_tol!r}")
 
 
 def _is_bool(value) -> bool:
@@ -187,25 +192,24 @@ class Verdict:
     """Outcome of an integration.
 
     kind is 'immortal' (reached the horizon), 'blowup' (the stop rule
-    fired) or 'flat' (the zero bracket, an exact fixed point).
-    For a blowup, omega_est = t_stop + R / (2 tr Ric^2) at the stop sample,
-    one Newton step on 1/R.  The two comparison bounds on the integrated run
-    enclose the singular time: rigorous_bound (bracket flow only), from
-    d/dt |mu|^2 <= 2 C |mu|^4, is the time it cannot precede (forward) or
-    follow (backward), and far_bound = t_stop +- n / (2|R(t_stop)|), from
-    dR/dt >= (2/n) R^2, the time it cannot follow (forward) or precede
-    (backward).  Both are evaluated on the numerical solution and carry its
-    error: on the Einstein entries, which meet the second inequality with
-    equality, far_bound lands about 1e-11 on the wrong side, and on the
-    q = 0 catalog blowups rigorous_bound, which equals omega_est there,
-    lands 6.5e-12 to 3.5e-11 on the wrong side.  An immortal
-    verdict carries far_bound, taken at the horizon, when R there has the
-    sign of the time direction; otherwise it is None.
+    fired) or 'flat' (the zero bracket, an exact fixed point).  All three
+    fields are read at the stop sample, the same way for both flows
+    (`_drive`).  For a blowup, omega_est = t_stop + R / (2 tr Ric^2) there,
+    one Newton step on 1/R, and the enclosure of the singular time is
+    [t_stop, far_bound] in time order (`estimate_blowup_time`):
+    far_bound = t_stop +- n / (2|R(t_stop)|), from dR/dt >= (2/n) R^2, is
+    the time it cannot follow (forward) or precede (backward).  At the stop
+    the enclosure is shorter than `STOP_REL` |t_stop|, so t_stop is the near
+    end: a comparison bound on the near side would lie within that width of
+    it.  far_bound is evaluated on the numerical solution and carries its
+    error: on the Einstein entries, which meet the inequality with equality,
+    it lands about 1e-11 on the wrong side.  An immortal verdict carries
+    far_bound, taken at the horizon, when R there has the sign of the time
+    direction; otherwise it is None.
     """
 
     kind: str
     omega_est: float | None = None
-    rigorous_bound: float | None = None
     far_bound: float | None = None
 
 
@@ -446,11 +450,12 @@ def integrate(
     states: list[np.ndarray] = []
 
     def record(t, y):
-        # Keeps per step what the drift check reads, |dmu/dt| and Ric; the
-        # stop rule reads R off Ric, and R and tr Ric^2 are read off the
-        # stacked Ricci matrices at the end.  The stepper never writes an
-        # array it has handed out, so `states` keeps y itself.  Returns the
-        # drift, the largest residual relative to |mu| to its degree.
+        # Keeps per step what the drift check reads, |dmu/dt| and Ric;
+        # `_drive` reads the stop rule and the verdict off the Ric `on_step`
+        # returns, and the R and tr Ric^2 series are read off the stacked
+        # Ricci matrices at the end.  The stepper never writes an array it
+        # has handed out, so `states` keeps y itself.  Returns the drift, the
+        # largest residual relative to |mu| to its degree.
         nsq = copies * float(np.dot(y, y))
         dy, ric = f_tensor(y)
         jac, h1, h3 = forms.residuals(y) if forms is not None else _residuals(_to_tensor(y, d, table), q)
@@ -470,12 +475,12 @@ def integrate(
             raise DriftError(
                 f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {solver.t}"
             )
-        return np.trace(rics[-1])
+        return rics[-1]
 
     record(0.0, y0)
     atol = _abs_tol(opts, bracket_norm(initial))
     solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=atol, rms_weight=copies / d**3)
-    blowup, segments = _drive(solver, opts, on_step, dims.n)
+    verdict, segments = _drive(solver, opts, on_step, dims.n)
 
     t_arr = np.array(ts)
     norm_arr = np.array(norms)
@@ -483,14 +488,6 @@ def integrate(
     ric_rows = np.array(rics).reshape(len(rics), -1)
     scalar_r = ric_rows[:, :: dims.n + 1].sum(axis=1)
     tr_ric_sq = np.sum(ric_rows * ric_rows, axis=1)
-
-    rigorous = None
-    if blowup:
-        # d/dt |mu|^2 <= 2 C |mu|^4 with C the largest |dmu/dt| / |mu|^3
-        # seen, so the norm cannot blow up within (1 / (2 C)) |mu|^-2.
-        near = 1.0 / (2.0 * _velocity_ratio_max(norm_arr, rhs_arr) * norms[-1] ** 2)
-        rigorous = ts[-1] + np.copysign(near, t_end)
-    verdict = _verdict(blowup, ts[-1], scalar_r[-1], tr_ric_sq[-1], dims.n, rigorous)
 
     dense = None
     if opts.collect_dense:
@@ -526,16 +523,17 @@ def _time_left(t: float, r: float, n: int) -> float:
     return n / (2.0 * r) if r > 0 else np.inf
 
 
-def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[bool, list]:
-    """Step `solver` to its bound; return (singular, dense segments).
+def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[Verdict, list]:
+    """Step `solver` to its bound; return (verdict, dense segments).
 
     `solver` is a `stepper.DormandPrince54` over a flow on an n-dimensional
-    space.  `on_step(solver)` records each accepted step and returns R
-    there.  The stop rule of both flows is read at the last recorded sample,
-    after each accepted step and at a solver failure (a step floor hit right
-    at the singularity): the run is singular once `_time_left` is below
-    `STOP_REL` |t|.  Any other failure is a
-    StiffnessError.  Segments are kept only under `opts.collect_dense`.
+    space.  `on_step(solver)` records each accepted step and returns the
+    Ricci matrix there.  The stop rule of both flows is read at the last
+    recorded sample, on R = tr Ric, after each accepted step and at a solver
+    failure (a step floor hit right at the singularity): the run is singular
+    once `_time_left` is below `STOP_REL` |t|.  Any other failure is a
+    StiffnessError.  The verdict of both flows comes from that sample alone
+    (`_verdict`).  Segments are kept only under `opts.collect_dense`.
 
     Raises:
         FlowError: the step budget `opts.max_steps` was exhausted.
@@ -543,9 +541,10 @@ def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[bool, list
     """
     segments: list = []
     n_steps = 0
-    # The initial sample, at t = 0, never meets the stop rule.
-    t, r = 0.0, 0.0
-    while solver.status == "running":
+    # The initial sample, at t = 0, never meets the stop rule, so a run
+    # returns only after an accepted step has set ric.
+    t, r, singular = 0.0, 0.0, False
+    while not singular and solver.status == "running":
         if n_steps >= opts.max_steps:
             raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {solver.t}")
         msg = solver.step()
@@ -553,17 +552,16 @@ def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[bool, list
         if solver.status != "failed":
             if opts.collect_dense:
                 segments.append(solver.dense_output())
-            t, r = solver.t, on_step(solver)
-        if _time_left(t, r, n) < STOP_REL * abs(t):
-            return True, segments
-        if solver.status == "failed":
+            ric = on_step(solver)
+            t, r = solver.t, np.trace(ric)
+        singular = _time_left(t, r, n) < STOP_REL * abs(t)
+        if not singular and solver.status == "failed":
             raise StiffnessError(f"integrator failed at t = {solver.t}: {msg}")
-    return False, segments
+    # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
+    return _verdict(singular, t, r, np.sum(ric * ric), n), segments
 
 
-def _verdict(
-    singular: bool, t: float, r: float, tr_ric_sq: float, n: int, rigorous_bound: float | None = None
-) -> Verdict:
+def _verdict(singular: bool, t: float, r: float, tr_ric_sq: float, n: int) -> Verdict:
     """The verdict of a run of either flow that ended at time t, where R = r.
 
     For both kinds far_bound = t +- `_time_left` there, or None where that is
@@ -583,7 +581,7 @@ def _verdict(
     if not singular:
         return Verdict(kind="immortal", far_bound=t + step)
     ratio = r * r / n / tr_ric_sq
-    return Verdict(kind="blowup", omega_est=t + step * ratio, rigorous_bound=rigorous_bound, far_bound=t + step)
+    return Verdict(kind="blowup", omega_est=t + step * ratio, far_bound=t + step)
 
 
 @dataclass(frozen=True)
@@ -677,8 +675,9 @@ def estimate_blowup_time(traj: Trajectory) -> tuple[float, tuple[float, float]]:
     """Singular-time estimate of a blowup and the enclosure (lo, hi) around it.
 
     omega_est is the verdict's, t_stop + R / (2 tr Ric^2) at the stop sample;
-    lo and hi are t_stop and far_bound in time order, the comparison bounds
-    on the integrated run.  Works on a `metric_flow.MetricTrajectory` too.
+    lo and hi are t_stop and far_bound in time order: the stop sample's time
+    and the comparison bound n / (2|R|) past it, on the integrated run.
+    Works on a `metric_flow.MetricTrajectory` too.
     """
     v = traj.verdict
     if v.kind != "blowup":

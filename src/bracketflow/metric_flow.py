@@ -40,8 +40,7 @@ from .curvature import _ricci_from_tensor
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 # DenseSolution and integrate are called by these names so that flowbench can trace them.
-from .flow import (DenseSolution, IntegratorOptions, Verdict, _abs_tol, _Checkpoints, _drive, _end_time,
-                   _verdict, integrate)
+from .flow import DenseSolution, IntegratorOptions, Verdict, _abs_tol, _Checkpoints, _drive, _end_time, integrate
 
 __all__ = [
     "MetricState",
@@ -76,11 +75,12 @@ class MetricTrajectory:
     """Sampled metric-flow solution.
 
     Series are kept at every sample, one per accepted step, with the
-    stepper's raw states; `ric_eigs` holds the sorted Ricci spectra, read
-    off the stacked Ricci matrices in one batched call.  The verdict's
-    rigorous_bound is None: its constant needs the bracket flow's
-    |dmu/dt| / |mu|^3.  `checkpoints` is a lazy read-only
-    Sequence[MetricState] over those states, built on access like
+    stepper's raw states; `scalar_R` and `ric_eigs`, the sorted Ricci
+    spectra, are read off the stacked Ricci matrices once, at the end, the
+    spectra in one batched call.  The verdict is
+    built from the stop sample as the bracket flow's is (`flow._drive`), so
+    its fields mean the same on both flows.  `checkpoints` is a lazy
+    read-only Sequence[MetricState] over those states, built on access like
     `Trajectory.checkpoints`.  Times are physical: decreasing for backward
     runs.
     """
@@ -190,12 +190,13 @@ def metric_flow_integrate(
 ) -> MetricTrajectory:
     """Integrate dP/dt = -2 P RicOp(P) over a fixed bracket.
 
-    Stops with the bracket flow's rule (`flow._drive`): a
-    singularity is declared once R has the sign of the time direction and
-    n / (2|R|) < `flow.STOP_REL` |t|, after an accepted step or at a step
-    floor; the verdict is built from the stop sample alone (`flow._verdict`):
-    omega_est = t_stop + R / (2 tr Ric^2) and
-    far_bound = t_stop +- n / (2|R(t_stop)|).  The rule is scale free, as
+    Runs on the bracket flow's stepping loop (`flow._drive`), which stops
+    with its rule and builds its verdict: a singularity is declared once R
+    has the sign of the time direction and n / (2|R|) < `flow.STOP_REL` |t|,
+    after an accepted step or at a step floor, and the verdict is read off
+    the stop sample alone: omega_est = t_stop + R / (2 tr Ric^2) inside the
+    enclosure [t_stop, far_bound], far_bound = t_stop +- n / (2|R(t_stop)|),
+    as on the bracket flow.  The rule is scale free, as
     the flow is: P0 / c^2 over horizon / c^2 gives the same verdict at
     singular time omega / c^2.  Stages that leave the positive-definite cone
     evaluate to NaN, and the stepper rejects an attempt whose error norm is
@@ -228,35 +229,33 @@ def metric_flow_integrate(
         # -2 P RicOp(P) = -2 L^T ric L, symmetrised.
         return _sym(-2.0 * (ell.T @ ric @ ell)).ravel()
 
-    ts, scalars, rics = [], [], []
+    ts, rics = [], []
     states: list[np.ndarray] = []
 
     def record(t, y):
         # Keeps y itself: the stepper never writes an array it has handed out.
-        # Keeps Ric, whose spectra are read once at the end, and returns R.
+        # Keeps Ric, whose traces and spectra are read once at the end, and
+        # returns it for `_drive`'s stop rule and verdict.
         ric = _pushed_ric(mu0, y.reshape(n, n))[0]
         ts.append(t)
-        scalars.append(float(ric.trace()))
         rics.append(ric)
         states.append(y)
-        return scalars[-1]
+        return ric
 
     record(0.0, p0.ravel())
     atol = _abs_tol(opts, float(np.linalg.norm(p0)))
     solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=atol)
-    singular, segments = _drive(solver, opts, lambda solver: record(solver.t, solver.y), n)
+    verdict, segments = _drive(solver, opts, lambda solver: record(solver.t, solver.y), n)
     t_arr = np.array(ts)
-    r_arr = np.array(scalars)
-    # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
-    verdict = _verdict(singular, ts[-1], scalars[-1], float(np.sum(rics[-1] ** 2)), n)
+    ric_arr = np.array(rics)
     dense = DenseSolution([0.0] + [seg.t for seg in segments], segments) if opts.collect_dense else None
     return MetricTrajectory(
         direction=direction,
         horizon=horizon,
         bracket=mu0,
         t=t_arr,
-        scalar_R=r_arr,
-        ric_eigs=np.linalg.eigvalsh(np.array(rics)),
+        scalar_R=np.trace(ric_arr, axis1=1, axis2=2),
+        ric_eigs=np.linalg.eigvalsh(ric_arr),
         checkpoints=_Checkpoints(t_arr, states, lambda t, y: MetricState(t, _sym(y.reshape(n, n)))),
         verdict=verdict,
         dense=dense,

@@ -30,7 +30,10 @@ degree.  Every value is checked as it is read, and a bad one is rejected
 naming its line: a bracket value must be finite, `direction` one of
 forward, backward or both, `horizon` finite and positive, `sample_stride` an
 int >= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
-finite and positive, `expect_omega` and `expect_alpha` finite.  A key may be
+finite and positive, `expect_omega` and `expect_alpha` finite.  The
+integrator overrides are checked together once every key is read, since
+`validation_tol` may not exceed `drift_tol` (default 1e-6): the drift check
+would refuse the admitted bracket at its first step.  A key may be
 given once, and any other key is rejected as unknown (so is `abs_tol`: the
 step control's absolute floor follows the initial bracket's norm, see
 `flow.IntegratorOptions`); a file must be UTF-8 text.
@@ -38,11 +41,12 @@ step control's absolute floor follows the initial bracket's norm, see
 Running a scenario writes, per direction, a CSV trajectory table with
 header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
 digits per value) and a JSON report with the verdict, the singular-time
-estimate, the two comparison bounds on the integrated run that enclose it
-(`rigorous_one_sided_bound`, `far_one_sided_bound`; the key names predate
-that wording), `residual_rows` (`Trajectory.residual_rows`: the residual
-rows the drift check read per step, 0 for a vacuous check, null on the flat
-tensor) and the full estimate report.
+estimate `omega_est`, the ends of its enclosure (`t_stop`, the time of the
+last sample, and `far_one_sided_bound`, the far comparison bound),
+`residual_rows` (`Trajectory.residual_rows`: the residual rows the drift
+check read per step, 0 for a vacuous check, null on the flat tensor) and
+the full estimate report (`estimates`, with `velocity_ratio_max`, the
+largest |dmu/dt| / |mu|^3).
 
 Exit codes: 0 success, 1 verdict contradicts declared expectations,
 2 load/validation error, 3 integrator failure.
@@ -208,13 +212,21 @@ def load_scenario(path) -> Scenario:
     sc.horizon = take("horizon", _positive_finite, sc.horizon)
     sc.sample_stride = take("sample_stride", _positive_int, 1)
     sc.h2_note = take("h2_note", str, "")
+    given = {}
     for key, conv in _OPTS_KEYS.items():
         # validation_tol is the file's name for the membership tolerance
         name = "membership_tol" if key == "validation_tol" else key
-        # IntegratorOptions rejects the value, naming the field, if it is out of range
-        val = take(key, lambda v: getattr(replace(IntegratorOptions(), **{name: conv(v)}), name))
+        if key in raw:
+            given[name] = (key, raw[key][1])
+        val = take(key, conv)
         if val is not None:
             sc.overrides[name] = val
+    try:
+        sc.options()
+    except ValueError as exc:
+        # IntegratorOptions names the fields it refuses: name the first line that gave one
+        key, lineno = next(given[name] for name in given if name in str(exc))
+        raise ScenarioError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     for direction in ("forward", "backward"):
         kind = take(f"expect_{direction}", _verdict_kind)
         if kind is not None:
@@ -269,7 +281,7 @@ def _verdict_dict(traj: Trajectory) -> dict:
     return {
         "kind": v.kind,
         "omega_est": v.omega_est,
-        "rigorous_one_sided_bound": v.rigorous_bound,
+        "t_stop": float(traj.t[-1]),
         "far_one_sided_bound": v.far_bound,
     }
 
@@ -317,11 +329,9 @@ def run_scenario(scenario: Scenario, out_dir=".", base_opts: IntegratorOptions |
         try:
             est = estimate_report(traj)
         except ValueError as exc:
-            report["lipschitz_ratio_max"] = None
             report["estimates"] = None
             report["estimates_absent"] = str(exc)
         else:
-            report["lipschitz_ratio_max"] = est.velocity_ratio_max
             report["estimates"] = asdict(est)
 
         problems = []

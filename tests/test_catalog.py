@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bracketflow import check_conditions, integrate, ricci_operator
+from bracketflow import check_conditions, estimate_blowup_time, integrate, metric_flow_integrate, ricci_operator
 from bracketflow.catalog import catalog_entries, cover_dichotomy_check, get_entry
+from bracketflow.flow import STOP_REL
 
 REQUIRED = {
     "abelian3",
@@ -138,16 +139,24 @@ def test_extinction_bounds_hold_across_catalog(runs):
             assert bwd.verdict.omega_est >= (n / 2.0) / entry.r0 - 1e-3, entry.name
 
 
-def test_blowup_estimates_respect_rigorous_brackets(runs):
-    # omega_est lies past the last sample and between the near and the far
+def test_blowup_estimates_lie_in_their_enclosures(runs):
+    # omega_est lies past the last sample and no farther than the far
     # comparison bound, up to 1e-12 |omega| (rounding may land it an ulp or
-    # two past either end)
-    for (name, direction), traj in runs.items():
+    # two past the far end), on both flows; the enclosure [t_stop, far_bound]
+    # is shorter than STOP_REL |t_stop|
+    metric_runs = {
+        key: metric_flow_integrate(traj.initial, np.eye(traj.dims.n), key[1], traj.horizon)
+        for key, traj in runs.items()
+        if traj.verdict.kind == "blowup" and traj.dims.q == 0
+    }
+    assert len(metric_runs) == 5
+    for (name, direction), traj in [*runs.items(), *metric_runs.items()]:
         if traj.verdict.kind != "blowup":
             continue
         v = traj.verdict
         sign = 1.0 if direction == "forward" else -1.0
-        assert sign * (v.omega_est - traj.t[-1]) > 0, name
-        slack = 1e-12 * abs(v.omega_est)
-        assert sign * (v.omega_est - v.rigorous_bound) >= -slack, name
-        assert sign * (v.far_bound - v.omega_est) >= -slack, name
+        t_stop = traj.t[-1]
+        assert estimate_blowup_time(traj) == (v.omega_est, tuple(sorted((t_stop, v.far_bound)))), name
+        assert 0 < sign * (v.far_bound - t_stop) < STOP_REL * abs(t_stop), name
+        assert sign * (v.omega_est - t_stop) > 0, name
+        assert sign * (v.far_bound - v.omega_est) >= -1e-12 * abs(v.omega_est), name

@@ -215,12 +215,18 @@ def test_run_scenario_writes_files_and_report(tmp_path):
     assert report["verdict"]["kind"] == "blowup"
     assert abs(report["verdict"]["omega_est"] - 1.0) < 1e-3
     v = report["verdict"]
+    # the enclosure is [t_stop, far_bound]: t_stop is the trajectory's last
+    # time, which the CSV's last row holds to the bit
+    assert v["t_stop"] == float(csv.read_text().splitlines()[-1].split(",")[0])
     slack = 1e-12 * abs(v["omega_est"])
-    assert v["rigorous_one_sided_bound"] - slack <= v["omega_est"] <= v["far_one_sided_bound"] + slack
-    # the power-law fit is off the verdict path, and its keys with it
-    assert not {"omega_stderr_nonrigorous", "fit_exponent", "fit_exponent_stderr"} & v.keys()
+    assert v["t_stop"] < v["omega_est"] <= v["far_one_sided_bound"] + slack
+    # the power-law fit is off the verdict path, and its keys with it; the
+    # sampled near bound is gone
+    retired = {"omega_stderr_nonrigorous", "fit_exponent", "fit_exponent_stderr", "rigorous_one_sided_bound"}
+    assert not retired & v.keys()
     assert report["estimates"]["scalar_evolution_max_relerr"] <= 1e-4
-    assert report["lipschitz_ratio_max"] == report["estimates"]["velocity_ratio_max"] > 0
+    # each number is reported once: the velocity ratio only among the estimates
+    assert report["estimates"]["velocity_ratio_max"] > 0 and "lipschitz_ratio_max" not in report
     assert report["expectation_failures"] == []
 
 
@@ -242,7 +248,7 @@ def test_run_scenario_report_without_estimates_has_no_lipschitz_ratio(tmp_path):
     report = json.loads((tmp_path / "short_forward_report.json").read_text())
     assert report["samples"] < 20
     assert report["estimates"] is None and "estimates_absent" in report
-    assert report["lipschitz_ratio_max"] is None
+    assert "lipschitz_ratio_max" not in report
 
 
 def test_run_scenario_exit_1_on_contradiction(tmp_path):
@@ -394,6 +400,20 @@ def test_load_rejects_integrator_key_out_of_range_naming_file_and_key(tmp_path):
         scn = _write(tmp_path, "neg.scn", f"catalog = su2_round\n{key} = -1\n")
         with pytest.raises(ScenarioError, match=rf"neg\.scn:2: bad value for {key}"):
             load_scenario(scn)
+
+
+def test_load_rejects_validation_tol_above_drift_tol_once_every_key_is_read(tmp_path, capsys):
+    # a bracket admitted above drift_tol would fail the drift check at its
+    # first step; drift_tol given after validation_tol still counts
+    scn = _write(tmp_path, "pair.scn", "catalog = su2_round\nvalidation_tol = 1e-4\n")
+    with pytest.raises(ScenarioError, match=r"pair\.scn:2: bad value for validation_tol: .*membership_tol.*drift_tol"):
+        load_scenario(scn)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(scn)]) == 2
+    assert "pair.scn:2: bad value for validation_tol" in capsys.readouterr().err
+    assert not out.exists()
+    scn = _write(tmp_path, "pair.scn", "catalog = su2_round\nvalidation_tol = 1e-4\ndrift_tol = 1e-3\n")
+    assert load_scenario(scn).options() == IntegratorOptions(membership_tol=1e-4, drift_tol=1e-3)
 
 
 @pytest.mark.parametrize("args", [["--abs-tol", "1e-12"], ["--abs-tol=1e-12"]])

@@ -1,7 +1,8 @@
 import functools
+import sys
 import tracemalloc
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bracketflow import (
     LieBracket,
     NotInVarietyError,
     StiffnessError,
+    Verdict,
     bracket_flow_rhs,
     bracket_norm,
     estimate_blowup_time,
@@ -22,6 +24,7 @@ from bracketflow import (
     flow,
     integrate,
     koszul_ricci_oracle,
+    metric_flow,
     metric_flow_integrate,
     random_bracket,
     random_two_step_nilpotent,
@@ -152,17 +155,44 @@ def test_forward_times_increase(su2_forward):
     assert np.all(np.diff(su2_forward.t) > 0)
 
 
-def test_blowup_estimate_beyond_last_sample_and_rigorous_bound(su2_forward, heis_backward):
-    v = su2_forward.verdict
-    t_last = su2_forward.t[-1]
-    assert v.omega_est > t_last
-    gap = v.omega_est - t_last
-    assert v.omega_est >= v.rigorous_bound - 1e-3 * gap
-    v = heis_backward.verdict
-    t_last = heis_backward.t[-1]
-    assert v.omega_est < t_last
-    gap = t_last - v.omega_est
-    assert v.omega_est <= v.rigorous_bound + 1e-3 * gap
+def test_blowup_estimate_lies_between_last_sample_and_far_bound(su2_forward, heis_backward):
+    # the enclosure [t_stop, far_bound] is shorter than STOP_REL |t_stop|, and
+    # omega_est lies past t_stop and, up to rounding, not past far_bound
+    for traj in (su2_forward, heis_backward):
+        v = traj.verdict
+        t_stop = traj.t[-1]
+        sign = np.copysign(1.0, t_stop)
+        gap = sign * (v.far_bound - t_stop)
+        assert 0 < gap < flow.STOP_REL * abs(t_stop)
+        assert sign * (v.omega_est - t_stop) > 0
+        assert sign * (v.far_bound - v.omega_est) >= -1e-3 * gap
+
+
+def test_verdict_has_three_fields_read_at_the_stop_sample():
+    assert [f.name for f in fields(Verdict)] == ["kind", "omega_est", "far_bound"]
+
+
+def test_both_flows_take_their_verdict_from_drive_once_per_run(monkeypatch):
+    callers = []
+    verdict = flow._verdict
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return verdict(*args)
+
+    monkeypatch.setattr(flow, "_verdict", traced)
+    assert not hasattr(metric_flow, "_verdict")
+    for run in (
+        lambda: integrate(SU2, "forward", 2.0),
+        lambda: integrate(HEIS, "backward", 1.0),
+        lambda: integrate(HEIS, "forward", 1.0, rhs=bracket_flow_rhs),
+        lambda: metric_flow_integrate(SU2, np.eye(3), "forward", 2.0),
+        lambda: metric_flow_integrate(HEIS, np.eye(3), "forward", 1.0),
+    ):
+        callers.clear()
+        v = run().verdict
+        assert callers == ["_drive"]
+        assert v.kind in ("blowup", "immortal")
 
 
 def test_membership_conserved_along_flow(su2_forward, heis_backward):
@@ -216,13 +246,16 @@ def test_integrate_rejects_horizon_that_is_not_finite_and_positive(horizon):
         {"rel_tol": -1.0},
         {"drift_tol": 0.0},
         {"membership_tol": float("inf")},
+        # a bracket admitted above drift_tol would fail the drift check at its first step
+        {"membership_tol": 1e-5, "drift_tol": 1e-6},
     ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
 )
 def test_integrator_options_reject_out_of_range_values(bad):
-    (name,) = bad
-    with pytest.raises(ValueError, match=name):
+    # the error names every field it is about
+    with pytest.raises(ValueError) as err:
         IntegratorOptions(**bad)
+    assert all(name in str(err.value) for name in bad)
 
 
 @pytest.mark.parametrize(
@@ -323,23 +356,28 @@ def test_drift_failure_detected_with_broken_dynamics():
 
 
 def test_drift_failure_detected_on_the_table_path(monkeypatch):
-    # A random bracket is far from the Jacobi variety: admitted at a loose
-    # membership_tol, it steps on its table (the whole half at d = 3, whose
-    # three Jacobi rows the monitor reads off the state), and the drift
-    # check fires at the first accepted step, the second sample.
+    # A random bracket is far from the Jacobi variety: its Jacobi residual
+    # relative to |mu|^2 is 0.0835 at t = 0, so it is admitted at
+    # membership_tol = drift_tol = 0.1.  It steps on its table (the whole
+    # half at d = 3, whose three Jacobi rows the monitor reads off the
+    # state), and the residual grows along the flow until the drift check
+    # fires, at the 17th accepted step (sample 17, counting t = 0 as 0).
     mu = random_bracket(0, 3, np.random.default_rng(1))
     table = flow._flow_table(mu)
     assert table is not None and flow._residual_forms(3, 0, table.support).jac_rows == 3
     samples, relative = [], flow._relative_residuals
 
     def counted(*args):
-        samples.append(args)
-        return relative(*args)
+        residuals = relative(*args)
+        samples.append(max(residuals))
+        return residuals
 
     monkeypatch.setattr(flow, "_relative_residuals", counted)
-    with pytest.raises(DriftError, match="admissibility drift"):
-        integrate(mu, "forward", 1.0, IntegratorOptions(membership_tol=100.0))
-    assert len(samples) == 2
+    opts = IntegratorOptions(membership_tol=0.1, drift_tol=0.1)
+    with pytest.raises(DriftError, match=r"admissibility drift 1\.002e-01 exceeds 1\.0e-01 at t = 0\.07377"):
+        integrate(mu, "forward", 1.0, opts)
+    assert len(samples) == 18
+    assert 0.08 < samples[0] < samples[-2] <= 0.1 < samples[-1]
 
 
 def test_drift_is_measured_scale_free():
@@ -425,11 +463,10 @@ def _unscaled_verdict(k, flow_name):
 
 
 def _assert_encloses(traj, slack):
-    # t_stop and far_bound enclose omega_est, and rigorous_bound where the flow has one
+    # t_stop and far_bound enclose omega_est, on both flows
     v = traj.verdict
-    near = traj.t[-1] if v.rigorous_bound is None else v.rigorous_bound
     sign = np.copysign(1.0, traj.t[-1])
-    assert sign * (v.omega_est - near) >= -slack
+    assert sign * (v.omega_est - traj.t[-1]) >= -slack
     assert sign * (v.far_bound - v.omega_est) >= -slack
 
 
@@ -519,10 +556,10 @@ def _bit_run(k, flow_name, c):
 @functools.cache
 def _bit_record(k, flow_name, c=1.0):
     # what a run says in the units of c = 1: its samples' t c^2 and R / c^2,
-    # the verdict kind and its three times times c^2
+    # the verdict kind and its two times times c^2
     traj = _bit_run(k, flow_name, c)
     v, c2 = traj.verdict, c * c
-    times = [None if x is None else x * c2 for x in (v.omega_est, v.rigorous_bound, v.far_bound)]
+    times = [None if x is None else x * c2 for x in (v.omega_est, v.far_bound)]
     return traj.n_samples, (traj.t * c2).tolist(), (traj.scalar_R / c2).tolist(), v.kind, times
 
 
