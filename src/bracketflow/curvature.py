@@ -22,19 +22,27 @@ built from the GEMM kernel.
 Over the m = d * d(d-1)/2 entries c[i, j, k] with i < j
 (`algebra._half_indices`, the one encoding of that half), Ric is a quadratic
 form and the bracket flow's RHS -pi(diag(0, Ric)) mu a bilinear form in Ric
-and the same entries.  `_rhs_table` stacks both coefficient tables, [Q; P],
-on a support S of those entries, so the whole RHS on V_S
-(`flow._default_rhs_tensor`) is one matrix-vector product and two small
-contractions, and Ric alone is the Q half.  A table is built lazily, once
-per (d, q, S), by polarizing the GEMM kernel and `algebra._pi_tensor` on
-the mirrored basis E_a of S.  Its coefficients are exact, and there is no
-second Ricci or pi formula.  One rule picks a table or the GEMM kernels for
-every caller: a table is used when it holds at most TABLE_MAX_ENTRIES
-entries, the measured crossover.  Two tables are used:
+and the same entries.  `_rhs_table` holds both coefficient tables, [Q; P],
+on a support S of those entries, and Ric alone is the Q half.  A table is
+built lazily, once per (d, q, S), by polarizing the GEMM kernel and
+`algebra._pi_tensor` on the mirrored basis E_a of S, as the lists of its
+nonzero coefficients (`_SparseForm`).  Its coefficients are exact, and
+there is no second Ricci or pi formula.  Two rules, both read off the
+size of the dense [Q; P], apply to every table whichever caller uses it:
+
+* a table is used when it holds at most TABLE_MAX_ENTRIES entries, else
+  the GEMM kernels;
+* a table of at most DENSE_TABLE_MAX_ENTRIES entries is also kept as the
+  dense stack [Q; P], and the whole RHS on V_S (`flow._default_rhs_tensor`)
+  is one matrix-vector product and two small contractions; a larger one,
+  mostly zeros, is applied through its coefficient lists, two bincounts.
+
+Both crossovers are measured.  Two tables are used:
 
 * the bracket flow's (`_flow_table`): S is the support of the initial
   bracket, grown until it is flow-invariant; a two-step nilpotent bracket
-  at n = 13 steps on 30 entries;
+  at n = 13 steps on 30 entries, through 675 nonzero coefficients of a
+  111,600-entry table;
 * `_ricci_from_tensor`'s (`_ricci_table`): S is the whole half, since the
   metric flow's pushed tensors are dense; it fits for every q at d <= 5,
   and at d = 6 only for q >= 3.
@@ -162,7 +170,60 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 #   d = 5, q = 2,   30k entries:   8.1 against 16.7 us
 #   d = 6, q = 3,   97k entries:  13.5 against 17.0 us
 # 2^17 entries (1 MiB) lies between the last clear win and the break-even.
+# These tables were applied as dense products.  Above DENSE_TABLE_MAX_ENTRIES
+# a table now costs less (below), so one over 2^17 may now beat the GEMM
+# kernels; no workload has such a support, so the bound stays as measured.
 TABLE_MAX_ENTRIES = 2**17
+
+# Largest table, in dense entries, that is applied as the dense product of
+# its stack.  A larger one is applied through its nonzero coefficients
+# (`_SparseForm`), one bincount for Ric's rows and one for the RHS, and no
+# dense array is built.  The product reads every entry, the lists only the
+# nonzeros (0.6% of the table at n = 13), but at a few more numpy calls.
+# Measured per call (min of 15 alternations of 2000 calls, 1 BLAS thread,
+# 2-CPU host), dense against sparse, for the RHS and for Ricci alone; a
+# nilpotent (n, z) support is that of a two-step nilpotent bracket with a
+# z-dimensional centre:
+#                             entries  nonzeros  RHS (us)     Ricci (us)
+#   nilpotent (6, 3)            2,106      108    3.7 /  5.2   2.7 / 2.9
+#   nilpotent (8, 5)            9,900      225    5.6 /  5.8   3.8 / 3.1
+#   whole half d = 4, q = 0    11,520      450    5.1 /  6.9   3.5 / 3.7
+#   nilpotent (9, 6)           18,144      297    7.1 /  6.4   4.7 / 3.3
+#   whole half d = 5, q = 2    30,000      360    7.5 /  7.1   4.9 / 3.6
+#   whole half d = 5, q = 0    75,000    1,310   14.5 / 11.9   8.2 / 6.3
+#   whole half d = 6, q = 3    97,200      543   16.0 /  7.6   9.0 / 3.8
+#   nilpotent (13, 10)        111,600      675   23.2 /  8.1  12.7 / 4.1
+# The RHS breaks even near 10k entries; 2^14 lies between that and the
+# first win.  These are single states: a product over a batch of states
+# reads the dense table once per batch, so a batched RHS needs its own
+# crossover.
+DENSE_TABLE_MAX_ENTRIES = 2**14
+
+
+@dataclass(frozen=True)
+class _SparseForm:
+    """A bilinear vector map kept as its nonzero coefficients.
+
+    Component k of form(x, y) is the sum of coef[p] x[a[p]] y[b[p]] over the
+    terms p with row[p] = k, for k < rows: one gather of each argument, two
+    products and one `np.bincount`.  A quadratic form in u is form(u, u).
+    The Jacobi rows of `_ResidualForms` and both halves of a sparse
+    `_StackedTable` are evaluated by this one method.  Every array is
+    read-only.
+    """
+
+    row: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    coef: np.ndarray
+    rows: int
+
+    def __post_init__(self):
+        for arr in (self.row, self.a, self.b, self.coef):
+            arr.setflags(write=False)
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row, self.coef * x[self.a] * y[self.b], self.rows)
 
 
 @dataclass(frozen=True)
@@ -175,7 +236,12 @@ class _StackedTable:
         upper: their flat tensor indices; the state of c is u = c.ravel()[upper].
         mirror: the flat indices of their mirrors (j, i, k), where c holds -u
             (`algebra._half_indices`).
-        stack: [Q; P] as a (2 * rows * m', m') matrix, read-only.
+        q_form: Q as its nonzero coefficients: r = q_form(u, u) are Ric's rows.
+        p_form: P as its nonzero coefficients: the derivative of u is
+            p_form(r, u).
+        stack: [Q; P] as a dense (2 * rows * m', m') matrix when the table
+            holds at most DENSE_TABLE_MAX_ENTRIES entries, else None and the
+            table is applied through q_form and p_form; read-only.
         rows: Ricci rows in each half: the entries of Ric's upper triangle
             that are not identically 0 on V_S, plus one zero row when some
             entry is.
@@ -188,10 +254,30 @@ class _StackedTable:
     support: tuple
     upper: np.ndarray
     mirror: np.ndarray
-    stack: np.ndarray
+    q_form: _SparseForm
+    p_form: _SparseForm
+    stack: np.ndarray | None
     rows: int
     sym: np.ndarray
     grown: tuple
+
+    @property
+    def entries(self) -> int:
+        """The size of the dense [Q; P], 2 * rows * m'^2, whether or not it is built."""
+        return 2 * self.rows * self.upper.size**2
+
+
+def _dense_stack(q_form: _SparseForm, p_form: _SparseForm, m: int) -> np.ndarray:
+    # [Q; P] as the (2 * rows * m', m') matrix the dense product reads: each
+    # off-diagonal coefficient of Q is halved onto (a, b) and (b, a), and P
+    # is scattered to [row of Ric, output entry, input entry].
+    rows = q_form.rows
+    table = np.zeros((2, rows, m, m))
+    table[0, q_form.row, q_form.a, q_form.b] = table[0, q_form.row, q_form.b, q_form.a] = np.where(
+        q_form.a == q_form.b, q_form.coef, q_form.coef / 2
+    )
+    table[1, p_form.a, p_form.row, p_form.b] = p_form.coef
+    return table.reshape(2 * rows * m, m)
 
 
 def _support_basis(d: int, sel: np.ndarray) -> np.ndarray:
@@ -236,24 +322,30 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     """The stacked table of Ric and the bracket flow's RHS on the support S.
 
     With u = c.ravel()[upper] the entries of c on S and r the table's Ricci
-    rows, the table stacks two coefficient arrays of shape (rows, m', m'):
+    rows, the table holds two coefficient arrays of shape (rows, m', m'):
 
         r[k] = sum_{a,b} Q[k, a, b] u_a u_b,
         (-pi(diag(0, Ric)) c).ravel()[upper] = sum_{k,a} r[k] P[k, :, a] u_a,
 
-    for every antisymmetric c supported on S, if S is flow-invariant.  So
-    with s = (stack @ u).reshape(2, rows, m') the RHS is (r = s[0] @ u) @
-    s[1], in the layout of u.  Q is the polar form of the GEMM kernel on the
-    mirrored basis E_a (a in S; +1 at upper[a], -1 at mirror[a]), from
-    `_polar_form`: Q[:, a, a] = Ric(E_a) and
+    for every antisymmetric c supported on S, if S is flow-invariant.  Q is
+    the polar form of the GEMM kernel on the mirrored basis E_a (a in S; +1
+    at upper[a], -1 at mirror[a]), from `_polar_form`: Q[:, a, a] = Ric(E_a)
+    and
 
         Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a) - Ric(E_b)) / 2;
 
     the rows of Q that are 0 on all of S are dropped.  P[k, :, a] is the
     half of -pi(diag(0, F_k)) E_a from `algebra._pi_tensor` on S, F_k the
     symmetric unit matrix of Ricci row k; its entries outside S give
-    `grown`.  With +-1 basis entries and power-of-two weights every
-    coefficient is exact.  On the whole half this is the table
+    `grown`.  Both are kept as their nonzero coefficients: q_form has
+    Q[:, a, a] and, for a < b, Q[:, a, b] + Q[:, b, a], as `_polar_form`
+    gives them, so r = q_form(u, u) and the RHS is p_form(r, u), in the
+    layout of u.  A table of at most DENSE_TABLE_MAX_ENTRIES entries is
+    also scattered to the dense stack [Q; P] (`_dense_stack`), and then
+    with s = (stack @ u).reshape(2, rows, m') the RHS is (r = s[0] @ u) @
+    s[1].  The two apply the same coefficients in another summation order.
+    With +-1 basis entries and power-of-two weights every coefficient is
+    exact, halved ones too.  On the whole half this is the table
     `_ricci_from_tensor` applies (`_ricci_table`).  The build makes
     m'(m'+1)/2 GEMM-kernel calls and one pi call per Ricci row on the
     stacked basis, once per support: 3, 14 and 73 ms for the supports of the
@@ -271,27 +363,36 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     pairs = [(a, b) for a in range(m) for b in range(a, m)]
     active, row, a, b, coef = _polar_form(lambda c: _ricci_gemm(c, q)[iu], e, pairs)
     rows = active.size + (active.size < len(iu[0]))
-    table = np.zeros((2, rows, m, m))
-    table[0, row, a, b] = table[0, row, b, a] = np.where(a == b, coef, coef / 2)
+    q_form = _SparseForm(row, a, b, coef, rows)
     reach = np.zeros(half.size, dtype=bool)
     reach[sel] = True
+    p_terms, p_coef = [np.zeros((3, 0), dtype=np.intp)], [np.zeros(0)]
     for r, k in enumerate(active):
         i, j = q + iu[0][k], q + iu[1][k]
         unit = np.zeros((d, d))
         unit[i, j] = unit[j, i] = 1.0
         out = -_pi_tensor(unit, e).reshape(m, -1)[:, half]
         reach |= out.any(axis=0)
-        table[1, r] = out[:, sel].T
+        block = out[:, sel].T  # [output entry, input entry]
+        o, x = np.nonzero(block)
+        p_terms.append(np.stack([o, np.full(o.size, r), x]))
+        p_coef.append(block[o, x])
+    p_form = _SparseForm(*np.hstack(p_terms), np.concatenate(p_coef), m)
+    stack = None
+    if 2 * rows * m * m <= DENSE_TABLE_MAX_ENTRIES:
+        stack = _dense_stack(q_form, p_form, m)
+        stack.setflags(write=False)
     sym = np.full((n, n), rows - 1, dtype=np.intp)
     sym[iu[0][active], iu[1][active]] = sym[iu[1][active], iu[0][active]] = np.arange(active.size)
-    upper, mirror, stack = half[sel], mirror[sel], table.reshape(2 * rows * m, m)
-    for arr in (upper, mirror, stack, sym):
+    upper, mirror = half[sel], mirror[sel]
+    for arr in (upper, mirror, sym):
         arr.setflags(write=False)
-    return _StackedTable(support, upper, mirror, stack, rows, sym, tuple(np.flatnonzero(reach).tolist()))
+    grown = tuple(np.flatnonzero(reach).tolist())
+    return _StackedTable(support, upper, mirror, q_form, p_form, stack, rows, sym, grown)
 
 
 def _table_entries_at_least(d: int, q: int, support: tuple) -> int:
-    """A lower bound on the size of `_rhs_table(d, q, support)`, at the cost of one GEMM-kernel call.
+    """A lower bound on `_rhs_table(d, q, support).entries`, at the cost of one GEMM-kernel call.
 
     Ric at a point of V_S with small integer entries is exact (integer
     products, power-of-two weights), so every entry of Ric that is nonzero
@@ -313,7 +414,7 @@ def _closed_table(d: int, q: int, start: tuple) -> _StackedTable | None:
     support = start
     while _table_entries_at_least(d, q, support) <= TABLE_MAX_ENTRIES:
         table = _rhs_table(d, q, support)
-        if table.stack.size > TABLE_MAX_ENTRIES:
+        if table.entries > TABLE_MAX_ENTRIES:
             return None
         if table.grown == support:
             return table
@@ -339,36 +440,30 @@ class _ResidualForms:
     """The admissibility residuals on a support S as forms in the stepper's state u.
 
     Attributes:
-        jac_rows: how many of the Jacobiator's components on the triples
-            i < j < l (`algebra._jacobi_triples`) are not identically 0 on
-            V_S; these are its rows.
-        jac_terms: (3, terms) indices (row, a, b) of the nonzero
-            coefficients of those rows, from `_polar_form`.
-        jac_coef: the coefficients, so that component row is the sum of
-            jac_coef u_a u_b over its terms.
+        jac: the Jacobiator's components on the triples i < j < l
+            (`algebra._jacobi_triples`) that are not identically 0 on V_S,
+            as the nonzero coefficients from `_polar_form`: they are
+            jac(u, u), and jac.rows counts them.
         lin: the rows of h1's, then h3's, components
             (`algebra._isotropy_parts`) that are not identically 0 on V_S, as
             a matrix with m' columns: the components are lin @ u.
         h1_rows: how many of lin's rows are h1's.
     """
 
-    jac_rows: int
-    jac_terms: np.ndarray
-    jac_coef: np.ndarray
+    jac: _SparseForm
     lin: np.ndarray
     h1_rows: int
 
     @property
     def rows(self) -> int:
         """Residual rows read per state; 0 when every residual vanishes identically on V_S."""
-        return self.jac_rows + self.lin.shape[0]
+        return self.jac.rows + self.lin.shape[0]
 
     def residuals(self, u: np.ndarray) -> tuple[float, float, float]:
         """(jacobi, h1, h3) of the state u, the max-norms that `algebra._residuals` takes of its tensor."""
         jac = h1 = h3 = 0.0
-        if self.jac_rows:
-            row, a, b = self.jac_terms
-            jac = float(np.abs(np.bincount(row, self.jac_coef * u[a] * u[b], self.jac_rows)).max())
+        if self.jac.rows:
+            jac = float(np.abs(self.jac(u, u)).max())
         if self.lin.shape[0]:
             # a few rows: Python's max of the list is cheaper than two numpy reductions
             lin = np.abs(np.dot(self.lin, u)).tolist()
@@ -404,10 +499,9 @@ def _residual_forms(d: int, q: int, support: tuple) -> _ResidualForms:
     chain = (k[:, None] == i) | (k[:, None] == j)
     active, row, a, b, coef = _polar_form(_jacobi_triples, e, np.argwhere(np.triu(chain | chain.T)).tolist())
     h1, h3 = (part.T[part.T.any(axis=1)] for part in _isotropy_parts(e, q))
-    terms, lin = np.stack([row, a, b]), np.vstack([h1, h3])
-    for arr in (terms, coef, lin):
-        arr.setflags(write=False)
-    return _ResidualForms(active.size, terms, coef, lin, h1.shape[0])
+    lin = np.vstack([h1, h3])
+    lin.setflags(write=False)
+    return _ResidualForms(_SparseForm(row, a, b, coef, active.size), lin, h1.shape[0])
 
 
 @cache
@@ -422,14 +516,17 @@ def _ricci_from_tensor(c: np.ndarray, q: int) -> np.ndarray:
     """Ricci matrix of the raw tensor: the metric flow's hot path, and the bracket flow's on the GEMM path.
 
     Where the whole half's table fits (`_ricci_table`), it applies the table's
-    Q half, two matrix-vector products that read the i < j half of c only;
-    elsewhere the GEMM kernel `_ricci_gemm`.  Both return an exactly
-    symmetric ric.
+    Q half, which reads the i < j half of c only: two matrix-vector products
+    on a dense table, one `bincount` over the nonzero coefficients on a
+    sparse one (DENSE_TABLE_MAX_ENTRIES).  Elsewhere the GEMM kernel
+    `_ricci_gemm`.  All return an exactly symmetric ric.
     """
     t = _ricci_table(c.shape[0], q)
     if t is None:
         return _ricci_gemm(c, q)
     u = c.ravel()[t.upper]
+    if t.stack is None:
+        return t.q_form(u, u)[t.sym]
     return np.dot(np.dot(t.stack[: t.rows * u.size], u).reshape(t.rows, -1), u)[t.sym]
 
 

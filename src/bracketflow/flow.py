@@ -13,12 +13,15 @@ start, grown until the RHS maps V_S into itself (`curvature._flow_table`);
 for a two-step nilpotent bracket that is the v ^ v -> z block, 30 of the
 1014 half entries at n = 13.  When the stacked table of Ric and the RHS on
 S is at most `curvature.TABLE_MAX_ENTRIES`, the state is the entries
-u = c.ravel()[upper] on S (`_to_state`) and one RHS evaluation is three
-small products with no gather and no mirror; the error norm counts each
-entry of u twice, so it is the RMS over all d^3 tensor entries, as on the
-full tensor.  A larger support, and an `rhs=` override (which may leave S),
-step on the flat tensor with the GEMM kernels.  Only `Trajectory.checkpoints`
-and the dense output rebuild the tensor (`_to_tensor`), by writing u at the
+u = c.ravel()[upper] on S (`_to_state`) and one RHS evaluation reads the
+table with no tensor gather and no mirror: three small products on its
+dense stack, or, over `curvature.DENSE_TABLE_MAX_ENTRIES`, where the stack
+is mostly zeros, two bincounts over its nonzero coefficients (675 of
+111,600 at n = 13).  The error norm counts each entry of u twice, so it is
+the RMS over all d^3 tensor entries, as on the full tensor.  A larger
+support, and an `rhs=` override (which may leave S), step on the flat
+tensor with the GEMM kernels.  Only `Trajectory.checkpoints` and the dense
+output rebuild the tensor (`_to_tensor`), by writing u at the
 support's flat indices and -u at their mirrors (`algebra._from_half`).
 
 The bracket flow's callback keeps per step what the stop rule and the drift
@@ -329,11 +332,16 @@ def _default_rhs_tensor(
 ) -> tuple[np.ndarray, np.ndarray]:
     # The derivative of the state y (see `_to_state`), in the same layout,
     # together with the Ricci matrix it was built from.  With the flow's
-    # stacked table `curvature._flow_table`, one product gives
-    # s = [Q u; P u]; r = s[0] @ u are Ric's rows on the support and the
-    # derivative of u is r @ s[1].  No Ricci assembly runs.  Without one, the
+    # stacked table `curvature._flow_table`, r are Ric's rows on the support:
+    # on a sparse table (no dense stack) r = Q(u, u) and the derivative
+    # P(r, u), each one bincount over the nonzero coefficients; on a dense
+    # one a single product gives s = [Q u; P u], r = s[0] @ u and the
+    # derivative r @ s[1].  No Ricci assembly runs.  Without a table, the
     # GEMM kernels on the flat tensor: Ricci, then pi.
     if table is not None:
+        if table.stack is None:
+            r = table.q_form(y, y)
+            return table.p_form(r, y), r[table.sym]
         s = np.dot(table.stack, y).reshape(2, table.rows, -1)
         r = np.dot(s[0], y)
         return np.dot(r, s[1]), r[table.sym]
@@ -347,10 +355,14 @@ def _default_rhs_tensor(
 
 
 def _end_time(direction: str, horizon: float) -> float:
-    """+horizon forward, -horizon backward; rejects any other direction or a bad horizon."""
+    """+horizon forward, -horizon backward; rejects any other direction or a bad horizon.
+
+    A bool is refused as a horizon, as in every numeric field of
+    `IntegratorOptions`: True would otherwise run to t = 1.
+    """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if not (np.isfinite(horizon) and horizon > 0):
+    if _is_bool(horizon) or not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     return horizon if direction == "forward" else -horizon
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,10 @@ from bracketflow import curvature
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.algebra import _half_indices, _pi_tensor, _residuals, _transform_tensor, _triple_plan
 from bracketflow.curvature import (
+    DENSE_TABLE_MAX_ENTRIES,
     TABLE_MAX_ENTRIES,
     _closed_table,
+    _dense_stack,
     _flow_table,
     _residual_forms,
     _rhs_table,
@@ -178,11 +182,17 @@ def _full_table(d, q):
     return _rhs_table(d, q, _whole_half(d))
 
 
+def _dense(t):
+    # [Q; P] as a dense matrix: the table's own stack, or for a sparse table
+    # the one its coefficient lists scatter to
+    return t.stack if t.stack is not None else _dense_stack(t.q_form, t.p_form, t.upper.size)
+
+
 def _stacked(c, q):
     # s = (table @ u).reshape(2, rows, m): the Q half and the P half applied to u
     t = _full_table(c.shape[0], q)
     u = c.ravel()[t.upper]
-    return (t.stack @ u).reshape(2, t.rows, -1), u, t.sym
+    return (_dense(t) @ u).reshape(2, t.rows, -1), u, t.sym
 
 
 def _tabulated_ricci(c, q):
@@ -197,7 +207,7 @@ def _live(q_half):
 
 def _halves(t):
     m = t.upper.size
-    return t.stack.reshape(2, t.rows, m, m)
+    return _dense(t).reshape(2, t.rows, m, m)
 
 
 def _tabulated_rhs(a, c, q):
@@ -236,14 +246,25 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         abar[q:, q:] = a
         assert _rel(dc, -_pi_tensor(abar, c)) <= TABLE_RTOL
         assert _rel(dc, -pi_action_loops(a, c, q)) <= TABLE_RTOL
-        # the hot paths are these products: the RHS on the whole table, in
-        # the half state u it reads, Ricci alone on its Q half, with the
-        # same bits
+        # the hot paths: the RHS on the whole table, in the half state u it
+        # reads, and Ricci alone on its Q half.  A dense table's are these
+        # products, with the same bits; a sparse table's sum the same
+        # coefficients in another order.
         t = _full_table(q + n, q)
         du, ric_hot = _default_rhs_tensor(c.ravel()[t.upper], q + n, q, t)
-        assert np.array_equal(ric_hot, ric)
-        assert np.array_equal(_to_tensor(du, q + n, t), _tabulated_rhs(ric, c, q))
-        assert np.array_equal(_ricci_from_tensor(c, q), ric)
+        dc_hot, ric_from_tensor = _to_tensor(du, q + n, t), _ricci_from_tensor(c, q)
+        if t.stack is not None:
+            assert np.array_equal(ric_hot, ric)
+            assert np.array_equal(dc_hot, _tabulated_rhs(ric, c, q))
+            assert np.array_equal(ric_from_tensor, ric)
+        else:
+            for got in (ric_hot, ric_from_tensor):
+                assert np.array_equal(got, got.T)
+                for ref in (ric, _ricci_gemm(c, q), ricci_assembled_loops(c, q)):
+                    assert _rel(got, ref) <= TABLE_RTOL
+            abar[q:, q:] = ric_hot
+            for ref in (_tabulated_rhs(ric_hot, c, q), -_pi_tensor(abar, c), -pi_action_loops(ric_hot, c, q)):
+                assert _rel(dc_hot, ref) <= TABLE_RTOL
 
 
 @pytest.mark.parametrize("q, n", [(q, n) for q, n in TABLE_SHAPES if q + n <= 4])
@@ -326,7 +347,7 @@ def test_ricci_applies_the_whole_half_table_exactly_when_the_rule_admits_it(monk
     assert len(calls) == (0 if tabulated else 1)
     assert np.array_equal(ric, ric.T)
     if tabulated:
-        assert table.stack.size <= TABLE_MAX_ENTRIES
+        assert table.entries <= TABLE_MAX_ENTRIES
         assert _rel(ric, gemm) <= TABLE_RTOL
     else:
         assert np.array_equal(ric, gemm)
@@ -399,7 +420,8 @@ def test_plans_are_cached_and_read_only():
     assert np.array_equal(t.mirror, mirror)
     assert t.rows == 3  # n(n+1)/2 upper-triangle entries of Ric
     assert t.stack.shape == (2 * t.rows * 9, 9) and np.array_equal(t.sym, [[0, 1], [1, 2]])
-    for plan in (upper, mirror, t.upper, t.mirror, t.stack, t.sym):
+    form = t.q_form
+    for plan in (upper, mirror, t.upper, t.mirror, t.stack, t.sym, form.row, form.a, form.b, form.coef):
         with pytest.raises(ValueError, match="read-only"):
             plan.flat[0] = 0
     c = random_bracket(q, d - q, np.random.default_rng(3)).c
@@ -473,7 +495,7 @@ def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
     outside = np.ones(half.size, dtype=bool)
     outside[list(table.support)] = False
     assert not np.any(mu.c.ravel()[half][outside])  # S holds the initial bracket
-    assert table.grown == table.support and table.stack.size <= TABLE_MAX_ENTRIES
+    assert table.grown == table.support and table.entries <= TABLE_MAX_ENTRIES
     # at a random point of V_S the GEMM RHS is exactly 0 outside S, and the
     # restricted RHS and its Ric are the GEMM ones
     u = np.random.default_rng(seed).standard_normal(len(table.support))
@@ -493,7 +515,8 @@ def test_support_over_the_bound_takes_the_gemm_path():
     rng = np.random.default_rng(4)
     mu = transform_bracket(random_two_step_nilpotent(6, rng), _invertible(rng, 6))
     assert _flow_table(mu) is None
-    assert _rhs_table(6, 0, _whole_half(6)).stack.size == 2 * 21 * 90**2 > TABLE_MAX_ENTRIES
+    t = _rhs_table(6, 0, _whole_half(6))
+    assert t.entries == _dense(t).size == 2 * 21 * 90**2 > TABLE_MAX_ENTRIES
     # while d = 5, 75k entries, fits
     mu5 = transform_bracket(random_two_step_nilpotent(5, rng), _invertible(rng, 5))
     assert _flow_table(mu5).support == _whole_half(5)
@@ -515,6 +538,131 @@ def test_support_grows_until_the_flow_cannot_leave_it():
     assert traj.n_samples == ref.n_samples
     assert np.abs(traj.checkpoints[-1].mu.c[0, 1, 2]) > 0.1  # the grown entries move
     np.testing.assert_allclose(traj.dense(3.0), ref.dense(3.0), rtol=1e-9, atol=1e-12)
+
+
+# --- a table applied as its dense stack or through its nonzero coefficients ---
+
+def _nilpotent_table(n, center):
+    return _flow_table(random_two_step_nilpotent(n, np.random.default_rng(0), center_dim=center))
+
+
+def test_the_rule_keeps_small_tables_dense_and_large_ones_sparse():
+    # Every catalog table, on its flow's support or on the whole half, and
+    # the metric_equivalence supports (two-step nilpotent at n = 5 and 6)
+    # keep the dense stack; the nilpotent supports at n = 9 and 13 and the
+    # whole half at d = 5, q = 0 are applied through their nonzero
+    # coefficients and build no dense array.
+    catalog = [entry.bracket for entry in catalog_entries()]
+    dense = [_flow_table(mu) for mu in catalog] + [_ricci_table(mu.dims.d, mu.dims.q) for mu in catalog]
+    dense += [_nilpotent_table(5, 2), _nilpotent_table(6, 3)]
+    for t in dense:
+        assert t.entries <= DENSE_TABLE_MAX_ENTRIES and t.stack.size == t.entries
+    assert max(t.entries for t in dense[: len(catalog)]) == 72
+    assert [t.entries for t in dense[-2:]] == [720, 2106]
+    sparse = [_nilpotent_table(9, 6), _nilpotent_table(13, 10), _ricci_table(5, 0)]
+    for t in sparse:
+        assert DENSE_TABLE_MAX_ENTRIES < t.entries <= TABLE_MAX_ENTRIES and t.stack is None
+    assert [t.entries for t in sparse] == [18144, 111600, 75000]
+    assert [t.q_form.coef.size + t.p_form.coef.size for t in sparse] == [297, 675, 1310]
+
+
+def _assert_table_matches_the_kernels(t, d, q, u):
+    # Exactly, one coefficient at a time: each form evaluated at basis
+    # vectors isolates one term, and the GEMM Ricci kernel polarized on the
+    # mirrored basis, and the pi kernel on it, give the same exact numbers;
+    # so does each entry of the dense stack.  At the state u, to TABLE_RTOL:
+    # the forms, the dense product and the GEMM kernels; and the hot path
+    # is, bit for bit, the side of the rule the table is on.
+    m = t.upper.size
+    e = curvature._support_basis(d, np.array(t.support, dtype=np.intp))
+    units, rows = np.eye(m), np.eye(t.rows)
+    ric = [_ricci_gemm(e[a], q) for a in range(m)]
+    live = np.zeros(t.sym.shape, dtype=bool)  # the entries of Ric that are not 0 on all of V_S
+    q_half, p_half = _halves(t)
+    for a in range(m):
+        for b in range(a, m):
+            ref = ric[a] if a == b else _ricci_gemm(e[a] + e[b], q) - ric[a] - ric[b]
+            live |= ref != 0
+            got = t.q_form(units[a], units[b]) + t.q_form(units[b], units[a]) * (a < b)
+            assert np.array_equal(got[t.sym], ref)
+            assert np.array_equal(q_half[:, a, b][t.sym], ref if a == b else ref / 2)
+            assert np.array_equal(q_half[:, b, a][t.sym], ref if a == b else ref / 2)
+    for k in range(t.rows):
+        i, j = np.argwhere(t.sym == k)[0]
+        unit = np.zeros((d, d))
+        unit[q + i, q + j] = unit[q + j, q + i] = live[i, j]  # the zero row moves nothing
+        ref = -_pi_tensor(unit, e).reshape(m, -1)[:, t.upper]
+        assert np.array_equal([t.p_form(rows[k], units[a]) for a in range(m)], ref)
+        assert np.array_equal(p_half[k].T, ref)
+    c = _to_tensor(u, d, t)
+    gemm, ric_u = _gemm_rhs(c, q)
+    r_sparse = t.q_form(u, u)
+    du_sparse = t.p_form(r_sparse, u)
+    s = (_dense(t) @ u).reshape(2, t.rows, -1)
+    r_dense = s[0] @ u
+    du_dense = r_dense @ s[1]
+    for r in (r_sparse, r_dense):
+        assert _rel(r[t.sym], ric_u) <= TABLE_RTOL
+    assert _rel(r_sparse, r_dense) <= TABLE_RTOL
+    for du in (du_sparse, du_dense):
+        assert _rel(_to_tensor(du, d, t), gemm) <= TABLE_RTOL
+    assert _rel(du_sparse, du_dense) <= TABLE_RTOL
+    du, ric_hot = _default_rhs_tensor(u, d, q, t)
+    hot_du, hot_r = (du_sparse, r_sparse) if t.stack is None else (du_dense, r_dense)
+    assert np.array_equal(du, hot_du) and np.array_equal(ric_hot, hot_r[t.sym])
+
+
+@st.composite
+def table_supports(draw):
+    """The supports `flow_brackets` gives, and the whole half at d = 3 to 5, every q."""
+    if draw(st.booleans()):
+        mu = draw(flow_brackets())
+        return mu.dims.d, mu.dims.q, _flow_table(mu)
+    d = draw(st.integers(3, 5))
+    q = draw(st.integers(0, d - 1))
+    return d, q, _ricci_table(d, q)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(table_supports(), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e7]))
+def test_sparse_and_dense_tables_equal_the_kernels(support, seed, scale):
+    d, q, t = support
+    if t is None:  # over TABLE_MAX_ENTRIES
+        return
+    u = scale * np.random.default_rng(seed).standard_normal(t.upper.size)
+    _assert_table_matches_the_kernels(t, d, q, u)
+
+
+def test_the_table_comparison_sees_one_ulp_and_one_dropped_term():
+    # A table whose lists (or dense stack) are off by one ulp in one
+    # coefficient, or miss one term, fails the comparison above, whichever
+    # coefficient it is.
+    sparse = _nilpotent_table(9, 6)
+    dense = _nilpotent_table(6, 3)
+    u = np.random.default_rng(3).standard_normal(sparse.upper.size)
+    _assert_table_matches_the_kernels(sparse, 9, 0, u)
+    rng = np.random.default_rng(7)
+
+    def mutated(form, ulp):
+        p = rng.integers(form.coef.size)
+        if ulp:
+            coef = form.coef.copy()
+            coef[p] = np.nextafter(coef[p], np.inf)
+            return replace(form, coef=coef)
+        keep = np.arange(form.coef.size) != p
+        return replace(form, row=form.row[keep], a=form.a[keep], b=form.b[keep], coef=form.coef[keep])
+
+    for _ in range(4):
+        for field in ("q_form", "p_form"):
+            for ulp in (True, False):
+                t = replace(sparse, **{field: mutated(getattr(sparse, field), ulp)})
+                with pytest.raises(AssertionError):
+                    _assert_table_matches_the_kernels(t, 9, 0, u)
+        stack = dense.stack.copy()
+        p = rng.choice(np.flatnonzero(stack))
+        stack.flat[p] = np.nextafter(stack.flat[p], np.inf)
+        with pytest.raises(AssertionError):
+            _assert_table_matches_the_kernels(replace(dense, stack=stack), 6, 0, u[: dense.upper.size])
 
 
 # --- admissibility residuals as forms on the support ------------------------
@@ -553,7 +701,7 @@ def test_residual_forms_keep_the_rows_of_a_dense_support(q, n, jac_rows):
     # h1 and h3 rows survive too.
     d = q + n
     forms = _residual_forms(d, q, _whole_half(d))
-    assert forms.jac_rows == jac_rows
+    assert forms.jac.rows == jac_rows
     assert (forms.lin.shape[0] > 0) == (q > 0)
 
 
@@ -571,7 +719,7 @@ def test_residual_forms_have_no_row_where_the_residuals_vanish_identically(name)
 def test_residual_forms_of_the_isotropy_entries_are_two_h3_rows(name):
     mu = get_entry(name).bracket
     forms = _residual_forms(mu.dims.d, mu.dims.q, _flow_table(mu).support)
-    assert (forms.jac_rows, forms.h1_rows, forms.lin.shape[0]) == (0, 0, 2)
+    assert (forms.jac.rows, forms.h1_rows, forms.lin.shape[0]) == (0, 0, 2)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -587,7 +735,7 @@ def test_residual_forms_have_no_row_on_a_two_step_nilpotent_support(n, seed, dat
 def test_residual_forms_at_n13_are_empty():
     mu = random_two_step_nilpotent(13, np.random.default_rng(0))
     forms = _residual_forms(13, 0, _flow_table(mu).support)
-    assert forms.rows == 0 and forms.jac_coef.size == 0
+    assert forms.rows == 0 and forms.jac.coef.size == 0
 
 
 # --- Koszul oracle ----------------------------------------------------------

@@ -33,6 +33,7 @@ from bracketflow import (
     transform_bracket,
     type_I_diagnostic,
 )
+from bracketflow import curvature
 from bracketflow.catalog import catalog_entries, get_entry
 
 from oracles import local_derivatives_polyfit, milnor_singular_time
@@ -228,9 +229,10 @@ def test_integrate_rejects_bad_arguments():
         integrate(HEIS, "forward", -1.0)
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"), True])
 def test_integrate_rejects_horizon_that_is_not_finite_and_positive(horizon):
-    # an unchecked NaN horizon spins forever inside one solver step
+    # an unchecked NaN horizon spins forever inside one solver step, and True
+    # would be read as 1.0
     with pytest.raises(ValueError, match="horizon"):
         integrate(HEIS, "forward", horizon)
     with pytest.raises(ValueError, match="horizon"):
@@ -364,7 +366,7 @@ def test_drift_failure_detected_on_the_table_path(monkeypatch):
     # fires, at the 17th accepted step (sample 17, counting t = 0 as 0).
     mu = random_bracket(0, 3, np.random.default_rng(1))
     table = flow._flow_table(mu)
-    assert table is not None and flow._residual_forms(3, 0, table.support).jac_rows == 3
+    assert table is not None and flow._residual_forms(3, 0, table.support).jac.rows == 3
     samples, relative = [], flow._relative_residuals
 
     def counted(*args):
@@ -1019,6 +1021,38 @@ def test_flat_tensor_monitor_reports_no_residual_rows():
     traj = integrate(SU2, "forward", 0.5, rhs=bracket_flow_rhs)
     assert traj.residual_rows is None
     assert integrate(FLAT, "forward", 1.0).residual_rows == 0
+
+
+@pytest.mark.parametrize("n", [9, 13])
+def test_nilpotent_verdicts_do_not_depend_on_the_dense_or_sparse_rule(monkeypatch, n):
+    # The two-step nilpotent tables at n = 9 and 13 are applied through their
+    # nonzero coefficients.  With the crossover raised to TABLE_MAX_ENTRIES
+    # the same tables are applied as dense products, which sum the same
+    # exact coefficients in another order: the verdicts, the sample counts
+    # and the singular times agree.
+    mus = [random_two_step_nilpotent(n, np.random.default_rng(seed)) for seed in range(3)]
+
+    def runs():
+        return [integrate(mu, direction, 10.0) for mu in mus for direction in ("forward", "backward")]
+
+    caches = (curvature._rhs_table, curvature._closed_table, curvature._ricci_table)
+    assert flow._flow_table(mus[0]).stack is None
+    sparse = runs()
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(curvature, "DENSE_TABLE_MAX_ENTRIES", curvature.TABLE_MAX_ENTRIES)
+        assert flow._flow_table(mus[0]).stack is not None
+        dense = runs()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert [traj.verdict.kind for traj in sparse] == ["immortal", "blowup"] * 3
+    for got, ref in zip(sparse, dense):
+        assert (got.verdict.kind, got.n_samples) == (ref.verdict.kind, ref.n_samples)
+        for x, y in [(got.verdict.omega_est, ref.verdict.omega_est), (got.verdict.far_bound, ref.verdict.far_bound)]:
+            assert (x is None) == (y is None)
+            assert x is None or abs(x - y) <= 1e-12 * abs(y)
 
 
 def test_a_nilpotent_run_at_n13_stays_on_its_support():

@@ -104,7 +104,7 @@ def test_equivalence_check_rejects_isotropy_before_integrating(monkeypatch):
         equivalence_check(get_entry("sphere2_su2").bracket, 10.0)
 
 
-@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf"), True])
 def test_metric_flow_rejects_horizon_that_is_not_finite_and_positive(horizon):
     with pytest.raises(ValueError, match="horizon"):
         metric_flow_integrate(SU2, np.eye(3), "forward", horizon)
