@@ -25,7 +25,7 @@ for name, direction, horizon in [
     if rep.tail_norm_floor is not None:
         print(f"    norm floor on the tail     = {rep.tail_norm_floor:.6f}")
     if rep.comparison_slack is not None:
-        print(f"    comparison slack (R0 > 0)  = {rep.comparison_slack:+.2e}")
+        print(f"    comparison slack (R0 > 0)  = {rep.comparison_slack:+.2e} (relative to the comparison R)")
     if traj.verdict.kind == "blowup":
         print(f"    singular time estimate     = {traj.verdict.omega_est:.9f}")
     print()

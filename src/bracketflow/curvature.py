@@ -13,48 +13,51 @@ algebraic formula is validated against.
 
 Both flows assemble Ric with one function, `_ricci_from_tensor`, which
 returns the matrix only: R = tr Ric and tr Ric^2 are computed where they are
-read.  It applies the Ricci half of a stacked table (below) or, when that
-table is too large, the fused GEMM kernel `_ricci_gemm`, which gathers its
-operands through a read-only index plan, built once per (q, n) by
-`_ricci_plan`, and makes one matrix product for M - B/2.  Every table is
-built from the GEMM kernel.
+read.  It applies the Ricci half of a stacked table (below) or, where the
+whole half's table is too large, the fused GEMM kernel `_ricci_gemm`, which
+gathers its operands through a read-only index plan, built once per (q, n)
+by `_ricci_plan`, and makes one matrix product for M - B/2.
 
 Over the m = d * d(d-1)/2 entries c[i, j, k] with i < j
 (`algebra._half_indices`, the one encoding of that half), Ric is a quadratic
 form and the bracket flow's RHS -pi(diag(0, Ric)) mu a bilinear form in Ric
 and the same entries.  `_rhs_table` holds both coefficient tables, [Q; P],
 on a support S of those entries, and Ric alone is the Q half.  A table is
-built lazily, once per (d, q, S), by polarizing the GEMM kernel and
-`algebra._pi_tensor` on the mirrored basis E_a of S, as the lists of its
-nonzero coefficients (`_SparseForm`).  Its coefficients are exact, and
-there is no second Ricci or pi formula.  Two rules, both read off the
-size of the dense [Q; P], apply to every table whichever caller uses it:
-
-* a table is used when it holds at most TABLE_MAX_ENTRIES entries, else
-  the GEMM kernels;
-* a table of at most DENSE_TABLE_MAX_ENTRIES entries is also kept as the
-  dense stack [Q; P], and the whole RHS on V_S (`flow._default_rhs_tensor`)
-  is one matrix-vector product and two small contractions; a larger one,
-  mostly zeros, is applied through its coefficient lists, two bincounts.
-
-Both crossovers are measured.  Two tables are used:
+built lazily, once per (d, q, S), as the lists of its nonzero coefficients
+(`_SparseForm`), written down from the kernels' own index arithmetic: Q
+from the gather plan and power-of-two weights of `_ricci_plan` and the ad H
+term, P from the three terms of `algebra._pi_tensor`.  Every flat index of
+c is mapped to +-(its position in the state) on S, or dropped where c is 0
+on V_S (`_support_slots`), and the two factors of a product are paired only
+where both are live (`_paired`), so the build costs the terms on S, not
+the tensor: 2 ms for a two-step nilpotent bracket at n = 13, 27 ms for the
+whole half at d = 8, where polarizing the kernels took 122 ms and 1.2 s.  Its coefficients are exact, and there is no second Ricci or pi
+formula.  A table of at most DENSE_TABLE_MAX_ENTRIES entries, read off the
+size of the dense [Q; P], is also kept as that dense stack, and the whole
+RHS on V_S (`flow._default_rhs_tensor`) is one matrix-vector product and two
+small contractions; a larger one, mostly zeros, is applied through its
+coefficient lists, two bincounts.  The crossover is measured.  Two tables
+are used:
 
 * the bracket flow's (`_flow_table`): S is the support of the initial
   bracket, grown until it is flow-invariant; a two-step nilpotent bracket
   at n = 13 steps on 30 entries, through 675 nonzero coefficients of a
-  111,600-entry table;
+  111,600-entry table.  Every support has one, so the flow has one state
+  layout;
 * `_ricci_from_tensor`'s (`_ricci_table`): S is the whole half, since the
-  metric flow's pushed tensors are dense; it fits for every q at d <= 5,
-  and at d = 6 only for q >= 3.
+  metric flow's pushed tensors are dense.  It is applied where its dense
+  size, n(n+1) m^2, is at most TABLE_MAX_ENTRIES: for every q at d <= 5,
+  and with enough isotropy beyond (q >= 3 at d = 6, q >= 5 at d = 7); the
+  GEMM kernel elsewhere.
 
 A table holds Ric and the RHS only.  The bracket flow's drift check reads
 the admissibility residuals on the same support from a second cache keyed
-the same way, `_residual_forms`: the Jacobiator's components, polarized
-with the same exact arithmetic by the one helper `_polar_form` and kept as
-their nonzero coefficients, and the linear h1 and h3 rows, each with the
-rows that vanish on V_S dropped.  Only pairs of support entries that chain
-are evaluated, so a two-step nilpotent support, where none does, gets no
-form at all.
+the same way, `_residual_forms`: the Jacobiator's components, written down
+from `algebra._triple_plan` with the same exact arithmetic (`_quadratic_form`)
+and kept as their nonzero coefficients, and the linear h1 and h3 rows, each
+with the rows that vanish on V_S dropped.  Only pairs of support entries
+that chain give a Jacobi term, so a two-step nilpotent support, where none
+does, gets no form at all.
 
 All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 """
@@ -73,8 +76,7 @@ from .algebra import (
     _from_half,
     _half_indices,
     _isotropy_parts,
-    _jacobi_triples,
-    _pi_tensor,
+    _triple_plan,
     check_conditions,
 )
 
@@ -148,31 +150,29 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, w
 
 
-# Largest stacked table, in float64 entries, that is used (`_closed_table`):
-# the bracket flow's on its support and `_ricci_from_tensor`'s on the whole
-# half.  Where the table is larger, both use the GEMM kernels.  A table
-# product reads the whole table once per call, while the GEMM cost follows
-# d, so the crossover is a table size.  Measured per RHS evaluation (min of
-# 7 x 2000 calls, 1 BLAS thread, 2-CPU host), tabulated against GEMM, on
-# two-step nilpotent supports (n, center) and dense moved brackets:
-#   (6, 3)  m' = 9,    2.1k entries:   5.8 against 27.5 us
-#   (9, 6)  m' = 18,    18k entries:  10.4 against 36.9 us
-#   dense n = 5, m' = 50, 75k:        21.1 against 27.6 us
-#   (13, 10) m' = 30,  112k entries:  31.2 against 65.2 us
-#   (9, 3)  m' = 45,   113k entries:  29.6 against 36.8 us
-#   (10, 5) m' = 50,   155k entries:  42.4 against 42.0 us
-#   (10, 4) m' = 60,   230k entries:  62.8 against 41.2 us
-#   dense n = 6, m' = 90, 340k:      128.0 against 28.9 us
-# and per Ricci matrix alone on the whole half (min of 5 x 2000 calls), the
-# Q half of the table against the GEMM kernel:
-#   d = 5, q = 0,   75k entries:  12.8 against 16.9 us
-#   d = 5, q = 1,   50k entries:  10.3 against 17.1 us
-#   d = 5, q = 2,   30k entries:   8.1 against 16.7 us
-#   d = 6, q = 3,   97k entries:  13.5 against 17.0 us
-# 2^17 entries (1 MiB) lies between the last clear win and the break-even.
-# These tables were applied as dense products.  Above DENSE_TABLE_MAX_ENTRIES
-# a table now costs less (below), so one over 2^17 may now beat the GEMM
-# kernels; no workload has such a support, so the bound stays as measured.
+# Largest whole-half table, in dense [Q; P] entries, whose Q half
+# `_ricci_from_tensor` applies (`_ricci_table`); on a larger whole half it
+# takes the GEMM kernel `_ricci_gemm`.  The bracket flow has no such rule:
+# every support has a table (`_flow_table`).  The rule is decided in closed
+# form from (d, q), since the whole half's [Q; P] holds n(n+1) m^2 entries.
+# Over DENSE_TABLE_MAX_ENTRIES Q is applied through its nonzero
+# coefficients, so its cost follows them, while the GEMM cost follows d.
+# Measured per Ricci matrix on the whole half (min of 15 x 2000 calls, 1
+# BLAS thread, 2-CPU host), table against GEMM:
+#   d = 5, q = 0     75,000 entries,   700 Q nonzeros:  12.3 against 19.5 us
+#   d = 5, q = 2     30,000 entries,   144 Q nonzeros:   7.7 against 19.1 us
+#   d = 6, q = 3     97,200 entries,   204 Q nonzeros:   8.0 against 20.2 us
+#   d = 6, q = 2    162,000 entries,   462 Q nonzeros:   9.9 against 20.1 us
+#   d = 6, q = 1    243,000 entries,   915 Q nonzeros:  14.3 against 21.9 us
+#   d = 6, q = 0    340,200 entries, 1,650 Q nonzeros:  19.6 against 20.8 us
+#   d = 7, q = 0  1,210,104 entries, 3,339 Q nonzeros:  30.5 against 23.7 us
+# 2^17 (measured when every table was a dense product) keeps q = 0, the
+# metric flow's, on the table at d <= 5 and on the GEMM kernel from d = 6;
+# with isotropy the table reaches further (q >= 3 at d = 6, q >= 5 at d = 7).
+# The sparse table also wins at d = 6 with q = 1 or 2, but only one-off
+# `ricci_operator` calls and `rhs=` overrides reach those supports, and for
+# a single call the table's build costs more than the GEMM call it saves;
+# so the bound stays until a workload has such a support.
 TABLE_MAX_ENTRIES = 2**17
 
 # Largest table, in dense entries, that is applied as the dense product of
@@ -280,41 +280,104 @@ def _dense_stack(q_form: _SparseForm, p_form: _SparseForm, m: int) -> np.ndarray
     return table.reshape(2 * rows * m, m)
 
 
-def _support_basis(d: int, sel: np.ndarray) -> np.ndarray:
-    # The mirrored basis of the support whose half positions are sel, as a
-    # contiguous stack (m', d, d, d): E_a is +1 at upper[sel[a]] and -1 at
-    # its mirror.  Contiguous, so that each E_a and the whole stack reshape
-    # for a GEMM without a copy.
+def _support_slots(d: int, sel: np.ndarray) -> np.ndarray:
+    # The one map from the flat indices of c to the state u on the support
+    # whose half positions are sel: slot a + 1 at upper[sel[a]], where c
+    # holds u_a, -(a + 1) at its mirror, where c holds -u_a, and 0 wherever
+    # c is 0 on V_S.  d^3 integers, 17.6 kB at d = 13.
     half, mirror = _half_indices(d)
-    return np.ascontiguousarray(np.moveaxis(_from_half(np.eye(sel.size), half[sel], mirror[sel], d), -1, 0))
+    return _from_half(np.arange(1.0, sel.size + 1), half[sel], mirror[sel], d).ravel().astype(np.intp)
 
 
-def _polar_form(f, e: np.ndarray, pairs: list) -> tuple[np.ndarray, ...]:
-    """The coefficients of a quadratic vector map f on the mirrored basis e, at the given pairs.
+def _matches(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Every pair (i, j) with left[i] == right[j], i ascending, allocating
+    # only the pairs it returns.
+    order = np.argsort(right, kind="stable")
+    lo, hi = np.searchsorted(right[order], left, "left"), np.searchsorted(right[order], left, "right")
+    i = np.repeat(np.arange(left.size), hi - lo)
+    return i, order[np.arange(i.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
 
-    With u the coordinates on e, f(sum_a u_a E_a) = sum_{a <= b} C_ab u_a u_b,
-    where C_aa = f(E_a) and C_ab = f(E_a + E_b) - f(E_a) - f(E_b) for a < b.
-    Only the pairs (a, b), a <= b, given are evaluated, and C is 0 at every
-    other pair.  Returns (active, row, a, b, coef), the nonzero coefficients
-    as coordinate lists: active are the sorted components of f that some
-    coefficient reaches, and coef[p] is the coefficient of u_a[p] u_b[p] in
-    component active[row[p]].  So a map with many components, such as the
-    Jacobiator's d * C(d, 3), costs nothing for those that no pair reaches.
-    With +-1 basis entries and f a sum of products of entries with
-    power-of-two weights, every coefficient is exact.
+
+def _paired(slot: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The two factors of a product of gathers, left and right arrays of flat
+    # indices of c whose last axes are the index summed over: the flat
+    # positions (l, r) in them of every pair of gathers that share that index
+    # and are both live on the support, so no term with a factor 0 on V_S is
+    # ever formed.
+    l, r = np.flatnonzero(slot[left]), np.flatnonzero(slot[right])
+    i, j = _matches(l % left.shape[-1], r % right.shape[-1])
+    return l[i], r[j]
+
+
+def _summed(cols: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The distinct columns of the integer array cols, in lexicographic order,
+    # and the sum of w over each; zero sums are dropped.  Every weight here
+    # is a small dyadic number, so every sum is exact in any order.  (With
+    # no terms, bincount would return integers.)
+    keys, inv = np.unique(cols, axis=1, return_inverse=True)
+    coef = np.bincount(inv.ravel(), w, keys.shape[1]).astype(float)
+    return keys[:, coef != 0], coef[coef != 0]
+
+
+def _quadratic_form(slot: np.ndarray, comp, fa, fb, w) -> tuple[np.ndarray, ...]:
+    """The quadratic map with components sum_{p: comp[p] = k} w[p] c[fa[p]] c[fb[p]], in the state on a support.
+
+    fa and fb are flat indices of c where it is live on V_S, read through
+    the support's `slot`s (`_support_slots`).  With u the state, the map is
+    sum_{a <= b} C_ab u_a u_b: the terms of u_a u_b and u_b u_a are summed
+    onto (a, b), a <= b, and zero sums dropped.  Returns (active, row, a, b,
+    coef), the nonzero coefficients as coordinate lists sorted by (a, b,
+    component): active are the sorted components that some coefficient
+    reaches, and coef[p] is the coefficient of u_a[p] u_b[p] in component
+    active[row[p]].  These are exactly the coefficients, in the same order,
+    that polarizing the map on the mirrored basis gives, C_aa = f(E_a) and
+    C_ab = f(E_a + E_b) - f(E_a) - f(E_b), as tests/oracles.py does.
     """
-    diag: dict = {}
-    comp, coef = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    for a, b in pairs:
-        for x in {a, b} - diag.keys():
-            diag[x] = f(e[x])
-        v = diag[a] if a == b else f(e[a] + e[b]) - diag[a] - diag[b]
-        comp.append(np.flatnonzero(v))
-        coef.append(v[comp[-1]])
-    counts = [nz.size for nz in comp[1:]]
-    a, b = np.repeat(np.array(pairs, dtype=np.intp).reshape(-1, 2), counts, axis=0).T
-    active, row = np.unique(np.concatenate(comp), return_inverse=True)
-    return active, row, a, b, np.concatenate(coef)
+    sa, sb = slot[fa], slot[fb]
+    a, b = np.abs(sa) - 1, np.abs(sb) - 1
+    keys, coef = _summed(np.stack([np.minimum(a, b), np.maximum(a, b), comp]), w * np.sign(sa * sb))
+    active, row = np.unique(keys[2], return_inverse=True)
+    return active, row, keys[0], keys[1], coef
+
+
+def _ricci_terms(d: int, q: int, slot: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Ric = S(G - adH) of `_ricci_gemm` as product terms (k, fa, fb, w) of
+    # Ric[x, y], k = (x, y) in the order of np.triu_indices(n), x <= y,
+    # through its gather plan: G[x, y] = sum_p c[idx[0, x, p]]
+    # (sum_s w[s, y, p] c[idx[s, y, p]]), paired on p (a gather of weight 0
+    # reads c[0, 0, 0], which is never live), and adH[x, y] = sum_{x', j}
+    # c[q+x', j, j] c[q+x', q+x, q+y], paired on x'.  S halves each term of
+    # an off-diagonal entry.
+    idx, w = _ricci_plan(d, q)
+    n, rows = d - q, np.arange(q * d * d, d**3).reshape(d - q, d, d)
+    g, h = _paired(slot, idx[0], np.where(w != 0, idx, 0))
+    trace, ad = rows[:, np.arange(d), np.arange(d)].T, rows[:, q:, q:].transpose(1, 2, 0)
+    t, a = _paired(slot, trace, ad)
+    x = np.concatenate([g // idx.shape[-1], a // n**2])
+    y = np.concatenate([h // idx.shape[-1] % n, a // n % n])
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    w = np.concatenate([w.flat[h], -np.ones(a.size)]) * np.where(x == y, 1.0, 0.5)
+    fa, fb = np.concatenate([idx[0].flat[g], trace.flat[t]]), np.concatenate([idx.flat[h], ad.flat[a]])
+    return lo * n - lo * (lo - 1) // 2 + hi - lo, fa, fb, w
+
+
+def _pi_terms(d: int, r: np.ndarray, s: np.ndarray, t: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, ...]:
+    # -pi(F_r) c for the symmetric unit matrix F_r of each Ricci row, as
+    # terms (r, out, x) with weights w: u_x moves the entry at the flat index
+    # out by w.  F_r[s, t] = 1 at each (r, s, t) = (r[e], s[e], t[e]), s and
+    # t indices of g.  The three terms of `algebra._pi_tensor` give out
+    # (i, j, s) <- -c[i, j, t], (t, j, k) <- c[s, j, k] and (i, t, k) <-
+    # -c[s, i, k], each c read where it is live on S; only outputs in the
+    # i < j half are kept.
+    live = np.flatnonzero(slot)
+    a, b = _matches(t, live % d)
+    e, f = _matches(s, live // d**2)
+    inner = live[f] % d**2
+    out = np.concatenate([live[b] - t[a] + s[a], t[e] * d**2 + inner, inner // d * d**2 + t[e] * d + inner % d])
+    rows, inputs = np.concatenate([r[a], r[e], r[e]]), slot[np.concatenate([live[b], live[f], live[f]])]
+    w = np.repeat([-1.0, 1.0, -1.0], [a.size, e.size, e.size]) * np.sign(inputs)
+    up = out // d**2 < out // d % d
+    return np.stack([rows[up], out[up], np.abs(inputs[up]) - 1]), w[up]
 
 
 @lru_cache(maxsize=32)
@@ -327,112 +390,67 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
         r[k] = sum_{a,b} Q[k, a, b] u_a u_b,
         (-pi(diag(0, Ric)) c).ravel()[upper] = sum_{k,a} r[k] P[k, :, a] u_a,
 
-    for every antisymmetric c supported on S, if S is flow-invariant.  Q is
-    the polar form of the GEMM kernel on the mirrored basis E_a (a in S; +1
-    at upper[a], -1 at mirror[a]), from `_polar_form`: Q[:, a, a] = Ric(E_a)
-    and
-
-        Q[:, a, b] = (Ric(E_a + E_b) - Ric(E_a) - Ric(E_b)) / 2;
-
-    the rows of Q that are 0 on all of S are dropped.  P[k, :, a] is the
-    half of -pi(diag(0, F_k)) E_a from `algebra._pi_tensor` on S, F_k the
-    symmetric unit matrix of Ricci row k; its entries outside S give
-    `grown`.  Both are kept as their nonzero coefficients: q_form has
-    Q[:, a, a] and, for a < b, Q[:, a, b] + Q[:, b, a], as `_polar_form`
-    gives them, so r = q_form(u, u) and the RHS is p_form(r, u), in the
-    layout of u.  A table of at most DENSE_TABLE_MAX_ENTRIES entries is
-    also scattered to the dense stack [Q; P] (`_dense_stack`), and then
-    with s = (stack @ u).reshape(2, rows, m') the RHS is (r = s[0] @ u) @
-    s[1].  The two apply the same coefficients in another summation order.
-    With +-1 basis entries and power-of-two weights every coefficient is
-    exact, halved ones too.  On the whole half this is the table
-    `_ricci_from_tensor` applies (`_ricci_table`).  The build makes
-    m'(m'+1)/2 GEMM-kernel calls and one pi call per Ricci row on the
-    stacked basis, once per support: 3, 14 and 73 ms for the supports of the
-    default two-step nilpotent brackets at n = 6, 9 and 13 (m' = 9, 18 and
-    30), at most 1 ms for a catalog entry and about 49 ms for the whole half
-    at d = 5, q = 0 (median of three alternations with the earlier build of
-    one pi call per row and entry: 4.8, 21.5, 108 and 57 ms), on a 2-CPU
-    host.  Every array is read-only.
+    for every antisymmetric c supported on S, if S is flow-invariant.  Both
+    are written down from index terms.  Q comes from `_ricci_terms`, the
+    GEMM kernel's own gather plan and weights plus the ad H term, summed by
+    `_quadratic_form`: it keeps Q[:, a, a] and, for a < b, Q[:, a, b] +
+    Q[:, b, a], so r = q_form(u, u), and drops the rows of Q that are 0 on
+    all of S.  P[k, :, a] is the half of -pi(diag(0, F_k)) E_a, F_k the
+    symmetric unit matrix of Ricci row k and E_a the mirrored basis tensor
+    of entry a (+1 at upper[a], -1 at mirror[a]), from the three terms of
+    `algebra._pi_tensor` (`_pi_terms`); its entries outside S give `grown`.
+    Both are kept as their nonzero coefficients, and the RHS is p_form(r,
+    u), in the layout of u.  A table of at most DENSE_TABLE_MAX_ENTRIES
+    entries is also scattered to the dense stack [Q; P] (`_dense_stack`),
+    and then with s = (stack @ u).reshape(2, rows, m') the RHS is (r = s[0]
+    @ u) @ s[1].  The two apply the same coefficients in another summation
+    order.  With +-1 entries and power-of-two weights every coefficient is
+    exact, halved ones too, and equal, in the same order, to polarizing the
+    GEMM kernel and `algebra._pi_tensor` on the mirrored basis, the build
+    this replaces (kept as a test oracle), so every sum over them rounds as
+    before.  On the whole half this is the
+    table `_ricci_from_tensor` applies (`_ricci_table`).  Every array is
+    read-only.
     """
     half, mirror = _half_indices(d)
     sel = np.array(support, dtype=np.intp)
     m, n = sel.size, d - q
     iu = np.triu_indices(n)
-    e = _support_basis(d, sel)
-    pairs = [(a, b) for a in range(m) for b in range(a, m)]
-    active, row, a, b, coef = _polar_form(lambda c: _ricci_gemm(c, q)[iu], e, pairs)
-    rows = active.size + (active.size < len(iu[0]))
+    slot = _support_slots(d, sel)
+    active, row, a, b, coef = _quadratic_form(slot, *_ricci_terms(d, q, slot))
+    rows = active.size + (active.size < iu[0].size)
     q_form = _SparseForm(row, a, b, coef, rows)
-    reach = np.zeros(half.size, dtype=bool)
-    reach[sel] = True
-    p_terms, p_coef = [np.zeros((3, 0), dtype=np.intp)], [np.zeros(0)]
-    for r, k in enumerate(active):
-        i, j = q + iu[0][k], q + iu[1][k]
-        unit = np.zeros((d, d))
-        unit[i, j] = unit[j, i] = 1.0
-        out = -_pi_tensor(unit, e).reshape(m, -1)[:, half]
-        reach |= out.any(axis=0)
-        block = out[:, sel].T  # [output entry, input entry]
-        o, x = np.nonzero(block)
-        p_terms.append(np.stack([o, np.full(o.size, r), x]))
-        p_coef.append(block[o, x])
-    p_form = _SparseForm(*np.hstack(p_terms), np.concatenate(p_coef), m)
+    sym = np.full((n, n), rows - 1, dtype=np.intp)
+    sym[iu[0][active], iu[1][active]] = sym[iu[1][active], iu[0][active]] = np.arange(active.size)
+    s, t = np.nonzero(sym < active.size)  # the entries of Ric on a row that is not the zero row
+    (r, out, x), coef = _summed(*_pi_terms(d, sym[s, t], q + s, q + t, slot))
+    on = slot[out] > 0
+    p_form = _SparseForm(slot[out[on]] - 1, r[on], x[on], coef[on], m)
     stack = None
     if 2 * rows * m * m <= DENSE_TABLE_MAX_ENTRIES:
         stack = _dense_stack(q_form, p_form, m)
         stack.setflags(write=False)
-    sym = np.full((n, n), rows - 1, dtype=np.intp)
-    sym[iu[0][active], iu[1][active]] = sym[iu[1][active], iu[0][active]] = np.arange(active.size)
     upper, mirror = half[sel], mirror[sel]
     for arr in (upper, mirror, sym):
         arr.setflags(write=False)
-    grown = tuple(np.flatnonzero(reach).tolist())
+    grown = tuple(np.union1d(sel, np.searchsorted(half, out)).tolist())
     return _StackedTable(support, upper, mirror, q_form, p_form, stack, rows, sym, grown)
 
 
-def _table_entries_at_least(d: int, q: int, support: tuple) -> int:
-    """A lower bound on `_rhs_table(d, q, support).entries`, at the cost of one GEMM-kernel call.
-
-    Ric at a point of V_S with small integer entries is exact (integer
-    products, power-of-two weights), so every entry of Ric that is nonzero
-    there is a row the table must hold.
-    """
-    half, mirror = _half_indices(d)
-    sel = np.array(support, dtype=np.intp)
-    point = np.random.default_rng(0).integers(1, 8, sel.size).astype(float)
-    ric = _ricci_gemm(_from_half(point, half[sel], mirror[sel], d), q)
-    return 2 * int(np.count_nonzero(ric[np.triu_indices(d - q)])) * sel.size**2
-
-
-@lru_cache(maxsize=32)
-def _closed_table(d: int, q: int, start: tuple) -> _StackedTable | None:
-    # The one table-or-GEMM rule, for the flow's support and the whole half
-    # alike: grow `start` to the least flow-invariant support that holds it;
-    # None as soon as its table is over TABLE_MAX_ENTRIES, since growing the
-    # support only adds entries.
-    support = start
-    while _table_entries_at_least(d, q, support) <= TABLE_MAX_ENTRIES:
-        table = _rhs_table(d, q, support)
-        if table.entries > TABLE_MAX_ENTRIES:
-            return None
-        if table.grown == support:
-            return table
-        support = table.grown
-    return None
-
-
-def _flow_table(mu: LieBracket) -> _StackedTable | None:
-    """The stacked table the bracket flow of mu steps on, or None for the GEMM kernels.
+def _flow_table(mu: LieBracket) -> _StackedTable:
+    """The stacked table the bracket flow of mu steps on.
 
     The support is the i < j entries of mu that are nonzero, grown until
-    the RHS maps V_S into itself.  The flow then never leaves V_S: entries
-    outside S stay exactly 0.  A support whose table exceeds
-    TABLE_MAX_ENTRIES gives None.
+    the RHS maps V_S into itself: the least flow-invariant support that
+    holds them.  The flow then never leaves V_S: entries outside S stay
+    exactly 0.  Every support has a table; the zero bracket's is the empty
+    support's.
     """
-    d = mu.dims.d
-    start = tuple(np.flatnonzero(mu.c.ravel()[_half_indices(d)[0]]).tolist())
-    return _closed_table(d, mu.dims.q, start)
+    d, q = mu.dims.d, mu.dims.q
+    table = _rhs_table(d, q, tuple(np.flatnonzero(mu.c.ravel()[_half_indices(d)[0]]).tolist()))
+    while table.grown != table.support:
+        table = _rhs_table(d, q, table.grown)
+    return table
 
 
 @dataclass(frozen=True)
@@ -442,7 +460,7 @@ class _ResidualForms:
     Attributes:
         jac: the Jacobiator's components on the triples i < j < l
             (`algebra._jacobi_triples`) that are not identically 0 on V_S,
-            as the nonzero coefficients from `_polar_form`: they are
+            as the nonzero coefficients from `_quadratic_form`: they are
             jac(u, u), and jac.rows counts them.
         lin: the rows of h1's, then h3's, components
             (`algebra._isotropy_parts`) that are not identically 0 on V_S, as
@@ -475,45 +493,54 @@ class _ResidualForms:
 def _residual_forms(d: int, q: int, support: tuple) -> _ResidualForms:
     """The residual forms of the support S, built once per (d, q, S).
 
-    The Jacobiator is quadratic in u, and `_polar_form` takes its
-    coefficients on the mirrored basis E_a of S, as `_rhs_table` takes
-    Ric's.  Its i < j < l components, d * C(d, 3) of them (3718 at d = 13),
-    come from a[i,j,l,k] = sum_m c[i,j,m] c[m,l,k], so the pair (a, b) has a
-    nonzero coefficient only when E_a and E_b chain, the output index of one
-    being an input index of the other, and only those pairs are evaluated.
-    On a two-step nilpotent support no pair chains ([v, v] lies in the
-    centre z), so no Jacobi form is built.  The forms are kept as their
-    nonzero coefficients: on dense supports most of the m'^2 coefficients
-    of a row are 0 (1680 nonzero of 120 * 90^2 on the whole half at d = 6,
-    q = 3), and reading them costs less than the flat check on every dense
-    support that has a table (35 against 39 us there, 16 against 17 us at
-    d = 5, q = 0, per state on a 2-CPU host).  h1 and h3 are
-    linear and read off the basis by `algebra._isotropy_parts`.  Every
-    coefficient is exact, and only rows that are 0 on all of V_S are
-    dropped, so a residual with no row is exactly 0 at every state on S.
+    The Jacobiator is quadratic in u.  Its i < j < l components, d * C(d, 3)
+    of them (3718 at d = 13), are sums of the three terms of
+    `algebra._triple_plan`, each a[i,j,l,k] = sum_m c[i,j,m] c[m,l,k]: every
+    plan entry is paired with the live entries c[i,j,m] of S (`_matches`),
+    its second factor c[m,l,k] is read off, and `_quadratic_form` sums the
+    terms, as `_rhs_table` sums Ric's.  So the pair (a, b) has a nonzero
+    coefficient only when E_a and E_b chain, the output index of one being
+    an input index of the other.  On a two-step nilpotent support no pair
+    chains ([v, v] lies in the centre z), so no Jacobi form is built.  The
+    forms are kept as their nonzero coefficients: on dense supports most of
+    the m'^2 coefficients of a row are 0 (1680 nonzero of 120 * 90^2 on the
+    whole half at d = 6, q = 3), and reading them costs less than the flat
+    check up to d = 6 (35 against 39 us there, 16 against 17 us at d = 5,
+    q = 0, per state on a 2-CPU host), more beyond (51 against 16 us on a
+    dense support at d = 7).  h1 and h3 are linear and read off the basis
+    tensors of S by `algebra._isotropy_parts`.  Every coefficient is exact,
+    and only rows that are 0 on all of V_S are dropped, so a residual with
+    no row is exactly 0 at every state on S.
     """
-    half = _half_indices(d)[0]
+    half, mirror = _half_indices(d)
     sel = np.array(support, dtype=np.intp)
-    e = _support_basis(d, sel)
-    i, j, k = np.unravel_index(half[sel], (d, d, d))
-    chain = (k[:, None] == i) | (k[:, None] == j)
-    active, row, a, b, coef = _polar_form(_jacobi_triples, e, np.argwhere(np.triu(chain | chain.T)).tolist())
-    h1, h3 = (part.T[part.T.any(axis=1)] for part in _isotropy_parts(e, q))
+    slot, plan, flat = _support_slots(d, sel), _triple_plan(d).ravel(), np.arange(d**3).reshape(d, d * d)
+    l, r = _paired(slot, flat.reshape(d * d, d), flat.T)
+    i, j = _matches(plan, l // d * d * d + r // d)
+    active, *jac = _quadratic_form(slot, i % (plan.size // 3), l[j], flat.T.flat[r[j]], np.ones(i.size))
+    # h1 and h3 read only the entries c[i, j, l] with i < q, the first k of
+    # S: the linear rows are read off their mirrored basis E_a (+1 at
+    # upper[sel[a]], -1 at its mirror), and the other columns are 0.
+    k = np.searchsorted(half[sel], q * d * d)
+    basis = np.moveaxis(_from_half(np.eye(sel.size, k), half[sel], mirror[sel], d), -1, 0)
+    h1, h3 = (np.pad(p.T, ((0, 0), (0, sel.size - k)))[p.T.any(axis=1)] for p in _isotropy_parts(basis, q))
     lin = np.vstack([h1, h3])
     lin.setflags(write=False)
-    return _ResidualForms(_SparseForm(row, a, b, coef, active.size), lin, h1.shape[0])
+    return _ResidualForms(_SparseForm(*jac, active.size), lin, h1.shape[0])
 
 
 @cache
 def _ricci_table(d: int, q: int) -> _StackedTable | None:
-    # The whole half's table when TABLE_MAX_ENTRIES admits it, else None.
-    # Cached per (d, q): `_closed_table` would hash the support tuple, 1014
-    # entries at d = 13, on every metric-flow call.
-    return _closed_table(d, q, tuple(range(_half_indices(d)[0].size)))
+    # The whole half's table where its dense [Q; P], n(n+1) m^2 entries, is
+    # at most TABLE_MAX_ENTRIES, else None.  Cached per (d, q): `_rhs_table`
+    # would hash the support tuple, 1014 entries at d = 13, on every
+    # metric-flow call.
+    m, n = _half_indices(d)[0].size, d - q
+    return _rhs_table(d, q, tuple(range(m))) if n * (n + 1) * m * m <= TABLE_MAX_ENTRIES else None
 
 
 def _ricci_from_tensor(c: np.ndarray, q: int) -> np.ndarray:
-    """Ricci matrix of the raw tensor: the metric flow's hot path, and the bracket flow's on the GEMM path.
+    """Ricci matrix of the raw tensor: the metric flow's hot path, and Ric of an `rhs=` override's run.
 
     Where the whole half's table fits (`_ricci_table`), it applies the table's
     Q half, which reads the i < j half of c only: two matrix-vector products
@@ -531,7 +558,7 @@ def _ricci_from_tensor(c: np.ndarray, q: int) -> np.ndarray:
 
 
 def _ricci_gemm(c: np.ndarray, q: int) -> np.ndarray:
-    """Ricci matrix of the raw tensor by the fused GEMM kernel, the one every table is built from.
+    """Ricci matrix of the raw tensor by the fused GEMM kernel, whose plan every Ricci table is written from.
 
     One gather through `_ricci_plan` and one GEMM give the moment term, the
     Killing form and the Gram matrix of the p-part together:

@@ -7,36 +7,37 @@ flow: it owns the step budget, solver failures, dense output, the stop
 rule and the verdict, which it reads off the Ricci matrix a per-step
 callback returns.
 
-The stepper's state follows the initial bracket.  The flow never leaves the
-span V_S of a flow-invariant support S: the i < j entries nonzero at the
-start, grown until the RHS maps V_S into itself (`curvature._flow_table`);
-for a two-step nilpotent bracket that is the v ^ v -> z block, 30 of the
-1014 half entries at n = 13.  When the stacked table of Ric and the RHS on
-S is at most `curvature.TABLE_MAX_ENTRIES`, the state is the entries
-u = c.ravel()[upper] on S (`_to_state`) and one RHS evaluation reads the
-table with no tensor gather and no mirror: three small products on its
+Every run has one state layout.  The flow never leaves the span V_S of a
+flow-invariant support S: the i < j entries nonzero at the start, grown
+until the RHS maps V_S into itself (`curvature._flow_table`); for a
+two-step nilpotent bracket that is the v ^ v -> z block, 30 of the 1014
+half entries at n = 13.  The state is the entries u = c.ravel()[upper] on S
+(`_to_state`), and one RHS evaluation reads the stacked table of Ric and the
+RHS on S with no tensor gather and no mirror: three small products on its
 dense stack, or, over `curvature.DENSE_TABLE_MAX_ENTRIES`, where the stack
 is mostly zeros, two bincounts over its nonzero coefficients (675 of
-111,600 at n = 13).  The error norm counts each entry of u twice, so it is
-the RMS over all d^3 tensor entries, as on the full tensor.  A larger
-support, and an `rhs=` override (which may leave S), step on the flat
-tensor with the GEMM kernels.  Only `Trajectory.checkpoints` and the dense
-output rebuild the tensor (`_to_tensor`), by writing u at the
-support's flat indices and -u at their mirrors (`algebra._from_half`).
+111,600 at n = 13).  Every support has a table, the zero bracket's being the
+empty one.  The error norm counts each entry of u twice, so it is the RMS
+over all d^3 tensor entries, as on the full tensor.  An `rhs=` override,
+which may leave S, steps on the whole i < j half: it is handed the tensor
+its state stands for and returns a LieBracket, whose half is the
+derivative.  Only the override, `Trajectory.checkpoints` and the dense
+output rebuild the tensor (`_to_tensor`), by writing u at the support's
+flat indices and -u at their mirrors (`algebra._from_half`).
 
 The bracket flow's callback keeps per step what the stop rule and the drift
 check read: the bracket norm, |dmu/dt| (its one RHS evaluation per step),
 the admissibility residuals and the Ricci matrix that RHS evaluation was
 built from; the R and tr Ric^2 series are read off the stacked matrices
-once, at the end.  On a support the residuals are read off u itself,
-through the forms built once per support (`curvature._residual_forms`):
-only the Jacobi, h1 and h3 rows that are not identically 0 on V_S, and
-none at all on a two-step nilpotent support, where the check is vacuous.
-`Trajectory.residual_rows` says how many rows that is.  On the flat tensor
-the residuals come from the raw tensor (`algebra._residuals`), since an
-`rhs=` override may leave S.  Neither builds a LieBracket.  The states stay
-raw arrays; `Trajectory.checkpoints` wraps them as FlowStates only when
-read.
+once, at the end.  The residuals are read off u itself, through the forms
+built once per support (`curvature._residual_forms`): only the Jacobi, h1
+and h3 rows that are not identically 0 on V_S, and none at all on a
+two-step nilpotent support, where the check is vacuous.
+`Trajectory.residual_rows` says how many rows that is.  On the whole half,
+an override's layout, the forms drop only rows that vanish on every
+antisymmetric tensor, so an override's run keeps the full check.  No
+LieBracket is built but the override's.  The states stay raw arrays;
+`Trajectory.checkpoints` wraps them as FlowStates only when read.
 
 The stop rule is scale free and the same for both flows.  Along either
 flow dR/dt = 2 tr Ric^2 >= (2/n) R^2, so once R has the sign of the time
@@ -71,13 +72,19 @@ from .algebra import (
     Dimensions,
     LieBracket,
     _from_half,
-    _pi_tensor,
+    _half_indices,
     _relative_residuals,
-    _residuals,
     bracket_norm,
     check_conditions,
 )
-from .curvature import _flow_table, _residual_forms, _ricci_from_tensor, _StackedTable, koszul_ricci_oracle
+from .curvature import (
+    _flow_table,
+    _residual_forms,
+    _rhs_table,
+    _ricci_from_tensor,
+    _StackedTable,
+    koszul_ricci_oracle,
+)
 from .stepper import DenseStep
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
@@ -239,9 +246,7 @@ class _Checkpoints(Sequence):
         return self._make(self._t[k], self._states[k])
 
 
-def _flow_checkpoints(
-    dims: Dimensions, t: np.ndarray, states: list[np.ndarray], table: _StackedTable | None
-) -> _Checkpoints:
+def _flow_checkpoints(dims: Dimensions, t: np.ndarray, states: list[np.ndarray], table: _StackedTable) -> _Checkpoints:
     return _Checkpoints(t, states, lambda t, y: FlowState(t, LieBracket(dims, _to_tensor(y, dims.d, table))))
 
 
@@ -254,10 +259,9 @@ class Trajectory:
     over those states: each access builds the FlowState, so a run that never
     reads it builds no LieBracket.  Times are physical: decreasing for
     backward runs.  `residual_rows` is the number of residual rows the drift
-    check read per step on the flow's support (`curvature._residual_forms`):
-    0 when every residual vanishes identically there, so the check is
-    vacuous, and None where it read the flat tensor (a support over the
-    table bound, or an `rhs=` override).
+    check read per step on the run's support (`curvature._residual_forms`;
+    the whole i < j half for an `rhs=` override): 0 when every residual
+    vanishes identically there, so the check is vacuous.  It is never None.
     """
 
     direction: str
@@ -273,7 +277,7 @@ class Trajectory:
     h3_residual: np.ndarray
     checkpoints: Sequence[FlowState]
     verdict: Verdict
-    residual_rows: int | None
+    residual_rows: int
     dense: "DenseSolution | None" = None
 
     @property
@@ -289,10 +293,11 @@ class DenseSolution(OdeSolution):
     """scipy's `OdeSolution` of an integrated flow, refusing times outside its range.
 
     A scalar time gives the state; an array of m times gives the states as the
-    m columns of one array, in a single call.  With a `table`, the
-    interpolants hold the bracket flow's state u on its support (see
-    `_to_state`) and the solution is the flat tensor of size d^3 that u
-    stands for, mirrored exactly (`_to_tensor`).
+    m columns of one array, in a single call.  With a `table`, as every
+    bracket-flow run has, the interpolants hold the state u on its support
+    (see `_to_state`) and the solution is the flat tensor of size d^3 that u
+    stands for, mirrored exactly (`_to_tensor`); without one (the metric
+    flow) it is the interpolated state itself.
     """
 
     def __init__(self, ts, interpolants, d: int = 0, table: _StackedTable | None = None):
@@ -309,49 +314,37 @@ class DenseSolution(OdeSolution):
 
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
     """Right-hand side -pi(diag(0, Ric_mu)) mu of the bracket flow."""
-    d, table = mu.dims.d, _flow_table(mu)
-    dy = _default_rhs_tensor(_to_state(mu.c, table), d, mu.dims.q, table)[0]
-    return LieBracket(mu.dims, _to_tensor(dy, d, table))
+    table = _flow_table(mu)
+    dy = _default_rhs_tensor(_to_state(mu.c, table), table)[0]
+    return LieBracket(mu.dims, _to_tensor(dy, mu.dims.d, table))
 
 
-def _to_state(c: np.ndarray, table: _StackedTable | None) -> np.ndarray:
+def _to_state(c: np.ndarray, table: _StackedTable) -> np.ndarray:
     # The stepper's state of the antisymmetric tensor c: its entries on the
-    # table's support, u = c.ravel()[upper], or the flat tensor without one.
-    return c.ravel()[table.upper] if table is not None else c.ravel()
+    # table's support, u = c.ravel()[upper].
+    return c.ravel()[table.upper]
 
 
-def _to_tensor(y: np.ndarray, d: int, table: _StackedTable | None) -> np.ndarray:
+def _to_tensor(y: np.ndarray, d: int, table: _StackedTable) -> np.ndarray:
     # The (d, d, d) tensor of a state: u at the support's flat indices, 0.0 - u
-    # at their mirrors.  A stack of states on a support, as the columns of y,
-    # gives the tensors along a last axis.
-    return y.reshape(d, d, d) if table is None else _from_half(y, table.upper, table.mirror, d)
+    # at their mirrors.  A stack of states, as the columns of y, gives the
+    # tensors along a last axis.
+    return _from_half(y, table.upper, table.mirror, d)
 
 
-def _default_rhs_tensor(
-    y: np.ndarray, d: int, q: int, table: _StackedTable | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _default_rhs_tensor(y: np.ndarray, table: _StackedTable) -> tuple[np.ndarray, np.ndarray]:
     # The derivative of the state y (see `_to_state`), in the same layout,
-    # together with the Ricci matrix it was built from.  With the flow's
-    # stacked table `curvature._flow_table`, r are Ric's rows on the support:
-    # on a sparse table (no dense stack) r = Q(u, u) and the derivative
-    # P(r, u), each one bincount over the nonzero coefficients; on a dense
-    # one a single product gives s = [Q u; P u], r = s[0] @ u and the
-    # derivative r @ s[1].  No Ricci assembly runs.  Without a table, the
-    # GEMM kernels on the flat tensor: Ricci, then pi.
-    if table is not None:
-        if table.stack is None:
-            r = table.q_form(y, y)
-            return table.p_form(r, y), r[table.sym]
-        s = np.dot(table.stack, y).reshape(2, table.rows, -1)
-        r = np.dot(s[0], y)
-        return np.dot(r, s[1]), r[table.sym]
-    c = y.reshape(d, d, d)
-    ric = _ricci_from_tensor(c, q)
-    abar = ric
-    if q:
-        abar = np.zeros((d, d))
-        abar[q:, q:] = ric
-    return -_pi_tensor(abar, c).ravel(), ric
+    # together with the Ricci matrix it was built from.  r are Ric's rows on
+    # the support: on a sparse table (no dense stack) r = Q(u, u) and the
+    # derivative P(r, u), each one bincount over the nonzero coefficients; on
+    # a dense one a single product gives s = [Q u; P u], r = s[0] @ u and the
+    # derivative r @ s[1].  No Ricci assembly runs.
+    if table.stack is None:
+        r = table.q_form(y, y)
+        return table.p_form(r, y), r[table.sym]
+    s = np.dot(table.stack, y).reshape(2, table.rows, -1)
+    r = np.dot(s[0], y)
+    return np.dot(r, s[1]), r[table.sym]
 
 
 def _end_time(direction: str, horizon: float) -> float:
@@ -369,13 +362,15 @@ def _end_time(direction: str, horizon: float) -> float:
 
 def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end: float) -> Trajectory:
     # The zero bracket is an exact fixed point: synthesize a stationary
-    # trajectory dense enough for the downstream estimators.
+    # trajectory dense enough for the downstream estimators, on the empty
+    # support's table, whose state y holds no entry.
     m = 33
     t = np.linspace(0.0, t_end, m)
     zeros = np.zeros(m)
-    y = initial.c.ravel()
+    table = _flow_table(initial)
+    y = _to_state(initial.c, table)
     # one zero coefficient row: the step's interpolant is y at every time
-    dense = DenseSolution([0.0, t_end], [DenseStep(0.0, t_end, y, np.zeros((1, y.size)))])
+    dense = DenseSolution([0.0, t_end], [DenseStep(0.0, t_end, y, np.zeros((1, y.size)))], initial.dims.d, table)
     return Trajectory(
         direction=direction,
         horizon=horizon,
@@ -388,7 +383,7 @@ def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end:
         jacobi_residual=zeros.copy(),
         h1_residual=zeros.copy(),
         h3_residual=zeros.copy(),
-        checkpoints=_flow_checkpoints(initial.dims, t, [y] * m, None),
+        checkpoints=_flow_checkpoints(initial.dims, t, [y] * m, table),
         verdict=Verdict(kind="flat"),
         residual_rows=0,
         dense=dense,
@@ -411,7 +406,9 @@ def integrate(
         horizon: finite positive amount of time to cover.
         opts: integrator options; defaults are suitable for the catalog.
         rhs: optional override mapping LieBracket -> LieBracket, used by
-            mutation-sensitivity checks.  None means the bracket flow.
+            mutation-sensitivity checks; its run steps on the whole i < j
+            half and checks every residual row.  None means the bracket
+            flow.
 
     Returns:
         A Trajectory whose verdict is 'immortal', 'blowup' or 'flat'.
@@ -434,23 +431,17 @@ def integrate(
 
     dims = initial.dims
     q, d = dims.q, dims.d
-    # An override may leave the support, so it steps on the flat tensor.  So
-    # does a support over the table bound: there a half state, scattered to
-    # the tensor and gathered back around the GEMM kernels, cost 8-15% more
-    # per run on dense moved brackets (190-199 -> 213-226 ms at n = 6,
-    # 250-272 -> 289-295 ms at n = 10).
-    table = _flow_table(initial) if rhs is None else None
-    # Each entry of a state on a support stands for two tensor entries, c and its mirror.
-    copies = 2 if table is not None else 1
-    forms = _residual_forms(d, q, table.support) if table is not None else None
+    # An override may leave the flow's support, so it steps on the whole half.
+    table = _flow_table(initial) if rhs is None else _rhs_table(d, q, tuple(range(_half_indices(d)[0].size)))
+    forms = _residual_forms(d, q, table.support)
 
     if rhs is None:
         def f_tensor(y):
-            return _default_rhs_tensor(y, d, q, table)
+            return _default_rhs_tensor(y, table)
     else:
         def f_tensor(y):
-            c = y.reshape(d, d, d)
-            return rhs(LieBracket(dims, c)).c.ravel(), _ricci_from_tensor(c, q)
+            c = _to_tensor(y, d, table)
+            return _to_state(rhs(LieBracket(dims, c)).c, table), _ricci_from_tensor(c, q)
 
     def fun(_t, y):
         return f_tensor(y)[0]
@@ -466,15 +457,16 @@ def integrate(
         # `_drive` reads the stop rule and the verdict off the Ric `on_step`
         # returns, and the R and tr Ric^2 series are read off the stacked
         # Ricci matrices at the end.  The stepper never writes an array it
-        # has handed out, so `states` keeps y itself.  Returns the drift, the
+        # has handed out, so `states` keeps y itself.  Each entry of y stands
+        # for two tensor entries, c and its mirror.  Returns the drift, the
         # largest residual relative to |mu| to its degree.
-        nsq = copies * float(np.dot(y, y))
+        nsq = 2 * float(np.dot(y, y))
         dy, ric = f_tensor(y)
-        jac, h1, h3 = forms.residuals(y) if forms is not None else _residuals(_to_tensor(y, d, table), q)
+        jac, h1, h3 = forms.residuals(y)
         ts.append(t)
         norms.append(np.sqrt(nsq))
         rics.append(ric)
-        rhsn.append(np.sqrt(copies * float(np.dot(dy, dy))))
+        rhsn.append(np.sqrt(2 * float(np.dot(dy, dy))))
         jres.append(jac)
         h1res.append(h1)
         h3res.append(h3)
@@ -491,7 +483,7 @@ def integrate(
 
     record(0.0, y0)
     atol = _abs_tol(opts, bracket_norm(initial))
-    solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=atol, rms_weight=copies / d**3)
+    solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=atol, rms_weight=2 / d**3)
     verdict, segments = _drive(solver, opts, on_step, dims.n)
 
     t_arr = np.array(ts)
@@ -518,7 +510,7 @@ def integrate(
         h3_residual=np.array(h3res),
         checkpoints=_flow_checkpoints(dims, t_arr, states, table),
         verdict=verdict,
-        residual_rows=forms.rows if forms is not None else None,
+        residual_rows=forms.rows,
         dense=dense,
     )
 
@@ -708,8 +700,12 @@ class EstimateReport:
     sample is resolved); scalar_evolution_max_relerr compares a finite-difference
     dR/dt against 2 tr Ric^2; monotone_R_violation measures any decrease of R
     in forward time relative to 1 + |R|; comparison_slack is the minimum of
-    R(t) minus the scalar comparison solution, computed for forward runs with
-    R(0) > 0 on the inner 99% of the comparison lifespan (None otherwise).
+    (R(t) - comp(t)) / comp(t), R against the scalar comparison solution
+    comp(t) = 1 / (1/R(0) - 2t/n) in units of comp, so that it does not
+    change under mu -> c mu (bit for bit when c is a power of 2); it is
+    computed for forward runs with R(0) > 0 on the inner 99% of the
+    comparison lifespan (None otherwise), and is >= 0 up to the error of the
+    integration, since R never falls below comp.
     """
 
     velocity_ratio_max: float
@@ -772,7 +768,7 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
         mask = traj.t <= 0.99 * t_pole
         if np.any(mask):
             comp = 1.0 / (1.0 / r0 - (2.0 / n) * traj.t[mask])
-            slack = float(np.min(traj.scalar_R[mask] - comp))
+            slack = float(np.min((traj.scalar_R[mask] - comp) / comp))
 
     return EstimateReport(
         velocity_ratio_max=velocity_ratio,

@@ -44,9 +44,10 @@ digits per value) and a JSON report with the verdict, the singular-time
 estimate `omega_est`, the ends of its enclosure (`t_stop`, the time of the
 last sample, and `far_one_sided_bound`, the far comparison bound),
 `residual_rows` (`Trajectory.residual_rows`: the residual rows the drift
-check read per step, 0 for a vacuous check, null on the flat tensor) and
-the full estimate report (`estimates`, with `velocity_ratio_max`, the
-largest |dmu/dt| / |mu|^3).
+check read per step, 0 for a vacuous check, never null) and the full
+estimate report (`estimates`, with `velocity_ratio_max`, the largest
+|dmu/dt| / |mu|^3, and `comparison_slack`, in units of the comparison
+solution).
 
 Exit codes: 0 success, 1 verdict contradicts declared expectations,
 2 load/validation error, 3 integrator failure.

@@ -1,11 +1,13 @@
 """Brute-force reference implementations used as independent test oracles.
 
 Everything here is written as plain Python loops over basis vectors,
-deliberately sharing no code with the package's vectorized paths.  The two
-table builders are the exception: they are the loops an earlier version
-built its Ricci and pi tables with from the package's GEMM kernels, kept so
-that the stacked table can be checked against them bit for bit.  So is
-`antisymmetrized_by_mask`, the earlier construction of a bracket's tensor.
+deliberately sharing no code with the package's vectorized paths.  The
+table builders are the exception: they are the builds earlier versions made
+their Ricci, pi and Jacobi coefficients with from the package's kernels, by
+polarizing them on the mirrored basis (`polar_form`), kept so that the
+tables written down from index terms can be checked against them bit for
+bit.  So is `antisymmetrized_by_mask`, the earlier construction of a
+bracket's tensor.
 """
 
 from __future__ import annotations
@@ -239,6 +241,89 @@ def pi_table_folded(d: int, q: int) -> np.ndarray:
             for a in range(m):
                 t[i, j, :, a] = -_pi_tensor(unit, basis[a].reshape(d, d, d)).ravel()[upper]
     return np.array([t[i, j] + t[j, i] if i != j else t[i, i] for i, j in zip(*np.triu_indices(n))])
+
+
+def support_basis(d: int, sel: np.ndarray) -> np.ndarray:
+    """The mirrored basis of the support whose half positions are sel, as a contiguous stack (m', d, d, d).
+
+    E_a is +1 at the flat index upper[sel[a]] and -1 at its mirror
+    (`algebra._half_indices`).  Contiguous, so that each E_a and the whole
+    stack reshape for a GEMM without a copy.
+    """
+    from bracketflow.algebra import _from_half, _half_indices
+
+    half, mirror = _half_indices(d)
+    return np.ascontiguousarray(np.moveaxis(_from_half(np.eye(sel.size), half[sel], mirror[sel], d), -1, 0))
+
+
+def polar_form(f, e: np.ndarray, pairs: list) -> tuple[np.ndarray, ...]:
+    """The coefficients of a quadratic vector map f on the mirrored basis e, at the given pairs.
+
+    With u the coordinates on e, f(sum_a u_a E_a) = sum_{a <= b} C_ab u_a u_b,
+    where C_aa = f(E_a) and C_ab = f(E_a + E_b) - f(E_a) - f(E_b) for a < b.
+    Only the pairs (a, b), a <= b, given are evaluated, and C is 0 at every
+    other pair.  Returns (active, row, a, b, coef), the nonzero coefficients
+    as coordinate lists: active are the sorted components of f that some
+    coefficient reaches, and coef[p] is the coefficient of u_a[p] u_b[p] in
+    component active[row[p]].  With +-1 basis entries and f a sum of
+    products of entries with power-of-two weights, every coefficient is
+    exact.
+    """
+    diag: dict = {}
+    comp, coef = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for a, b in pairs:
+        for x in {a, b} - diag.keys():
+            diag[x] = f(e[x])
+        v = diag[a] if a == b else f(e[a] + e[b]) - diag[a] - diag[b]
+        comp.append(np.flatnonzero(v))
+        coef.append(v[comp[-1]])
+    counts = [nz.size for nz in comp[1:]]
+    a, b = np.repeat(np.array(pairs, dtype=np.intp).reshape(-1, 2), counts, axis=0).T
+    active, row = np.unique(np.concatenate(comp), return_inverse=True)
+    return active, row, a, b, np.concatenate(coef)
+
+
+def polarized_table(d: int, q: int, support: tuple) -> tuple:
+    """(q_form, p_form, grown) of a support's table by polarization, as coordinate lists.
+
+    q_form is `polar_form` of the GEMM Ricci kernel over every pair a <= b
+    of the support's mirrored basis, (active, row, a, b, coef); p_form is
+    (out, row, input, coef), read off -pi(diag(0, F_k)) E_a from the pi
+    kernel for the symmetric unit F_k of each active Ricci row, in the
+    order (row, out, input); grown is the support with every half entry
+    that some such tensor reaches.
+    """
+    from bracketflow.algebra import _half_indices, _pi_tensor
+    from bracketflow.curvature import _ricci_gemm
+
+    half = _half_indices(d)[0]
+    sel = np.array(support, dtype=np.intp)
+    m, iu = sel.size, np.triu_indices(d - q)
+    e = support_basis(d, sel)
+    q_form = polar_form(lambda c: _ricci_gemm(c, q)[iu], e, [(a, b) for a in range(m) for b in range(a, m)])
+    reach = np.zeros(half.size, dtype=bool)
+    reach[sel] = True
+    terms, coefs = [np.zeros((3, 0), dtype=np.intp)], [np.zeros(0)]
+    for r, k in enumerate(q_form[0]):
+        unit = np.zeros((d, d))
+        unit[q + iu[0][k], q + iu[1][k]] = unit[q + iu[1][k], q + iu[0][k]] = 1.0
+        out = -_pi_tensor(unit, e).reshape(m, -1)[:, half]
+        reach |= out.any(axis=0)
+        block = out[:, sel].T  # [output entry, input entry]
+        o, x = np.nonzero(block)
+        terms.append(np.stack([o, np.full(o.size, r), x]))
+        coefs.append(block[o, x])
+    return q_form, (*np.hstack(terms), np.concatenate(coefs)), tuple(np.flatnonzero(reach).tolist())
+
+
+def polarized_jacobi(d: int, support: tuple) -> tuple[np.ndarray, ...]:
+    """`polar_form` of the Jacobiator's i < j < l components on a support, over the pairs that chain."""
+    from bracketflow.algebra import _half_indices, _jacobi_triples
+
+    sel = np.array(support, dtype=np.intp)
+    i, j, k = np.unravel_index(_half_indices(d)[0][sel], (d, d, d))
+    chain = (k[:, None] == i) | (k[:, None] == j)
+    return polar_form(_jacobi_triples, support_basis(d, sel), np.argwhere(np.triu(chain | chain.T)).tolist())
 
 
 def trajectory_csv_per_value(traj, stride: int = 1) -> str:

@@ -27,7 +27,6 @@ from bracketflow.algebra import _half_indices, _pi_tensor, _residuals, _transfor
 from bracketflow.curvature import (
     DENSE_TABLE_MAX_ENTRIES,
     TABLE_MAX_ENTRIES,
-    _closed_table,
     _dense_stack,
     _flow_table,
     _residual_forms,
@@ -46,8 +45,11 @@ from oracles import (
     moment_part_loops,
     pi_action_loops,
     pi_table_folded,
+    polarized_jacobi,
+    polarized_table,
     ricci_assembled_loops,
     ricci_table_polarized,
+    support_basis,
 )
 
 HEIS = get_entry("heisenberg3").bracket
@@ -169,8 +171,8 @@ TABLE_RTOL = 1e-14
 
 
 def _rel(got, ref):
-    scale = np.max(np.abs(ref))
-    return np.max(np.abs(got - ref)) / scale if scale > 0 else np.max(np.abs(got))
+    scale = np.max(np.abs(ref), initial=0.0)  # an empty state on the zero bracket's support
+    return np.max(np.abs(got - ref)) / scale if scale > 0 else np.max(np.abs(got), initial=0.0)
 
 
 def _whole_half(d):
@@ -251,7 +253,7 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         # products, with the same bits; a sparse table's sum the same
         # coefficients in another order.
         t = _full_table(q + n, q)
-        du, ric_hot = _default_rhs_tensor(c.ravel()[t.upper], q + n, q, t)
+        du, ric_hot = _default_rhs_tensor(c.ravel()[t.upper], t)
         dc_hot, ric_from_tensor = _to_tensor(du, q + n, t), _ricci_from_tensor(c, q)
         if t.stack is not None:
             assert np.array_equal(ric_hot, ric)
@@ -292,7 +294,7 @@ def test_stacked_table_equals_the_earlier_builders_bit_for_bit(q, n):
 def test_tabulated_rhs_is_exactly_antisymmetric(q, n):
     c = random_bracket(q, n, np.random.default_rng(40 + n), 3.0).c
     t = _full_table(q + n, q)
-    du, _ = _default_rhs_tensor(_to_state(c, t), q + n, q, t)
+    du, _ = _default_rhs_tensor(_to_state(c, t), t)
     assert du.shape == (_half_indices(q + n)[0].size,)  # the whole half: the support of a dense bracket
     dmu = _to_tensor(du, q + n, t)
     assert np.array_equal(dmu, -dmu.transpose(1, 0, 2))
@@ -323,17 +325,21 @@ def test_index_rebuild_equals_the_loop_basis_product(mu):
     assert np.array_equal(_to_tensor(stack, d, table).reshape(d**3, 4), basis.T @ stack)
 
 
-# The whole half's table (m = 50, 75k entries at q = 0) fits at d = 5, and at
-# d = 6 with q = 3 (97k); at d = 6, q = 0 it would hold 340k entries.
-RICCI_DISPATCH = [(0, 5, True), (1, 4, True), (2, 3, True), (3, 3, True), (0, 6, False)]
+# The whole half's table (m = 50, 75k entries at q = 0) is applied at d = 5,
+# and at d = 6 with q = 3 (97k) and q = 1 (243k); at d = 6, q = 0 (340k) and
+# at d = 7 (1.2M) Ricci takes the GEMM kernel.
+RICCI_DISPATCH = [(0, 5, True), (1, 4, True), (2, 3, True), (3, 3, True), (1, 5, False), (0, 6, False), (0, 7, False)]
 
 
 @pytest.mark.parametrize("q, n, tabulated", RICCI_DISPATCH)
 def test_ricci_applies_the_whole_half_table_exactly_when_the_rule_admits_it(monkeypatch, q, n, tabulated):
+    # The closed-form rule, n(n+1) m^2 <= TABLE_MAX_ENTRIES, is the size of
+    # the whole half's dense [Q; P], and every side of it has that table.
     d = q + n
-    table = _closed_table(d, q, _whole_half(d))
-    assert (table is not None) == tabulated
-    assert _ricci_table(d, q) is table
+    whole = _full_table(d, q)
+    assert (whole.entries <= TABLE_MAX_ENTRIES) == tabulated
+    table = _ricci_table(d, q)
+    assert table is (whole if tabulated else None)
     c = random_bracket(q, n, np.random.default_rng(60 + 10 * q + n)).c
     gemm = _ricci_gemm(c, q)
     calls = []
@@ -347,10 +353,10 @@ def test_ricci_applies_the_whole_half_table_exactly_when_the_rule_admits_it(monk
     assert len(calls) == (0 if tabulated else 1)
     assert np.array_equal(ric, ric.T)
     if tabulated:
-        assert table.entries <= TABLE_MAX_ENTRIES
         assert _rel(ric, gemm) <= TABLE_RTOL
     else:
         assert np.array_equal(ric, gemm)
+        assert _rel(whole.q_form(c.ravel()[whole.upper], c.ravel()[whole.upper])[whole.sym], gemm) <= TABLE_RTOL
 
 
 @pytest.mark.parametrize(
@@ -489,13 +495,11 @@ def flow_brackets(draw):
 def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
     d, q = mu.dims.d, mu.dims.q
     table = _flow_table(mu)
-    if table is None:  # over TABLE_MAX_ENTRIES: the flow steps on the flat tensor
-        return
     half = _half_indices(d)[0]
     outside = np.ones(half.size, dtype=bool)
     outside[list(table.support)] = False
     assert not np.any(mu.c.ravel()[half][outside])  # S holds the initial bracket
-    assert table.grown == table.support and table.entries <= TABLE_MAX_ENTRIES
+    assert table.grown == table.support
     # at a random point of V_S the GEMM RHS is exactly 0 outside S, and the
     # restricted RHS and its Ric are the GEMM ones
     u = np.random.default_rng(seed).standard_normal(len(table.support))
@@ -503,23 +507,27 @@ def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
     assert np.array_equal(c.ravel()[half][~outside], u)
     gemm, ric = _gemm_rhs(c, q)
     assert not np.any(gemm.ravel()[half][outside])
-    du, ric_table = _default_rhs_tensor(u, d, q, table)
+    du, ric_table = _default_rhs_tensor(u, table)
     assert _rel(_to_tensor(du, d, table), gemm) <= TABLE_RTOL
     assert _rel(ric_table, ric) <= TABLE_RTOL
 
 
-def test_support_over_the_bound_takes_the_gemm_path():
-    # A dense moved nilpotent bracket at d = 6 fills the whole half: m' = 90
-    # and 21 Ricci rows make 340k entries.  The one-assembly size bound
-    # refuses it without a build, and the built table is indeed over.
+@pytest.mark.parametrize("n", [6, 7])
+def test_dense_supports_step_on_their_table_like_the_gemm_kernels(n):
+    # A dense moved nilpotent bracket fills the whole half: at n = 6, m' = 90
+    # and 21 Ricci rows make 340k dense entries, at n = 7 1.2M.  It steps on
+    # that table, through its nonzero coefficients, and agrees with a run of
+    # the same layout whose RHS is the GEMM kernels on the tensor.
     rng = np.random.default_rng(4)
-    mu = transform_bracket(random_two_step_nilpotent(6, rng), _invertible(rng, 6))
-    assert _flow_table(mu) is None
-    t = _rhs_table(6, 0, _whole_half(6))
-    assert t.entries == _dense(t).size == 2 * 21 * 90**2 > TABLE_MAX_ENTRIES
-    # while d = 5, 75k entries, fits
-    mu5 = transform_bracket(random_two_step_nilpotent(5, rng), _invertible(rng, 5))
-    assert _flow_table(mu5).support == _whole_half(5)
+    mu = transform_bracket(random_two_step_nilpotent(n, rng), _invertible(rng, n))
+    t = _flow_table(mu)
+    assert t.support == _whole_half(n) and t.stack is None
+    assert t.entries == 2 * (n * (n + 1) // 2) * (n * n * (n - 1) // 2) ** 2 > TABLE_MAX_ENTRIES
+    traj = integrate(mu, "backward", 2.0)
+    ref = integrate(mu, "backward", 2.0, rhs=lambda b: LieBracket(b.dims, _gemm_rhs(b.c, 0)[0]))
+    assert traj.verdict.kind == ref.verdict.kind == "blowup"
+    assert traj.n_samples == ref.n_samples
+    assert abs(traj.verdict.omega_est - ref.verdict.omega_est) <= 1e-12 * abs(ref.verdict.omega_est)
 
 
 def test_support_grows_until_the_flow_cannot_leave_it():
@@ -550,7 +558,7 @@ def test_the_rule_keeps_small_tables_dense_and_large_ones_sparse():
     # Every catalog table, on its flow's support or on the whole half, and
     # the metric_equivalence supports (two-step nilpotent at n = 5 and 6)
     # keep the dense stack; the nilpotent supports at n = 9 and 13 and the
-    # whole half at d = 5, q = 0 are applied through their nonzero
+    # whole half at d = 5 and 6, q = 0, are applied through their nonzero
     # coefficients and build no dense array.
     catalog = [entry.bracket for entry in catalog_entries()]
     dense = [_flow_table(mu) for mu in catalog] + [_ricci_table(mu.dims.d, mu.dims.q) for mu in catalog]
@@ -559,11 +567,11 @@ def test_the_rule_keeps_small_tables_dense_and_large_ones_sparse():
         assert t.entries <= DENSE_TABLE_MAX_ENTRIES and t.stack.size == t.entries
     assert max(t.entries for t in dense[: len(catalog)]) == 72
     assert [t.entries for t in dense[-2:]] == [720, 2106]
-    sparse = [_nilpotent_table(9, 6), _nilpotent_table(13, 10), _ricci_table(5, 0)]
+    sparse = [_nilpotent_table(9, 6), _nilpotent_table(13, 10), _ricci_table(5, 0), _full_table(6, 0)]
     for t in sparse:
-        assert DENSE_TABLE_MAX_ENTRIES < t.entries <= TABLE_MAX_ENTRIES and t.stack is None
-    assert [t.entries for t in sparse] == [18144, 111600, 75000]
-    assert [t.q_form.coef.size + t.p_form.coef.size for t in sparse] == [297, 675, 1310]
+        assert DENSE_TABLE_MAX_ENTRIES < t.entries and t.stack is None
+    assert [t.entries for t in sparse] == [18144, 111600, 75000, 340200]
+    assert [t.q_form.coef.size + t.p_form.coef.size for t in sparse] == [297, 675, 1310, 3030]
 
 
 def _assert_table_matches_the_kernels(t, d, q, u):
@@ -574,7 +582,7 @@ def _assert_table_matches_the_kernels(t, d, q, u):
     # the forms, the dense product and the GEMM kernels; and the hot path
     # is, bit for bit, the side of the rule the table is on.
     m = t.upper.size
-    e = curvature._support_basis(d, np.array(t.support, dtype=np.intp))
+    e = support_basis(d, np.array(t.support, dtype=np.intp))
     units, rows = np.eye(m), np.eye(t.rows)
     ric = [_ricci_gemm(e[a], q) for a in range(m)]
     live = np.zeros(t.sym.shape, dtype=bool)  # the entries of Ric that are not 0 on all of V_S
@@ -591,8 +599,8 @@ def _assert_table_matches_the_kernels(t, d, q, u):
         i, j = np.argwhere(t.sym == k)[0]
         unit = np.zeros((d, d))
         unit[q + i, q + j] = unit[q + j, q + i] = live[i, j]  # the zero row moves nothing
-        ref = -_pi_tensor(unit, e).reshape(m, -1)[:, t.upper]
-        assert np.array_equal([t.p_form(rows[k], units[a]) for a in range(m)], ref)
+        ref = -_pi_tensor(unit, e).reshape(m, d**3)[:, t.upper]  # m = 0 on the zero bracket's support
+        assert np.array_equal(np.reshape([t.p_form(rows[k], units[a]) for a in range(m)], (m, m)), ref)
         assert np.array_equal(p_half[k].T, ref)
     c = _to_tensor(u, d, t)
     gemm, ric_u = _gemm_rhs(c, q)
@@ -607,7 +615,7 @@ def _assert_table_matches_the_kernels(t, d, q, u):
     for du in (du_sparse, du_dense):
         assert _rel(_to_tensor(du, d, t), gemm) <= TABLE_RTOL
     assert _rel(du_sparse, du_dense) <= TABLE_RTOL
-    du, ric_hot = _default_rhs_tensor(u, d, q, t)
+    du, ric_hot = _default_rhs_tensor(u, t)
     hot_du, hot_r = (du_sparse, r_sparse) if t.stack is None else (du_dense, r_dense)
     assert np.array_equal(du, hot_du) and np.array_equal(ric_hot, hot_r[t.sym])
 
@@ -627,8 +635,6 @@ def table_supports(draw):
 @given(table_supports(), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e7]))
 def test_sparse_and_dense_tables_equal_the_kernels(support, seed, scale):
     d, q, t = support
-    if t is None:  # over TABLE_MAX_ENTRIES
-        return
     u = scale * np.random.default_rng(seed).standard_normal(t.upper.size)
     _assert_table_matches_the_kernels(t, d, q, u)
 
@@ -665,6 +671,44 @@ def test_the_table_comparison_sees_one_ulp_and_one_dropped_term():
             _assert_table_matches_the_kernels(replace(dense, stack=stack), 6, 0, u[: dense.upper.size])
 
 
+@st.composite
+def random_supports(draw):
+    """A random support of the i < j half at d <= 6, every q, of any density, or a flow's support."""
+    if draw(st.integers(0, 3)) == 0:
+        mu = draw(flow_brackets())
+        return mu.dims.d, mu.dims.q, _flow_table(mu).support
+    d = draw(st.integers(1, 6))
+    q = draw(st.integers(0, d - 1))
+    live = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(_half_indices(d)[0].size)
+    return d, q, tuple(np.flatnonzero(live < draw(st.floats(0.0, 1.0))).tolist())
+
+
+def _assert_same_lists(form, ref):
+    # the same coefficients, in the same order and with the same dtypes, bit for bit
+    for got, want in zip((form.row, form.a, form.b, form.coef), ref, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_supports())
+def test_tables_and_jacobi_forms_equal_the_polarized_ones_exactly(support):
+    # Written down from index terms, Q, P, `grown` and the Jacobi forms are
+    # the coefficients polarizing the kernels on the mirrored basis gives,
+    # in the same (a, b, component) order, so every sum over them rounds as
+    # it did when they were polarized.
+    d, q, support = support
+    t = _rhs_table(d, q, support)
+    (active, *q_lists), p_lists, grown = polarized_table(d, q, support)
+    assert t.rows == active.size + (active.size < (d - q) * (d - q + 1) // 2)
+    _assert_same_lists(t.q_form, q_lists)
+    _assert_same_lists(t.p_form, p_lists)
+    assert t.grown == grown
+    jac_active, *jac_lists = polarized_jacobi(d, support)
+    forms = _residual_forms(d, q, support)
+    assert forms.jac.rows == jac_active.size
+    _assert_same_lists(forms.jac, jac_lists)
+
+
 # --- admissibility residuals as forms on the support ------------------------
 
 @st.composite
@@ -685,8 +729,6 @@ def test_residual_forms_equal_the_flat_check_on_the_support(mu, seed, scale):
     # the Jacobiator to rounding, relative to |mu|^2.
     d, q = mu.dims.d, mu.dims.q
     table = _flow_table(mu)
-    if table is None:
-        return
     u = scale * np.random.default_rng(seed).standard_normal(len(table.support))
     jac, h1, h3 = _residual_forms(d, q, table.support).residuals(u)
     ref_jac, ref_h1, ref_h3 = _residuals(_to_tensor(u, d, table), q)

@@ -33,7 +33,7 @@ from bracketflow import (
     transform_bracket,
     type_I_diagnostic,
 )
-from bracketflow import curvature
+from bracketflow import algebra, curvature
 from bracketflow.catalog import catalog_entries, get_entry
 
 from oracles import local_derivatives_polyfit, milnor_singular_time
@@ -92,12 +92,12 @@ BRACKETS = st.sampled_from([entry.bracket for entry in catalog_entries()]) | st.
 @given(BRACKETS, st.floats(1e-3, 1e7))
 def test_ricci_and_rhs_are_scale_covariant(mu, c):
     # Ric(c mu) = c^2 Ric(mu) and F(c mu) = c^3 F(mu), relative to |c mu|^2 and |c mu|^3
-    q, d = mu.dims.q, mu.dims.d
+    q = mu.dims.q
     size = c * bracket_norm(mu)
     # in the stepper's state layout on the flow's table, the same for mu and c mu
     table = flow._flow_table(mu)
-    dmu, ric = flow._default_rhs_tensor(flow._to_state(mu.c, table), d, q, table)
-    dmu_c, ric_c = flow._default_rhs_tensor(flow._to_state(c * mu.c, table), d, q, table)
+    dmu, ric = flow._default_rhs_tensor(flow._to_state(mu.c, table), table)
+    dmu_c, ric_c = flow._default_rhs_tensor(flow._to_state(c * mu.c, table), table)
     assert np.max(np.abs(ric_c - flow._ricci_from_tensor(c * mu.c, q))) <= 1e-14 * size**2
     assert np.max(np.abs(ric_c - c**2 * ric)) <= 1e-12 * size**2
     assert abs(np.trace(ric_c) - c**2 * np.trace(ric)) <= 1e-12 * size**2
@@ -753,6 +753,26 @@ def test_estimate_report_flat_is_all_zero():
     assert rep.comparison_slack is None
 
 
+@pytest.mark.parametrize("k", [-20, -10, 10, 23])
+@pytest.mark.parametrize("name", ["su2_round", "sphere2_su2", "sphere2_times_line"])
+def test_comparison_slack_is_bit_identical_under_power_of_2_rescaling(name, k):
+    # The forward runs with R(0) > 0.  The slack is read in units of the
+    # comparison solution, which scales as R does, and the run of 2^k mu
+    # takes the same steps bit for bit, so the slack is the same number at
+    # every scale (as R - comp it read -2.2e-13, -2.3e-7 and -0.246 on
+    # su2_round at k = -10, 0 and 10).  It is 0 at t = 0, where R is the
+    # comparison solution, and R never falls below it but by rounding.
+    entry = get_entry(name)
+
+    def slack(c):
+        traj = integrate(scale_bracket(entry.bracket, c), "forward", entry.default_horizon["forward"] / c**2)
+        return estimate_report(traj).comparison_slack
+
+    ref = slack(1.0)
+    assert -1e-8 <= ref <= 0.0
+    assert slack(2.0**k) == ref
+
+
 def test_estimate_report_needs_enough_samples(su2_forward):
     import dataclasses
 
@@ -979,9 +999,8 @@ def _count_ricci_and_rhs(monkeypatch, mu, direction):
     return calls["_ricci_from_tensor"], calls["_default_rhs_tensor"]
 
 
-# RHS evaluations of each run: 6 per attempted step plus the monitor's, whatever computes Ric.
+# RHS evaluations of each run: 6 per attempted step plus the monitor's.
 RHS_CALLS = {("su2_round", "forward"): 3538, ("sphere2_su2", "backward"): 409}
-GEMM_RHS_CALLS = 4637  # `_dense_nilpotent(6, 0)` backward
 
 
 @pytest.mark.parametrize("name, direction", list(RHS_CALLS))
@@ -999,27 +1018,33 @@ def test_tabulated_rhs_makes_no_ricci_assembly(monkeypatch, name, direction):
     ids=["heisenberg3", "sphere2_su2", "nilpotent9", "milnor-0"],
 )
 def test_table_path_monitor_rebuilds_no_tensor(monkeypatch, mu, rows):
-    # On the flow's table the drift check reads the residual forms off the
-    # state: no tensor is rebuilt and the flat check never runs, whether no
-    # row survives (heisenberg3, nilpotent), two h3 rows do (sphere2_su2) or
-    # the three Jacobi rows of the whole half at d = 3 (a Milnor draw).
+    # The drift check reads the residual forms off the state: no tensor is
+    # rebuilt and the flat check runs once, on the initial bracket's
+    # admissibility, whether no row survives (heisenberg3, nilpotent), two
+    # h3 rows do (sphere2_su2) or the three Jacobi rows of the whole half at
+    # d = 3 (a Milnor draw).
     calls = {"_to_tensor": 0, "_residuals": 0}
-    for fn in calls:
-        def counted(*args, _fn=getattr(flow, fn), _name=fn):
+    for module, fn in ((flow, "_to_tensor"), (algebra, "_residuals")):
+        def counted(*args, _fn=getattr(module, fn), _name=fn):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(flow, fn, counted)
+        monkeypatch.setattr(module, fn, counted)
     traj = integrate(mu, "forward", 1.0)
     assert traj.n_samples > 10
-    assert calls == {"_to_tensor": 0, "_residuals": 0}
+    assert calls == {"_to_tensor": 0, "_residuals": 1}
     assert traj.residual_rows == rows
 
 
-def test_flat_tensor_monitor_reports_no_residual_rows():
-    # an `rhs=` override may leave the support, so its run keeps the flat check
+def test_override_monitor_reads_the_whole_half_forms():
+    # An `rhs=` override may leave the support, so its run steps on the whole
+    # i < j half, whose forms keep every residual row that some
+    # antisymmetric tensor makes nonzero: su(2)'s support has no Jacobi row,
+    # the whole half at d = 3 has three.
+    assert integrate(SU2, "forward", 0.5).residual_rows == 0
     traj = integrate(SU2, "forward", 0.5, rhs=bracket_flow_rhs)
-    assert traj.residual_rows is None
+    assert traj.residual_rows == 3 == flow._residual_forms(3, 0, tuple(range(9))).rows
+    assert traj.checkpoints._states[-1].shape == (9,)
     assert integrate(FLAT, "forward", 1.0).residual_rows == 0
 
 
@@ -1035,7 +1060,7 @@ def test_nilpotent_verdicts_do_not_depend_on_the_dense_or_sparse_rule(monkeypatc
     def runs():
         return [integrate(mu, direction, 10.0) for mu in mus for direction in ("forward", "backward")]
 
-    caches = (curvature._rhs_table, curvature._closed_table, curvature._ricci_table)
+    caches = (curvature._rhs_table, curvature._ricci_table)
     assert flow._flow_table(mus[0]).stack is None
     sparse = runs()
     try:
@@ -1084,9 +1109,13 @@ def _dense_nilpotent(n, seed):
     return transform_bracket(random_two_step_nilpotent(n, rng), np.eye(n) + 0.3 * rng.standard_normal((n, n)))
 
 
-def test_gemm_rhs_makes_one_ricci_assembly_per_evaluation(monkeypatch):
-    # At n = 6 the whole half's table (m' = 90, 21 Ricci rows) would hold 340k
-    # entries, over TABLE_MAX_ENTRIES, so the flow steps on the GEMM kernels.
-    mu = _dense_nilpotent(6, 0)
-    assert flow._flow_table(mu) is None
-    assert _count_ricci_and_rhs(monkeypatch, mu, "backward") == (GEMM_RHS_CALLS, GEMM_RHS_CALLS)
+@pytest.mark.parametrize("n", [6, 7])
+def test_dense_moved_brackets_make_no_ricci_assembly(monkeypatch, n):
+    # Every support has a table: the whole half at n = 6 (m' = 90, 340k
+    # dense entries) and n = 7 (m' = 147, 1.2M), applied through its nonzero
+    # coefficients, so no Ricci assembly runs here either.
+    mu = _dense_nilpotent(n, 0)
+    table = flow._flow_table(mu)
+    assert table.upper.size == n * n * (n - 1) // 2 and table.stack is None
+    ricci, rhs = _count_ricci_and_rhs(monkeypatch, mu, "backward")
+    assert ricci == 0 and rhs > 1000

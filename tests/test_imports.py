@@ -36,10 +36,10 @@ def test_no_import_from_a_private_module():
 
 
 def test_import_builds_no_table():
-    # The stacked Ricci and RHS tables, the flow's support closures and the
-    # index plans they read are built on first use, so importing the package
+    # The stacked Ricci and RHS tables, the residual forms and the index
+    # plans they read are built on first use, so importing the package
     # (and every start-up that does) pays nothing for them.
-    caches = ["_rhs_table", "_closed_table", "_ricci_table", "_residual_forms", "_half_indices", "_ricci_plan"]
+    caches = ["_rhs_table", "_ricci_table", "_residual_forms", "_half_indices", "_ricci_plan"]
     code = (
         "import bracketflow\n"
         "from bracketflow import curvature\n"

@@ -60,7 +60,7 @@ def test_same_steps_as_scipy_on_su2_forward_in_the_half_state():
         return bracket_flow_rhs(LieBracket(SU2.dims, y.reshape(3, 3, 3))).c.ravel()
 
     def half(_t, u):
-        return _default_rhs_tensor(u, 3, 0, table)[0]
+        return _default_rhs_tensor(u, table)[0]
 
     t_bound = 1.0 - 1e-8  # omega = 1
     solver = DormandPrince54(half, 0.0, _to_state(SU2.c, table), t_bound, rtol=1e-10, atol=1e-12, rms_weight=2 / 27)
@@ -164,7 +164,7 @@ def test_half_state_error_norm_equals_the_full_tensor_rms(q, n):
         assert half._rms(w) == pytest.approx(np.sqrt(np.mean(full_w**2)), rel=1e-15)
 
     def half(_t, y):
-        return _default_rhs_tensor(y, d, q, table)[0]
+        return _default_rhs_tensor(y, table)[0]
 
     def full(_t, y):
         # the same derivative on the full tensor, so every stage is the exact mirror of the half's
