@@ -21,7 +21,7 @@ for name, direction, horizon in [
     print(f"{name} ({direction}): verdict = {traj.verdict.kind}")
     print(f"    max |dmu/dt| / |mu|^3      = {rep.velocity_ratio_max:.6f}")
     print(f"    worst dR/dt vs 2 tr Ric^2  = {rep.scalar_evolution_max_relerr:.2e} (relative)")
-    print(f"    worst drop of R            = {rep.monotone_R_violation:.2e}")
+    print(f"    worst drop of R            = {rep.monotone_R_violation:.2e} (relative to |R|)")
     if rep.tail_norm_floor is not None:
         print(f"    norm floor on the tail     = {rep.tail_norm_floor:.6f}")
     if rep.comparison_slack is not None:

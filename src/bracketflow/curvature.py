@@ -209,7 +209,7 @@ class _SparseForm:
     products and one `np.bincount`.  A quadratic form in u is form(u, u).
     The Jacobi rows of `_ResidualForms` and both halves of a sparse
     `_StackedTable` are evaluated by this one method.  Every array is
-    read-only.
+    read-only.  A form with no terms is built as a `_ZeroForm`.
     """
 
     row: np.ndarray
@@ -218,12 +218,25 @@ class _SparseForm:
     coef: np.ndarray
     rows: int
 
+    def __new__(cls, row, a, b, coef, rows):
+        return object.__new__(cls if len(coef) else _ZeroForm)
+
     def __post_init__(self):
         for arr in (self.row, self.a, self.b, self.coef):
             arr.setflags(write=False)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.bincount(self.row, self.coef * x[self.a] * y[self.b], self.rows)
+
+
+class _ZeroForm(_SparseForm):
+    """A `_SparseForm` with no terms, whose components are 0.0.
+
+    `np.bincount` of no terms ignores its float weights and counts in int64.
+    """
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.zeros(self.rows)
 
 
 @dataclass(frozen=True)

@@ -25,19 +25,24 @@ derivative.  Only the override, `Trajectory.checkpoints` and the dense
 output rebuild the tensor (`_to_tensor`), by writing u at the support's
 flat indices and -u at their mirrors (`algebra._from_half`).
 
-The bracket flow's callback keeps per step what the stop rule and the drift
-check read: the bracket norm, |dmu/dt| (its one RHS evaluation per step),
-the admissibility residuals and the Ricci matrix that RHS evaluation was
-built from; the R and tr Ric^2 series are read off the stacked matrices
-once, at the end.  The residuals are read off u itself, through the forms
-built once per support (`curvature._residual_forms`): only the Jacobi, h1
-and h3 rows that are not identically 0 on V_S, and none at all on a
-two-step nilpotent support, where the check is vacuous.
+`_drive` keeps the samples of a run of either flow, at t = 0 and after
+each accepted step: the time, the stepper's raw state and the Ricci matrix
+a per-sample callback returns, stacked once at the end, where R = tr Ric
+is read off the stack for both flows (`_Run`).  The bracket flow's callback
+adds what is its own: one RHS evaluation, for |dmu/dt| and Ric, the drift
+check, and one row per sample of |mu|^2, |dmu/dt|^2 and the three
+admissibility residuals.  The residuals are read off u itself, through the
+forms built once per support (`curvature._residual_forms`): only the
+Jacobi, h1 and h3 rows that are not identically 0 on V_S, and none at all
+on a two-step nilpotent support, where the check is vacuous.
 `Trajectory.residual_rows` says how many rows that is.  On the whole half,
 an override's layout, the forms drop only rows that vanish on every
 antisymmetric tensor, so an override's run keeps the full check.  No
 LieBracket is built but the override's.  The states stay raw arrays;
-`Trajectory.checkpoints` wraps them as FlowStates only when read.
+`Trajectory.checkpoints` wraps them as FlowStates only when read.  The zero
+bracket, an exact fixed point, is not stepped: its run is 33 stationary
+samples with Ric = 0 and a zero dense output, built into a Trajectory as
+every other run is.
 
 The stop rule is scale free and the same for both flows.  Along either
 flow dR/dt = 2 tr Ric^2 >= (2/n) R^2, so once R has the sign of the time
@@ -254,8 +259,9 @@ def _flow_checkpoints(dims: Dimensions, t: np.ndarray, states: list[np.ndarray],
 class Trajectory:
     """Sampled bracket-flow solution.
 
-    Scalar series and the raw states are kept at every sample, one per
-    accepted step.  `checkpoints` is a lazy read-only Sequence[FlowState]
+    Scalar series and the raw states are kept at every sample: t = 0, then
+    one per accepted step (`_drive`), or 33 stationary samples for the zero
+    bracket.  `checkpoints` is a lazy read-only Sequence[FlowState]
     over those states: each access builds the FlowState, so a run that never
     reads it builds no LieBracket.  Times are physical: decreasing for
     backward runs.  `residual_rows` is the number of residual rows the drift
@@ -360,36 +366,6 @@ def _end_time(direction: str, horizon: float) -> float:
     return horizon if direction == "forward" else -horizon
 
 
-def _flat_trajectory(initial: LieBracket, direction: str, horizon: float, t_end: float) -> Trajectory:
-    # The zero bracket is an exact fixed point: synthesize a stationary
-    # trajectory dense enough for the downstream estimators, on the empty
-    # support's table, whose state y holds no entry.
-    m = 33
-    t = np.linspace(0.0, t_end, m)
-    zeros = np.zeros(m)
-    table = _flow_table(initial)
-    y = _to_state(initial.c, table)
-    # one zero coefficient row: the step's interpolant is y at every time
-    dense = DenseSolution([0.0, t_end], [DenseStep(0.0, t_end, y, np.zeros((1, y.size)))], initial.dims.d, table)
-    return Trajectory(
-        direction=direction,
-        horizon=horizon,
-        initial=initial,
-        t=t,
-        mu_norm=zeros.copy(),
-        scalar_R=zeros.copy(),
-        tr_ric_sq=zeros.copy(),
-        rhs_norm=zeros.copy(),
-        jacobi_residual=zeros.copy(),
-        h1_residual=zeros.copy(),
-        h3_residual=zeros.copy(),
-        checkpoints=_flow_checkpoints(initial.dims, t, [y] * m, table),
-        verdict=Verdict(kind="flat"),
-        residual_rows=0,
-        dense=dense,
-    )
-
-
 def integrate(
     initial: LieBracket,
     direction: str = "forward",
@@ -426,92 +402,78 @@ def integrate(
     t_end = _end_time(direction, horizon)
     check_conditions(initial).require(opts.membership_tol)
 
-    if bracket_norm(initial) == 0.0:
-        return _flat_trajectory(initial, direction, horizon, t_end)
-
     dims = initial.dims
     q, d = dims.q, dims.d
-    # An override may leave the flow's support, so it steps on the whole half.
-    table = _flow_table(initial) if rhs is None else _rhs_table(d, q, tuple(range(_half_indices(d)[0].size)))
+    norm = bracket_norm(initial)
+    # An override may leave the flow's support, so it steps on the whole
+    # half; the zero bracket is not stepped.
+    whole = rhs is not None and norm > 0.0
+    table = _rhs_table(d, q, tuple(range(_half_indices(d)[0].size))) if whole else _flow_table(initial)
     forms = _residual_forms(d, q, table.support)
-
-    if rhs is None:
-        def f_tensor(y):
-            return _default_rhs_tensor(y, table)
-    else:
-        def f_tensor(y):
-            c = _to_tensor(y, d, table)
-            return _to_state(rhs(LieBracket(dims, c)).c, table), _ricci_from_tensor(c, q)
-
-    def fun(_t, y):
-        return f_tensor(y)[0]
-
     y0 = _to_state(initial.c, table)
+    # Per sample: |mu|^2, |dmu/dt|^2 and the Jacobi, h1 and h3 residuals.
+    rows: list[float] = []
 
-    ts, norms, rics, rhsn = [], [], [], []
-    jres, h1res, h3res = [], [], []
-    states: list[np.ndarray] = []
+    if norm == 0.0:
+        # The zero bracket is an exact fixed point: a stationary run on the
+        # empty support's table, whose state holds no entry, with samples
+        # dense enough for the estimators and its dense output always kept
+        # (one zero coefficient row per step: the interpolant is y0 at every
+        # time).
+        t = np.linspace(0.0, t_end, 33)
+        zero = np.zeros((1, y0.size))
+        steps = [DenseStep(t_old, t_new, y0, zero) for t_old, t_new in zip(t[:-1], t[1:])]
+        run = _Run(Verdict(kind="flat"), t, [y0] * t.size, np.zeros((t.size, dims.n, dims.n)), steps)
+        rows += [0.0] * (5 * t.size)
+    else:
+        if rhs is None:
+            def f_tensor(y):
+                return _default_rhs_tensor(y, table)
+        else:
+            def f_tensor(y):
+                c = _to_tensor(y, d, table)
+                return _to_state(rhs(LieBracket(dims, c)).c, table), _ricci_from_tensor(c, q)
 
-    def record(t, y):
-        # Keeps per step what the drift check reads, |dmu/dt| and Ric;
-        # `_drive` reads the stop rule and the verdict off the Ric `on_step`
-        # returns, and the R and tr Ric^2 series are read off the stacked
-        # Ricci matrices at the end.  The stepper never writes an array it
-        # has handed out, so `states` keeps y itself.  Each entry of y stands
-        # for two tensor entries, c and its mirror.  Returns the drift, the
-        # largest residual relative to |mu| to its degree.
-        nsq = 2 * float(np.dot(y, y))
-        dy, ric = f_tensor(y)
-        jac, h1, h3 = forms.residuals(y)
-        ts.append(t)
-        norms.append(np.sqrt(nsq))
-        rics.append(ric)
-        rhsn.append(np.sqrt(2 * float(np.dot(dy, dy))))
-        jres.append(jac)
-        h1res.append(h1)
-        h3res.append(h3)
-        states.append(y)
-        return max(_relative_residuals(jac, h1, h3, nsq))
+        def fun(_t, y):
+            return f_tensor(y)[0]
 
-    def on_step(solver):
-        drift = record(solver.t, solver.y)
-        if drift > opts.drift_tol:
-            raise DriftError(
-                f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {solver.t}"
-            )
-        return rics[-1]
+        def sample(t, y):
+            # The monitor, at t = 0 too, where the state is already admitted
+            # at membership_tol <= drift_tol: one RHS evaluation for
+            # |dmu/dt| and Ric, and the drift check, the largest residual
+            # relative to |mu| to its degree.  Each entry of y stands for two
+            # tensor entries, c and its mirror.
+            nsq = 2 * float(np.dot(y, y))
+            dy, ric = f_tensor(y)
+            jac, h1, h3 = forms.residuals(y)
+            drift = max(_relative_residuals(jac, h1, h3, nsq))
+            if drift > opts.drift_tol:
+                raise DriftError(f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {t}")
+            rows.extend((nsq, 2 * float(np.dot(dy, dy)), jac, h1, h3))
+            return ric
 
-    record(0.0, y0)
-    atol = _abs_tol(opts, bracket_norm(initial))
-    solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=atol, rms_weight=2 / d**3)
-    verdict, segments = _drive(solver, opts, on_step, dims.n)
+        solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=_abs_tol(opts, norm), rms_weight=2 / d**3)
+        run = _drive(solver, opts, sample, dims.n)
 
-    t_arr = np.array(ts)
-    norm_arr = np.array(norms)
-    rhs_arr = np.array(rhsn)
-    ric_rows = np.array(rics).reshape(len(rics), -1)
-    scalar_r = ric_rows[:, :: dims.n + 1].sum(axis=1)
-    tr_ric_sq = np.sum(ric_rows * ric_rows, axis=1)
-
-    dense = None
-    if opts.collect_dense:
-        dense = DenseSolution([0.0] + [seg.t for seg in segments], segments, d, table)
+    nsq, rhs_sq, jac, h1, h3 = np.reshape(rows, (-1, 5)).T.copy()
+    ric = run.ric.reshape(run.t.size, -1)
     return Trajectory(
         direction=direction,
         horizon=horizon,
         initial=initial,
-        t=t_arr,
-        mu_norm=norm_arr,
-        scalar_R=scalar_r,
-        tr_ric_sq=tr_ric_sq,
-        rhs_norm=rhs_arr,
-        jacobi_residual=np.array(jres),
-        h1_residual=np.array(h1res),
-        h3_residual=np.array(h3res),
-        checkpoints=_flow_checkpoints(dims, t_arr, states, table),
-        verdict=verdict,
+        t=run.t,
+        mu_norm=np.sqrt(nsq),
+        scalar_R=run.scalar_R,
+        # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
+        tr_ric_sq=np.sum(ric * ric, axis=1),
+        rhs_norm=np.sqrt(rhs_sq),
+        jacobi_residual=jac,
+        h1_residual=h1,
+        h3_residual=h3,
+        checkpoints=_flow_checkpoints(dims, run.t, run.states, table),
+        verdict=run.verdict,
         residual_rows=forms.rows,
-        dense=dense,
+        dense=DenseSolution(run.t, run.segments, d, table) if run.segments else None,
     )
 
 
@@ -527,15 +489,40 @@ def _time_left(t: float, r: float, n: int) -> float:
     return n / (2.0 * r) if r > 0 else np.inf
 
 
-def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[Verdict, list]:
-    """Step `solver` to its bound; return (verdict, dense segments).
+@dataclass(frozen=True)
+class _Run:
+    """The samples of one run of either flow, stacked, with its verdict.
+
+    Sample k is at time t[k], with the stepper's raw state states[k] and the
+    Ricci matrix ric[k] (shape (m, n, n) for m samples): t = 0, then one per
+    accepted step.  `segments` are the dense outputs of the steps between
+    consecutive samples, so the sample times are their knots; a stepped run
+    keeps them only under `collect_dense`.
+    """
+
+    verdict: Verdict
+    t: np.ndarray
+    states: list[np.ndarray]
+    ric: np.ndarray
+    segments: list
+
+    @property
+    def scalar_R(self) -> np.ndarray:
+        return np.trace(self.ric, axis1=1, axis2=2)
+
+
+def _drive(solver, opts: IntegratorOptions, sample, n: int) -> _Run:
+    """Step `solver` to its bound, sampling it after each accepted step; return the run.
 
     `solver` is a `stepper.DormandPrince54` over a flow on an n-dimensional
-    space.  `on_step(solver)` records each accepted step and returns the
-    Ricci matrix there.  The stop rule of both flows is read at the last
-    recorded sample, on R = tr Ric, after each accepted step and at a solver
-    failure (a step floor hit right at the singularity): the run is singular
-    once `_time_left` is below `STOP_REL` |t|.  Any other failure is a
+    space.  `sample(t, y)` makes the flow's own checks at the state y at
+    time t and returns the Ricci matrix there; it is called on the solver's
+    initial state and after each accepted step, and the time, the raw state
+    (the stepper never writes an array it has handed out) and Ric of each
+    sample are kept.  The stop rule of both flows is read at the last sample,
+    on R = tr Ric, after each accepted step and at a solver failure (a step
+    floor hit right at the singularity): the run is singular once
+    `_time_left` is below `STOP_REL` |t|.  Any other failure is a
     StiffnessError.  The verdict of both flows comes from that sample alone
     (`_verdict`).  Segments are kept only under `opts.collect_dense`.
 
@@ -543,26 +530,28 @@ def _drive(solver, opts: IntegratorOptions, on_step, n: int) -> tuple[Verdict, l
         FlowError: the step budget `opts.max_steps` was exhausted.
         StiffnessError: the solver failed away from a singularity.
     """
+    ts, states, rics = [solver.t], [solver.y], [sample(solver.t, solver.y)]
     segments: list = []
-    n_steps = 0
     # The initial sample, at t = 0, never meets the stop rule, so a run
-    # returns only after an accepted step has set ric.
-    t, r, singular = 0.0, 0.0, False
+    # returns only after an accepted step.
+    singular = False
     while not singular and solver.status == "running":
-        if n_steps >= opts.max_steps:
+        if len(ts) > opts.max_steps:
             raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {solver.t}")
         msg = solver.step()
-        n_steps += 1
         if solver.status != "failed":
             if opts.collect_dense:
                 segments.append(solver.dense_output())
-            ric = on_step(solver)
-            t, r = solver.t, np.trace(ric)
+            ts.append(solver.t)
+            states.append(solver.y)
+            rics.append(sample(solver.t, solver.y))
+        t, ric = ts[-1], rics[-1]
+        r = np.trace(ric)
         singular = _time_left(t, r, n) < STOP_REL * abs(t)
         if not singular and solver.status == "failed":
             raise StiffnessError(f"integrator failed at t = {solver.t}: {msg}")
     # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
-    return _verdict(singular, t, r, np.sum(ric * ric), n), segments
+    return _Run(_verdict(singular, t, r, np.sum(ric * ric), n), np.array(ts), states, np.array(rics), segments)
 
 
 def _verdict(singular: bool, t: float, r: float, tr_ric_sq: float, n: int) -> Verdict:
@@ -698,14 +687,16 @@ class EstimateReport:
     minimum of |omega_est - t|^(1/2) |mu(t)| over the resolved blowup tail
     (see `_resolved_tail`; None when the run is not a blowup or no tail
     sample is resolved); scalar_evolution_max_relerr compares a finite-difference
-    dR/dt against 2 tr Ric^2; monotone_R_violation measures any decrease of R
-    in forward time relative to 1 + |R|; comparison_slack is the minimum of
-    (R(t) - comp(t)) / comp(t), R against the scalar comparison solution
-    comp(t) = 1 / (1/R(0) - 2t/n) in units of comp, so that it does not
-    change under mu -> c mu (bit for bit when c is a power of 2); it is
-    computed for forward runs with R(0) > 0 on the inner 99% of the
-    comparison lifespan (None otherwise), and is >= 0 up to the error of the
-    integration, since R never falls below comp.
+    dR/dt against 2 tr Ric^2, relative to 2 tr Ric^2; monotone_R_violation
+    measures the largest decrease of R between consecutive samples in forward
+    time, relative to the larger |R| of the pair; comparison_slack is the
+    minimum of (R(t) - comp(t)) / comp(t), R against the scalar comparison
+    solution comp(t) = 1 / (1/R(0) - 2t/n) in units of comp; it is computed
+    for forward runs with R(0) > 0 over the samples with t > 0 on the inner
+    99% of the comparison lifespan (None otherwise), and is >= 0 up to the
+    error of the integration, since R never falls below comp.  All three
+    are relative, with 0 / 0 read as 0, so they do not change under
+    mu -> c mu (bit for bit when c is a power of 2).
     """
 
     velocity_ratio_max: float
@@ -746,11 +737,11 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
 
     target = 2.0 * traj.tr_ric_sq[2:-2]
     fd = _local_derivatives(traj.t, traj.scalar_R)
-    evol_err = float(np.max(np.abs(fd - target) / np.maximum(np.abs(target), 1e-30)))
+    evol_err = float(np.max(_ratio(np.abs(fd - target), np.abs(target))))
 
-    order = np.argsort(traj.t)
-    r_asc = traj.scalar_R[order]
-    drops = (r_asc[:-1] - r_asc[1:]) / (1.0 + np.abs(r_asc[:-1]))
+    r_asc = traj.scalar_R[np.argsort(traj.t)]
+    before, after = r_asc[:-1], r_asc[1:]
+    drops = _ratio(before - after, np.maximum(np.abs(before), np.abs(after)))
     monotone = float(max(0.0, np.max(drops)))
 
     floor = None
@@ -765,7 +756,8 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
     n = traj.dims.n
     if traj.direction == "forward" and r0 > 0:
         t_pole = (n / 2.0) / r0
-        mask = traj.t <= 0.99 * t_pole
+        # At t = 0, R equals comp exactly, which would cap the slack at 0.
+        mask = (traj.t > 0) & (traj.t <= 0.99 * t_pole)
         if np.any(mask):
             comp = 1.0 / (1.0 / r0 - (2.0 / n) * traj.t[mask])
             slack = float(np.min((traj.scalar_R[mask] - comp) / comp))
@@ -777,6 +769,12 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
         monotone_R_violation=monotone,
         comparison_slack=slack,
     )
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # num / den with 0 / 0 read as 0; den >= 0, and num / 0 is +-inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(num == 0, 0.0, num / den)
 
 
 def _resolved_tail(traj: Trajectory) -> np.ndarray:

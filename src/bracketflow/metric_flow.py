@@ -18,12 +18,13 @@ Cholesky factor from dpotrf, and the symmetric square root V W^1/2 V^T has
 the inverse V W^-1/2 V^T from the same eigendecomposition.  The flow is
 integrated on the bracket flow's monitored stepping loop (`flow._drive`),
 with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
-on the flat n x n matrix.  The two flows are one flow in two coordinates,
-so they share the scale-free stop rule on R (`flow.STOP_REL`), the
-singular-time estimate from the stop sample and the far bound n / (2|R|)
-on it.  They can be compared through their isometry invariants (scalar
-curvature, Ricci spectra, singularity verdicts), which the equivalence of
-the flows says must agree.
+on the flat n x n matrix; `_drive` keeps the samples, and the metric flow's
+only per-sample work is Ric of the pushed bracket.  The two flows are one
+flow in two coordinates, so they share the scale-free stop rule on R
+(`flow.STOP_REL`), the singular-time estimate from the stop sample and the
+far bound n / (2|R|) on it.  They can be compared through their isometry
+invariants (scalar curvature, Ricci spectra, singularity verdicts), which
+the equivalence of the flows says must agree.
 """
 
 from __future__ import annotations
@@ -74,13 +75,13 @@ class MetricState:
 class MetricTrajectory:
     """Sampled metric-flow solution.
 
-    Series are kept at every sample, one per accepted step, with the
-    stepper's raw states; `scalar_R` and `ric_eigs`, the sorted Ricci
-    spectra, are read off the stacked Ricci matrices once, at the end, the
-    spectra in one batched call.  The verdict is
-    built from the stop sample as the bracket flow's is (`flow._drive`), so
-    its fields mean the same on both flows.  `checkpoints` is a lazy
-    read-only Sequence[MetricState] over those states, built on access like
+    The samples are those `flow._drive` keeps for both flows, at t = 0 and
+    after each accepted step, with the stepper's raw states; `scalar_R` is
+    read off their stacked Ricci matrices as the bracket flow's is, and
+    `ric_eigs`, the sorted Ricci spectra, in one batched call.  The verdict
+    is built from the stop sample as the bracket flow's is, so its fields
+    mean the same on both flows.  `checkpoints` is a lazy read-only
+    Sequence[MetricState] over those states, built on access like
     `Trajectory.checkpoints`.  Times are physical: decreasing for backward
     runs.
     """
@@ -229,36 +230,19 @@ def metric_flow_integrate(
         # -2 P RicOp(P) = -2 L^T ric L, symmetrised.
         return _sym(-2.0 * (ell.T @ ric @ ell)).ravel()
 
-    ts, rics = [], []
-    states: list[np.ndarray] = []
-
-    def record(t, y):
-        # Keeps y itself: the stepper never writes an array it has handed out.
-        # Keeps Ric, whose traces and spectra are read once at the end, and
-        # returns it for `_drive`'s stop rule and verdict.
-        ric = _pushed_ric(mu0, y.reshape(n, n))[0]
-        ts.append(t)
-        rics.append(ric)
-        states.append(y)
-        return ric
-
-    record(0.0, p0.ravel())
     atol = _abs_tol(opts, float(np.linalg.norm(p0)))
     solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=atol)
-    verdict, segments = _drive(solver, opts, lambda solver: record(solver.t, solver.y), n)
-    t_arr = np.array(ts)
-    ric_arr = np.array(rics)
-    dense = DenseSolution([0.0] + [seg.t for seg in segments], segments) if opts.collect_dense else None
+    run = _drive(solver, opts, lambda _t, y: _pushed_ric(mu0, y.reshape(n, n))[0], n)
     return MetricTrajectory(
         direction=direction,
         horizon=horizon,
         bracket=mu0,
-        t=t_arr,
-        scalar_R=np.trace(ric_arr, axis1=1, axis2=2),
-        ric_eigs=np.linalg.eigvalsh(ric_arr),
-        checkpoints=_Checkpoints(t_arr, states, lambda t, y: MetricState(t, _sym(y.reshape(n, n)))),
-        verdict=verdict,
-        dense=dense,
+        t=run.t,
+        scalar_R=run.scalar_R,
+        ric_eigs=np.linalg.eigvalsh(run.ric),
+        checkpoints=_Checkpoints(run.t, run.states, lambda t, y: MetricState(t, _sym(y.reshape(n, n)))),
+        verdict=run.verdict,
+        dense=DenseSolution(run.t, run.segments) if run.segments else None,
     )
 
 

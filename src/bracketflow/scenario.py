@@ -46,8 +46,9 @@ last sample, and `far_one_sided_bound`, the far comparison bound),
 `residual_rows` (`Trajectory.residual_rows`: the residual rows the drift
 check read per step, 0 for a vacuous check, never null) and the full
 estimate report (`estimates`, with `velocity_ratio_max`, the largest
-|dmu/dt| / |mu|^3, and `comparison_slack`, in units of the comparison
-solution).
+|dmu/dt| / |mu|^3, `monotone_R_violation`, the largest drop of R relative
+to the larger |R| of its pair of samples, and `comparison_slack`, in units
+of the comparison solution over the samples with t > 0).
 
 Exit codes: 0 success, 1 verdict contradicts declared expectations,
 2 load/validation error, 3 integrator failure.

@@ -774,6 +774,19 @@ def test_residual_forms_have_no_row_on_a_two_step_nilpotent_support(n, seed, dat
     assert _residual_forms(n, 0, _flow_table(mu).support).rows == 0
 
 
+@pytest.mark.parametrize("q, n", [(0, 3), (1, 2)])
+def test_forms_with_no_terms_give_float_zeros(q, n):
+    # The empty support's table, the zero bracket's, has no Q or P term, and
+    # np.bincount of no terms would ignore the float weights and count in
+    # int64.
+    table = _flow_table(LieBracket.zero(q, n))
+    u = np.zeros(0)
+    r = table.q_form(u, u)
+    assert r.dtype == np.float64 and np.array_equal(r, np.zeros(table.rows))
+    dy = table.p_form(r, u)
+    assert dy.dtype == np.float64 and dy.shape == (0,)
+
+
 def test_residual_forms_at_n13_are_empty():
     mu = random_two_step_nilpotent(13, np.random.default_rng(0))
     forms = _residual_forms(13, 0, _flow_table(mu).support)

@@ -760,8 +760,8 @@ def test_comparison_slack_is_bit_identical_under_power_of_2_rescaling(name, k):
     # comparison solution, which scales as R does, and the run of 2^k mu
     # takes the same steps bit for bit, so the slack is the same number at
     # every scale (as R - comp it read -2.2e-13, -2.3e-7 and -0.246 on
-    # su2_round at k = -10, 0 and 10).  It is 0 at t = 0, where R is the
-    # comparison solution, and R never falls below it but by rounding.
+    # su2_round at k = -10, 0 and 10).  R never falls below the comparison
+    # solution but by rounding.
     entry = get_entry(name)
 
     def slack(c):
@@ -769,8 +769,18 @@ def test_comparison_slack_is_bit_identical_under_power_of_2_rescaling(name, k):
         return estimate_report(traj).comparison_slack
 
     ref = slack(1.0)
-    assert -1e-8 <= ref <= 0.0
+    assert ref >= -1e-8
     assert slack(2.0**k) == ref
+
+
+def test_comparison_slack_shows_the_margin_of_sphere2_times_line():
+    # R runs above the comparison solution once t > 0, by 7.35e-5 of it at
+    # the least.  The t = 0 sample is not read: there the two are equal, and
+    # the slack could never be positive.
+    entry = get_entry("sphere2_times_line")
+    traj = integrate(entry.bracket, "forward", entry.default_horizon["forward"])
+    assert traj.t[0] == 0.0 and traj.scalar_R[0] > 0
+    assert 5e-5 < estimate_report(traj).comparison_slack < 1e-4
 
 
 def test_estimate_report_needs_enough_samples(su2_forward):
@@ -983,6 +993,24 @@ def test_sign_flipped_dynamics_contradict_su2_blowup():
     # the override supplies only the derivative; R is still the checkpoint's
     expected = [ricci_operator(cp.mu, check=False).scalar for cp in traj.checkpoints]
     np.testing.assert_allclose(traj.scalar_R, expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+def test_mutant_diagnostics_are_bit_identical_under_power_of_2_rescaling(k):
+    # Each drop of R is read relative to the larger |R| of its pair, and the
+    # error of dR/dt relative to 2 tr Ric^2, so the sign-flipped mutant of
+    # acceptance criterion C5 reads the same numbers at every scale.  As a
+    # drop relative to 1 + |R| its violation read 5.2e-8, 0.022 and 0.038 at
+    # k = -10, 0 and 10: at k = -10 it would pass C5's 1e-3 as monotone.
+    flipped = lambda mu: scale_bracket(bracket_flow_rhs(mu), -1.0)
+
+    def diagnostics(c):
+        rep = estimate_report(integrate(scale_bracket(SU2, c), "forward", 2.0 / c**2, rhs=flipped))
+        return rep.monotone_R_violation, rep.scalar_evolution_max_relerr
+
+    ref = diagnostics(1.0)
+    assert ref[0] > 1e-3
+    assert diagnostics(2.0**k) == ref
 
 
 # --- work per step ------------------------------------------------------------
