@@ -18,7 +18,6 @@ from .algebra import (
     Dimensions,
     LieBracket,
     NotInVarietyError,
-    adjoint_matrices,
     bracket_norm,
     check_conditions,
     jacobiator,

@@ -31,7 +31,6 @@ __all__ = [
     "transform_bracket",
     "jacobiator",
     "check_conditions",
-    "adjoint_matrices",
     "random_bracket",
     "random_two_step_nilpotent",
 ]
@@ -64,10 +63,6 @@ class Dimensions:
     @property
     def d(self) -> int:
         return self.q + self.n
-
-    @property
-    def k_slice(self) -> slice:
-        return slice(0, self.q)
 
     @property
     def p_slice(self) -> slice:
@@ -184,8 +179,8 @@ class ConditionReport:
     to its degree (`_relative_residuals`), as the drift check along the flow
     does, so the check does not depend on the scale of mu: 2^k mu passes
     exactly when mu does.  The closedness of the isotropy subgroup is not
-    computable from structure constants; it travels as the human-authored
-    h2_note.
+    computable from structure constants; it is a human-authored note
+    (`catalog.CatalogEntry.h2_note`, the `h2_note` scenario key).
     """
 
     jacobi_residual: float
@@ -193,17 +188,13 @@ class ConditionReport:
     h3_residual: float
     h4_kernel_dim: int
     mu_norm: float
-    h2_note: str = ""
 
     def relative(self) -> tuple[float, float, float]:
         """(jacobi, h1, h3) residuals relative to |mu|^2, |mu| and |mu|."""
         return _relative_residuals(self.jacobi_residual, self.h1_residual, self.h3_residual, self.mu_norm**2)
 
-    def passes(self, tol: float = DEFAULT_TOL, require_h4: bool = True) -> bool:
-        ok = all(r <= tol for r in self.relative())
-        if require_h4:
-            ok = ok and self.h4_kernel_dim == 0
-        return ok
+    def passes(self, tol: float = DEFAULT_TOL) -> bool:
+        return all(r <= tol for r in self.relative()) and self.h4_kernel_dim == 0
 
     def worst(self) -> tuple[str, float]:
         """Name and relative value of the largest residual (h4 counts as 1.0 per kernel dim)."""
@@ -302,11 +293,6 @@ def jacobiator(mu: LieBracket) -> np.ndarray:
     return a + a.transpose(2, 0, 1, 3) + a.transpose(1, 2, 0, 3)
 
 
-def adjoint_matrices(mu: LieBracket) -> np.ndarray:
-    """Stack of matrices ad X_i acting on all of g: ads[i][r, s] = c[i, s, r]."""
-    return np.swapaxes(mu.c, 1, 2).copy()
-
-
 @cache
 def _triple_plan(d: int) -> np.ndarray:
     # (3, T*d) read-only flat indices into a[i,j,l,k] (shape (d,)*4) of the
@@ -374,7 +360,7 @@ def _relative_residuals(jac: float, h1: float, h3: float, nsq: float) -> tuple[f
     return jac / nsq, h1 / norm, h3 / norm
 
 
-def check_conditions(mu: LieBracket, h2_note: str = "") -> ConditionReport:
+def check_conditions(mu: LieBracket) -> ConditionReport:
     """Measure how far a bracket is from the admissible set.
 
     Returns raw residuals (the first three from `_residuals`) and |mu|:
@@ -389,7 +375,7 @@ def check_conditions(mu: LieBracket, h2_note: str = "") -> ConditionReport:
     q = mu.dims.q
     jac, h1, h3 = _residuals(mu.c, q)
     h4_kernel = q - int(np.linalg.matrix_rank(mu.c[:q, q:, :].reshape(q, -1))) if q else 0
-    return ConditionReport(jac, h1, h3, h4_kernel, bracket_norm(mu), h2_note)
+    return ConditionReport(jac, h1, h3, h4_kernel, bracket_norm(mu))
 
 
 def random_bracket(q: int, n: int, rng: np.random.Generator, scale: float = 1.0) -> LieBracket:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieBracket
-from .flow import IntegratorOptions, Trajectory, integrate
+from .flow import IntegratorOptions, Trajectory, _ratio, integrate
 
 __all__ = ["CatalogEntry", "catalog_entries", "get_entry", "cover_dichotomy_check", "DichotomyVerdict"]
 
@@ -216,11 +216,12 @@ def cover_dichotomy_check(
     """Check the cover dichotomy on one entry.
 
     Cover R^n: the forward flow must reach its horizon with R(t) <= 0
-    throughout.  Cover not R^n: the entry carries R(0) > 0 and must hit a
-    forward singularity no later than (n/2) / R(0) (plus reporting slack).
-    A contradiction yields a failing verdict, not an exception.
+    throughout, up to 1e-9 of the run's max |R|.  Cover not R^n: the entry
+    carries R(0) > 0 and must hit a forward singularity no later than
+    bound = (n/2) / R(0), up to 1e-3 of the bound.  Both slacks are relative, so
+    the verdict does not change under mu -> c mu with r0 c^2 and the horizon
+    / c^2.  A contradiction yields a failing verdict, not an exception.
     """
-    tol = 1e-3
     traj = trajectory
     if traj is None:
         traj = integrate(entry.bracket, "forward", entry.default_horizon["forward"], opts)
@@ -229,7 +230,7 @@ def cover_dichotomy_check(
         if traj.verdict.kind not in ("immortal", "flat"):
             return DichotomyVerdict(entry.name, False, f"expected immortal forward flow, got {traj.verdict.kind}")
         worst = float(np.max(traj.scalar_R))
-        if worst > 1e-9:
+        if _ratio(worst, np.max(np.abs(traj.scalar_R))) > 1e-9:
             return DichotomyVerdict(entry.name, False, f"R reached {worst:.3e} > 0 on a cover-R^n entry")
         return DichotomyVerdict(entry.name, True, f"immortal to horizon, max R = {worst:.3e}")
     # not R^n: this entry is the positive-curvature witness
@@ -238,7 +239,7 @@ def cover_dichotomy_check(
     if traj.verdict.kind != "blowup":
         return DichotomyVerdict(entry.name, False, f"expected forward blowup, got {traj.verdict.kind}")
     bound = (n / 2.0) / entry.r0
-    if traj.verdict.omega_est > bound + tol:
+    if traj.verdict.omega_est - bound > 1e-3 * bound:
         return DichotomyVerdict(
             entry.name,
             False,

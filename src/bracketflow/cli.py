@@ -101,21 +101,15 @@ def _catalog_scenario(args) -> Scenario:
     horizon = args.horizon if args.horizon is not None else entry.default_horizon[direction]
     if not (math.isfinite(horizon) and horizon > 0):
         raise ScenarioError(f"--horizon must be finite and positive, got {horizon}")
-    expected_kind, expected_time = entry.expected[direction]
-    scenario = Scenario(
+    return Scenario(
         name=entry.name,
-        catalog_name=entry.name,
+        bracket=entry.bracket,
+        source=entry.name,
         directions=(direction,),
         horizon=horizon,
         h2_note=entry.h2_note,
-        expect={direction: expected_kind},
+        expected={direction: entry.expected[direction]},
     )
-    if expected_time is not None:
-        if direction == "forward":
-            scenario.expect_omega = expected_time
-        else:
-            scenario.expect_alpha = expected_time
-    return scenario
 
 
 if __name__ == "__main__":

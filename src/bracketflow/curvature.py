@@ -93,25 +93,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RicciData:
-    """Ricci operator on p together with its constituents.
+    """Ricci operator on p and the curvature scalars read off it.
 
     Attributes:
         ric: n x n symmetric matrix of the Ricci operator.
         scalar: scalar curvature, tr(ric).
         ric_sq_trace: tr(ric^2), the quantity driving the scalar-curvature
             evolution along the flow.
-        killing_p: Killing form restricted to p.
-        mean_curvature: the vector H in p.
-        moment_part: the moment-map contribution M.
         riem_sq: |Riem|^2 when computed by the Koszul oracle, else None.
+
+    The constituents of Ric = M - B/2 - S(ad H|_p) are the functions
+    `moment_part`, `killing_form_p` and `mean_curvature`.
     """
 
     ric: np.ndarray
     scalar: float
     ric_sq_trace: float
-    killing_p: np.ndarray
-    mean_curvature: np.ndarray
-    moment_part: np.ndarray
     riem_sq: float | None = None
 
 
@@ -641,9 +638,7 @@ def ricci_operator(mu: LieBracket, check: bool = True) -> RicciData:
     if check:
         check_conditions(mu).require(DEFAULT_TOL)
     ric = _ricci_from_tensor(mu.c, mu.dims.q)
-    return RicciData(
-        ric, float(ric.trace()), float(np.vdot(ric, ric)), killing_form_p(mu), mean_curvature(mu), moment_part(mu)
-    )
+    return RicciData(ric, float(ric.trace()), float(np.vdot(ric, ric)))
 
 
 def _koszul_pieces(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -675,13 +670,9 @@ def koszul_ricci_oracle(mu: LieBracket) -> RicciData:
     _, riem = _koszul_pieces(mu.c)
     ric = np.einsum("ijli->jl", riem)
     ric = 0.5 * (ric + ric.T)
-    scalar = float(np.trace(ric))
     return RicciData(
         ric=ric,
-        scalar=scalar,
+        scalar=float(np.trace(ric)),
         ric_sq_trace=float(np.sum(ric * ric)),
-        killing_p=killing_form_p(mu),
-        mean_curvature=mean_curvature(mu),
-        moment_part=moment_part(mu),
         riem_sq=float(np.sum(riem * riem)),
     )

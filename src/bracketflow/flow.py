@@ -42,7 +42,8 @@ LieBracket is built but the override's.  The states stay raw arrays;
 `Trajectory.checkpoints` wraps them as FlowStates only when read.  The zero
 bracket, an exact fixed point, is not stepped: its run is 33 stationary
 samples with Ric = 0 and a zero dense output, built into a Trajectory as
-every other run is.
+every other run is.  An override is called once there, and one that moves
+the zero bracket is refused: with |mu0| = 0 its run has no step scale.
 
 The stop rule is scale free and the same for both flows.  Along either
 flow dR/dt = 2 tr Ric^2 >= (2/n) R^2, so once R has the sign of the time
@@ -396,7 +397,8 @@ def integrate(
             `opts.membership_tol`.
         StiffnessError: step size underflowed before the stop rule fired.
         DriftError: admissibility residuals exceeded `opts.drift_tol`.
-        FlowError: the step budget was exhausted.
+        FlowError: the step budget was exhausted, or an `rhs` override has a
+            nonzero derivative at the zero bracket.
     """
     opts = opts or IntegratorOptions()
     t_end = _end_time(direction, horizon)
@@ -406,7 +408,10 @@ def integrate(
     q, d = dims.q, dims.d
     norm = bracket_norm(initial)
     # An override may leave the flow's support, so it steps on the whole
-    # half; the zero bracket is not stepped.
+    # half; the zero bracket is not stepped, so an override that moves it
+    # is refused: its run has no scale to step on.
+    if norm == 0.0 and rhs is not None and np.any(rhs(initial).c):
+        raise FlowError("the rhs override moves the zero bracket, whose run has no step scale (|mu0| = 0)")
     whole = rhs is not None and norm > 0.0
     table = _rhs_table(d, q, tuple(range(_half_indices(d)[0].size))) if whole else _flow_table(initial)
     forms = _residual_forms(d, q, table.support)
@@ -706,12 +711,6 @@ class EstimateReport:
     comparison_slack: float | None
 
 
-def _velocity_ratio_max(mu_norm: np.ndarray, rhs_norm: np.ndarray) -> float:
-    # max |dmu/dt| / |mu|^3 over the samples with |mu| > 0, 0.0 if there are none
-    live = mu_norm > 0
-    return float(np.max(rhs_norm[live] / mu_norm[live] ** 3, initial=0.0))
-
-
 def _local_derivatives(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     # dy/dt at samples 2 .. m-3 from the quartic through each 5-sample window, in one
     # batched solve; tau / s keeps it conditioned near a singularity, where spacings
@@ -730,10 +729,8 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
     m = traj.n_samples
     if m < 20:
         raise ValueError(f"need at least 20 samples for the estimate report, got {m}")
-    if np.all(traj.mu_norm == 0.0):
-        return EstimateReport(0.0, None, 0.0, 0.0, None)
 
-    velocity_ratio = _velocity_ratio_max(traj.mu_norm, traj.rhs_norm)
+    velocity_ratio = float(np.max(_ratio(traj.rhs_norm, traj.mu_norm**3)))
 
     target = 2.0 * traj.tr_ric_sq[2:-2]
     fd = _local_derivatives(traj.t, traj.scalar_R)

@@ -41,7 +41,8 @@ from .curvature import _ricci_from_tensor
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 # DenseSolution and integrate are called by these names so that flowbench can trace them.
-from .flow import DenseSolution, IntegratorOptions, Verdict, _abs_tol, _Checkpoints, _drive, _end_time, integrate
+from .flow import DenseSolution, IntegratorOptions, Verdict, integrate
+from .flow import _abs_tol, _Checkpoints, _drive, _end_time, _ratio
 
 __all__ = [
     "MetricState",
@@ -246,10 +247,12 @@ def metric_flow_integrate(
     )
 
 
-def _comparison_grid(t_cap: float, n_linear: int = 48, n_log: int = 48) -> np.ndarray:
-    lin = np.linspace(0.0, 0.9 * t_cap, n_linear, endpoint=False)
-    log = t_cap - np.geomspace(0.1 * t_cap, t_cap * 1e-3, n_log)
-    return np.unique(np.concatenate([lin, log, [t_cap]]))
+def _comparison_grid(n_linear: int = 48, n_log: int = 48) -> np.ndarray:
+    # The comparison times on [0, 1], to be scaled to the compared interval:
+    # a product with its end scales exactly, geomspace(0.1 t, 1e-3 t) does not.
+    lin = np.linspace(0.0, 0.9, n_linear, endpoint=False)
+    log = 1.0 - np.geomspace(0.1, 1e-3, n_log)
+    return np.unique(np.concatenate([lin, log, [1.0]]))
 
 
 def equivalence_check(
@@ -264,8 +267,12 @@ def equivalence_check(
     on a shared grid, reading each flow's dense output once for the whole
     grid.  An immortal pair is compared over the full horizon; a
     singular pair over the first `COVERAGE` fraction of the common interval
-    (see the constant for why).  Returns the maximum gap, relative to
-    max(1, |R|).
+    (see the constant for why).  Returns the maximum gap, each grid time's
+    relative to sqrt(n) max(|Ric_b|, |Ric_m|) in the Frobenius norm there:
+    that is at least |R| (Cauchy-Schwarz), equal to it on an Einstein
+    metric, and 0 only where both Ric are 0, where the gap reads 0.  So the
+    gap does not change under mu0 -> c mu0 with horizon / c^2 (bit for bit
+    when c is a power of 2).
 
     Raises:
         ValueError: the bracket has isotropy (q > 0), before either flow runs.
@@ -278,7 +285,7 @@ def equivalence_check(
 
     t_end = min(abs(bt.t[-1]), abs(mt.t[-1]))
     singular = bt.verdict.kind == "blowup" or mt.verdict.kind == "blowup"
-    grid = _comparison_grid(COVERAGE * t_end if singular else t_end)
+    grid = (COVERAGE * t_end if singular else t_end) * _comparison_grid()
     n = mu0.dims.n
     # One contiguous row per grid time, as a single-time dense call returns it.
     states_b = np.ascontiguousarray(bt.dense(grid).T)
@@ -291,6 +298,6 @@ def equivalence_check(
     ])
     r_b, r_m = np.trace(rics, axis1=2, axis2=3)
     eig_b, eig_m = np.linalg.eigvalsh(rics)
-    scale = np.maximum(1.0, np.maximum(np.abs(r_b), np.abs(r_m)))
+    scale = np.sqrt(n) * np.max(np.linalg.norm(rics, axis=(2, 3)), axis=0)
     eig_gap = np.max(np.abs(eig_b - eig_m), axis=1)
-    return float(max(np.max(np.abs(r_b - r_m) / scale), np.max(eig_gap / scale)))
+    return float(max(np.max(_ratio(np.abs(r_b - r_m), scale)), np.max(_ratio(eig_gap, scale))))

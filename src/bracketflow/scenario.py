@@ -21,15 +21,21 @@ initial data is either a catalog reference or inline structure constants:
     expect_tol = 1e-3
 
 Bracket indices in files are 1-based, as in hand calculations; they are
-converted to 0-based internally.  Inline brackets are validated at load
-time; a failing admissibility condition rejects the scenario naming the
-offending residual.  `validation_tol` is the one membership tolerance: it
-sets `IntegratorOptions.membership_tol`, so loading and integrating accept
-the same brackets, and it bounds each residual relative to |mu| to its
-degree.  Every value is checked as it is read, and a bad one is rejected
-naming its line: a bracket value must be finite, `direction` one of
-forward, backward or both, `horizon` finite and positive, `sample_stride` an
-int >= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
+converted to 0-based internally.  The bracket is built once, at load time,
+and the loaded `Scenario` runs it: the catalog entry's, or the inline one,
+which is validated there; a failing admissibility condition rejects the
+scenario naming the offending residual.  The scenario keeps its `source`
+(the catalog name or "inline") and its expectations as `expected`, in the
+shape of `CatalogEntry.expected`: {direction: (kind | None, time | None)},
+where `expect_omega` is the forward time and `expect_alpha` the backward
+one, so `catalog run` passes an entry's expectation as it is.
+
+`validation_tol` is the one membership tolerance: it sets
+`IntegratorOptions.membership_tol`, so loading and integrating accept the
+same brackets, and it bounds each residual relative to |mu| to its degree.
+Every value is checked as it is read, and a bad one is rejected naming its
+line: a bracket value must be finite, `direction` one of forward, backward
+or both, `horizon` finite and positive, `sample_stride` an int >= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
 finite and positive, `expect_omega` and `expect_alpha` finite.  The
 integrator overrides are checked together once every key is read, since
 `validation_tol` may not exceed `drift_tol` (default 1e-6): the drift check
@@ -86,28 +92,28 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
+    """A loaded scenario: the bracket it runs and how to run and check it.
+
+    source is the catalog entry's name, or "inline", as the report gives it.
+    expected maps a direction to (kind | None, time | None), the shape of
+    `CatalogEntry.expected`: the verdict kind and the singular time (omega
+    forward, alpha backward) that run must give, time within expect_tol.
+    overrides are the `IntegratorOptions` fields the file sets.
+    """
+
     name: str
-    catalog_name: str | None = None
-    q: int | None = None
-    n: int | None = None
-    triples: list | None = None
+    bracket: LieBracket
+    source: str = "inline"
     directions: tuple = ("forward",)
     horizon: float = 10.0
     overrides: dict = field(default_factory=dict)
     sample_stride: int = 1
     h2_note: str = ""
-    expect: dict = field(default_factory=dict)
-    expect_omega: float | None = None
-    expect_alpha: float | None = None
+    expected: dict = field(default_factory=dict)
     expect_tol: float = 1e-3
 
     def options(self, base: IntegratorOptions | None = None) -> IntegratorOptions:
         return replace(base or IntegratorOptions(), **self.overrides)
-
-    def bracket(self) -> LieBracket:
-        if self.catalog_name is not None:
-            return get_entry(self.catalog_name).bracket
-        return LieBracket.from_triples(self.q, self.n, self.triples, one_indexed=True)
 
 
 def _finite(value: str) -> float:
@@ -178,7 +184,6 @@ def load_scenario(path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read as UTF-8 text: {exc}") from exc
-    sc = Scenario(name=path.stem)
     raw: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -202,65 +207,69 @@ def load_scenario(path) -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
 
-    sc.name = take("name", str, sc.name)
-    sc.catalog_name = take("catalog", str)
-    sc.q = take("q", int)
-    sc.n = take("n", int)
+    name = take("name", str, path.stem)
+    catalog = take("catalog", str)
+    q = take("q", int)
+    n = take("n", int)
+    triples = None
     bracket_line = 0
     if "bracket" in raw:
         value, bracket_line = raw.pop("bracket")
-        sc.triples = _parse_triples(value, str(path), bracket_line)
-    sc.directions = take("direction", _directions, sc.directions)
-    sc.horizon = take("horizon", _positive_finite, sc.horizon)
-    sc.sample_stride = take("sample_stride", _positive_int, 1)
-    sc.h2_note = take("h2_note", str, "")
+        triples = _parse_triples(value, str(path), bracket_line)
+    directions = take("direction", _directions, ("forward",))
+    horizon = take("horizon", _positive_finite, 10.0)
+    sample_stride = take("sample_stride", _positive_int, 1)
+    h2_note = take("h2_note", str, "")
+    overrides = {}
     given = {}
     for key, conv in _OPTS_KEYS.items():
         # validation_tol is the file's name for the membership tolerance
-        name = "membership_tol" if key == "validation_tol" else key
+        option = "membership_tol" if key == "validation_tol" else key
         if key in raw:
-            given[name] = (key, raw[key][1])
+            given[option] = (key, raw[key][1])
         val = take(key, conv)
         if val is not None:
-            sc.overrides[name] = val
+            overrides[option] = val
     try:
-        sc.options()
+        opts = replace(IntegratorOptions(), **overrides)
     except ValueError as exc:
         # IntegratorOptions names the fields it refuses: name the first line that gave one
-        key, lineno = next(given[name] for name in given if name in str(exc))
+        key, lineno = next(given[option] for option in given if option in str(exc))
         raise ScenarioError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    for direction in ("forward", "backward"):
-        kind = take(f"expect_{direction}", _verdict_kind)
-        if kind is not None:
-            sc.expect[direction] = kind
-    sc.expect_omega = take("expect_omega", _finite)
-    sc.expect_alpha = take("expect_alpha", _finite)
-    sc.expect_tol = take("expect_tol", _positive_finite, 1e-3)
+    kinds = [take(f"expect_{direction}", _verdict_kind) for direction in ("forward", "backward")]
+    times = [take("expect_omega", _finite), take("expect_alpha", _finite)]
+    expected = {
+        direction: (kind, time)
+        for direction, kind, time in zip(("forward", "backward"), kinds, times)
+        if (kind, time) != (None, None)
+    }
+    expect_tol = take("expect_tol", _positive_finite, 1e-3)
 
     if raw:
         key, (_, lineno) = next(iter(raw.items()))
         raise ScenarioError(f"{path}:{lineno}: unknown key {key!r}")
 
-    has_inline = sc.triples is not None or sc.q is not None or sc.n is not None
-    if sc.catalog_name is not None and has_inline:
-        raise ScenarioError(f"{path}: give either catalog = ... or inline q/n/bracket, not both")
-    if sc.catalog_name is None:
-        if sc.q is None or sc.n is None or sc.triples is None:
+    if catalog is not None:
+        if triples is not None or q is not None or n is not None:
+            raise ScenarioError(f"{path}: give either catalog = ... or inline q/n/bracket, not both")
+        try:
+            mu = get_entry(catalog).bracket
+        except KeyError as exc:
+            raise ScenarioError(f"{path}: {exc.args[0]}") from exc
+    else:
+        if q is None or n is None or triples is None:
             raise ScenarioError(f"{path}: inline scenarios need q, n and bracket")
         try:
-            mu = LieBracket.from_triples(sc.q, sc.n, sc.triples, one_indexed=True)
+            mu = LieBracket.from_triples(q, n, triples, one_indexed=True)
         except ValueError as exc:
             raise ScenarioError(f"{path}:{bracket_line}: {exc}") from exc
         try:
-            check_conditions(mu).require(sc.options().membership_tol)
+            check_conditions(mu).require(opts.membership_tol)
         except NotInVarietyError as exc:
             raise ScenarioError(f"{path}:{bracket_line}: inline bracket rejected: {exc}") from exc
-    else:
-        try:
-            get_entry(sc.catalog_name)
-        except KeyError as exc:
-            raise ScenarioError(f"{path}: {exc.args[0]}") from exc
-    return sc
+    return Scenario(
+        name, mu, catalog or "inline", directions, horizon, overrides, sample_stride, h2_note, expected, expect_tol
+    )
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path, stride: int = 1) -> None:
@@ -298,7 +307,6 @@ def run_scenario(scenario: Scenario, out_dir=".", base_opts: IntegratorOptions |
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     opts = scenario.options(base_opts)
-    mu = scenario.bracket()
     written = []
     failed = False
     contradicted = []
@@ -308,12 +316,12 @@ def run_scenario(scenario: Scenario, out_dir=".", base_opts: IntegratorOptions |
             "name": scenario.name,
             "direction": direction,
             "horizon": scenario.horizon,
-            "source": scenario.catalog_name or "inline",
+            "source": scenario.source,
             "h2_note": scenario.h2_note or None,
         }
         base = out_dir / f"{scenario.name}_{direction}"
         try:
-            traj = integrate(mu, direction, scenario.horizon, opts)
+            traj = integrate(scenario.bracket, direction, scenario.horizon, opts)
         except FlowError as exc:
             failed = True
             report["error"] = f"{type(exc).__name__}: {exc}"
@@ -337,10 +345,9 @@ def run_scenario(scenario: Scenario, out_dir=".", base_opts: IntegratorOptions |
             report["estimates"] = asdict(est)
 
         problems = []
-        want_kind = scenario.expect.get(direction)
+        want_kind, want_time = scenario.expected.get(direction, (None, None))
         if want_kind is not None and traj.verdict.kind != want_kind:
             problems.append(f"expected {want_kind}, got {traj.verdict.kind}")
-        want_time = scenario.expect_omega if direction == "forward" else scenario.expect_alpha
         if want_time is not None:
             got = traj.verdict.omega_est
             if got is None or abs(got - want_time) > scenario.expect_tol:

@@ -153,7 +153,8 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
 
     Runs both flows as the package does, then, at each grid time, makes one
     scalar dense call per flow, one Ricci assembly per flow and one sorted
-    spectrum per flow.
+    spectrum per flow, and reads both gaps relative to sqrt(n) times the
+    larger Frobenius norm of the two Ricci matrices (0 where both are 0).
     """
     from bracketflow import IntegratorOptions, integrate, metric_flow
     from bracketflow.curvature import _ricci_from_tensor
@@ -163,7 +164,7 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
     mt = metric_flow.metric_flow_integrate(mu0, np.eye(mu0.dims.n), "forward", horizon, opts)
     t_end = min(abs(bt.t[-1]), abs(mt.t[-1]))
     singular = bt.verdict.kind == "blowup" or mt.verdict.kind == "blowup"
-    grid = metric_flow._comparison_grid(metric_flow.COVERAGE * t_end if singular else t_end)
+    grid = (metric_flow.COVERAGE * t_end if singular else t_end) * metric_flow._comparison_grid()
     n = mu0.dims.n
     gap = 0.0
     for t in grid:
@@ -172,9 +173,10 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
         ric_m = metric_flow._pushed_ric(mu0, mt.dense(t).reshape(n, n))[0]
         eig_m = np.sort(np.linalg.eigvalsh(ric_m))
         r_b, r_m = np.trace(ric_b), np.trace(ric_m)
-        scale = max(1.0, abs(r_b), abs(r_m))
-        gap = max(gap, abs(r_b - r_m) / scale)
-        gap = max(gap, float(np.max(np.abs(eig_b - eig_m))) / scale)
+        scale = np.sqrt(n) * max(np.linalg.norm(ric_b), np.linalg.norm(ric_m))
+        if scale > 0:
+            gap = max(gap, abs(r_b - r_m) / scale)
+            gap = max(gap, float(np.max(np.abs(eig_b - eig_m))) / scale)
     return gap
 
 

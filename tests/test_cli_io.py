@@ -35,10 +35,10 @@ def test_load_catalog_reference(tmp_path):
         """,
     )
     sc = load_scenario(path)
-    assert sc.catalog_name == "su2_round"
+    assert sc.source == "su2_round"
     assert sc.directions == ("forward",)
     assert sc.horizon == 0.99
-    assert np.array_equal(sc.bracket().c, get_entry("su2_round").bracket.c)
+    assert np.array_equal(sc.bracket.c, get_entry("su2_round").bracket.c)
 
 
 def test_load_inline_heisenberg_equals_catalog(tmp_path):
@@ -55,7 +55,7 @@ def test_load_inline_heisenberg_equals_catalog(tmp_path):
     )
     sc = load_scenario(path)
     assert sc.directions == ("forward", "backward")
-    assert np.array_equal(sc.bracket().c, get_entry("heisenberg3").bracket.c)
+    assert np.array_equal(sc.bracket.c, get_entry("heisenberg3").bracket.c)
 
 
 def test_load_rejects_jacobi_violation_naming_residual(tmp_path):
@@ -123,7 +123,9 @@ def test_readme_scenario_block_loads(tmp_path):
     assert len(blocks) == 1
     sc = load_scenario(_write(tmp_path, "readme.scn", blocks[0]))
     assert sc.name == "heis-demo"
-    assert np.array_equal(sc.bracket().c, get_entry("heisenberg3").bracket.c)
+    assert np.array_equal(sc.bracket.c, get_entry("heisenberg3").bracket.c)
+    assert sc.source == "inline"
+    assert sc.expected == {"backward": ("blowup", -0.3333333333)}
     assert sc.options().membership_tol == 1e-10
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bracketflow import (
     DriftError,
+    FlowError,
     IntegratorOptions,
     LieBracket,
     NotInVarietyError,
@@ -213,6 +214,25 @@ def test_flat_input_returns_stationary_trajectory():
     bwd = integrate(FLAT, "backward", 5.0)
     assert bwd.verdict.kind == "flat"
     assert bwd.t[-1] == -5.0
+
+
+def test_an_override_that_moves_the_zero_bracket_is_refused():
+    # The zero bracket is not stepped: its override is called once, at mu0,
+    # and a nonzero derivative there is refused, not passed as a fixed point.
+    poison = LieBracket.from_triples(0, 3, [(0, 1, 2, 1e-3)]).c
+    with pytest.raises(FlowError, match="rhs override moves the zero bracket"):
+        integrate(FLAT, "forward", 1.0, rhs=lambda mu: LieBracket(mu.dims, mu.c + poison))
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return bracket_flow_rhs(mu)
+
+    traj = integrate(FLAT, "forward", 1.0, rhs=counted)
+    assert len(calls) == 1
+    assert traj.verdict.kind == "flat"
+    assert traj.n_samples == 33
+    assert traj.residual_rows == 0
 
 
 def test_integrate_rejects_non_member():

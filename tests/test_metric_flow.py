@@ -1,7 +1,11 @@
+import functools
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bracketflow import (
     IntegratorOptions,
@@ -14,9 +18,10 @@ from bracketflow import (
     metric_ricci,
     random_two_step_nilpotent,
     ricci_operator,
+    scale_bracket,
     transform_bracket,
 )
-from bracketflow.catalog import get_entry
+from bracketflow.catalog import catalog_entries, cover_dichotomy_check, get_entry
 
 from oracles import equivalence_gap_loop
 
@@ -177,6 +182,34 @@ def test_batched_gap_matches_the_per_point_loop(name):
     else:
         mu, horizon = get_entry(name).bracket, C8_HORIZONS[name]
     assert abs(equivalence_check(mu, horizon) - equivalence_gap_loop(mu, horizon)) <= 1e-15
+
+
+# C8's six gaps and every entry's cover dichotomy
+SCALE_CASES = [("gap", name) for name in C8_HORIZONS] + [("dichotomy", e.name) for e in catalog_entries()]
+
+
+@functools.cache
+def _reading(kind, name, c=1.0):
+    # C8's gap of c mu over horizon / c^2, or whether the cover dichotomy
+    # holds for the entry rescaled by c: bracket c mu, r0 c^2, horizons / c^2
+    entry = get_entry(name)
+    mu = scale_bracket(entry.bracket, c)
+    if kind == "gap":
+        return equivalence_check(mu, C8_HORIZONS[name] / c**2)
+    horizons = {direction: h / c**2 for direction, h in entry.default_horizon.items()}
+    return cover_dichotomy_check(replace(entry, bracket=mu, r0=entry.r0 * c**2, default_horizon=horizons)).ok
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(SCALE_CASES), k=st.integers(-20, 23))
+@example(case=("gap", "heisenberg3"), k=-20)
+@example(case=("gap", "nilpotent4"), k=23)
+@example(case=("dichotomy", "su2_round"), k=-20)
+def test_gaps_and_dichotomy_verdicts_are_bit_identical_under_power_of_2_rescaling(case, k):
+    # Both flows step bit for bit alike under mu -> 2^k mu, t -> t / 4^k, and
+    # the gap and the dichotomy read their slacks relative to the run's own
+    # scale: sqrt(n) |Ric| at each grid time, max |R| and the extinction bound.
+    assert _reading(*case, 2.0**k) == _reading(*case)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "su2_round", "nilpotent4"])
