@@ -15,16 +15,21 @@ from bracketflow import (
     integrate,
     metric_flow_integrate,
     metric_ricci,
+    ricci_operator,
+    transform_bracket,
 )
 
 heis = get_entry("heisenberg3").bracket
 
-# Gauge independence: Cholesky factor vs. symmetric square root.
+# Gauge independence: metric_ricci factors P by Cholesky; pushing the bracket
+# by the symmetric square root S of P (S^2 = P) gives the same curvature.
 rng = np.random.default_rng(0)
 w = rng.standard_normal((3, 3))
 p = w @ w.T + 3 * np.eye(3)
-_, sc_c = metric_ricci(heis, p, factor="cholesky")
-_, sc_s = metric_ricci(heis, p, factor="sqrt")
+vals, vecs = np.linalg.eigh(p)
+root = (vecs * np.sqrt(vals)) @ vecs.T
+_, sc_c = metric_ricci(heis, p)
+sc_s = ricci_operator(transform_bracket(heis, root)).scalar
 print(f"scalar curvature of a random metric: cholesky {sc_c:.15f} vs sqrt {sc_s:.15f}")
 
 # The shrinking round sphere: P(t) = (1 - t) I, singular at t = 1.

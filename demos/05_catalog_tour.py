@@ -10,11 +10,14 @@ import numpy as np
 
 from bracketflow import catalog_entries, cover_dichotomy_check, integrate
 
+forward_runs = {}
 print(f"{'entry':<20}{'R(0)':>8}  {'forward':<22}{'backward':<22}{'cover':<10}{'bound (n/2)/R0'}")
 for entry in catalog_entries():
     rows = {}
     for direction in ("forward", "backward"):
         traj = integrate(entry.bracket, direction, entry.default_horizon[direction])
+        if direction == "forward":
+            forward_runs[entry.name] = traj
         v = traj.verdict
         rows[direction] = v.kind if v.omega_est is None else f"{v.kind} @ {v.omega_est:.6f}"
     bound = f"{(entry.bracket.dims.n / 2) / entry.r0:+.4f}" if entry.r0 else "n/a"
@@ -25,7 +28,7 @@ for entry in catalog_entries():
 
 print("\ncover dichotomy check:")
 for entry in catalog_entries():
-    verdict = cover_dichotomy_check(entry)
+    verdict = cover_dichotomy_check(entry, forward_runs[entry.name])
     print(f"  {'ok' if verdict.ok else 'FAIL':<5} {entry.name:<20} {verdict.detail}")
 
 print("\nsign dichotomy: forward-immortal entries keep R <= 0, ancient-direction")

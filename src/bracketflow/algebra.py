@@ -131,14 +131,16 @@ class LieBracket:
 
         Args:
             q, n: the k/p split.
-            triples: iterable of (i, j, k, value) with <mu(X_i, X_j), X_k> = value.
-                Entries with i > j are accepted and folded into the i < j slot.
+            triples: iterable of (i, j, k, value) with <mu(X_i, X_j), X_k> = value,
+                the indices Python or numpy integers (not bools).  Entries
+                with i > j are accepted and folded into the i < j slot.
             one_indexed: interpret indices as 1-based (as written in hand
                 calculations) instead of 0-based.
 
         Raises:
-            ValueError: on out-of-range indices, i == j, a value that is not
-                finite, or two entries that disagree on the same unordered pair.
+            ValueError: on an index that is not an integer or out of range,
+                i == j, a value that is not finite, or two entries that
+                disagree on the same unordered pair.
         """
         dims = Dimensions(q, n)
         d = dims.d
@@ -146,6 +148,8 @@ class LieBracket:
         seen: dict[tuple[int, int, int], float] = {}
         for entry in triples:
             i, j, k, v = entry
+            if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (i, j, k)):
+                raise ValueError(f"bracket entry {entry}: indices must be integers")
             i, j, k = int(i) - off, int(j) - off, int(k) - off
             if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
                 raise ValueError(f"bracket entry {entry}: index out of range for d={d}")

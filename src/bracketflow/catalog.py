@@ -2,9 +2,10 @@
 
 Every entry is authored as exact rational structure constants, so the
 admissibility residuals vanish to rounding and the scalar curvature at t = 0
-is an exact rational.  The closed forms quoted in the per-entry notes come
-from reducing the flow to a scalar ODE on the surviving coefficient(s); they
-are what the acceptance suite checks the integrator against.
+is an exact rational.  The closed forms quoted in the comment above each
+entry come from reducing the flow to a scalar ODE on the surviving
+coefficient(s); they are what the acceptance suite checks the integrator
+against.
 
 The universal-cover and isotropy-closedness notes are human-authored
 mathematical facts about each entry, recorded as provenance; the code never
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieBracket
-from .flow import IntegratorOptions, Trajectory, _ratio, integrate
+from .flow import Trajectory, _ratio
 
 __all__ = ["CatalogEntry", "catalog_entries", "get_entry", "cover_dichotomy_check", "DichotomyVerdict"]
 
@@ -28,8 +29,7 @@ class CatalogEntry:
     """Named initial bracket plus its expected flow behavior.
 
     expected maps 'forward'/'backward' to ('immortal', None) or
-    ('blowup', singular_time).  closed_form is a human-readable note on the
-    exact solution when one exists.
+    ('blowup', singular_time).
     """
 
     name: str
@@ -38,14 +38,14 @@ class CatalogEntry:
     expected: dict
     universal_cover_note: str
     h2_note: str
-    closed_form: str | None = None
     default_horizon: dict = field(default_factory=lambda: {"forward": 10.0, "backward": 10.0})
 
 
 def _entries() -> list[CatalogEntry]:
     entries = []
 
-    # Abelian R^3: the zero bracket is an exact fixed point of the flow.
+    # Abelian R^3: the zero bracket is an exact fixed point of the flow, so
+    # mu(t) = 0 and R(t) = 0 for all t.
     entries.append(
         CatalogEntry(
             name="abelian3",
@@ -54,7 +54,6 @@ def _entries() -> list[CatalogEntry]:
             expected={"forward": ("flat", None), "backward": ("flat", None)},
             universal_cover_note="R^n",
             h2_note="q = 0: isotropy is trivial, closedness is vacuous",
-            closed_form="mu(t) = 0, R(t) = 0 for all t",
         )
     )
 
@@ -69,7 +68,6 @@ def _entries() -> list[CatalogEntry]:
             expected={"forward": ("immortal", None), "backward": ("blowup", -1.0 / 3.0)},
             universal_cover_note="R^n",
             h2_note="q = 0: isotropy is trivial, closedness is vacuous",
-            closed_form="c(t) = (1+3t)^(-1/2), R(t) = -1/(2(1+3t)), alpha = -1/3",
             default_horizon={"forward": 10.0, "backward": 1.0},
         )
     )
@@ -87,14 +85,14 @@ def _entries() -> list[CatalogEntry]:
             expected={"forward": ("blowup", 1.0), "backward": ("immortal", None)},
             universal_cover_note="not R^n",
             h2_note="q = 0: isotropy is trivial, closedness is vacuous",
-            closed_form="c(t) = (1-t)^(-1/2), R(t) = (3/2)/(1-t), omega = 1",
             default_horizon={"forward": 2.0, "backward": 10.0},
         )
     )
 
     # Hyperbolic 3-space as the solvable group mu(e3,e1) = e1, mu(e3,e2) = e2:
-    # Einstein with Ric = -2I, flow c' = -2c^3, c(t) = (1+4t)^(-1/2),
-    # ancient side ends at -1/4 (equality in the extinction bound).
+    # Einstein with Ric = -2I, flow c' = -2c^3, c(t) = (1+4t)^(-1/2) and
+    # R(t) = -6/(1+4t); ancient side ends at -1/4 (equality in the
+    # extinction bound).
     entries.append(
         CatalogEntry(
             name="hyperbolic3",
@@ -103,13 +101,13 @@ def _entries() -> list[CatalogEntry]:
             expected={"forward": ("immortal", None), "backward": ("blowup", -0.25)},
             universal_cover_note="R^n",
             h2_note="q = 0: isotropy is trivial, closedness is vacuous",
-            closed_form="c(t) = (1+4t)^(-1/2), R(t) = -6/(1+4t), alpha = -1/4",
             default_horizon={"forward": 10.0, "backward": 1.0},
         )
     )
 
     # Heisenberg x R: the four-dimensional two-step nilpotent algebra.  The
-    # extra flat direction is inert, so the flow matches heisenberg3.
+    # extra flat direction is inert, so the flow obeys heisenberg3's scalar
+    # ODE and its ancient side ends at -1/3 too.
     entries.append(
         CatalogEntry(
             name="nilpotent4",
@@ -118,14 +116,14 @@ def _entries() -> list[CatalogEntry]:
             expected={"forward": ("immortal", None), "backward": ("blowup", -1.0 / 3.0)},
             universal_cover_note="R^n",
             h2_note="q = 0: isotropy is trivial, closedness is vacuous",
-            closed_form="same scalar ODE as heisenberg3; alpha = -1/3",
             default_horizon={"forward": 10.0, "backward": 1.0},
         )
     )
 
     # Hyperbolic plane as the affine group of the line: mu(e1,e2) = e2,
-    # Einstein with Ric = -I, flow c' = -c^3, c(t) = (1+2t)^(-1/2),
-    # ancient side ends at -1/2 (equality in the extinction bound).
+    # Einstein with Ric = -I, flow c' = -c^3, c(t) = (1+2t)^(-1/2) and
+    # R(t) = -2/(1+2t); ancient side ends at -1/2 (equality in the
+    # extinction bound).
     entries.append(
         CatalogEntry(
             name="hyperbolic_plane",
@@ -134,7 +132,6 @@ def _entries() -> list[CatalogEntry]:
             expected={"forward": ("immortal", None), "backward": ("blowup", -0.5)},
             universal_cover_note="R^n",
             h2_note="q = 0: isotropy is trivial, closedness is vacuous",
-            closed_form="c(t) = (1+2t)^(-1/2), R(t) = -2/(1+2t), alpha = -1/2",
             default_horizon={"forward": 10.0, "backward": 1.0},
         )
     )
@@ -154,7 +151,6 @@ def _entries() -> list[CatalogEntry]:
             expected={"forward": ("blowup", 0.5), "backward": ("immortal", None)},
             universal_cover_note="not R^n",
             h2_note="isotropy U(1) in SU(2) is closed (authored fact)",
-            closed_form="b(t) = 1/(1-2t), R(t) = 2/(1-2t), omega = 1/2",
             default_horizon={"forward": 1.0, "backward": 10.0},
         )
     )
@@ -172,7 +168,6 @@ def _entries() -> list[CatalogEntry]:
             expected={"forward": ("blowup", 0.5), "backward": ("immortal", None)},
             universal_cover_note="not R^n",
             h2_note="isotropy U(1) in SU(2) x R is closed (authored fact)",
-            closed_form="sphere factor as in sphere2_su2, line factor inert; omega = 1/2",
             default_horizon={"forward": 1.0, "backward": 10.0},
         )
     )
@@ -203,17 +198,12 @@ def get_entry(name: str) -> CatalogEntry:
 class DichotomyVerdict:
     """Outcome of the universal-cover dichotomy check for one entry."""
 
-    entry: str
     ok: bool
     detail: str
 
 
-def cover_dichotomy_check(
-    entry: CatalogEntry,
-    opts: IntegratorOptions | None = None,
-    trajectory: Trajectory | None = None,
-) -> DichotomyVerdict:
-    """Check the cover dichotomy on one entry.
+def cover_dichotomy_check(entry: CatalogEntry, traj: Trajectory) -> DichotomyVerdict:
+    """Check the cover dichotomy on one entry from its forward run `traj`.
 
     Cover R^n: the forward flow must reach its horizon with R(t) <= 0
     throughout, up to 1e-9 of the run's max |R|.  Cover not R^n: the entry
@@ -222,29 +212,22 @@ def cover_dichotomy_check(
     the verdict does not change under mu -> c mu with r0 c^2 and the horizon
     / c^2.  A contradiction yields a failing verdict, not an exception.
     """
-    traj = trajectory
-    if traj is None:
-        traj = integrate(entry.bracket, "forward", entry.default_horizon["forward"], opts)
     n = entry.bracket.dims.n
     if entry.universal_cover_note == "R^n":
         if traj.verdict.kind not in ("immortal", "flat"):
-            return DichotomyVerdict(entry.name, False, f"expected immortal forward flow, got {traj.verdict.kind}")
+            return DichotomyVerdict(False, f"expected immortal forward flow, got {traj.verdict.kind}")
         worst = float(np.max(traj.scalar_R))
         if _ratio(worst, np.max(np.abs(traj.scalar_R))) > 1e-9:
-            return DichotomyVerdict(entry.name, False, f"R reached {worst:.3e} > 0 on a cover-R^n entry")
-        return DichotomyVerdict(entry.name, True, f"immortal to horizon, max R = {worst:.3e}")
+            return DichotomyVerdict(False, f"R reached {worst:.3e} > 0 on a cover-R^n entry")
+        return DichotomyVerdict(True, f"immortal to horizon, max R = {worst:.3e}")
     # not R^n: this entry is the positive-curvature witness
     if entry.r0 <= 0:
-        return DichotomyVerdict(entry.name, False, "entry marked 'not R^n' must carry R(0) > 0")
+        return DichotomyVerdict(False, "entry marked 'not R^n' must carry R(0) > 0")
     if traj.verdict.kind != "blowup":
-        return DichotomyVerdict(entry.name, False, f"expected forward blowup, got {traj.verdict.kind}")
+        return DichotomyVerdict(False, f"expected forward blowup, got {traj.verdict.kind}")
     bound = (n / 2.0) / entry.r0
     if traj.verdict.omega_est - bound > 1e-3 * bound:
         return DichotomyVerdict(
-            entry.name,
-            False,
-            f"omega_est = {traj.verdict.omega_est:.6f} exceeds extinction bound {bound:.6f}",
+            False, f"omega_est = {traj.verdict.omega_est:.6f} exceeds extinction bound {bound:.6f}"
         )
-    return DichotomyVerdict(
-        entry.name, True, f"blowup at {traj.verdict.omega_est:.6f} <= bound {bound:.6f}"
-    )
+    return DichotomyVerdict(True, f"blowup at {traj.verdict.omega_est:.6f} <= bound {bound:.6f}")

@@ -125,6 +125,9 @@ __all__ = [
 # heisenberg3 backward stops at R = -4.59e9; 1e-8 would stop it at -4.5e8,
 # short of acceptance criterion C2's R < -1e9.
 STOP_REL = 1e-9
+# The step budget of both flows: `_drive` raises FlowError when a run that
+# holds more samples than this would step again.
+MAX_STEPS = 200_000
 # The fewest tail samples `fit_power_blowup` accepts.
 MIN_TAIL_SAMPLES = 10
 # Tail diagnostics skip the samples with |omega_est - t| below this fraction
@@ -148,7 +151,7 @@ class DriftError(FlowError):
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Knobs for `integrate`: tolerances, the step budget and dense output.
+    """Knobs for `integrate`: tolerances and dense output.
 
     None of them sets the singularity verdict, whose stop rule is scale free
     (see `STOP_REL`), and the step control has no absolute knob: the
@@ -157,18 +160,18 @@ class IntegratorOptions:
     check of the initial bracket, bound residuals relative to |mu| to their
     degree (`algebra._relative_residuals`), so the run of 2^k mu is admitted
     with mu and takes its steps bit for bit.  Construction raises
-    ValueError unless every float field is a finite positive number,
-    max_steps an int >= 1 and collect_dense a bool; a bool in a numeric
-    field is refused, not read as 0 or 1.  It also refuses membership_tol
-    above drift_tol, naming both: the drift check reads the admissibility
-    residuals, not their change, so a bracket admitted above drift_tol would
-    fail it at its first step although nothing moved.
+    ValueError unless every float field is a finite positive number and
+    collect_dense a bool; a bool in a numeric field is refused, not read as
+    0 or 1.  It also refuses membership_tol above drift_tol, naming both:
+    the drift check reads the admissibility residuals, not their change, so
+    a bracket admitted above drift_tol would fail it at its first step
+    although nothing moved.  The step budget is not an option but the
+    module constant `MAX_STEPS`.
     """
 
     rel_tol: float = 1e-10
     drift_tol: float = 1e-6
     membership_tol: float = DEFAULT_TOL
-    max_steps: int = 200_000
     collect_dense: bool = False
 
     def __post_init__(self):
@@ -176,8 +179,6 @@ class IntegratorOptions:
             value = getattr(self, f.name)
             if f.type == "float" and (_is_bool(value) or not (np.isfinite(value) and value > 0)):
                 raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
-        if _is_bool(self.max_steps) or not (isinstance(self.max_steps, int) and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be an int >= 1, got {self.max_steps!r}")
         if not _is_bool(self.collect_dense):
             raise ValueError(f"collect_dense must be a bool, got {self.collect_dense!r}")
         if self.membership_tol > self.drift_tol:
@@ -397,8 +398,8 @@ def integrate(
             `opts.membership_tol`.
         StiffnessError: step size underflowed before the stop rule fired.
         DriftError: admissibility residuals exceeded `opts.drift_tol`.
-        FlowError: the step budget was exhausted, or an `rhs` override has a
-            nonzero derivative at the zero bracket.
+        FlowError: the step budget `MAX_STEPS` was exhausted, or an `rhs`
+            override has a nonzero derivative at the zero bracket.
     """
     opts = opts or IntegratorOptions()
     t_end = _end_time(direction, horizon)
@@ -532,7 +533,7 @@ def _drive(solver, opts: IntegratorOptions, sample, n: int) -> _Run:
     (`_verdict`).  Segments are kept only under `opts.collect_dense`.
 
     Raises:
-        FlowError: the step budget `opts.max_steps` was exhausted.
+        FlowError: the step budget `MAX_STEPS` was exhausted.
         StiffnessError: the solver failed away from a singularity.
     """
     ts, states, rics = [solver.t], [solver.y], [sample(solver.t, solver.y)]
@@ -541,8 +542,8 @@ def _drive(solver, opts: IntegratorOptions, sample, n: int) -> _Run:
     # returns only after an accepted step.
     singular = False
     while not singular and solver.status == "running":
-        if len(ts) > opts.max_steps:
-            raise FlowError(f"step budget of {opts.max_steps} exhausted at t = {solver.t}")
+        if len(ts) > MAX_STEPS:
+            raise FlowError(f"step budget of {MAX_STEPS} exhausted at t = {solver.t}")
         msg = solver.step()
         if solver.status != "failed":
             if opts.collect_dense:

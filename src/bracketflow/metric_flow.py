@@ -13,9 +13,8 @@ has, with P = L^T L, the right-hand side
     -2 P RicOp(P) = -2 L^T Ric_{L.mu} L,
 
 so it takes no linear solve.  L^-1 is needed only to push the bracket
-forward, and it comes with the factor: LAPACK's dtrtri inverts the upper
-Cholesky factor from dpotrf, and the symmetric square root V W^1/2 V^T has
-the inverse V W^-1/2 V^T from the same eigendecomposition.  The flow is
+forward, and it comes with the factor: the package factors by Cholesky, and
+LAPACK's dtrtri inverts the upper factor from dpotrf.  The flow is
 integrated on the bracket flow's monitored stepping loop (`flow._drive`),
 with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
 on the flat n x n matrix; `_drive` keeps the samples, and the metric flow's
@@ -89,7 +88,6 @@ class MetricTrajectory:
 
     direction: str
     horizon: float
-    bracket: LieBracket
     t: np.ndarray
     scalar_R: np.ndarray
     ric_eigs: np.ndarray
@@ -111,67 +109,61 @@ def _sym(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _require_finite(p: np.ndarray) -> None:
-    # LAPACK's dpotrf reports success on NaN input, so a non-finite metric
-    # would pass the factorization and poison every result downstream.
+def _metric_matrix(mu0: LieBracket, p) -> np.ndarray:
+    # The caller's metric over mu0 as a float n x n array with finite
+    # entries, checked before any factorization or step.  LAPACK's dpotrf
+    # reports success on NaN input, so a non-finite metric would pass the
+    # factorization and poison every result downstream.
+    _require_q0(mu0)
+    n = mu0.dims.n
+    p = np.asarray(p, dtype=float)
+    if p.shape != (n, n):
+        raise ValueError(f"metric matrix must be {n} x {n}, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise NonSPDError("metric matrix has a non-finite entry")
+    return p
 
 
-def _factor(p: np.ndarray, how: str) -> tuple[np.ndarray, np.ndarray]:
-    """(L, L^-1) for a matrix L with P = L^T L.
+def _factor(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^-1) for the upper Cholesky factor L of P = L^T L.
 
-    'cholesky' gives the upper Cholesky factor (dpotrf) and its triangular
-    inverse (dtrtri); 'sqrt' gives the symmetric square root and its inverse
-    from one eigendecomposition.
+    L comes from dpotrf and its triangular inverse from dtrtri.
 
     Raises:
         NonSPDError: P is not positive-definite.
     """
-    if how == "cholesky":
-        ell, info = dpotrf(p, lower=0)
-        if info != 0:
-            raise NonSPDError(f"metric matrix is not positive-definite (dpotrf info = {info})")
-        ell_inv, info = dtrtri(ell, lower=0)
-        if info != 0:
-            raise NonSPDError(f"Cholesky factor of the metric matrix is singular (dtrtri info = {info})")
-        return ell, ell_inv
-    if how == "sqrt":
-        w, v = np.linalg.eigh(p)
-        if np.min(w) <= 0:
-            raise NonSPDError(f"metric matrix has eigenvalue {np.min(w):.3e} <= 0")
-        root = np.sqrt(w)
-        return (v * root) @ v.T, (v / root) @ v.T
-    raise ValueError(f"unknown factorization {how!r}")
+    ell, info = dpotrf(p, lower=0)
+    if info != 0:
+        raise NonSPDError(f"metric matrix is not positive-definite (dpotrf info = {info})")
+    ell_inv, info = dtrtri(ell, lower=0)
+    if info != 0:
+        raise NonSPDError(f"Cholesky factor of the metric matrix is singular (dtrtri info = {info})")
+    return ell, ell_inv
 
 
-def metric_ricci(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky") -> tuple[np.ndarray, float]:
+def metric_ricci(mu0: LieBracket, p: np.ndarray) -> tuple[np.ndarray, float]:
     """Ricci operator and scalar curvature of the metric P over the bracket mu0.
+
+    The operator L^-1 Ric_{L.mu0} L does not depend on the factor L of
+    P = L^T L; it is computed with the Cholesky factor.
 
     Args:
         mu0: fixed bracket with q = 0.
-        p: symmetric positive-definite matrix on p.
-        factor: 'cholesky' or 'sqrt'; the output is gauge-independent of this
-            choice up to rounding.
+        p: symmetric positive-definite n x n matrix on p.
 
     Returns:
         (ric_operator, scalar): operator in the original frame, and its trace.
 
     Raises:
+        ValueError: mu0 has q > 0, or `p` is not an n x n matrix.
         NonSPDError: when `p` is not positive-definite or has a non-finite
             entry.
     """
-    _require_q0(mu0)
-    n = mu0.dims.n
-    p = np.asarray(p, dtype=float)
-    if p.shape != (n, n):
-        raise ValueError(f"metric matrix must be {n} x {n}")
-    _require_finite(p)
-    ric, ell = _pushed_ric(mu0, p, factor)
+    ric, ell = _pushed_ric(mu0, _metric_matrix(mu0, p))
     return np.linalg.solve(ell, ric @ ell), float(ric.trace())
 
 
-def _pushed_ric(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky"):
+def _pushed_ric(mu0: LieBracket, p: np.ndarray):
     # Internal, and called by this name so that flowbench can trace it.
     # Returns (ric, L): Ric_{L.mu0} of the pushed bracket (symmetric, same
     # spectrum as RicOp(P) = L^-1 ric L) and the factor L of P = L^T L, with
@@ -179,7 +171,7 @@ def _pushed_ric(mu0: LieBracket, p: np.ndarray, factor: str = "cholesky"):
     # read R take the trace themselves; the RK stages do not.
     # L^-1 enters only the push-forward and comes with L from `_factor`, so
     # nothing here solves or inverts.  May raise NonSPDError.
-    ell, ell_inv = _factor(_sym(p), factor)
+    ell, ell_inv = _factor(_sym(p))
     return _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), 0), ell
 
 
@@ -207,18 +199,16 @@ def metric_flow_integrate(
     stepping across it.  A backward run steps to the physical time -horizon.
 
     Raises:
-        ValueError: the direction is unknown or the horizon is not finite and
-            positive.
+        ValueError: mu0 has q > 0, `p0` is not an n x n matrix, the
+            direction is unknown or the horizon is not finite and positive.
         NonSPDError: `p0` is not positive-definite or has a non-finite entry.
         StiffnessError: step size underflowed away from a singular metric.
-        FlowError: the step budget was exhausted.
+        FlowError: the step budget `flow.MAX_STEPS` was exhausted.
     """
     opts = opts or IntegratorOptions()
-    _require_q0(mu0)
+    p0 = _sym(_metric_matrix(mu0, p0))
     t_end = _end_time(direction, horizon)
     n = mu0.dims.n
-    p0 = _sym(np.asarray(p0, dtype=float))
-    _require_finite(p0)
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
@@ -237,7 +227,6 @@ def metric_flow_integrate(
     return MetricTrajectory(
         direction=direction,
         horizon=horizon,
-        bracket=mu0,
         t=run.t,
         scalar_R=run.scalar_R,
         ric_eigs=np.linalg.eigvalsh(run.ric),
@@ -247,11 +236,11 @@ def metric_flow_integrate(
     )
 
 
-def _comparison_grid(n_linear: int = 48, n_log: int = 48) -> np.ndarray:
+def _comparison_grid() -> np.ndarray:
     # The comparison times on [0, 1], to be scaled to the compared interval:
     # a product with its end scales exactly, geomspace(0.1 t, 1e-3 t) does not.
-    lin = np.linspace(0.0, 0.9, n_linear, endpoint=False)
-    log = 1.0 - np.geomspace(0.1, 1e-3, n_log)
+    lin = np.linspace(0.0, 0.9, 48, endpoint=False)
+    log = 1.0 - np.geomspace(0.1, 1e-3, 48)
     return np.unique(np.concatenate([lin, log, [1.0]]))
 
 

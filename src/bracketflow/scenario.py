@@ -13,7 +13,7 @@ initial data is either a catalog reference or inline structure constants:
     bracket = (1,2,3, 1.0) (2,3,1, 1.0) (3,1,2, 1.0)   # 1-indexed (i,j,k,value)
 
     rel_tol = 1e-10                 # integrator overrides, all optional:
-    drift_tol = 1e-6                # rel_tol, drift_tol and max_steps
+    drift_tol = 1e-6                # rel_tol and drift_tol
     sample_stride = 1
     validation_tol = 1e-10          # membership tolerance, see below
     expect_forward = blowup         # optional expectations: immortal |
@@ -34,15 +34,18 @@ one, so `catalog run` passes an entry's expectation as it is.
 `IntegratorOptions.membership_tol`, so loading and integrating accept the
 same brackets, and it bounds each residual relative to |mu| to its degree.
 Every value is checked as it is read, and a bad one is rejected naming its
-line: a bracket value must be finite, `direction` one of forward, backward
-or both, `horizon` finite and positive, `sample_stride` an int >= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
+line: `name`, which prefixes the output files, must hold no path
+separator, a bracket value must be finite, `direction` one of forward,
+backward or both, `horizon` finite and positive, `sample_stride` an int
+>= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
 finite and positive, `expect_omega` and `expect_alpha` finite.  The
 integrator overrides are checked together once every key is read, since
 `validation_tol` may not exceed `drift_tol` (default 1e-6): the drift check
 would refuse the admitted bracket at its first step.  A key may be
 given once, and any other key is rejected as unknown (so is `abs_tol`: the
 step control's absolute floor follows the initial bracket's norm, see
-`flow.IntegratorOptions`); a file must be UTF-8 text.
+`flow.IntegratorOptions`; and so is `max_steps`: the step budget is
+`flow.MAX_STEPS`); a file must be UTF-8 text.
 
 Running a scenario writes, per direction, a CSV trajectory table with
 header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -81,7 +85,6 @@ CSV_HEADER = "t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual"
 _OPTS_KEYS = {
     "rel_tol": float,
     "drift_tol": float,
-    "max_steps": int,
     "validation_tol": float,
 }
 
@@ -136,6 +139,13 @@ def _positive_int(value: str) -> int:
     if k < 1:
         raise ValueError(f"must be an int >= 1, got {value}")
     return k
+
+
+def _file_stem(value: str) -> str:
+    # the name prefixes the files written under --out, so it may not lead out of it
+    if any(sep and sep in value for sep in ("/", os.sep, os.altsep)):
+        raise ValueError(f"must not contain a path separator, got {value!r}")
+    return value
 
 
 def _directions(value: str) -> tuple:
@@ -207,7 +217,8 @@ def load_scenario(path) -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
 
-    name = take("name", str, path.stem)
+    name = take("name", _file_stem, path.stem)
+    catalog_line = raw["catalog"][1] if "catalog" in raw else 0
     catalog = take("catalog", str)
     q = take("q", int)
     n = take("n", int)
@@ -251,11 +262,11 @@ def load_scenario(path) -> Scenario:
 
     if catalog is not None:
         if triples is not None or q is not None or n is not None:
-            raise ScenarioError(f"{path}: give either catalog = ... or inline q/n/bracket, not both")
+            raise ScenarioError(f"{path}:{catalog_line}: give either catalog = ... or inline q/n/bracket, not both")
         try:
             mu = get_entry(catalog).bracket
         except KeyError as exc:
-            raise ScenarioError(f"{path}: {exc.args[0]}") from exc
+            raise ScenarioError(f"{path}:{catalog_line}: {exc.args[0]}") from exc
     else:
         if q is None or n is None or triples is None:
             raise ScenarioError(f"{path}: inline scenarios need q, n and bracket")

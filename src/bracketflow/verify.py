@@ -317,7 +317,7 @@ def _c10_cover_dichotomy(lab: AcceptanceLab):
     problems: list[str] = []
     ok = True
     for entry in catalog_entries():
-        verdict = cover_dichotomy_check(entry, lab.opts, trajectory=lab.run(entry.name, "forward"))
+        verdict = cover_dichotomy_check(entry, lab.run(entry.name, "forward"))
         ok &= _fail(problems, verdict.ok, f"{entry.name}: {verdict.detail}")
     detail = f"all {len(catalog_entries())} entries consistent" if ok else "; ".join(problems)
     return ok, detail
@@ -381,20 +381,16 @@ def run_all(opts: IntegratorOptions | None = None) -> list[CheckResult]:
     return [run_criterion(cid, lab) for cid in criteria_ids()]
 
 
-def verify_all(opts: IntegratorOptions | None = None, stream=None) -> int:
+def verify_all(opts: IntegratorOptions | None = None) -> int:
     """Run every acceptance criterion, print a pass/fail table, return an exit code."""
-    import sys
-
-    stream = stream or sys.stdout
     results = run_all(opts)
     width = max(len(r.title) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.cid:>2}  {r.title:<{width}}  {r.detail}", file=stream)
+        print(f"[{status}] {r.cid:>2}  {r.title:<{width}}  {r.detail}")
     n_fail = sum(not r.passed for r in results)
     print(
         f"{len(results) - n_fail}/{len(results)} criteria passed"
-        + (f", {n_fail} FAILED" if n_fail else ""),
-        file=stream,
+        + (f", {n_fail} FAILED" if n_fail else "")
     )
     return 0 if n_fail == 0 else 1

@@ -106,6 +106,22 @@ def test_from_triples_rejects_conflicts_and_bad_indices():
     assert mu.c[0, 1, 2] == 1.0
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [(1.5, 2, 3, 1.0), (1, 2.0, 3, 1.0), (True, 2, 3, 1.0), (1, 2, np.float64(3), 1.0), (1, 2, "3", 1.0)],
+    ids=["float", "integral-float", "bool", "numpy-float", "string"],
+)
+def test_from_triples_refuses_an_index_that_is_not_an_integer(entry):
+    # int() would truncate 1.5 to 1 and read True as 1
+    with pytest.raises(ValueError, match=r"bracket entry \(.*\): indices must be integers"):
+        LieBracket.from_triples(0, 3, [entry], one_indexed=True)
+
+
+def test_from_triples_takes_numpy_integer_indices():
+    entry = (np.int64(1), np.int32(2), np.uint8(3), 1.0)
+    assert np.array_equal(LieBracket.from_triples(0, 3, [entry], one_indexed=True).c, HEIS.c)
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_from_triples_rejects_a_value_that_is_not_finite(value):
     with pytest.raises(ValueError, match=r"bracket entry \(0, 1, 2, .*\): value must be finite"):

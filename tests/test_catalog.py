@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from bracketflow import verify
 from bracketflow import check_conditions, estimate_blowup_time, integrate, metric_flow_integrate, ricci_operator
 from bracketflow.catalog import catalog_entries, cover_dichotomy_check, get_entry
 from bracketflow.flow import STOP_REL
@@ -90,18 +93,44 @@ def test_product_entry_block_structure():
 
 def test_cover_dichotomy_check_all_entries(runs):
     for entry in catalog_entries():
-        verdict = cover_dichotomy_check(entry, trajectory=runs[(entry.name, "forward")])
+        verdict = cover_dichotomy_check(entry, runs[(entry.name, "forward")])
         assert verdict.ok, f"{entry.name}: {verdict.detail}"
 
 
 def test_cover_dichotomy_check_catches_contradiction(runs):
     # a doctored entry whose note contradicts its dynamics must fail, not raise
-    import dataclasses
-
     entry = get_entry("su2_round")
     doctored = dataclasses.replace(entry, universal_cover_note="R^n")
-    verdict = cover_dichotomy_check(doctored, trajectory=runs[("su2_round", "forward")])
+    verdict = cover_dichotomy_check(doctored, runs[("su2_round", "forward")])
     assert not verdict.ok
+
+
+@pytest.mark.parametrize(
+    "name, changes, run, detail",
+    [
+        # su2's backward run is immortal with R > 0 all along
+        ("su2_round", {"universal_cover_note": "R^n"}, ("su2_round", "backward"), "> 0 on a cover-R^n entry"),
+        ("heisenberg3", {"universal_cover_note": "not R^n"}, ("heisenberg3", "forward"), "must carry R(0) > 0"),
+        ("su2_round", {}, ("su2_round", "backward"), "expected forward blowup, got immortal"),
+        # R(0) = 3 would put the extinction bound at 1/2, before su2's singular time 1
+        ("su2_round", {"r0": 3.0}, ("su2_round", "forward"), "exceeds extinction bound 0.500000"),
+    ],
+    ids=["positive-R-on-R^n", "non-positive-r0", "no-forward-blowup", "omega-past-the-bound"],
+)
+def test_cover_dichotomy_check_fails_on_each_contradiction(runs, name, changes, run, detail):
+    verdict = cover_dichotomy_check(dataclasses.replace(get_entry(name), **changes), runs[run])
+    assert not verdict.ok
+    assert detail in verdict.detail
+
+
+def test_c10_fails_on_an_entry_that_contradicts_its_run(monkeypatch):
+    doctored = [
+        dataclasses.replace(entry, r0=3.0) if entry.name == "su2_round" else entry for entry in catalog_entries()
+    ]
+    monkeypatch.setattr(verify, "catalog_entries", lambda: doctored)
+    result = verify.run_criterion(10)
+    assert not result.passed
+    assert result.detail == "su2_round: omega_est = 1.000000 exceeds extinction bound 0.500000"
 
 
 def test_get_entry_unknown_name():

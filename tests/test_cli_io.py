@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bracketflow import IntegratorOptions, integrate, load_scenario, run_scenario
+from bracketflow import IntegratorOptions, flow, integrate, load_scenario, run_scenario
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.cli import main
 from bracketflow.scenario import CSV_HEADER, ScenarioError, write_trajectory_csv
@@ -102,12 +102,11 @@ def test_load_integrator_overrides(tmp_path):
         catalog = heisenberg3
         rel_tol = 1e-8
         drift_tol = 1e-5
-        max_steps = 1000
         """,
     )
     sc = load_scenario(path)
     # the keys not given keep their defaults
-    assert sc.options() == IntegratorOptions(rel_tol=1e-8, drift_tol=1e-5, max_steps=1000)
+    assert sc.options() == IntegratorOptions(rel_tol=1e-8, drift_tol=1e-5)
 
 
 @pytest.mark.parametrize("horizon", ["0", "-1", "nan", "inf"])
@@ -271,7 +270,8 @@ def test_run_scenario_exit_1_on_contradiction(tmp_path):
     assert code == 1
 
 
-def test_run_scenario_exit_3_on_integrator_failure(tmp_path):
+def test_run_scenario_exit_3_on_integrator_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 20)
     sc = load_scenario(
         _write(
             tmp_path,
@@ -281,7 +281,6 @@ def test_run_scenario_exit_3_on_integrator_failure(tmp_path):
             catalog = su2_round
             direction = forward
             horizon = 2.0
-            max_steps = 20
             """,
         )
     )
@@ -438,6 +437,17 @@ def test_scenario_abs_tol_key_is_unknown_and_run_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scenario_max_steps_key_is_unknown_and_run_exits_2(tmp_path, capsys):
+    # the step budget is the module constant flow.MAX_STEPS, not an option
+    scn = _write(tmp_path, "budget.scn", "catalog = su2_round\nmax_steps = 1000\n")
+    with pytest.raises(ScenarioError, match=r"budget\.scn:2: unknown key 'max_steps'"):
+        load_scenario(scn)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(scn)]) == 2
+    assert "budget.scn:2: unknown key 'max_steps'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_exit_0_on_a_large_immortal_bracket(tmp_path):
     # heisenberg3 scaled by 1e7: |mu| is large from the start, but R < 0,
     # so the forward stop rule never fires and the run reaches the horizon
@@ -549,3 +559,38 @@ def test_cli_run_on_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     _single_error_line(capsys, "latin1.scn", "UTF-8")
     with pytest.raises(ScenarioError, match="cannot read as UTF-8 text"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("q = 0\nn = 3\nbracket = 1, 2, 3, 1.0\n", 3, "bracket must list (i,j,k,value) groups"),
+        ("q = 0\nn = 3\nbracket = (1, 2, 3)\n", 3, "bracket entry (1, 2, 3) needs exactly i, j, k, value"),
+        ("q = 0\nn = 3\nbracket = (1, 2, x, 1.0)\n", 3, "bad bracket entry (1, 2, x, 1.0)"),
+        ("catalog = su2_round\n= 3\n", 2, "empty key or value"),
+        ("horizon = 2.0\ncatalog = su2_round\nq = 0\n", 2, "give either catalog = ... or inline q/n/bracket"),
+        ("horizon = 2.0\ncatalog = su3_round\n", 2, "no catalog entry named 'su3_round'"),
+    ],
+    ids=["no-groups", "three-parts", "not-a-number", "empty-key", "catalog-and-inline", "unknown-entry"],
+)
+def test_load_error_names_file_and_line_and_run_exits_2(tmp_path, capsys, text, line, message):
+    scn = _write(tmp_path, "broken.scn", text)
+    with pytest.raises(ScenarioError, match=rf"broken\.scn:{line}: {re.escape(message)}"):
+        load_scenario(scn)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "run", str(scn)]) == 2
+    _single_error_line(capsys, f"broken.scn:{line}: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sub/x", "../escaped"])
+def test_name_with_a_path_separator_is_refused_before_anything_is_written(tmp_path, capsys, name):
+    # the name prefixes the output files: sub/x used to fail after the run
+    # with a traceback, and ../escaped wrote its files outside --out
+    work = tmp_path / "work"
+    scn = _write(tmp_path, "sep.scn", f"catalog = su2_round\nname = {name}\nhorizon = 2.0\n")
+    with pytest.raises(ScenarioError, match=r"sep\.scn:2: bad value for name: must not contain a path separator"):
+        load_scenario(scn)
+    assert main(["--out", str(work / "out"), "run", str(scn)]) == 2
+    _single_error_line(capsys, "sep.scn:2: bad value for name")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sep.scn"]

@@ -262,8 +262,6 @@ def test_integrate_rejects_horizon_that_is_not_finite_and_positive(horizon):
 @pytest.mark.parametrize(
     "bad",
     [
-        {"max_steps": 0},
-        {"max_steps": 2.5},
         {"rel_tol": float("nan")},
         {"rel_tol": -1.0},
         {"drift_tol": 0.0},
@@ -283,7 +281,6 @@ def test_integrator_options_reject_out_of_range_values(bad):
 @pytest.mark.parametrize(
     "bad",
     [
-        {"max_steps": True},
         {"rel_tol": True},
         {"drift_tol": False},
         {"drift_tol": np.True_},

@@ -66,15 +66,17 @@ def test_su2_conformal_metric_matches_bracket_scaling():
 
 
 def test_gauge_independence_of_factorization():
+    # metric_ricci factors P by Cholesky; the bracket pushed by the symmetric
+    # square root S of P (S^T S = S^2 = P) has the same curvature
     rng = np.random.default_rng(31)
     w = rng.standard_normal((3, 3))
     p = w @ w.T + 3.0 * np.eye(3)
-    _, sc_chol = metric_ricci(HEIS, p, factor="cholesky")
-    _, sc_sqrt = metric_ricci(HEIS, p, factor="sqrt")
-    assert sc_chol == pytest.approx(sc_sqrt, rel=1e-12)
-    op_c, _ = metric_ricci(HEIS, p, factor="cholesky")
-    op_s, _ = metric_ricci(HEIS, p, factor="sqrt")
-    assert np.allclose(np.sort(np.linalg.eigvals(op_c).real), np.sort(np.linalg.eigvals(op_s).real), atol=1e-10)
+    vals, vecs = np.linalg.eigh(p)
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    op_c, sc_chol = metric_ricci(HEIS, p)
+    rd = ricci_operator(transform_bracket(HEIS, root), check=False)
+    assert sc_chol == pytest.approx(rd.scalar, rel=1e-12)
+    assert np.allclose(np.sort(np.linalg.eigvals(op_c).real), np.linalg.eigvalsh(rd.ric), atol=1e-10)
 
 
 def test_non_spd_rejected():
@@ -82,6 +84,19 @@ def test_non_spd_rejected():
         metric_ricci(HEIS, np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(NonSPDError):
         metric_flow_integrate(HEIS, np.diag([0.0, 1.0, 1.0]), "forward", 1.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4), (1, 3, 3)], ids=["4x4", "3x4", "1x3x3"])
+def test_metric_of_the_wrong_shape_is_refused_before_any_step(shape, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("stepped a metric of the wrong shape")
+
+    monkeypatch.setattr(metric_flow, "RK45", fail)
+    p = np.ones(shape) + np.eye(*shape[-2:])
+    with pytest.raises(ValueError, match="metric matrix must be 3 x 3"):
+        metric_ricci(HEIS, p)
+    with pytest.raises(ValueError, match="metric matrix must be 3 x 3"):
+        metric_flow_integrate(HEIS, p, "forward", 1.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -196,8 +211,8 @@ def _reading(kind, name, c=1.0):
     mu = scale_bracket(entry.bracket, c)
     if kind == "gap":
         return equivalence_check(mu, C8_HORIZONS[name] / c**2)
-    horizons = {direction: h / c**2 for direction, h in entry.default_horizon.items()}
-    return cover_dichotomy_check(replace(entry, bracket=mu, r0=entry.r0 * c**2, default_horizon=horizons)).ok
+    traj = integrate(mu, "forward", entry.default_horizon["forward"] / c**2)
+    return cover_dichotomy_check(replace(entry, bracket=mu, r0=entry.r0 * c**2), traj).ok
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -229,25 +244,19 @@ def test_metric_flow_from_a_general_metric_matches_the_pushed_bracket_flow(name)
         assert r_m == pytest.approx(r_b, rel=1e-7, abs=1e-9)
 
 
-@pytest.mark.parametrize("how", ["cholesky", "sqrt"])
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_factor_comes_with_its_inverse(how, n):
+@pytest.mark.parametrize("n", [pytest.param(n, id=f"{n}-cholesky") for n in (3, 4, 6)])
+def test_factor_comes_with_its_inverse(n):
     p = _spd(n, 40 + n)
-    ell, ell_inv = metric_flow._factor(p, how)
+    ell, ell_inv = metric_flow._factor(p)
     assert np.max(np.abs(ell @ ell_inv - np.eye(n))) <= 1e-14
     assert np.max(np.abs(ell.T @ ell - p)) <= 1e-14 * np.max(np.abs(p))
-    if how == "cholesky":
-        assert np.all(np.tril(ell, -1) == 0.0)
-    else:
-        assert np.max(np.abs(ell - ell.T)) <= 1e-14
+    assert np.all(np.tril(ell, -1) == 0.0)
 
 
 def test_indefinite_metric_raises_through_the_factorization_status():
     p = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(NonSPDError, match="dpotrf info = 2"):
-        metric_flow._factor(p, "cholesky")
-    with pytest.raises(NonSPDError, match="eigenvalue"):
-        metric_flow._factor(p, "sqrt")
+        metric_flow._factor(p)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "su2_round", "hyperbolic3", "nilpotent4", "hyperbolic_plane"])
