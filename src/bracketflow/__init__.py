@@ -62,6 +62,6 @@ from .metric_flow import (
     metric_ricci,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, run_scenario, write_trajectory_csv
-from .verify import run_all, run_criterion, verify_all
+from .verify import run_criterion, verify_all
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ homogeneous space always means changing mu, never the inner product.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -132,14 +133,15 @@ class LieBracket:
         Args:
             q, n: the k/p split.
             triples: iterable of (i, j, k, value) with <mu(X_i, X_j), X_k> = value,
-                the indices Python or numpy integers (not bools).  Entries
-                with i > j are accepted and folded into the i < j slot.
+                the indices Python or numpy integers and the value a Python
+                or numpy real number (neither a bool).  Entries with i > j
+                are accepted and folded into the i < j slot.
             one_indexed: interpret indices as 1-based (as written in hand
                 calculations) instead of 0-based.
 
         Raises:
             ValueError: on an index that is not an integer or out of range,
-                i == j, a value that is not finite, or two entries that
+                i == j, a value that is not a finite real number, or two entries that
                 disagree on the same unordered pair.
         """
         dims = Dimensions(q, n)
@@ -155,6 +157,8 @@ class LieBracket:
                 raise ValueError(f"bracket entry {entry}: index out of range for d={d}")
             if i == j:
                 raise ValueError(f"bracket entry {entry}: i == j makes no sense for a skew bracket")
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise ValueError(f"bracket entry {entry}: value must be a real number")
             if not np.isfinite(float(v)):
                 raise ValueError(f"bracket entry {entry}: value must be finite")
             key = (min(i, j), max(i, j), k)

@@ -93,10 +93,14 @@ class ScenarioError(ValueError):
     """Scenario file could not be parsed or validated."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A loaded scenario: the bracket it runs and how to run and check it.
 
+    name prefixes the files `run_scenario` writes, so it may hold no path
+    separator: one that does raises ScenarioError, for a file's scenario
+    and for one built in Python alike (a Scenario is frozen, so the name
+    cannot be changed after that check).
     source is the catalog entry's name, or "inline", as the report gives it.
     expected maps a direction to (kind | None, time | None), the shape of
     `CatalogEntry.expected`: the verdict kind and the singular time (omega
@@ -114,6 +118,12 @@ class Scenario:
     h2_note: str = ""
     expected: dict = field(default_factory=dict)
     expect_tol: float = 1e-3
+
+    def __post_init__(self):
+        try:
+            _file_stem(self.name)
+        except ValueError as exc:
+            raise ScenarioError(f"bad scenario name: {exc}") from exc
 
     def options(self, base: IntegratorOptions | None = None) -> IntegratorOptions:
         return replace(base or IntegratorOptions(), **self.overrides)

@@ -17,7 +17,10 @@ last) and the next step starts from it.  The error norm is the weighted
 RMS sqrt(w * e.e) of e = h (E @ K) / (atol + rtol max(|y|, |y_new|)); w is
 1/len(y) unless the caller's state stores several mirrored entries once
 (see `rms_weight`).  A non-finite error norm, as from a stage that left the
-RHS's domain, rejects the attempt and retries at MIN_FACTOR times the step.
+RHS's domain or an overflow, rejects the attempt and retries at MIN_FACTOR
+times the step.  Each attempt and the initial-step heuristic run under
+`np.errstate(over="ignore", invalid="ignore")`, so such an attempt raises no
+floating-point warning.
 """
 
 from __future__ import annotations
@@ -119,24 +122,31 @@ class DormandPrince54:
         t0, y0, f0 = self.t, self.y, self.f
         interval = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
-        d0, d1 = self._rms(y0 / scale), self._rms(f0 / scale)
-        h0 = min(0.01 * d0 / d1, interval) if d1 > 0 else interval
-        f1 = self._eval(t0 + h0 * self.direction, y0 + h0 * self.direction * f0)
-        change = max(d1, self._rms((f1 - f0) / scale)) * h0
+        with np.errstate(over="ignore", invalid="ignore"):
+            d0, d1 = self._rms(y0 / scale), self._rms(f0 / scale)
+            h0 = min(0.01 * d0 / d1, interval) if d1 > 0 else interval
+            f1 = self._eval(t0 + h0 * self.direction, y0 + h0 * self.direction * f0)
+            change = max(d1, self._rms((f1 - f0) / scale)) * h0
         h1 = h0 * (0.01 / change) ** -self.error_exponent if change > 0 else interval
         return min(100 * h0, h1, interval)
 
     def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(y_new, f_new, error norm) of a step of h from (t, y); fills the stages K."""
+        """(y_new, f_new, error norm) of a step of h from (t, y); fills the stages K.
+
+        An attempt that overflows gives a non-finite error norm, which `step`
+        rejects, so its stages and norm run with overflow and invalid
+        operations ignored: they raise no floating-point warning.
+        """
         t, y, K, fun = self.t, self.y, self.K, self._fun
         h_a = h * self.A
         K[0] = self.f
-        for s, c, before in self._stages:
-            y_s = y + np.dot(h_a[s, :s], before)
-            K[s] = f_s = fun(t + c * h, y_s)
-        self.nfev += self.n_stages
-        scale = self.atol + np.maximum(np.abs(y), np.abs(y_s)) * self.rtol
-        return y_s, f_s, self._rms(np.dot(h * self.E, K) / scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, c, before in self._stages:
+                y_s = y + np.dot(h_a[s, :s], before)
+                K[s] = f_s = fun(t + c * h, y_s)
+            self.nfev += self.n_stages
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_s)) * self.rtol
+            return y_s, f_s, self._rms(np.dot(h * self.E, K) / scale)
 
     def step(self) -> str | None:
         """Make one accepted step; return None, or the failure message with status 'failed'."""

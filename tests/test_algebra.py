@@ -122,6 +122,19 @@ def test_from_triples_takes_numpy_integer_indices():
     assert np.array_equal(LieBracket.from_triples(0, 3, [entry], one_indexed=True).c, HEIS.c)
 
 
+@pytest.mark.parametrize("value", [True, np.True_, "2.5", None, 1 + 0j], ids=["bool", "numpy-bool", "string", "none", "complex"])
+def test_from_triples_refuses_a_value_that_is_not_a_real_number(value):
+    # float() would read True as 1.0 and "2.5" as 2.5
+    with pytest.raises(ValueError, match=r"bracket entry \(1, 2, 3, .*\): value must be a real number"):
+        LieBracket.from_triples(0, 3, [(1, 2, 3, value)], one_indexed=True)
+
+
+@pytest.mark.parametrize("value", [1, 1.0, np.float32(1.0), np.int64(1)], ids=["int", "float", "numpy-float", "numpy-int"])
+def test_from_triples_takes_python_and_numpy_real_values(value):
+    triples = [(1, 2, 3, value), (2, 3, 1, value), (3, 1, 2, value)]
+    assert np.array_equal(LieBracket.from_triples(0, 3, triples, one_indexed=True).c, SU2.c)
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_from_triples_rejects_a_value_that_is_not_finite(value):
     with pytest.raises(ValueError, match=r"bracket entry \(0, 1, 2, .*\): value must be finite"):

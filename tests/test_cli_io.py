@@ -1,13 +1,13 @@
 import json
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bracketflow import IntegratorOptions, flow, integrate, load_scenario, run_scenario
+from bracketflow import IntegratorOptions, Scenario, flow, integrate, load_scenario, run_scenario
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.cli import main
 from bracketflow.scenario import CSV_HEADER, ScenarioError, write_trajectory_csv
@@ -474,6 +474,18 @@ def test_cli_verify_exit_zero_and_one_line_per_criterion(capsys):
         assert f"[PASS] {cid:>2}" in out
 
 
+def test_cli_verify_failing_criteria_still_print_the_whole_table(capsys):
+    # at rel_tol 1e-6 a catalog run has 19 samples, too few for the estimate
+    # report that C4 and C5 read: they fail naming the error, with no traceback
+    from bracketflow.verify import criteria_ids
+
+    assert main(["--rel-tol", "1e-6", "verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[7:9] for line in lines[:-1]] == [f"{cid:>2}" for cid in criteria_ids()]
+    assert re.fullmatch(r"\d+/11 criteria passed, \d+ FAILED", lines[-1])
+    assert "ValueError: need at least 20 samples for the estimate report" in lines[3]
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("expect_tol", "nan"), ("expect_tol", "inf"), ("expect_tol", "-1e-3"), ("expect_tol", "0"),
@@ -593,4 +605,10 @@ def test_name_with_a_path_separator_is_refused_before_anything_is_written(tmp_pa
         load_scenario(scn)
     assert main(["--out", str(work / "out"), "run", str(scn)]) == 2
     _single_error_line(capsys, "sep.scn:2: bad value for name")
+    # a Scenario built in Python is refused too: ../escaped wrote next to out/
+    su2 = Scenario(name="su2", bracket=get_entry("su2_round").bracket, horizon=2.0)
+    with pytest.raises(ScenarioError, match="bad scenario name: must not contain a path separator"):
+        run_scenario(replace(su2, name=name), work / "out")
+    with pytest.raises(FrozenInstanceError):
+        su2.name = name
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sep.scn"]

@@ -6,6 +6,8 @@ stepper's own first step, which is scipy's heuristic written homogeneously
 in time.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import RK45 as ScipyRK45
@@ -108,6 +110,26 @@ def test_nan_stage_is_rejected_and_retried_at_min_factor():
     assert solver.h_abs == MIN_FACTOR * h_first  # a step right after a rejection does not grow
     solver.step()
     assert solver.nfev == 2 + 3 * solver.n_stages
+
+
+def test_overflowing_stage_is_rejected_and_retried_at_min_factor_with_no_warning():
+    calls = {"n": 0}
+
+    def overflowing(_t, y):
+        # the third stage of the first attempt overflows, and the stages and
+        # the error norm after it meet inf and inf - inf
+        calls["n"] += 1
+        return y * 1e300 * 1e300 if calls["n"] == 5 else -y
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver = DormandPrince54(overflowing, 0.0, np.array([1.0]), 10.0, rtol=1e-6, atol=1e-9)
+        h_first = solver.h_abs
+        assert solver.step() is None
+    assert solver.status == "running"
+    assert solver.nfev == 2 + 2 * solver.n_stages  # one rejected attempt, one accepted
+    assert solver.t - solver.t_old == MIN_FACTOR * h_first
+    assert np.isfinite(solver.y).all()
 
 
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
