@@ -53,15 +53,25 @@ from .flow import (
     integrate,
     type_I_diagnostic,
 )
-from .metric_flow import (
-    MetricState,
-    MetricTrajectory,
-    NonSPDError,
-    equivalence_check,
-    metric_flow_integrate,
-    metric_ricci,
-)
 from .scenario import Scenario, ScenarioError, load_scenario, run_scenario, write_trajectory_csv
 from .verify import run_criterion, verify_all
 
 __version__ = "0.1.0"
+
+# The metric flow, and with it LAPACK, loads on first use of one of its names.
+_METRIC_FLOW_NAMES = {
+    "MetricState",
+    "MetricTrajectory",
+    "NonSPDError",
+    "equivalence_check",
+    "metric_flow_integrate",
+    "metric_ricci",
+}
+
+
+def __getattr__(name: str):
+    if name in _METRIC_FLOW_NAMES:
+        from . import metric_flow
+
+        return getattr(metric_flow, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

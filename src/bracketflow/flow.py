@@ -70,8 +70,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import OdeSolution
-from scipy.optimize import minimize_scalar
 
 from .algebra import (
     DEFAULT_TOL,
@@ -297,11 +295,17 @@ class Trajectory:
         return len(self.t)
 
 
-class DenseSolution(OdeSolution):
-    """scipy's `OdeSolution` of an integrated flow, refusing times outside its range.
+class DenseSolution:
+    """The dense output of an integrated flow: its steps' interpolants, read at any time in its range.
 
-    A scalar time gives the state; an array of m times gives the states as the
-    m columns of one array, in a single call.  With a `table`, as every
+    ts are the sample times, increasing or decreasing, and interpolants[i]
+    covers [ts[i], ts[i + 1]].  A time reads the segment `np.searchsorted`
+    finds among the sorted knots, with the side rule of scipy's `OdeSolution`
+    ("left" ascending, "right" descending), so that at a knot it reads the
+    segment of lower index; a time outside the range is refused.  A scalar
+    time gives the state; an array of m times gives the states as the m
+    columns of one array, each contiguous group of the sorted times that
+    shares a segment read in one interpolant call.  With a `table`, as every
     bracket-flow run has, the interpolants hold the state u on its support
     (see `_to_state`) and the solution is the flat tensor of size d^3 that u
     stands for, mirrored exactly (`_to_tensor`); without one (the metric
@@ -309,14 +313,36 @@ class DenseSolution(OdeSolution):
     """
 
     def __init__(self, ts, interpolants, d: int = 0, table: _StackedTable | None = None):
-        super().__init__(ts, interpolants)
+        ts = np.asarray(ts)
+        self._ascending = bool(ts[-1] >= ts[0])
+        self._knots = ts if self._ascending else ts[::-1]
+        self._side = "left" if self._ascending else "right"
+        self.t_min, self.t_max = self._knots[0], self._knots[-1]
+        self.interpolants = interpolants
         self._d = d
         self._table = table
+
+    def _segments(self, t: np.ndarray) -> np.ndarray:
+        last = len(self.interpolants) - 1
+        seg = np.clip(np.searchsorted(self._knots, t, side=self._side) - 1, 0, last)
+        return seg if self._ascending else last - seg
 
     def __call__(self, t):
         if not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
             raise ValueError(f"time {t} outside the integrated range")
-        y = super().__call__(t)
+        t = np.asarray(t)
+        if t.ndim == 0:
+            y = self.interpolants[self._segments(t)](t)
+        else:
+            # scipy's order of evaluation, so that every interpolant call sees the same times
+            order = np.argsort(t)
+            t_sorted = t[order]
+            seg = self._segments(t_sorted)
+            cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1), len(t)]
+            parts = [self.interpolants[seg[a]](t_sorted[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+            ys = np.hstack(parts)
+            y = np.empty_like(ys)
+            y[:, order] = ys
         return y if self._table is None else _to_tensor(y, self._d, self._table).reshape((-1,) + y.shape[1:])
 
 
@@ -609,6 +635,8 @@ def fit_power_blowup(times: np.ndarray, norms: np.ndarray) -> PowerLawFit:
     Raises:
         ValueError: if the tail holds fewer than `MIN_TAIL_SAMPLES` samples.
     """
+    from scipy.optimize import minimize_scalar  # loads scipy.optimize on the first fit, not on import
+
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
     if times.ndim != 1 or times.shape != norms.shape:

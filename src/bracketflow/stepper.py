@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import DenseOutput
 
 __all__ = ["DormandPrince54"]
 
@@ -193,20 +192,23 @@ class DormandPrince54:
         return DenseStep(self.t_old, self.t, self.y_old, np.dot(self.P.T, self.K))
 
 
-class DenseStep(DenseOutput):
+class DenseStep:
     """One step's quartic interpolant y_old + h sum_k x^(k+1) q[k], x = (t - t_old) / h.
 
-    A scalar time gives the state; an array of m times gives the m states as
-    columns, as every scipy `DenseOutput` does.
+    A scalar time gives the state; a 1-d array of m times gives the m states
+    as the columns of one array.  A time array of more dimensions is refused.
     """
 
     def __init__(self, t_old: float, t: float, y_old: np.ndarray, q: np.ndarray):
-        super().__init__(t_old, t)
+        self.t_old = t_old
         self.h = t - t_old
         self.y_old = y_old
         self.q = q
 
-    def _call_impl(self, t):
+    def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
         x = (t - self.t_old) / self.h
         powers = np.cumprod(np.full((len(self.q),) + np.shape(x), x), axis=0)
         y = self.h * np.dot(self.q.T, powers)

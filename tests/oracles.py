@@ -7,12 +7,14 @@ their Ricci, pi and Jacobi coefficients with from the package's kernels, by
 polarizing them on the mirrored basis (`polar_form`), kept so that the
 tables written down from index terms can be checked against them bit for
 bit.  So is `antisymmetrized_by_mask`, the earlier construction of a
-bracket's tensor.
+bracket's tensor, and scipy's `OdeSolution` (`scipy_dense_solution`), the
+dense output the package's `DenseSolution` replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import OdeSolution
 
 
 def apply_bracket(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -376,3 +378,12 @@ def milnor_singular_time(c: np.ndarray) -> float:
     if sol.status != 1:
         raise RuntimeError(f"no singularity found: {sol.message}")
     return float(sol.t_events[0][0])
+
+
+def scipy_dense_solution(ts, interpolants) -> OdeSolution:
+    """scipy's `OdeSolution` over a run's dense segments, the reference for `flow.DenseSolution`.
+
+    At a knot it reads the segment of lower index, and it reads an array's
+    times sorted, one interpolant call per contiguous group of a segment.
+    """
+    return OdeSolution(ts, interpolants)

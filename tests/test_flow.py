@@ -37,7 +37,7 @@ from bracketflow import (
 from bracketflow import algebra, curvature
 from bracketflow.catalog import catalog_entries, get_entry
 
-from oracles import local_derivatives_polyfit, milnor_singular_time
+from oracles import local_derivatives_polyfit, milnor_singular_time, scipy_dense_solution
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
@@ -972,6 +972,28 @@ def test_dense_vector_call_equals_the_scalar_loop(run):
     states = traj.dense(t)
     assert states.shape == (traj.dense(t[0]).size, len(t))
     assert np.array_equal(states, np.stack([traj.dense(s) for s in t], axis=1))
+
+
+@pytest.mark.parametrize("name, direction, horizon", [("su2_round", "forward", 2.0), ("heisenberg3", "backward", 1.0)])
+def test_dense_output_equals_scipys_ode_solution(name, direction, horizon):
+    # The same segments read through scipy's OdeSolution, bit for bit: at
+    # every knot, where both read the segment of lower index, and on an
+    # unsorted array with repeated times.  The tensor is that state mirrored.
+    traj = integrate(get_entry(name).bracket, direction, horizon, IntegratorOptions(collect_dense=True))
+    ours = flow.DenseSolution(traj.t, traj.dense.interpolants)
+    ref = scipy_dense_solution(traj.t, traj.dense.interpolants)
+    for t in traj.t:
+        assert np.array_equal(ours(t), ref(t))
+    rng = np.random.default_rng(5)
+    t = rng.permutation(np.concatenate([traj.t, np.linspace(traj.t[0], traj.t[-1], 60)]))
+    t = np.append(t, rng.choice(t, 9))
+    assert np.array_equal(ours(t), ref(t))
+    table = curvature._flow_table(traj.initial)
+    assert np.array_equal(traj.dense(t), flow._to_tensor(ref(t), traj.dims.d, table).reshape(-1, len(t)))
+    # one ulp past either end of the run is refused
+    for end, away in ((traj.t[0], -traj.t[-1]), (traj.t[-1], 2 * traj.t[-1])):
+        with pytest.raises(ValueError, match="outside"):
+            ours(np.nextafter(end, away))
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.5])

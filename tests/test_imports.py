@@ -1,9 +1,11 @@
-"""The package imports no private module, such as scipy.integrate._ivp, and builds nothing on import."""
+"""The package imports no private module, such as scipy.integrate._ivp, builds nothing on import and loads no scipy."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bracketflow
 
@@ -45,7 +47,41 @@ def test_import_builds_no_table():
         "from bracketflow import curvature\n"
         f"print(*[getattr(curvature, name).cache_info().currsize for name in {caches!r}])\n"
     )
+    assert _run(code).split() == ["0"] * len(caches)
+
+
+def _run(code: str) -> str:
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SRC.parent, timeout=60
     )
-    assert out.stdout.split() == ["0"] * len(caches)
+    return out.stdout
+
+
+@pytest.mark.parametrize("module", ["bracketflow", "bracketflow.cli", "bracketflow.verify"])
+def test_import_loads_no_scipy(module):
+    # scipy loads on first use only: LAPACK with the metric flow, scipy.optimize
+    # with `fit_power_blowup`; no run steps with scipy.
+    code = f"import sys, {module}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    assert _run(code).split() == []
+
+
+def test_metric_flow_names_load_on_first_use():
+    names = ["equivalence_check", "metric_flow_integrate", "metric_ricci", "MetricState", "MetricTrajectory", "NonSPDError"]
+    code = (
+        "import sys, bracketflow\n"
+        "loaded = 'bracketflow.metric_flow' in sys.modules\n"
+        "from bracketflow import metric_flow\n"
+        f"print(loaded, *[getattr(bracketflow, name) is getattr(metric_flow, name) for name in {names!r}])\n"
+    )
+    assert _run(code).split() == ["False"] + ["True"] * len(names)
+
+
+def test_unknown_attribute_is_still_an_attribute_error():
+    code = (
+        "import bracketflow\n"
+        "try:\n"
+        "    bracketflow.metric_flow_integrat\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _run(code).strip() == "module 'bracketflow' has no attribute 'metric_flow_integrat'"

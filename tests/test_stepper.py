@@ -92,6 +92,13 @@ def test_dense_output_equals_scipys_on_the_same_step():
     assert np.array_equal(a(ours.t_old), ours.y_old)
 
 
+def test_dense_step_refuses_a_time_array_of_more_than_one_dimension():
+    solver = DormandPrince54(_linear, 0.0, np.array([1.0, -3.0]), 1.0, rtol=1e-6, atol=1e-9)
+    solver.step()
+    with pytest.raises(ValueError, match="1-D"):
+        solver.dense_output()(np.full((2, 2), solver.t))
+
+
 def test_nan_stage_is_rejected_and_retried_at_min_factor():
     calls = {"n": 0}
 
