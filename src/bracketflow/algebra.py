@@ -283,11 +283,15 @@ def _transform_tensor(c: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndar
     # The three mode products of `transform_bracket` on the raw tensor, with
     # the inverse supplied by the caller (the metric flow has it from its
     # factorization).  The result is antisymmetric up to rounding only.
-    d = c.shape[0]
-    ginv_t = ginv.T
-    t = (c.reshape(d * d, d) @ g.T).reshape(d, d * d)  # [a, (b, k)]
-    t = (ginv_t @ t).reshape(d, d, d)  # [i, b, k]
-    return np.matmul(ginv_t, t)
+    # Leading axes of c (..., d, d, d) and of g, ginv (..., d, d) broadcast
+    # into a stack of transformed tensors, each the same operations as its
+    # single call.
+    d = c.shape[-1]
+    ginv_t = ginv.swapaxes(-1, -2)
+    t = c.reshape(*c.shape[:-3], d * d, d) @ g.swapaxes(-1, -2)
+    batch = t.shape[:-2]
+    t = (ginv_t @ t.reshape(*batch, d, d * d)).reshape(*batch, d, d, d)  # [a, (b, k)], then [i, b, k]
+    return ginv_t[..., None, :, :] @ t
 
 
 def jacobiator(mu: LieBracket) -> np.ndarray:

@@ -583,16 +583,23 @@ def _ricci_gemm(c: np.ndarray, q: int) -> np.ndarray:
     symmetrisation,
 
         Ric = S(G - adH) = M - B/2 - S(ad H|_p).
+
+    A stack of tensors, shape (..., d, d, d), gives the stack of their Ricci
+    matrices, shape (..., n, n): each the same operations as its single
+    call, through one gather and one batched product for the whole stack.
     """
-    d = c.shape[0]
+    d = c.shape[-1]
+    batch = c.shape[:-3]
     idx, w = _ricci_plan(d, q)
-    gathered = c.ravel()[idx]
+    # `take` lays each tensor's gather out contiguously, as a single call's
+    # is, so that each product runs the same BLAS kernel on it.
+    gathered = c.reshape(batch + (d**3,)).take(idx, axis=-1)
     weighted = gathered * w
-    rows = c[q:].reshape(d - q, d * d)
-    h = rows[:, :: d + 1].sum(1)
-    ad_h = (h @ rows).reshape(d, d)[q:, q:]
-    a = gathered[0] @ (weighted[0] + weighted[1]).T - ad_h
-    return 0.5 * (a + a.T)
+    rows = c[..., q:, :, :].reshape(batch + (d - q, d * d))
+    h = rows[..., :: d + 1].sum(-1)
+    ad_h = (h[..., None, :] @ rows).reshape(batch + (d, d))[..., q:, q:]
+    a = gathered[..., 0, :, :] @ (weighted[..., 0, :, :] + weighted[..., 1, :, :]).swapaxes(-1, -2) - ad_h
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def mean_curvature(mu: LieBracket) -> np.ndarray:

@@ -368,17 +368,19 @@ def _to_tensor(y: np.ndarray, d: int, table: _StackedTable) -> np.ndarray:
 
 def _default_rhs_tensor(y: np.ndarray, table: _StackedTable) -> tuple[np.ndarray, np.ndarray]:
     # The derivative of the state y (see `_to_state`), in the same layout,
-    # together with the Ricci matrix it was built from.  r are Ric's rows on
-    # the support: on a sparse table (no dense stack) r = Q(u, u) and the
-    # derivative P(r, u), each one bincount over the nonzero coefficients; on
-    # a dense one a single product gives s = [Q u; P u], r = s[0] @ u and the
+    # together with the rows r of the Ricci matrix it was built from: Ric's
+    # rows on the support, which r[table.sym] spreads into the Ricci matrix.
+    # Only the monitor reads Ric, so only it spreads r; the RK stages do not.
+    # On a sparse table (no dense stack) r = Q(u, u) and the derivative
+    # P(r, u), each one bincount over the nonzero coefficients; on a dense
+    # one a single product gives s = [Q u; P u], r = s[0] @ u and the
     # derivative r @ s[1].  No Ricci assembly runs.
     if table.stack is None:
         r = table.q_form(y, y)
-        return table.p_form(r, y), r[table.sym]
+        return table.p_form(r, y), r
     s = np.dot(table.stack, y).reshape(2, table.rows, -1)
     r = np.dot(s[0], y)
-    return np.dot(r, s[1]), r[table.sym]
+    return np.dot(r, s[1]), r
 
 
 def _end_time(direction: str, horizon: float) -> float:
@@ -459,15 +461,19 @@ def integrate(
         rows += [0.0] * (5 * t.size)
     else:
         if rhs is None:
+            def fun(_t, y):
+                return _default_rhs_tensor(y, table)[0]
+
             def f_tensor(y):
-                return _default_rhs_tensor(y, table)
+                dy, r = _default_rhs_tensor(y, table)
+                return dy, r[table.sym]
         else:
             def f_tensor(y):
                 c = _to_tensor(y, d, table)
                 return _to_state(rhs(LieBracket(dims, c)).c, table), _ricci_from_tensor(c, q)
 
-        def fun(_t, y):
-            return f_tensor(y)[0]
+            def fun(_t, y):
+                return f_tensor(y)[0]
 
         def sample(t, y):
             # The monitor, at t = 0 too, where the state is already admitted
@@ -578,7 +584,7 @@ def _drive(solver, opts: IntegratorOptions, sample, n: int) -> _Run:
             states.append(solver.y)
             rics.append(sample(solver.t, solver.y))
         t, ric = ts[-1], rics[-1]
-        r = np.trace(ric)
+        r = ric.trace()
         singular = _time_left(t, r, n) < STOP_REL * abs(t)
         if not singular and solver.status == "failed":
             raise StiffnessError(f"integrator failed at t = {solver.t}: {msg}")

@@ -18,7 +18,10 @@ LAPACK's dtrtri inverts the upper factor from dpotrf.  The flow is
 integrated on the bracket flow's monitored stepping loop (`flow._drive`),
 with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
 on the flat n x n matrix; `_drive` keeps the samples, and the metric flow's
-only per-sample work is Ric of the pushed bracket.  The two flows are one
+only per-sample work is Ric of the pushed bracket.  That is no assembly of
+its own: the RHS keeps the Ric it computed for the last array it was
+handed, and the stepper's last stage is evaluated at the new state, the
+very array `_drive` samples.  The two flows are one
 flow in two coordinates, so they share the scale-free stop rule on R
 (`flow.STOP_REL`), the singular-time estimate from the stop sample and the
 far bound n / (2|R|) on it.  They can be compared through their isometry
@@ -36,7 +39,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .algebra import LieBracket, _transform_tensor
 from .algebra import transform_bracket  # noqa: F401  (not called here; flowbench's tracer looks it up on this module)
-from .curvature import _ricci_from_tensor
+from .curvature import _ricci_from_tensor, _ricci_gemm
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 # DenseSolution and integrate are called by these names so that flowbench can trace them.
@@ -212,18 +215,33 @@ def metric_flow_integrate(
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
+    # The array `fun` was last handed and the Ric it computed there (None
+    # off the positive-definite cone).  The stepper never writes an array it
+    # has handed out, so the Ric still belongs to that array.
+    last: list = [None, None]
 
     def fun(_t, y):
+        last[:] = y, None
         try:
             ric, ell = _pushed_ric(mu0, y.reshape(n, n))
         except NonSPDError:
             return np.full(n * n, np.nan)
-        # -2 P RicOp(P) = -2 L^T ric L, symmetrised.
-        return _sym(-2.0 * (ell.T @ ric @ ell)).ravel()
+        last[1] = ric
+        # -2 P RicOp(P) = -2 L^T ric L, symmetrised: -(a + a^T) is
+        # 0.5 (-2a + (-2a)^T) bit for bit, both scalings being powers of 2.
+        a = ell.T @ ric @ ell
+        return (-(a + a.T)).ravel()
+
+    def sample(_t, y):
+        # An accepted state is the array of its step's last stage, so its Ric
+        # is that stage's; only the initial state is assembled here.
+        if y is last[0] and last[1] is not None:
+            return last[1]
+        return _pushed_ric(mu0, y.reshape(n, n))[0]
 
     atol = _abs_tol(opts, float(np.linalg.norm(p0)))
     solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=atol)
-    run = _drive(solver, opts, lambda _t, y: _pushed_ric(mu0, y.reshape(n, n))[0], n)
+    run = _drive(solver, opts, sample, n)
     return MetricTrajectory(
         direction=direction,
         horizon=horizon,
@@ -254,7 +272,10 @@ def equivalence_check(
     Runs the bracket flow from mu0 and the metric flow from the identity
     metric over mu0, then compares scalar curvature and sorted Ricci spectra
     on a shared grid, reading each flow's dense output once for the whole
-    grid.  An immortal pair is compared over the full horizon; a
+    grid and its Ricci matrices there in one batched call of the GEMM kernel
+    (`curvature._ricci_gemm`) per flow; the grid metrics are factored one by
+    one (`_factor`), so a grid metric off the cone raises NonSPDError.  An
+    immortal pair is compared over the full horizon; a
     singular pair over the first `COVERAGE` fraction of the common interval
     (see the constant for why).  Returns the maximum gap, each grid time's
     relative to sqrt(n) max(|Ric_b|, |Ric_m|) in the Frobenius norm there:
@@ -276,15 +297,12 @@ def equivalence_check(
     singular = bt.verdict.kind == "blowup" or mt.verdict.kind == "blowup"
     grid = (COVERAGE * t_end if singular else t_end) * _comparison_grid()
     n = mu0.dims.n
-    # One contiguous row per grid time, as a single-time dense call returns it.
-    states_b = np.ascontiguousarray(bt.dense(grid).T)
-    states_m = np.ascontiguousarray(mt.dense(grid).T)
+    # One contiguous tensor or metric per grid time.
+    tensors_b = np.ascontiguousarray(bt.dense(grid).T).reshape((-1,) + mu0.c.shape)
+    ell, ell_inv = map(np.array, zip(*(_factor(_sym(p.reshape(n, n))) for p in mt.dense(grid).T)))
     # Both flows' Ricci matrices stacked, shape (2, grid, n, n): one trace and
     # one batched spectrum for the whole grid.
-    rics = np.array([
-        [_ricci_from_tensor(c.reshape(mu0.c.shape), 0) for c in states_b],
-        [_pushed_ric(mu0, p.reshape(n, n))[0] for p in states_m],
-    ])
+    rics = np.array([_ricci_gemm(tensors_b, 0), _ricci_gemm(_transform_tensor(mu0.c, ell, ell_inv), 0)])
     r_b, r_m = np.trace(rics, axis1=2, axis2=3)
     eig_b, eig_m = np.linalg.eigvalsh(rics)
     scale = np.sqrt(n) * np.max(np.linalg.norm(rics, axis=(2, 3)), axis=0)

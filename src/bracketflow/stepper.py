@@ -10,11 +10,13 @@ homogeneously in time, with no absolute floor, so a run of y' = f(y) and
 one rescaled by a power of 2 take the same steps bit for bit when atol
 scales with y.  Both flows step with it (`flow._drive`).
 
-Stage arithmetic is fused: with hA = h * A formed once per attempt, stage s
-is one product hA[s, :s] @ K[:s].  The last row of A holds the 5th-order
+Stage arithmetic is fused: each attempt writes h [A; E] into one buffer
+allocated with the stepper, and stage s is one product of its fixed row
+view hA[s, :s] with K[:s].  The last row of A holds the 5th-order
 weights, so the last stage is the new state's derivative (first same as
 last) and the next step starts from it.  The error norm is the weighted
-RMS sqrt(w * e.e) of e = h (E @ K) / (atol + rtol max(|y|, |y_new|)); w is
+RMS sqrt(w * e.e) of e = h (E @ K) / (atol + rtol max(|y|, |y_new|)), a
+Python float; |y| is kept from the attempt that accepted y.  w is
 1/len(y) unless the caller's state stores several mirrored entries once
 (see `rms_weight`).  A non-finite error norm, as from a stage that left the
 RHS's domain or an overflow, rejects the attempt and retries at MIN_FACTOR
@@ -70,6 +72,7 @@ class DormandPrince54:
     ])
     # 5th- minus 4th-order weights over all 7 stages.
     E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+    _AE = np.vstack([A, E])
     # Shampine's dense output: y(t_old + x h) = y_old + h sum_k x^(k+1) (P^T K)[k].
     P = np.array([
         [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -100,8 +103,12 @@ class DormandPrince54:
         self.t_old = None
         self.y_old = None
         self.K = np.empty((self.n_stages + 1, self.y.size))
-        # (s, C[s], the stages before s) for s = 1..6, as Python floats and fixed views of K
-        self._stages = [(s, float(self.C[s]), self.K[:s]) for s in range(1, self.n_stages + 1)]
+        # h [A; E], rewritten by each attempt, and (s, C[s], row s of h A
+        # before s, the stages before s) for s = 1..6, as Python floats and fixed views
+        self._h_ae = np.empty((self.n_stages + 2, self.n_stages + 1))
+        self._h_e = self._h_ae[-1]
+        self._stages = [(s, float(self.C[s]), self._h_ae[s, :s], self.K[:s]) for s in range(1, self.n_stages + 1)]
+        self._abs_y = np.abs(self.y)
         self.f = self._eval(t0, self.y)
         self.h_abs = self._initial_step()
 
@@ -129,23 +136,24 @@ class DormandPrince54:
         h1 = h0 * (0.01 / change) ** -self.error_exponent if change > 0 else interval
         return min(100 * h0, h1, interval)
 
-    def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """(y_new, f_new, error norm) of a step of h from (t, y); fills the stages K.
+    def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(y_new, f_new, |y_new|, error norm) of a step of h from (t, y); fills the stages K.
 
         An attempt that overflows gives a non-finite error norm, which `step`
         rejects, so its stages and norm run with overflow and invalid
         operations ignored: they raise no floating-point warning.
         """
         t, y, K, fun = self.t, self.y, self.K, self._fun
-        h_a = h * self.A
+        np.multiply(h, self._AE, out=self._h_ae)
         K[0] = self.f
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, c, before in self._stages:
-                y_s = y + np.dot(h_a[s, :s], before)
+            for s, c, h_a, before in self._stages:
+                y_s = y + np.dot(h_a, before)
                 K[s] = f_s = fun(t + c * h, y_s)
             self.nfev += self.n_stages
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_s)) * self.rtol
-            return y_s, f_s, self._rms(np.dot(h * self.E, K) / scale)
+            abs_new = np.abs(y_s)
+            e = np.dot(self._h_e, K) / (self.atol + np.maximum(self._abs_y, abs_new) * self.rtol)
+            return y_s, f_s, abs_new, math.sqrt(self._w * float(np.dot(e, e)))
 
     def step(self) -> str | None:
         """Make one accepted step; return None, or the failure message with status 'failed'."""
@@ -164,7 +172,7 @@ class DormandPrince54:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new, error_norm = self._attempt(h)
+            y_new, f_new, abs_new, error_norm = self._attempt(h)
             if not math.isfinite(error_norm):
                 # A stage outside the RHS's domain (NaN) or an overflow.
                 h_abs *= MIN_FACTOR
@@ -179,7 +187,7 @@ class DormandPrince54:
                 h_abs *= max(MIN_FACTOR, SAFETY * error_norm**self.error_exponent)
                 rejected = True
         self.t_old, self.y_old = t, self.y
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self.f, self._abs_y = t_new, y_new, f_new, abs_new
         self.h_abs = h_abs
         if self.direction * (self.t - self.t_bound) >= 0:
             self.status = "finished"

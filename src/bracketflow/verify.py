@@ -134,21 +134,30 @@ def _c3_hyperbolic(lab: AcceptanceLab, check) -> str:
     return f"|Ric+2I|={dev:.1e}, alpha_est={alpha}"
 
 
+def _report_field(report, field: str, run: str, check) -> float | None:
+    """`field` of the estimate report that `report()` makes, or None where it cannot be read.
+
+    A report that cannot be read (too few samples, say) fails the check with
+    the run named.
+    """
+    try:
+        return getattr(report(), field)
+    except ValueError as exc:
+        check(False, f"{run}: {type(exc).__name__}: {exc}")
+        return None
+
+
 def _worst(lab: AcceptanceLab, field: str, check) -> tuple[float, str]:
     """The largest `field` of the catalog runs' estimate reports (0.0 if none is positive), and its run.
 
-    A run whose report cannot be read (too few samples, say) fails the check,
-    named, and the others are still read.
+    A run whose report cannot be read fails the check, named, and the others
+    are still read.
     """
     worst, label = 0.0, ""
     for entry, direction, _ in lab.all_runs():
         run = f"{entry.name}/{direction}"
-        try:
-            value = getattr(lab.report(entry.name, direction), field)
-        except ValueError as exc:
-            check(False, f"{run}: {type(exc).__name__}: {exc}")
-            continue
-        if value > worst:
+        value = _report_field(lambda: lab.report(entry.name, direction), field, run, check)
+        if value is not None and value > worst:
             worst, label = value, run
     return worst, label
 
@@ -170,8 +179,11 @@ def _c5_monotonicity(lab: AcceptanceLab, check) -> str:
     # contradict both the singularity verdict and the monotonicity check.
     flipped = lambda mu: scale_bracket(bracket_flow_rhs(mu), -1.0)
     mutant = integrate(get_entry("su2_round").bracket, "forward", 2.0, lab.opts, rhs=flipped)
-    violation = estimate_report(mutant).monotone_R_violation
     check(mutant.verdict.kind != "blowup", "mutant unexpectedly still blows up")
+    run = "su2_round/forward sign-flipped mutant"
+    violation = _report_field(lambda: estimate_report(mutant), "monotone_R_violation", run, check)
+    if violation is None:
+        return ""  # failed, naming the mutant: the detail is the failures
     check(violation > 1e-3, f"mutant monotonicity violation only {violation:.2e}")
     return f"worst violation {worst:.2e}; sign-flipped mutant: verdict {mutant.verdict.kind}, violation {violation:.2e}"
 

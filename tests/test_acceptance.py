@@ -8,7 +8,7 @@ criteria (C1, C2) and keeps its estimate report, so the gate is fast.
 
 import pytest
 
-from bracketflow import FlowError, verify
+from bracketflow import FlowError, IntegratorOptions, verify
 from bracketflow.verify import AcceptanceLab, criteria_ids, run_criterion
 
 
@@ -53,3 +53,22 @@ def test_verify_makes_each_run_and_each_estimate_report_once(monkeypatch, capsys
         monkeypatch.setattr(verify, name, counted(name))
     assert verify.verify_all() == 0
     assert calls == {"integrate": 18, "estimate_report": 17}
+
+
+def test_c5_checks_its_mutants_verdict_when_the_mutants_report_cannot_be_read(monkeypatch):
+    # at rel_tol 1e-6 the report of C5's mutant cannot be read (too few
+    # samples); a mutant that still blows up must fail the verdict check too,
+    # so the mutant here is the true flow and its report is refused
+    lab = AcceptanceLab(IntegratorOptions(rel_tol=1e-6))
+    assert run_criterion(5, lab).detail.endswith(
+        "; su2_round/forward sign-flipped mutant: ValueError: need at least 20 samples for the estimate report, got 9"
+    )
+
+    def refused(traj):
+        raise ValueError(f"need at least 20 samples for the estimate report, got {traj.n_samples}")
+
+    monkeypatch.setattr(verify, "scale_bracket", lambda mu, c: mu)
+    monkeypatch.setattr(verify, "estimate_report", refused)  # the catalog runs' reports are kept in the lab
+    *_, verdict, report = run_criterion(5, lab).detail.split("; ")
+    assert verdict == "mutant unexpectedly still blows up"
+    assert report.startswith("su2_round/forward sign-flipped mutant: ValueError: need at least 20 samples")

@@ -476,8 +476,8 @@ def test_cli_verify_exit_zero_and_one_line_per_criterion(capsys):
 
 def test_cli_verify_failing_criteria_still_print_the_whole_table(capsys):
     # at rel_tol 1e-6 four catalog runs have 16-19 samples, too few for the
-    # estimate report that C4 and C5 read: they fail naming the error and each
-    # short run, with no traceback
+    # estimate report that C4 and C5 read, and C5's mutant has 9: they fail
+    # naming the error and each short run, with no traceback
     from bracketflow.verify import criteria_ids
 
     assert main(["--rel-tol", "1e-6", "verify"]) == 1
@@ -488,6 +488,7 @@ def test_cli_verify_failing_criteria_still_print_the_whole_table(capsys):
     for line in lines[3:5]:
         for run in ("heisenberg3/forward", "su2_round/backward", "nilpotent4/forward", "hyperbolic_plane/forward"):
             assert f"{run}: ValueError: need at least 20 samples" in line
+    assert lines[4].endswith("; su2_round/forward sign-flipped mutant: ValueError: need at least 20 samples for the estimate report, got 9")
     assert [line[1:5] for line in lines[:-1]].count("FAIL") == 4
 
 

@@ -163,6 +163,26 @@ def test_fused_kernel_matches_assembled_loops(q, n):
     assert rd.ric_sq_trace == pytest.approx(np.sum(ref * ref), rel=1e-12)
 
 
+@pytest.mark.parametrize("q, n", [(q, d - q) for d in range(2, 9) for q in range(d)])
+def test_a_stack_takes_the_same_operations_as_its_single_calls(q, n):
+    # `_ricci_gemm` and `_transform_tensor` on a (B, d, d, d) stack, as
+    # `equivalence_check` calls them on its grid, equal their one-tensor
+    # calls bit for bit: a stack of tensors, and one tensor pushed by a stack
+    # of frames
+    d, b = q + n, 5
+    rng = np.random.default_rng(10 * d + q)
+    c = rng.standard_normal((b, d, d, d))
+    c -= c.transpose(0, 2, 1, 3)
+    g = rng.standard_normal((b, d, d))
+    g_inv = np.linalg.inv(g)
+    ric, pushed, pushed_first = _ricci_gemm(c, q), _transform_tensor(c, g, g_inv), _transform_tensor(c[0], g, g_inv)
+    assert ric.shape == (b, n, n) and pushed.shape == pushed_first.shape == c.shape
+    for k in range(b):
+        assert np.array_equal(ric[k], _ricci_gemm(c[k], q))
+        assert np.array_equal(pushed[k], _transform_tensor(c[k], g[k], g_inv[k]))
+        assert np.array_equal(pushed_first[k], _transform_tensor(c[0], g[k], g_inv[k]))
+
+
 # --- tabulated forms ----------------------------------------------------------
 
 # Every (q, n) with d <= 4 (every catalog shape), and two at d = 5.
@@ -253,7 +273,8 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         # products, with the same bits; a sparse table's sum the same
         # coefficients in another order.
         t = _full_table(q + n, q)
-        du, ric_hot = _default_rhs_tensor(c.ravel()[t.upper], t)
+        du, r_hot = _default_rhs_tensor(c.ravel()[t.upper], t)
+        ric_hot = r_hot[t.sym]
         dc_hot, ric_from_tensor = _to_tensor(du, q + n, t), _ricci_from_tensor(c, q)
         if t.stack is not None:
             assert np.array_equal(ric_hot, ric)
@@ -504,9 +525,9 @@ def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
     assert np.array_equal(c.ravel()[half][~outside], u)
     gemm, ric = _gemm_rhs(c, q)
     assert not np.any(gemm.ravel()[half][outside])
-    du, ric_table = _default_rhs_tensor(u, table)
+    du, r_table = _default_rhs_tensor(u, table)
     assert _rel(_to_tensor(du, d, table), gemm) <= TABLE_RTOL
-    assert _rel(ric_table, ric) <= TABLE_RTOL
+    assert _rel(r_table[table.sym], ric) <= TABLE_RTOL
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -612,9 +633,9 @@ def _assert_table_matches_the_kernels(t, d, q, u):
     for du in (du_sparse, du_dense):
         assert _rel(_to_tensor(du, d, t), gemm) <= TABLE_RTOL
     assert _rel(du_sparse, du_dense) <= TABLE_RTOL
-    du, ric_hot = _default_rhs_tensor(u, t)
+    du, r_hot = _default_rhs_tensor(u, t)
     hot_du, hot_r = (du_sparse, r_sparse) if t.stack is None else (du_dense, r_dense)
-    assert np.array_equal(du, hot_du) and np.array_equal(ric_hot, hot_r[t.sym])
+    assert np.array_equal(du, hot_du) and np.array_equal(r_hot, hot_r)
 
 
 @st.composite

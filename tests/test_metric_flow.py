@@ -183,6 +183,26 @@ def test_equivalence_flat_exact():
     assert equivalence_check(FLAT, 10.0) == 0.0
 
 
+def test_a_grid_metric_off_the_cone_is_a_non_spd_error(monkeypatch):
+    # the grid's metrics are factored as the flow's are: one off the cone is
+    # the package's typed error, not a linear-algebra one
+    metric_run = metric_flow.metric_flow_integrate
+
+    def off_the_cone(*args):
+        traj = metric_run(*args)
+
+        def dense(t):
+            p = traj.dense(t).copy()
+            p[0, -1] = -p[0, -1]  # P[0, 0] at the last grid time
+            return p
+
+        return replace(traj, dense=dense)
+
+    monkeypatch.setattr(metric_flow, "metric_flow_integrate", off_the_cone)
+    with pytest.raises(NonSPDError, match="dpotrf info = 1"):
+        equivalence_check(HEIS, 1.0)
+
+
 def test_ricci_spectra_recorded_sorted():
     traj = metric_flow_integrate(HEIS, np.eye(3), "forward", 5.0)
     assert traj.ric_eigs.shape == (traj.n_samples, 3)
@@ -323,3 +343,31 @@ def test_metric_checkpoints_are_a_lazy_read_only_view():
     assert [s.t for s in part] == list(traj.t[10:20:3])
     assert np.array_equal(part[-1].p_matrix, cps[19].p_matrix)
     assert [s.t for s in cps] == list(traj.t)
+
+
+def test_metric_monitor_reads_the_last_stages_ricci(monkeypatch):
+    # su(2) to its singularity rejects attempts whose stages leave the cone.
+    # The monitor makes no assembly but the initial sample's, so the run makes
+    # one per RHS evaluation and one more; each sample's Ric is still the one
+    # assembled at its own state, never a rejected attempt's stage's.
+    pushed_ric, drive = metric_flow._pushed_ric, metric_flow._drive
+    calls, solvers, runs = [0], [], []
+
+    def counted(*args):
+        calls[0] += 1
+        return pushed_ric(*args)
+
+    def recorded(solver, *args):
+        solvers.append(solver)
+        runs.append(drive(solver, *args))
+        return runs[-1]
+
+    monkeypatch.setattr(metric_flow, "_pushed_ric", counted)
+    monkeypatch.setattr(metric_flow, "_drive", recorded)
+    traj = metric_flow_integrate(SU2, np.eye(3), "forward", C8_HORIZONS["su2_round"])
+    (solver,), (run,) = solvers, runs
+    assert traj.verdict.kind == "blowup"
+    assert (solver.nfev - 2) // solver.n_stages > traj.n_samples - 1  # some attempt was rejected
+    assert calls[0] == solver.nfev + 1
+    for y, ric in zip(run.states, run.ric, strict=True):
+        assert np.array_equal(ric, pushed_ric(SU2, y.reshape(3, 3))[0])
