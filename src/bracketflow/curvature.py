@@ -31,13 +31,15 @@ c is mapped to +-(its position in the state) on S, or dropped where c is 0
 on V_S (`_support_slots`), and the two factors of a product are paired only
 where both are live (`_paired`), so the build costs the terms on S, not
 the tensor: 2 ms for a two-step nilpotent bracket at n = 13, 27 ms for the
-whole half at d = 8, where polarizing the kernels took 122 ms and 1.2 s.  Its coefficients are exact, and there is no second Ricci or pi
-formula.  A table of at most DENSE_TABLE_MAX_ENTRIES entries, read off the
-size of the dense [Q; P], is also kept as that dense stack, and the whole
-RHS on V_S (`flow._default_rhs_tensor`) is one matrix-vector product and two
-small contractions; a larger one, mostly zeros, is applied through its
-coefficient lists, two bincounts.  The crossover is measured.  Two tables
-are used:
+whole half at d = 8, where polarizing the kernels took 122 ms and 1.2 s.
+Its coefficients are exact, and there is no second Ricci or pi formula.  A
+table of at most DENSE_TABLE_MAX_ENTRIES entries, read off the size of the
+dense [Q; P], is also kept as that dense stack, and the whole RHS on V_S
+(`flow._default_rhs_tensor`) is one matrix-vector product, written into a
+buffer each run owns, and two small contractions on that buffer's views; a
+larger one, mostly zeros, is applied through its coefficient lists: one
+gather of the state through the table's read-only `gather` index, then two
+bincounts.  The crossover is measured.  Two tables are used:
 
 * the bracket flow's (`_flow_table`): S is the support of the initial
   bracket, grown until it is flow-invariant; a two-step nilpotent bracket
@@ -64,7 +66,7 @@ All sums run over ordered index pairs; there are no factor-of-two shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 import numpy as np
@@ -177,23 +179,26 @@ TABLE_MAX_ENTRIES = 2**17
 # (`_SparseForm`), one bincount for Ric's rows and one for the RHS, and no
 # dense array is built.  The product reads every entry, the lists only the
 # nonzeros (0.6% of the table at n = 13), but at a few more numpy calls.
-# Measured per call (min of 15 alternations of 2000 calls, 1 BLAS thread,
-# 2-CPU host), dense against sparse, for the RHS and for Ricci alone; a
-# nilpotent (n, z) support is that of a two-step nilpotent bracket with a
-# z-dimensional centre:
+# Measured per call with the RHS kernel of `flow._default_rhs_tensor` (the
+# dense product into a run's buffer, the sparse one gather of the state),
+# dense against sparse, for the RHS and for Ricci alone (min of 3 runs of 15
+# alternations of 2000 calls, 1 BLAS thread, 2-CPU shared host, whose runs
+# spread by up to 1.7x); a nilpotent (n, z) support is that of a two-step
+# nilpotent bracket with a z-dimensional centre:
 #                             entries  nonzeros  RHS (us)     Ricci (us)
-#   nilpotent (6, 3)            2,106      108    3.7 /  5.2   2.7 / 2.9
-#   nilpotent (8, 5)            9,900      225    5.6 /  5.8   3.8 / 3.1
-#   whole half d = 4, q = 0    11,520      450    5.1 /  6.9   3.5 / 3.7
-#   nilpotent (9, 6)           18,144      297    7.1 /  6.4   4.7 / 3.3
-#   whole half d = 5, q = 2    30,000      360    7.5 /  7.1   4.9 / 3.6
-#   whole half d = 5, q = 0    75,000    1,310   14.5 / 11.9   8.2 / 6.3
-#   whole half d = 6, q = 3    97,200      543   16.0 /  7.6   9.0 / 3.8
-#   nilpotent (13, 10)        111,600      675   23.2 /  8.1  12.7 / 4.1
-# The RHS breaks even near 10k entries; 2^14 lies between that and the
-# first win.  These are single states: a product over a batch of states
-# reads the dense table once per batch, so a batched RHS needs its own
-# crossover.
+#   nilpotent (6, 3)            2,106      108    3.4 /  5.9   2.8 / 3.1
+#   nilpotent (8, 5)            9,900      225    5.7 /  6.7   4.2 / 3.4
+#   whole half d = 4, q = 0    11,520      450    4.7 /  8.5   3.7 / 4.5
+#   nilpotent (9, 6)           18,144      297    7.1 /  7.3   5.0 / 3.5
+#   whole half d = 5, q = 2    30,000      360    8.1 /  8.1   5.4 / 3.9
+#   whole half d = 5, q = 0    75,000    1,310   16.7 / 13.9   9.9 / 8.1
+#   whole half d = 6, q = 3    97,200      543   19.0 /  9.6  11.4 / 4.7
+#   nilpotent (13, 10)        111,600      675   25.4 /  9.9  13.8 / 5.0
+# The RHS breaks even between 11,520 and 30,000 entries; 2^14 lies in that
+# range, and moving it would change which kernel, and so which summation
+# order, a support's runs take.  These are single states: a product over a
+# batch of states reads the dense table once per batch, so a batched RHS
+# needs its own crossover.
 DENSE_TABLE_MAX_ENTRIES = 2**14
 
 
@@ -205,8 +210,10 @@ class _SparseForm:
     terms p with row[p] = k, for k < rows: one gather of each argument, two
     products and one `np.bincount`.  A quadratic form in u is form(u, u).
     The Jacobi rows of `_ResidualForms` and both halves of a sparse
-    `_StackedTable` are evaluated by this one method.  Every array is
-    read-only.  A form with no terms is built as a `_ZeroForm`.
+    `_StackedTable` are evaluated by this one method, or by `gathered` on
+    operands the caller gathered itself, as the bracket flow's RHS does.
+    Every array is read-only.  A form with no terms is built as a
+    `_ZeroForm`.
     """
 
     row: np.ndarray
@@ -223,7 +230,11 @@ class _SparseForm:
             arr.setflags(write=False)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.bincount(self.row, self.coef * x[self.a] * y[self.b], self.rows)
+        return self.gathered(x[self.a], y[self.b])
+
+    def gathered(self, xa: np.ndarray, yb: np.ndarray) -> np.ndarray:
+        """form(x, y) from its operands already gathered, xa = x[a] and yb = y[b]."""
+        return np.bincount(self.row, self.coef * xa * yb, self.rows)
 
 
 class _ZeroForm(_SparseForm):
@@ -232,7 +243,7 @@ class _ZeroForm(_SparseForm):
     `np.bincount` of no terms ignores its float weights and counts in int64.
     """
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def gathered(self, xa: np.ndarray, yb: np.ndarray) -> np.ndarray:
         return np.zeros(self.rows)
 
 
@@ -259,6 +270,9 @@ class _StackedTable:
             every entry that vanishes on V_S reads the zero row.
         grown: S together with every half entry that the RHS on V_S reaches;
             S is flow-invariant exactly when grown == support.
+        gather: where there is no stack, [q_form.a | q_form.b | p_form.b],
+            the index of the sparse RHS's one gather of u, derived from the
+            forms; else None.  Read-only.
     """
 
     support: tuple
@@ -270,6 +284,14 @@ class _StackedTable:
     rows: int
     sym: np.ndarray
     grown: tuple
+    gather: np.ndarray | None = field(init=False)
+
+    def __post_init__(self):
+        gather = None
+        if self.stack is None:
+            gather = np.concatenate([self.q_form.a, self.q_form.b, self.p_form.b])
+            gather.setflags(write=False)
+        object.__setattr__(self, "gather", gather)
 
     @property
     def entries(self) -> int:

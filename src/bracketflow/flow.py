@@ -12,18 +12,22 @@ flow-invariant support S: the i < j entries nonzero at the start, grown
 until the RHS maps V_S into itself (`curvature._flow_table`); for a
 two-step nilpotent bracket that is the v ^ v -> z block, 30 of the 1014
 half entries at n = 13.  The state is the entries u = c.ravel()[upper] on S
-(`_to_state`), and one RHS evaluation reads the stacked table of Ric and the
-RHS on S with no tensor gather and no mirror: three small products on its
-dense stack, or, over `curvature.DENSE_TABLE_MAX_ENTRIES`, where the stack
-is mostly zeros, two bincounts over its nonzero coefficients (675 of
-111,600 at n = 13).  Every support has a table, the zero bracket's being the
-empty one.  The error norm counts each entry of u twice, so it is the RMS
-over all d^3 tensor entries, as on the full tensor.  An `rhs=` override,
-which may leave S, steps on the whole i < j half: it is handed the tensor
-its state stands for and returns a LieBracket, whose half is the
-derivative.  Only the override, `Trajectory.checkpoints` and the dense
-output rebuild the tensor (`_to_tensor`), by writing u at the support's
-flat indices and -u at their mirrors (`algebra._from_half`).
+(`_to_state`), and one RHS evaluation (`_default_rhs_tensor`) reads the
+stacked table of Ric and the RHS on S with no tensor gather and no mirror.
+On a dense stack that is one product, written into a buffer the run owns
+(`_rhs_scratch`: the cached table is shared by every run on its support),
+and two small products on the buffer's two fixed views.  Over
+`curvature.DENSE_TABLE_MAX_ENTRIES`, where the stack is mostly zeros, it is
+one gather of u through the table's read-only index and two bincounts over
+the nonzero coefficients (675 of 111,600 at n = 13).  Every support has a
+table, the zero bracket's being the empty one.  The error norm counts each
+entry of u twice, so it is the RMS over all d^3 tensor entries, as on the
+full tensor.  An `rhs=` override, which may leave S, steps on the whole
+i < j half: it is handed the tensor its state stands for and returns a
+LieBracket, whose half is the derivative.  Only the override,
+`Trajectory.checkpoints` and the dense output rebuild the tensor
+(`_to_tensor`), by writing u at the support's flat indices and -u at their
+mirrors (`algebra._from_half`).
 
 `_drive` keeps the samples of a run of either flow, at t = 0 and after
 each accepted step: the time, the stepper's raw state and the Ricci matrix
@@ -34,7 +38,8 @@ check, and one row per sample of |mu|^2, |dmu/dt|^2 and the three
 admissibility residuals.  The residuals are read off u itself, through the
 forms built once per support (`curvature._residual_forms`): only the
 Jacobi, h1 and h3 rows that are not identically 0 on V_S, and none at all
-on a two-step nilpotent support, where the check is vacuous.
+on a two-step nilpotent support, where the check is vacuous: with no row
+the monitor makes no check and writes exact zeros.
 `Trajectory.residual_rows` says how many rows that is.  On the whole half,
 an override's layout, the forms drop only rows that vanish on every
 antisymmetric tensor, so an override's run keeps the full check.  No
@@ -349,7 +354,7 @@ class DenseSolution:
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:
     """Right-hand side -pi(diag(0, Ric_mu)) mu of the bracket flow."""
     table = _flow_table(mu)
-    dy = _default_rhs_tensor(_to_state(mu.c, table), table)[0]
+    dy = _default_rhs_tensor(_to_state(mu.c, table), table, _rhs_scratch(table))[0]
     return LieBracket(mu.dims, _to_tensor(dy, mu.dims.d, table))
 
 
@@ -366,21 +371,40 @@ def _to_tensor(y: np.ndarray, d: int, table: _StackedTable) -> np.ndarray:
     return _from_half(y, table.upper, table.mirror, d)
 
 
-def _default_rhs_tensor(y: np.ndarray, table: _StackedTable) -> tuple[np.ndarray, np.ndarray]:
+def _rhs_scratch(table: _StackedTable) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    # The scratch of `_default_rhs_tensor` on the table: for a dense stack, the
+    # buffer its product [Q u; P u] is written into, with the buffer's two
+    # (rows, m') halves as views; None for a sparse table, which needs none.
+    # Each run makes its own, since the cached table is shared by every run
+    # on its support.
+    if table.stack is None:
+        return None
+    buf = np.empty(table.stack.shape[0])
+    qu, pu = buf.reshape(2, table.rows, table.upper.size)
+    return buf, qu, pu
+
+
+def _default_rhs_tensor(y: np.ndarray, table: _StackedTable, scratch) -> tuple[np.ndarray, np.ndarray]:
     # The derivative of the state y (see `_to_state`), in the same layout,
     # together with the rows r of the Ricci matrix it was built from: Ric's
     # rows on the support, which r[table.sym] spreads into the Ricci matrix.
     # Only the monitor reads Ric, so only it spreads r; the RK stages do not.
-    # On a sparse table (no dense stack) r = Q(u, u) and the derivative
-    # P(r, u), each one bincount over the nonzero coefficients; on a dense
-    # one a single product gives s = [Q u; P u], r = s[0] @ u and the
-    # derivative r @ s[1].  No Ricci assembly runs.
-    if table.stack is None:
-        r = table.q_form(y, y)
-        return table.p_form(r, y), r
-    s = np.dot(table.stack, y).reshape(2, table.rows, -1)
-    r = np.dot(s[0], y)
-    return np.dot(r, s[1]), r
+    # scratch is `_rhs_scratch(table)`.  On a sparse table (no dense stack)
+    # one gather of y through table.gather gives the operands of both forms,
+    # r = Q(u, u) and the derivative P(r, u), each one bincount over the
+    # nonzero coefficients; on a dense one a single product writes [Q u; P u]
+    # into the scratch buffer, then r = (Q u) @ u and the derivative
+    # r @ (P u).  No Ricci assembly runs.
+    if scratch is None:
+        q, p = table.q_form, table.p_form
+        x = y[table.gather]
+        k = q.coef.size
+        r = q.gathered(x[:k], x[k : 2 * k])
+        return p.gathered(r[p.a], x[2 * k :]), r
+    buf, qu, pu = scratch
+    np.dot(table.stack, y, out=buf)
+    r = np.dot(qu, y)
+    return np.dot(r, pu), r
 
 
 def _end_time(direction: str, horizon: float) -> float:
@@ -461,11 +485,13 @@ def integrate(
         rows += [0.0] * (5 * t.size)
     else:
         if rhs is None:
+            scratch = _rhs_scratch(table)
+
             def fun(_t, y):
-                return _default_rhs_tensor(y, table)[0]
+                return _default_rhs_tensor(y, table, scratch)[0]
 
             def f_tensor(y):
-                dy, r = _default_rhs_tensor(y, table)
+                dy, r = _default_rhs_tensor(y, table, scratch)
                 return dy, r[table.sym]
         else:
             def f_tensor(y):
@@ -475,18 +501,24 @@ def integrate(
             def fun(_t, y):
                 return f_tensor(y)[0]
 
+        checked = forms.rows > 0
+
         def sample(t, y):
             # The monitor, at t = 0 too, where the state is already admitted
             # at membership_tol <= drift_tol: one RHS evaluation for
             # |dmu/dt| and Ric, and the drift check, the largest residual
-            # relative to |mu| to its degree.  Each entry of y stands for two
+            # relative to |mu| to its degree.  Where the support has no
+            # residual row, every residual is exactly 0 on V_S and the check
+            # is vacuous, so it is not made.  Each entry of y stands for two
             # tensor entries, c and its mirror.
             nsq = 2 * float(np.dot(y, y))
             dy, ric = f_tensor(y)
-            jac, h1, h3 = forms.residuals(y)
-            drift = max(_relative_residuals(jac, h1, h3, nsq))
-            if drift > opts.drift_tol:
-                raise DriftError(f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {t}")
+            jac = h1 = h3 = 0.0
+            if checked:
+                jac, h1, h3 = forms.residuals(y)
+                drift = max(_relative_residuals(jac, h1, h3, nsq))
+                if drift > opts.drift_tol:
+                    raise DriftError(f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {t}")
             rows.extend((nsq, 2 * float(np.dot(dy, dy)), jac, h1, h3))
             return ric
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from bracketflow import verify
-from bracketflow import check_conditions, estimate_blowup_time, integrate, metric_flow_integrate, ricci_operator
+from bracketflow import (
+    IntegratorOptions,
+    check_conditions,
+    estimate_blowup_time,
+    integrate,
+    metric_flow_integrate,
+    ricci_operator,
+)
 from bracketflow.catalog import catalog_entries, cover_dichotomy_check, get_entry
 from bracketflow.flow import STOP_REL
 
@@ -59,6 +66,27 @@ def test_expected_verdicts_reproduced(runs):
                 assert traj.verdict.omega_est == pytest.approx(when, abs=1e-3), (
                     f"{entry.name}/{direction}"
                 )
+
+
+# The relative error of omega_est against the closed form, in units of
+# rel_tol, on the 7 catalog blowups from rel_tol = 1e-6 to 1e-12.  Measured:
+# 0.97-2.4 at 1e-6, 0.75-3.2 at 1e-8 (nilpotent4 backward the worst),
+# 0.15-1.1 at 1e-10 and 0.44-1.3 at 1e-12.  At 1e-4 the error is only
+# 0.014-0.085 of rel_tol, so the bound is not stated there.
+OMEGA_ERROR_PER_REL_TOL = 5.0
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_singular_time_error_is_proportional_to_rel_tol(rel_tol):
+    blowups = [(e, d) for e in catalog_entries() for d in ("forward", "backward") if e.expected[d][0] == "blowup"]
+    assert len(blowups) == 7
+    for entry, direction in blowups:
+        omega = entry.expected[direction][1]
+        opts = IntegratorOptions(rel_tol=rel_tol)
+        traj = integrate(entry.bracket, direction, entry.default_horizon[direction], opts)
+        assert traj.verdict.kind == "blowup", f"{entry.name}/{direction}"
+        error = abs(traj.verdict.omega_est - omega) / abs(omega)
+        assert error <= OMEGA_ERROR_PER_REL_TOL * rel_tol, f"{entry.name}/{direction}: {error:.3e}"
 
 
 def test_sign_dichotomy(runs):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,7 +36,7 @@ from bracketflow.curvature import (
     _ricci_plan,
     _ricci_table,
 )
-from bracketflow.flow import _default_rhs_tensor, _to_state, _to_tensor
+from bracketflow.flow import _default_rhs_tensor, _rhs_scratch, _to_state, _to_tensor
 
 from oracles import (
     killing_p_loops,
@@ -273,7 +273,7 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         # products, with the same bits; a sparse table's sum the same
         # coefficients in another order.
         t = _full_table(q + n, q)
-        du, r_hot = _default_rhs_tensor(c.ravel()[t.upper], t)
+        du, r_hot = _default_rhs_tensor(c.ravel()[t.upper], t, _rhs_scratch(t))
         ric_hot = r_hot[t.sym]
         dc_hot, ric_from_tensor = _to_tensor(du, q + n, t), _ricci_from_tensor(c, q)
         if t.stack is not None:
@@ -315,7 +315,7 @@ def test_stacked_table_equals_the_earlier_builders_bit_for_bit(q, n):
 def test_tabulated_rhs_is_exactly_antisymmetric(q, n):
     c = random_bracket(q, n, np.random.default_rng(40 + n), 3.0).c
     t = _full_table(q + n, q)
-    du, _ = _default_rhs_tensor(_to_state(c, t), t)
+    du, _ = _default_rhs_tensor(_to_state(c, t), t, _rhs_scratch(t))
     assert du.shape == (_half_indices(q + n)[0].size,)  # the whole half: the support of a dense bracket
     dmu = _to_tensor(du, q + n, t)
     assert np.array_equal(dmu, -dmu.transpose(1, 0, 2))
@@ -525,7 +525,7 @@ def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
     assert np.array_equal(c.ravel()[half][~outside], u)
     gemm, ric = _gemm_rhs(c, q)
     assert not np.any(gemm.ravel()[half][outside])
-    du, r_table = _default_rhs_tensor(u, table)
+    du, r_table = _default_rhs_tensor(u, table, _rhs_scratch(table))
     assert _rel(_to_tensor(du, d, table), gemm) <= TABLE_RTOL
     assert _rel(r_table[table.sym], ric) <= TABLE_RTOL
 
@@ -633,7 +633,7 @@ def _assert_table_matches_the_kernels(t, d, q, u):
     for du in (du_sparse, du_dense):
         assert _rel(_to_tensor(du, d, t), gemm) <= TABLE_RTOL
     assert _rel(du_sparse, du_dense) <= TABLE_RTOL
-    du, r_hot = _default_rhs_tensor(u, t)
+    du, r_hot = _default_rhs_tensor(u, t, _rhs_scratch(t))
     hot_du, hot_r = (du_sparse, r_sparse) if t.stack is None else (du_dense, r_dense)
     assert np.array_equal(du, hot_du) and np.array_equal(r_hot, hot_r)
 
@@ -687,6 +687,70 @@ def test_the_table_comparison_sees_one_ulp_and_one_dropped_term():
         stack.flat[p] = np.nextafter(stack.flat[p], np.inf)
         with pytest.raises(AssertionError):
             _assert_table_matches_the_kernels(replace(dense, stack=stack), 6, 0, u[: dense.upper.size])
+
+
+# The supports the RHS kernel is checked on: every catalog entry's, the
+# two-step nilpotent ones of the benchmark's sizes (dense at n = 6, sparse at
+# n = 9 and 13) and the whole half at d = 3 and 4, every q (all dense).
+KERNEL_SUPPORTS = (
+    [entry.name for entry in catalog_entries()]
+    + [f"nilpotent-{n}" for n in (6, 9, 13)]
+    + [f"half-{d}-{q}" for d in (3, 4) for q in range(d)]
+)
+
+
+def _kernel_table(label):
+    kind, *dims = label.split("-")
+    if kind == "nilpotent":
+        return _flow_table(random_two_step_nilpotent(int(dims[0]), np.random.default_rng(0)))
+    if kind == "half":
+        return _full_table(int(dims[0]), int(dims[1]))
+    return _flow_table(get_entry(label).bracket)
+
+
+@pytest.mark.parametrize("label", KERNEL_SUPPORTS)
+def test_rhs_kernel_equals_its_reference_products_bit_for_bit(label):
+    # The sparse kernel's one gather feeds the two forms' own products,
+    # (coef * x[a]) * y[b] term by term, so it equals q_form(u, u), then
+    # p_form(r, u); the dense kernel's product into the run's buffer, read
+    # through the buffer's fixed views, equals the product into a fresh
+    # array and its reshape.  The buffer is rewritten by every call, and
+    # neither result is a view of it.
+    t = _kernel_table(label)
+    scratch = _rhs_scratch(t)
+    assert (scratch is None) == (t.stack is None)
+    rng = np.random.default_rng(8)
+    for scale in (1e-3, 1.0, 1e7):
+        u = scale * rng.standard_normal(t.upper.size)
+        dy, r = _default_rhs_tensor(u, t, scratch)
+        if t.stack is None:
+            ref_r = t.q_form(u, u)
+            ref_dy = t.p_form(ref_r, u)
+        else:
+            s = np.dot(t.stack, u).reshape(2, t.rows, t.upper.size)
+            ref_r = np.dot(s[0], u)
+            ref_dy = np.dot(ref_r, s[1])
+            assert not np.shares_memory(dy, scratch[0]) and not np.shares_memory(r, scratch[0])
+        assert np.array_equal(dy, ref_dy) and np.array_equal(r, ref_r)
+        assert dy.dtype == r.dtype == np.float64
+
+
+@pytest.mark.parametrize("label", KERNEL_SUPPORTS)
+def test_every_array_of_a_table_is_read_only(label):
+    # A table is cached and shared by every run on its support, so none of
+    # its arrays, nor its forms', may be written; the sparse kernel's gather
+    # index is the forms' operand indices into u, [q.a | q.b | p.b].
+    t = _kernel_table(label)
+    q, p = t.q_form, t.p_form
+    if t.stack is None:
+        assert np.array_equal(t.gather, np.concatenate([q.a, q.b, p.b]))
+    else:
+        assert t.gather is None
+    arrays = [getattr(obj, f.name) for obj in (t, q, p) for f in fields(obj)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 12  # upper, mirror, sym, the stack or the gather, and four per form
+    for a in arrays:
+        assert not a.flags.writeable
 
 
 @st.composite

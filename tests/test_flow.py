@@ -97,8 +97,9 @@ def test_ricci_and_rhs_are_scale_covariant(mu, c):
     size = c * bracket_norm(mu)
     # in the stepper's state layout on the flow's table, the same for mu and c mu
     table = flow._flow_table(mu)
-    dmu, r = flow._default_rhs_tensor(flow._to_state(mu.c, table), table)
-    dmu_c, r_c = flow._default_rhs_tensor(flow._to_state(c * mu.c, table), table)
+    scratch = flow._rhs_scratch(table)
+    dmu, r = flow._default_rhs_tensor(flow._to_state(mu.c, table), table, scratch)
+    dmu_c, r_c = flow._default_rhs_tensor(flow._to_state(c * mu.c, table), table, scratch)
     ric, ric_c = r[table.sym], r_c[table.sym]
     assert np.max(np.abs(ric_c - flow._ricci_from_tensor(c * mu.c, q))) <= 1e-14 * size**2
     assert np.max(np.abs(ric_c - c**2 * ric)) <= 1e-12 * size**2
@@ -1079,12 +1080,18 @@ def test_tabulated_rhs_makes_no_ricci_assembly(monkeypatch, name, direction):
     assert calls == (0, RHS_CALLS[name, direction])
 
 
-@pytest.mark.parametrize(
+# Supports with no residual row (heisenberg3, a two-step nilpotent one),
+# two h3 rows (sphere2_su2) and the three Jacobi rows of the whole half at
+# d = 3 (a Milnor draw).
+MONITOR_CASES = pytest.mark.parametrize(
     "mu, rows",
     [(HEIS, 0), (get_entry("sphere2_su2").bracket, 2), (random_two_step_nilpotent(9, np.random.default_rng(0)), 0)]
     + [(transform_bracket(SU2, SU2_DRAWS[0]), 3)],
     ids=["heisenberg3", "sphere2_su2", "nilpotent9", "milnor-0"],
 )
+
+
+@MONITOR_CASES
 def test_table_path_monitor_rebuilds_no_tensor(monkeypatch, mu, rows):
     # The drift check reads the residual forms off the state: no tensor is
     # rebuilt and the flat check runs once, on the initial bracket's
@@ -1102,6 +1109,62 @@ def test_table_path_monitor_rebuilds_no_tensor(monkeypatch, mu, rows):
     assert traj.n_samples > 10
     assert calls == {"_to_tensor": 0, "_residuals": 1}
     assert traj.residual_rows == rows
+
+
+@MONITOR_CASES
+def test_the_drift_pass_runs_only_where_a_residual_row_survives(monkeypatch, mu, rows):
+    # Where no residual row survives on the support, every residual is
+    # exactly 0 on V_S: the monitor reads neither the forms nor the relative
+    # residuals and writes 0.0.  Elsewhere it reads both once per sample.
+    calls = {"residuals": 0, "_relative_residuals": 0}
+    residuals, relative = curvature._ResidualForms.residuals, flow._relative_residuals
+
+    def counted_residuals(self, u):
+        calls["residuals"] += 1
+        return residuals(self, u)
+
+    def counted_relative(*args):
+        calls["_relative_residuals"] += 1
+        return relative(*args)
+
+    monkeypatch.setattr(curvature._ResidualForms, "residuals", counted_residuals)
+    monkeypatch.setattr(flow, "_relative_residuals", counted_relative)
+    traj = integrate(mu, "forward", 1.0)
+    assert traj.residual_rows == rows
+    per_sample = traj.n_samples if rows else 0
+    assert calls == {"residuals": per_sample, "_relative_residuals": per_sample}
+    if not rows:
+        zeros = np.zeros(traj.n_samples)
+        for series in (traj.jacobi_residual, traj.h1_residual, traj.h3_residual):
+            assert np.array_equal(series, zeros)
+
+
+@pytest.mark.parametrize("mu", [SU2, random_two_step_nilpotent(9, np.random.default_rng(0))], ids=["dense", "sparse"])
+def test_each_run_owns_its_rhs_scratch(monkeypatch, mu):
+    # The table is cached and shared by every run on its support, so the
+    # buffer its dense product is written into belongs to the run: each call
+    # of a run is handed the same buffer, two runs on one support two
+    # buffers, and neither is the table's.  A sparse table needs none.
+    handed, rhs = [], flow._default_rhs_tensor
+
+    def recorded(y, table, scratch):
+        handed.append(scratch)
+        return rhs(y, table, scratch)
+
+    monkeypatch.setattr(flow, "_default_rhs_tensor", recorded)
+    runs = []
+    for _ in range(2):
+        integrate(mu, "forward", 0.5)
+        runs.append(handed[:])
+        handed.clear()
+    table = flow._flow_table(mu)
+    if table.stack is None:
+        assert all(scratch is None for run in runs for scratch in run)
+        return
+    first, second = (run[0] for run in runs)
+    assert all(scratch is first for scratch in runs[0]) and all(scratch is second for scratch in runs[1])
+    assert first[0] is not second[0] and not np.shares_memory(first[0], second[0])
+    assert not any(np.shares_memory(scratch[0], table.stack) for scratch in (first, second))
 
 
 def test_override_monitor_reads_the_whole_half_forms():

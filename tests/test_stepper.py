@@ -14,7 +14,7 @@ from scipy.integrate import RK45 as ScipyRK45
 
 from bracketflow import LieBracket, bracket_flow_rhs, get_entry, random_bracket
 from bracketflow.curvature import _flow_table, _ricci_table
-from bracketflow.flow import _default_rhs_tensor, _to_state, _to_tensor
+from bracketflow.flow import _default_rhs_tensor, _rhs_scratch, _to_state, _to_tensor
 from bracketflow.stepper import MIN_FACTOR, TOO_SMALL_STEP, DormandPrince54
 
 SU2 = get_entry("su2_round").bracket
@@ -57,12 +57,13 @@ def test_same_steps_as_scipy_on_su2_forward_in_the_half_state():
     # on SU(2)'s support (3 of the 9 in the half), each counted twice
     table = _flow_table(SU2)
     assert len(table.support) == 3
+    scratch = _rhs_scratch(table)
 
     def full(_t, y):
         return bracket_flow_rhs(LieBracket(SU2.dims, y.reshape(3, 3, 3))).c.ravel()
 
     def half(_t, u):
-        return _default_rhs_tensor(u, table)[0]
+        return _default_rhs_tensor(u, table, scratch)[0]
 
     t_bound = 1.0 - 1e-8  # omega = 1
     solver = DormandPrince54(half, 0.0, _to_state(SU2.c, table), t_bound, rtol=1e-10, atol=1e-12, rms_weight=2 / 27)
@@ -192,8 +193,10 @@ def test_half_state_error_norm_equals_the_full_tensor_rms(q, n):
         half = DormandPrince54(lambda _t, y: y, 0.0, w, 1.0, rms_weight=2 / d**3)
         assert half._rms(w) == pytest.approx(np.sqrt(np.mean(full_w**2)), rel=1e-15)
 
+    scratch = _rhs_scratch(table)
+
     def half(_t, y):
-        return _default_rhs_tensor(y, table)[0]
+        return _default_rhs_tensor(y, table, scratch)[0]
 
     def full(_t, y):
         # the same derivative on the full tensor, so every stage is the exact mirror of the half's
