@@ -16,6 +16,7 @@ cannot be read or parsed), 3 integrator failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -26,7 +27,11 @@ from .scenario import Scenario, ScenarioError, load_scenario, run_scenario
 from .verify import verify_all
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first `main` call, not at import, and kept for the
+    # process: a build costs several parses, and each parse returns a fresh
+    # namespace, so in-process calls share no state.
     parser = argparse.ArgumentParser(
         prog="bracketflow",
         description="Homogeneous Ricci flow as an ODE on Lie-algebra structure constants.",

@@ -516,7 +516,7 @@ class _ResidualForms:
             jac = float(np.abs(self.jac(u, u)).max())
         if self.lin.shape[0]:
             # a few rows: Python's max of the list is cheaper than two numpy reductions
-            lin = np.abs(np.dot(self.lin, u)).tolist()
+            lin = np.abs(self.lin.dot(u)).tolist()
             h1, h3 = max(lin[: self.h1_rows], default=0.0), max(lin[self.h1_rows :], default=0.0)
         return jac, h1, h3
 
@@ -586,7 +586,7 @@ def _ricci_from_tensor(c: np.ndarray, q: int) -> np.ndarray:
     u = c.ravel()[t.upper]
     if t.stack is None:
         return t.q_form(u, u)[t.sym]
-    return np.dot(np.dot(t.stack[: t.rows * u.size], u).reshape(t.rows, -1), u)[t.sym]
+    return t.stack[: t.rows * u.size].dot(u).reshape(t.rows, -1).dot(u)[t.sym]
 
 
 def _ricci_gemm(c: np.ndarray, q: int) -> np.ndarray:

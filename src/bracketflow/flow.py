@@ -394,7 +394,8 @@ def _default_rhs_tensor(y: np.ndarray, table: _StackedTable, scratch) -> tuple[n
     # r = Q(u, u) and the derivative P(r, u), each one bincount over the
     # nonzero coefficients; on a dense one a single product writes [Q u; P u]
     # into the scratch buffer, then r = (Q u) @ u and the derivative
-    # r @ (P u).  No Ricci assembly runs.
+    # r @ (P u).  No Ricci assembly runs.  The products are ndarray methods,
+    # which skip np.dot's dispatch layer (see `stepper`).
     if scratch is None:
         q, p = table.q_form, table.p_form
         x = y[table.gather]
@@ -402,9 +403,9 @@ def _default_rhs_tensor(y: np.ndarray, table: _StackedTable, scratch) -> tuple[n
         r = q.gathered(x[:k], x[k : 2 * k])
         return p.gathered(r[p.a], x[2 * k :]), r
     buf, qu, pu = scratch
-    np.dot(table.stack, y, out=buf)
-    r = np.dot(qu, y)
-    return np.dot(r, pu), r
+    table.stack.dot(y, out=buf)
+    r = qu.dot(y)
+    return r.dot(pu), r
 
 
 def _end_time(direction: str, horizon: float) -> float:
@@ -511,7 +512,7 @@ def integrate(
             # residual row, every residual is exactly 0 on V_S and the check
             # is vacuous, so it is not made.  Each entry of y stands for two
             # tensor entries, c and its mirror.
-            nsq = 2 * float(np.dot(y, y))
+            nsq = 2 * float(y.dot(y))
             dy, ric = f_tensor(y)
             jac = h1 = h3 = 0.0
             if checked:
@@ -519,7 +520,7 @@ def integrate(
                 drift = max(_relative_residuals(jac, h1, h3, nsq))
                 if drift > opts.drift_tol:
                     raise DriftError(f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {t}")
-            rows.extend((nsq, 2 * float(np.dot(dy, dy)), jac, h1, h3))
+            rows.extend((nsq, 2 * float(dy.dot(dy)), jac, h1, h3))
             return ric
 
         solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=_abs_tol(opts, norm), rms_weight=2 / d**3)

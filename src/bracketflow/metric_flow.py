@@ -229,7 +229,7 @@ def metric_flow_integrate(
         last[1] = ric
         # -2 P RicOp(P) = -2 L^T ric L, symmetrised: -(a + a^T) is
         # 0.5 (-2a + (-2a)^T) bit for bit, both scalings being powers of 2.
-        a = ell.T @ ric @ ell
+        a = ell.T.dot(ric).dot(ell)
         return (-(a + a.T)).ravel()
 
     def sample(_t, y):

@@ -18,11 +18,16 @@ last) and the next step starts from it.  The error norm is the weighted
 RMS sqrt(w * e.e) of e = h (E @ K) / (atol + rtol max(|y|, |y_new|)), a
 Python float; |y| is kept from the attempt that accepted y.  w is
 1/len(y) unless the caller's state stores several mirrored entries once
-(see `rms_weight`).  A non-finite error norm, as from a stage that left the
-RHS's domain or an overflow, rejects the attempt and retries at MIN_FACTOR
-times the step.  Each attempt and the initial-step heuristic run under
-`np.errstate(over="ignore", invalid="ignore")`, so such an attempt raises no
-floating-point warning.
+(see `rms_weight`).  Every product on the step's path (a stage's sum, the
+error estimate and its norm, the dense output's coefficients and their
+evaluation) is an ndarray method, `a.dot(b)`: the C routine that `np.dot`
+reaches after its dispatch layer (`__array_function__`), which costs more
+than the product itself on a state of a few entries.  A non-finite error
+norm, as from a stage that left the RHS's domain or an overflow, rejects the
+attempt and retries at MIN_FACTOR times the step.  Each attempt and the
+whole initial-step heuristic run under `np.errstate(over="ignore",
+invalid="ignore")`, so such an attempt raises no floating-point warning, nor
+does the heuristic's last quotient where a subnormal horizon overflows it.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ class DormandPrince54:
 
     def _rms(self, x: np.ndarray) -> float:
         # a numpy scalar, as in scipy: an overflowed norm gives inf, not an exception
-        return np.sqrt(self._w * np.dot(x, x))
+        return np.sqrt(self._w * x.dot(x))
 
     def _initial_step(self) -> float:
         # Hairer-Norsett-Wanner II.4, written homogeneously in time: h0 from
@@ -133,7 +138,7 @@ class DormandPrince54:
             h0 = min(0.01 * d0 / d1, interval) if d1 > 0 else interval
             f1 = self._eval(t0 + h0 * self.direction, y0 + h0 * self.direction * f0)
             change = max(d1, self._rms((f1 - f0) / scale)) * h0
-        h1 = h0 * (0.01 / change) ** -self.error_exponent if change > 0 else interval
+            h1 = h0 * (0.01 / change) ** -self.error_exponent if change > 0 else interval
         return min(100 * h0, h1, interval)
 
     def _attempt(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -148,12 +153,12 @@ class DormandPrince54:
         K[0] = self.f
         with np.errstate(over="ignore", invalid="ignore"):
             for s, c, h_a, before in self._stages:
-                y_s = y + np.dot(h_a, before)
+                y_s = y + h_a.dot(before)
                 K[s] = f_s = fun(t + c * h, y_s)
             self.nfev += self.n_stages
             abs_new = np.abs(y_s)
-            e = np.dot(self._h_e, K) / (self.atol + np.maximum(self._abs_y, abs_new) * self.rtol)
-            return y_s, f_s, abs_new, math.sqrt(self._w * float(np.dot(e, e)))
+            e = self._h_e.dot(K) / (self.atol + np.maximum(self._abs_y, abs_new) * self.rtol)
+            return y_s, f_s, abs_new, math.sqrt(self._w * float(e.dot(e)))
 
     def step(self) -> str | None:
         """Make one accepted step; return None, or the failure message with status 'failed'."""
@@ -197,7 +202,7 @@ class DormandPrince54:
         """Interpolant of the last accepted step."""
         if self.t_old is None:
             raise RuntimeError("dense output is available after the first step")
-        return DenseStep(self.t_old, self.t, self.y_old, np.dot(self.P.T, self.K))
+        return DenseStep(self.t_old, self.t, self.y_old, self.P.T.dot(self.K))
 
 
 class DenseStep:
@@ -219,5 +224,5 @@ class DenseStep:
             raise ValueError("`t` must be a float or a 1-D array.")
         x = (t - self.t_old) / self.h
         powers = np.cumprod(np.full((len(self.q),) + np.shape(x), x), axis=0)
-        y = self.h * np.dot(self.q.T, powers)
+        y = self.h * self.q.T.dot(powers)
         return y + (self.y_old if y.ndim == 1 else self.y_old[:, None])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bracketflow import IntegratorOptions, Scenario, flow, integrate, load_scenario, run_scenario
+from bracketflow import IntegratorOptions, Scenario, cli, flow, integrate, load_scenario, run_scenario
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.cli import main
 from bracketflow.scenario import CSV_HEADER, ScenarioError, write_trajectory_csv
@@ -338,6 +338,23 @@ def test_cli_report_says_how_many_residual_rows_the_drift_check_read(tmp_path, n
     assert main(["--out", str(tmp_path), "catalog", "run", name]) == 0
     report = json.loads((tmp_path / f"{name}_forward_report.json").read_text())
     assert report["residual_rows"] == rows
+
+
+def test_in_process_cli_calls_share_one_parser_and_no_state(tmp_path):
+    # The parser is built once per process; no flag of a call reaches the next.
+    a, b = tmp_path / "A", tmp_path / "B"
+    assert main(["--rel-tol", "1e-6", "--out", str(a), "catalog", "run", "heisenberg3", "--backward"]) == 0
+    parser = cli._build_parser()
+    assert main(["--out", str(b), "catalog", "run", "heisenberg3"]) == 0
+    assert cli._build_parser() is parser
+    assert sorted(path.name for path in b.iterdir()) == ["heisenberg3_forward.csv", "heisenberg3_forward_report.json"]
+    report = json.loads((b / "heisenberg3_forward_report.json").read_text())
+    entry = get_entry("heisenberg3")
+    horizon = entry.default_horizon["forward"]
+    fresh = integrate(entry.bracket, "forward", horizon)
+    assert report["samples"] == fresh.n_samples
+    # the first call's tolerance would have given another count
+    assert fresh.n_samples != integrate(entry.bracket, "forward", horizon, IntegratorOptions(rel_tol=1e-6)).n_samples
 
 
 def test_cli_catalog_run_unknown_entry(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import functools
 import sys
 import tracemalloc
+import warnings
 from collections.abc import Sequence
 from dataclasses import fields, replace
 
@@ -1250,3 +1251,46 @@ def test_dense_moved_brackets_make_no_ricci_assembly(monkeypatch, n):
     assert table.upper.size == n * n * (n - 1) // 2 and table.stack is None
     ricci, rhs = _count_ricci_and_rhs(monkeypatch, mu, "backward")
     assert ricci == 0 and rhs > 1000
+
+
+@pytest.mark.parametrize("horizon", [5e-324, 1e-320])
+def test_a_subnormal_horizon_runs_with_no_warning(horizon):
+    # The initial-step heuristic divides by a change that underflows to a
+    # subnormal here; the quotient overflows inside its errstate block.
+    mu = get_entry("su2_round").bracket
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = [integrate(mu, direction, horizon) for direction in ("forward", "backward")]
+        runs.append(metric_flow_integrate(mu, np.eye(3), "forward", horizon))
+    for traj in runs:
+        assert traj.n_samples == 2
+        assert traj.verdict.kind == "immortal"
+
+
+def _dot_guarded_runs():
+    su2 = get_entry("su2_round").bracket
+    return [
+        integrate(su2, "forward", 2.0),  # a dense table
+        integrate(get_entry("sphere2_su2").bracket, "forward", 0.4),  # h3 rows checked each sample
+        integrate(random_two_step_nilpotent(13, np.random.default_rng(0)), "backward", 10.0),  # a sparse table
+        metric_flow_integrate(su2, np.eye(3), "forward", 2.0),
+        metric_flow.equivalence_check(get_entry("heisenberg3").bracket, 2.0),  # reads both dense outputs
+    ]
+
+
+def test_no_run_path_calls_numpy_dot(monkeypatch):
+    # The per-step products are ndarray methods, which skip the module-level
+    # function's dispatch layer; a call of numpy.dot on any run path raises.
+    warm = _dot_guarded_runs()
+    assert warm[1].residual_rows > 0 and flow._flow_table(warm[2].initial).stack is None
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.dot called on a run path")
+
+    monkeypatch.setattr(np, "dot", refused)
+    for before, after in zip(warm, _dot_guarded_runs()):
+        if isinstance(before, float):
+            assert after == before
+        else:
+            np.testing.assert_array_equal(after.t, before.t)
+            np.testing.assert_array_equal(after.scalar_R, before.scalar_R)

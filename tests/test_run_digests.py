@@ -25,3 +25,15 @@ def test_a_digest_tells_two_runs_apart():
     mu = get_entry("heisenberg3").bracket
     lines = {run_digests.bracket_line("heisenberg3", integrate(mu, "forward", h)) for h in (1.0, 1.0, 2.0)}
     assert len(lines) == 2
+
+
+def test_differing_lines_are_paired_by_label():
+    old = ["a blowup 10 aaa", "b immortal 5 bbb", "c flat 33 ccc"]
+    assert run_digests.differing(old, list(old)) == []
+    new = ["a blowup 10 aaa", "b immortal 6 bbx", "d flat 33 ddd"]
+    assert run_digests.differing(old, new) == [
+        "- b immortal 5 bbb",
+        "+ b immortal 6 bbx",
+        "- c flat 33 ccc",
+        "+ d flat 33 ddd",
+    ]

@@ -1,6 +1,6 @@
 """Print one digest line per reference run, so that two checkouts can be compared bit for bit.
 
-    python3 tools/run_digests.py [GROUP ...]
+    python3 tools/run_digests.py [--against REV] [GROUP ...]
 
 Each line is `label verdict samples sha256`: the run's verdict kind, its
 sample count and a sha256 over its series or output bytes.  GROUP is one of
@@ -19,11 +19,13 @@ seed-0 inputs of a flowbench workload (`flowbench/workloads.py`):
   column and digested as its exact float.
 
 The package and the workloads are imported from the checkout this file sits
-in, so a copy of it run in another checkout digests that one:
+in, so a copy of it run in another checkout digests that one.  --against REV
+does that: it runs this file's own copy in a temporary `git worktree` of REV
+on the same groups, prints each line that differs (`-` REV's, `+` this
+checkout's) and a count of the identical ones, and exits 1 if any line
+differs.  The worktree is removed however the run ends.
 
-    python3 tools/run_digests.py > new.txt
-    cp tools/run_digests.py ../other/tools/ && python3 ../other/tools/run_digests.py > old.txt
-    diff old.txt new.txt
+    python3 tools/run_digests.py --against HEAD~1 cli
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -126,17 +131,61 @@ def metric_lines(work_dir: Path):
 GROUPS = {"cli": cli_lines, "nilpotent": nilpotent_lines, "metric": metric_lines}
 
 
+def digest_lines(names) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return [text for name in names for text in GROUPS[name](Path(tmp))]
+
+
+def differing(old: list[str], new: list[str]) -> list[str]:
+    """The lines of two listings that differ, paired by label: `- ` the old line, then `+ ` the new one."""
+    old_by, new_by = ({text.split(maxsplit=1)[0]: text for text in lines} for lines in (old, new))
+    out = []
+    for label in dict.fromkeys([*old_by, *new_by]):
+        a, b = old_by.get(label), new_by.get(label)
+        if a != b:
+            out.extend(f"{sign} {text}" for sign, text in (("-", a), ("+", b)) if text is not None)
+    return out
+
+
+def digest_lines_at(rev: str, names) -> list[str]:
+    """This file's lines for the groups as run on a temporary `git worktree` of rev, which is always removed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            tool = tree / "tools" / Path(__file__).name
+            shutil.copyfile(__file__, tool)
+            run = subprocess.run([sys.executable, str(tool), *names], capture_output=True, text=True, check=True)
+            return run.stdout.splitlines()
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
+
+
 def main(argv=None) -> int:
-    names = (sys.argv[1:] if argv is None else argv) or list(GROUPS)
+    parser = argparse.ArgumentParser(description="Print one digest line per reference run.")
+    parser.add_argument("--against", metavar="REV", help="print only the lines that differ from REV's")
+    parser.add_argument("groups", nargs="*", metavar="GROUP", help=f"one of {list(GROUPS)} (default: all)")
+    args = parser.parse_args(argv)
+    names = args.groups or list(GROUPS)
     unknown = [name for name in names if name not in GROUPS]
     if unknown:
         print(f"error: unknown group(s) {unknown}; choose from {list(GROUPS)}", file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            for text in GROUPS[name](Path(tmp)):
-                print(text)
-    return 0
+    if args.against is None:
+        print("\n".join(digest_lines(names)))
+        return 0
+    try:
+        old = digest_lines_at(args.against, names)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {exc}\n{exc.stderr or ''}", file=sys.stderr)
+        return 2
+    new = digest_lines(names)
+    diff = differing(old, new)
+    for text in diff:
+        print(text)
+    same = len(set(old) & set(new))
+    print(f"{same} of {len(new)} lines identical to {args.against}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
