@@ -13,8 +13,8 @@ algebraic formula is validated against.
 
 Both flows assemble Ric with one function, `_ricci_from_tensor`, which
 returns the matrix only: R = tr Ric and tr Ric^2 are computed where they are
-read.  It applies the Ricci half of a stacked table (below) or, where the
-whole half's table is too large, the fused GEMM kernel `_ricci_gemm`, which
+read.  It applies the Ricci half of a stacked table (below) or, where that
+table is too large, the fused GEMM kernel `_ricci_gemm`, which
 gathers its operands through a read-only index plan, built once per (q, n)
 by `_ricci_plan`, and makes one matrix product for M - B/2.
 
@@ -46,9 +46,14 @@ bincounts.  The crossover is measured.  Two tables are used:
   at n = 13 steps on 30 entries, through 675 nonzero coefficients of a
   111,600-entry table.  Every support has one, so the flow has one state
   layout;
-* `_ricci_from_tensor`'s (`_ricci_table`): S is the whole half, since the
-  metric flow's pushed tensors are dense.  It is applied where its dense
-  size, n(n+1) m^2, is at most TABLE_MAX_ENTRIES: for every q at d <= 5,
+* `_ricci_from_tensor`'s (`_ricci_table`): S is the whole half by default,
+  and on the metric flow's runs the support S_nu that every pushed bracket
+  L.mu0 of the run stays on, exactly (`metric_flow._pushed_support`): from
+  the identity metric, a two-step nilpotent bracket at n = 5 and 6 pushes
+  onto 6 and 9 of its 50 and 90 entries, the bracket flow's own support;
+  from a dense metric, most brackets reach the whole half.  It is applied
+  where its dense size, at most n(n+1) m'^2, is at most TABLE_MAX_ENTRIES,
+  a rule decided before any build: on the whole half for every q at d <= 5,
   and with enough isotropy beyond (q >= 3 at d = 6, q >= 5 at d = 7); the
   GEMM kernel elsewhere.
 
@@ -149,11 +154,12 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, w
 
 
-# Largest whole-half table, in dense [Q; P] entries, whose Q half
-# `_ricci_from_tensor` applies (`_ricci_table`); on a larger whole half it
-# takes the GEMM kernel `_ricci_gemm`.  The bracket flow has no such rule:
-# every support has a table (`_flow_table`).  The rule is decided in closed
-# form from (d, q), since the whole half's [Q; P] holds n(n+1) m^2 entries.
+# Largest table, in dense [Q; P] entries, whose Q half `_ricci_from_tensor`
+# applies (`_ricci_table`), on the whole half or on the support a metric-flow
+# run reads; on a larger one it takes the GEMM kernel `_ricci_gemm`.  The
+# bracket flow has no such rule: every support has a table (`_flow_table`).
+# The rule is decided in closed form from (d, q, m') before any build, since
+# the [Q; P] of a support of m' entries holds at most n(n+1) m'^2 entries.
 # Over DENSE_TABLE_MAX_ENTRIES Q is applied through its nonzero
 # coefficients, so its cost follows them, while the GEMM cost follows d.
 # Measured per Ricci matrix on the whole half (min of 15 x 2000 calls, 1
@@ -171,7 +177,12 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 # The sparse table also wins at d = 6 with q = 1 or 2, but only one-off
 # `ricci_operator` calls and `rhs=` overrides reach those supports, and for
 # a single call the table's build costs more than the GEMM call it saves;
-# so the bound stays until a workload has such a support.
+# so the bound stays until a workload has such a support.  On the metric
+# flow's two-step nilpotent supports the table is far ahead (min of 15 x
+# 2000 calls, same host): 2.5 against 13.2 us at n = 5 (6 entries), 2.9
+# against 14.1 us at n = 6 (9 entries), 3.9 against 18.5 us at n = 9 (18
+# entries, a sparse table); at n = 13 (30 entries, 163,800) the rule sends
+# it to the GEMM kernel.
 TABLE_MAX_ENTRIES = 2**17
 
 # Largest table, in dense entries, that is applied as the dense product of
@@ -440,9 +451,9 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     exact, halved ones too, and equal, in the same order, to polarizing the
     GEMM kernel and `algebra._pi_tensor` on the mirrored basis, the build
     this replaces (kept as a test oracle), so every sum over them rounds as
-    before.  On the whole half this is the
-    table `_ricci_from_tensor` applies (`_ricci_table`).  Every array is
-    read-only.
+    before.  On the whole half, or on a metric-flow run's support, this is
+    the table `_ricci_from_tensor` applies (`_ricci_table`).  Every array
+    is read-only.
     """
     half, mirror = _half_indices(d)
     sel = np.array(support, dtype=np.intp)
@@ -561,26 +572,32 @@ def _residual_forms(d: int, q: int, support: tuple) -> _ResidualForms:
     return _ResidualForms(_SparseForm(*jac, active.size), lin, h1.shape[0])
 
 
-@cache
-def _ricci_table(d: int, q: int) -> _StackedTable | None:
-    # The whole half's table where its dense [Q; P], n(n+1) m^2 entries, is
-    # at most TABLE_MAX_ENTRIES, else None.  Cached per (d, q): `_rhs_table`
-    # would hash the support tuple, 1014 entries at d = 13, on every
-    # metric-flow call.
-    m, n = _half_indices(d)[0].size, d - q
-    return _rhs_table(d, q, tuple(range(m))) if n * (n + 1) * m * m <= TABLE_MAX_ENTRIES else None
+@lru_cache(maxsize=32)
+def _ricci_table(d: int, q: int, support: tuple | None = None) -> _StackedTable | None:
+    # The table of the support S (by default the whole half) where its dense
+    # [Q; P], at most n(n+1) m'^2 entries, is at most TABLE_MAX_ENTRIES, else
+    # None; the rule is decided from (d, q, m') before any build.  The
+    # default is keyed by (d, q) alone, so the whole half's tuple, 1014
+    # entries at d = 13, is not hashed on every call.
+    m, n = _half_indices(d)[0].size if support is None else len(support), d - q
+    if n * (n + 1) * m * m > TABLE_MAX_ENTRIES:
+        return None
+    return _rhs_table(d, q, tuple(range(m)) if support is None else support)
 
 
-def _ricci_from_tensor(c: np.ndarray, q: int) -> np.ndarray:
+def _ricci_from_tensor(c: np.ndarray, q: int, support: tuple | None = None) -> np.ndarray:
     """Ricci matrix of the raw tensor: the metric flow's hot path, and Ric of an `rhs=` override's run.
 
-    Where the whole half's table fits (`_ricci_table`), it applies the table's
-    Q half, which reads the i < j half of c only: two matrix-vector products
-    on a dense table, one `bincount` over the nonzero coefficients on a
-    sparse one (DENSE_TABLE_MAX_ENTRIES).  Elsewhere the GEMM kernel
-    `_ricci_gemm`.  All return an exactly symmetric ric.
+    Where the table of the support (`_ricci_table`; by default the whole
+    half) fits, it applies the table's Q half, which reads the entries of c
+    on the support only: two matrix-vector products on a dense table, one
+    `bincount` over the nonzero coefficients on a sparse one
+    (DENSE_TABLE_MAX_ENTRIES).  Elsewhere the GEMM kernel `_ricci_gemm`,
+    which reads all of c.  A support other than the whole half is exact
+    only for a tensor whose i < j half is 0 off it.  All return an exactly
+    symmetric ric.
     """
-    t = _ricci_table(c.shape[0], q)
+    t = _ricci_table(c.shape[0], q, support)
     if t is None:
         return _ricci_gemm(c, q)
     u = c.ravel()[t.upper]

@@ -14,7 +14,14 @@ has, with P = L^T L, the right-hand side
 
 so it takes no linear solve.  L^-1 is needed only to push the bracket
 forward, and it comes with the factor: the package factors by Cholesky, and
-LAPACK's dtrtri inverts the upper factor from dpotrf.  The flow is
+LAPACK's dtrtri inverts the upper factor from dpotrf.  A run reads Ric of
+L.mu through the stacked table (`curvature._ricci_table`) of the support
+S_nu that every pushed bracket of the run stays on, exactly: the i < j
+entries reachable from the patterns of mu and P0, found once per run on
+patterns alone (`_pushed_support`).  From the identity metric a two-step
+nilpotent bracket pushes onto the bracket flow's own support, 9 of 90
+entries at n = 6, where the whole half's Ricci took the GEMM kernel; from
+a dense metric S_nu is mostly the whole half, read as before.  The flow is
 integrated on the bracket flow's monitored stepping loop (`flow._drive`),
 with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
 on the flat n x n matrix; `_drive` keeps the samples, and the metric flow's
@@ -33,11 +40,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .algebra import LieBracket, _transform_tensor
+from .algebra import LieBracket, _half_indices, _transform_tensor
 from .algebra import transform_bracket  # noqa: F401  (not called here; flowbench's tracer looks it up on this module)
 from .curvature import _ricci_from_tensor, _ricci_gemm
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
@@ -166,16 +174,81 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray) -> tuple[np.ndarray, float]:
     return np.linalg.solve(ell, ric @ ell), float(ric.trace())
 
 
-def _pushed_ric(mu0: LieBracket, p: np.ndarray):
+def _pushed_ric(mu0: LieBracket, p: np.ndarray, support: tuple | None = None):
     # Internal, and called by this name so that flowbench can trace it.
     # Returns (ric, L): Ric_{L.mu0} of the pushed bracket (symmetric, same
     # spectrum as RicOp(P) = L^-1 ric L) and the factor L of P = L^T L, with
     # which the flow's RHS is -2 P RicOp(P) = -2 L^T ric L.  Callers that
     # read R take the trace themselves; the RK stages do not.
     # L^-1 enters only the push-forward and comes with L from `_factor`, so
-    # nothing here solves or inverts.  May raise NonSPDError.
+    # nothing here solves or inverts.  Ric is read through the table of
+    # `support`, a support that holds L.mu0 (`_pushed_support`), derived
+    # from p's own pattern when None.  May raise NonSPDError.
     ell, ell_inv = _factor(_sym(p))
-    return _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), 0), ell
+    if support is None:
+        support = _pushed_support(mu0, p)
+    return _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), 0, support), ell
+
+
+def _pushed_support(mu0: LieBracket, p: np.ndarray) -> tuple:
+    """S_nu: the i < j entries that a pushed bracket L.mu0 can reach on a metric-flow run from p.
+
+    Every metric a run steps through, stages included, is p plus sums of
+    derivatives -2 L^T Ric L, so its pattern lies in the least pattern that
+    holds p's and the diagonal and is closed under the derivative's.  That
+    closure is found on patterns alone (`_support_closure`), and S_nu is the
+    i < j half of the pushed bracket's pattern on it.  Where a pattern is
+    False the value is an exact zero: dpotrf and dtrtri on a matrix with
+    exact zeros return exact zeros where the symbolic factor and its inverse
+    do, and a product with an exact-zero factor is exactly 0.  So every
+    finite L.mu0 of the run is exactly 0 on the half off S_nu, and Ric read
+    through S_nu's table is Ric read through the whole half's, up to
+    summation order.  A non-finite metric still gives a non-finite
+    derivative: its L reaches -2 L^T Ric L whatever Ric reads.  Cached per
+    pattern of mu0 and p.
+    """
+    d = mu0.dims.d
+    live = np.flatnonzero(mu0.c.ravel()[_half_indices(d)[0]])
+    return _support_closure(d, tuple(live.tolist()), tuple(np.flatnonzero(p).tolist()))
+
+
+@lru_cache(maxsize=32)
+def _support_closure(d: int, live: tuple, pattern: tuple) -> tuple:
+    # live: the half positions where mu0 is nonzero; pattern: flat indices of
+    # p's nonzero entries.  Every product below is boolean, so it is the
+    # pattern of the float operation it mirrors.
+    upper, mirror = _half_indices(d)
+    c = np.zeros(d**3, dtype=bool)
+    c[upper[list(live)]] = c[mirror[list(live)]] = True
+    c = c.reshape(d, d, d)
+    p = np.eye(d, dtype=bool)
+    p.flat[list(pattern)] = True
+    p |= p.T
+    while True:
+        # the upper Cholesky factor: U[k, j] = (P[k, j] - sum_{l<k} U[l, k] U[l, j]) / U[k, k]
+        ell = np.triu(p)
+        for k in range(1, d):
+            ell[k, k:] |= (ell[:k, k, None] & ell[:k, k:]).any(axis=0)
+        # its inverse: U^-1[i, j] is reached by a path from i to j in U's graph
+        inv, reach = ell, ell @ ell
+        while not np.array_equal(reach, inv):
+            inv, reach = reach, reach @ ell
+        # the pushed bracket, by `_transform_tensor`'s own three mode
+        # products; the table reads its i < j half and mirrors it, so its
+        # (i, i, k) entries, 0 up to rounding, are never read
+        nu = _transform_tensor(c, ell, inv)
+        nu[np.arange(d), np.arange(d)] = False
+        half = np.flatnonzero(nu.ravel()[upper])
+        # Ric of it: the terms of `curvature._ricci_gemm`, G = A1 (A1 + A2)^T
+        # + A3 A3^T and ad H, symmetrized, then the derivative L^T Ric L
+        rows = nu.reshape(d, d * d)
+        a3 = nu.reshape(d * d, d)
+        g = rows @ (rows | nu.transpose(0, 2, 1).reshape(d, d * d)).T | a3.T @ a3
+        g |= (nu[:, np.arange(d), np.arange(d)].any(axis=1) @ rows).reshape(d, d)
+        grown = p | ell.T @ (g | g.T) @ ell
+        if np.array_equal(grown, p):
+            return tuple(half.tolist())
+        p = grown
 
 
 def metric_flow_integrate(
@@ -200,6 +273,11 @@ def metric_flow_integrate(
     not finite and retries at `stepper.MIN_FACTOR` = 0.2 times the step, so
     the integrator approaches a degenerating metric geometrically instead of
     stepping across it.  A backward run steps to the physical time -horizon.
+    Ric of each pushed bracket is read on the run's support S_nu
+    (`_pushed_support`), computed once before the first step: every finite
+    pushed bracket of the run is exactly 0 off it, so the result is the
+    whole half's up to summation order, and a non-finite stage still
+    evaluates to a non-finite derivative.
 
     Raises:
         ValueError: mu0 has q > 0, `p0` is not an n x n matrix, the
@@ -215,6 +293,8 @@ def metric_flow_integrate(
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
+    # Every pushed bracket of the run lies on this support.
+    support = _pushed_support(mu0, p0)
     # The array `fun` was last handed and the Ric it computed there (None
     # off the positive-definite cone).  The stepper never writes an array it
     # has handed out, so the Ric still belongs to that array.
@@ -223,7 +303,7 @@ def metric_flow_integrate(
     def fun(_t, y):
         last[:] = y, None
         try:
-            ric, ell = _pushed_ric(mu0, y.reshape(n, n))
+            ric, ell = _pushed_ric(mu0, y.reshape(n, n), support)
         except NonSPDError:
             return np.full(n * n, np.nan)
         last[1] = ric
@@ -237,7 +317,7 @@ def metric_flow_integrate(
         # is that stage's; only the initial state is assembled here.
         if y is last[0] and last[1] is not None:
             return last[1]
-        return _pushed_ric(mu0, y.reshape(n, n))[0]
+        return _pushed_ric(mu0, y.reshape(n, n), support)[0]
 
     atol = _abs_tol(opts, float(np.linalg.norm(p0)))
     solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=atol)

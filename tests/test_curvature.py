@@ -380,6 +380,27 @@ def test_ricci_applies_the_whole_half_table_exactly_when_the_rule_admits_it(monk
         assert _rel(whole.q_form(c.ravel()[whole.upper], c.ravel()[whole.upper])[whole.sym], gemm) <= TABLE_RTOL
 
 
+@pytest.mark.parametrize("n, center, tabulated", [(6, 3, True), (9, 6, True), (13, 10, False)])
+def test_a_supports_ricci_table_follows_the_rule_before_any_build(monkeypatch, n, center, tabulated):
+    # The rule reads the support's own size, n(n+1) m'^2: 3,402 and 29,160
+    # entries on the two-step nilpotent supports at n = 6 and 9, 163,800 at
+    # n = 13 (m' = 30), which takes the GEMM kernel with no table built.
+    mu = random_two_step_nilpotent(n, np.random.default_rng(n), center_dim=center)
+    support = _flow_table(mu).support
+    assert (n * (n + 1) * len(support) ** 2 <= TABLE_MAX_ENTRIES) == tabulated
+    built = []
+    monkeypatch.setattr(curvature, "_rhs_table", lambda *key: built.append(key) or _rhs_table(*key))
+    table = _ricci_table.__wrapped__(n, 0, support)  # past the cache
+    assert built == ([(n, 0, support)] if tabulated else [])
+    assert table is (_rhs_table(n, 0, support) if tabulated else None)
+    ric, gemm = _ricci_from_tensor(mu.c, 0, support), _ricci_gemm(mu.c, 0)
+    assert np.array_equal(ric, ric.T)
+    if tabulated:
+        assert _rel(ric, gemm) <= TABLE_RTOL
+    else:
+        assert np.array_equal(ric, gemm)
+
+
 @pytest.mark.parametrize(
     "mu",
     [

@@ -1,4 +1,5 @@
 import functools
+import warnings
 from collections.abc import Sequence
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from bracketflow import (
     transform_bracket,
 )
 from bracketflow.catalog import catalog_entries, cover_dichotomy_check, get_entry
+from bracketflow.stepper import MIN_FACTOR
 
 from oracles import equivalence_gap_loop
 
@@ -371,3 +373,131 @@ def test_metric_monitor_reads_the_last_stages_ricci(monkeypatch):
     assert calls[0] == solver.nfev + 1
     for y, ric in zip(run.states, run.ric, strict=True):
         assert np.array_equal(ric, pushed_ric(SU2, y.reshape(3, 3))[0])
+
+
+# --- the support the pushed brackets reach ----------------------------------
+
+def _block_diagonal_spd(n, seed, blocks):
+    # a random SPD matrix, kept on the diagonal blocks: blocks[i] is row i's
+    p = _spd(n, seed)
+    return np.where(np.equal.outer(blocks, blocks), p, 0.0)
+
+
+def _nilpotent(n, seed=0):
+    return random_two_step_nilpotent(n, np.random.default_rng(seed))
+
+
+# (label, bracket, P0, horizon, size of the run's support): C8's runs and
+# seeded two-step nilpotent brackets at n = 5, 6 and 9 from the identity,
+# where the support is that of the bracket flow (Lambda^2 v (x) z), a
+# block-diagonal P0 on blocks within v and z and one on blocks that cut
+# across them, and two dense P0s.
+SUPPORT_RUNS = [
+    (name, get_entry(name).bracket, np.eye(get_entry(name).bracket.dims.n), h, size)
+    for (name, h), size in zip(C8_HORIZONS.items(), [0, 1, 3, 2, 1, 1], strict=True)
+]
+SUPPORT_RUNS += [(f"nilpotent{n}", _nilpotent(n), np.eye(n), 10.0, size) for n, size in [(5, 6), (6, 9), (9, 18)]]
+SUPPORT_RUNS += [
+    ("nilpotent6-blocks-in-v-and-z", _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 2, 2, 2]), 10.0, 9),
+    ("nilpotent6-blocks-across", _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 1, 2, 2]), 10.0, 90),
+    ("nilpotent5-dense", _nilpotent(5), _spd(5, 7), 10.0, 50),
+    ("heisenberg3-dense", HEIS, _spd(3, 8), 10.0, 9),
+]
+
+
+@pytest.mark.parametrize("mu, p0, horizon, size", [run[1:] for run in SUPPORT_RUNS], ids=[run[0] for run in SUPPORT_RUNS])
+def test_every_pushed_bracket_of_a_run_is_exactly_zero_off_its_support(monkeypatch, mu, p0, horizon, size):
+    transform, pushed_ric = metric_flow._transform_tensor, metric_flow._pushed_ric
+    support = metric_flow._pushed_support(mu, p0)
+    assert len(support) == size
+    off = np.delete(metric_flow._half_indices(mu.dims.d)[0], list(support))
+    finite, supports = [], set()
+
+    def checked(c, g, ginv):
+        out = transform(c, g, ginv)
+        if np.isfinite(out).all():
+            finite.append(not out.ravel()[off].any())
+        return out
+
+    def recorded(mu0, p, support=None):
+        supports.add(support)
+        return pushed_ric(mu0, p, support)
+
+    monkeypatch.setattr(metric_flow, "_transform_tensor", checked)
+    monkeypatch.setattr(metric_flow, "_pushed_ric", recorded)
+    traj = metric_flow_integrate(mu, p0, "forward", horizon)
+    assert supports == {support}  # every call reads the run's support
+    assert len(finite) >= 6 * (traj.n_samples - 1) and all(finite)
+
+
+def _whole_half_pushed_ric(mu0, p, support=None):
+    # Ric of the pushed bracket read on the whole half, whatever the support
+    ell, ell_inv = metric_flow._factor(metric_flow._sym(p))
+    return metric_flow._ricci_from_tensor(metric_flow._transform_tensor(mu0.c, ell, ell_inv), 0), ell
+
+
+@pytest.mark.parametrize("n", [5, 6], ids=["whole-half-table", "gemm"])
+def test_a_run_from_a_dense_metric_reads_the_whole_half_bit_for_bit(monkeypatch, n):
+    mu, p0 = _nilpotent(n), _spd(n, 3)
+    assert metric_flow._pushed_support(mu, p0) == tuple(range(n * n * (n - 1) // 2))
+    runs = [metric_flow_integrate(mu, p0, "forward", 10.0)]
+    monkeypatch.setattr(metric_flow, "_pushed_ric", _whole_half_pushed_ric)
+    runs.append(metric_flow_integrate(mu, p0, "forward", 10.0))
+    new, ref = runs
+    assert new.verdict == ref.verdict
+    for series in ("t", "scalar_R", "ric_eigs"):
+        assert np.array_equal(getattr(new, series), getattr(ref, series))
+
+
+def test_a_structured_support_reads_ricci_as_the_whole_half_does():
+    mu, p = _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 2, 2, 2])
+    ric, ell = metric_flow._pushed_ric(mu, p)
+    ref, ref_ell = _whole_half_pushed_ric(mu, p)  # the GEMM kernel at n = 6
+    assert np.array_equal(ell, ref_ell)
+    assert np.array_equal(ric, ric.T)
+    assert np.max(np.abs(ric - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _stage_rhs(monkeypatch, mu, p0):
+    # the RHS the metric flow hands its stepper, from a short run
+    funs = []
+
+    class Recording(metric_flow.RK45):
+        def __init__(self, fun, *args, **kwargs):
+            funs.append(fun)
+            super().__init__(fun, *args, **kwargs)
+
+    monkeypatch.setattr(metric_flow, "RK45", Recording)
+    metric_flow_integrate(mu, p0, "forward", 0.01)
+    return funs[0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "overflow"])
+@pytest.mark.parametrize("dense", [False, True], ids=["structured-support", "whole-half"])
+def test_a_non_finite_stage_is_rejected_with_no_warning(monkeypatch, bad, dense):
+    mu = _nilpotent(6)
+    p0 = _spd(6, 2) if dense else np.eye(6)
+    assert (len(metric_flow._pushed_support(mu, p0)) == 90) == dense
+    fun = _stage_rhs(monkeypatch, mu, p0)
+    y = p0.ravel().copy()
+    y[1] = y[6] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(fun(0.0, y)).all()
+    calls = [0]
+
+    def poisoned(t, y):
+        # the third stage of the first attempt holds a non-finite metric entry
+        calls[0] += 1
+        if calls[0] == 5:
+            y = y.copy()
+            y[1] = y[6] = bad
+        return fun(t, y)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver = metric_flow.RK45(poisoned, 0.0, p0.ravel().copy(), 1.0, rtol=1e-6, atol=1e-9)
+        h_first = solver.h_abs
+        assert solver.step() is None
+    assert solver.nfev == 2 + 2 * solver.n_stages  # one rejected attempt, one accepted
+    assert solver.t - solver.t_old == MIN_FACTOR * h_first
+    assert np.isfinite(solver.y).all()

@@ -3,7 +3,9 @@
 import importlib.util
 from pathlib import Path
 
-from bracketflow import get_entry, integrate
+import numpy as np
+
+from bracketflow import equivalence_check, get_entry, integrate, metric_flow_integrate
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "run_digests.py"
 _spec = importlib.util.spec_from_file_location("run_digests", TOOL)
@@ -37,3 +39,20 @@ def test_differing_lines_are_paired_by_label():
         "- c flat 33 ccc",
         "+ d flat 33 ddd",
     ]
+
+
+def test_metric_lines_print_omega_and_the_gap_exactly():
+    # A metric-side rounding change moves the series digests; the printed
+    # omega_est and gap show by how much, and read back as the same floats.
+    mu = get_entry("su2_round").bracket
+    traj = metric_flow_integrate(mu, np.eye(3), "forward", 2.0)
+    label, kind, omega, samples, sha = run_digests.metric_line("su2_round", traj).split()
+    assert (label, kind, int(samples), len(sha)) == ("su2_round", "blowup", traj.n_samples, 64)
+    assert float(omega) == traj.verdict.omega_est and omega == repr(float(omega))
+    immortal = metric_flow_integrate(get_entry("heisenberg3").bracket, np.eye(3), "forward", 1.0)
+    assert run_digests.metric_line("heisenberg3", immortal).split()[1:3] == ["immortal", "None"]
+    gap = equivalence_check(mu, 0.5)
+    label, text, samples, sha = run_digests.gap_line("su2_round", gap).split()
+    assert (label, samples) == ("su2_round/gap", "-")
+    assert float(text) == gap and text == repr(gap)
+    assert sha == run_digests.digest([gap])

@@ -14,9 +14,12 @@ seed-0 inputs of a flowbench workload (`flowbench/workloads.py`):
   `ricci_operator` and the Koszul oracle (Ric, R, tr Ric^2, |Riem|^2), then
   the flow both ways (every series of the Trajectory and the verdict).
 - metric: C8's six q = 0 entries at C8's horizons on both flows (the metric
-  flow's t, R, Ricci spectra and verdict), then the `equivalence_check` gap
-  of each of the 16 ops of `metric_equivalence`, printed in the verdict
-  column and digested as its exact float.
+  flow's t, R, Ricci spectra and verdict, with its `omega_est` in repr
+  beside the verdict kind), then the `equivalence_check` gap of each of the
+  16 ops of `metric_equivalence`, printed in repr in the verdict column and
+  digested as its exact float.  A change of summation order on the metric
+  side moves the series digests; these printed floats show how far it
+  moves omega and the gaps.
 
 The package and the workloads are imported from the checkout this file sits
 in, so a copy of it run in another checkout digests that one.  --against REV
@@ -99,8 +102,15 @@ def bracket_line(label: str, traj) -> str:
 
 
 def metric_line(label: str, traj) -> str:
+    """Digest of a MetricTrajectory: t, R, the Ricci spectra and the verdict, whose omega_est is printed in repr."""
     sha = digest(traj.t, traj.scalar_R, traj.ric_eigs, _verdict_bytes(traj.verdict))
-    return line(label, traj.verdict.kind, traj.n_samples, sha)
+    omega = traj.verdict.omega_est
+    return line(label, f"{traj.verdict.kind} {None if omega is None else float(omega)!r}", traj.n_samples, sha)
+
+
+def gap_line(label: str, gap: float) -> str:
+    """An `equivalence_check` gap, printed in repr and digested as its exact float."""
+    return line(f"{label}/gap", repr(gap), "-", digest([gap]))
 
 
 def cli_lines(work_dir: Path):
@@ -124,8 +134,7 @@ def metric_lines(work_dir: Path):
         yield bracket_line(f"C8/{name}/bracket", integrate(mu, "forward", horizon))
         yield metric_line(f"C8/{name}/metric", metric_flow_integrate(mu, np.eye(mu.dims.n), "forward", horizon))
     for op in workloads.build("metric_equivalence", SEED, work_dir).ops:
-        gap = equivalence_check(op.mu, op.horizon)
-        yield line(f"{op.label}/gap", f"{gap:.4e}", "-", digest([gap]))
+        yield gap_line(op.label, equivalence_check(op.mu, op.horizon))
 
 
 GROUPS = {"cli": cli_lines, "nilpotent": nilpotent_lines, "metric": metric_lines}
