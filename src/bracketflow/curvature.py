@@ -11,12 +11,13 @@ oracle (valid for q = 0, i.e. left-invariant metrics on Lie groups) provides
 an independent route to the same operator and is the ground truth the
 algebraic formula is validated against.
 
-Both flows assemble Ric with one function, `_ricci_from_tensor`, which
-returns the matrix only: R = tr Ric and tr Ric^2 are computed where they are
-read.  It applies the Ricci half of a stacked table (below) or, where that
-table is too large, the fused GEMM kernel `_ricci_gemm`, which
-gathers its operands through a read-only index plan, built once per (q, n)
-by `_ricci_plan`, and makes one matrix product for M - B/2.
+`ricci_operator` and the metric flow assemble Ric with one function,
+`_ricci_from_tensor`, which returns the matrix only: R = tr Ric and
+tr Ric^2 are computed where they are read.  It applies the Ricci half of a
+stacked table (below) or, where that table is too large, the fused GEMM
+kernel `_ricci_gemm`, which gathers its operands through a read-only index
+plan, built once per (q, n) by `_ricci_plan`, and makes one matrix product
+for M - B/2.  The bracket flow reads Ric off its own table.
 
 Over the m = d * d(d-1)/2 entries c[i, j, k] with i < j
 (`algebra._half_indices`, the one encoding of that half), Ric is a quadratic
@@ -175,14 +176,14 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 # metric flow's, on the table at d <= 5 and on the GEMM kernel from d = 6;
 # with isotropy the table reaches further (q >= 3 at d = 6, q >= 5 at d = 7).
 # The sparse table also wins at d = 6 with q = 1 or 2, but only one-off
-# `ricci_operator` calls and `rhs=` overrides reach those supports, and for
-# a single call the table's build costs more than the GEMM call it saves;
-# so the bound stays until a workload has such a support.  On the metric
-# flow's two-step nilpotent supports the table is far ahead (min of 15 x
-# 2000 calls, same host): 2.5 against 13.2 us at n = 5 (6 entries), 2.9
-# against 14.1 us at n = 6 (9 entries), 3.9 against 18.5 us at n = 9 (18
-# entries, a sparse table); at n = 13 (30 entries, 163,800) the rule sends
-# it to the GEMM kernel.
+# `ricci_operator` calls reach those supports, and for a single call the
+# table's build costs more than the GEMM call it saves; so the bound stays
+# until a workload has such a support.  On the metric flow's two-step
+# nilpotent supports the table is far ahead (min of 15 x 2000 calls, same
+# host): 2.5 against 13.2 us at n = 5 (6 entries), 2.9 against 14.1 us at
+# n = 6 (9 entries), 3.9 against 18.5 us at n = 9 (18 entries, a sparse
+# table); at n = 13 (30 entries, 163,800) the rule sends it to the GEMM
+# kernel.
 TABLE_MAX_ENTRIES = 2**17
 
 # Largest table, in dense entries, that is applied as the dense product of
@@ -586,7 +587,7 @@ def _ricci_table(d: int, q: int, support: tuple | None = None) -> _StackedTable 
 
 
 def _ricci_from_tensor(c: np.ndarray, q: int, support: tuple | None = None) -> np.ndarray:
-    """Ricci matrix of the raw tensor: the metric flow's hot path, and Ric of an `rhs=` override's run.
+    """Ricci matrix of the raw tensor: the metric flow's hot path, and `ricci_operator`'s.
 
     Where the table of the support (`_ricci_table`; by default the whole
     half) fits, it applies the table's Q half, which reads the entries of c

@@ -22,12 +22,9 @@ one gather of u through the table's read-only index and two bincounts over
 the nonzero coefficients (675 of 111,600 at n = 13).  Every support has a
 table, the zero bracket's being the empty one.  The error norm counts each
 entry of u twice, so it is the RMS over all d^3 tensor entries, as on the
-full tensor.  An `rhs=` override, which may leave S, steps on the whole
-i < j half: it is handed the tensor its state stands for and returns a
-LieBracket, whose half is the derivative.  Only the override,
-`Trajectory.checkpoints` and the dense output rebuild the tensor
-(`_to_tensor`), by writing u at the support's flat indices and -u at their
-mirrors (`algebra._from_half`).
+full tensor.  Only `Trajectory.checkpoints` and the dense output rebuild
+the tensor (`_to_tensor`), by writing u at the support's flat indices and
+-u at their mirrors (`algebra._from_half`).
 
 `_drive` keeps the samples of a run of either flow, at t = 0 and after
 each accepted step: the time, the stepper's raw state and the Ricci matrix
@@ -40,15 +37,11 @@ forms built once per support (`curvature._residual_forms`): only the
 Jacobi, h1 and h3 rows that are not identically 0 on V_S, and none at all
 on a two-step nilpotent support, where the check is vacuous: with no row
 the monitor makes no check and writes exact zeros.
-`Trajectory.residual_rows` says how many rows that is.  On the whole half,
-an override's layout, the forms drop only rows that vanish on every
-antisymmetric tensor, so an override's run keeps the full check.  No
-LieBracket is built but the override's.  The states stay raw arrays;
-`Trajectory.checkpoints` wraps them as FlowStates only when read.  The zero
-bracket, an exact fixed point, is not stepped: its run is 33 stationary
-samples with Ric = 0 and a zero dense output, built into a Trajectory as
-every other run is.  An override is called once there, and one that moves
-the zero bracket is refused: with |mu0| = 0 its run has no step scale.
+`Trajectory.residual_rows` says how many rows that is.  No LieBracket is
+built; the states stay raw arrays, and `Trajectory.checkpoints` wraps them
+as FlowStates only when read.  The zero bracket, an exact fixed point, is
+not stepped: its run is 33 stationary samples with Ric = 0 and a zero
+dense output, built into a Trajectory as every other run is.
 
 The stop rule is scale free and the same for both flows.  Along either
 flow dR/dt = 2 tr Ric^2 >= (2/n) R^2, so once R has the sign of the time
@@ -81,19 +74,12 @@ from .algebra import (
     Dimensions,
     LieBracket,
     _from_half,
-    _half_indices,
     _relative_residuals,
     bracket_norm,
     check_conditions,
 )
-from .curvature import (
-    _flow_table,
-    _residual_forms,
-    _rhs_table,
-    _ricci_from_tensor,
-    _StackedTable,
-    koszul_ricci_oracle,
-)
+from .curvature import _flow_table, _residual_forms, _StackedTable, koszul_ricci_oracle
+from .curvature import _ricci_from_tensor  # noqa: F401  (flowbench's tracer looks it up on this module)
 from .stepper import DenseStep
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
@@ -270,9 +256,9 @@ class Trajectory:
     over those states: each access builds the FlowState, so a run that never
     reads it builds no LieBracket.  Times are physical: decreasing for
     backward runs.  `residual_rows` is the number of residual rows the drift
-    check read per step on the run's support (`curvature._residual_forms`;
-    the whole i < j half for an `rhs=` override): 0 when every residual
-    vanishes identically there, so the check is vacuous.  It is never None.
+    check read per step on the run's support (`curvature._residual_forms`):
+    0 when every residual vanishes identically there, so the check is
+    vacuous.  It is never None.
     """
 
     direction: str
@@ -308,13 +294,14 @@ class DenseSolution:
     finds among the sorted knots, with the side rule of scipy's `OdeSolution`
     ("left" ascending, "right" descending), so that at a knot it reads the
     segment of lower index; a time outside the range is refused.  A scalar
-    time gives the state; an array of m times gives the states as the m
+    time gives the state; a 1-d array of m times gives the states as the m
     columns of one array, each contiguous group of the sorted times that
-    shares a segment read in one interpolant call.  With a `table`, as every
-    bracket-flow run has, the interpolants hold the state u on its support
-    (see `_to_state`) and the solution is the flat tensor of size d^3 that u
-    stands for, mirrored exactly (`_to_tensor`); without one (the metric
-    flow) it is the interpolated state itself.
+    shares a segment read in one interpolant call.  A time array of more
+    dimensions is refused, as `stepper.DenseStep` refuses it.  With a
+    `table`, as every bracket-flow run has, the interpolants hold the state
+    u on its support (see `_to_state`) and the solution is the flat tensor
+    of size d^3 that u stands for, mirrored exactly (`_to_tensor`); without
+    one (the metric flow) it is the interpolated state itself.
     """
 
     def __init__(self, ts, interpolants, d: int = 0, table: _StackedTable | None = None):
@@ -333,9 +320,11 @@ class DenseSolution:
         return seg if self._ascending else last - seg
 
     def __call__(self, t):
+        t = np.asarray(t)
+        if t.ndim > 1:
+            raise ValueError("`t` must be a float or a 1-D array.")
         if not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
             raise ValueError(f"time {t} outside the integrated range")
-        t = np.asarray(t)
         if t.ndim == 0:
             y = self.interpolants[self._segments(t)](t)
         else:
@@ -426,7 +415,6 @@ def integrate(
     direction: str = "forward",
     horizon: float = 10.0,
     opts: IntegratorOptions | None = None,
-    rhs=None,
 ) -> Trajectory:
     """Integrate the bracket flow until the horizon or a singularity verdict.
 
@@ -436,10 +424,6 @@ def integrate(
             physical time -horizon.
         horizon: finite positive amount of time to cover.
         opts: integrator options; defaults are suitable for the catalog.
-        rhs: optional override mapping LieBracket -> LieBracket, used by
-            mutation-sensitivity checks; its run steps on the whole i < j
-            half and checks every residual row.  None means the bracket
-            flow.
 
     Returns:
         A Trajectory whose verdict is 'immortal', 'blowup' or 'flat'.
@@ -451,8 +435,7 @@ def integrate(
             `opts.membership_tol`.
         StiffnessError: step size underflowed before the stop rule fired.
         DriftError: admissibility residuals exceeded `opts.drift_tol`.
-        FlowError: the step budget `MAX_STEPS` was exhausted, or an `rhs`
-            override has a nonzero derivative at the zero bracket.
+        FlowError: the step budget `MAX_STEPS` was exhausted.
     """
     opts = opts or IntegratorOptions()
     t_end = _end_time(direction, horizon)
@@ -461,13 +444,7 @@ def integrate(
     dims = initial.dims
     q, d = dims.q, dims.d
     norm = bracket_norm(initial)
-    # An override may leave the flow's support, so it steps on the whole
-    # half; the zero bracket is not stepped, so an override that moves it
-    # is refused: its run has no scale to step on.
-    if norm == 0.0 and rhs is not None and np.any(rhs(initial).c):
-        raise FlowError("the rhs override moves the zero bracket, whose run has no step scale (|mu0| = 0)")
-    whole = rhs is not None and norm > 0.0
-    table = _rhs_table(d, q, tuple(range(_half_indices(d)[0].size))) if whole else _flow_table(initial)
+    table = _flow_table(initial)
     forms = _residual_forms(d, q, table.support)
     y0 = _to_state(initial.c, table)
     # Per sample: |mu|^2, |dmu/dt|^2 and the Jacobi, h1 and h3 residuals.
@@ -485,22 +462,10 @@ def integrate(
         run = _Run(Verdict(kind="flat"), t, [y0] * t.size, np.zeros((t.size, dims.n, dims.n)), steps)
         rows += [0.0] * (5 * t.size)
     else:
-        if rhs is None:
-            scratch = _rhs_scratch(table)
+        scratch = _rhs_scratch(table)
 
-            def fun(_t, y):
-                return _default_rhs_tensor(y, table, scratch)[0]
-
-            def f_tensor(y):
-                dy, r = _default_rhs_tensor(y, table, scratch)
-                return dy, r[table.sym]
-        else:
-            def f_tensor(y):
-                c = _to_tensor(y, d, table)
-                return _to_state(rhs(LieBracket(dims, c)).c, table), _ricci_from_tensor(c, q)
-
-            def fun(_t, y):
-                return f_tensor(y)[0]
+        def fun(_t, y):
+            return _default_rhs_tensor(y, table, scratch)[0]
 
         checked = forms.rows > 0
 
@@ -513,7 +478,7 @@ def integrate(
             # is vacuous, so it is not made.  Each entry of y stands for two
             # tensor entries, c and its mirror.
             nsq = 2 * float(y.dot(y))
-            dy, ric = f_tensor(y)
+            dy, r = _default_rhs_tensor(y, table, scratch)
             jac = h1 = h3 = 0.0
             if checked:
                 jac, h1, h3 = forms.residuals(y)
@@ -521,7 +486,7 @@ def integrate(
                 if drift > opts.drift_tol:
                     raise DriftError(f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {t}")
             rows.extend((nsq, 2 * float(dy.dot(dy)), jac, h1, h3))
-            return ric
+            return r[table.sym]
 
         solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=_abs_tol(opts, norm), rms_weight=2 / d**3)
         run = _drive(solver, opts, sample, dims.n)

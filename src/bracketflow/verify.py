@@ -23,7 +23,7 @@ flow).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .flow import (
     IntegratorOptions,
     Trajectory,
     _resolved_tail,
-    bracket_flow_rhs,
     estimate_report,
     integrate,
 )
@@ -177,8 +176,10 @@ def _c5_monotonicity(lab: AcceptanceLab, check) -> str:
     # mutation sensitivity: flipping the sign of the right-hand side (the
     # effect of a flipped Ricci or a flipped representation on su(2)) must
     # contradict both the singularity verdict and the monotonicity check.
-    flipped = lambda mu: scale_bracket(bracket_flow_rhs(mu), -1.0)
-    mutant = integrate(get_entry("su2_round").bracket, "forward", 2.0, lab.opts, rhs=flipped)
+    # The flow is autonomous, so the flipped flow run forward to 2 is the
+    # true flow run backward to -2, read with t negated.
+    back = lab.timed_run("su2_round", "backward", 2.0)[0]
+    mutant = replace(back, direction="forward", t=-back.t)
     check(mutant.verdict.kind != "blowup", "mutant unexpectedly still blows up")
     run = "su2_round/forward sign-flipped mutant"
     violation = _report_field(lambda: estimate_report(mutant), "monotone_R_violation", run, check)

@@ -8,7 +8,9 @@ polarizing them on the mirrored basis (`polar_form`), kept so that the
 tables written down from index terms can be checked against them bit for
 bit.  So is `antisymmetrized_by_mask`, the earlier construction of a
 bracket's tensor, and scipy's `OdeSolution` (`scipy_dense_solution`), the
-dense output the package's `DenseSolution` replaced.
+dense output the package's `DenseSolution` replaced.  `gemm_flow_run` steps
+the bracket flow on its flat tensor with the GEMM kernels' RHS, with no
+table, the reference the table path's runs are checked against.
 """
 
 from __future__ import annotations
@@ -148,6 +150,43 @@ def local_derivatives_polyfit(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         s = np.max(np.abs(tau))
         out.append(np.polyfit(tau / s, y[k - 2 : k + 3], 4)[3] / s if s > 0 else 0.0)
     return np.array(out)
+
+
+def gemm_rhs(c: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bracket flow's RHS -pi(diag(0, Ric)) c and Ric on the flat tensor, from the GEMM kernels, no table."""
+    from bracketflow.algebra import _pi_tensor
+    from bracketflow.curvature import _ricci_gemm
+
+    d = c.shape[0]
+    abar = np.zeros((d, d))
+    abar[q:, q:] = _ricci_gemm(c, q)
+    return -_pi_tensor(abar, c), abar[q:, q:]
+
+
+def gemm_flow_run(mu, direction: str, horizon: float, opts=None):
+    """The bracket flow of mu stepped on its flat d^3 tensor with `gemm_rhs`: a `flow._Run`.
+
+    The stepper and the loop are `flow.integrate`'s (`stepper.DormandPrince54`
+    through `flow._drive`, with Ric from `_ricci_gemm` at each sample), and so
+    is atol.  The default error weight 1/d^3 on the flat tensor equals the
+    support state's 2/d^3, each of whose entries stands for an entry and its
+    mirror.  Its dense output, `flow.DenseSolution(run.t, run.segments)`, is
+    the flat tensor.
+    """
+    from bracketflow import IntegratorOptions, bracket_norm, flow
+    from bracketflow.curvature import _ricci_gemm
+    from bracketflow.stepper import DormandPrince54
+
+    opts = opts or IntegratorOptions()
+    d, q = mu.dims.d, mu.dims.q
+
+    def fun(_t, y):
+        return gemm_rhs(y.reshape(d, d, d), q)[0].ravel()
+
+    t_end = flow._end_time(direction, horizon)
+    atol = flow._abs_tol(opts, bracket_norm(mu))
+    solver = DormandPrince54(fun, 0.0, mu.c.ravel(), t_end, rtol=opts.rel_tol, atol=atol)
+    return flow._drive(solver, opts, lambda _t, y: _ricci_gemm(y.reshape(d, d, d), q), mu.dims.n)
 
 
 def equivalence_gap_loop(mu0, horizon: float) -> float:

@@ -58,7 +58,8 @@ def test_verify_makes_each_run_and_each_estimate_report_once(monkeypatch, capsys
 def test_c5_checks_its_mutants_verdict_when_the_mutants_report_cannot_be_read(monkeypatch):
     # at rel_tol 1e-6 the report of C5's mutant cannot be read (too few
     # samples); a mutant that still blows up must fail the verdict check too,
-    # so the mutant here is the true flow and its report is refused
+    # so the run the mutant is read off here is a blowup (su(2) forward) and
+    # its report is refused
     lab = AcceptanceLab(IntegratorOptions(rel_tol=1e-6))
     assert run_criterion(5, lab).detail.endswith(
         "; su2_round/forward sign-flipped mutant: ValueError: need at least 20 samples for the estimate report, got 9"
@@ -67,7 +68,7 @@ def test_c5_checks_its_mutants_verdict_when_the_mutants_report_cannot_be_read(mo
     def refused(traj):
         raise ValueError(f"need at least 20 samples for the estimate report, got {traj.n_samples}")
 
-    monkeypatch.setattr(verify, "scale_bracket", lambda mu, c: mu)
+    lab._runs["su2_round", "backward", 2.0] = lab.timed_run("su2_round", "forward")
     monkeypatch.setattr(verify, "estimate_report", refused)  # the catalog runs' reports are kept in the lab
     *_, verdict, report = run_criterion(5, lab).detail.split("; ")
     assert verdict == "mutant unexpectedly still blows up"

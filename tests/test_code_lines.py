@@ -1,6 +1,7 @@
 """`tools/code_lines.py` counts code lines without blanks, comments or docstrings."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
@@ -47,3 +48,29 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["11", "1", "12"]
     assert lines[-1].split()[1] == "total"
+
+
+def test_against_a_revision_prints_both_counts_and_the_change(tmp_path, capsys, monkeypatch):
+    # a.py changes, b.py is removed and c.py added after the commit
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "b.py").write_text(SOURCE)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\ny = 2\n# done\n")
+    (tmp_path / "pkg" / "b.py").unlink()
+    (tmp_path / "pkg" / "c.py").write_text("z = 3\n")
+    monkeypatch.chdir(tmp_path)
+    assert code_lines.main(["--against", "HEAD", "pkg"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["rev", "here", "delta"],
+        ["1", "2", "+1", str(Path("pkg/a.py"))],
+        ["11", "-", "-11", str(Path("pkg/b.py"))],
+        ["-", "1", "+1", str(Path("pkg/c.py"))],
+        ["12", "3", "-9", "total"],
+    ]

@@ -36,9 +36,11 @@ from bracketflow.curvature import (
     _ricci_plan,
     _ricci_table,
 )
-from bracketflow.flow import _default_rhs_tensor, _rhs_scratch, _to_state, _to_tensor
+from bracketflow.flow import DenseSolution, _default_rhs_tensor, _rhs_scratch, _to_state, _to_tensor
 
 from oracles import (
+    gemm_flow_run,
+    gemm_rhs,
     killing_p_loops,
     mean_curvature_loops,
     mirrored_basis_loops,
@@ -492,14 +494,6 @@ def test_ricci_rejects_non_member():
 
 # --- the bracket flow's table on the support of its initial bracket ---------
 
-def _gemm_rhs(c, q):
-    # the bracket flow's RHS and Ric on the flat tensor from the GEMM kernels, no table
-    d = c.shape[0]
-    abar = np.zeros((d, d))
-    abar[q:, q:] = _ricci_gemm(c, q)
-    return -_pi_tensor(abar, c), abar[q:, q:]
-
-
 def _invertible(rng, k):
     return np.eye(k) + 0.3 * rng.standard_normal((k, k))
 
@@ -544,7 +538,7 @@ def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
     u = np.random.default_rng(seed).standard_normal(len(table.support))
     c = _to_tensor(u, d, table)
     assert np.array_equal(c.ravel()[half][~outside], u)
-    gemm, ric = _gemm_rhs(c, q)
+    gemm, ric = gemm_rhs(c, q)
     assert not np.any(gemm.ravel()[half][outside])
     du, r_table = _default_rhs_tensor(u, table, _rhs_scratch(table))
     assert _rel(_to_tensor(du, d, table), gemm) <= TABLE_RTOL
@@ -555,17 +549,17 @@ def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
 def test_dense_supports_step_on_their_table_like_the_gemm_kernels(n):
     # A dense moved nilpotent bracket fills the whole half: at n = 6, m' = 90
     # and 21 Ricci rows make 340k dense entries, at n = 7 1.2M.  It steps on
-    # that table, through its nonzero coefficients, and agrees with a run of
-    # the same layout whose RHS is the GEMM kernels on the tensor.
+    # that table, through its nonzero coefficients, and agrees with a run on
+    # the flat tensor whose RHS is the GEMM kernels.
     rng = np.random.default_rng(4)
     mu = transform_bracket(random_two_step_nilpotent(n, rng), _invertible(rng, n))
     t = _flow_table(mu)
     assert t.support == _whole_half(n) and t.stack is None
     assert t.entries == 2 * (n * (n + 1) // 2) * (n * n * (n - 1) // 2) ** 2 > TABLE_MAX_ENTRIES
     traj = integrate(mu, "backward", 2.0)
-    ref = integrate(mu, "backward", 2.0, rhs=lambda b: LieBracket(b.dims, _gemm_rhs(b.c, 0)[0]))
+    ref = gemm_flow_run(mu, "backward", 2.0)
     assert traj.verdict.kind == ref.verdict.kind == "blowup"
-    assert traj.n_samples == ref.n_samples
+    assert traj.n_samples == ref.t.size
     assert abs(traj.verdict.omega_est - ref.verdict.omega_est) <= 1e-12 * abs(ref.verdict.omega_est)
 
 
@@ -581,10 +575,11 @@ def test_support_grows_until_the_flow_cannot_leave_it():
     assert table.grown == table.support
     opts = IntegratorOptions(collect_dense=True)
     traj = integrate(mu, "forward", 3.0, opts)
-    ref = integrate(mu, "forward", 3.0, opts, rhs=lambda b: LieBracket(b.dims, _gemm_rhs(b.c, 0)[0]))
-    assert traj.n_samples == ref.n_samples
+    ref = gemm_flow_run(mu, "forward", 3.0, opts)
+    assert traj.n_samples == ref.t.size
     assert np.abs(traj.checkpoints[-1].mu.c[0, 1, 2]) > 0.1  # the grown entries move
-    np.testing.assert_allclose(traj.dense(3.0), ref.dense(3.0), rtol=1e-9, atol=1e-12)
+    ref_dense = DenseSolution(ref.t, ref.segments)
+    np.testing.assert_allclose(traj.dense(3.0), ref_dense(3.0), rtol=1e-9, atol=1e-12)
 
 
 # --- a table applied as its dense stack or through its nonzero coefficients ---
@@ -642,7 +637,7 @@ def _assert_table_matches_the_kernels(t, d, q, u):
         assert np.array_equal(np.reshape([t.p_form(rows[k], units[a]) for a in range(m)], (m, m)), ref)
         assert np.array_equal(p_half[k].T, ref)
     c = _to_tensor(u, d, t)
-    gemm, ric_u = _gemm_rhs(c, q)
+    gemm, ric_u = gemm_rhs(c, q)
     r_sparse = t.q_form(u, u)
     du_sparse = t.p_form(r_sparse, u)
     s = (_dense(t) @ u).reshape(2, t.rows, -1)

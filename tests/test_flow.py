@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from bracketflow import (
     DriftError,
-    FlowError,
     IntegratorOptions,
     LieBracket,
     NotInVarietyError,
@@ -37,6 +36,7 @@ from bracketflow import (
 )
 from bracketflow import algebra, curvature
 from bracketflow.catalog import catalog_entries, get_entry
+from bracketflow.verify import AcceptanceLab
 
 from oracles import local_derivatives_polyfit, milnor_singular_time, scipy_dense_solution
 
@@ -102,7 +102,7 @@ def test_ricci_and_rhs_are_scale_covariant(mu, c):
     dmu, r = flow._default_rhs_tensor(flow._to_state(mu.c, table), table, scratch)
     dmu_c, r_c = flow._default_rhs_tensor(flow._to_state(c * mu.c, table), table, scratch)
     ric, ric_c = r[table.sym], r_c[table.sym]
-    assert np.max(np.abs(ric_c - flow._ricci_from_tensor(c * mu.c, q))) <= 1e-14 * size**2
+    assert np.max(np.abs(ric_c - curvature._ricci_from_tensor(c * mu.c, q))) <= 1e-14 * size**2
     assert np.max(np.abs(ric_c - c**2 * ric)) <= 1e-12 * size**2
     assert abs(np.trace(ric_c) - c**2 * np.trace(ric)) <= 1e-12 * size**2
     assert np.max(np.abs(dmu_c - c**3 * dmu), initial=0.0) <= 1e-12 * size**3  # empty on the abelian support
@@ -190,7 +190,6 @@ def test_both_flows_take_their_verdict_from_drive_once_per_run(monkeypatch):
     for run in (
         lambda: integrate(SU2, "forward", 2.0),
         lambda: integrate(HEIS, "backward", 1.0),
-        lambda: integrate(HEIS, "forward", 1.0, rhs=bracket_flow_rhs),
         lambda: metric_flow_integrate(SU2, np.eye(3), "forward", 2.0),
         lambda: metric_flow_integrate(HEIS, np.eye(3), "forward", 1.0),
     ):
@@ -211,31 +210,13 @@ def test_membership_conserved_along_flow(su2_forward, heis_backward):
 def test_flat_input_returns_stationary_trajectory():
     traj = integrate(FLAT, "forward", 5.0)
     assert traj.verdict.kind == "flat"
-    assert traj.n_samples >= 20
+    assert traj.n_samples == 33
+    assert traj.residual_rows == 0
     assert np.all(traj.mu_norm == 0.0)
     assert np.all(traj.scalar_R == 0.0)
     bwd = integrate(FLAT, "backward", 5.0)
     assert bwd.verdict.kind == "flat"
     assert bwd.t[-1] == -5.0
-
-
-def test_an_override_that_moves_the_zero_bracket_is_refused():
-    # The zero bracket is not stepped: its override is called once, at mu0,
-    # and a nonzero derivative there is refused, not passed as a fixed point.
-    poison = LieBracket.from_triples(0, 3, [(0, 1, 2, 1e-3)]).c
-    with pytest.raises(FlowError, match="rhs override moves the zero bracket"):
-        integrate(FLAT, "forward", 1.0, rhs=lambda mu: LieBracket(mu.dims, mu.c + poison))
-    calls = []
-
-    def counted(mu):
-        calls.append(mu)
-        return bracket_flow_rhs(mu)
-
-    traj = integrate(FLAT, "forward", 1.0, rhs=counted)
-    assert len(calls) == 1
-    assert traj.verdict.kind == "flat"
-    assert traj.n_samples == 33
-    assert traj.residual_rows == 0
 
 
 def test_integrate_rejects_non_member():
@@ -354,27 +335,47 @@ def test_integrate_builds_no_bracket_and_checks_conditions_once(monkeypatch):
     assert calls == {"LieBracket": 0, "check_conditions": 1}
 
 
-def test_stiffness_failure_when_blowup_has_the_wrong_sign():
+def _patch_rhs(monkeypatch, change):
+    # Every RHS evaluation of the bracket flow, the stages' and the
+    # monitor's, returns change(dy, r) for the true flow's (dy, r).
+    rhs = flow._default_rhs_tensor
+    monkeypatch.setattr(flow, "_default_rhs_tensor", lambda y, table, scratch: change(*rhs(y, table, scratch)))
+
+
+def _flip_the_flow(monkeypatch):
+    _patch_rhs(monkeypatch, lambda dy, r: (-dy, r))
+
+
+# sphere2_su2's support holds c[0, 1, 2], c[0, 2, 1] and c[1, 2, 0]; both of
+# its residual rows are h3's, and read the first two entries' sum, 0 on the
+# admissible brackets.
+SPHERE = get_entry("sphere2_su2").bracket
+
+
+def _leak_into_h3(monkeypatch) -> np.ndarray:
+    # Add the returned vector, 0 until the caller writes it, to every
+    # derivative of a run on sphere2_su2's support.
+    leak = np.zeros(3)
+    assert flow._residual_forms(3, 1, flow._flow_table(SPHERE).support).lin.dot([1.0, 0.0, 0.0]).all()
+    _patch_rhs(monkeypatch, lambda dy, r: (dy + leak, r))
+    return leak
+
+
+def test_stiffness_failure_when_blowup_has_the_wrong_sign(monkeypatch):
     # hyperbolic3 run backward in forward time: it blows up at t = 1/4 with
     # R -> -inf, which no forward stop rule may read as a singularity, so
     # the step size underflows
-    reversed_flow = lambda mu: scale_bracket(bracket_flow_rhs(mu), -1.0)
+    _flip_the_flow(monkeypatch)
     with pytest.raises(StiffnessError, match=r"t = 0\.25"):
-        integrate(HYP, "forward", 1.0, rhs=reversed_flow)
+        integrate(HYP, "forward", 1.0)
 
 
-def test_drift_failure_detected_with_broken_dynamics():
-    # push the state off the Jacobi variety along a genuinely violating direction
-    poison = np.zeros((3, 3, 3))
-    poison[1, 2, 1] = 1.0
-
-    def leaky(mu):
-        good = bracket_flow_rhs(mu)
-        return LieBracket(mu.dims, good.c + 1e-3 * poison)
-
+def test_drift_failure_detected_with_broken_dynamics(monkeypatch):
+    # push the state off the admissible brackets along an entry that an h3 row reads
+    _leak_into_h3(monkeypatch)[0] = 1e-3
     opts = IntegratorOptions(drift_tol=1e-10)
     with pytest.raises(DriftError):
-        integrate(HEIS, "forward", 10.0, opts, rhs=leaky)
+        integrate(SPHERE, "forward", 1.0, opts)
 
 
 def test_drift_failure_detected_on_the_table_path(monkeypatch):
@@ -402,21 +403,17 @@ def test_drift_failure_detected_on_the_table_path(monkeypatch):
     assert 0.08 < samples[0] < samples[-2] <= 0.1 < samples[-1]
 
 
-def test_drift_is_measured_scale_free():
+def test_drift_is_measured_scale_free(monkeypatch):
     # A leak that scales as the RHS does, c^3, leaves c mu(t / c^2) a
     # solution of the leaky flow, so the drift, each residual relative to
     # |mu| to its degree, fires at the same value and at t / c^2.
-    poison = np.zeros((3, 3, 3))
-    poison[1, 2, 1] = 1.0
+    leak = _leak_into_h3(monkeypatch)
     fired = set()
     for k in (-10, 0, 23):
         c = 2.0**k
-
-        def leaky(mu):
-            return LieBracket(mu.dims, bracket_flow_rhs(mu).c + 1e-3 * c**3 * poison)
-
-        with pytest.raises(DriftError, match="drift 4.332e-08 exceeds") as err:
-            integrate(scale_bracket(HEIS, c), "forward", 10.0 / c**2, IntegratorOptions(drift_tol=1e-10), rhs=leaky)
+        leak[0] = 1e-3 * c**3
+        with pytest.raises(DriftError, match="drift 4.129e-08 exceeds") as err:
+            integrate(scale_bracket(SPHERE, c), "forward", 1.0 / c**2, IntegratorOptions(drift_tol=1e-8))
         fired.add(float(str(err.value).rsplit("t = ", 1)[1]) * c**2)
     assert len(fired) == 1
 
@@ -1009,6 +1006,17 @@ def test_dense_vector_call_range_checked(bad):
             traj.dense(t)
 
 
+def test_dense_takes_a_scalar_or_a_1d_time_only():
+    # As `stepper.DenseStep` does, both flows' dense output refuses a time
+    # array of more dimensions with a ValueError, before any segment is
+    # read; a list of times reads as the 1-d array.
+    opts = IntegratorOptions(collect_dense=True)
+    for traj in (integrate(HEIS, "forward", 1.0, opts), metric_flow_integrate(HEIS, np.eye(3), "forward", 1.0, opts)):
+        with pytest.raises(ValueError, match="`t` must be a float or a 1-D array"):
+            traj.dense(np.array([[0.1, 0.2]]))
+        assert np.array_equal(traj.dense([0.1, 0.2]), traj.dense(np.array([0.1, 0.2])))
+
+
 def test_dense_output_flat_covers_horizon():
     # the stationary solution at every time: a fresh state per scalar time,
     # one column per time for an array, over the whole range only
@@ -1026,15 +1034,29 @@ def test_dense_output_flat_covers_horizon():
 
 # --- mutation sensitivity ----------------------------------------------------
 
-def test_sign_flipped_dynamics_contradict_su2_blowup():
-    flipped = lambda mu: scale_bracket(bracket_flow_rhs(mu), -1.0)
-    traj = integrate(SU2, "forward", 2.0, rhs=flipped)
+def test_sign_flipped_dynamics_contradict_su2_blowup(monkeypatch):
+    _flip_the_flow(monkeypatch)
+    traj = integrate(SU2, "forward", 2.0)
     assert traj.verdict.kind == "immortal"  # contradicts omega = 1
     rep = estimate_report(traj)
     assert rep.monotone_R_violation > 1e-3  # R visibly decreases
-    # the override supplies only the derivative; R is still the checkpoint's
+    # only the derivative is flipped; R is still the checkpoint's
     expected = [ricci_operator(cp.mu, check=False).scalar for cp in traj.checkpoints]
     np.testing.assert_allclose(traj.scalar_R, expected, rtol=1e-13, atol=0)
+
+
+def test_c5s_mutant_is_the_sign_flipped_flow(monkeypatch):
+    # The flow is autonomous, so C5's mutant, su(2) run backward to -2 and
+    # read with t negated, is the flow with its RHS negated run forward to 2,
+    # bit for bit.
+    back = AcceptanceLab().timed_run("su2_round", "backward", 2.0)[0]
+    mutant = replace(back, direction="forward", t=-back.t)
+    _flip_the_flow(monkeypatch)
+    run = integrate(SU2, "forward", 2.0)
+    assert run.n_samples == 33
+    assert np.array_equal(run.t, mutant.t) and np.array_equal(run.scalar_R, mutant.scalar_R)
+    assert estimate_report(run).monotone_R_violation == estimate_report(mutant).monotone_R_violation > 1e-3
+    assert run.verdict.kind == mutant.verdict.kind == "immortal"
 
 
 @pytest.mark.parametrize("k", [-10, 10])
@@ -1044,10 +1066,11 @@ def test_mutant_diagnostics_are_bit_identical_under_power_of_2_rescaling(k):
     # acceptance criterion C5 reads the same numbers at every scale.  As a
     # drop relative to 1 + |R| its violation read 5.2e-8, 0.022 and 0.038 at
     # k = -10, 0 and 10: at k = -10 it would pass C5's 1e-3 as monotone.
-    flipped = lambda mu: scale_bracket(bracket_flow_rhs(mu), -1.0)
-
+    # The mutant is read as C5 reads it: the true flow run backward, with t
+    # negated.
     def diagnostics(c):
-        rep = estimate_report(integrate(scale_bracket(SU2, c), "forward", 2.0 / c**2, rhs=flipped))
+        back = integrate(scale_bracket(SU2, c), "backward", 2.0 / c**2)
+        rep = estimate_report(replace(back, direction="forward", t=-back.t))
         return rep.monotone_R_violation, rep.scalar_evolution_max_relerr
 
     ref = diagnostics(1.0)
@@ -1059,12 +1082,12 @@ def test_mutant_diagnostics_are_bit_identical_under_power_of_2_rescaling(k):
 
 def _count_ricci_and_rhs(monkeypatch, mu, direction):
     calls = {"_ricci_from_tensor": 0, "_default_rhs_tensor": 0}
-    for fn in calls:
-        def counted(*args, _fn=getattr(flow, fn), _name=fn):
+    for module, fn in ((curvature, "_ricci_from_tensor"), (flow, "_default_rhs_tensor")):
+        def counted(*args, _fn=getattr(module, fn), _name=fn):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(flow, fn, counted)
+        monkeypatch.setattr(module, fn, counted)
     integrate(mu, direction, 2.0)
     return calls["_ricci_from_tensor"], calls["_default_rhs_tensor"]
 
@@ -1081,14 +1104,14 @@ def test_tabulated_rhs_makes_no_ricci_assembly(monkeypatch, name, direction):
     assert calls == (0, RHS_CALLS[name, direction])
 
 
-# Supports with no residual row (heisenberg3, a two-step nilpotent one),
-# two h3 rows (sphere2_su2) and the three Jacobi rows of the whole half at
-# d = 3 (a Milnor draw).
+# Supports with no residual row (heisenberg3, su2_round, a two-step
+# nilpotent one), two h3 rows (sphere2_su2) and the three Jacobi rows of the
+# whole half at d = 3 (a Milnor draw).
 MONITOR_CASES = pytest.mark.parametrize(
     "mu, rows",
-    [(HEIS, 0), (get_entry("sphere2_su2").bracket, 2), (random_two_step_nilpotent(9, np.random.default_rng(0)), 0)]
+    [(HEIS, 0), (SU2, 0), (SPHERE, 2), (random_two_step_nilpotent(9, np.random.default_rng(0)), 0)]
     + [(transform_bracket(SU2, SU2_DRAWS[0]), 3)],
-    ids=["heisenberg3", "sphere2_su2", "nilpotent9", "milnor-0"],
+    ids=["heisenberg3", "su2_round", "sphere2_su2", "nilpotent9", "milnor-0"],
 )
 
 
@@ -1166,18 +1189,6 @@ def test_each_run_owns_its_rhs_scratch(monkeypatch, mu):
     assert all(scratch is first for scratch in runs[0]) and all(scratch is second for scratch in runs[1])
     assert first[0] is not second[0] and not np.shares_memory(first[0], second[0])
     assert not any(np.shares_memory(scratch[0], table.stack) for scratch in (first, second))
-
-
-def test_override_monitor_reads_the_whole_half_forms():
-    # An `rhs=` override may leave the support, so its run steps on the whole
-    # i < j half, whose forms keep every residual row that some
-    # antisymmetric tensor makes nonzero: su(2)'s support has no Jacobi row,
-    # the whole half at d = 3 has three.
-    assert integrate(SU2, "forward", 0.5).residual_rows == 0
-    traj = integrate(SU2, "forward", 0.5, rhs=bracket_flow_rhs)
-    assert traj.residual_rows == 3 == flow._residual_forms(3, 0, tuple(range(9))).rows
-    assert traj.checkpoints._states[-1].shape == (9,)
-    assert integrate(FLAT, "forward", 1.0).residual_rows == 0
 
 
 @pytest.mark.parametrize("n", [9, 13])
