@@ -11,13 +11,12 @@ oracle (valid for q = 0, i.e. left-invariant metrics on Lie groups) provides
 an independent route to the same operator and is the ground truth the
 algebraic formula is validated against.
 
-`ricci_operator` and the metric flow assemble Ric with one function,
-`_ricci_from_tensor`, which returns the matrix only: R = tr Ric and
-tr Ric^2 are computed where they are read.  It applies the Ricci half of a
-stacked table (below) or, where that table is too large, the fused GEMM
-kernel `_ricci_gemm`, which gathers its operands through a read-only index
-plan, built once per (q, n) by `_ricci_plan`, and makes one matrix product
-for M - B/2.  The bracket flow reads Ric off its own table.
+`ricci_operator` reads Ric of a lone tensor through the fused GEMM kernel
+`_ricci_gemm`, which gathers its operands through a read-only index plan,
+built once per (q, n) by `_ricci_plan`, and makes one matrix product for
+M - B/2.  A flow run reads Ric off the stacked table (below) of its
+support, built once per run.  Both return the matrix only: R = tr Ric and
+tr Ric^2 are computed where they are read.
 
 Over the m = d * d(d-1)/2 entries c[i, j, k] with i < j
 (`algebra._half_indices`, the one encoding of that half), Ric is a quadratic
@@ -40,23 +39,24 @@ dense [Q; P], is also kept as that dense stack, and the whole RHS on V_S
 buffer each run owns, and two small contractions on that buffer's views; a
 larger one, mostly zeros, is applied through its coefficient lists: one
 gather of the state through the table's read-only `gather` index, then two
-bincounts.  The crossover is measured.  Two tables are used:
+bincounts.  The crossover is measured.  Each flow run holds the table of
+its support, and there is no rule on its size:
 
 * the bracket flow's (`_flow_table`): S is the support of the initial
   bracket, grown until it is flow-invariant; a two-step nilpotent bracket
   at n = 13 steps on 30 entries, through 675 nonzero coefficients of a
   111,600-entry table.  Every support has one, so the flow has one state
   layout;
-* `_ricci_from_tensor`'s (`_ricci_table`): S is the whole half by default,
-  and on the metric flow's runs the support S_nu that every pushed bracket
-  L.mu0 of the run stays on, exactly (`metric_flow._pushed_support`): from
-  the identity metric, a two-step nilpotent bracket at n = 5 and 6 pushes
-  onto 6 and 9 of its 50 and 90 entries, the bracket flow's own support;
-  from a dense metric, most brackets reach the whole half.  It is applied
-  where its dense size, at most n(n+1) m'^2, is at most TABLE_MAX_ENTRIES,
-  a rule decided before any build: on the whole half for every q at d <= 5,
-  and with enough isotropy beyond (q >= 3 at d = 6, q >= 5 at d = 7); the
-  GEMM kernel elsewhere.
+* the metric flow's: S is the support S_nu that every pushed bracket
+  L.mu0 of the run stays on, exactly (`metric_flow._pushed_support`), and
+  `_ricci_from_tensor` applies the table's Q half.  From the identity
+  metric, a two-step nilpotent bracket at n = 5 and 6 pushes onto 6 and 9
+  of its 50 and 90 entries, the bracket flow's own support, and at n = 13
+  onto 30 of 1014.  From a dense metric most brackets reach the whole
+  half, whose Q half costs more per call than the GEMM kernel from d = 7
+  on: 20 against 14 us at d = 7, 331 against 32 us at d = 13, and 6.7
+  against 13 us at d = 5 (min of 7 x 2000 calls, 1 BLAS thread, 2-CPU
+  host).  The bracket flow pays the same on its dense supports.
 
 A table holds Ric and the RHS only.  The bracket flow's drift check reads
 the admissibility residuals on the same support from a second cache keyed
@@ -154,37 +154,6 @@ def _ricci_plan(d: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     w.setflags(write=False)
     return idx, w
 
-
-# Largest table, in dense [Q; P] entries, whose Q half `_ricci_from_tensor`
-# applies (`_ricci_table`), on the whole half or on the support a metric-flow
-# run reads; on a larger one it takes the GEMM kernel `_ricci_gemm`.  The
-# bracket flow has no such rule: every support has a table (`_flow_table`).
-# The rule is decided in closed form from (d, q, m') before any build, since
-# the [Q; P] of a support of m' entries holds at most n(n+1) m'^2 entries.
-# Over DENSE_TABLE_MAX_ENTRIES Q is applied through its nonzero
-# coefficients, so its cost follows them, while the GEMM cost follows d.
-# Measured per Ricci matrix on the whole half (min of 15 x 2000 calls, 1
-# BLAS thread, 2-CPU host), table against GEMM:
-#   d = 5, q = 0     75,000 entries,   700 Q nonzeros:  12.3 against 19.5 us
-#   d = 5, q = 2     30,000 entries,   144 Q nonzeros:   7.7 against 19.1 us
-#   d = 6, q = 3     97,200 entries,   204 Q nonzeros:   8.0 against 20.2 us
-#   d = 6, q = 2    162,000 entries,   462 Q nonzeros:   9.9 against 20.1 us
-#   d = 6, q = 1    243,000 entries,   915 Q nonzeros:  14.3 against 21.9 us
-#   d = 6, q = 0    340,200 entries, 1,650 Q nonzeros:  19.6 against 20.8 us
-#   d = 7, q = 0  1,210,104 entries, 3,339 Q nonzeros:  30.5 against 23.7 us
-# 2^17 (measured when every table was a dense product) keeps q = 0, the
-# metric flow's, on the table at d <= 5 and on the GEMM kernel from d = 6;
-# with isotropy the table reaches further (q >= 3 at d = 6, q >= 5 at d = 7).
-# The sparse table also wins at d = 6 with q = 1 or 2, but only one-off
-# `ricci_operator` calls reach those supports, and for a single call the
-# table's build costs more than the GEMM call it saves; so the bound stays
-# until a workload has such a support.  On the metric flow's two-step
-# nilpotent supports the table is far ahead (min of 15 x 2000 calls, same
-# host): 2.5 against 13.2 us at n = 5 (6 entries), 2.9 against 14.1 us at
-# n = 6 (9 entries), 3.9 against 18.5 us at n = 9 (18 entries, a sparse
-# table); at n = 13 (30 entries, 163,800) the rule sends it to the GEMM
-# kernel.
-TABLE_MAX_ENTRIES = 2**17
 
 # Largest table, in dense entries, that is applied as the dense product of
 # its stack.  A larger one is applied through its nonzero coefficients
@@ -452,9 +421,9 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     exact, halved ones too, and equal, in the same order, to polarizing the
     GEMM kernel and `algebra._pi_tensor` on the mirrored basis, the build
     this replaces (kept as a test oracle), so every sum over them rounds as
-    before.  On the whole half, or on a metric-flow run's support, this is
-    the table `_ricci_from_tensor` applies (`_ricci_table`).  Every array
-    is read-only.
+    before.  Each flow run holds the table of its support: the bracket
+    flow's (`_flow_table`), and the metric flow's, whose Q half
+    `_ricci_from_tensor` applies.  Every array is read-only.
     """
     half, mirror = _half_indices(d)
     sel = np.array(support, dtype=np.intp)
@@ -573,38 +542,19 @@ def _residual_forms(d: int, q: int, support: tuple) -> _ResidualForms:
     return _ResidualForms(_SparseForm(*jac, active.size), lin, h1.shape[0])
 
 
-@lru_cache(maxsize=32)
-def _ricci_table(d: int, q: int, support: tuple | None = None) -> _StackedTable | None:
-    # The table of the support S (by default the whole half) where its dense
-    # [Q; P], at most n(n+1) m'^2 entries, is at most TABLE_MAX_ENTRIES, else
-    # None; the rule is decided from (d, q, m') before any build.  The
-    # default is keyed by (d, q) alone, so the whole half's tuple, 1014
-    # entries at d = 13, is not hashed on every call.
-    m, n = _half_indices(d)[0].size if support is None else len(support), d - q
-    if n * (n + 1) * m * m > TABLE_MAX_ENTRIES:
-        return None
-    return _rhs_table(d, q, tuple(range(m)) if support is None else support)
+def _ricci_from_tensor(c: np.ndarray, table: _StackedTable) -> np.ndarray:
+    """Ricci matrix of the raw tensor through the Q half of a support's table: the metric flow's hot path.
 
-
-def _ricci_from_tensor(c: np.ndarray, q: int, support: tuple | None = None) -> np.ndarray:
-    """Ricci matrix of the raw tensor: the metric flow's hot path, and `ricci_operator`'s.
-
-    Where the table of the support (`_ricci_table`; by default the whole
-    half) fits, it applies the table's Q half, which reads the entries of c
-    on the support only: two matrix-vector products on a dense table, one
-    `bincount` over the nonzero coefficients on a sparse one
-    (DENSE_TABLE_MAX_ENTRIES).  Elsewhere the GEMM kernel `_ricci_gemm`,
-    which reads all of c.  A support other than the whole half is exact
-    only for a tensor whose i < j half is 0 off it.  All return an exactly
-    symmetric ric.
+    It reads the entries of c on the table's support only: two
+    matrix-vector products on a dense table, one `bincount` over the
+    nonzero coefficients on a sparse one (DENSE_TABLE_MAX_ENTRIES).  Exact
+    only for a tensor whose i < j half is 0 off the support.  Returns an
+    exactly symmetric ric.
     """
-    t = _ricci_table(c.shape[0], q, support)
-    if t is None:
-        return _ricci_gemm(c, q)
-    u = c.ravel()[t.upper]
-    if t.stack is None:
-        return t.q_form(u, u)[t.sym]
-    return t.stack[: t.rows * u.size].dot(u).reshape(t.rows, -1).dot(u)[t.sym]
+    u = c.ravel()[table.upper]
+    if table.stack is None:
+        return table.q_form(u, u)[table.sym]
+    return table.stack[: table.rows * u.size].dot(u).reshape(table.rows, -1).dot(u)[table.sym]
 
 
 def _ricci_gemm(c: np.ndarray, q: int) -> np.ndarray:
@@ -684,7 +634,7 @@ def ricci_operator(mu: LieBracket, check: bool = True) -> RicciData:
     """
     if check:
         check_conditions(mu).require(DEFAULT_TOL)
-    ric = _ricci_from_tensor(mu.c, mu.dims.q)
+    ric = _ricci_gemm(mu.c, mu.dims.q)
     return RicciData(ric, float(ric.trace()), float(np.vdot(ric, ric)))
 
 

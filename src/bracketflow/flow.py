@@ -296,7 +296,8 @@ class DenseSolution:
     segment of lower index; a time outside the range is refused.  A scalar
     time gives the state; a 1-d array of m times gives the states as the m
     columns of one array, each contiguous group of the sorted times that
-    shares a segment read in one interpolant call.  A time array of more
+    shares a segment read in one interpolant call; an empty array gives an
+    array of no column, as `stepper.DenseStep` does.  A time array of more
     dimensions is refused, as `stepper.DenseStep` refuses it.  With a
     `table`, as every bracket-flow run has, the interpolants hold the state
     u on its support (see `_to_state`) and the solution is the flat tensor
@@ -323,9 +324,11 @@ class DenseSolution:
         t = np.asarray(t)
         if t.ndim > 1:
             raise ValueError("`t` must be a float or a 1-D array.")
-        if not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
+        if t.size and not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
             raise ValueError(f"time {t} outside the integrated range")
-        if t.ndim == 0:
+        if not t.size:
+            y = self.interpolants[0](t)  # shape (N, 0)
+        elif t.ndim == 0:
             y = self.interpolants[self._segments(t)](t)
         else:
             # scipy's order of evaluation, so that every interpolant call sees the same times
@@ -337,7 +340,7 @@ class DenseSolution:
             ys = np.hstack(parts)
             y = np.empty_like(ys)
             y[:, order] = ys
-        return y if self._table is None else _to_tensor(y, self._d, self._table).reshape((-1,) + y.shape[1:])
+        return y if self._table is None else _to_tensor(y, self._d, self._table).reshape((self._d**3,) + y.shape[1:])
 
 
 def bracket_flow_rhs(mu: LieBracket) -> LieBracket:

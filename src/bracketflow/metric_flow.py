@@ -14,15 +14,16 @@ has, with P = L^T L, the right-hand side
 
 so it takes no linear solve.  L^-1 is needed only to push the bracket
 forward, and it comes with the factor: the package factors by Cholesky, and
-LAPACK's dtrtri inverts the upper factor from dpotrf.  A run reads Ric of
-L.mu through the stacked table (`curvature._ricci_table`) of the support
-S_nu that every pushed bracket of the run stays on, exactly: the i < j
-entries reachable from the patterns of mu and P0, found once per run on
-patterns alone (`_pushed_support`).  From the identity metric a two-step
-nilpotent bracket pushes onto the bracket flow's own support, 9 of 90
-entries at n = 6, where the whole half's Ricci took the GEMM kernel; from
-a dense metric S_nu is mostly the whole half, read as before.  The flow is
-integrated on the bracket flow's monitored stepping loop (`flow._drive`),
+LAPACK's dtrtri inverts the upper factor from dpotrf.  A run holds the
+stacked table (`curvature._rhs_table`) of the support S_nu that every
+pushed bracket of the run stays on, exactly: the i < j entries reachable
+from the patterns of mu and P0, found once per run on patterns alone
+(`_pushed_support`).  It reads Ric of L.mu through that table's Q half,
+as the bracket flow reads its own support's.  From the identity metric a
+two-step nilpotent bracket pushes onto the bracket flow's own support, 9
+of 90 entries at n = 6; from a dense metric S_nu is mostly the whole half,
+whose table costs more per call than the GEMM kernel from n = 7 on.  The
+flow is integrated on the bracket flow's monitored stepping loop (`flow._drive`),
 with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
 on the flat n x n matrix; `_drive` keeps the samples, and the metric flow's
 only per-sample work is Ric of the pushed bracket.  That is no assembly of
@@ -47,7 +48,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .algebra import LieBracket, _half_indices, _transform_tensor
 from .algebra import transform_bracket  # noqa: F401  (not called here; flowbench's tracer looks it up on this module)
-from .curvature import _ricci_from_tensor, _ricci_gemm
+from .curvature import _rhs_table, _ricci_from_tensor, _ricci_gemm
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 # DenseSolution and integrate are called by these names so that flowbench can trace them.
@@ -156,7 +157,9 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray) -> tuple[np.ndarray, float]:
     """Ricci operator and scalar curvature of the metric P over the bracket mu0.
 
     The operator L^-1 Ric_{L.mu0} L does not depend on the factor L of
-    P = L^T L; it is computed with the Cholesky factor.
+    P = L^T L; it is computed with the Cholesky factor, and Ric_{L.mu0}
+    through the table that a run from P holds, so that it equals a run's
+    sample at P bit for bit.
 
     Args:
         mu0: fixed bracket with q = 0.
@@ -174,20 +177,20 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray) -> tuple[np.ndarray, float]:
     return np.linalg.solve(ell, ric @ ell), float(ric.trace())
 
 
-def _pushed_ric(mu0: LieBracket, p: np.ndarray, support: tuple | None = None):
+def _pushed_ric(mu0: LieBracket, p: np.ndarray, table=None):
     # Internal, and called by this name so that flowbench can trace it.
     # Returns (ric, L): Ric_{L.mu0} of the pushed bracket (symmetric, same
     # spectrum as RicOp(P) = L^-1 ric L) and the factor L of P = L^T L, with
     # which the flow's RHS is -2 P RicOp(P) = -2 L^T ric L.  Callers that
     # read R take the trace themselves; the RK stages do not.
     # L^-1 enters only the push-forward and comes with L from `_factor`, so
-    # nothing here solves or inverts.  Ric is read through the table of
-    # `support`, a support that holds L.mu0 (`_pushed_support`), derived
-    # from p's own pattern when None.  May raise NonSPDError.
+    # nothing here solves or inverts.  Ric is read through `table`, the
+    # table of a support that holds L.mu0 (`_pushed_support`); when None,
+    # the table a run from p holds.  May raise NonSPDError.
     ell, ell_inv = _factor(_sym(p))
-    if support is None:
-        support = _pushed_support(mu0, p)
-    return _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), 0, support), ell
+    if table is None:
+        table = _rhs_table(mu0.dims.d, 0, _pushed_support(mu0, p))
+    return _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), table), ell
 
 
 def _pushed_support(mu0: LieBracket, p: np.ndarray) -> tuple:
@@ -273,11 +276,11 @@ def metric_flow_integrate(
     not finite and retries at `stepper.MIN_FACTOR` = 0.2 times the step, so
     the integrator approaches a degenerating metric geometrically instead of
     stepping across it.  A backward run steps to the physical time -horizon.
-    Ric of each pushed bracket is read on the run's support S_nu
-    (`_pushed_support`), computed once before the first step: every finite
-    pushed bracket of the run is exactly 0 off it, so the result is the
-    whole half's up to summation order, and a non-finite stage still
-    evaluates to a non-finite derivative.
+    Ric of each pushed bracket is read through the table of the run's
+    support S_nu (`_pushed_support`), built once before the first step:
+    every finite pushed bracket of the run is exactly 0 off it, so the
+    result is the whole half's up to summation order, and a non-finite
+    stage still evaluates to a non-finite derivative.
 
     Raises:
         ValueError: mu0 has q > 0, `p0` is not an n x n matrix, the
@@ -293,8 +296,8 @@ def metric_flow_integrate(
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
-    # Every pushed bracket of the run lies on this support.
-    support = _pushed_support(mu0, p0)
+    # Every pushed bracket of the run lies on this table's support.
+    table = _rhs_table(n, 0, _pushed_support(mu0, p0))
     # The array `fun` was last handed and the Ric it computed there (None
     # off the positive-definite cone).  The stepper never writes an array it
     # has handed out, so the Ric still belongs to that array.
@@ -303,7 +306,7 @@ def metric_flow_integrate(
     def fun(_t, y):
         last[:] = y, None
         try:
-            ric, ell = _pushed_ric(mu0, y.reshape(n, n), support)
+            ric, ell = _pushed_ric(mu0, y.reshape(n, n), table)
         except NonSPDError:
             return np.full(n * n, np.nan)
         last[1] = ric
@@ -317,7 +320,7 @@ def metric_flow_integrate(
         # is that stage's; only the initial state is assembled here.
         if y is last[0] and last[1] is not None:
             return last[1]
-        return _pushed_ric(mu0, y.reshape(n, n), support)[0]
+        return _pushed_ric(mu0, y.reshape(n, n), table)[0]
 
     atol = _abs_tol(opts, float(np.linalg.norm(p0)))
     solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=atol)

@@ -198,7 +198,7 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
     larger Frobenius norm of the two Ricci matrices (0 where both are 0).
     """
     from bracketflow import IntegratorOptions, integrate, metric_flow
-    from bracketflow.curvature import _ricci_from_tensor
+    from bracketflow.curvature import _ricci_gemm
 
     opts = IntegratorOptions(collect_dense=True)
     bt = integrate(mu0, "forward", horizon, opts)
@@ -209,7 +209,7 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
     n = mu0.dims.n
     gap = 0.0
     for t in grid:
-        ric_b = _ricci_from_tensor(bt.dense(t).reshape(mu0.c.shape), 0)
+        ric_b = _ricci_gemm(bt.dense(t).reshape(mu0.c.shape), 0)
         eig_b = np.sort(np.linalg.eigvalsh(ric_b))
         ric_m = metric_flow._pushed_ric(mu0, mt.dense(t).reshape(n, n))[0]
         eig_m = np.sort(np.linalg.eigvalsh(ric_m))

@@ -2,7 +2,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bracketflow import (
@@ -21,12 +21,10 @@ from bracketflow import (
     scale_bracket,
     transform_bracket,
 )
-from bracketflow import curvature
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.algebra import _half_indices, _pi_tensor, _residuals, _transform_tensor, _triple_plan
 from bracketflow.curvature import (
     DENSE_TABLE_MAX_ENTRIES,
-    TABLE_MAX_ENTRIES,
     _dense_stack,
     _flow_table,
     _residual_forms,
@@ -34,7 +32,6 @@ from bracketflow.curvature import (
     _ricci_from_tensor,
     _ricci_gemm,
     _ricci_plan,
-    _ricci_table,
 )
 from bracketflow.flow import DenseSolution, _default_rhs_tensor, _rhs_scratch, _to_state, _to_tensor
 
@@ -155,7 +152,7 @@ def test_ricci_matches_assembled_loops():
 def test_fused_kernel_matches_assembled_loops(q, n):
     mu = random_bracket(q, n, np.random.default_rng(100 + 10 * q + n))
     assert np.max(np.abs(mean_curvature(mu))) > 0.1  # non-unimodular: the ad H term is live
-    ric = _ricci_from_tensor(mu.c, q)
+    ric = _ricci_gemm(mu.c, q)
     ref = ricci_assembled_loops(mu.c, q)
     assert np.max(np.abs(ric - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(ric, ric.T)
@@ -163,6 +160,19 @@ def test_fused_kernel_matches_assembled_loops(q, n):
     assert np.array_equal(rd.ric, ric)
     assert rd.scalar == ric.trace()
     assert rd.ric_sq_trace == pytest.approx(np.sum(ref * ref), rel=1e-12)
+
+
+LONE_TENSORS = [entry.bracket for entry in catalog_entries()] + [
+    random_bracket(2, 3, np.random.default_rng(seed)) for seed in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "mu", LONE_TENSORS, ids=[entry.name for entry in catalog_entries()] + [f"random_q2_d5_{k}" for k in range(3)]
+)
+def test_ricci_operator_reads_the_gemm_kernel(mu):
+    # A lone tensor has no run to hold a table: Ricci reads the GEMM kernel, bit for bit
+    assert np.array_equal(ricci_operator(mu, check=False).ric, _ricci_gemm(mu.c, mu.dims.q))
 
 
 @pytest.mark.parametrize("q, n", [(q, d - q) for d in range(2, 9) for q in range(d)])
@@ -189,6 +199,9 @@ def test_a_stack_takes_the_same_operations_as_its_single_calls(q, n):
 
 # Every (q, n) with d <= 4 (every catalog shape), and two at d = 5.
 TABLE_SHAPES = [(q, d - q) for d in range(1, 5) for q in range(d)] + [(0, 5), (2, 3)]
+# Larger whole halves, all sparse tables: a metric-flow run from a dense
+# metric reads the whole half's table at any d.
+WHOLE_HALVES = [(1, 4), (3, 3), (1, 5), (0, 6), (0, 7)]
 TABLE_RTOL = 1e-14
 
 
@@ -202,7 +215,7 @@ def _whole_half(d):
 
 
 def _full_table(d, q):
-    # the stacked table on the whole i < j half, which `_ricci_from_tensor` applies where it fits
+    # the stacked table on the whole i < j half, which a metric-flow run from a dense metric holds
     return _rhs_table(d, q, _whole_half(d))
 
 
@@ -252,7 +265,7 @@ def _dropped(d, q):
     return ~_live(_halves(t)[0])[t.sym]
 
 
-@pytest.mark.parametrize("q, n", TABLE_SHAPES)
+@pytest.mark.parametrize("q, n", TABLE_SHAPES + WHOLE_HALVES)
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e7])
 def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
     rng = np.random.default_rng(300 + 10 * q + n)
@@ -277,7 +290,7 @@ def test_tables_match_the_gemm_kernels_and_the_loop_oracles(q, n, scale):
         t = _full_table(q + n, q)
         du, r_hot = _default_rhs_tensor(c.ravel()[t.upper], t, _rhs_scratch(t))
         ric_hot = r_hot[t.sym]
-        dc_hot, ric_from_tensor = _to_tensor(du, q + n, t), _ricci_from_tensor(c, q)
+        dc_hot, ric_from_tensor = _to_tensor(du, q + n, t), _ricci_from_tensor(c, t)
         if t.stack is not None:
             assert np.array_equal(ric_hot, ric)
             assert np.array_equal(dc_hot, _tabulated_rhs(ric, c, q))
@@ -348,61 +361,6 @@ def test_index_rebuild_equals_the_loop_basis_product(mu):
     assert np.array_equal(_to_tensor(stack, d, table).reshape(d**3, 4), basis.T @ stack)
 
 
-# The whole half's table (m = 50, 75k entries at q = 0) is applied at d = 5,
-# and at d = 6 with q = 3 (97k) and q = 1 (243k); at d = 6, q = 0 (340k) and
-# at d = 7 (1.2M) Ricci takes the GEMM kernel.
-RICCI_DISPATCH = [(0, 5, True), (1, 4, True), (2, 3, True), (3, 3, True), (1, 5, False), (0, 6, False), (0, 7, False)]
-
-
-@pytest.mark.parametrize("q, n, tabulated", RICCI_DISPATCH)
-def test_ricci_applies_the_whole_half_table_exactly_when_the_rule_admits_it(monkeypatch, q, n, tabulated):
-    # The closed-form rule, n(n+1) m^2 <= TABLE_MAX_ENTRIES, is the size of
-    # the whole half's dense [Q; P], and every side of it has that table.
-    d = q + n
-    whole = _full_table(d, q)
-    assert (whole.entries <= TABLE_MAX_ENTRIES) == tabulated
-    table = _ricci_table(d, q)
-    assert table is (whole if tabulated else None)
-    c = random_bracket(q, n, np.random.default_rng(60 + 10 * q + n)).c
-    gemm = _ricci_gemm(c, q)
-    calls = []
-
-    def counted(c, q, _gemm=_ricci_gemm):
-        calls.append(1)
-        return _gemm(c, q)
-
-    monkeypatch.setattr(curvature, "_ricci_gemm", counted)
-    ric = _ricci_from_tensor(c, q)
-    assert len(calls) == (0 if tabulated else 1)
-    assert np.array_equal(ric, ric.T)
-    if tabulated:
-        assert _rel(ric, gemm) <= TABLE_RTOL
-    else:
-        assert np.array_equal(ric, gemm)
-        assert _rel(whole.q_form(c.ravel()[whole.upper], c.ravel()[whole.upper])[whole.sym], gemm) <= TABLE_RTOL
-
-
-@pytest.mark.parametrize("n, center, tabulated", [(6, 3, True), (9, 6, True), (13, 10, False)])
-def test_a_supports_ricci_table_follows_the_rule_before_any_build(monkeypatch, n, center, tabulated):
-    # The rule reads the support's own size, n(n+1) m'^2: 3,402 and 29,160
-    # entries on the two-step nilpotent supports at n = 6 and 9, 163,800 at
-    # n = 13 (m' = 30), which takes the GEMM kernel with no table built.
-    mu = random_two_step_nilpotent(n, np.random.default_rng(n), center_dim=center)
-    support = _flow_table(mu).support
-    assert (n * (n + 1) * len(support) ** 2 <= TABLE_MAX_ENTRIES) == tabulated
-    built = []
-    monkeypatch.setattr(curvature, "_rhs_table", lambda *key: built.append(key) or _rhs_table(*key))
-    table = _ricci_table.__wrapped__(n, 0, support)  # past the cache
-    assert built == ([(n, 0, support)] if tabulated else [])
-    assert table is (_rhs_table(n, 0, support) if tabulated else None)
-    ric, gemm = _ricci_from_tensor(mu.c, 0, support), _ricci_gemm(mu.c, 0)
-    assert np.array_equal(ric, ric.T)
-    if tabulated:
-        assert _rel(ric, gemm) <= TABLE_RTOL
-    else:
-        assert np.array_equal(ric, gemm)
-
-
 @pytest.mark.parametrize(
     "mu",
     [
@@ -420,11 +378,10 @@ def test_nearly_antisymmetric_tensor_gives_the_ricci_of_its_mirror(mu):
     pushed = _transform_tensor(mu.c, g, np.linalg.inv(g))
     mirror = LieBracket(mu.dims, pushed).c
     assert not np.array_equal(pushed, mirror)  # the case is live
-    ric = _ricci_from_tensor(pushed, 0)
-    ref = _ricci_from_tensor(mirror, 0)
-    assert _rel(ric, ref) <= TABLE_RTOL
-    if _ricci_table(d, 0) is not None:  # the table reads the i < j half, which the mirror keeps
-        assert np.array_equal(ric, ref)
+    assert _rel(_ricci_gemm(pushed, 0), _ricci_gemm(mirror, 0)) <= TABLE_RTOL
+    # a table reads the i < j half, which the mirror keeps
+    t = _full_table(d, 0)
+    assert np.array_equal(_ricci_from_tensor(pushed, t), _ricci_from_tensor(mirror, t))
 
 
 def test_ricci_operator_is_moment_minus_half_killing_minus_sym_ad_h():
@@ -460,7 +417,7 @@ def test_plans_are_cached_and_read_only():
     upper, mirror = _half_indices(d)
     assert _half_indices(d)[0] is upper
     t = _full_table(d, q)
-    assert _full_table(d, q) is t and _ricci_table(d, q) is t
+    assert _full_table(d, q) is t
     ref_upper, ref_basis = mirrored_basis_loops(d)
     assert np.array_equal(upper, ref_upper) and np.array_equal(t.upper, upper)
     assert np.array_equal(mirror, [np.flatnonzero(row == -1.0)[0] for row in ref_basis])
@@ -525,6 +482,10 @@ def flow_brackets(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(flow_brackets(), st.integers(0, 2**32 - 1))
+# the two-step nilpotent supports of 9, 18 and 30 entries at n = 6, 9 and 13
+@example(random_two_step_nilpotent(6, np.random.default_rng(6), center_dim=3), 6)
+@example(random_two_step_nilpotent(9, np.random.default_rng(9), center_dim=6), 9)
+@example(random_two_step_nilpotent(13, np.random.default_rng(13), center_dim=10), 13)
 def test_flow_table_lives_on_a_flow_invariant_support(mu, seed):
     d, q = mu.dims.d, mu.dims.q
     table = _flow_table(mu)
@@ -555,7 +516,7 @@ def test_dense_supports_step_on_their_table_like_the_gemm_kernels(n):
     mu = transform_bracket(random_two_step_nilpotent(n, rng), _invertible(rng, n))
     t = _flow_table(mu)
     assert t.support == _whole_half(n) and t.stack is None
-    assert t.entries == 2 * (n * (n + 1) // 2) * (n * n * (n - 1) // 2) ** 2 > TABLE_MAX_ENTRIES
+    assert t.entries == 2 * (n * (n + 1) // 2) * (n * n * (n - 1) // 2) ** 2 > DENSE_TABLE_MAX_ENTRIES
     traj = integrate(mu, "backward", 2.0)
     ref = gemm_flow_run(mu, "backward", 2.0)
     assert traj.verdict.kind == ref.verdict.kind == "blowup"
@@ -595,13 +556,13 @@ def test_the_rule_keeps_small_tables_dense_and_large_ones_sparse():
     # whole half at d = 5 and 6, q = 0, are applied through their nonzero
     # coefficients and build no dense array.
     catalog = [entry.bracket for entry in catalog_entries()]
-    dense = [_flow_table(mu) for mu in catalog] + [_ricci_table(mu.dims.d, mu.dims.q) for mu in catalog]
+    dense = [_flow_table(mu) for mu in catalog] + [_full_table(mu.dims.d, mu.dims.q) for mu in catalog]
     dense += [_nilpotent_table(5, 2), _nilpotent_table(6, 3)]
     for t in dense:
         assert t.entries <= DENSE_TABLE_MAX_ENTRIES and t.stack.size == t.entries
     assert max(t.entries for t in dense[: len(catalog)]) == 72
     assert [t.entries for t in dense[-2:]] == [720, 2106]
-    sparse = [_nilpotent_table(9, 6), _nilpotent_table(13, 10), _ricci_table(5, 0), _full_table(6, 0)]
+    sparse = [_nilpotent_table(9, 6), _nilpotent_table(13, 10), _full_table(5, 0), _full_table(6, 0)]
     for t in sparse:
         assert DENSE_TABLE_MAX_ENTRIES < t.entries and t.stack is None
     assert [t.entries for t in sparse] == [18144, 111600, 75000, 340200]
@@ -662,7 +623,7 @@ def table_supports(draw):
         return mu.dims.d, mu.dims.q, _flow_table(mu)
     d = draw(st.integers(3, 5))
     q = draw(st.integers(0, d - 1))
-    return d, q, _ricci_table(d, q)
+    return d, q, _full_table(d, q)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -102,7 +102,7 @@ def test_ricci_and_rhs_are_scale_covariant(mu, c):
     dmu, r = flow._default_rhs_tensor(flow._to_state(mu.c, table), table, scratch)
     dmu_c, r_c = flow._default_rhs_tensor(flow._to_state(c * mu.c, table), table, scratch)
     ric, ric_c = r[table.sym], r_c[table.sym]
-    assert np.max(np.abs(ric_c - curvature._ricci_from_tensor(c * mu.c, q))) <= 1e-14 * size**2
+    assert np.max(np.abs(ric_c - curvature._ricci_gemm(c * mu.c, q))) <= 1e-14 * size**2
     assert np.max(np.abs(ric_c - c**2 * ric)) <= 1e-12 * size**2
     assert abs(np.trace(ric_c) - c**2 * np.trace(ric)) <= 1e-12 * size**2
     assert np.max(np.abs(dmu_c - c**3 * dmu), initial=0.0) <= 1e-12 * size**3  # empty on the abelian support
@@ -957,15 +957,18 @@ def test_dense_output_backward_matches_closed_form():
             traj.dense(t)
 
 
-@pytest.mark.parametrize("run", ["su2_round", "flat", "metric"])
-def test_dense_vector_call_equals_the_scalar_loop(run):
+def _dense_run(run):
     opts = IntegratorOptions(collect_dense=True)
     if run == "su2_round":
-        traj = integrate(SU2, "forward", 2.0, opts)
-    elif run == "flat":
-        traj = integrate(FLAT, "forward", 5.0, opts)
-    else:
-        traj = metric_flow_integrate(HEIS, np.eye(3), "backward", 1.0, opts)
+        return integrate(SU2, "forward", 2.0, opts)
+    if run == "flat":
+        return integrate(FLAT, "forward", 5.0, opts)
+    return metric_flow_integrate(HEIS, np.eye(3), "backward", 1.0, opts)
+
+
+@pytest.mark.parametrize("run", ["su2_round", "flat", "metric"])
+def test_dense_vector_call_equals_the_scalar_loop(run):
+    traj = _dense_run(run)
     # unsorted, with a repeat and both ends of the range
     t = np.random.default_rng(2).permutation(np.linspace(traj.t[0], traj.t[-1], 41))
     t = np.append(t, t[3])
@@ -1015,6 +1018,16 @@ def test_dense_takes_a_scalar_or_a_1d_time_only():
         with pytest.raises(ValueError, match="`t` must be a float or a 1-D array"):
             traj.dense(np.array([[0.1, 0.2]]))
         assert np.array_equal(traj.dense([0.1, 0.2]), traj.dense(np.array([0.1, 0.2])))
+
+
+@pytest.mark.parametrize("run, size", [("su2_round", 27), ("flat", 27), ("metric", 9)])
+def test_dense_reads_an_empty_time_array_as_no_state(run, size):
+    # As `stepper.DenseStep` does: an empty time array reads an array of no
+    # column, d^3 rows on the bracket flow and n^2 on the metric flow
+    traj = _dense_run(run)
+    for t in (np.array([]), []):
+        empty = traj.dense(t)
+        assert empty.shape == (size, 0) and empty.dtype == np.float64
 
 
 def test_dense_output_flat_covers_horizon():
@@ -1194,27 +1207,24 @@ def test_each_run_owns_its_rhs_scratch(monkeypatch, mu):
 @pytest.mark.parametrize("n", [9, 13])
 def test_nilpotent_verdicts_do_not_depend_on_the_dense_or_sparse_rule(monkeypatch, n):
     # The two-step nilpotent tables at n = 9 and 13 are applied through their
-    # nonzero coefficients.  With the crossover raised to TABLE_MAX_ENTRIES
-    # the same tables are applied as dense products, which sum the same
-    # exact coefficients in another order: the verdicts, the sample counts
-    # and the singular times agree.
+    # nonzero coefficients.  With the crossover raised to 2^17 the same
+    # tables are applied as dense products, which sum the same exact
+    # coefficients in another order: the verdicts, the sample counts and
+    # the singular times agree.
     mus = [random_two_step_nilpotent(n, np.random.default_rng(seed)) for seed in range(3)]
 
     def runs():
         return [integrate(mu, direction, 10.0) for mu in mus for direction in ("forward", "backward")]
 
-    caches = (curvature._rhs_table, curvature._ricci_table)
     assert flow._flow_table(mus[0]).stack is None
     sparse = runs()
     try:
-        for cache in caches:
-            cache.cache_clear()
-        monkeypatch.setattr(curvature, "DENSE_TABLE_MAX_ENTRIES", curvature.TABLE_MAX_ENTRIES)
+        curvature._rhs_table.cache_clear()
+        monkeypatch.setattr(curvature, "DENSE_TABLE_MAX_ENTRIES", 2**17)
         assert flow._flow_table(mus[0]).stack is not None
         dense = runs()
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        curvature._rhs_table.cache_clear()
     assert [traj.verdict.kind for traj in sparse] == ["immortal", "blowup"] * 3
     for got, ref in zip(sparse, dense):
         assert (got.verdict.kind, got.n_samples) == (ref.verdict.kind, ref.n_samples)

@@ -12,6 +12,7 @@ from bracketflow import (
     IntegratorOptions,
     LieBracket,
     NonSPDError,
+    curvature,
     equivalence_check,
     integrate,
     metric_flow,
@@ -411,7 +412,7 @@ def test_every_pushed_bracket_of_a_run_is_exactly_zero_off_its_support(monkeypat
     support = metric_flow._pushed_support(mu, p0)
     assert len(support) == size
     off = np.delete(metric_flow._half_indices(mu.dims.d)[0], list(support))
-    finite, supports = [], set()
+    finite, tables = [], []
 
     def checked(c, g, ginv):
         out = transform(c, g, ginv)
@@ -419,24 +420,46 @@ def test_every_pushed_bracket_of_a_run_is_exactly_zero_off_its_support(monkeypat
             finite.append(not out.ravel()[off].any())
         return out
 
-    def recorded(mu0, p, support=None):
-        supports.add(support)
-        return pushed_ric(mu0, p, support)
+    def recorded(mu0, p, table=None):
+        tables.append(table)
+        return pushed_ric(mu0, p, table)
 
     monkeypatch.setattr(metric_flow, "_transform_tensor", checked)
     monkeypatch.setattr(metric_flow, "_pushed_ric", recorded)
     traj = metric_flow_integrate(mu, p0, "forward", horizon)
-    assert supports == {support}  # every call reads the run's support
+    # every call reads the one table the run holds, that of the run's support
+    assert len(tables) > traj.n_samples and all(table is tables[0] for table in tables)
+    assert tables[0].support == support
     assert len(finite) >= 6 * (traj.n_samples - 1) and all(finite)
 
 
-def _whole_half_pushed_ric(mu0, p, support=None):
-    # Ric of the pushed bracket read on the whole half, whatever the support
+def test_a_run_at_n13_from_the_identity_makes_no_gemm_call(monkeypatch):
+    # The run holds the table of its support, 30 of the 1014 half entries,
+    # and reads every Ric through it, whatever the support's size
+    mu, p0 = _nilpotent(13), np.eye(13)
+    assert len(metric_flow._pushed_support(mu, p0)) == 30
+    gemm, calls = curvature._ricci_gemm, []
+
+    def counted(*args):
+        calls.append(args)
+        return gemm(*args)
+
+    for module in (curvature, metric_flow):
+        monkeypatch.setattr(module, "_ricci_gemm", counted)
+    traj = metric_flow_integrate(mu, p0, "backward", 10.0)
+    assert traj.verdict.kind == "blowup" and traj.n_samples > 10
+    assert calls == []
+
+
+def _whole_half_pushed_ric(mu0, p, table=None):
+    # Ric of the pushed bracket read through the whole half's table, whatever the run's table
     ell, ell_inv = metric_flow._factor(metric_flow._sym(p))
-    return metric_flow._ricci_from_tensor(metric_flow._transform_tensor(mu0.c, ell, ell_inv), 0), ell
+    d = mu0.dims.d
+    whole = metric_flow._rhs_table(d, 0, tuple(range(d * d * (d - 1) // 2)))
+    return metric_flow._ricci_from_tensor(metric_flow._transform_tensor(mu0.c, ell, ell_inv), whole), ell
 
 
-@pytest.mark.parametrize("n", [5, 6], ids=["whole-half-table", "gemm"])
+@pytest.mark.parametrize("n", [5, 6], ids=["n5", "n6"])
 def test_a_run_from_a_dense_metric_reads_the_whole_half_bit_for_bit(monkeypatch, n):
     mu, p0 = _nilpotent(n), _spd(n, 3)
     assert metric_flow._pushed_support(mu, p0) == tuple(range(n * n * (n - 1) // 2))
@@ -452,7 +475,7 @@ def test_a_run_from_a_dense_metric_reads_the_whole_half_bit_for_bit(monkeypatch,
 def test_a_structured_support_reads_ricci_as_the_whole_half_does():
     mu, p = _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 2, 2, 2])
     ric, ell = metric_flow._pushed_ric(mu, p)
-    ref, ref_ell = _whole_half_pushed_ric(mu, p)  # the GEMM kernel at n = 6
+    ref, ref_ell = _whole_half_pushed_ric(mu, p)
     assert np.array_equal(ell, ref_ell)
     assert np.array_equal(ric, ric.T)
     assert np.max(np.abs(ric - ref)) <= 1e-14 * np.max(np.abs(ref))
