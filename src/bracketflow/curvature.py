@@ -48,8 +48,10 @@ its support, and there is no rule on its size:
   111,600-entry table.  Every support has one, so the flow has one state
   layout;
 * the metric flow's: S is the support S_nu that every pushed bracket
-  L.mu0 of the run stays on, exactly (`metric_flow._pushed_support`), and
-  `_ricci_from_tensor` applies the table's Q half.  From the identity
+  L.mu0 of the run stays on, exactly (`metric_flow._pushed_support`); the
+  run's kernel pushes mu0 straight into the state u on S_nu
+  (`metric_flow._PushKernel`), and `_ricci_from_state` applies the
+  table's Q half to u.  From the identity
   metric, a two-step nilpotent bracket at n = 5 and 6 pushes onto 6 and 9
   of its 50 and 90 entries, the bracket flow's own support, and at n = 13
   onto 30 of 1014.  From a dense metric most brackets reach the whole
@@ -423,7 +425,7 @@ def _rhs_table(d: int, q: int, support: tuple) -> _StackedTable:
     this replaces (kept as a test oracle), so every sum over them rounds as
     before.  Each flow run holds the table of its support: the bracket
     flow's (`_flow_table`), and the metric flow's, whose Q half
-    `_ricci_from_tensor` applies.  Every array is read-only.
+    `_ricci_from_state` applies.  Every array is read-only.
     """
     half, mirror = _half_indices(d)
     sel = np.array(support, dtype=np.intp)
@@ -543,15 +545,23 @@ def _residual_forms(d: int, q: int, support: tuple) -> _ResidualForms:
 
 
 def _ricci_from_tensor(c: np.ndarray, table: _StackedTable) -> np.ndarray:
-    """Ricci matrix of the raw tensor through the Q half of a support's table: the metric flow's hot path.
+    """Ricci matrix of the raw tensor through the Q half of a support's table.
 
-    It reads the entries of c on the table's support only: two
-    matrix-vector products on a dense table, one `bincount` over the
-    nonzero coefficients on a sparse one (DENSE_TABLE_MAX_ENTRIES).  Exact
-    only for a tensor whose i < j half is 0 off the support.  Returns an
-    exactly symmetric ric.
+    It reads the entries of c on the table's support only, u =
+    c.ravel()[upper], and applies `_ricci_from_state` to them.  Exact only
+    for a tensor whose i < j half is 0 off the support.
     """
-    u = c.ravel()[table.upper]
+    return _ricci_from_state(c.ravel()[table.upper], table)
+
+
+def _ricci_from_state(u: np.ndarray, table: _StackedTable) -> np.ndarray:
+    """Ricci matrix of the state u on a support through the Q half of its table: the metric flow's hot path.
+
+    Two matrix-vector products on a dense table, one `bincount` over the
+    nonzero coefficients on a sparse one (DENSE_TABLE_MAX_ENTRIES).  The
+    metric flow's kernel pushes its bracket straight into u
+    (`metric_flow._PushKernel`).  Returns an exactly symmetric ric.
+    """
     if table.stack is None:
         return table.q_form(u, u)[table.sym]
     return table.stack[: table.rows * u.size].dot(u).reshape(table.rows, -1).dot(u)[table.sym]

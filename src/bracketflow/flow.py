@@ -80,7 +80,7 @@ from .algebra import (
 )
 from .curvature import _flow_table, _residual_forms, _StackedTable, koszul_ricci_oracle
 from .curvature import _ricci_from_tensor  # noqa: F401  (flowbench's tracer looks it up on this module)
-from .stepper import DenseStep
+from .stepper import DenseStep, _pow2_scale
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
 
 __all__ = [
@@ -589,12 +589,11 @@ def _drive(solver, opts: IntegratorOptions, sample, n: int) -> _Run:
         singular = _time_left(t, r, n) < STOP_REL * abs(t)
         if not singular and solver.status == "failed":
             raise StiffnessError(f"integrator failed at t = {solver.t}: {msg}")
-    # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
-    return _Run(_verdict(singular, t, r, np.sum(ric * ric), n), np.array(ts), states, np.array(rics), segments)
+    return _Run(_verdict(singular, t, ric, n), np.array(ts), states, np.array(rics), segments)
 
 
-def _verdict(singular: bool, t: float, r: float, tr_ric_sq: float, n: int) -> Verdict:
-    """The verdict of a run of either flow that ended at time t, where R = r.
+def _verdict(singular: bool, t: float, ric: np.ndarray, n: int) -> Verdict:
+    """The verdict of a run of either flow that ended at time t, with Ricci matrix ric there.
 
     For both kinds far_bound = t +- `_time_left` there, or None where that is
     inf.  A singular run is a blowup at omega_est = t + R / (2 tr Ric^2), one
@@ -603,16 +602,22 @@ def _verdict(singular: bool, t: float, r: float, tr_ric_sq: float, n: int) -> Ve
     R^2 / (n tr Ric^2), which is at most 1 since tr Ric^2 >= R^2 / n: so it
     lies in [t, far_bound] up to the rounding of that ratio, equals
     far_bound where the ratio rounds to 1 (an Einstein metric), and scales
-    bit for bit as omega / c^2 under mu -> c mu for c a power of 2.  Any
-    other run is immortal.
+    bit for bit as omega / c^2 under mu -> c mu for c a power of 2.  The
+    ratio is read off ric divided by a power of 2 (`stepper._pow2_scale`),
+    which leaves it unchanged, so R^2 and tr Ric^2 neither overflow nor
+    underflow where Ric's entries are normal.  Any other run is immortal.
     """
+    r = ric.trace()
     left = _time_left(t, r, n)
     if left == np.inf:
         return Verdict(kind="immortal")
     step = np.copysign(left, t)
     if not singular:
         return Verdict(kind="immortal", far_bound=t + step)
-    ratio = r * r / n / tr_ric_sq
+    # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
+    scaled = ric / _pow2_scale(ric)
+    r_scaled = scaled.trace()
+    ratio = r_scaled * r_scaled / n / np.sum(scaled * scaled)
     return Verdict(kind="blowup", omega_est=t + step * ratio, far_bound=t + step)
 
 

@@ -14,15 +14,21 @@ has, with P = L^T L, the right-hand side
 
 so it takes no linear solve.  L^-1 is needed only to push the bracket
 forward, and it comes with the factor: the package factors by Cholesky, and
-LAPACK's dtrtri inverts the upper factor from dpotrf.  A run holds the
-stacked table (`curvature._rhs_table`) of the support S_nu that every
-pushed bracket of the run stays on, exactly: the i < j entries reachable
-from the patterns of mu and P0, found once per run on patterns alone
-(`_pushed_support`).  It reads Ric of L.mu through that table's Q half,
-as the bracket flow reads its own support's.  From the identity metric a
-two-step nilpotent bracket pushes onto the bracket flow's own support, 9
-of 90 entries at n = 6; from a dense metric S_nu is mostly the whole half,
-whose table costs more per call than the GEMM kernel from n = 7 on.  The
+LAPACK's dtrtri inverts the upper factor from dpotrf, which reads P's upper
+triangle only; every metric a run steps through is exactly symmetric, so
+the RHS factors it as it is.  A run holds a kernel (`_PushKernel`) built
+once on the support S_nu that every pushed bracket of the run stays on,
+exactly: the i < j entries reachable from the patterns of mu and P0, found
+once per run on patterns alone (`_pushed_support`).  The kernel pushes mu
+straight into the state u on S_nu, through a term list where that has at
+most d^3 terms and through the mode products otherwise, and reads Ric off
+u through the Q half of S_nu's stacked table (`curvature._rhs_table`), as
+the bracket flow reads its own support's; no d^3 tensor is built on the
+term list's side.  From the identity metric a two-step nilpotent bracket
+pushes onto the bracket flow's own support, 9 of 90 entries at n = 6,
+through 42 terms; from a dense metric S_nu is mostly the whole half, the
+push takes the mode products, and the whole half's table costs more per
+call than the GEMM kernel from n = 7 on.  The
 flow is integrated on the bracket flow's monitored stepping loop (`flow._drive`),
 with the package's Dormand-Prince 5(4) stepper (`stepper.DormandPrince54`)
 on the flat n x n matrix; `_drive` keeps the samples, and the metric flow's
@@ -48,8 +54,9 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .algebra import LieBracket, _half_indices, _transform_tensor
 from .algebra import transform_bracket  # noqa: F401  (not called here; flowbench's tracer looks it up on this module)
-from .curvature import _rhs_table, _ricci_from_tensor, _ricci_gemm
+from .curvature import _matches, _rhs_table, _ricci_from_state, _ricci_gemm, _StackedTable
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
+from .stepper import _pow2_scale
 
 # DenseSolution and integrate are called by these names so that flowbench can trace them.
 from .flow import DenseSolution, IntegratorOptions, Verdict, integrate
@@ -173,24 +180,94 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray) -> tuple[np.ndarray, float]:
         NonSPDError: when `p` is not positive-definite or has a non-finite
             entry.
     """
-    ric, ell = _pushed_ric(mu0, _metric_matrix(mu0, p))
+    ric, ell = _pushed_ric(mu0, _sym(_metric_matrix(mu0, p)))
     return np.linalg.solve(ell, ric @ ell), float(ric.trace())
 
 
-def _pushed_ric(mu0: LieBracket, p: np.ndarray, table=None):
+def _pushed_ric(mu0: LieBracket, p: np.ndarray, kernel: _PushKernel | None = None):
     # Internal, and called by this name so that flowbench can trace it.
     # Returns (ric, L): Ric_{L.mu0} of the pushed bracket (symmetric, same
     # spectrum as RicOp(P) = L^-1 ric L) and the factor L of P = L^T L, with
     # which the flow's RHS is -2 P RicOp(P) = -2 L^T ric L.  Callers that
     # read R take the trace themselves; the RK stages do not.
-    # L^-1 enters only the push-forward and comes with L from `_factor`, so
-    # nothing here solves or inverts.  Ric is read through `table`, the
-    # table of a support that holds L.mu0 (`_pushed_support`); when None,
-    # the table a run from p holds.  May raise NonSPDError.
-    ell, ell_inv = _factor(_sym(p))
-    if table is None:
-        table = _rhs_table(mu0.dims.d, 0, _pushed_support(mu0, p))
-    return _ricci_from_tensor(_transform_tensor(mu0.c, ell, ell_inv), table), ell
+    # L^-1 enters only the push and comes with L from `_factor`, so nothing
+    # here solves or inverts.  `kernel` pushes mu0 onto the state u on a
+    # support that holds L.mu0 and reads Ric off u through that support's
+    # table (`_PushKernel`); when None, the kernel a run from p holds.  p
+    # is read through its upper triangle only (dpotrf), so the caller
+    # symmetrizes a matrix that is not exactly symmetric.  May raise
+    # NonSPDError.
+    ell, ell_inv = _factor(p)
+    if kernel is None:
+        kernel = _push_kernel(mu0, p)
+    return _ricci_from_state(kernel.push(ell, ell_inv), kernel.table), ell
+
+
+@dataclass(frozen=True)
+class _PushKernel:
+    """The metric flow's per-run kernel: L.mu0 as the state u on S_nu, from (L, L^-1).
+
+    The pushed bracket is nu[i, j, k] = sum_{a,b,m} L^-1[a, i] L^-1[b, j]
+    L[k, m] mu0[a, b, m], the three mode products of `_transform_tensor`.
+    On the entries (i < j, k) of S_nu it is kept as a term list: one term
+    per entry and per nonzero (a, b, m) of mu0 whose three factors are
+    structurally nonzero on the final patterns of the run's closure
+    (`_support_closure`).  A push is then two gathers (one for both
+    factors of L^-1), three products and one `bincount`, straight into u in
+    the layout of the table's state, and no d^3 tensor is built.  Where the list would hold
+    more than the d^3 entries of the tensor it replaces, as from a dense
+    metric, the mode products push and u is gathered off their tensor, as
+    for mu0 = 0, whose list is empty.
+
+    Attributes:
+        table: the stacked table of S_nu (`_rhs_table`); Ric of L.mu0 is its
+            Q half applied to u (`curvature._ricci_from_state`).
+        c: mu0's tensor, which the mode products push.
+        terms: (entry, inv_ab, km, values), or None where the mode
+            products push: term p adds L^-1[a, i] L[k, m] L^-1[b, j]
+            values[p], multiplied in that order (L^-1 times L first,
+            whose scales cancel, so that the metric's scale enters the
+            partial products once, as it enters the result), to
+            u[entry[p]]; inv_ab
+            holds the flat indices of the first factors, then of the third,
+            in L^-1^T, and km those of the second in L^T, the C-ordered
+            views of LAPACK's Fortran-ordered factors, so that one `take`
+            gathers both factors of L^-1.  Sorted by entry, then by
+            (a, b, m).
+    """
+
+    table: _StackedTable
+    c: np.ndarray
+    terms: tuple | None
+
+    def push(self, ell: np.ndarray, ell_inv: np.ndarray) -> np.ndarray:
+        """u = L.mu0 on S_nu, (L.mu0).ravel()[table.upper], from L and L^-1."""
+        if self.terms is None:
+            return _transform_tensor(self.c, ell, ell_inv).ravel()[self.table.upper]
+        entry, inv_ab, km, values = self.terms
+        x = ell_inv.T.take(inv_ab)
+        w = x[: entry.size] * ell.T.take(km)
+        w *= x[entry.size :]
+        w *= values
+        return np.bincount(entry, w, self.table.upper.size)
+
+
+def _push_kernel(mu0: LieBracket, p: np.ndarray) -> _PushKernel:
+    # The kernel of a metric-flow run from p: S_nu's table and the push's
+    # term list, both cached with the closure, and mu0's values on the list.
+    support, terms = _support_closure(*_closure_key(mu0, p))
+    if terms is not None:
+        *index, src = terms
+        terms = (*index, mu0.c.ravel()[src])
+    return _PushKernel(_rhs_table(mu0.dims.d, 0, support), mu0.c, terms)
+
+
+def _closure_key(mu0: LieBracket, p: np.ndarray) -> tuple:
+    # (d, the half positions where mu0 is nonzero, the flat indices of p's
+    # nonzero entries): what `_support_closure` reads, hashable.
+    d = mu0.dims.d
+    live = np.flatnonzero(mu0.c.ravel()[_half_indices(d)[0]])
+    return d, tuple(live.tolist()), tuple(np.flatnonzero(p).tolist())
 
 
 def _pushed_support(mu0: LieBracket, p: np.ndarray) -> tuple:
@@ -210,15 +287,14 @@ def _pushed_support(mu0: LieBracket, p: np.ndarray) -> tuple:
     derivative: its L reaches -2 L^T Ric L whatever Ric reads.  Cached per
     pattern of mu0 and p.
     """
-    d = mu0.dims.d
-    live = np.flatnonzero(mu0.c.ravel()[_half_indices(d)[0]])
-    return _support_closure(d, tuple(live.tolist()), tuple(np.flatnonzero(p).tolist()))
+    return _support_closure(*_closure_key(mu0, p))[0]
 
 
 @lru_cache(maxsize=32)
 def _support_closure(d: int, live: tuple, pattern: tuple) -> tuple:
-    # live: the half positions where mu0 is nonzero; pattern: flat indices of
-    # p's nonzero entries.  Every product below is boolean, so it is the
+    # (S_nu, the push's term list or None; see `_PushKernel`).  live: the
+    # half positions where mu0 is nonzero; pattern: flat indices of p's
+    # nonzero entries.  Every product below is boolean, so it is the
     # pattern of the float operation it mirrors.
     upper, mirror = _half_indices(d)
     c = np.zeros(d**3, dtype=bool)
@@ -250,8 +326,34 @@ def _support_closure(d: int, live: tuple, pattern: tuple) -> tuple:
         g |= (nu[:, np.arange(d), np.arange(d)].any(axis=1) @ rows).reshape(d, d)
         grown = p | ell.T @ (g | g.T) @ ell
         if np.array_equal(grown, p):
-            return tuple(half.tolist())
+            return tuple(half.tolist()), _push_terms(c, ell, inv, half)
         p = grown
+
+
+def _push_terms(c: np.ndarray, ell: np.ndarray, inv: np.ndarray, half: np.ndarray) -> tuple | None:
+    # The push's term list on the half positions `half` (S_nu) from the
+    # patterns of mu0, L and L^-1, as (entry, inv_ab, km, src), src the flat
+    # index of (a, b, m) in mu0; None where it has more than d^3 terms, or
+    # none (mu0 = 0, whose bincount of no terms would count in int64).
+    d = c.shape[0]
+    a, b, m = np.nonzero(c)
+    # per nonzero z of mu0: every (i < j) with L^-1[a, i] and L^-1[b, j] live, and every k with L[k, m] live
+    z, i, j = np.nonzero(inv[a][:, :, None] & inv[b][:, None, :] & np.triu(np.ones((d, d), dtype=bool), 1))
+    ks = ell[:, m].T
+    if not 0 < ks.sum(axis=1)[z].sum() <= d**3:
+        return None
+    kz, k = np.nonzero(ks)
+    x, y = _matches(z, kz)
+    z, i, j, k = z[x], i[x], j[x], k[y]
+    a, b, m = a[z], b[z], m[z]
+    # the half position of (i, j, k): the pair's rank among i < j in C order, times d, plus k
+    entry = np.searchsorted(half, (i * (2 * d - i - 1) // 2 + j - i - 1) * d + k)
+    order = np.lexsort((z, entry))
+    inv_ab = np.concatenate([(i * d + a)[order], (j * d + b)[order]])
+    terms = (entry[order], inv_ab, (m * d + k)[order], ((a * d + b) * d + m)[order])
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
 
 
 def metric_flow_integrate(
@@ -276,11 +378,13 @@ def metric_flow_integrate(
     not finite and retries at `stepper.MIN_FACTOR` = 0.2 times the step, so
     the integrator approaches a degenerating metric geometrically instead of
     stepping across it.  A backward run steps to the physical time -horizon.
-    Ric of each pushed bracket is read through the table of the run's
-    support S_nu (`_pushed_support`), built once before the first step:
-    every finite pushed bracket of the run is exactly 0 off it, so the
-    result is the whole half's up to summation order, and a non-finite
-    stage still evaluates to a non-finite derivative.
+    Each pushed bracket is pushed onto, and its Ric read on, the run's
+    support S_nu (`_pushed_support`) by the kernel built once before the
+    first step (`_PushKernel`): every finite pushed bracket of the run is
+    exactly 0 off it, so the result is the whole half's up to summation
+    order, and a non-finite stage still evaluates to a non-finite
+    derivative.  |P0|, which sets the absolute tolerance, is taken of P0
+    prescaled by a power of 2, so that it neither overflows nor underflows.
 
     Raises:
         ValueError: mu0 has q > 0, `p0` is not an n x n matrix, the
@@ -296,8 +400,8 @@ def metric_flow_integrate(
     lam0 = float(np.min(np.linalg.eigvalsh(p0)))
     if lam0 <= 0:
         raise NonSPDError(f"initial metric has eigenvalue {lam0:.3e} <= 0")
-    # Every pushed bracket of the run lies on this table's support.
-    table = _rhs_table(n, 0, _pushed_support(mu0, p0))
+    # Every pushed bracket of the run lies on this kernel's support.
+    kernel = _push_kernel(mu0, p0)
     # The array `fun` was last handed and the Ric it computed there (None
     # off the positive-definite cone).  The stepper never writes an array it
     # has handed out, so the Ric still belongs to that array.
@@ -306,7 +410,7 @@ def metric_flow_integrate(
     def fun(_t, y):
         last[:] = y, None
         try:
-            ric, ell = _pushed_ric(mu0, y.reshape(n, n), table)
+            ric, ell = _pushed_ric(mu0, y.reshape(n, n), kernel)
         except NonSPDError:
             return np.full(n * n, np.nan)
         last[1] = ric
@@ -320,9 +424,12 @@ def metric_flow_integrate(
         # is that stage's; only the initial state is assembled here.
         if y is last[0] and last[1] is not None:
             return last[1]
-        return _pushed_ric(mu0, y.reshape(n, n), table)[0]
+        return _pushed_ric(mu0, y.reshape(n, n), kernel)[0]
 
-    atol = _abs_tol(opts, float(np.linalg.norm(p0)))
+    # |P0| of P0 divided by a power of 2, whose squares neither overflow nor
+    # underflow to 0, times that power: |P0| itself wherever it is normal.
+    scale = _pow2_scale(p0)
+    atol = _abs_tol(opts, scale * float(np.linalg.norm(p0 / scale)))
     solver = RK45(fun, 0.0, p0.ravel().copy(), t_bound=t_end, rtol=opts.rel_tol, atol=atol)
     run = _drive(solver, opts, sample, n)
     return MetricTrajectory(

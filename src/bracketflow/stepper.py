@@ -6,9 +6,11 @@ II.4-II.6, and the quartic dense output of Shampine (Math. Comp. 46
 (1986)).  Given the same first step it takes the same steps as
 `scipy.integrate.RK45` up to rounding: the same tableau, step floor and
 step-size factors.  Its initial-step heuristic is scipy's written
-homogeneously in time, with no absolute floor, so a run of y' = f(y) and
-one rescaled by a power of 2 take the same steps bit for bit when atol
-scales with y.  Both flows step with it (`flow._drive`).
+homogeneously in time, with no absolute floor, and takes each of its norms
+of a vector prescaled by a power of 2, so a run of y' = f(y) and one
+rescaled by a power of 2 take the same steps bit for bit when atol scales
+with y, as long as the entries of y and f stay normal floats.  Both flows
+step with it (`flow._drive`).
 
 Stage arithmetic is fused: each attempt writes h [A; E] into one buffer
 allocated with the stepper, and stage s is one product of its fixed row
@@ -43,6 +45,18 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _pow2_scale(x: np.ndarray) -> float:
+    """The power of 2 just above max |x|, or 1.0 where x is all 0 or not finite.
+
+    x divided by it has entries below 1 in magnitude, the largest at least
+    1/2, and the division is exact unless a quotient falls below the normal
+    range, so a sum of squares of the quotient neither overflows nor
+    underflows to 0, and rescales by the exact square of the power.
+    """
+    top = float(np.max(np.abs(x), initial=0.0))
+    return math.ldexp(1.0, math.frexp(top)[1]) if 0.0 < top < math.inf else 1.0
 
 
 class DormandPrince54:
@@ -125,19 +139,30 @@ class DormandPrince54:
         # a numpy scalar, as in scipy: an overflowed norm gives inf, not an exception
         return np.sqrt(self._w * x.dot(x))
 
+    def _scaled_rms(self, x: np.ndarray) -> float:
+        # `_rms` of x / s, times s, for s = `_pow2_scale(x)`: the same float
+        # wherever x's sum of squares is normal, and the right one where it
+        # would overflow or underflow
+        s = _pow2_scale(x)
+        return self._rms(x / s) * s
+
     def _initial_step(self) -> float:
         # Hairer-Norsett-Wanner II.4, written homogeneously in time: h0 from
         # |y|/|f|, then one Euler probe bounds h by the local change of f.
-        # Every quantity compared is dimensionless, so rescaling t, and y
-        # with atol, by powers of 2 rescales the step exactly.
+        # Every quantity compared is dimensionless, but f / scale is not:
+        # it carries the units of 1/t, and its square overflows or
+        # underflows long before the state does.  So each norm is taken of
+        # its vector prescaled by a power of 2 (`_scaled_rms`), and
+        # rescaling t, and y with atol, by powers of 2 rescales the step
+        # exactly while every scaled quantity stays normal.
         t0, y0, f0 = self.t, self.y, self.f
         interval = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
         with np.errstate(over="ignore", invalid="ignore"):
-            d0, d1 = self._rms(y0 / scale), self._rms(f0 / scale)
+            d0, d1 = self._scaled_rms(y0 / scale), self._scaled_rms(f0 / scale)
             h0 = min(0.01 * d0 / d1, interval) if d1 > 0 else interval
             f1 = self._eval(t0 + h0 * self.direction, y0 + h0 * self.direction * f0)
-            change = max(d1, self._rms((f1 - f0) / scale)) * h0
+            change = max(d1, self._scaled_rms((f1 - f0) / scale)) * h0
             h1 = h0 * (0.01 / change) ** -self.error_exponent if change > 0 else interval
         return min(100 * h0, h1, interval)
 

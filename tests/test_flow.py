@@ -585,12 +585,19 @@ def _bit_record(k, flow_name, c=1.0):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(case=st.sampled_from(BIT_CASES), k=st.integers(-20, 23))
 @example(case=(BIT_LABELS.index("su2_round-forward"), "metric"), k=23)
+@example(case=(BIT_LABELS.index("su2_round-forward"), "metric"), k=300)
+@example(case=(BIT_LABELS.index("su2_round-forward"), "metric"), k=-300)
+@example(case=(BIT_LABELS.index("su2_round-forward"), "metric"), k=-500)
 @example(case=(BIT_LABELS.index("sphere2_times_line-backward"), "bracket"), k=-20)
 @example(case=(BIT_LABELS.index("milnor-5"), "bracket"), k=23)
 def test_runs_are_bit_identical_under_power_of_2_rescaling(case, k):
     # Every product in the RHS, the stop rule and the step control scales
     # exactly under mu -> 2^k mu, t -> t / 4^k (P0 -> P0 / 4^k on the metric
-    # side), so the rescaled run takes the same steps bit for bit.
+    # side), so the rescaled run takes the same steps bit for bit.  The
+    # sums of squares (|P0|, the initial step's norms, tr Ric^2 of the
+    # verdict) are taken of prescaled vectors, so this holds past the range
+    # where those squares overflow or underflow: P0 = 2^-600 I at k = 300,
+    # 2^1000 I at k = -500.
     assert _bit_record(*case, 2.0**k) == _bit_record(*case)
 
 
@@ -661,6 +668,16 @@ def test_a_blowup_with_fewer_than_10_samples_gets_its_verdict():
         assert abs(c**2 * traj.verdict.omega_est + 0.5) <= 1e-15
 
 
+def _stop_ricci(n, r, excess):
+    # A diagonal Ric with trace r up to rounding and tr Ric^2 = r^2 / n
+    # (1 + excess): r / n on the diagonal, moved by +-delta on two entries.
+    delta = abs(r) * np.sqrt(excess / (2 * n))
+    ric = np.diag(np.full(n, r / n))
+    ric[0, 0] += delta
+    ric[1, 1] -= delta
+    return ric
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(2, 13),
@@ -668,27 +685,32 @@ def test_a_blowup_with_fewer_than_10_samples_gets_its_verdict():
     r=st.floats(1e-3, 1e9),
     excess=st.floats(0.0, 10.0),
     backward=st.booleans(),
-    k=st.integers(-20, 20),
+    k=st.integers(-250, 250),
 )
 @example(n=3, t=1.0, r=1e9, excess=0.0, backward=False, k=0)
+@example(n=3, t=1.0, r=1e9, excess=1.0, backward=False, k=250)
+@example(n=3, t=1e3, r=1e-3, excess=1.0, backward=True, k=-250)
 def test_the_stop_sample_verdict_is_scale_covariant_and_enclosed(n, t, r, excess, backward, k):
     # t and R of one sign and tr Ric^2 >= R^2 / n, as at a stop
     if backward:
         t, r = -t, -r
-    tr_ric_sq = r * r / n * (1.0 + excess)
-    v = flow._verdict(True, t, r, tr_ric_sq, n)
+    ric = _stop_ricci(n, r, excess)
+    v = flow._verdict(True, t, ric, n)
     assert v.kind == "blowup"
     ulps = 4 * np.spacing(abs(v.omega_est))
-    assert abs(v.omega_est - (t + r / (2.0 * tr_ric_sq))) <= ulps
-    # under mu -> c mu with c = 2^k, t -> t / c^2, R -> c^2 R, tr Ric^2 -> c^4 tr Ric^2: bit for bit
+    assert abs(v.omega_est - (t + ric.trace() / (2.0 * np.sum(ric * ric)))) <= ulps
+    # under mu -> c mu with c = 2^k, t -> t / c^2, Ric -> c^2 Ric: bit for
+    # bit, also where R^2 and tr Ric^2 overflow or underflow (|k| > 128 or so)
     c2 = 2.0 ** (2 * k)
-    scaled = flow._verdict(True, t / c2, r * c2, tr_ric_sq * c2 * c2, n)
+    scaled = flow._verdict(True, t / c2, ric * c2, n)
     assert scaled.omega_est == v.omega_est / c2 and scaled.far_bound == v.far_bound / c2
     # inside [t, far_bound] up to a few ulps
     lo, hi = sorted((t, v.far_bound))
     assert lo - ulps <= v.omega_est <= hi + ulps
-    # at the Einstein tie tr Ric^2 = R^2 / n it is the far bound
-    assert flow._verdict(True, t, r, r * r / n, n).omega_est == v.far_bound
+    # at the Einstein tie tr Ric^2 = R^2 / n it is the far bound; with a
+    # power of 2 on the diagonal both sums are exact
+    einstein = flow._verdict(True, t, np.copysign(2.0 ** np.round(np.log2(abs(r) / n)), r) * np.eye(n), n)
+    assert einstein.omega_est == einstein.far_bound
 
 
 # --- blowup-time fitting ----------------------------------------------------

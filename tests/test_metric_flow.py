@@ -388,49 +388,91 @@ def _nilpotent(n, seed=0):
     return random_two_step_nilpotent(n, np.random.default_rng(seed))
 
 
-# (label, bracket, P0, horizon, size of the run's support): C8's runs and
-# seeded two-step nilpotent brackets at n = 5, 6 and 9 from the identity,
-# where the support is that of the bracket flow (Lambda^2 v (x) z), a
-# block-diagonal P0 on blocks within v and z and one on blocks that cut
-# across them, and two dense P0s.
+# (label, bracket, P0, horizon, size of the run's support, terms of its
+# push or None where the mode products push): C8's runs, the zero bracket's
+# by the mode products, and seeded two-step nilpotent brackets at n = 5, 6
+# and 9 from the identity, where the support is that of the bracket flow
+# (Lambda^2 v (x) z), a block-diagonal P0 on blocks within v and z and one
+# on blocks that cut across them, and three dense P0s; the P0s that cut
+# across v and z at n >= 5 push by the mode products.
 SUPPORT_RUNS = [
-    (name, get_entry(name).bracket, np.eye(get_entry(name).bracket.dims.n), h, size)
+    (name, get_entry(name).bracket, np.eye(get_entry(name).bracket.dims.n), h, size, size or None)
     for (name, h), size in zip(C8_HORIZONS.items(), [0, 1, 3, 2, 1, 1], strict=True)
 ]
-SUPPORT_RUNS += [(f"nilpotent{n}", _nilpotent(n), np.eye(n), 10.0, size) for n, size in [(5, 6), (6, 9), (9, 18)]]
 SUPPORT_RUNS += [
-    ("nilpotent6-blocks-in-v-and-z", _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 2, 2, 2]), 10.0, 9),
-    ("nilpotent6-blocks-across", _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 1, 2, 2]), 10.0, 90),
-    ("nilpotent5-dense", _nilpotent(5), _spd(5, 7), 10.0, 50),
-    ("heisenberg3-dense", HEIS, _spd(3, 8), 10.0, 9),
+    (f"nilpotent{n}", _nilpotent(n), np.eye(n), 10.0, size, terms) for n, size, terms in [(5, 6, 21), (6, 9, 42), (9, 18, 147)]
 ]
+SUPPORT_RUNS += [
+    ("nilpotent6-blocks-in-v-and-z", _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 2, 2, 2]), 10.0, 9, 42),
+    ("nilpotent6-blocks-across", _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 1, 2, 2]), 10.0, 90, None),
+    ("nilpotent5-dense", _nilpotent(5), _spd(5, 7), 10.0, 50, None),
+    ("nilpotent7-dense", _nilpotent(7), _spd(7, 7), 10.0, 147, None),
+    ("heisenberg3-dense", HEIS, _spd(3, 8), 10.0, 9, 12),
+]
+SUPPORT_IDS = [run[0] for run in SUPPORT_RUNS]
 
 
-@pytest.mark.parametrize("mu, p0, horizon, size", [run[1:] for run in SUPPORT_RUNS], ids=[run[0] for run in SUPPORT_RUNS])
-def test_every_pushed_bracket_of_a_run_is_exactly_zero_off_its_support(monkeypatch, mu, p0, horizon, size):
-    transform, pushed_ric = metric_flow._transform_tensor, metric_flow._pushed_ric
+@functools.cache
+def _recorded_run(label):
+    # The run of a SUPPORT_RUNS case, with the (P, kernel) of every
+    # `_pushed_ric` call it made, stages and samples alike
+    _, mu, p0, horizon, *_ = SUPPORT_RUNS[SUPPORT_IDS.index(label)]
+    pushed_ric, calls = metric_flow._pushed_ric, []
+
+    def recorded(mu0, p, kernel=None):
+        calls.append((p.copy(), kernel))
+        return pushed_ric(mu0, p, kernel)
+
+    metric_flow._pushed_ric = recorded
+    try:
+        traj = metric_flow_integrate(mu, p0, "forward", horizon)
+    finally:
+        metric_flow._pushed_ric = pushed_ric
+    return traj, calls
+
+
+@pytest.mark.parametrize("label", SUPPORT_IDS)
+def test_every_pushed_bracket_of_a_run_is_exactly_zero_off_its_support(label):
+    # At every metric a run factors, the mode products of `_transform_tensor`
+    # are exactly 0 on the half off S_nu, and the run's kernel pushes onto
+    # S_nu what they give there; its push is the term list exactly where
+    # that has at most d^3 terms
+    _, mu, p0, _, size, terms = SUPPORT_RUNS[SUPPORT_IDS.index(label)]
     support = metric_flow._pushed_support(mu, p0)
     assert len(support) == size
     off = np.delete(metric_flow._half_indices(mu.dims.d)[0], list(support))
-    finite, tables = [], []
+    traj, calls = _recorded_run(label)
+    kernel = calls[0][1]
+    # every call reads the one kernel the run holds, that of the run's support
+    assert len(calls) > traj.n_samples and all(k is kernel for _, k in calls)
+    assert kernel.table.support == support
+    assert (None if kernel.terms is None else kernel.terms[0].size) == terms
+    checked = 0
+    for p, _ in calls:
+        try:
+            ell, ell_inv = metric_flow._factor(p)
+        except NonSPDError:
+            continue
+        nu = metric_flow._transform_tensor(mu.c, ell, ell_inv).ravel()
+        if np.isfinite(nu).all():
+            on = nu[kernel.table.upper]
+            assert not nu[off].any()
+            u = kernel.push(ell, ell_inv)
+            assert u.dtype == float
+            err = np.max(np.abs(u - on), initial=0.0)
+            assert err <= 1e-14 * np.max(np.abs(on), initial=0.0)
+            checked += 1
+    assert checked >= 6 * (traj.n_samples - 1)
 
-    def checked(c, g, ginv):
-        out = transform(c, g, ginv)
-        if np.isfinite(out).all():
-            finite.append(not out.ravel()[off].any())
-        return out
 
-    def recorded(mu0, p, table=None):
-        tables.append(table)
-        return pushed_ric(mu0, p, table)
-
-    monkeypatch.setattr(metric_flow, "_transform_tensor", checked)
-    monkeypatch.setattr(metric_flow, "_pushed_ric", recorded)
-    traj = metric_flow_integrate(mu, p0, "forward", horizon)
-    # every call reads the one table the run holds, that of the run's support
-    assert len(tables) > traj.n_samples and all(table is tables[0] for table in tables)
-    assert tables[0].support == support
-    assert len(finite) >= 6 * (traj.n_samples - 1) and all(finite)
+@pytest.mark.parametrize("label", SUPPORT_IDS)
+def test_every_metric_the_rhs_is_handed_is_exactly_symmetric(label):
+    # dpotrf reads P's upper triangle only, so the RHS factors what it is
+    # handed as it is; every stage and sample of a run is symmetric bit for
+    # bit, NaNs included (su2_round's stages past its singularity)
+    traj, calls = _recorded_run(label)
+    assert len(calls) > 6 * (traj.n_samples - 1)
+    assert all(np.array_equal(p, p.T, equal_nan=True) for p, _ in calls)
 
 
 def test_a_run_at_n13_from_the_identity_makes_no_gemm_call(monkeypatch):
@@ -456,7 +498,7 @@ def _whole_half_pushed_ric(mu0, p, table=None):
     ell, ell_inv = metric_flow._factor(metric_flow._sym(p))
     d = mu0.dims.d
     whole = metric_flow._rhs_table(d, 0, tuple(range(d * d * (d - 1) // 2)))
-    return metric_flow._ricci_from_tensor(metric_flow._transform_tensor(mu0.c, ell, ell_inv), whole), ell
+    return curvature._ricci_from_tensor(metric_flow._transform_tensor(mu0.c, ell, ell_inv), whole), ell
 
 
 @pytest.mark.parametrize("n", [5, 6], ids=["n5", "n6"])

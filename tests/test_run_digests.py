@@ -56,3 +56,26 @@ def test_metric_lines_print_omega_and_the_gap_exactly():
     assert (label, samples) == ("su2_round/gap", "-")
     assert float(text) == gap and text == repr(gap)
     assert sha == run_digests.digest([gap])
+
+
+def test_a_differing_pair_that_prints_floats_says_how_far_they_moved():
+    # omega_est moves by its relative difference, a gap by its absolute one;
+    # a pair whose verdict column holds no float gets no third line
+    old = [
+        run_digests.line("C8/su2_round/metric", "blowup 1.0", 25, "a" * 64),
+        run_digests.line("su2_round/gap", repr(1.5e-08), "-", "b" * 64),
+        run_digests.line("C8/heisenberg3/metric", "immortal None", 109, "c" * 64),
+        run_digests.line("su2_round/forward", "blowup", 30, "d" * 64),
+    ]
+    new = [
+        run_digests.line("C8/su2_round/metric", "blowup 1.25", 30, "e" * 64),
+        run_digests.line("su2_round/gap", repr(1.75e-08), "-", "f" * 64),
+        run_digests.line("C8/heisenberg3/metric", "immortal None", 110, "g" * 64),
+        run_digests.line("su2_round/forward", "blowup", 31, "h" * 64),
+    ]
+    diff = run_digests.differing(old, new)
+    assert len(diff) == 10
+    assert diff[2] == "  omega relative difference 0.25"
+    assert diff[5] == "  gap absolute difference 2.5e-09"
+    assert [text[0] for text in diff[6:]] == ["-", "+", "-", "+"]
+    assert run_digests.printed_float(old[0]) == 1.0 and run_digests.printed_float(old[2]) is None

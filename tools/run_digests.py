@@ -25,8 +25,10 @@ The package and the workloads are imported from the checkout this file sits
 in, so a copy of it run in another checkout digests that one.  --against REV
 does that: it runs this file's own copy in a temporary `git worktree` of REV
 on the same groups, prints each line that differs (`-` REV's, `+` this
-checkout's) and a count of the identical ones, and exits 1 if any line
-differs.  The worktree is removed however the run ends.
+checkout's; where both print a float, a third line with omega_est's
+relative or the gap's absolute difference) and a count of the identical
+ones, and exits 1 if any line differs.  The worktree is removed however
+the run ends.
 
     python3 tools/run_digests.py --against HEAD~1 cli
 """
@@ -145,14 +147,32 @@ def digest_lines(names) -> list[str]:
         return [text for name in names for text in GROUPS[name](Path(tmp))]
 
 
+def printed_float(text: str) -> float | None:
+    """The float a digest line prints in its verdict column, omega_est or a gap, or None where it prints none."""
+    try:
+        return float(text.split()[-3])
+    except ValueError:
+        return None
+
+
 def differing(old: list[str], new: list[str]) -> list[str]:
-    """The lines of two listings that differ, paired by label: `- ` the old line, then `+ ` the new one."""
+    """The lines of two listings that differ, paired by label: `- ` the old line, then `+ ` the new one.
+
+    Where both lines of a pair print a float, a third line gives how far it
+    moved: omega_est's relative difference, or a gap's absolute one.
+    """
     old_by, new_by = ({text.split(maxsplit=1)[0]: text for text in lines} for lines in (old, new))
     out = []
     for label in dict.fromkeys([*old_by, *new_by]):
         a, b = old_by.get(label), new_by.get(label)
         if a != b:
             out.extend(f"{sign} {text}" for sign, text in (("-", a), ("+", b)) if text is not None)
+            x, y = (printed_float(text) if text else None for text in (a, b))
+            if x is not None and y is not None:
+                if label.endswith("/gap"):
+                    out.append(f"  gap absolute difference {abs(y - x):.3g}")
+                else:
+                    out.append(f"  omega relative difference {abs(y - x) / abs(x):.3g}")
     return out
 
 
