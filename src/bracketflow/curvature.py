@@ -567,6 +567,20 @@ def _ricci_from_state(u: np.ndarray, table: _StackedTable) -> np.ndarray:
     return table.stack[: table.rows * u.size].dot(u).reshape(table.rows, -1).dot(u)[table.sym]
 
 
+def _scalar_rate(u: np.ndarray, du: np.ndarray, table: _StackedTable) -> np.ndarray:
+    """dR along du at each row of the stack of states u, through the Q half of their support's table.
+
+    R = tr Ric is the sum of Ric's diagonal rows (`table.sym.diagonal()`),
+    each sum coef u_a u_b over q_form's terms on that row, so its derivative
+    along du is the sum of coef (du_a u_b + u_a du_b) over those terms.  The
+    coefficients are exact.  u and du have one state per row.
+    """
+    q = table.q_form
+    on = np.isin(q.row, table.sym.diagonal())
+    a, b = q.a[on], q.b[on]
+    return (du[:, a] * u[:, b] + u[:, a] * du[:, b]).dot(q.coef[on])
+
+
 def _ricci_gemm(c: np.ndarray, q: int) -> np.ndarray:
     """Ricci matrix of the raw tensor by the fused GEMM kernel, whose plan every Ricci table is written from.
 

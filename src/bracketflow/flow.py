@@ -30,9 +30,13 @@ the tensor (`_to_tensor`), by writing u at the support's flat indices and
 each accepted step: the time, the stepper's raw state and the Ricci matrix
 a per-sample callback returns, stacked once at the end, where R = tr Ric
 is read off the stack for both flows (`_Run`).  The bracket flow's callback
-adds what is its own: one RHS evaluation, for |dmu/dt| and Ric, the drift
-check, and one row per sample of |mu|^2, |dmu/dt|^2 and the three
-admissibility residuals.  The residuals are read off u itself, through the
+adds what is its own: one RHS evaluation, for the derivative and Ric, the
+drift check, and one row per sample of the three admissibility residuals.
+It keeps that derivative (`Trajectory.rhs`), off which `estimate_report`
+reads dR/dt by the chain rule; |mu| and |dmu/dt| are taken of the kept
+states and derivatives once per run (`_norms`), divided by a power of 2
+fixed by the initial state, so that their squares neither overflow nor
+underflow.  The residuals are read off u itself, through the
 forms built once per support (`curvature._residual_forms`): only the
 Jacobi, h1 and h3 rows that are not identically 0 on V_S, and none at all
 on a two-step nilpotent support, where the check is vacuous: with no row
@@ -67,7 +71,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import (
     DEFAULT_TOL,
@@ -78,7 +81,7 @@ from .algebra import (
     bracket_norm,
     check_conditions,
 )
-from .curvature import _flow_table, _residual_forms, _StackedTable, koszul_ricci_oracle
+from .curvature import _flow_table, _residual_forms, _scalar_rate, _StackedTable, koszul_ricci_oracle
 from .curvature import _ricci_from_tensor  # noqa: F401  (flowbench's tracer looks it up on this module)
 from .stepper import DenseStep, _pow2_scale
 from .stepper import DormandPrince54 as RK45  # called by this name so that flowbench can trace the stepper
@@ -258,7 +261,9 @@ class Trajectory:
     backward runs.  `residual_rows` is the number of residual rows the drift
     check read per step on the run's support (`curvature._residual_forms`):
     0 when every residual vanishes identically there, so the check is
-    vacuous.  It is never None.
+    vacuous.  It is never None.  `rhs` is the derivative the monitor
+    evaluated at each sample, in the layout of the raw states, so that
+    `estimate_report` reads dR/dt off it.
     """
 
     direction: str
@@ -273,6 +278,7 @@ class Trajectory:
     h1_residual: np.ndarray
     h3_residual: np.ndarray
     checkpoints: Sequence[FlowState]
+    rhs: list[np.ndarray]
     verdict: Verdict
     residual_rows: int
     dense: "DenseSolution | None" = None
@@ -450,8 +456,9 @@ def integrate(
     table = _flow_table(initial)
     forms = _residual_forms(d, q, table.support)
     y0 = _to_state(initial.c, table)
-    # Per sample: |mu|^2, |dmu/dt|^2 and the Jacobi, h1 and h3 residuals.
+    # Per sample: the Jacobi, h1 and h3 residuals, and the derivative.
     rows: list[float] = []
+    derivs: list[np.ndarray] = []
 
     if norm == 0.0:
         # The zero bracket is an exact fixed point: a stationary run on the
@@ -463,7 +470,8 @@ def integrate(
         zero = np.zeros((1, y0.size))
         steps = [DenseStep(t_old, t_new, y0, zero) for t_old, t_new in zip(t[:-1], t[1:])]
         run = _Run(Verdict(kind="flat"), t, [y0] * t.size, np.zeros((t.size, dims.n, dims.n)), steps)
-        rows += [0.0] * (5 * t.size)
+        rows += [0.0] * (3 * t.size)
+        derivs += run.states  # the zero derivative, which on the empty state is the state itself
     else:
         scratch = _rhs_scratch(table)
 
@@ -474,46 +482,62 @@ def integrate(
 
         def sample(t, y):
             # The monitor, at t = 0 too, where the state is already admitted
-            # at membership_tol <= drift_tol: one RHS evaluation for
-            # |dmu/dt| and Ric, and the drift check, the largest residual
+            # at membership_tol <= drift_tol: one RHS evaluation for the
+            # derivative and Ric, and the drift check, the largest residual
             # relative to |mu| to its degree.  Where the support has no
             # residual row, every residual is exactly 0 on V_S and the check
             # is vacuous, so it is not made.  Each entry of y stands for two
             # tensor entries, c and its mirror.
-            nsq = 2 * float(y.dot(y))
             dy, r = _default_rhs_tensor(y, table, scratch)
             jac = h1 = h3 = 0.0
             if checked:
                 jac, h1, h3 = forms.residuals(y)
-                drift = max(_relative_residuals(jac, h1, h3, nsq))
+                drift = max(_relative_residuals(jac, h1, h3, 2 * float(y.dot(y))))
                 if drift > opts.drift_tol:
                     raise DriftError(f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {t}")
-            rows.extend((nsq, 2 * float(dy.dot(dy)), jac, h1, h3))
+            rows.extend((jac, h1, h3))
+            derivs.append(dy)
             return r[table.sym]
 
         solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=_abs_tol(opts, norm), rms_weight=2 / d**3)
         run = _drive(solver, opts, sample, dims.n)
 
-    nsq, rhs_sq, jac, h1, h3 = np.reshape(rows, (-1, 5)).T.copy()
+    jac, h1, h3 = np.reshape(rows, (-1, 3)).T.copy()
+    scale = _pow2_scale(y0)
     ric = run.ric.reshape(run.t.size, -1)
     return Trajectory(
         direction=direction,
         horizon=horizon,
         initial=initial,
         t=run.t,
-        mu_norm=np.sqrt(nsq),
+        mu_norm=_norms(run.states, scale),
         scalar_R=run.scalar_R,
         # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
         tr_ric_sq=np.sum(ric * ric, axis=1),
-        rhs_norm=np.sqrt(rhs_sq),
+        rhs_norm=_norms(derivs, scale**3),
         jacobi_residual=jac,
         h1_residual=h1,
         h3_residual=h3,
         checkpoints=_flow_checkpoints(dims, run.t, run.states, table),
+        rhs=derivs,
         verdict=run.verdict,
         residual_rows=forms.rows,
         dense=DenseSolution(run.t, run.segments, d, table) if run.segments else None,
     )
+
+
+def _norms(vectors: list[np.ndarray], s: float) -> np.ndarray:
+    """The tensor norm of each vector in the layout of the state, one batched product for the run.
+
+    Each entry stands for two tensor entries, c and its mirror.  The squares
+    are taken of v / s, for s a power of 2, and the norms times s: exact, so
+    that with s the initial state's `stepper._pow2_scale` for the states and
+    its cube for the derivatives they neither overflow nor underflow far
+    past the scale where v.v would.  Each row's product is the same dot as
+    v.dot(v), bit for bit.
+    """
+    x = np.array(vectors) / s
+    return np.sqrt(2 * np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]) * s
 
 
 def _time_left(t: float, r: float, n: int) -> float:
@@ -732,10 +756,14 @@ class EstimateReport:
     velocity_ratio_max bounds |dmu/dt| / |mu|^3; tail_norm_floor is the observed
     minimum of |omega_est - t|^(1/2) |mu(t)| over the resolved blowup tail
     (see `_resolved_tail`; None when the run is not a blowup or no tail
-    sample is resolved); scalar_evolution_max_relerr compares a finite-difference
-    dR/dt against 2 tr Ric^2, relative to 2 tr Ric^2; monotone_R_violation
-    measures the largest decrease of R between consecutive samples in forward
-    time, relative to the larger |R| of the pair; comparison_slack is the
+    sample is resolved); scalar_evolution_max_relerr is the largest
+    |dR/dt - 2 tr Ric^2| / (2 tr Ric^2) over the samples, dR/dt read at each
+    sample off its state and the derivative the monitor evaluated there
+    (`Trajectory.rhs`) through the support's Ricci form
+    (`curvature._scalar_rate`), so it checks the evolution identity to
+    rounding at every sample count; monotone_R_violation measures the
+    largest decrease of R between consecutive samples in forward time,
+    relative to the larger |R| of the pair; comparison_slack is the
     minimum of (R(t) - comp(t)) / comp(t), R against the scalar comparison
     solution comp(t) = 1 / (1/R(0) - 2t/n) in units of comp; it is computed
     for forward runs with R(0) > 0 over the samples with t > 0 on the inner
@@ -752,30 +780,13 @@ class EstimateReport:
     comparison_slack: float | None
 
 
-def _local_derivatives(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # dy/dt at samples 2 .. m-3 from the quartic through each 5-sample window, in one
-    # batched solve; tau / s keeps it conditioned near a singularity, where spacings
-    # are ~1e-14 of t itself.  A window with s = 0 gives 0.
-    tau = sliding_window_view(t, 5) - t[2:-2, None]
-    s = np.max(np.abs(tau), axis=1)
-    s_safe = np.where(s > 0, s, 1.0)
-    vander = (tau / s_safe[:, None])[:, :, None] ** np.arange(5)
-    vander[s == 0] = np.eye(5)
-    coef = np.linalg.solve(vander, sliding_window_view(y, 5)[:, :, None])
-    return np.where(s > 0, coef[:, 1, 0] / s_safe, 0.0)
-
-
 def estimate_report(traj: Trajectory) -> EstimateReport:
-    """Evaluate the flow estimates along a trajectory with >= 20 samples."""
-    m = traj.n_samples
-    if m < 20:
-        raise ValueError(f"need at least 20 samples for the estimate report, got {m}")
-
+    """Evaluate the flow estimates along a trajectory, at any sample count."""
     velocity_ratio = float(np.max(_ratio(traj.rhs_norm, traj.mu_norm**3)))
 
-    target = 2.0 * traj.tr_ric_sq[2:-2]
-    fd = _local_derivatives(traj.t, traj.scalar_R)
-    evol_err = float(np.max(_ratio(np.abs(fd - target), np.abs(target))))
+    target = 2.0 * traj.tr_ric_sq
+    rate = _scalar_rate(np.array(traj.checkpoints._states), np.array(traj.rhs), _flow_table(traj.initial))
+    evol_err = float(np.max(_ratio(np.abs(rate - target), target)))
 
     r_asc = traj.scalar_R[np.argsort(traj.t)]
     before, after = r_asc[:-1], r_asc[1:]

@@ -54,10 +54,12 @@ estimate `omega_est`, the ends of its enclosure (`t_stop`, the time of the
 last sample, and `far_one_sided_bound`, the far comparison bound),
 `residual_rows` (`Trajectory.residual_rows`: the residual rows the drift
 check read per step, 0 for a vacuous check, never null) and the full
-estimate report (`estimates`, with `velocity_ratio_max`, the largest
-|dmu/dt| / |mu|^3, `monotone_R_violation`, the largest drop of R relative
-to the larger |R| of its pair of samples, and `comparison_slack`, in units
-of the comparison solution over the samples with t > 0).
+estimate report (`estimates`, at any sample count, with
+`velocity_ratio_max`, the largest |dmu/dt| / |mu|^3,
+`scalar_evolution_max_relerr`, the largest error of dR/dt against
+2 tr Ric^2 relative to it, `monotone_R_violation`, the largest drop of R
+relative to the larger |R| of its pair of samples, and `comparison_slack`,
+in units of the comparison solution over the samples with t > 0).
 
 Exit codes: 0 success, 1 verdict contradicts declared expectations,
 2 load/validation error, 3 integrator failure.
@@ -357,13 +359,7 @@ def run_scenario(scenario: Scenario, out_dir=".", base_opts: IntegratorOptions |
         report["verdict"] = _verdict_dict(traj)
         report["samples"] = traj.n_samples
         report["residual_rows"] = traj.residual_rows
-        try:
-            est = estimate_report(traj)
-        except ValueError as exc:
-            report["estimates"] = None
-            report["estimates_absent"] = str(exc)
-        else:
-            report["estimates"] = asdict(est)
+        report["estimates"] = asdict(estimate_report(traj))
 
         problems = []
         want_kind, want_time = scenario.expected.get(direction, (None, None))

@@ -133,37 +133,24 @@ def _c3_hyperbolic(lab: AcceptanceLab, check) -> str:
     return f"|Ric+2I|={dev:.1e}, alpha_est={alpha}"
 
 
-def _report_field(report, field: str, run: str, check) -> float | None:
-    """`field` of the estimate report that `report()` makes, or None where it cannot be read.
-
-    A report that cannot be read (too few samples, say) fails the check with
-    the run named.
-    """
-    try:
-        return getattr(report(), field)
-    except ValueError as exc:
-        check(False, f"{run}: {type(exc).__name__}: {exc}")
-        return None
-
-
-def _worst(lab: AcceptanceLab, field: str, check) -> tuple[float, str]:
-    """The largest `field` of the catalog runs' estimate reports (0.0 if none is positive), and its run.
-
-    A run whose report cannot be read fails the check, named, and the others
-    are still read.
-    """
+def _worst(lab: AcceptanceLab, field: str) -> tuple[float, str]:
+    """The largest `field` of the catalog runs' estimate reports (0.0 if none is positive), and its run."""
     worst, label = 0.0, ""
     for entry, direction, _ in lab.all_runs():
-        run = f"{entry.name}/{direction}"
-        value = _report_field(lambda: lab.report(entry.name, direction), field, run, check)
-        if value is not None and value > worst:
-            worst, label = value, run
+        value = getattr(lab.report(entry.name, direction), field)
+        if value > worst:
+            worst, label = value, f"{entry.name}/{direction}"
     return worst, label
 
 
 def _c4_scalar_evolution(lab: AcceptanceLab, check) -> str:
-    """dR/dt matches 2 tr Ric^2 within 1e-4 relative on every catalog run."""
-    worst, label = _worst(lab, "scalar_evolution_max_relerr", check)
+    """dR/dt matches 2 tr Ric^2 within 1e-4 relative at every sample of every catalog run.
+
+    dR/dt is read by the chain rule off each sample's state and the
+    derivative the run evaluated there (`flow.estimate_report`), so a run
+    whose vector field breaks the identity fails at any sample count.
+    """
+    worst, label = _worst(lab, "scalar_evolution_max_relerr")
     line = f"worst relative error {worst:.2e} ({label})"
     check(worst <= 1e-4, line)
     return line
@@ -171,20 +158,17 @@ def _c4_scalar_evolution(lab: AcceptanceLab, check) -> str:
 
 def _c5_monotonicity(lab: AcceptanceLab, check) -> str:
     """R never drops along any run; sign-flipped dynamics visibly fail."""
-    worst, label = _worst(lab, "monotone_R_violation", check)
+    worst, label = _worst(lab, "monotone_R_violation")
     check(worst <= 1e-9, f"worst violation {worst:.2e} ({label})")
     # mutation sensitivity: flipping the sign of the right-hand side (the
     # effect of a flipped Ricci or a flipped representation on su(2)) must
     # contradict both the singularity verdict and the monotonicity check.
     # The flow is autonomous, so the flipped flow run forward to 2 is the
-    # true flow run backward to -2, read with t negated.
+    # true flow run backward to -2, read with t and its derivatives negated.
     back = lab.timed_run("su2_round", "backward", 2.0)[0]
-    mutant = replace(back, direction="forward", t=-back.t)
+    mutant = replace(back, direction="forward", t=-back.t, rhs=[-dy for dy in back.rhs])
     check(mutant.verdict.kind != "blowup", "mutant unexpectedly still blows up")
-    run = "su2_round/forward sign-flipped mutant"
-    violation = _report_field(lambda: estimate_report(mutant), "monotone_R_violation", run, check)
-    if violation is None:
-        return ""  # failed, naming the mutant: the detail is the failures
+    violation = estimate_report(mutant).monotone_R_violation
     check(violation > 1e-3, f"mutant monotonicity violation only {violation:.2e}")
     return f"worst violation {worst:.2e}; sign-flipped mutant: verdict {mutant.verdict.kind}, violation {violation:.2e}"
 

@@ -6,10 +6,16 @@ makes each catalog run once, times its `integrate` call for the timed
 criteria (C1, C2) and keeps its estimate report, so the gate is fast.
 """
 
+import re
+
+import numpy as np
 import pytest
 
-from bracketflow import FlowError, IntegratorOptions, verify
+from bracketflow import FlowError, flow, verify
+from bracketflow.catalog import catalog_entries
 from bracketflow.verify import AcceptanceLab, criteria_ids, run_criterion
+
+from oracles import local_derivatives_polyfit
 
 
 @pytest.fixture(scope="module")
@@ -55,21 +61,39 @@ def test_verify_makes_each_run_and_each_estimate_report_once(monkeypatch, capsys
     assert calls == {"integrate": 18, "estimate_report": 17}
 
 
-def test_c5_checks_its_mutants_verdict_when_the_mutants_report_cannot_be_read(monkeypatch):
-    # at rel_tol 1e-6 the report of C5's mutant cannot be read (too few
-    # samples); a mutant that still blows up must fail the verdict check too,
-    # so the run the mutant is read off here is a blowup (su(2) forward) and
-    # its report is refused
-    lab = AcceptanceLab(IntegratorOptions(rel_tol=1e-6))
-    assert run_criterion(5, lab).detail.endswith(
-        "; su2_round/forward sign-flipped mutant: ValueError: need at least 20 samples for the estimate report, got 9"
-    )
-
-    def refused(traj):
-        raise ValueError(f"need at least 20 samples for the estimate report, got {traj.n_samples}")
-
+def test_c5_fails_a_mutant_that_still_blows_up():
+    # a mutant that still blows up must fail the verdict check, so the run
+    # the mutant is read off here is a blowup (su(2) forward)
+    lab = AcceptanceLab()
     lab._runs["su2_round", "backward", 2.0] = lab.timed_run("su2_round", "forward")
-    monkeypatch.setattr(verify, "estimate_report", refused)  # the catalog runs' reports are kept in the lab
-    *_, verdict, report = run_criterion(5, lab).detail.split("; ")
-    assert verdict == "mutant unexpectedly still blows up"
-    assert report.startswith("su2_round/forward sign-flipped mutant: ValueError: need at least 20 samples")
+    result = run_criterion(5, lab)
+    assert not result.passed
+    assert result.detail == "mutant unexpectedly still blows up"
+
+
+def test_a_wrong_vector_field_fails_c4_naming_the_run(monkeypatch):
+    # every derivative of every run scaled by 1 + 1e-3: each run follows the
+    # wrong field exactly, and C4 reads dR/dt off that field at each sample
+    rhs = flow._default_rhs_tensor
+
+    def scaled(y, table, scratch):
+        dy, r = rhs(y, table, scratch)
+        return dy * (1.0 + 1e-3), r
+
+    monkeypatch.setattr(flow, "_default_rhs_tensor", scaled)
+    result = run_criterion(4, AcceptanceLab())
+    assert not result.passed
+    assert re.fullmatch(r"worst relative error 1\.00e-03 \(\w+/(forward|backward)\)", result.detail)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in catalog_entries()])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_the_integrated_r_series_follows_the_evolution_identity(name, direction, lab):
+    # C4 reads dR/dt off each sample's own derivative; this reads it off the
+    # integrated series R(t), by a quartic through each five samples, and
+    # holds it to C4's bound, so that the runs are tested to follow their
+    # vector field
+    traj = lab.run(name, direction)
+    target = 2.0 * traj.tr_ric_sq[2:-2]
+    err = np.abs(local_derivatives_polyfit(traj.t, traj.scalar_R) - target)
+    assert np.all(err <= 1e-4 * target)

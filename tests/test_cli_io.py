@@ -1,13 +1,13 @@
 import json
 import re
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bracketflow import IntegratorOptions, Scenario, cli, flow, integrate, load_scenario, run_scenario
+from bracketflow import EstimateReport, IntegratorOptions, Scenario, cli, flow, integrate, load_scenario, run_scenario
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.cli import main
 from bracketflow.scenario import CSV_HEADER, ScenarioError, write_trajectory_csv
@@ -231,25 +231,24 @@ def test_run_scenario_writes_files_and_report(tmp_path):
     assert report["expectation_failures"] == []
 
 
-def test_run_scenario_report_without_estimates_has_no_lipschitz_ratio(tmp_path):
-    sc = load_scenario(
-        _write(
-            tmp_path,
-            "short.scn",
-            """
-            name = short
-            catalog = su2_round
-            direction = forward
-            horizon = 0.001
-            """,
-        )
+def test_cli_run_writes_every_estimate_of_a_short_run(tmp_path):
+    scn = _write(
+        tmp_path,
+        "short.scn",
+        """
+        name = short
+        catalog = su2_round
+        direction = forward
+        horizon = 0.001
+        """,
     )
-    code, _ = run_scenario(sc, tmp_path)
-    assert code == 0
+    assert main(["--out", str(tmp_path), "run", str(scn)]) == 0
     report = json.loads((tmp_path / "short_forward_report.json").read_text())
-    assert report["samples"] < 20
-    assert report["estimates"] is None and "estimates_absent" in report
-    assert "lipschitz_ratio_max" not in report
+    assert report["samples"] == 4
+    assert set(report["estimates"]) == {field.name for field in fields(EstimateReport)}
+    assert report["estimates"]["scalar_evolution_max_relerr"] <= 1e-15
+    assert report["estimates"]["comparison_slack"] is not None
+    assert "estimates_absent" not in report and "lipschitz_ratio_max" not in report
 
 
 def test_run_scenario_exit_1_on_contradiction(tmp_path):
@@ -492,21 +491,20 @@ def test_cli_verify_exit_zero_and_one_line_per_criterion(capsys):
 
 
 def test_cli_verify_failing_criteria_still_print_the_whole_table(capsys):
-    # at rel_tol 1e-6 four catalog runs have 16-19 samples, too few for the
-    # estimate report that C4 and C5 read, and C5's mutant has 9: they fail
-    # naming the error and each short run, with no traceback
+    # at rel_tol 1e-6 C2's forward R error and C8's su(2) gap exceed their
+    # accuracy bounds; the whole table prints, with no traceback, and no
+    # criterion reads a sample count (runs of 9 to 19 samples get every
+    # estimate)
     from bracketflow.verify import criteria_ids
 
     assert main(["--rel-tol", "1e-6", "verify"]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     assert [line[7:9] for line in lines[:-1]] == [f"{cid:>2}" for cid in criteria_ids()]
-    assert re.fullmatch(r"\d+/11 criteria passed, \d+ FAILED", lines[-1])
-    assert "ValueError: need at least 20 samples for the estimate report" in lines[3]
-    for line in lines[3:5]:
-        for run in ("heisenberg3/forward", "su2_round/backward", "nilpotent4/forward", "hyperbolic_plane/forward"):
-            assert f"{run}: ValueError: need at least 20 samples" in line
-    assert lines[4].endswith("; su2_round/forward sign-flipped mutant: ValueError: need at least 20 samples for the estimate report, got 9")
-    assert [line[1:5] for line in lines[:-1]].count("FAIL") == 4
+    assert lines[-1] == "9/11 criteria passed, 2 FAILED"
+    assert [line[1:9] for line in lines[:-1] if line.startswith("[FAIL]")] == ["FAIL]  2", "FAIL]  8"]
+    assert "forward R relative error" in lines[1] and "su2_round: invariant gap" in lines[7]
+    assert "Traceback" not in out and "sample" not in out
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ from bracketflow import algebra, curvature
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.verify import AcceptanceLab
 
-from oracles import local_derivatives_polyfit, milnor_singular_time, scipy_dense_solution
+from oracles import milnor_singular_time, scipy_dense_solution
 
 HEIS = get_entry("heisenberg3").bracket
 SU2 = get_entry("su2_round").bracket
@@ -423,6 +423,21 @@ def test_large_immortal_brackets_stay_immortal(mu, scale):
     # |mu| is large from the start, but R < 0 forward, so the stop rule never fires
     traj = integrate(scale_bracket(mu, scale), "forward", 10.0)
     assert traj.verdict.kind == "immortal" and traj.t[-1] == 10.0
+
+
+@pytest.mark.parametrize("k", [-200, 160, 200, 240])
+def test_the_monitors_series_keep_the_scale_rule_far_out(k):
+    # su(2) times 2^k over the horizon 2 / 4^k is k = 0's run rescaled.  The
+    # monitor takes |mu|^2 and |dmu/dt|^2 of its vectors divided by a power
+    # of 2, so they neither overflow (|dmu/dt|^2 grows as |mu|^6, past the
+    # float range from k = 160 on) nor underflow (at k = -200), and each
+    # series is exactly c, c^3 and c^4 times k = 0's.
+    c = 2.0**k
+    ref, traj = integrate(SU2, "forward", 2.0), integrate(scale_bracket(SU2, c), "forward", 2.0 / c**2)
+    assert traj.n_samples == ref.n_samples
+    assert np.array_equal(traj.mu_norm, ref.mu_norm * c)
+    assert np.array_equal(traj.rhs_norm, ref.rhs_norm * c**3)
+    assert np.array_equal(traj.tr_ric_sq, ref.tr_ric_sq * c**4)
 
 
 # The flat metric on E(2): [e3, e1] = e2 and [e3, e2] = -e1.  Ric = 0 at
@@ -822,28 +837,41 @@ def test_comparison_slack_shows_the_margin_of_sphere2_times_line():
     assert 5e-5 < estimate_report(traj).comparison_slack < 1e-4
 
 
-def test_estimate_report_needs_enough_samples(su2_forward):
-    import dataclasses
-
-    short = dataclasses.replace(
-        su2_forward,
-        t=su2_forward.t[:5],
-        mu_norm=su2_forward.mu_norm[:5],
-        scalar_R=su2_forward.scalar_R[:5],
-        tr_ric_sq=su2_forward.tr_ric_sq[:5],
-        rhs_norm=su2_forward.rhs_norm[:5],
-    )
-    with pytest.raises(ValueError, match="20 samples"):
-        estimate_report(short)
+@pytest.mark.parametrize(
+    "direction, horizon, rel_tol, samples", [("forward", 1e-3, 1e-10, 4), ("backward", 2.0, 1e-6, 9)]
+)
+def test_a_short_run_gets_a_report_with_every_field(direction, horizon, rel_tol, samples):
+    # dR/dt is read at each sample off its own derivative, so a run of a
+    # few samples gets the whole report: su(2) forward to 1e-3, and C5's
+    # run, su(2) backward to 2 at a loose tolerance.
+    traj = integrate(SU2, direction, horizon, IntegratorOptions(rel_tol=rel_tol))
+    assert traj.n_samples == samples and traj.verdict.kind == "immortal"
+    rep = estimate_report(traj)
+    assert rep.velocity_ratio_max == pytest.approx(1.0 / 12.0, rel=1e-10)
+    assert rep.scalar_evolution_max_relerr <= 1e-15
+    assert rep.monotone_R_violation == 0.0
+    assert rep.tail_norm_floor is None
+    if direction == "forward":
+        assert 0.0 <= rep.comparison_slack <= 1e-10
+    else:
+        assert rep.comparison_slack is None
 
 
 @pytest.mark.parametrize("fixture", ["su2_forward", "heis_backward"])
-def test_local_derivatives_match_polyfit_loop(fixture, request):
+def test_the_derivatives_and_norms_of_a_run_are_its_samples(fixture, request):
+    # one derivative per sample, the flow's RHS at that sample's state, in
+    # its layout; |mu| and |dmu/dt|, taken once per run, are the per-sample
+    # dots bit for bit
     traj = request.getfixturevalue(fixture)
-    got = flow._local_derivatives(traj.t, traj.scalar_R)
-    np.testing.assert_allclose(got, local_derivatives_polyfit(traj.t, traj.scalar_R), rtol=1e-10, atol=0)
-    # windows of equal times have no spread to fit and give 0
-    assert np.array_equal(flow._local_derivatives(np.ones(6), np.arange(6.0)), [0.0, 0.0])
+    states = traj.checkpoints._states
+    assert len(traj.rhs) == len(states) == traj.n_samples
+    for k in (0, 1, traj.n_samples - 1):
+        expected = bracket_flow_rhs(traj.checkpoints[k].mu).c.ravel()[flow._flow_table(traj.initial).upper]
+        assert np.array_equal(traj.rhs[k], expected)
+    assert traj.mu_norm.tolist() == [np.sqrt(2 * float(y.dot(y))) for y in states]
+    assert traj.rhs_norm.tolist() == [np.sqrt(2 * float(dy.dot(dy))) for dy in traj.rhs]
+    flat = integrate(FLAT, "forward", 5.0)
+    assert len(flat.rhs) == 33 and all(dy.shape == (0,) for dy in flat.rhs)
 
 
 def test_scalar_evolution_identity_near_start(su2_forward):
@@ -1082,15 +1110,19 @@ def test_sign_flipped_dynamics_contradict_su2_blowup(monkeypatch):
 
 def test_c5s_mutant_is_the_sign_flipped_flow(monkeypatch):
     # The flow is autonomous, so C5's mutant, su(2) run backward to -2 and
-    # read with t negated, is the flow with its RHS negated run forward to 2,
-    # bit for bit.
+    # read with t and its derivatives negated, is the flow with its RHS
+    # negated run forward to 2, bit for bit.  Its dR/dt is -2 tr Ric^2, so
+    # the evolution error reads 2.
     back = AcceptanceLab().timed_run("su2_round", "backward", 2.0)[0]
-    mutant = replace(back, direction="forward", t=-back.t)
+    mutant = replace(back, direction="forward", t=-back.t, rhs=[-dy for dy in back.rhs])
     _flip_the_flow(monkeypatch)
     run = integrate(SU2, "forward", 2.0)
     assert run.n_samples == 33
     assert np.array_equal(run.t, mutant.t) and np.array_equal(run.scalar_R, mutant.scalar_R)
-    assert estimate_report(run).monotone_R_violation == estimate_report(mutant).monotone_R_violation > 1e-3
+    assert all(np.array_equal(a, b) for a, b in zip(run.rhs, mutant.rhs, strict=True))
+    assert estimate_report(run) == estimate_report(mutant)
+    assert estimate_report(mutant).monotone_R_violation > 1e-3
+    assert estimate_report(mutant).scalar_evolution_max_relerr == pytest.approx(2.0, rel=1e-15)
     assert run.verdict.kind == mutant.verdict.kind == "immortal"
 
 
@@ -1102,10 +1134,10 @@ def test_mutant_diagnostics_are_bit_identical_under_power_of_2_rescaling(k):
     # drop relative to 1 + |R| its violation read 5.2e-8, 0.022 and 0.038 at
     # k = -10, 0 and 10: at k = -10 it would pass C5's 1e-3 as monotone.
     # The mutant is read as C5 reads it: the true flow run backward, with t
-    # negated.
+    # and its derivatives negated.
     def diagnostics(c):
         back = integrate(scale_bracket(SU2, c), "backward", 2.0 / c**2)
-        rep = estimate_report(replace(back, direction="forward", t=-back.t))
+        rep = estimate_report(replace(back, direction="forward", t=-back.t, rhs=[-dy for dy in back.rhs]))
         return rep.monotone_R_violation, rep.scalar_evolution_max_relerr
 
     ref = diagnostics(1.0)

@@ -1,6 +1,7 @@
 """`tools/run_digests.py` digests a run alike every time it makes it."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -79,3 +80,25 @@ def test_a_differing_pair_that_prints_floats_says_how_far_they_moved():
     assert diff[5] == "  gap absolute difference 2.5e-09"
     assert [text[0] for text in diff[6:]] == ["-", "+", "-", "+"]
     assert run_digests.printed_float(old[0]) == 1.0 and run_digests.printed_float(old[2]) is None
+
+
+def test_a_differing_cli_pair_says_which_output_moved(tmp_path):
+    # under a cli pair that differs: whether the CSV differs, and the
+    # report's keys whose values differ
+    old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+    for out_dir in (old_dir, new_dir):
+        out_dir.mkdir()
+        run = run_digests.workloads.CliRun(get_entry("su2_round"), "forward", out_dir)
+        first = run_digests.cli_line(run)
+    assert run_digests.output_changes(run, old_dir, new_dir) == []
+    report = json.loads(run.report.read_text())
+    report["estimates"]["scalar_evolution_max_relerr"] *= 2.0
+    run.report.write_text(json.dumps(report, indent=2) + "\n")
+    moved = ["  report differs in estimates.scalar_evolution_max_relerr"]
+    assert run_digests.output_changes(run, old_dir, new_dir) == moved
+    second = first[:-64] + "0" * 64
+    explain = lambda label: run_digests.output_changes(run, old_dir, new_dir)  # noqa: E731
+    assert run_digests.differing([first], [second], explain) == [f"- {first}", f"+ {second}", *moved]
+    csv = run.outputs[0]
+    csv.write_text(csv.read_text() + "\n")
+    assert run_digests.output_changes(run, old_dir, new_dir) == ["  CSV differs", *moved]

@@ -26,9 +26,12 @@ in, so a copy of it run in another checkout digests that one.  --against REV
 does that: it runs this file's own copy in a temporary `git worktree` of REV
 on the same groups, prints each line that differs (`-` REV's, `+` this
 checkout's; where both print a float, a third line with omega_est's
-relative or the gap's absolute difference) and a count of the identical
-ones, and exits 1 if any line differs.  The worktree is removed however
-the run ends.
+relative or the gap's absolute difference; under a cli pair, which of its
+outputs differ: the CSV, or the report's keys whose values differ, such as
+`estimates.scalar_evolution_max_relerr`) and a count of the identical ones,
+and exits 1 if any line differs.  The worktree is removed however the run
+ends.  --outputs DIR keeps the cli runs' CSV and report files in DIR, as
+--against does for both checkouts.
 
     python3 tools/run_digests.py --against HEAD~1 cli
 """
@@ -115,9 +118,14 @@ def gap_line(label: str, gap: float) -> str:
     return line(f"{label}/gap", repr(gap), "-", digest([gap]))
 
 
-def cli_lines(work_dir: Path):
+def cli_runs(work_dir: Path) -> list:
+    """The `workloads.CliRun`s of the cli group, writing under work_dir, sorted by label."""
     wl = workloads.build("catalog_cli", SEED, work_dir)
-    for run in sorted(wl.ops + wl.probes, key=lambda run: run.label):
+    return sorted(wl.ops + wl.probes, key=lambda run: run.label)
+
+
+def cli_lines(work_dir: Path):
+    for run in cli_runs(work_dir):
         yield cli_line(run)
 
 
@@ -142,9 +150,12 @@ def metric_lines(work_dir: Path):
 GROUPS = {"cli": cli_lines, "nilpotent": nilpotent_lines, "metric": metric_lines}
 
 
-def digest_lines(names) -> list[str]:
+def digest_lines(names, out_dir: Path | None = None) -> list[str]:
+    """The lines of the groups, the cli runs writing their files under out_dir (a temporary directory if None)."""
     with tempfile.TemporaryDirectory() as tmp:
-        return [text for name in names for text in GROUPS[name](Path(tmp))]
+        work = Path(out_dir or tmp)
+        work.mkdir(parents=True, exist_ok=True)
+        return [text for name in names for text in GROUPS[name](work)]
 
 
 def printed_float(text: str) -> float | None:
@@ -155,11 +166,54 @@ def printed_float(text: str) -> float | None:
         return None
 
 
-def differing(old: list[str], new: list[str]) -> list[str]:
+_MISSING = object()
+
+
+def _file_bytes(path: Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
+
+
+def _flat_json(path: Path) -> dict:
+    """The leaves of a JSON report by dotted key (`estimates.velocity_ratio_max`), {} where there is no file."""
+    if not path.exists():
+        return {}
+    out = {}
+
+    def walk(value, key):
+        if isinstance(value, dict) and value:
+            for k, v in value.items():
+                walk(v, f"{key}.{k}" if key else k)
+        else:
+            out[key] = value
+
+    walk(json.loads(path.read_text()), "")
+    return out
+
+
+def output_changes(run, old_dir: Path, new_dir: Path) -> list[str]:
+    """What differs between two checkouts' files of one cli run, written under old_dir and new_dir.
+
+    One line if the CSV's bytes differ, and one naming the report's keys
+    whose values differ; none where both files are alike.
+    """
+    csv, report = (path.name for path in run.outputs)
+    out = []
+    if _file_bytes(old_dir / csv) != _file_bytes(new_dir / csv):
+        out.append("  CSV differs")
+    a, b = _flat_json(old_dir / report), _flat_json(new_dir / report)
+    keys = [key for key in dict.fromkeys([*a, *b]) if a.get(key, _MISSING) != b.get(key, _MISSING)]
+    if keys:
+        out.append("  report differs in " + ", ".join(keys))
+    return out
+
+
+def differing(old: list[str], new: list[str], explain=None) -> list[str]:
     """The lines of two listings that differ, paired by label: `- ` the old line, then `+ ` the new one.
 
     Where both lines of a pair print a float, a third line gives how far it
-    moved: omega_est's relative difference, or a gap's absolute one.
+    moved: omega_est's relative difference, or a gap's absolute one.  Where
+    explain is given, explain(label) gives the lines printed under each
+    differing pair (`output_changes` for a cli run).
     """
     old_by, new_by = ({text.split(maxsplit=1)[0]: text for text in lines} for lines in (old, new))
     out = []
@@ -173,18 +227,24 @@ def differing(old: list[str], new: list[str]) -> list[str]:
                     out.append(f"  gap absolute difference {abs(y - x):.3g}")
                 else:
                     out.append(f"  omega relative difference {abs(y - x) / abs(x):.3g}")
+            if explain is not None:
+                out.extend(explain(label))
     return out
 
 
-def digest_lines_at(rev: str, names) -> list[str]:
-    """This file's lines for the groups as run on a temporary `git worktree` of rev, which is always removed."""
+def digest_lines_at(rev: str, names, out_dir: Path) -> list[str]:
+    """This file's lines for the groups as run on a temporary `git worktree` of rev, which is always removed.
+
+    The cli runs write their files under out_dir.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), rev], check=True)
         try:
             tool = tree / "tools" / Path(__file__).name
             shutil.copyfile(__file__, tool)
-            run = subprocess.run([sys.executable, str(tool), *names], capture_output=True, text=True, check=True)
+            argv = [sys.executable, str(tool), "--outputs", str(out_dir), *names]
+            run = subprocess.run(argv, capture_output=True, text=True, check=True)
             return run.stdout.splitlines()
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
@@ -193,6 +253,7 @@ def digest_lines_at(rev: str, names) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Print one digest line per reference run.")
     parser.add_argument("--against", metavar="REV", help="print only the lines that differ from REV's")
+    parser.add_argument("--outputs", metavar="DIR", type=Path, help="keep the cli runs' CSV and report files in DIR")
     parser.add_argument("groups", nargs="*", metavar="GROUP", help=f"one of {list(GROUPS)} (default: all)")
     args = parser.parse_args(argv)
     names = args.groups or list(GROUPS)
@@ -201,15 +262,18 @@ def main(argv=None) -> int:
         print(f"error: unknown group(s) {unknown}; choose from {list(GROUPS)}", file=sys.stderr)
         return 2
     if args.against is None:
-        print("\n".join(digest_lines(names)))
+        print("\n".join(digest_lines(names, args.outputs)))
         return 0
-    try:
-        old = digest_lines_at(args.against, names)
-    except subprocess.CalledProcessError as exc:
-        print(f"error: {exc}\n{exc.stderr or ''}", file=sys.stderr)
-        return 2
-    new = digest_lines(names)
-    diff = differing(old, new)
+    with tempfile.TemporaryDirectory() as tmp:
+        old_dir, new_dir = Path(tmp) / "old", Path(tmp) / "new"
+        try:
+            old = digest_lines_at(args.against, names, old_dir)
+        except subprocess.CalledProcessError as exc:
+            print(f"error: {exc}\n{exc.stderr or ''}", file=sys.stderr)
+            return 2
+        new = digest_lines(names, new_dir)
+        runs = {run.label: run for run in cli_runs(new_dir)} if "cli" in names else {}
+        diff = differing(old, new, lambda label: output_changes(runs[label], old_dir, new_dir) if label in runs else [])
     for text in diff:
         print(text)
     same = len(set(old) & set(new))
