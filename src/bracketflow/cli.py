@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -104,8 +103,6 @@ def _catalog_scenario(args) -> Scenario:
         raise ScenarioError(exc.args[0]) from exc
     direction = "backward" if args.backward else "forward"
     horizon = args.horizon if args.horizon is not None else entry.default_horizon[direction]
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ScenarioError(f"--horizon must be finite and positive, got {horizon}")
     return Scenario(
         name=entry.name,
         bracket=entry.bracket,

@@ -11,7 +11,8 @@ oracle (valid for q = 0, i.e. left-invariant metrics on Lie groups) provides
 an independent route to the same operator and is the ground truth the
 algebraic formula is validated against.
 
-`ricci_operator` reads Ric of a lone tensor through the fused GEMM kernel
+`ricci_operator` (and `metric_flow.metric_ricci`, of a lone pushed
+bracket) reads Ric of a lone tensor through the fused GEMM kernel
 `_ricci_gemm`, which gathers its operands through a read-only index plan,
 built once per (q, n) by `_ricci_plan`, and makes one matrix product for
 M - B/2.  A flow run reads Ric off the stacked table (below) of its

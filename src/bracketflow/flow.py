@@ -120,6 +120,10 @@ STOP_REL = 1e-9
 # The step budget of both flows: `_drive` raises FlowError when a run that
 # holds more samples than this would step again.
 MAX_STEPS = 200_000
+# The drift check's bound, each admissibility residual relative to |mu| to
+# its degree: `integrate` raises DriftError past max(DRIFT_TOL,
+# membership_tol), so a bracket admitted at membership_tol passes it at t = 0.
+DRIFT_TOL = 1e-6
 # The fewest tail samples `fit_power_blowup` accepts.
 MIN_TAIL_SAMPLES = 10
 # Tail diagnostics skip the samples with |omega_est - t| below this fraction
@@ -148,21 +152,18 @@ class IntegratorOptions:
     None of them sets the singularity verdict, whose stop rule is scale free
     (see `STOP_REL`), and the step control has no absolute knob: the
     stepper's absolute tolerance is rel_tol / 100 of the initial state's
-    norm (`_abs_tol`), and drift_tol and membership_tol, the admissibility
-    check of the initial bracket, bound residuals relative to |mu| to their
-    degree (`algebra._relative_residuals`), so the run of 2^k mu is admitted
-    with mu and takes its steps bit for bit.  Construction raises
-    ValueError unless every float field is a finite positive number and
-    collect_dense a bool; a bool in a numeric field is refused, not read as
-    0 or 1.  It also refuses membership_tol above drift_tol, naming both:
-    the drift check reads the admissibility residuals, not their change, so
-    a bracket admitted above drift_tol would fail it at its first step
-    although nothing moved.  The step budget is not an option but the
-    module constant `MAX_STEPS`.
+    norm (`_abs_tol`), and membership_tol, the admissibility check of the
+    initial bracket, bounds residuals relative to |mu| to their degree
+    (`algebra._relative_residuals`), so the run of 2^k mu is admitted with
+    mu and takes its steps bit for bit.  Construction raises ValueError
+    unless every float field is a finite positive number and collect_dense
+    a bool; a bool in a numeric field is refused, not read as 0 or 1.
+    Neither the drift check's bound nor the step budget is an option: the
+    bound is max(`DRIFT_TOL`, membership_tol), which an admitted bracket
+    meets at its first step, and the budget is `MAX_STEPS`.
     """
 
     rel_tol: float = 1e-10
-    drift_tol: float = 1e-6
     membership_tol: float = DEFAULT_TOL
     collect_dense: bool = False
 
@@ -173,8 +174,6 @@ class IntegratorOptions:
                 raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
         if not _is_bool(self.collect_dense):
             raise ValueError(f"collect_dense must be a bool, got {self.collect_dense!r}")
-        if self.membership_tol > self.drift_tol:
-            raise ValueError(f"membership_tol {self.membership_tol!r} exceeds drift_tol {self.drift_tol!r}")
 
 
 def _is_bool(value) -> bool:
@@ -443,7 +442,8 @@ def integrate(
         NotInVarietyError: the initial bracket fails admissibility at
             `opts.membership_tol`.
         StiffnessError: step size underflowed before the stop rule fired.
-        DriftError: admissibility residuals exceeded `opts.drift_tol`.
+        DriftError: admissibility residuals exceeded max(`DRIFT_TOL`,
+            `opts.membership_tol`).
         FlowError: the step budget `MAX_STEPS` was exhausted.
     """
     opts = opts or IntegratorOptions()
@@ -479,6 +479,7 @@ def integrate(
             return _default_rhs_tensor(y, table, scratch)[0]
 
         checked = forms.rows > 0
+        drift_tol = max(DRIFT_TOL, opts.membership_tol)
 
         def sample(t, y):
             # The monitor, at t = 0 too, where the state is already admitted
@@ -493,8 +494,8 @@ def integrate(
             if checked:
                 jac, h1, h3 = forms.residuals(y)
                 drift = max(_relative_residuals(jac, h1, h3, 2 * float(y.dot(y))))
-                if drift > opts.drift_tol:
-                    raise DriftError(f"admissibility drift {drift:.3e} exceeds {opts.drift_tol:.1e} at t = {t}")
+                if drift > drift_tol:
+                    raise DriftError(f"admissibility drift {drift:.3e} exceeds {drift_tol:.1e} at t = {t}")
             rows.extend((jac, h1, h3))
             derivs.append(dy)
             return r[table.sym]
@@ -755,8 +756,10 @@ class EstimateReport:
 
     velocity_ratio_max bounds |dmu/dt| / |mu|^3; tail_norm_floor is the observed
     minimum of |omega_est - t|^(1/2) |mu(t)| over the resolved blowup tail
-    (see `_resolved_tail`; None when the run is not a blowup or no tail
-    sample is resolved); scalar_evolution_max_relerr is the largest
+    (see `_resolved_tail`; None when the run is not a blowup, no tail
+    sample is resolved, or the bracket has isotropy: at q > 0 |mu| grows
+    like |omega - t|^-1, so the minimum falls on the first tail sample and
+    measures nothing); scalar_evolution_max_relerr is the largest
     |dR/dt - 2 tr Ric^2| / (2 tr Ric^2) over the samples, dR/dt read at each
     sample off its state and the derivative the monitor evaluated there
     (`Trajectory.rhs`) through the support's Ricci form
@@ -794,7 +797,7 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
     monotone = float(max(0.0, np.max(drops)))
 
     floor = None
-    if traj.verdict.kind == "blowup":
+    if traj.verdict.kind == "blowup" and traj.dims.q == 0:
         tail = _resolved_tail(traj)
         if len(tail):
             vals = np.sqrt(np.abs(traj.verdict.omega_est - traj.t[tail])) * traj.mu_norm[tail]

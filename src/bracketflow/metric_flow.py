@@ -165,8 +165,8 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray) -> tuple[np.ndarray, float]:
 
     The operator L^-1 Ric_{L.mu0} L does not depend on the factor L of
     P = L^T L; it is computed with the Cholesky factor, and Ric_{L.mu0}
-    through the table that a run from P holds, so that it equals a run's
-    sample at P bit for bit.
+    with the GEMM kernel (`curvature._ricci_gemm`), as a lone tensor's is
+    (`curvature.ricci_operator`): a run's table would be built for one call.
 
     Args:
         mu0: fixed bracket with q = 0.
@@ -180,26 +180,24 @@ def metric_ricci(mu0: LieBracket, p: np.ndarray) -> tuple[np.ndarray, float]:
         NonSPDError: when `p` is not positive-definite or has a non-finite
             entry.
     """
-    ric, ell = _pushed_ric(mu0, _sym(_metric_matrix(mu0, p)))
+    ell, ell_inv = _factor(_sym(_metric_matrix(mu0, p)))
+    ric = _ricci_gemm(_transform_tensor(mu0.c, ell, ell_inv), 0)
     return np.linalg.solve(ell, ric @ ell), float(ric.trace())
 
 
-def _pushed_ric(mu0: LieBracket, p: np.ndarray, kernel: _PushKernel | None = None):
+def _pushed_ric(mu0: LieBracket, p: np.ndarray, kernel: _PushKernel):
     # Internal, and called by this name so that flowbench can trace it.
     # Returns (ric, L): Ric_{L.mu0} of the pushed bracket (symmetric, same
     # spectrum as RicOp(P) = L^-1 ric L) and the factor L of P = L^T L, with
     # which the flow's RHS is -2 P RicOp(P) = -2 L^T ric L.  Callers that
     # read R take the trace themselves; the RK stages do not.
     # L^-1 enters only the push and comes with L from `_factor`, so nothing
-    # here solves or inverts.  `kernel` pushes mu0 onto the state u on a
-    # support that holds L.mu0 and reads Ric off u through that support's
-    # table (`_PushKernel`); when None, the kernel a run from p holds.  p
-    # is read through its upper triangle only (dpotrf), so the caller
-    # symmetrizes a matrix that is not exactly symmetric.  May raise
-    # NonSPDError.
+    # here solves or inverts.  `kernel`, the run's, pushes mu0 onto the
+    # state u on a support that holds L.mu0 and reads Ric off u through
+    # that support's table (`_PushKernel`).  p is read through its upper
+    # triangle only (dpotrf), so the caller symmetrizes a matrix that is not
+    # exactly symmetric.  May raise NonSPDError.
     ell, ell_inv = _factor(p)
-    if kernel is None:
-        kernel = _push_kernel(mu0, p)
     return _ricci_from_state(kernel.push(ell, ell_inv), kernel.table), ell
 
 

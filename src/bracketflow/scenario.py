@@ -12,9 +12,7 @@ initial data is either a catalog reference or inline structure constants:
     n = 3
     bracket = (1,2,3, 1.0) (2,3,1, 1.0) (3,1,2, 1.0)   # 1-indexed (i,j,k,value)
 
-    rel_tol = 1e-10                 # integrator overrides, all optional:
-    drift_tol = 1e-6                # rel_tol and drift_tol
-    sample_stride = 1
+    rel_tol = 1e-10                 # integrator override, optional
     validation_tol = 1e-10          # membership tolerance, see below
     expect_forward = blowup         # optional expectations: immortal |
     expect_omega = 1.0              # blowup | flat, and singular times
@@ -33,26 +31,27 @@ one, so `catalog run` passes an entry's expectation as it is.
 `validation_tol` is the one membership tolerance: it sets
 `IntegratorOptions.membership_tol`, so loading and integrating accept the
 same brackets, and it bounds each residual relative to |mu| to its degree.
-Every value is checked as it is read, and a bad one is rejected naming its
-line: `name`, which prefixes the output files, must hold no path
-separator, a bracket value must be finite, `direction` one of forward,
-backward or both, `horizon` finite and positive, `sample_stride` an int
->= 1, `expect_forward` and `expect_backward` a verdict kind, `expect_tol`
-finite and positive, `expect_omega` and `expect_alpha` finite.  The
-integrator overrides are checked together once every key is read, since
-`validation_tol` may not exceed `drift_tol` (default 1e-6): the drift check
-would refuse the admitted bracket at its first step.  A key may be
-given once, and any other key is rejected as unknown (so is `abs_tol`: the
-step control's absolute floor follows the initial bracket's norm, see
-`flow.IntegratorOptions`; and so is `max_steps`: the step budget is
-`flow.MAX_STEPS`); a file must be UTF-8 text.
+The drift check's bound is max(`flow.DRIFT_TOL`, validation_tol), so an
+admitted bracket passes it at its first step.  Every value is checked as
+it is read, and a bad one is rejected naming its line: `name`, which
+prefixes the output files, must hold no path separator, a bracket value
+must be finite, `direction` one of forward, backward or both, `horizon`,
+`rel_tol` and `validation_tol` finite and positive, `expect_forward` and
+`expect_backward` a verdict kind, `expect_tol` finite and positive,
+`expect_omega` and `expect_alpha` finite.  A key may be given once, and
+any other key is rejected as unknown (so is `abs_tol`: the step control's
+absolute floor follows the initial bracket's norm, see
+`flow.IntegratorOptions`; `max_steps`: the step budget is
+`flow.MAX_STEPS`; `drift_tol`: the drift bound follows validation_tol; and
+`sample_stride`: the CSV holds every sample); a file must be UTF-8 text.
+A `Scenario` built in Python is checked at construction the same way.
 
-Running a scenario writes, per direction, a CSV trajectory table with
-header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15 significant
-digits per value) and a JSON report with the verdict, the singular-time
-estimate `omega_est`, the ends of its enclosure (`t_stop`, the time of the
-last sample, and `far_one_sided_bound`, the far comparison bound),
-`residual_rows` (`Trajectory.residual_rows`: the residual rows the drift
+Running a scenario writes, per direction, a CSV trajectory table of every
+sample with header ``t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual`` (>= 15
+significant digits per value) and a JSON report with the verdict, the
+singular-time estimate `omega_est`, the ends of its enclosure (`t_stop`,
+the time of the last sample, and `far_one_sided_bound`, the far comparison
+bound), `residual_rows` (`Trajectory.residual_rows`: the residual rows the drift
 check read per step, 0 for a vacuous check, never null) and the full
 estimate report (`estimates`, at any sample count, with
 `velocity_ratio_max`, the largest |dmu/dt| / |mu|^3,
@@ -78,17 +77,11 @@ import numpy as np
 
 from .algebra import LieBracket, NotInVarietyError, check_conditions
 from .catalog import get_entry
-from .flow import FlowError, IntegratorOptions, Trajectory, estimate_report, integrate
+from .flow import FlowError, IntegratorOptions, Trajectory, _end_time, estimate_report, integrate
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "run_scenario", "write_trajectory_csv"]
 
 CSV_HEADER = "t,mu_norm,scalar_R,tr_ric_sq,jacobi_residual"
-
-_OPTS_KEYS = {
-    "rel_tol": float,
-    "drift_tol": float,
-    "validation_tol": float,
-}
 
 
 class ScenarioError(ValueError):
@@ -100,14 +93,18 @@ class Scenario:
     """A loaded scenario: the bracket it runs and how to run and check it.
 
     name prefixes the files `run_scenario` writes, so it may hold no path
-    separator: one that does raises ScenarioError, for a file's scenario
-    and for one built in Python alike (a Scenario is frozen, so the name
-    cannot be changed after that check).
+    separator.
     source is the catalog entry's name, or "inline", as the report gives it.
     expected maps a direction to (kind | None, time | None), the shape of
     `CatalogEntry.expected`: the verdict kind and the singular time (omega
     forward, alpha backward) that run must give, time within expect_tol.
     overrides are the `IntegratorOptions` fields the file sets.
+    Construction raises ScenarioError on a bad value, for a file's scenario
+    and for one built in Python alike (a Scenario is frozen, so no value
+    can change after that check): a name with a path separator, a direction
+    or horizon that `flow._end_time` refuses, overrides that
+    `IntegratorOptions` refuses, or an expect_tol that is not finite and
+    positive.
     """
 
     name: str
@@ -116,7 +113,6 @@ class Scenario:
     directions: tuple = ("forward",)
     horizon: float = 10.0
     overrides: dict = field(default_factory=dict)
-    sample_stride: int = 1
     h2_note: str = ""
     expected: dict = field(default_factory=dict)
     expect_tol: float = 1e-3
@@ -126,6 +122,14 @@ class Scenario:
             _file_stem(self.name)
         except ValueError as exc:
             raise ScenarioError(f"bad scenario name: {exc}") from exc
+        try:
+            for direction in self.directions:
+                _end_time(direction, self.horizon)
+            self.options()
+            if not (math.isfinite(self.expect_tol) and self.expect_tol > 0):
+                raise ValueError(f"expect_tol must be finite and positive, got {self.expect_tol!r}")
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"bad scenario {self.name!r}: {exc}") from exc
 
     def options(self, base: IntegratorOptions | None = None) -> IntegratorOptions:
         return replace(base or IntegratorOptions(), **self.overrides)
@@ -144,13 +148,6 @@ def _positive_finite(value: str) -> float:
     if not x > 0:
         raise ValueError(f"must be positive, got {value}")
     return x
-
-
-def _positive_int(value: str) -> int:
-    k = int(value)
-    if k < 1:
-        raise ValueError(f"must be an int >= 1, got {value}")
-    return k
 
 
 def _file_stem(value: str) -> str:
@@ -241,24 +238,10 @@ def load_scenario(path) -> Scenario:
         triples = _parse_triples(value, str(path), bracket_line)
     directions = take("direction", _directions, ("forward",))
     horizon = take("horizon", _positive_finite, 10.0)
-    sample_stride = take("sample_stride", _positive_int, 1)
     h2_note = take("h2_note", str, "")
-    overrides = {}
-    given = {}
-    for key, conv in _OPTS_KEYS.items():
-        # validation_tol is the file's name for the membership tolerance
-        option = "membership_tol" if key == "validation_tol" else key
-        if key in raw:
-            given[option] = (key, raw[key][1])
-        val = take(key, conv)
-        if val is not None:
-            overrides[option] = val
-    try:
-        opts = replace(IntegratorOptions(), **overrides)
-    except ValueError as exc:
-        # IntegratorOptions names the fields it refuses: name the first line that gave one
-        key, lineno = next(given[option] for option in given if option in str(exc))
-        raise ScenarioError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    # validation_tol is the file's name for the membership tolerance
+    tols = {"rel_tol": take("rel_tol", _positive_finite), "membership_tol": take("validation_tol", _positive_finite)}
+    overrides = {option: value for option, value in tols.items() if value is not None}
     kinds = [take(f"expect_{direction}", _verdict_kind) for direction in ("forward", "backward")]
     times = [take("expect_omega", _finite), take("expect_alpha", _finite)]
     expected = {
@@ -287,27 +270,22 @@ def load_scenario(path) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{path}:{bracket_line}: {exc}") from exc
         try:
-            check_conditions(mu).require(opts.membership_tol)
+            check_conditions(mu).require(IntegratorOptions(**overrides).membership_tol)
         except NotInVarietyError as exc:
             raise ScenarioError(f"{path}:{bracket_line}: inline bracket rejected: {exc}") from exc
-    return Scenario(
-        name, mu, catalog or "inline", directions, horizon, overrides, sample_stride, h2_note, expected, expect_tol
-    )
+    return Scenario(name, mu, catalog or "inline", directions, horizon, overrides, h2_note, expected, expect_tol)
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path, stride: int = 1) -> None:
-    """Write the sampled scalar series; the printed precision round-trips doubles.
+def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+    """Write the scalar series of every sample; the printed precision round-trips doubles.
 
     Every value is printed as format(x, ".17g"), through one %-template
     for the whole file.
     """
-    rows = list(range(0, traj.n_samples, max(1, stride)))
-    if rows[-1] != traj.n_samples - 1:
-        rows.append(traj.n_samples - 1)
     series = (traj.t, traj.mu_norm, traj.scalar_R, traj.tr_ric_sq, traj.jacobi_residual)
-    values = np.column_stack(series)[rows].ravel().tolist()
+    values = np.column_stack(series).ravel().tolist()
     template = "\n" + ",".join(["%.17g"] * len(series))
-    path.write_text(CSV_HEADER + (template * len(rows)) % tuple(values) + "\n")
+    path.write_text(CSV_HEADER + (template * traj.n_samples) % tuple(values) + "\n")
 
 
 def _verdict_dict(traj: Trajectory) -> dict:
@@ -353,7 +331,7 @@ def run_scenario(scenario: Scenario, out_dir=".", base_opts: IntegratorOptions |
             continue
 
         csv_path = base.parent / (base.name + ".csv")
-        write_trajectory_csv(traj, csv_path, scenario.sample_stride)
+        write_trajectory_csv(traj, csv_path)
         written.append(csv_path)
 
         report["verdict"] = _verdict_dict(traj)

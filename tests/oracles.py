@@ -211,7 +211,8 @@ def equivalence_gap_loop(mu0, horizon: float) -> float:
     for t in grid:
         ric_b = _ricci_gemm(bt.dense(t).reshape(mu0.c.shape), 0)
         eig_b = np.sort(np.linalg.eigvalsh(ric_b))
-        ric_m = metric_flow._pushed_ric(mu0, mt.dense(t).reshape(n, n))[0]
+        p = mt.dense(t).reshape(n, n)
+        ric_m = metric_flow._pushed_ric(mu0, p, metric_flow._push_kernel(mu0, p))[0]
         eig_m = np.sort(np.linalg.eigvalsh(ric_m))
         r_b, r_m = np.trace(ric_b), np.trace(ric_m)
         scale = np.sqrt(n) * max(np.linalg.norm(ric_b), np.linalg.norm(ric_m))
@@ -369,15 +370,12 @@ def polarized_jacobi(d: int, support: tuple) -> tuple[np.ndarray, ...]:
     return polar_form(_jacobi_triples, support_basis(d, sel), np.argwhere(np.triu(chain | chain.T)).tolist())
 
 
-def trajectory_csv_per_value(traj, stride: int = 1) -> str:
+def trajectory_csv_per_value(traj) -> str:
     """The trajectory CSV as the writer made it before its one-template form: one format(x, ".17g") per value."""
     from bracketflow.scenario import CSV_HEADER
 
-    rows = list(range(0, traj.n_samples, max(1, stride)))
-    if rows[-1] != traj.n_samples - 1:
-        rows.append(traj.n_samples - 1)
     lines = [CSV_HEADER]
-    for k in rows:
+    for k in range(traj.n_samples):
         values = (traj.t[k], traj.mu_norm[k], traj.scalar_R[k], traj.tr_ric_sq[k], traj.jacobi_residual[k])
         lines.append(",".join(format(float(v), ".17g") for v in values))
     return "\n".join(lines) + "\n"

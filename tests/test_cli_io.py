@@ -101,12 +101,12 @@ def test_load_integrator_overrides(tmp_path):
         """
         catalog = heisenberg3
         rel_tol = 1e-8
-        drift_tol = 1e-5
+        validation_tol = 1e-5
         """,
     )
     sc = load_scenario(path)
     # the keys not given keep their defaults
-    assert sc.options() == IntegratorOptions(rel_tol=1e-8, drift_tol=1e-5)
+    assert sc.options() == IntegratorOptions(rel_tol=1e-8, membership_tol=1e-5)
 
 
 @pytest.mark.parametrize("horizon", ["0", "-1", "nan", "inf"])
@@ -164,16 +164,7 @@ def test_csv_flat_zero_columns(tmp_path):
     assert np.all(rows[:, 1:] == 0.0)
 
 
-def test_csv_stride_keeps_last_row(tmp_path):
-    traj = integrate(get_entry("heisenberg3").bracket, "forward", 10.0)
-    path = tmp_path / "h.csv"
-    write_trajectory_csv(traj, path, stride=7)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows[-1, 0] == traj.t[-1]
-
-
-@pytest.mark.parametrize("stride", [1, 7])
-def test_csv_is_byte_identical_to_the_per_value_writer(tmp_path, stride):
+def test_csv_is_byte_identical_to_the_per_value_writer(tmp_path):
     # the 16 catalog runs, and a run whose series hold inf, nan and -0.0
     trajs = [
         integrate(entry.bracket, direction, entry.default_horizon[direction])
@@ -186,8 +177,8 @@ def test_csv_is_byte_identical_to_the_per_value_writer(tmp_path, stride):
     assert len(trajs) == 17
     path = tmp_path / "run.csv"
     for traj in trajs:
-        write_trajectory_csv(traj, path, stride=stride)
-        assert path.read_bytes() == trajectory_csv_per_value(traj, stride).encode()
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == trajectory_csv_per_value(traj).encode()
 
 
 # --- run_scenario and exit codes ---------------------------------------------
@@ -310,6 +301,16 @@ def test_backward_scenario_report(tmp_path):
     assert abs(report["verdict"]["omega_est"] + 1.0 / 3.0) < 1e-3
 
 
+@pytest.mark.parametrize("name", ["sphere2_su2", "sphere2_times_line"])
+def test_report_has_no_tail_norm_floor_with_isotropy(tmp_path, name):
+    # (omega - t)^(1/2) |mu| is the q = 0 rate; at q > 0 |mu| grows like
+    # (omega - t)^-1, so its minimum falls on the first tail sample
+    assert main(["--out", str(tmp_path), "catalog", "run", name]) == 0
+    report = json.loads((tmp_path / f"{name}_forward_report.json").read_text())
+    assert report["verdict"]["kind"] == "blowup"
+    assert report["estimates"]["tail_norm_floor"] is None
+
+
 # --- CLI entry points --------------------------------------------------------
 
 def test_cli_catalog_list(capsys):
@@ -413,24 +414,32 @@ def test_cli_bad_integrator_flag_exit_2(tmp_path, capsys, flag, value):
 
 
 def test_load_rejects_integrator_key_out_of_range_naming_file_and_key(tmp_path):
-    for key in ("rel_tol", "drift_tol"):
+    for key in ("rel_tol", "validation_tol"):
         scn = _write(tmp_path, "neg.scn", f"catalog = su2_round\n{key} = -1\n")
         with pytest.raises(ScenarioError, match=rf"neg\.scn:2: bad value for {key}"):
             load_scenario(scn)
 
 
-def test_load_rejects_validation_tol_above_drift_tol_once_every_key_is_read(tmp_path, capsys):
-    # a bracket admitted above drift_tol would fail the drift check at its
-    # first step; drift_tol given after validation_tol still counts
-    scn = _write(tmp_path, "pair.scn", "catalog = su2_round\nvalidation_tol = 1e-4\n")
-    with pytest.raises(ScenarioError, match=r"pair\.scn:2: bad value for validation_tol: .*membership_tol.*drift_tol"):
-        load_scenario(scn)
+def test_a_bracket_admitted_above_the_default_drift_bound_runs_both_ways(tmp_path):
+    # The Jacobi residual of heisenberg3 plus (2, 3, 2, 1e-5) is 5.0e-6
+    # relative to |mu|^2, above flow.DRIFT_TOL: admitted at validation_tol,
+    # the run's drift bound is validation_tol, so it passes the check at its
+    # first step, and its drift stays under it to the horizon
+    scn = _write(
+        tmp_path,
+        "leaky.scn",
+        "q = 0\nn = 3\nbracket = (1, 2, 3, 1.0) (2, 3, 2, 1e-5)\ndirection = both\nvalidation_tol = 1e-4\n",
+    )
+    sc = load_scenario(scn)
+    assert sc.options() == IntegratorOptions(membership_tol=1e-4)
     out = tmp_path / "out"
-    assert main(["--out", str(out), "run", str(scn)]) == 2
-    assert "pair.scn:2: bad value for validation_tol" in capsys.readouterr().err
-    assert not out.exists()
-    scn = _write(tmp_path, "pair.scn", "catalog = su2_round\nvalidation_tol = 1e-4\ndrift_tol = 1e-3\n")
-    assert load_scenario(scn).options() == IntegratorOptions(membership_tol=1e-4, drift_tol=1e-3)
+    assert main(["--out", str(out), "run", str(scn)]) == 0
+    kinds = {d: json.loads((out / f"leaky_{d}_report.json").read_text())["verdict"]["kind"] for d in sc.directions}
+    assert kinds == {"forward": "immortal", "backward": "blowup"}
+    rows = np.loadtxt(out / "leaky_forward.csv", delimiter=",", skiprows=1)
+    drift = rows[:, 4] / rows[:, 1] ** 2
+    assert drift[0] == pytest.approx(5.0e-6, rel=1e-3) and flow.DRIFT_TOL < drift[0]
+    assert np.max(drift) == pytest.approx(4.9e-5, rel=0.01)
 
 
 @pytest.mark.parametrize("args", [["--abs-tol", "1e-12"], ["--abs-tol=1e-12"]])
@@ -443,24 +452,19 @@ def test_cli_abs_tol_flag_is_a_usage_error(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
-def test_scenario_abs_tol_key_is_unknown_and_run_exits_2(tmp_path, capsys):
-    scn = _write(tmp_path, "atol.scn", "catalog = su2_round\nabs_tol = 1e-12\n")
-    with pytest.raises(ScenarioError, match=r"atol\.scn:2: unknown key 'abs_tol'"):
+# The retired keys: the step control's absolute floor follows the initial
+# bracket's norm, the step budget is flow.MAX_STEPS, the drift bound is
+# max(flow.DRIFT_TOL, validation_tol), and the CSV holds every sample.
+@pytest.mark.parametrize(
+    "key, value", [("abs_tol", "1e-12"), ("max_steps", "1000"), ("drift_tol", "1e-5"), ("sample_stride", "7")]
+)
+def test_a_retired_scenario_key_is_unknown_and_run_exits_2(tmp_path, capsys, key, value):
+    scn = _write(tmp_path, "retired.scn", f"catalog = su2_round\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=rf"retired\.scn:2: unknown key '{key}'"):
         load_scenario(scn)
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", str(scn)]) == 2
-    assert "atol.scn:2: unknown key 'abs_tol'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_scenario_max_steps_key_is_unknown_and_run_exits_2(tmp_path, capsys):
-    # the step budget is the module constant flow.MAX_STEPS, not an option
-    scn = _write(tmp_path, "budget.scn", "catalog = su2_round\nmax_steps = 1000\n")
-    with pytest.raises(ScenarioError, match=r"budget\.scn:2: unknown key 'max_steps'"):
-        load_scenario(scn)
-    out = tmp_path / "out"
-    assert main(["--out", str(out), "run", str(scn)]) == 2
-    assert "budget.scn:2: unknown key 'max_steps'" in capsys.readouterr().err
+    assert f"retired.scn:2: unknown key '{key}'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -528,17 +532,6 @@ def test_cli_nan_expect_tol_no_longer_passes_a_wrong_singular_time(tmp_path):
     assert main(["--out", str(tmp_path), "run", str(scn)]) == 2
     scn.write_text("catalog = su2_round\nhorizon = 2.0\nexpect_omega = 5.0\nexpect_tol = 1e-3\n")
     assert main(["--out", str(tmp_path), "run", str(scn)]) == 1
-
-
-@pytest.mark.parametrize("value", ["-3", "0", "1.5", "two"])
-def test_load_rejects_sample_stride_below_one_or_not_an_int(tmp_path, value):
-    scn = _write(tmp_path, "stride.scn", f"catalog = su2_round\nsample_stride = {value}\n")
-    with pytest.raises(ScenarioError, match=r"stride\.scn:2: bad value for sample_stride"):
-        load_scenario(scn)
-
-
-def test_load_keeps_a_valid_sample_stride(tmp_path):
-    assert load_scenario(_write(tmp_path, "ok.scn", "catalog = su2_round\nsample_stride = 7\n")).sample_stride == 7
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -633,3 +626,23 @@ def test_name_with_a_path_separator_is_refused_before_anything_is_written(tmp_pa
     with pytest.raises(FrozenInstanceError):
         su2.name = name
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sep.scn"]
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("horizon", -1.0, "horizon"),
+        ("horizon", float("nan"), "horizon"),
+        ("directions", ("sideways",), "direction"),
+        ("overrides", {"abs_tol": 1e-9}, "abs_tol"),
+        ("overrides", {"rel_tol": -1.0}, "rel_tol"),
+        ("expect_tol", -1.0, "expect_tol"),
+        ("expect_tol", float("nan"), "expect_tol"),
+    ],
+)
+def test_a_scenario_built_in_python_is_checked_as_a_files_is(field, value, named):
+    # refused at construction, as a file's line is at load, so that no run
+    # makes out_dir, raises a bare ValueError or TypeError from the
+    # integrator, or (expect_tol = -1) exits 1 having met its expectation
+    with pytest.raises(ScenarioError, match=rf"bad scenario 'su2': .*{named}"):
+        Scenario(**{"name": "su2", "bracket": get_entry("su2_round").bracket, "horizon": 2.0, field: value})

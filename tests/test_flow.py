@@ -177,6 +177,12 @@ def test_verdict_has_three_fields_read_at_the_stop_sample():
     assert [f.name for f in fields(Verdict)] == ["kind", "omega_est", "far_bound"]
 
 
+def test_integrator_options_are_two_tolerances_and_dense_output():
+    # the drift bound and the step budget are module constants, not options
+    assert [f.name for f in fields(IntegratorOptions)] == ["rel_tol", "membership_tol", "collect_dense"]
+    assert (flow.DRIFT_TOL, flow.MAX_STEPS) == (1e-6, 200_000)
+
+
 def test_both_flows_take_their_verdict_from_drive_once_per_run(monkeypatch):
     callers = []
     verdict = flow._verdict
@@ -248,10 +254,8 @@ def test_integrate_rejects_horizon_that_is_not_finite_and_positive(horizon):
     [
         {"rel_tol": float("nan")},
         {"rel_tol": -1.0},
-        {"drift_tol": 0.0},
+        {"membership_tol": 0.0},
         {"membership_tol": float("inf")},
-        # a bracket admitted above drift_tol would fail the drift check at its first step
-        {"membership_tol": 1e-5, "drift_tol": 1e-6},
     ],
     ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
 )
@@ -266,8 +270,8 @@ def test_integrator_options_reject_out_of_range_values(bad):
     "bad",
     [
         {"rel_tol": True},
-        {"drift_tol": False},
-        {"drift_tol": np.True_},
+        {"membership_tol": False},
+        {"membership_tol": np.True_},
         {"collect_dense": "no"},
         {"collect_dense": 1},
     ],
@@ -372,16 +376,17 @@ def test_stiffness_failure_when_blowup_has_the_wrong_sign(monkeypatch):
 
 def test_drift_failure_detected_with_broken_dynamics(monkeypatch):
     # push the state off the admissible brackets along an entry that an h3 row reads
+    # the bound is read when the run starts, max(DRIFT_TOL, membership_tol)
     _leak_into_h3(monkeypatch)[0] = 1e-3
-    opts = IntegratorOptions(drift_tol=1e-10)
-    with pytest.raises(DriftError):
-        integrate(SPHERE, "forward", 1.0, opts)
+    monkeypatch.setattr(flow, "DRIFT_TOL", 1e-10)
+    with pytest.raises(DriftError, match=r"exceeds 1\.0e-10"):
+        integrate(SPHERE, "forward", 1.0)
 
 
 def test_drift_failure_detected_on_the_table_path(monkeypatch):
     # A random bracket is far from the Jacobi variety: its Jacobi residual
     # relative to |mu|^2 is 0.0835 at t = 0, so it is admitted at
-    # membership_tol = drift_tol = 0.1.  It steps on its table (the whole
+    # membership_tol = 0.1, which is then the drift bound.  It steps on its table (the whole
     # half at d = 3, whose three Jacobi rows the monitor reads off the
     # state), and the residual grows along the flow until the drift check
     # fires, at the 17th accepted step (sample 17, counting t = 0 as 0).
@@ -396,7 +401,7 @@ def test_drift_failure_detected_on_the_table_path(monkeypatch):
         return residuals
 
     monkeypatch.setattr(flow, "_relative_residuals", counted)
-    opts = IntegratorOptions(membership_tol=0.1, drift_tol=0.1)
+    opts = IntegratorOptions(membership_tol=0.1)
     with pytest.raises(DriftError, match=r"admissibility drift 1\.002e-01 exceeds 1\.0e-01 at t = 0\.07377"):
         integrate(mu, "forward", 1.0, opts)
     assert len(samples) == 18
@@ -408,12 +413,13 @@ def test_drift_is_measured_scale_free(monkeypatch):
     # solution of the leaky flow, so the drift, each residual relative to
     # |mu| to its degree, fires at the same value and at t / c^2.
     leak = _leak_into_h3(monkeypatch)
+    monkeypatch.setattr(flow, "DRIFT_TOL", 1e-8)
     fired = set()
     for k in (-10, 0, 23):
         c = 2.0**k
         leak[0] = 1e-3 * c**3
         with pytest.raises(DriftError, match="drift 4.129e-08 exceeds") as err:
-            integrate(scale_bracket(SPHERE, c), "forward", 1.0 / c**2, IntegratorOptions(drift_tol=1e-8))
+            integrate(scale_bracket(SPHERE, c), "forward", 1.0 / c**2)
         fired.add(float(str(err.value).rsplit("t = ", 1)[1]) * c**2)
     assert len(fired) == 1
 

@@ -299,7 +299,7 @@ def test_metric_ricci_equals_the_solved_operator(name):
 def test_rhs_factor_form_equals_p_times_ricci_operator(name):
     mu = get_entry(name).bracket
     p = _spd(mu.dims.n, 9)
-    ric, ell = metric_flow._pushed_ric(mu, p)
+    ric, ell = metric_flow._pushed_ric(mu, p, metric_flow._push_kernel(mu, p))
     op, _ = metric_ricci(mu, p)
     assert np.max(np.abs(ell.T @ ric @ ell - p @ op)) <= 1e-13
 
@@ -326,6 +326,21 @@ def test_metric_flow_makes_no_solve_inverse_or_bracket(monkeypatch):
     metric_ricci(HEIS, np.eye(3))
     transform_bracket(HEIS, np.eye(3))
     assert calls == {"solve": 1, "inv": 1, "LieBracket": 1}
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_metric_ricci_builds_no_table(n):
+    # A lone metric reads the GEMM kernel, as `ricci_operator` does: no
+    # table, closure or term list is built for one call
+    mu, p = _nilpotent(n, 2), _spd(n, 5)
+    before = curvature._rhs_table.cache_info()
+    op, scalar = metric_ricci(mu, p)
+    after = curvature._rhs_table.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+    kernel = metric_flow._push_kernel(mu, p)
+    ric, ell = metric_flow._pushed_ric(mu, p, kernel)
+    assert np.max(np.abs(op - np.linalg.solve(ell, ric @ ell))) <= 1e-13 * np.max(np.abs(op))
+    assert scalar == pytest.approx(np.trace(ric), rel=1e-13)
 
 
 def test_metric_checkpoints_are_a_lazy_read_only_view():
@@ -372,8 +387,9 @@ def test_metric_monitor_reads_the_last_stages_ricci(monkeypatch):
     assert traj.verdict.kind == "blowup"
     assert (solver.nfev - 2) // solver.n_stages > traj.n_samples - 1  # some attempt was rejected
     assert calls[0] == solver.nfev + 1
+    kernel = metric_flow._push_kernel(SU2, np.eye(3))
     for y, ric in zip(run.states, run.ric, strict=True):
-        assert np.array_equal(ric, pushed_ric(SU2, y.reshape(3, 3))[0])
+        assert np.array_equal(ric, pushed_ric(SU2, y.reshape(3, 3), kernel)[0])
 
 
 # --- the support the pushed brackets reach ----------------------------------
@@ -516,7 +532,7 @@ def test_a_run_from_a_dense_metric_reads_the_whole_half_bit_for_bit(monkeypatch,
 
 def test_a_structured_support_reads_ricci_as_the_whole_half_does():
     mu, p = _nilpotent(6), _block_diagonal_spd(6, 5, [0, 0, 1, 2, 2, 2])
-    ric, ell = metric_flow._pushed_ric(mu, p)
+    ric, ell = metric_flow._pushed_ric(mu, p, metric_flow._push_kernel(mu, p))
     ref, ref_ell = _whole_half_pushed_ric(mu, p)
     assert np.array_equal(ell, ref_ell)
     assert np.array_equal(ric, ric.T)

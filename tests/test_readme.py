@@ -1,5 +1,6 @@
-"""README.md's Python quick start runs as printed, against the current API,
-and every package name that the README and the sources quote exists.
+"""README.md's Python quick start and its scenario file run as printed,
+against the current API, and every package name that the README and the
+sources quote exists.
 
 The README is the first code a reader copies, so a renamed or retired
 attribute it uses shows up here, as `test_demos.py` does for `demos/`.
@@ -12,6 +13,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from bracketflow import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -32,6 +35,14 @@ def test_readme_quick_start_runs():
     lines = out.getvalue().splitlines()
     assert lines[1] == "blowup" and lines[-1] == "True True"
 
+
+def test_readme_scenario_file_runs(tmp_path):
+    # every key the README's scenario block documents loads, and the run
+    # meets the block's own expectation
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    path = tmp_path / "readme.scn"
+    path.write_text(block)
+    assert cli.main(["--out", str(tmp_path / "out"), "run", str(path)]) == 0
 
 
 def _stale(text: str) -> list[str]:
