@@ -28,14 +28,7 @@ from .algebra import (
     transform_bracket,
 )
 from .catalog import CatalogEntry, DichotomyVerdict, catalog_entries, cover_dichotomy_check, get_entry
-from .curvature import (
-    RicciData,
-    killing_form_p,
-    koszul_ricci_oracle,
-    mean_curvature,
-    moment_part,
-    ricci_operator,
-)
+from .curvature import RicciData, koszul_ricci_oracle, ricci_operator
 from .flow import (
     DriftError,
     EstimateReport,
@@ -46,7 +39,6 @@ from .flow import (
     StiffnessError,
     Trajectory,
     Verdict,
-    bracket_flow_rhs,
     estimate_blowup_time,
     estimate_report,
     fit_power_blowup,

@@ -299,6 +299,12 @@ def jacobiator(mu: LieBracket) -> np.ndarray:
 
     J[i,j,l,k] = a[i,j,l,k] + a[j,l,i,k] + a[l,i,j,k], where
     a[i,j,l,k] = sum_m c[i,j,m] c[m,l,k] is one (d^2, d) x (d, d^2) matrix product.
+
+    No code in the package calls it: the residual checks read J on the
+    triples i < j < l only (`_jacobi_triples`).  It is kept as the
+    full-tensor reference those checks are tested against: their max is
+    held to within 2 ulps of its max at d = 3 to 13, where the loop oracle
+    `jacobiator_loops` of tests/oracles.py takes 14 s at d = 13 (2-CPU host).
     """
     d = mu.dims.d
     a = (mu.c.reshape(d * d, d) @ mu.c.reshape(d, d * d)).reshape(d, d, d, d)

@@ -6,10 +6,13 @@ The operator on p decomposes as
 
 where M is the moment-map part (a quadratic contraction of the p-projected
 bracket), B is the Killing form restricted to p, H is the mean-curvature
-vector defined by <H, X> = tr ad X, and S(.) symmetrizes.  A Koszul-formula
-oracle (valid for q = 0, i.e. left-invariant metrics on Lie groups) provides
-an independent route to the same operator and is the ground truth the
-algebraic formula is validated against.
+vector defined by <H, X> = tr ad X, and S(.) symmetrizes.  The package
+computes Ric by one formula, the fused kernel `_ricci_gemm`, and never the
+pieces M, B and H apart; the decomposition is tested against
+`tests/oracles.ricci_assembled_loops`, which assembles the pieces one by
+one.  A Koszul-formula oracle (valid for q = 0, i.e. left-invariant metrics
+on Lie groups) provides an independent route to the same operator and is
+the ground truth the algebraic formula is validated against.
 
 `ricci_operator` (and `metric_flow.metric_ricci`, of a lone pushed
 bracket) reads Ric of a lone tensor through the fused GEMM kernel
@@ -94,9 +97,6 @@ from .algebra import (
 __all__ = [
     "RicciData",
     "NotInVarietyError",
-    "mean_curvature",
-    "killing_form_p",
-    "moment_part",
     "ricci_operator",
     "koszul_ricci_oracle",
 ]
@@ -113,8 +113,8 @@ class RicciData:
             evolution along the flow.
         riem_sq: |Riem|^2 when computed by the Koszul oracle, else None.
 
-    The constituents of Ric = M - B/2 - S(ad H|_p) are the functions
-    `moment_part`, `killing_form_p` and `mean_curvature`.
+    `ricci_operator` reads ric off `_ricci_gemm`, which makes
+    Ric = M - B/2 - S(ad H|_p) in one product and keeps none of its pieces.
     """
 
     ric: np.ndarray
@@ -615,34 +615,6 @@ def _ricci_gemm(c: np.ndarray, q: int) -> np.ndarray:
     ad_h = (h[..., None, :] @ rows).reshape(batch + (d, d))[..., q:, q:]
     a = gathered[..., 0, :, :] @ (weighted[..., 0, :, :] + weighted[..., 1, :, :]).swapaxes(-1, -2) - ad_h
     return 0.5 * (a + a.swapaxes(-1, -2))
-
-
-def mean_curvature(mu: LieBracket) -> np.ndarray:
-    """The vector H in p with <H, X> = tr(ad X), trace taken over all of g.
-
-    Vanishes exactly on unimodular algebras.
-    """
-    return np.trace(mu.c, axis1=1, axis2=2)[mu.dims.q :]
-
-
-def killing_form_p(mu: LieBracket) -> np.ndarray:
-    """B[x, y] = tr(ad X ad Y) for X, Y in the p-basis, ad acting on all of g."""
-    c, n = mu.c[mu.dims.q :], mu.dims.n
-    return c.reshape(n, -1) @ np.transpose(c, (0, 2, 1)).reshape(n, -1).T
-
-
-def moment_part(mu: LieBracket) -> np.ndarray:
-    """Quadratic moment-map contribution M to the Ricci operator.
-
-    With mu_p the p-projection of mu restricted to p x p:
-
-        M[x,y] = -1/2 sum_{i,j} <mu_p(X, e_i), e_j><mu_p(Y, e_i), e_j>
-                 +1/4 sum_{i,j} <mu_p(e_i, e_j), X><mu_p(e_i, e_j), Y>
-    """
-    mp = mu.c[mu.dims.q :, mu.dims.q :, mu.dims.q :]
-    mp2, mp3 = mp.reshape(mu.dims.n, -1), mp.reshape(-1, mu.dims.n)
-    m = -0.5 * (mp2 @ mp2.T) + 0.25 * (mp3.T @ mp3)
-    return 0.5 * (m + m.T)
 
 
 def ricci_operator(mu: LieBracket, check: bool = True) -> RicciData:

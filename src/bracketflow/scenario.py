@@ -101,10 +101,10 @@ class Scenario:
     overrides are the `IntegratorOptions` fields the file sets.
     Construction raises ScenarioError on a bad value, for a file's scenario
     and for one built in Python alike (a Scenario is frozen, so no value
-    can change after that check): a name with a path separator, a direction
-    or horizon that `flow._end_time` refuses, overrides that
-    `IntegratorOptions` refuses, or an expect_tol that is not finite and
-    positive.
+    can change after that check): a name with a path separator, no
+    direction or one given twice, a direction or horizon that
+    `flow._end_time` refuses, overrides that `IntegratorOptions` refuses,
+    or an expect_tol that is not finite and positive.
     """
 
     name: str
@@ -123,6 +123,8 @@ class Scenario:
         except ValueError as exc:
             raise ScenarioError(f"bad scenario name: {exc}") from exc
         try:
+            if not self.directions or len(set(self.directions)) < len(self.directions):
+                raise ValueError(f"directions must be one or two distinct directions, got {self.directions!r}")
             for direction in self.directions:
                 _end_time(direction, self.horizon)
             self.options()

@@ -303,6 +303,7 @@ _CRITERIA = {
 
 
 def criteria_ids() -> list[int]:
+    """The criterion ids in order, for callers that run one at a time, as the acceptance tests do."""
     return list(_CRITERIA)
 
 

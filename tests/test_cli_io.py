@@ -634,6 +634,8 @@ def test_name_with_a_path_separator_is_refused_before_anything_is_written(tmp_pa
         ("horizon", -1.0, "horizon"),
         ("horizon", float("nan"), "horizon"),
         ("directions", ("sideways",), "direction"),
+        ("directions", (), "direction"),
+        ("directions", ("forward", "forward"), "direction"),
         ("overrides", {"abs_tol": 1e-9}, "abs_tol"),
         ("overrides", {"rel_tol": -1.0}, "rel_tol"),
         ("expect_tol", -1.0, "expect_tol"),

@@ -11,10 +11,7 @@ from bracketflow import (
     NotInVarietyError,
     bracket_norm,
     integrate,
-    killing_form_p,
     koszul_ricci_oracle,
-    mean_curvature,
-    moment_part,
     random_bracket,
     random_two_step_nilpotent,
     ricci_operator,
@@ -56,53 +53,38 @@ SU2 = get_entry("su2_round").bracket
 HYP = get_entry("hyperbolic3").bracket
 
 
-# --- constituents -----------------------------------------------------------
+# --- the loop oracle's pieces, on closed forms ------------------------------
+# Ric = M - B/2 - S(ad H) is tested against `ricci_assembled_loops`, which
+# assembles these pieces, so each is anchored to its closed forms here.
 
 def test_mean_curvature_unimodular_zero():
-    assert np.allclose(mean_curvature(HEIS), 0.0, atol=0.0)
-    assert np.allclose(mean_curvature(SU2), 0.0, atol=0.0)
-    assert np.allclose(mean_curvature(LieBracket.zero(0, 3)), 0.0, atol=0.0)
+    for mu in (HEIS, SU2, LieBracket.zero(0, 3)):
+        assert np.all(mean_curvature_loops(mu.c, 0) == 0.0)
 
 
 def test_mean_curvature_hyperbolic():
-    assert np.allclose(mean_curvature(HYP), [0.0, 0.0, 2.0], atol=0.0)
     assert np.allclose(mean_curvature_loops(HYP.c, 0), [0.0, 0.0, 2.0], atol=1e-15)
 
 
 def test_killing_form_examples():
-    assert np.allclose(killing_form_p(SU2), -2.0 * np.eye(3), atol=1e-15)
-    assert np.allclose(killing_form_p(HEIS), 0.0, atol=0.0)
-    assert np.allclose(killing_form_p(HYP), np.diag([0.0, 0.0, 2.0]), atol=1e-15)
-
-
-def test_killing_form_matches_loops_on_randoms():
-    rng = np.random.default_rng(11)
-    for q, n in [(0, 3), (1, 3), (0, 5)]:
-        mu = random_bracket(q, n, rng)
-        assert np.allclose(killing_form_p(mu), killing_p_loops(mu.c, q), atol=1e-12)
+    assert np.allclose(killing_p_loops(SU2.c, 0), -2.0 * np.eye(3), atol=1e-15)
+    assert np.all(killing_p_loops(HEIS.c, 0) == 0.0)
+    assert np.allclose(killing_p_loops(HYP.c, 0), np.diag([0.0, 0.0, 2.0]), atol=1e-15)
 
 
 def test_moment_part_heisenberg():
-    assert np.allclose(moment_part(HEIS), np.diag([-0.5, -0.5, 0.5]), atol=1e-15)
+    assert np.allclose(moment_part_loops(HEIS.c, 0), np.diag([-0.5, -0.5, 0.5]), atol=1e-15)
 
 
 def test_moment_part_zero():
-    assert np.allclose(moment_part(LieBracket.zero(1, 3)), 0.0, atol=0.0)
+    assert np.all(moment_part_loops(LieBracket.zero(1, 3).c, 1) == 0.0)
 
 
-def test_moment_part_su2_value_fixed_by_oracle():
-    m = moment_part(SU2)
-    assert np.allclose(m, moment_part_loops(SU2.c, 0), atol=1e-14)
+def test_moment_part_su2():
+    m = moment_part_loops(SU2.c, 0)
     assert np.allclose(m, -0.5 * np.eye(3), atol=1e-15)
     # cross-check: M - B/2 must be the bi-invariant Ricci operator I/2
-    assert np.allclose(m - 0.5 * killing_form_p(SU2), 0.5 * np.eye(3), atol=1e-15)
-
-
-def test_moment_part_matches_loops_on_randoms():
-    rng = np.random.default_rng(12)
-    for q, n in [(0, 4), (1, 2), (2, 3)]:
-        mu = random_bracket(q, n, rng)
-        assert np.allclose(moment_part(mu), moment_part_loops(mu.c, q), atol=1e-12)
+    assert np.allclose(m - 0.5 * killing_p_loops(SU2.c, 0), 0.5 * np.eye(3), atol=1e-15)
 
 
 # --- the operator itself ----------------------------------------------------
@@ -151,7 +133,7 @@ def test_ricci_matches_assembled_loops():
 )
 def test_fused_kernel_matches_assembled_loops(q, n):
     mu = random_bracket(q, n, np.random.default_rng(100 + 10 * q + n))
-    assert np.max(np.abs(mean_curvature(mu))) > 0.1  # non-unimodular: the ad H term is live
+    assert np.max(np.abs(mean_curvature_loops(mu.c, q))) > 0.1  # non-unimodular: the ad H term is live
     ric = _ricci_gemm(mu.c, q)
     ref = ricci_assembled_loops(mu.c, q)
     assert np.max(np.abs(ric - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -382,16 +364,6 @@ def test_nearly_antisymmetric_tensor_gives_the_ricci_of_its_mirror(mu):
     # a table reads the i < j half, which the mirror keeps
     t = _full_table(d, 0)
     assert np.array_equal(_ricci_from_tensor(pushed, t), _ricci_from_tensor(mirror, t))
-
-
-def test_ricci_operator_is_moment_minus_half_killing_minus_sym_ad_h():
-    rng = np.random.default_rng(19)
-    for q, n in [(0, 4), (1, 3), (2, 3)]:
-        mu = random_bracket(q, n, rng)
-        ad_h = np.tensordot(mean_curvature(mu), mu.c[q:, q:, q:], axes=1)
-        expected = moment_part(mu) - killing_form_p(mu) / 2 - (ad_h + ad_h.T) / 2
-        rd = ricci_operator(mu, check=False)
-        assert np.max(np.abs(rd.ric - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_plans_are_cached_and_read_only():

@@ -17,7 +17,6 @@ from bracketflow import (
     NotInVarietyError,
     StiffnessError,
     Verdict,
-    bracket_flow_rhs,
     bracket_norm,
     estimate_blowup_time,
     estimate_report,
@@ -58,28 +57,35 @@ def heis_backward():
 
 # --- right-hand side --------------------------------------------------------
 
+def _rhs(mu):
+    # the bracket flow's RHS at mu through the run kernel on mu's flow table, as a bracket
+    table = flow._flow_table(mu)
+    dy = flow._default_rhs_tensor(flow._to_state(mu.c, table), table, flow._rhs_scratch(table))[0]
+    return LieBracket(mu.dims, flow._to_tensor(dy, mu.dims.d, table))
+
+
 def test_rhs_zero_is_fixed_point():
-    assert np.all(bracket_flow_rhs(FLAT).c == 0.0)
+    assert np.all(_rhs(FLAT).c == 0.0)
 
 
 def test_rhs_heisenberg_coefficient():
     # Ric = diag(-1/2,-1/2,1/2) makes dc/dt = -(Ric_33 - Ric_11 - Ric_22) c = -3/2
-    out = bracket_flow_rhs(HEIS)
+    out = _rhs(HEIS)
     assert out.c[0, 1, 2] == pytest.approx(-1.5, abs=1e-15)
     assert np.count_nonzero(out.c) == 2
 
 
 def test_rhs_su2_is_half_mu():
-    out = bracket_flow_rhs(SU2)
+    out = _rhs(SU2)
     assert np.allclose(out.c, 0.5 * SU2.c, atol=1e-15)
 
 
 def test_rhs_cubic_scaling():
     rng = np.random.default_rng(21)
     mu = random_bracket(0, 4, rng)
-    base = bracket_flow_rhs(LieBracket(mu.dims, mu.c))
+    base = _rhs(LieBracket(mu.dims, mu.c))
     for c in (0.1, 10.0):
-        got = bracket_flow_rhs(scale_bracket(mu, c))
+        got = _rhs(scale_bracket(mu, c))
         assert np.allclose(got.c, c**3 * base.c, rtol=1e-12)
 
 
@@ -114,11 +120,11 @@ def test_velocity_bound_over_random_brackets():
     worst = 0.0
     for _ in range(1000):
         mu = random_bracket(0, int(rng.integers(3, 6)), rng)
-        ratio = bracket_norm(bracket_flow_rhs(mu)) / bracket_norm(mu) ** 3
+        ratio = bracket_norm(_rhs(mu)) / bracket_norm(mu) ** 3
         worst = max(worst, ratio)
         if _ % 97 == 0:
             scaled = scale_bracket(mu, 10.0)
-            r2 = bracket_norm(bracket_flow_rhs(scaled)) / bracket_norm(scaled) ** 3
+            r2 = bracket_norm(_rhs(scaled)) / bracket_norm(scaled) ** 3
             assert r2 == pytest.approx(ratio, rel=1e-12)
     assert worst < 10.0
 
@@ -459,7 +465,7 @@ def test_a_nonzero_fixed_point_reaches_the_horizon_in_one_step(k, flow_name):
     # every scale, with no division by zero (Tier-1 fails on a warning).
     c = 2.0**k
     mu = scale_bracket(E2_FLAT, c)
-    assert bracket_norm(mu) == 2.0 * c and np.all(bracket_flow_rhs(mu).c == 0.0)
+    assert bracket_norm(mu) == 2.0 * c and np.all(_rhs(mu).c == 0.0)
     for direction, end in (("forward", 10.0), ("backward", -10.0)):
         if flow_name == "metric":
             traj = metric_flow_integrate(mu, np.eye(3), direction, 10.0 / c**2)
@@ -871,8 +877,9 @@ def test_the_derivatives_and_norms_of_a_run_are_its_samples(fixture, request):
     traj = request.getfixturevalue(fixture)
     states = traj.checkpoints._states
     assert len(traj.rhs) == len(states) == traj.n_samples
+    table = flow._flow_table(traj.initial)
     for k in (0, 1, traj.n_samples - 1):
-        expected = bracket_flow_rhs(traj.checkpoints[k].mu).c.ravel()[flow._flow_table(traj.initial).upper]
+        expected = flow._default_rhs_tensor(states[k], table, flow._rhs_scratch(table))[0]
         assert np.array_equal(traj.rhs[k], expected)
     assert traj.mu_norm.tolist() == [np.sqrt(2 * float(y.dot(y))) for y in states]
     assert traj.rhs_norm.tolist() == [np.sqrt(2 * float(dy.dot(dy))) for dy in traj.rhs]
@@ -1305,7 +1312,6 @@ def test_a_nilpotent_run_at_n13_stays_on_its_support():
     try:
         traj = integrate(mu, "backward", 2.0, IntegratorOptions(collect_dense=True))
         np.testing.assert_allclose(traj.dense(traj.t[-1]), traj.checkpoints[-1].mu.c.ravel(), rtol=1e-9, atol=1e-12)
-        bracket_flow_rhs(mu)
         estimate_report(traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

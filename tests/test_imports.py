@@ -1,4 +1,5 @@
-"""The package imports no private module, such as scipy.integrate._ivp, builds nothing on import and loads no scipy."""
+"""The package imports no private module, such as scipy.integrate._ivp, builds nothing on import, loads no scipy
+and exports no name without a caller."""
 
 import ast
 import subprocess
@@ -85,3 +86,44 @@ def test_unknown_attribute_is_still_an_attribute_error():
         "    print(exc)\n"
     )
     assert _run(code).strip() == "module 'bracketflow' has no attribute 'metric_flow_integrat'"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PKG = ROOT / "src" / "bracketflow"
+# Public names kept with no caller in the package, each for a named reason.
+NO_CALLER = {
+    "jacobiator": "the full-tensor reference that tests hold the triple-wise Jacobi residual to",
+    "criteria_ids": "the acceptance tests run one test per criterion through it",
+}
+
+
+def _references() -> set[str]:
+    # Every name that code under src/, demos/, tools/ and flowbench/ reads,
+    # as a name, an attribute or an import; definitions, assignments and
+    # strings (so __all__ entries and docstrings) are not reads.  The
+    # package's __init__ only re-exports, so it is not read.
+    names = set()
+    for path in [p for part in ("src", "demos", "tools", "flowbench") for p in sorted((ROOT / part).rglob("*.py"))]:
+        if path == PKG / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    public = set()
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                public.update(ast.literal_eval(node.value))
+    read = _references()
+    assert NO_CALLER.keys() <= public
+    assert sorted(public - read - NO_CALLER.keys()) == []
+    # a kept name that gains a caller leaves the list
+    assert sorted(NO_CALLER.keys() & read) == []
