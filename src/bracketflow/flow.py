@@ -12,8 +12,9 @@ flow-invariant support S: the i < j entries nonzero at the start, grown
 until the RHS maps V_S into itself (`curvature._flow_table`); for a
 two-step nilpotent bracket that is the v ^ v -> z block, 30 of the 1014
 half entries at n = 13.  The state is the entries u = c.ravel()[upper] on S
-(`_to_state`), and one RHS evaluation (`_default_rhs_tensor`) reads the
-stacked table of Ric and the RHS on S with no tensor gather and no mirror.
+(`_to_state`), or u / |mu0| at q = 0 (see below), and one RHS evaluation
+(`_default_rhs_tensor`) reads the stacked table of Ric and the RHS on S
+with no tensor gather and no mirror.
 On a dense stack that is one product, written into a buffer the run owns
 (`_rhs_scratch`: the cached table is shared by every run on its support),
 and two small products on the buffer's two fixed views.  Over
@@ -61,12 +62,40 @@ far_bound], with far_bound = t_stop +- n / (2|R|); the far bound is
 evaluated on the numerical solution, so it carries its error.
 `fit_power_blowup` is an opt-in diagnostic of the growth exponent.
 An immortal run whose R already has the sign of the time direction at the
-horizon reports that far bound too.  Both directions step in physical time:
-a backward run hands the stepper the end time -horizon.
+horizon reports that far bound too.
+
+A run at q = 0 steps in the scale-free time tau of the normalized bracket
+flow (Lauret, Math. Z. 274 (2013)): mu = |mu0| e^sigma nu with |nu| = 1 and
+dtau = |mu|^2 dt, so that the stepper's state is z = (nu, sigma, theta),
+nu = u / |mu0| on the run's support at the start, with
+
+    dnu/dtau = F(nu) - phi nu,  dsigma/dtau = phi,  dtheta/dtau = e^(-2 sigma),
+
+F the RHS above, phi = <F(nu), nu> = 2 F.nu on the support (each entry
+stands for two), and theta = |mu0|^2 t.  One `_default_rhs_tensor` call per
+stage gives F; the error weights are 2 / d^3 on each entry of nu and 1 on
+sigma and theta, and atol is `_abs_tol(opts, 1.0)`, |nu| being 1.  A type-I
+singularity is a fixed point of nu at tau = inf, approached geometrically,
+so the stop rule fires after about 70 samples (461 to 512 in t on the
+catalog).  The physical time is read by quadrature of e^(-2 sigma) over each
+step (`_Clock`), not off the stepper's theta, whose error is not a shift of
+time: even at 100 times the error weight it put su(2)'s singular time
+1.3e-11 off and the samples nearest it 2e-4 of the time left, where the
+quadrature reads a soliton's to rounding.
+Each sample is handed back in physical units: t = theta / |mu0|^2, the
+state u = |mu0| e^sigma nu, Ric |mu0|^2 e^(2 sigma) times nu's and the
+derivative |mu0|^3 e^(3 sigma) F(nu).  tau has no end of its own: a
+backward run steps to tau = -inf, and `_drive` ends the run at the first
+step whose theta reaches |mu0|^2 (+-horizon), its last sample read off that
+step's interpolant at exactly +-horizon.  A run at q > 0 steps the state u
+in physical time, to the end time +-horizon: in tau the catalog's q > 0
+runs took about as many steps, its backward ones 109 to 113 samples against
+99 to 107, each step costing more.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -123,6 +152,15 @@ MAX_STEPS = 200_000
 # its degree: `integrate` raises DriftError past max(DRIFT_TOL,
 # membership_tol), so a bracket admitted at membership_tol passes it at t = 0.
 DRIFT_TOL = 1e-6
+# Newton steps per root of `_theta_root`: from the chord's root, 3 reach the
+# root to rounding on the catalog's steps, 2 leave 6e-10 of the state.
+NEWTON_STEPS = 5
+# 5-point Gauss-Legendre nodes and weights on [0, 1], for `_theta_gain`.
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+_GAUSS_X, _GAUSS_W = (_GAUSS_X + 1) / 2, _GAUSS_W / 2
+# sigma - sigma_old at the nodes of a step of h with stages K is
+# h K[:, sigma] . _GAUSS_STAGES, through the stepper's dense output (`_Clock`).
+_GAUSS_STAGES = RK45.P.dot(_GAUSS_X ** np.arange(1, 5)[:, None])
 # The fewest tail samples `fit_power_blowup` accepts.
 MIN_TAIL_SAMPLES = 10
 # Tail diagnostics skip the samples with |omega_est - t| below this fraction
@@ -251,17 +289,19 @@ def _flow_checkpoints(dims: Dimensions, t: np.ndarray, states: list[np.ndarray],
 class Trajectory:
     """Sampled bracket-flow solution.
 
-    Scalar series and the raw states are kept at every sample: t = 0, then
-    one per accepted step (`_drive`), or 33 stationary samples for the zero
-    bracket.  `checkpoints` is a lazy read-only Sequence[FlowState]
-    over those states: each access builds the FlowState, so a run that never
-    reads it builds no LieBracket.  Times are physical: decreasing for
-    backward runs.  `residual_rows` is the number of residual rows the drift
-    check read per step on the run's support (`curvature._residual_forms`):
-    0 when every residual vanishes identically there, so the check is
-    vacuous.  It is never None.  `rhs` is the derivative the monitor
-    evaluated at each sample, in the layout of the raw states, so that
-    `estimate_report` reads dR/dt off it.
+    Scalar series and the states are kept at every sample: t = 0, then one
+    per accepted step (`_drive`), or 33 stationary samples for the zero
+    bracket.  Every series is in physical units, also where the run stepped
+    in tau (q = 0; see the module docstring): times are physical, decreasing
+    for backward runs, an immortal run's last time is exactly +-horizon, and
+    the states are u = |mu0| e^sigma nu.  `checkpoints` is a lazy read-only
+    Sequence[FlowState] over those states: each access builds the FlowState,
+    so a run that never reads it builds no LieBracket.  `residual_rows` is
+    the number of residual rows the drift check read per step on the run's
+    support (`curvature._residual_forms`): 0 when every residual vanishes
+    identically there, so the check is vacuous.  It is never None.  `rhs` is
+    the derivative the monitor evaluated at each sample, in the layout of
+    the states, so that `estimate_report` reads dR/dt off it.
     """
 
     direction: str
@@ -299,17 +339,25 @@ class DenseSolution:
     ("left" ascending, "right" descending), so that at a knot it reads the
     segment of lower index; a time outside the range is refused.  A scalar
     time gives the state; a 1-d array of m times gives the states as the m
-    columns of one array, each contiguous group of the sorted times that
-    shares a segment read in one interpolant call; an empty array gives an
-    array of no column, as `stepper.DenseStep` does.  A time array of more
-    dimensions is refused, as `stepper.DenseStep` refuses it.  With a
-    `table`, as every bracket-flow run has, the interpolants hold the state
-    u on its support (see `_to_state`) and the solution is the flat tensor
-    of size d^3 that u stands for, mirrored exactly (`_to_tensor`); without
-    one (the metric flow) it is the interpolated state itself.
+    columns of one array; an empty array gives an array of no column, as
+    `stepper.DenseStep` does.  A time array of more dimensions is refused,
+    as `stepper.DenseStep` refuses it.
+
+    Without `norm` (the metric flow, the zero bracket) the interpolants are
+    in physical time, and each contiguous group of the sorted times that
+    shares a segment is read in one interpolant call.  With `norm` = |mu0|
+    (every stepped bracket-flow run) they are in the scale-free time tau,
+    over z = (nu, sigma, theta) with theta = |mu0|^2 t: the whole array of
+    times is answered by one vectorized Newton solve on each time's segment
+    for the point where theta, read by quadrature of e^(-2 sigma) as the
+    run's sample times are (`_Clock`), reaches |mu0|^2 t (`_theta_root`),
+    and the state is |mu0| e^sigma nu there.  With a `table`, as every
+    bracket-flow run has, that state is u on its support (see `_to_state`)
+    and the solution is the flat tensor of size d^3 that u stands for,
+    mirrored exactly (`_to_tensor`).
     """
 
-    def __init__(self, ts, interpolants, d: int = 0, table: _StackedTable | None = None):
+    def __init__(self, ts, interpolants, d: int = 0, table: _StackedTable | None = None, norm: float | None = None):
         ts = np.asarray(ts)
         self._ascending = bool(ts[-1] >= ts[0])
         self._knots = ts if self._ascending else ts[::-1]
@@ -318,6 +366,12 @@ class DenseSolution:
         self.interpolants = interpolants
         self._d = d
         self._table = table
+        self._norm = norm
+        if norm is not None:
+            self._ts = ts
+            self._y_old = np.array([s.y_old for s in interpolants])
+            self._q = np.array([s.q for s in interpolants])
+            self._h = np.array([s.h for s in interpolants])
 
     def _segments(self, t: np.ndarray) -> np.ndarray:
         last = len(self.interpolants) - 1
@@ -330,7 +384,18 @@ class DenseSolution:
             raise ValueError("`t` must be a float or a 1-D array.")
         if t.size and not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
             raise ValueError(f"time {t} outside the integrated range")
-        if not t.size:
+        if self._norm is not None:
+            # x = 0 and 1 at the segment's own knots, so that a knot reads its sample
+            t1 = np.atleast_1d(t)
+            seg = self._segments(t1)
+            y_old, q, h = self._y_old[seg], self._q[seg], self._h[seg]
+            scale = self._norm * self._norm
+            x = _theta_root(y_old, q, h, scale * self._ts[seg], scale * t1)
+            x = np.where(t1 == self._ts[seg + 1], 1.0, np.where(t1 == self._ts[seg], 0.0, x))
+            z = _read_steps(y_old, q, h, x)
+            u = (self._norm * np.exp(z[:, -2]))[:, None] * z[:, :-2]
+            y = u.T if t.ndim else u[0]
+        elif not t.size:
             y = self.interpolants[0](t)  # shape (N, 0)
         elif t.ndim == 0:
             y = self.interpolants[self._segments(t)](t)
@@ -448,55 +513,99 @@ def integrate(
     table = _flow_table(initial)
     forms = _residual_forms(d, q, table.support)
     y0 = _to_state(initial.c, table)
-    # Per sample: the Jacobi, h1 and h3 residuals, and the derivative.
-    rows: list[float] = []
-    derivs: list[np.ndarray] = []
 
     if norm == 0.0:
         # The zero bracket is an exact fixed point: a stationary run on the
         # empty support's table, whose state holds no entry, with its dense
-        # output always kept (one zero coefficient row per step: the
-        # interpolant is y0 at every time).  No estimator needs its 33
-        # samples; they stay 33 so that abelian3's CSV, report and digest
+        # output in physical time always kept (one zero coefficient row per
+        # step: the interpolant is y0 at every time).  No estimator needs its
+        # 33 samples; they stay 33 so that abelian3's CSV, report and digest
         # lines do not move.
         t = np.linspace(0.0, t_end, 33)
         zero = np.zeros((1, y0.size))
         steps = [DenseStep(t_old, t_new, y0, zero) for t_old, t_new in zip(t[:-1], t[1:])]
         run = _Run(Verdict(kind="flat"), t, [y0] * t.size, np.zeros((t.size, dims.n, dims.n)), steps)
-        rows += [0.0] * (3 * t.size)
-        derivs += run.states  # the zero derivative, which on the empty state is the state itself
+        states = derivs = run.states  # the zero derivative, which on the empty state is the state itself
+        jac = h1 = h3 = np.zeros(t.size)
+        dense = DenseSolution(t, steps, d, table)
     else:
         scratch = _rhs_scratch(table)
+        m = y0.size
+        # Per sample: the Jacobi, h1 and h3 residuals of the state's first m
+        # entries, the derivative there and the gain g that takes them to mu.
+        rows: list[float] = []
+        derivs: list[np.ndarray] = []
+        gains: list[float] = []
+        if q == 0:
+            # z = (nu, sigma, theta) stepped in tau (see the module docstring):
+            # mu = g nu with g = |mu0| e^sigma, and theta = |mu0|^2 t.
+            def fun(_tau, z):
+                nu = z[:m]
+                f = _default_rhs_tensor(nu, table, scratch)[0]
+                phi = 2 * float(f.dot(nu))
+                dz = np.empty(m + 2)
+                np.subtract(f, phi * nu, dz[:m])
+                dz[m] = phi
+                dz[m + 1] = math.exp(-2 * float(z[m]))
+                return dz
 
-        def fun(_t, y):
-            return _default_rhs_tensor(y, table, scratch)[0]
+            def gain(z):
+                return norm * np.exp(z[m])
+
+            # nu's part of the error norm is the RMS over the d^3 tensor
+            # entries, and sigma and theta weigh 1 each
+            weight = np.concatenate((np.full(m, 2 / d**3), (1.0, 1.0)))
+            z0 = np.concatenate((y0 / norm, (0.0, 0.0)))
+            solver = RK45(
+                fun, 0.0, z0, math.copysign(math.inf, t_end), opts.rel_tol, _abs_tol(opts, 1.0), rms_weight=weight
+            )
+            clock = _Clock(norm * norm, t_end)
+        else:
+            # q > 0: u stepped in physical time (see the module docstring), g = 1
+            def fun(_t, u):
+                return _default_rhs_tensor(u, table, scratch)[0]
+
+            def gain(_u):
+                return 1.0
+
+            solver = RK45(fun, 0.0, y0, t_end, opts.rel_tol, _abs_tol(opts, norm), rms_weight=2 / d**3)
+            clock = None
 
         checked = forms.rows > 0
         drift_tol = max(DRIFT_TOL, opts.membership_tol)
 
-        def sample(t, y):
+        def sample(t, z):
             # The monitor, at t = 0 too, where the state is already admitted
             # at membership_tol <= drift_tol: one RHS evaluation for the
             # derivative and Ric, and the drift check, the largest residual
-            # relative to |mu| to its degree.  Where the support has no
-            # residual row, every residual is exactly 0 on V_S and the check
-            # is vacuous, so it is not made.  Each entry of y stands for two
-            # tensor entries, c and its mirror.
-            dy, r = _default_rhs_tensor(y, table, scratch)
+            # relative to |nu| to its degree, which is |mu|'s.  Where the
+            # support has no residual row, every residual is exactly 0 on V_S
+            # and the check is vacuous, so it is not made.  Each entry of nu
+            # stands for two tensor entries, c and its mirror.  Ric is g^2
+            # times nu's.
+            nu = z[:m]
+            f, r = _default_rhs_tensor(nu, table, scratch)
             jac = h1 = h3 = 0.0
             if checked:
-                jac, h1, h3 = forms.residuals(y)
-                drift = max(_relative_residuals(jac, h1, h3, 2 * float(y.dot(y))))
+                jac, h1, h3 = forms.residuals(nu)
+                drift = max(_relative_residuals(jac, h1, h3, 2 * float(nu.dot(nu))))
                 if drift > drift_tol:
                     raise DriftError(f"admissibility drift {drift:.3e} exceeds {drift_tol:.1e} at t = {t}")
+            g = gain(z)
             rows.extend((jac, h1, h3))
-            derivs.append(dy)
-            return r[table.sym]
+            derivs.append(f)
+            gains.append(g)
+            return (g * g) * r[table.sym]
 
-        solver = RK45(fun, 0.0, y0, t_bound=t_end, rtol=opts.rel_tol, atol=_abs_tol(opts, norm), rms_weight=2 / d**3)
-        run = _drive(solver, opts, sample, dims.n)
+        run = _drive(solver, opts, sample, dims.n, clock)
+        # Every series in physical units: mu = g nu, dmu/dt = g^3 F(nu), and
+        # the residuals to their degrees.
+        g = np.array(gains)
+        states = list(np.array(run.states)[:, :m] * g[:, None])
+        derivs = list(np.array(derivs) * (g * g * g)[:, None])
+        jac, h1, h3 = np.reshape(rows, (-1, 3)).T * np.array([g * g, g, g])
+        dense = DenseSolution(run.t, run.segments, d, table, None if clock is None else norm) if run.segments else None
 
-    jac, h1, h3 = np.reshape(rows, (-1, 3)).T.copy()
     scale = _pow2_scale(y0)
     ric = run.ric.reshape(run.t.size, -1)
     return Trajectory(
@@ -504,7 +613,7 @@ def integrate(
         horizon=horizon,
         initial=initial,
         t=run.t,
-        mu_norm=_norms(run.states, scale),
+        mu_norm=_norms(states, scale),
         scalar_R=run.scalar_R,
         # Ric is symmetric, so tr Ric^2 is the sum of its squared entries.
         tr_ric_sq=np.sum(ric * ric, axis=1),
@@ -512,11 +621,11 @@ def integrate(
         jacobi_residual=jac,
         h1_residual=h1,
         h3_residual=h3,
-        checkpoints=_flow_checkpoints(dims, run.t, run.states, table),
+        checkpoints=_flow_checkpoints(dims, run.t, states, table),
         rhs=derivs,
         verdict=run.verdict,
         residual_rows=forms.rows,
-        dense=DenseSolution(run.t, run.segments, d, table) if run.segments else None,
+        dense=dense,
     )
 
 
@@ -568,45 +677,151 @@ class _Run:
         return np.trace(self.ric, axis1=1, axis2=2)
 
 
-def _drive(solver, opts: IntegratorOptions, sample, n: int) -> _Run:
+class _Clock:
+    """The physical time of a run stepped in tau: theta = scale t, grown by each step's quadrature.
+
+    dtheta/dtau is e^(-2 sigma), so a step of h from sigma_old grows theta by
+    h e^(-2 sigma_old) times the integral over [0, 1] of e^(-2 (sigma -
+    sigma_old)) on the step's interpolant of sigma, by 5-point
+    Gauss-Legendre (`_theta_gain`; here read straight off the step's stages,
+    through `_GAUSS_STAGES`).  The stepper's own theta, the last entry of
+    its state, is not read: its error control keeps each step's quadrature
+    resolved, but its error is not a shift of time, and near a blowup it
+    moved the samples' times by 2e-4 of the time left, where the quadrature
+    reads the time of a soliton to rounding.  The run ends at physical time
+    t_end, theta_end = scale t_end.
+    """
+
+    def __init__(self, scale: float, t_end: float):
+        self.scale = scale
+        self.t_end = t_end
+        self.theta_end = scale * t_end
+        self.theta = 0.0
+
+    def advance(self, solver) -> tuple[float, DenseStep | None, bool]:
+        """The physical time after the solver's accepted step, and whether the run ends there, with the step it ends on.
+
+        A step that takes theta to theta_end or past is cut where it
+        reaches theta_end (`_theta_root`): with x that root, the interpolant
+        y_old + (x h) sum_k x'^(k+1) x^k q[k] over x' in [0, 1] is the
+        step's on [0, x], and the run's last sample is its end, at exactly
+        t_end.
+        """
+        h = solver.t - solver.t_old
+        exponent = (-2 * h) * solver.K[:, -2].dot(_GAUSS_STAGES)
+        theta = self.theta + h * math.exp(-2 * solver.y_old[-2]) * np.exp(exponent).dot(_GAUSS_W)
+        if (theta - self.theta_end) * self.t_end < 0:
+            self.theta = theta
+            return theta / self.scale, None, False
+        step = solver.dense_output()
+        x = _theta_root(step.y_old, step.q, step.h, self.theta, self.theta_end)
+        self.theta = self.theta_end
+        return self.t_end, DenseStep(step.t_old, step.t_old + x * step.h, step.y_old, step.q * (x ** np.arange(4))[:, None]), True
+
+
+def _theta_gain(y_old, q, h, x=1.0):
+    """How much theta grows on tau steps from x = 0 to x.
+
+    Step i is a `stepper.DenseStep`, y_old[i] + h[i] sum_k x^(k+1) q[i, k]
+    over x in [0, 1], over z = (nu, sigma, theta); the arguments are one
+    step's fields or stacks of them, with x per step.  dtheta/dtau is
+    e^(-2 sigma), so the gain is h e^(-2 sigma_old) times the integral over
+    [0, x] of e^(-2 (sigma - sigma_old)) on sigma's interpolant, by 5-point
+    Gauss-Legendre.  Every operation is elementwise, so that a step's gain
+    does not depend on the others in a stack.
+    """
+    x = np.asarray(x)
+    part = (np.exp(-2 * _sigma_rise(q, h, x[..., None] * _GAUSS_X)) * _GAUSS_W).sum(axis=-1)
+    return h * x * np.exp(-2 * y_old[..., -2]) * part
+
+
+def _theta_root(y_old, q, h, theta_old, theta):
+    """Where tau steps whose theta is theta_old at x = 0 reach theta: x in [0, 1] per step.
+
+    The arguments are as `_theta_gain`'s.  theta is monotone on a step, and
+    x comes from `NEWTON_STEPS` Newton steps from the chord's root, each
+    clipped to [0, 1]: a fixed number, so that each step's root does not
+    depend on the others in a stack.
+    """
+    rate = h * np.exp(-2 * y_old[..., -2])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.clip(np.nan_to_num((theta - theta_old) / _theta_gain(y_old, q, h)), 0.0, 1.0)
+        for _ in range(NEWTON_STEPS):
+            miss = theta_old + _theta_gain(y_old, q, h, x) - theta
+            slope = rate * np.exp(-2 * _sigma_rise(q, h, x[..., None])[..., 0])
+            x = np.clip(x - np.where(slope != 0, miss / slope, 0.0), 0.0, 1.0)
+    return x
+
+
+def _sigma_rise(q, h, s):
+    # sigma - sigma_old at the points s of tau steps, s with a last axis of its own, by Horner's rule
+    c = np.moveaxis(np.asarray(h)[..., None] * q[..., -2], -1, 0)[..., None]
+    return (((c[3] * s + c[2]) * s + c[1]) * s + c[0]) * s
+
+
+def _read_steps(y_old, q, h, x):
+    """The states y_old + h sum_k x^(k+1) q[k] of tau steps at x, by Horner's rule, for stacks as for one step."""
+    x = np.asarray(x)[..., None]
+    acc = q[..., 3, :]
+    for k in (2, 1, 0):
+        acc = acc * x + q[..., k, :]
+    return y_old + (np.asarray(h)[..., None] * x) * acc
+
+
+def _drive(solver, opts: IntegratorOptions, sample, n: int, clock: _Clock | None = None) -> _Run:
     """Step `solver` to its bound, sampling it after each accepted step; return the run.
 
     `solver` is a `stepper.DormandPrince54` over a flow on an n-dimensional
-    space.  `sample(t, y)` makes the flow's own checks at the state y at
-    time t and returns the Ricci matrix there; it is called on the solver's
-    initial state and after each accepted step, and the time, the raw state
-    (the stepper never writes an array it has handed out) and Ric of each
-    sample are kept.  The stop rule of both flows is read at the last sample,
-    on R = tr Ric, after each accepted step and at a solver failure (a step
-    floor hit right at the singularity): the run is singular once
+    space, stepped in physical time t (the metric flow) or, given a `clock`,
+    in the bracket flow's scale-free time tau.  Each sample's physical time
+    is then read off the clock, and the run ends at the first step whose
+    physical time reaches or passes clock.t_end: its sample is read off
+    that step's interpolant at exactly t_end (`_Clock.advance`) in place of
+    the state past it.  `sample(t, y)` makes the flow's own checks at the state y at
+    physical time t and returns the Ricci matrix there; it is called on the
+    solver's initial state and after each accepted step, and the time, the
+    raw state (the stepper never writes an array it has handed out) and Ric
+    of each sample are kept.  The stop rule of both flows is read at the last
+    sample, on R = tr Ric, after each accepted step and at a solver failure
+    (a step floor hit right at the singularity): the run is singular once
     `_time_left` is below `STOP_REL` |t|.  Any other failure is a
-    StiffnessError.  The verdict of both flows comes from that sample alone
-    (`_verdict`).  Segments are kept only under `opts.collect_dense`.
+    StiffnessError, and so is a tau step that leaves the physical time within
+    10 ulps of where it was, the step floor in t.  The verdict of both flows
+    comes from the last sample alone (`_verdict`).  Segments are kept only
+    under `opts.collect_dense`.
 
     Raises:
         FlowError: the step budget `MAX_STEPS` was exhausted.
         StiffnessError: the solver failed away from a singularity.
     """
-    ts, states, rics = [solver.t], [solver.y], [sample(solver.t, solver.y)]
+    t = solver.t if clock is None else 0.0
+    ts, states, rics = [t], [solver.y], [sample(t, solver.y)]
     segments: list = []
     # The initial sample, at t = 0, never meets the stop rule, so a run
     # returns only after an accepted step.
-    singular = False
-    while not singular and solver.status == "running":
+    singular = done = False
+    while not (singular or done):
         if len(ts) > MAX_STEPS:
-            raise FlowError(f"step budget of {MAX_STEPS} exhausted at t = {solver.t}")
+            raise FlowError(f"step budget of {MAX_STEPS} exhausted at t = {ts[-1]}")
+        t_old = ts[-1]
         msg = solver.step()
         if solver.status != "failed":
+            if clock is None:
+                t, y, step, done = solver.t, solver.y, None, solver.status == "finished"
+            else:
+                t, step, done = clock.advance(solver)
+                y = _read_steps(step.y_old, step.q, step.h, 1.0) if done else solver.y
+                if not done and abs(t - t_old) < 10 * abs(math.nextafter(t_old, clock.t_end) - t_old):
+                    msg = "the step in physical time fell below 10 ulps"
             if opts.collect_dense:
-                segments.append(solver.dense_output())
-            ts.append(solver.t)
-            states.append(solver.y)
-            rics.append(sample(solver.t, solver.y))
+                segments.append(step or solver.dense_output())
+            ts.append(t)
+            states.append(y)
+            rics.append(sample(t, y))
         t, ric = ts[-1], rics[-1]
-        r = ric.trace()
-        singular = _time_left(t, r, n) < STOP_REL * abs(t)
-        if not singular and solver.status == "failed":
-            raise StiffnessError(f"integrator failed at t = {solver.t}: {msg}")
+        singular = _time_left(t, ric.trace(), n) < STOP_REL * abs(t)
+        if not singular and msg is not None:
+            raise StiffnessError(f"integrator failed at t = {t}: {msg}")
     return _Run(_verdict(singular, t, ric, n), np.array(ts), states, np.array(rics), segments)
 
 

@@ -19,12 +19,13 @@ weights, so the last stage is the new state's derivative (first same as
 last) and the next step starts from it.  The error norm is the weighted
 RMS sqrt(w * e.e) of e = h (E @ K) / (atol + rtol max(|y|, |y_new|)), a
 Python float; |y| is kept from the attempt that accepted y.  w is
-1/len(y) unless the caller's state stores several mirrored entries once
-(see `rms_weight`).  Every product on the step's path (a stage's sum, the
-error estimate and its norm, the dense output's coefficients and their
-evaluation) is an ndarray method, `a.dot(b)`: the C routine that `np.dot`
-reaches after its dispatch layer (`__array_function__`), which costs more
-than the product itself on a state of a few entries.  A non-finite error
+1/len(y) unless the caller's state stores several mirrored entries once,
+or weighs its entries apart (see `rms_weight`).  Every product on the
+step's path (a stage's sum, the error estimate and its norm, the dense
+output's coefficients and their evaluation) is an ndarray method,
+`a.dot(b)`: the C routine that `np.dot` reaches after its dispatch layer
+(`__array_function__`), which costs more than the product itself on a
+state of a few entries.  A non-finite error
 norm, as from a stage that left the RHS's domain or an overflow, rejects the
 attempt and retries at MIN_FACTOR times the step.  Each attempt and the
 whole initial-step heuristic run under `np.errstate(over="ignore",
@@ -72,7 +73,8 @@ class DormandPrince54:
     rms_weight is w in the error norm sqrt(w * e.e); None means 1/len(y0),
     the plain RMS.  A state that stores each of its entries k times over in
     a full vector of N entries (the rest zero) passes k / N, so that its
-    norm equals the full vector's.
+    norm equals the full vector's.  A 1-d array of len(y0) weights each
+    entry apart: the norm is then sqrt((w e).e).
     """
 
     n_stages = 6
@@ -117,6 +119,7 @@ class DormandPrince54:
         self.rtol = max(rtol, 100 * np.finfo(float).eps)
         self.atol = atol
         self._w = 1.0 / self.y.size if rms_weight is None else rms_weight
+        self._w_each = np.ndim(self._w) > 0
         self.status = "running"
         self.nfev = 0
         self.t_old = None
@@ -135,9 +138,13 @@ class DormandPrince54:
         self.nfev += 1
         return self._fun(t, y)
 
+    def _sum_sq(self, x: np.ndarray) -> float:
+        # the weighted sum of squares w x.x, or (w x).x with a weight per entry
+        return (self._w * x).dot(x) if self._w_each else self._w * x.dot(x)
+
     def _rms(self, x: np.ndarray) -> float:
         # a numpy scalar, as in scipy: an overflowed norm gives inf, not an exception
-        return np.sqrt(self._w * x.dot(x))
+        return np.sqrt(self._sum_sq(x))
 
     def _scaled_rms(self, x: np.ndarray) -> float:
         # `_rms` of x / s, times s, for s = `_pow2_scale(x)`: the same float
@@ -183,7 +190,7 @@ class DormandPrince54:
             self.nfev += self.n_stages
             abs_new = np.abs(y_s)
             e = self._h_e.dot(K) / (self.atol + np.maximum(self._abs_y, abs_new) * self.rtol)
-            return y_s, f_s, abs_new, math.sqrt(self._w * float(e.dot(e)))
+            return y_s, f_s, abs_new, math.sqrt(float(self._sum_sq(e)))
 
     def step(self) -> str | None:
         """Make one accepted step; return None, or the failure message with status 'failed'."""

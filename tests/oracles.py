@@ -9,8 +9,8 @@ tables written down from index terms can be checked against them bit for
 bit.  So is `antisymmetrized_by_mask`, the earlier construction of a
 bracket's tensor, and scipy's `OdeSolution` (`scipy_dense_solution`), the
 dense output the package's `DenseSolution` replaced.  `gemm_flow_run` steps
-the bracket flow on its flat tensor with the GEMM kernels' RHS, with no
-table, the reference the table path's runs are checked against.
+the bracket flow's tau system on its flat tensor with the GEMM kernels' RHS,
+with no table, the reference the table path's runs are checked against.
 """
 
 from __future__ import annotations
@@ -166,27 +166,46 @@ def gemm_rhs(c: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 def gemm_flow_run(mu, direction: str, horizon: float, opts=None):
     """The bracket flow of mu stepped on its flat d^3 tensor with `gemm_rhs`: a `flow._Run`.
 
-    The stepper and the loop are `flow.integrate`'s (`stepper.DormandPrince54`
-    through `flow._drive`, with Ric from `_ricci_gemm` at each sample), and so
-    is atol.  The default error weight 1/d^3 on the flat tensor equals the
-    support state's 2/d^3, each of whose entries stands for an entry and its
-    mirror.  Its dense output, `flow.DenseSolution(run.t, run.segments)`, is
-    the flat tensor.
+    The system, the stepper and the loop are `flow.integrate`'s at q = 0:
+    z = (nu, sigma, theta) stepped in tau, mu = |mu0| e^sigma nu, with
+    dnu/dtau = F(nu) - phi nu, phi = F.nu, dsigma/dtau = phi and
+    dtheta/dtau = e^(-2 sigma), theta = |mu0|^2 t, through `flow._drive` with
+    a `flow._Clock` and Ric from `_ricci_gemm` at each sample; here F is
+    `gemm_rhs` on the flat tensor, whose plain dot is the tensor inner
+    product.  So are atol and the error weights: 1/d^3 on each flat entry
+    equals the support state's 2/d^3, each of whose entries stands for an
+    entry and its mirror.  Its dense output,
+    `flow.DenseSolution(run.t, run.segments, norm=bracket_norm(mu))`, is the
+    flat tensor.
     """
+    import math
+
     from bracketflow import IntegratorOptions, bracket_norm, flow
     from bracketflow.curvature import _ricci_gemm
     from bracketflow.stepper import DormandPrince54
 
     opts = opts or IntegratorOptions()
     d, q = mu.dims.d, mu.dims.q
+    m = d**3
+    norm = bracket_norm(mu)
 
-    def fun(_t, y):
-        return gemm_rhs(y.reshape(d, d, d), q)[0].ravel()
+    def fun(_tau, z):
+        nu = z[:m]
+        f = gemm_rhs(nu.reshape(d, d, d), q)[0].ravel()
+        phi = float(f.dot(nu))
+        return np.concatenate((f - phi * nu, (phi, math.exp(-2 * z[m]))))
+
+    def sample(_t, z):
+        g = norm * np.exp(z[m])
+        return (g * g) * _ricci_gemm(z[:m].reshape(d, d, d), q)
 
     t_end = flow._end_time(direction, horizon)
-    atol = flow._abs_tol(opts, bracket_norm(mu))
-    solver = DormandPrince54(fun, 0.0, mu.c.ravel(), t_end, rtol=opts.rel_tol, atol=atol)
-    return flow._drive(solver, opts, lambda _t, y: _ricci_gemm(y.reshape(d, d, d), q), mu.dims.n)
+    z0 = np.concatenate((mu.c.ravel() / norm, (0.0, 0.0)))
+    weight = np.concatenate((np.full(m, 1 / m), (1.0, 1.0)))
+    solver = DormandPrince54(
+        fun, 0.0, z0, math.copysign(math.inf, t_end), opts.rel_tol, flow._abs_tol(opts, 1.0), rms_weight=weight
+    )
+    return flow._drive(solver, opts, sample, mu.dims.n, flow._Clock(norm * norm, t_end))
 
 
 def equivalence_gap_loop(mu0, horizon: float) -> float:

@@ -511,7 +511,7 @@ def test_support_grows_until_the_flow_cannot_leave_it():
     ref = gemm_flow_run(mu, "forward", 3.0, opts)
     assert traj.n_samples == ref.t.size
     assert np.abs(traj.checkpoints[-1].mu.c[0, 1, 2]) > 0.1  # the grown entries move
-    ref_dense = DenseSolution(ref.t, ref.segments)
+    ref_dense = DenseSolution(ref.t, ref.segments, norm=bracket_norm(mu))
     np.testing.assert_allclose(traj.dense(3.0), ref_dense(3.0), rtol=1e-9, atol=1e-12)
 
 

@@ -33,7 +33,7 @@ from bracketflow import (
     transform_bracket,
     type_I_diagnostic,
 )
-from bracketflow import algebra, curvature
+from bracketflow import algebra, cli, curvature
 from bracketflow.catalog import catalog_entries, get_entry
 from bracketflow.verify import AcceptanceLab
 
@@ -374,9 +374,9 @@ def _leak_into_h3(monkeypatch) -> np.ndarray:
 def test_stiffness_failure_when_blowup_has_the_wrong_sign(monkeypatch):
     # hyperbolic3 run backward in forward time: it blows up at t = 1/4 with
     # R -> -inf, which no forward stop rule may read as a singularity, so
-    # the step size underflows
+    # the steps in t fall below 10 ulps, 1e-16 short of 1/4
     _flip_the_flow(monkeypatch)
-    with pytest.raises(StiffnessError, match=r"t = 0\.25"):
+    with pytest.raises(StiffnessError, match=r"t = 0\.2499999999999"):
         integrate(HYP, "forward", 1.0)
 
 
@@ -408,7 +408,7 @@ def test_drift_failure_detected_on_the_table_path(monkeypatch):
 
     monkeypatch.setattr(flow, "_relative_residuals", counted)
     opts = IntegratorOptions(membership_tol=0.1)
-    with pytest.raises(DriftError, match=r"admissibility drift 1\.002e-01 exceeds 1\.0e-01 at t = 0\.07377"):
+    with pytest.raises(DriftError, match=r"admissibility drift 1\.015e-01 exceeds 1\.0e-01 at t = 0\.08048"):
         integrate(mu, "forward", 1.0, opts)
     assert len(samples) == 18
     assert 0.08 < samples[0] < samples[-2] <= 0.1 < samples[-1]
@@ -437,6 +437,56 @@ def test_large_immortal_brackets_stay_immortal(mu, scale):
     assert traj.verdict.kind == "immortal" and traj.t[-1] == 10.0
 
 
+# The q = 0 catalog runs that are immortal: stepped in physical time, each
+# raised StiffnessError far enough out (nilpotent4 forward at t = 2.28e41 on
+# its way to 1e44; the others on their way to 1e60, from |t| = 1.2e44 to
+# 5.1e46).
+FAR_IMMORTAL = [("nilpotent4", "forward"), ("heisenberg3", "forward"), ("hyperbolic3", "forward"),
+                ("hyperbolic_plane", "forward"), ("su2_round", "backward")]
+
+
+@pytest.mark.parametrize("name, direction", FAR_IMMORTAL)
+def test_a_q0_immortal_run_reaches_a_horizon_of_1e60(name, direction):
+    # On the normalized state nu, |nu| = 1, the run is a slow approach to a
+    # fixed point at tau = inf and the physical time is theta / |mu0|^2.
+    traj = integrate(get_entry(name).bracket, direction, 1e60)
+    assert traj.verdict.kind == "immortal"
+    assert traj.t[-1] == (1e60 if direction == "forward" else -1e60)
+    assert traj.n_samples < 3000
+
+
+def test_a_catalog_run_to_1e44_exits_0(tmp_path):
+    assert cli.main(["--out", str(tmp_path), "catalog", "run", "nilpotent4", "--horizon", "1e44"]) == 0
+
+
+def _seed0_nilpotent(n):
+    return random_two_step_nilpotent(n, np.random.default_rng(0))
+
+
+Q0_RUNS = [
+    (f"{e.name}/{d}", e.bracket, d, e.default_horizon[d], *e.expected[d])
+    for e in catalog_entries()
+    for d in ("forward", "backward")
+    if e.bracket.dims.q == 0 and e.expected[d][0] != "flat"
+] + [(f"nilpotent/n={n}/backward", _seed0_nilpotent(n), "backward", 10.0, "blowup", None) for n in (6, 9, 13)]
+
+
+@pytest.mark.parametrize("label, mu, direction, horizon, kind, omega", Q0_RUNS, ids=[run[0] for run in Q0_RUNS])
+def test_a_q0_run_stops_in_at_most_200_samples(label, mu, direction, horizon, kind, omega):
+    # A type-I blowup is a fixed point of the normalized flow at tau = inf,
+    # so the tau steps reach the stop rule in 69 or 70 samples on the
+    # catalog (461 to 512 in physical time) and 124 to 147 on the seed-0
+    # nilpotent brackets (488 to 528).  The singular time is within 5
+    # rel_tol of its closed form, and an immortal run ends exactly at the
+    # horizon.
+    traj = integrate(mu, direction, horizon)
+    assert traj.n_samples <= 200 and traj.verdict.kind == kind
+    if kind == "immortal":
+        assert traj.t[-1] == (horizon if direction == "forward" else -horizon)
+    if omega is not None:
+        assert abs(traj.verdict.omega_est - omega) <= 5 * IntegratorOptions().rel_tol * abs(omega)
+
+
 @pytest.mark.parametrize("k", [-200, 160, 200, 240])
 def test_the_monitors_series_keep_the_scale_rule_far_out(k):
     # su(2) times 2^k over the horizon 2 / 4^k is k = 0's run rescaled.  The
@@ -457,23 +507,38 @@ def test_the_monitors_series_keep_the_scale_rule_far_out(k):
 E2_FLAT = LieBracket.from_triples(0, 3, [(3, 1, 2, 1.0), (3, 2, 1, -1.0)], one_indexed=True)
 
 
-@pytest.mark.parametrize("flow_name", ["bracket", "metric"])
 @pytest.mark.parametrize("k", [-20, 0, 23])
-def test_a_nonzero_fixed_point_reaches_the_horizon_in_one_step(k, flow_name):
-    # The derivative is exactly 0: the first step's heuristic has neither a
-    # rate |f| nor a change of f to read, and takes the whole interval at
-    # every scale, with no division by zero (Tier-1 fails on a warning).
+def test_a_nonzero_fixed_point_reaches_the_horizon_in_one_step(k):
+    # On the metric flow the derivative is exactly 0: the first step's
+    # heuristic has neither a rate |f| nor a change of f to read, and takes
+    # the whole interval at every scale, with no division by zero (Tier-1
+    # fails on a warning).
     c = 2.0**k
     mu = scale_bracket(E2_FLAT, c)
     assert bracket_norm(mu) == 2.0 * c and np.all(_rhs(mu).c == 0.0)
     for direction, end in (("forward", 10.0), ("backward", -10.0)):
-        if flow_name == "metric":
-            traj = metric_flow_integrate(mu, np.eye(3), direction, 10.0 / c**2)
-        else:
-            traj = integrate(mu, direction, 10.0 / c**2)
+        traj = metric_flow_integrate(mu, np.eye(3), direction, 10.0 / c**2)
         assert traj.verdict.kind == "immortal"
         assert traj.n_samples == 2 and traj.t[-1] * c**2 == end
         assert np.all(traj.scalar_R == 0.0)
+
+
+def test_a_nonzero_fixed_point_of_the_bracket_flow_stays_put_in_tau():
+    # In tau, theta = |mu0|^2 t always moves (dtheta/dtau = e^(-2 sigma) = 1
+    # here), so the run steps: nu and sigma stay exactly put, every step is
+    # exact, and the step grows tenfold per step until the horizon, the same
+    # steps at every scale, the last sample at exactly the horizon.
+    counts = set()
+    for k in (-20, 0, 23):
+        c = 2.0**k
+        mu = scale_bracket(E2_FLAT, c)
+        for direction, end in (("forward", 10.0), ("backward", -10.0)):
+            traj = integrate(mu, direction, 10.0 / c**2)
+            assert traj.verdict.kind == "immortal"
+            assert traj.t[-1] * c**2 == end and np.all(traj.scalar_R == 0.0)
+            assert np.all(traj.mu_norm == traj.mu_norm[0]) and np.all(traj.rhs_norm == 0.0)
+            counts.add(traj.n_samples)
+    assert len(counts) == 1 and counts.pop() < 15
 
 
 # --- the scale-free stop rule ------------------------------------------------
@@ -772,8 +837,14 @@ def test_estimate_blowup_time_su2(su2_forward):
     assert est == pytest.approx(1.0, abs=1e-3)
     assert (lo, hi) == (su2_forward.t[-1], su2_forward.verdict.far_bound)
     assert lo <= est <= hi
-    # the growth exponent is an opt-in diagnostic, off the verdict path
-    assert fit_power_blowup(su2_forward.t, su2_forward.mu_norm).exponent == pytest.approx(-0.5, abs=0.02)
+    # the growth exponent is an opt-in diagnostic, off the verdict path; the
+    # tau steps leave under 10 samples in the last two decades of |mu|, so
+    # it is fitted to the dense output on a grid of times geometric in the
+    # time left
+    traj = integrate(SU2, "forward", 2.0, IntegratorOptions(collect_dense=True))
+    t = est - np.geomspace(1e-2, 1e-8, 40)
+    norms = np.linalg.norm(traj.dense(t), axis=0)
+    assert fit_power_blowup(t, norms).exponent == pytest.approx(-0.5, abs=0.02)
 
 
 def test_estimate_blowup_time_heis_backward(heis_backward):
@@ -850,7 +921,7 @@ def test_comparison_slack_shows_the_margin_of_sphere2_times_line():
 
 
 @pytest.mark.parametrize(
-    "direction, horizon, rel_tol, samples", [("forward", 1e-3, 1e-10, 4), ("backward", 2.0, 1e-6, 9)]
+    "direction, horizon, rel_tol, samples", [("forward", 1e-3, 1e-10, 7), ("backward", 2.0, 1e-6, 10)]
 )
 def test_a_short_run_gets_a_report_with_every_field(direction, horizon, rel_tol, samples):
     # dR/dt is read at each sample off its own derivative, so a run of a
@@ -864,7 +935,8 @@ def test_a_short_run_gets_a_report_with_every_field(direction, horizon, rel_tol,
     assert rep.monotone_R_violation == 0.0
     assert rep.tail_norm_floor is None
     if direction == "forward":
-        assert 0.0 <= rep.comparison_slack <= 1e-10
+        # R equals comp up to rounding, su(2) being Einstein: -3.0e-16 here
+        assert -1e-15 <= rep.comparison_slack <= 1e-10
     else:
         assert rep.comparison_slack is None
 
@@ -872,15 +944,16 @@ def test_a_short_run_gets_a_report_with_every_field(direction, horizon, rel_tol,
 @pytest.mark.parametrize("fixture", ["su2_forward", "heis_backward"])
 def test_the_derivatives_and_norms_of_a_run_are_its_samples(fixture, request):
     # one derivative per sample, the flow's RHS at that sample's state, in
-    # its layout; |mu| and |dmu/dt|, taken once per run, are the per-sample
-    # dots bit for bit
+    # its layout, to rounding: the monitor keeps |mu0|^3 e^(3 sigma) F(nu) of
+    # a tau run's state, and the state is |mu0| e^sigma nu; |mu| and
+    # |dmu/dt|, taken once per run, are the per-sample dots bit for bit
     traj = request.getfixturevalue(fixture)
     states = traj.checkpoints._states
     assert len(traj.rhs) == len(states) == traj.n_samples
     table = flow._flow_table(traj.initial)
     for k in (0, 1, traj.n_samples - 1):
         expected = flow._default_rhs_tensor(states[k], table, flow._rhs_scratch(table))[0]
-        assert np.array_equal(traj.rhs[k], expected)
+        np.testing.assert_allclose(traj.rhs[k], expected, rtol=1e-14, atol=1e-14 * np.max(np.abs(expected)))
     assert traj.mu_norm.tolist() == [np.sqrt(2 * float(y.dot(y))) for y in states]
     assert traj.rhs_norm.tolist() == [np.sqrt(2 * float(dy.dot(dy))) for dy in traj.rhs]
     flat = integrate(FLAT, "forward", 5.0)
@@ -961,8 +1034,8 @@ def test_type_I_reads_only_the_fit_tail(monkeypatch, name, direction):
 
 
 def test_tail_diagnostics_ignore_samples_below_the_resolution_of_omega(su2_forward):
-    # Near the last sample |omega_est - t| is ~1e-12, below the error of
-    # omega_est itself; a few ulps of omega_est must not move either
+    # Near the last sample |omega_est - t| is ~4e-10, below the resolution
+    # TAIL_GAP_REL |omega_est|; a few ulps of omega_est must not move either
     # diagnostic off its closed form: sqrt(3)/2 and sqrt(6) for the round S^3.
     traj = su2_forward
     omega = traj.verdict.omega_est
@@ -996,6 +1069,26 @@ def test_dense_output_matches_closed_form():
     c = traj.dense(0.9).reshape(3, 3, 3)
     r = ricci_operator(LieBracket(traj.dims, c), check=False).scalar
     assert abs(r - 15.0) <= 1e-4
+
+
+def test_dense_output_reads_physical_time_to_the_accuracy_of_the_samples():
+    # su(2) forward: R (1 - t) = 3/2 exactly.  The samples' times and the
+    # dense output read theta by quadrature of e^(-2 sigma) over each step,
+    # both within 4e-13 of it up to t = 0.999; at weight 100 on theta the
+    # stepper's own theta put the samples 4.3e-9 off, and its quartic the
+    # dense output 3.7e-8.  A knot reads its sample, and the last sample of
+    # an immortal run, the end of its cut step, bit for bit.
+    traj = integrate(SU2, "forward", 2.0, IntegratorOptions(collect_dense=True))
+    on = traj.t <= 0.999
+    sampled = np.max(np.abs(traj.scalar_R[on] * (1.0 - traj.t[on]) / 1.5 - 1.0))
+    t = 0.999 * np.linspace(0.0, 1.0, 2001)
+    ric = curvature._ricci_gemm(np.ascontiguousarray(traj.dense(t).T).reshape(-1, 3, 3, 3), 0)
+    read = np.max(np.abs(np.trace(ric, axis1=1, axis2=2) * (1.0 - t) / 1.5 - 1.0))
+    assert sampled < 1e-8 and read < 1.5 * sampled
+    for k in (0, traj.n_samples // 2, traj.n_samples - 1):
+        np.testing.assert_allclose(traj.dense(traj.t[k]), traj.checkpoints[k].mu.c.ravel(), rtol=1e-14)
+    back = integrate(SU2, "backward", 2.0, IntegratorOptions(collect_dense=True))
+    assert back.t[-1] == -2.0 and np.array_equal(back.dense(-2.0), back.checkpoints[-1].mu.c.ravel())
 
 
 def test_dense_output_range_checked():
@@ -1040,24 +1133,36 @@ def test_dense_vector_call_equals_the_scalar_loop(run):
     assert np.array_equal(states, np.stack([traj.dense(s) for s in t], axis=1))
 
 
-@pytest.mark.parametrize("name, direction, horizon", [("su2_round", "forward", 2.0), ("heisenberg3", "backward", 1.0)])
-def test_dense_output_equals_scipys_ode_solution(name, direction, horizon):
-    # The same segments read through scipy's OdeSolution, bit for bit: at
-    # every knot, where both read the segment of lower index, and on an
-    # unsorted array with repeated times.  The tensor is that state mirrored.
-    traj = integrate(get_entry(name).bracket, direction, horizon, IntegratorOptions(collect_dense=True))
-    ours = flow.DenseSolution(traj.t, traj.dense.interpolants)
-    ref = scipy_dense_solution(traj.t, traj.dense.interpolants)
-    for t in traj.t:
+@pytest.mark.parametrize(
+    "name, direction, horizon, flow_name",
+    [("su2_round", "forward", 2.0, "bracket"), ("heisenberg3", "backward", 1.0, "bracket"), ("heisenberg3", "backward", 1.0, "metric")],
+)
+def test_dense_output_equals_scipys_ode_solution(name, direction, horizon, flow_name):
+    # Segments in their own time read through scipy's OdeSolution, bit for
+    # bit: at every knot, where both read the segment of lower index, and on
+    # an unsorted array with repeated times.  A bracket-flow run's segments
+    # are in tau, so they are read over their tau knots; the metric flow's
+    # dense output is that reading over its sample times.
+    opts = IntegratorOptions(collect_dense=True)
+    mu = get_entry(name).bracket
+    if flow_name == "metric":
+        traj = metric_flow_integrate(mu, np.eye(3), direction, horizon, opts)
+    else:
+        traj = integrate(mu, direction, horizon, opts)
+    steps = traj.dense.interpolants
+    knots = traj.t if flow_name == "metric" else np.array([s.t_old for s in steps] + [steps[-1].t_old + steps[-1].h])
+    ours = flow.DenseSolution(knots, steps)
+    ref = scipy_dense_solution(knots, steps)
+    for t in knots:
         assert np.array_equal(ours(t), ref(t))
     rng = np.random.default_rng(5)
-    t = rng.permutation(np.concatenate([traj.t, np.linspace(traj.t[0], traj.t[-1], 60)]))
+    t = rng.permutation(np.concatenate([knots, np.linspace(knots[0], knots[-1], 60)]))
     t = np.append(t, rng.choice(t, 9))
     assert np.array_equal(ours(t), ref(t))
-    table = curvature._flow_table(traj.initial)
-    assert np.array_equal(traj.dense(t), flow._to_tensor(ref(t), traj.dims.d, table).reshape(-1, len(t)))
+    if flow_name == "metric":
+        assert np.array_equal(traj.dense(t), ref(t))
     # one ulp past either end of the run is refused
-    for end, away in ((traj.t[0], -traj.t[-1]), (traj.t[-1], 2 * traj.t[-1])):
+    for end, away in ((knots[0], -knots[-1]), (knots[-1], 2 * knots[-1])):
         with pytest.raises(ValueError, match="outside"):
             ours(np.nextafter(end, away))
 
@@ -1130,7 +1235,7 @@ def test_c5s_mutant_is_the_sign_flipped_flow(monkeypatch):
     mutant = replace(back, direction="forward", t=-back.t, rhs=[-dy for dy in back.rhs])
     _flip_the_flow(monkeypatch)
     run = integrate(SU2, "forward", 2.0)
-    assert run.n_samples == 33
+    assert run.n_samples == 23
     assert np.array_equal(run.t, mutant.t) and np.array_equal(run.scalar_R, mutant.scalar_R)
     assert all(np.array_equal(a, b) for a, b in zip(run.rhs, mutant.rhs, strict=True))
     assert estimate_report(run) == estimate_report(mutant)
@@ -1173,7 +1278,7 @@ def _count_ricci_and_rhs(monkeypatch, mu, direction):
 
 
 # RHS evaluations of each run: 6 per attempted step plus the monitor's.
-RHS_CALLS = {("su2_round", "forward"): 3538, ("sphere2_su2", "backward"): 409}
+RHS_CALLS = {("su2_round", "forward"): 486, ("sphere2_su2", "backward"): 409}
 
 
 @pytest.mark.parametrize("name, direction", list(RHS_CALLS))
@@ -1337,7 +1442,7 @@ def test_dense_moved_brackets_make_no_ricci_assembly(monkeypatch, n):
     table = flow._flow_table(mu)
     assert table.upper.size == n * n * (n - 1) // 2 and table.stack is None
     ricci, rhs = _count_ricci_and_rhs(monkeypatch, mu, "backward")
-    assert ricci == 0 and rhs > 1000
+    assert ricci == 0 and rhs > 500
 
 
 @pytest.mark.parametrize("horizon", [5e-324, 1e-320])

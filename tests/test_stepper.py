@@ -142,6 +142,17 @@ def test_overflowing_stage_is_rejected_and_retried_at_min_factor_with_no_warning
     assert np.isfinite(solver.y).all()
 
 
+def test_a_weight_per_entry_weighs_each_entry():
+    # A vector of equal weights is the scalar weight; a weight per entry
+    # scales each entry's square.
+    x = np.array([3.0, -4.0, 12.0])
+    scalar = DormandPrince54(lambda _t, y: y, 0.0, x, 1.0, rms_weight=0.5)
+    each = DormandPrince54(lambda _t, y: y, 0.0, x, 1.0, rms_weight=np.full(3, 0.5))
+    assert each._rms(x) == pytest.approx(scalar._rms(x), rel=1e-15)
+    apart = DormandPrince54(lambda _t, y: y, 0.0, x, 1.0, rms_weight=np.array([1.0, 1.0, 0.0]))
+    assert apart._rms(x) == 5.0
+
+
 @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
 def test_rtol_below_rounding_is_raised_like_scipys():
     args = (_linear, 0.0, np.array([1.0, 0.0]), 1.0)
