@@ -76,21 +76,32 @@ stands for two), and theta = |mu0|^2 t.  One `_default_rhs_tensor` call per
 stage gives F; the error weights are 2 / d^3 on each entry of nu and 1 on
 sigma and theta, and atol is `_abs_tol(opts, 1.0)`, |nu| being 1.  A type-I
 singularity is a fixed point of nu at tau = inf, approached geometrically,
-so the stop rule fires after about 70 samples (461 to 512 in t on the
-catalog).  The physical time is read by quadrature of e^(-2 sigma) over each
-step (`_Clock`), not off the stepper's theta, whose error is not a shift of
+so the stop rule fires after 89 to 95 samples on the catalog (461 to 512 in
+t).  The physical time is read by quadrature of e^(-2 sigma) over each step
+(`_Clock`), not off the stepper's theta, whose error is not a shift of
 time: even at 100 times the error weight it put su(2)'s singular time
 1.3e-11 off and the samples nearest it 2e-4 of the time left, where the
-quadrature reads a soliton's to rounding.
-Each sample is handed back in physical units: t = theta / |mu0|^2, the
-state u = |mu0| e^sigma nu, Ric |mu0|^2 e^(2 sigma) times nu's and the
-derivative |mu0|^3 e^(3 sigma) F(nu).  tau has no end of its own: a
+quadrature reads a soliton's to rounding.  theta is stepped for its error
+control, which bounds the steps while e^(-2 sigma) is not small and so sets
+how dense the samples are away from a singularity: without theta the
+catalog and seed-0 nilpotent runs of both directions took 2557 samples
+where they take 2911, su(2)'s nearest sample to t = 0.9 lay 0.019 from it,
+not 0.0018, and with no bound on sigma's steps either its singular time
+was 3e-4 off.  Near a fixed point of nu the steps grow fast, and `_Clock`
+bounds each by `SIGMA_STEP` in sigma, so that a blowup keeps 24 samples in
+the last two decades of |mu| (3 to 6 without the bound) and
+`fit_power_blowup` can read its own samples.
+The monitor evaluates the RHS at each sample's physical state u = |mu0|
+e^sigma nu, so that every series is in physical units: t = theta /
+|mu0|^2, u, Ric and the derivative F(u).  tau has no end of its own: a
 backward run steps to tau = -inf, and `_drive` ends the run at the first
 step whose theta reaches |mu0|^2 (+-horizon), its last sample read off that
 step's interpolant at exactly +-horizon.  A run at q > 0 steps the state u
 in physical time, to the end time +-horizon: in tau the catalog's q > 0
-runs took about as many steps, its backward ones 109 to 113 samples against
-99 to 107, each step costing more.
+runs took 620 to 626 samples forward (against 629 to 675) and 109 to 113
+backward (against 99 to 107), each step costing more, and `catalog_cli`,
+whose median op is such a backward run, lost in 5 of 5 alternating pairs:
+54.1 against 76.8 ops/s, op_ms.p50 11.7 against 8.6 (medians).
 """
 
 from __future__ import annotations
@@ -158,9 +169,14 @@ NEWTON_STEPS = 5
 # 5-point Gauss-Legendre nodes and weights on [0, 1], for `_theta_gain`.
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 _GAUSS_X, _GAUSS_W = (_GAUSS_X + 1) / 2, _GAUSS_W / 2
-# sigma - sigma_old at the nodes of a step of h with stages K is
-# h K[:, sigma] . _GAUSS_STAGES, through the stepper's dense output (`_Clock`).
-_GAUSS_STAGES = RK45.P.dot(_GAUSS_X ** np.arange(1, 5)[:, None])
+# How far a tau step may move sigma = log(|mu| / |mu0|), at the mean rate of
+# the step before (`_Clock`).  Measured on the catalog and the seed-0
+# nilpotent runs at n = 6, 9, 13: with no bound they take 2796 samples, and
+# su2_round forward keeps 6 in the last two decades of |mu|, under
+# `fit_power_blowup`'s 10; at 0.46, 0.3 and 0.2 they take 2820, 2851 and
+# 2911, and it keeps 11, 16 and 24.  At rel_tol 1e-6 C1's window [0.9, 0.99]
+# holds 2, 4 and 6 samples at those bounds, and C1 needs 5.
+SIGMA_STEP = 0.2
 # The fewest tail samples `fit_power_blowup` accepts.
 MIN_TAIL_SAMPLES = 10
 # Tail diagnostics skip the samples with |omega_est - t| below this fraction
@@ -345,16 +361,18 @@ class DenseSolution:
 
     Without `norm` (the metric flow, the zero bracket) the interpolants are
     in physical time, and each contiguous group of the sorted times that
-    shares a segment is read in one interpolant call.  With `norm` = |mu0|
-    (every stepped bracket-flow run) they are in the scale-free time tau,
-    over z = (nu, sigma, theta) with theta = |mu0|^2 t: the whole array of
-    times is answered by one vectorized Newton solve on each time's segment
-    for the point where theta, read by quadrature of e^(-2 sigma) as the
-    run's sample times are (`_Clock`), reaches |mu0|^2 t (`_theta_root`),
-    and the state is |mu0| e^sigma nu there.  With a `table`, as every
-    bracket-flow run has, that state is u on its support (see `_to_state`)
-    and the solution is the flat tensor of size d^3 that u stands for,
-    mirrored exactly (`_to_tensor`).
+    shares a segment is read in one interpolant call, as scipy's
+    `OdeSolution` reads them.  With `norm` = |mu0| (a bracket-flow run
+    stepped in tau) they are in the scale-free time tau, over z = (nu,
+    sigma, theta) with theta = |mu0|^2 t, and `in_tau` is the solution that
+    reads them in tau that way.  A physical time t reads it at `tau(t)`,
+    found for the whole array of times by one vectorized Newton solve on
+    each time's segment for the point where theta, read by quadrature of
+    e^(-2 sigma) as the run's sample times are (`_Clock`), reaches |mu0|^2 t
+    (`_theta_root`), and the state is |mu0| e^sigma nu there.  With a
+    `table`, as every bracket-flow run has, that state is u on its support
+    (see `_to_state`) and the solution is the flat tensor of size d^3 that
+    u stands for, mirrored exactly (`_to_tensor`).
     """
 
     def __init__(self, ts, interpolants, d: int = 0, table: _StackedTable | None = None, norm: float | None = None):
@@ -368,15 +386,32 @@ class DenseSolution:
         self._table = table
         self._norm = norm
         if norm is not None:
+            last = interpolants[-1]
             self._ts = ts
-            self._y_old = np.array([s.y_old for s in interpolants])
-            self._q = np.array([s.q for s in interpolants])
+            self._tau = np.array([s.t_old for s in interpolants] + [last.t_old + last.h])
             self._h = np.array([s.h for s in interpolants])
+            self._sigma_old = np.array([s.y_old[-2] for s in interpolants])
+            self._c = np.array([s.q[:, -2] for s in interpolants])
+            self.in_tau = DenseSolution(self._tau, interpolants)
 
     def _segments(self, t: np.ndarray) -> np.ndarray:
         last = len(self.interpolants) - 1
         seg = np.clip(np.searchsorted(self._knots, t, side=self._side) - 1, 0, last)
         return seg if self._ascending else last - seg
+
+    def tau(self, t):
+        """The tau at which a run stepped in tau reaches the physical times t: a float or a 1-d array, as t.
+
+        One vectorized Newton solve on each time's segment (`_theta_root`);
+        a knot reads its own tau.
+        """
+        t1 = np.atleast_1d(t)
+        seg = self._segments(t1)
+        scale = self._norm * self._norm
+        x = _theta_root(self._sigma_old[seg], self._c[seg], self._h[seg], scale * self._ts[seg], scale * t1)
+        tau = np.where(t1 == self._ts[seg], self._tau[seg], self._tau[seg] + x * self._h[seg])
+        tau = np.where(t1 == self._ts[seg + 1], self._tau[seg + 1], tau)
+        return tau if np.ndim(t) else tau[0]
 
     def __call__(self, t):
         t = np.asarray(t)
@@ -384,32 +419,29 @@ class DenseSolution:
             raise ValueError("`t` must be a float or a 1-D array.")
         if t.size and not (self.t_min <= np.min(t) and np.max(t) <= self.t_max):
             raise ValueError(f"time {t} outside the integrated range")
-        if self._norm is not None:
-            # x = 0 and 1 at the segment's own knots, so that a knot reads its sample
-            t1 = np.atleast_1d(t)
-            seg = self._segments(t1)
-            y_old, q, h = self._y_old[seg], self._q[seg], self._h[seg]
-            scale = self._norm * self._norm
-            x = _theta_root(y_old, q, h, scale * self._ts[seg], scale * t1)
-            x = np.where(t1 == self._ts[seg + 1], 1.0, np.where(t1 == self._ts[seg], 0.0, x))
-            z = _read_steps(y_old, q, h, x)
-            u = (self._norm * np.exp(z[:, -2]))[:, None] * z[:, :-2]
-            y = u.T if t.ndim else u[0]
-        elif not t.size:
-            y = self.interpolants[0](t)  # shape (N, 0)
-        elif t.ndim == 0:
-            y = self.interpolants[self._segments(t)](t)
+        if self._norm is None:
+            y = self._read(t)
         else:
-            # scipy's order of evaluation, so that every interpolant call sees the same times
-            order = np.argsort(t)
-            t_sorted = t[order]
-            seg = self._segments(t_sorted)
-            cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1), len(t)]
-            parts = [self.interpolants[seg[a]](t_sorted[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-            ys = np.hstack(parts)
-            y = np.empty_like(ys)
-            y[:, order] = ys
+            z = self.in_tau._read(np.asarray(self.tau(t)))
+            y = (self._norm * np.exp(z[-2])) * z[:-2]
         return y if self._table is None else _to_tensor(y, self._d, self._table).reshape((self._d**3,) + y.shape[1:])
+
+    def _read(self, t: np.ndarray) -> np.ndarray:
+        # the interpolants at the times t, in their own time, as scipy's OdeSolution reads them
+        if not t.size:
+            return self.interpolants[0](t)  # shape (N, 0)
+        if t.ndim == 0:
+            return self.interpolants[self._segments(t)](t)
+        # scipy's order of evaluation, so that every interpolant call sees the same times
+        order = np.argsort(t)
+        t_sorted = t[order]
+        seg = self._segments(t_sorted)
+        cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1), len(t)]
+        parts = [self.interpolants[seg[a]](t_sorted[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        ys = np.hstack(parts)
+        y = np.empty_like(ys)
+        y[:, order] = ys
+        return y
 
 
 def _to_state(c: np.ndarray, table: _StackedTable) -> np.ndarray:
@@ -531,14 +563,13 @@ def integrate(
     else:
         scratch = _rhs_scratch(table)
         m = y0.size
-        # Per sample: the Jacobi, h1 and h3 residuals of the state's first m
-        # entries, the derivative there and the gain g that takes them to mu.
-        rows: list[float] = []
+        # Per sample: the physical state, the derivative there and its
+        # Jacobi, h1 and h3 residuals.
+        states: list[np.ndarray] = []
         derivs: list[np.ndarray] = []
-        gains: list[float] = []
+        rows: list[float] = []
         if q == 0:
-            # z = (nu, sigma, theta) stepped in tau (see the module docstring):
-            # mu = g nu with g = |mu0| e^sigma, and theta = |mu0|^2 t.
+            # z = (nu, sigma, theta) stepped in tau (see the module docstring)
             def fun(_tau, z):
                 nu = z[:m]
                 f = _default_rhs_tensor(nu, table, scratch)[0]
@@ -549,24 +580,24 @@ def integrate(
                 dz[m + 1] = math.exp(-2 * float(z[m]))
                 return dz
 
-            def gain(z):
-                return norm * np.exp(z[m])
+            def physical(z):
+                return norm * np.exp(z[m]) * z[:m]
 
             # nu's part of the error norm is the RMS over the d^3 tensor
             # entries, and sigma and theta weigh 1 each
-            weight = np.concatenate((np.full(m, 2 / d**3), (1.0, 1.0)))
-            z0 = np.concatenate((y0 / norm, (0.0, 0.0)))
+            weight = np.append(np.full(m, 2 / d**3), (1.0, 1.0))
             solver = RK45(
-                fun, 0.0, z0, math.copysign(math.inf, t_end), opts.rel_tol, _abs_tol(opts, 1.0), rms_weight=weight
+                fun, 0.0, np.append(y0 / norm, (0.0, 0.0)), math.copysign(math.inf, t_end), opts.rel_tol,
+                _abs_tol(opts, 1.0), rms_weight=weight,
             )
-            clock = _Clock(norm * norm, t_end)
+            clock = _Clock(solver, norm * norm, t_end)
         else:
-            # q > 0: u stepped in physical time (see the module docstring), g = 1
+            # q > 0: u stepped in physical time (see the module docstring)
             def fun(_t, u):
                 return _default_rhs_tensor(u, table, scratch)[0]
 
-            def gain(_u):
-                return 1.0
+            def physical(u):
+                return u
 
             solver = RK45(fun, 0.0, y0, t_end, opts.rel_tol, _abs_tol(opts, norm), rms_weight=2 / d**3)
             clock = None
@@ -576,34 +607,27 @@ def integrate(
 
         def sample(t, z):
             # The monitor, at t = 0 too, where the state is already admitted
-            # at membership_tol <= drift_tol: one RHS evaluation for the
-            # derivative and Ric, and the drift check, the largest residual
-            # relative to |nu| to its degree, which is |mu|'s.  Where the
-            # support has no residual row, every residual is exactly 0 on V_S
-            # and the check is vacuous, so it is not made.  Each entry of nu
-            # stands for two tensor entries, c and its mirror.  Ric is g^2
-            # times nu's.
-            nu = z[:m]
-            f, r = _default_rhs_tensor(nu, table, scratch)
+            # at membership_tol <= drift_tol: one RHS evaluation at the
+            # physical state u, for the derivative and Ric, and the drift
+            # check, the largest residual relative to |mu| to its degree.
+            # Where the support has no residual row, every residual is
+            # exactly 0 on V_S and the check is vacuous, so it is not made.
+            # Each entry of u stands for two tensor entries, c and its mirror.
+            u = physical(z)
+            f, r = _default_rhs_tensor(u, table, scratch)
             jac = h1 = h3 = 0.0
             if checked:
-                jac, h1, h3 = forms.residuals(nu)
-                drift = max(_relative_residuals(jac, h1, h3, 2 * float(nu.dot(nu))))
+                jac, h1, h3 = forms.residuals(u)
+                drift = max(_relative_residuals(jac, h1, h3, 2 * float(u.dot(u))))
                 if drift > drift_tol:
                     raise DriftError(f"admissibility drift {drift:.3e} exceeds {drift_tol:.1e} at t = {t}")
-            g = gain(z)
-            rows.extend((jac, h1, h3))
+            states.append(u)
             derivs.append(f)
-            gains.append(g)
-            return (g * g) * r[table.sym]
+            rows.extend((jac, h1, h3))
+            return r[table.sym]
 
         run = _drive(solver, opts, sample, dims.n, clock)
-        # Every series in physical units: mu = g nu, dmu/dt = g^3 F(nu), and
-        # the residuals to their degrees.
-        g = np.array(gains)
-        states = list(np.array(run.states)[:, :m] * g[:, None])
-        derivs = list(np.array(derivs) * (g * g * g)[:, None])
-        jac, h1, h3 = np.reshape(rows, (-1, 3)).T * np.array([g * g, g, g])
+        jac, h1, h3 = np.reshape(rows, (-1, 3)).T
         dense = DenseSolution(run.t, run.segments, d, table, None if clock is None else norm) if run.segments else None
 
     scale = _pow2_scale(y0)
@@ -680,26 +704,24 @@ class _Run:
 class _Clock:
     """The physical time of a run stepped in tau: theta = scale t, grown by each step's quadrature.
 
-    dtheta/dtau is e^(-2 sigma), so a step of h from sigma_old grows theta by
-    h e^(-2 sigma_old) times the integral over [0, 1] of e^(-2 (sigma -
-    sigma_old)) on the step's interpolant of sigma, by 5-point
-    Gauss-Legendre (`_theta_gain`; here read straight off the step's stages,
-    through `_GAUSS_STAGES`).  The stepper's own theta, the last entry of
-    its state, is not read: its error control keeps each step's quadrature
-    resolved, but its error is not a shift of time, and near a blowup it
-    moved the samples' times by 2e-4 of the time left, where the quadrature
-    reads the time of a soliton to rounding.  The run ends at physical time
-    t_end, theta_end = scale t_end.
+    dtheta/dtau is e^(-2 sigma), so a step grows theta by its
+    `_theta_gain`, read off the step's interpolant of sigma, not off the
+    stepper's theta (see the module docstring).  The run ends at physical
+    time t_end, theta_end = scale t_end.  The clock also keeps the samples
+    dense in sigma = log(|mu| / |mu0|) where the steps grow fast, near a
+    fixed point of nu: it bounds the solver's next step to `SIGMA_STEP`
+    over the mean rate of sigma on the step just taken.
     """
 
-    def __init__(self, scale: float, t_end: float):
+    def __init__(self, solver, scale: float, t_end: float):
+        self.solver = solver
         self.scale = scale
         self.t_end = t_end
         self.theta_end = scale * t_end
         self.theta = 0.0
 
-    def advance(self, solver) -> tuple[float, DenseStep | None, bool]:
-        """The physical time after the solver's accepted step, and whether the run ends there, with the step it ends on.
+    def advance(self) -> tuple[float, DenseStep, bool]:
+        """The physical time after the solver's accepted step, the step's interpolant, and whether the run ends there.
 
         A step that takes theta to theta_end or past is cut where it
         reaches theta_end (`_theta_root`): with x that root, the interpolant
@@ -707,35 +729,40 @@ class _Clock:
         step's on [0, x], and the run's last sample is its end, at exactly
         t_end.
         """
-        h = solver.t - solver.t_old
-        exponent = (-2 * h) * solver.K[:, -2].dot(_GAUSS_STAGES)
-        theta = self.theta + h * math.exp(-2 * solver.y_old[-2]) * np.exp(exponent).dot(_GAUSS_W)
+        step = self.solver.dense_output()
+        sigma_old, c = step.y_old[-2], step.q[:, -2]
+        theta = self.theta + _theta_gain(sigma_old, c, step.h)
         if (theta - self.theta_end) * self.t_end < 0:
             self.theta = theta
-            return theta / self.scale, None, False
-        step = solver.dense_output()
-        x = _theta_root(step.y_old, step.q, step.h, self.theta, self.theta_end)
+            # the step's mean rate of sigma bounds the next step
+            rate = abs(float(self.solver.y[-2] - sigma_old) / step.h)
+            if rate > 0:
+                self.solver.h_abs = min(self.solver.h_abs, SIGMA_STEP / rate)
+            return theta / self.scale, step, False
+        x = _theta_root(sigma_old, c, step.h, self.theta, self.theta_end)
         self.theta = self.theta_end
         return self.t_end, DenseStep(step.t_old, step.t_old + x * step.h, step.y_old, step.q * (x ** np.arange(4))[:, None]), True
 
 
-def _theta_gain(y_old, q, h, x=1.0):
+def _theta_gain(sigma_old, c, h, x=1.0):
     """How much theta grows on tau steps from x = 0 to x.
 
-    Step i is a `stepper.DenseStep`, y_old[i] + h[i] sum_k x^(k+1) q[i, k]
-    over x in [0, 1], over z = (nu, sigma, theta); the arguments are one
-    step's fields or stacks of them, with x per step.  dtheta/dtau is
-    e^(-2 sigma), so the gain is h e^(-2 sigma_old) times the integral over
-    [0, x] of e^(-2 (sigma - sigma_old)) on sigma's interpolant, by 5-point
+    On step i, a `stepper.DenseStep` over z = (nu, sigma, theta), sigma is
+    sigma_old[i] + h[i] sum_k x^(k+1) c[i, k] over x in [0, 1], c being
+    sigma's column of its q; the arguments are one step's or stacks of
+    them, with x per step.
+    dtheta/dtau is e^(-2 sigma), so the gain is h e^(-2 sigma_old) times the
+    integral over [0, x] of e^(-2 (sigma - sigma_old)), by 5-point
     Gauss-Legendre.  Every operation is elementwise, so that a step's gain
-    does not depend on the others in a stack.
+    does not depend on the others in a stack, and a stack of steps reads
+    each step's gain as the run did.
     """
     x = np.asarray(x)
-    part = (np.exp(-2 * _sigma_rise(q, h, x[..., None] * _GAUSS_X)) * _GAUSS_W).sum(axis=-1)
-    return h * x * np.exp(-2 * y_old[..., -2]) * part
+    part = (np.exp(-2 * _sigma_rise(c, h, x[..., None] * _GAUSS_X)) * _GAUSS_W).sum(axis=-1)
+    return h * x * np.exp(-2 * sigma_old) * part
 
 
-def _theta_root(y_old, q, h, theta_old, theta):
+def _theta_root(sigma_old, c, h, theta_old, theta):
     """Where tau steps whose theta is theta_old at x = 0 reach theta: x in [0, 1] per step.
 
     The arguments are as `_theta_gain`'s.  theta is monotone on a step, and
@@ -743,29 +770,20 @@ def _theta_root(y_old, q, h, theta_old, theta):
     clipped to [0, 1]: a fixed number, so that each step's root does not
     depend on the others in a stack.
     """
-    rate = h * np.exp(-2 * y_old[..., -2])
+    rate = h * np.exp(-2 * sigma_old)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.clip(np.nan_to_num((theta - theta_old) / _theta_gain(y_old, q, h)), 0.0, 1.0)
+        x = np.clip(np.nan_to_num((theta - theta_old) / _theta_gain(sigma_old, c, h)), 0.0, 1.0)
         for _ in range(NEWTON_STEPS):
-            miss = theta_old + _theta_gain(y_old, q, h, x) - theta
-            slope = rate * np.exp(-2 * _sigma_rise(q, h, x[..., None])[..., 0])
+            miss = theta_old + _theta_gain(sigma_old, c, h, x) - theta
+            slope = rate * np.exp(-2 * _sigma_rise(c, h, x[..., None])[..., 0])
             x = np.clip(x - np.where(slope != 0, miss / slope, 0.0), 0.0, 1.0)
     return x
 
 
-def _sigma_rise(q, h, s):
+def _sigma_rise(c, h, s):
     # sigma - sigma_old at the points s of tau steps, s with a last axis of its own, by Horner's rule
-    c = np.moveaxis(np.asarray(h)[..., None] * q[..., -2], -1, 0)[..., None]
-    return (((c[3] * s + c[2]) * s + c[1]) * s + c[0]) * s
-
-
-def _read_steps(y_old, q, h, x):
-    """The states y_old + h sum_k x^(k+1) q[k] of tau steps at x, by Horner's rule, for stacks as for one step."""
-    x = np.asarray(x)[..., None]
-    acc = q[..., 3, :]
-    for k in (2, 1, 0):
-        acc = acc * x + q[..., k, :]
-    return y_old + (np.asarray(h)[..., None] * x) * acc
+    hc = np.asarray(h)[..., None, None] * c[..., None, :]
+    return (((hc[..., 3] * s + hc[..., 2]) * s + hc[..., 1]) * s + hc[..., 0]) * s
 
 
 def _drive(solver, opts: IntegratorOptions, sample, n: int, clock: _Clock | None = None) -> _Run:
@@ -809,8 +827,8 @@ def _drive(solver, opts: IntegratorOptions, sample, n: int, clock: _Clock | None
             if clock is None:
                 t, y, step, done = solver.t, solver.y, None, solver.status == "finished"
             else:
-                t, step, done = clock.advance(solver)
-                y = _read_steps(step.y_old, step.q, step.h, 1.0) if done else solver.y
+                t, step, done = clock.advance()
+                y = step(step.t_old + step.h) if done else solver.y
                 if not done and abs(t - t_old) < 10 * abs(math.nextafter(t_old, clock.t_end) - t_old):
                     msg = "the step in physical time fell below 10 ulps"
             if opts.collect_dense:
@@ -978,8 +996,10 @@ class EstimateReport:
     minimum of (R(t) - comp(t)) / comp(t), R against the scalar comparison
     solution comp(t) = 1 / (1/R(0) - 2t/n) in units of comp; it is computed
     for forward runs with R(0) > 0 over the samples with t > 0 on the inner
-    99% of the comparison lifespan (None otherwise), and is >= 0 up to the
-    error of the integration, since R never falls below comp.  All three
+    99% of the comparison lifespan (None otherwise), a gap R - comp of at
+    most 2 ulps of comp, below comp's own rounding, reading 0; it is >= 0
+    up to the error of the integration, since R never falls below comp, and
+    0 on an Einstein metric, where R is comp.  All three
     are relative, with 0 / 0 read as 0, so they do not change under
     mu -> c mu (bit for bit when c is a power of 2).
     """
@@ -1020,7 +1040,11 @@ def estimate_report(traj: Trajectory) -> EstimateReport:
         mask = (traj.t > 0) & (traj.t <= 0.99 * t_pole)
         if np.any(mask):
             comp = 1.0 / (1.0 / r0 - (2.0 / n) * traj.t[mask])
-            slack = float(np.min((traj.scalar_R[mask] - comp) / comp))
+            gap = traj.scalar_R[mask] - comp
+            # a gap of at most 2 ulps of comp is below the rounding of comp
+            # itself, and reads 0
+            gap = np.where(np.abs(gap) <= 2 * np.spacing(comp), 0.0, gap)
+            slack = float(np.min(gap / comp))
 
     return EstimateReport(
         velocity_ratio_max=velocity_ratio,

@@ -169,12 +169,12 @@ def gemm_flow_run(mu, direction: str, horizon: float, opts=None):
     The system, the stepper and the loop are `flow.integrate`'s at q = 0:
     z = (nu, sigma, theta) stepped in tau, mu = |mu0| e^sigma nu, with
     dnu/dtau = F(nu) - phi nu, phi = F.nu, dsigma/dtau = phi and
-    dtheta/dtau = e^(-2 sigma), theta = |mu0|^2 t, through `flow._drive` with
-    a `flow._Clock` and Ric from `_ricci_gemm` at each sample; here F is
-    `gemm_rhs` on the flat tensor, whose plain dot is the tensor inner
-    product.  So are atol and the error weights: 1/d^3 on each flat entry
-    equals the support state's 2/d^3, each of whose entries stands for an
-    entry and its mirror.  Its dense output,
+    dtheta/dtau = e^(-2 sigma), through `flow._drive` with a `flow._Clock`
+    for the physical time and Ric from `_ricci_gemm` at each sample, at
+    |mu0| e^sigma nu; here F is `gemm_rhs` on the flat tensor,
+    whose plain dot is the tensor inner product.  So are atol and the error
+    weights: 1/d^3 on each flat entry equals the support state's 2/d^3, each
+    of whose entries stands for an entry and its mirror.  Its dense output,
     `flow.DenseSolution(run.t, run.segments, norm=bracket_norm(mu))`, is the
     flat tensor.
     """
@@ -193,19 +193,18 @@ def gemm_flow_run(mu, direction: str, horizon: float, opts=None):
         nu = z[:m]
         f = gemm_rhs(nu.reshape(d, d, d), q)[0].ravel()
         phi = float(f.dot(nu))
-        return np.concatenate((f - phi * nu, (phi, math.exp(-2 * z[m]))))
+        return np.append(f - phi * nu, (phi, math.exp(-2 * z[m])))
 
     def sample(_t, z):
-        g = norm * np.exp(z[m])
-        return (g * g) * _ricci_gemm(z[:m].reshape(d, d, d), q)
+        return _ricci_gemm((norm * np.exp(z[m]) * z[:m]).reshape(d, d, d), q)
 
     t_end = flow._end_time(direction, horizon)
-    z0 = np.concatenate((mu.c.ravel() / norm, (0.0, 0.0)))
-    weight = np.concatenate((np.full(m, 1 / m), (1.0, 1.0)))
+    weight = np.append(np.full(m, 1 / m), (1.0, 1.0))
     solver = DormandPrince54(
-        fun, 0.0, z0, math.copysign(math.inf, t_end), opts.rel_tol, flow._abs_tol(opts, 1.0), rms_weight=weight
+        fun, 0.0, np.append(mu.c.ravel() / norm, (0.0, 0.0)), math.copysign(math.inf, t_end), opts.rel_tol,
+        flow._abs_tol(opts, 1.0), rms_weight=weight,
     )
-    return flow._drive(solver, opts, sample, mu.dims.n, flow._Clock(norm * norm, t_end))
+    return flow._drive(solver, opts, sample, mu.dims.n, flow._Clock(solver, norm * norm, t_end))
 
 
 def equivalence_gap_loop(mu0, horizon: float) -> float:
